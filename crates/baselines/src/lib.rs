@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! # sa-baselines — the estimators the paper argues against (and with)
 //!
 //! The related-work section of the paper motivates GUS by the failure of
@@ -15,7 +13,7 @@
 //! * [`bootstrap`] — resample the result tuples with replacement and take
 //!   percentile intervals; equally blind to join correlation.
 //! * [`oracle_variance`] — the *true* Theorem-1 variance computed from the
-//!   full population (execute the sampling-free plan, accumulate exact
+//!   full population (drain the sampling-free plan, accumulate exact
 //!   `y_S`, apply the GUS coefficients). The gold standard coverage
 //!   experiments calibrate against.
 
@@ -24,10 +22,10 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use sa_core::{exact_variance, normal_ci, ConfidenceInterval, GroupedMoments};
-use sa_exec::{approx_query, exact_query, execute, ApproxOptions, ExecOptions};
-use sa_expr::{bind, eval_f64};
-use sa_plan::{rewrite, AggFunc, LogicalPlan};
+use sa_core::{exact_variance, normal_ci, ConfidenceInterval, MomentAccumulator};
+use sa_exec::{DrainedSample, ExecOptions};
+use sa_online::Engine;
+use sa_plan::{rewrite, AggFunc, AggSpec, LogicalPlan};
 use sa_storage::Catalog;
 
 /// Seed tweak for the bootstrap's own RNG stream.
@@ -142,37 +140,29 @@ pub fn oracle_variance(plan: &LogicalPlan, catalog: &Catalog) -> sa_exec::Result
             "oracle variance for AVG is a delta-method quantity; use SUM/COUNT".into(),
         ));
     }
-    let rs = execute(input, catalog, &ExecOptions::default())?;
-    let bound = spec
-        .expr
-        .as_ref()
-        .map(|e| bind(e, &rs.schema))
-        .transpose()
-        .map_err(sa_exec::ExecError::Expr)?;
-    let mut acc = GroupedMoments::new(analysis.schema.n(), 1);
-    for row in &rs.rows {
-        let f = match &bound {
-            None => 1.0,
-            Some(e) => match spec.func {
-                AggFunc::Count => {
-                    if eval_f64(e, &row.values)
-                        .map_err(sa_exec::ExecError::Expr)?
-                        .is_some()
-                    {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-                _ => eval_f64(e, &row.values)
-                    .map_err(sa_exec::ExecError::Expr)?
-                    .unwrap_or(0.0),
-            },
-        };
-        acc.push_scalar(&row.lineage, f)
-            .map_err(sa_exec::ExecError::Core)?;
-    }
-    Ok(exact_variance(&analysis.gus, &acc.finish(), 0))
+    let (lineage, f) = drain_first_agg(input, spec, catalog, 0)?;
+    let mut acc = MomentAccumulator::new(analysis.schema.n(), 1);
+    let lineage: Vec<&[u64]> = lineage.iter().map(Vec::as_slice).collect();
+    acc.push_batch(&lineage, &[&f])
+        .map_err(sa_exec::ExecError::Core)?;
+    Ok(exact_variance(&analysis.gus, &acc.snapshot(), 0))
+}
+
+/// What the SBox sees of `spec` over `input` (an aggregate's input, sampled
+/// per `seed`): the lineage columns and the `f` column (for `AVG`, its
+/// numerator).
+fn drain_first_agg(
+    input: &LogicalPlan,
+    spec: &AggSpec,
+    catalog: &Catalog,
+    seed: u64,
+) -> sa_exec::Result<(Vec<Vec<u64>>, Vec<f64>)> {
+    let opts = ExecOptions {
+        seed,
+        ..Default::default()
+    };
+    let mut sample = DrainedSample::collect(input, std::slice::from_ref(spec), catalog, &opts)?;
+    Ok((sample.lineage, sample.f.swap_remove(0)))
 }
 
 /// One head-to-head run of all estimators on the same sampled execution.
@@ -198,69 +188,37 @@ pub fn compare_estimators(
     seed: u64,
     level: f64,
     bootstrap_resamples: u32,
-) -> sa_exec::Result<ComparisonRun> {
-    let approx = approx_query(
-        plan,
-        catalog,
-        &ApproxOptions {
-            seed,
-            confidence: level,
-            subsample_target: None,
-        },
-    )?;
-    let gus = approx.aggs[0].clone();
-    let a = approx.analysis.gus.a();
-
-    // Re-execute the sampled input with the same seed to extract raw f
-    // values for the baselines (execution is deterministic in the seed).
+) -> sa_online::Result<ComparisonRun> {
     let LogicalPlan::Aggregate { aggs, input } = plan else {
-        return Err(sa_exec::ExecError::Unsupported(
+        return Err(sa_online::Error::Unsupported(
             "comparison requires an aggregate plan".into(),
         ));
     };
-    let rs = execute(
-        input,
-        catalog,
-        &ExecOptions {
-            seed,
-            ..Default::default()
-        },
-    )?;
-    let spec = &aggs[0];
-    let bound = spec
-        .expr
-        .as_ref()
-        .map(|e| bind(e, &rs.schema))
-        .transpose()
-        .map_err(sa_exec::ExecError::Expr)?;
-    let mut fs = Vec::with_capacity(rs.rows.len());
-    for row in &rs.rows {
-        let f = match &bound {
-            None => 1.0,
-            Some(e) => eval_f64(e, &row.values)
-                .map_err(sa_exec::ExecError::Expr)?
-                .unwrap_or(0.0),
-        };
-        fs.push(f);
-    }
+    let session = Engine::new(catalog.clone()).session();
+    let query = || session.query_plan(plan).seed(seed).confidence(level);
+    let approx = query().batch()?;
+    let approx = approx.as_scalar().expect("no GROUP BY keys were given");
+    let exact = query().exact()?;
+    let exact = exact.as_scalar().expect("no GROUP BY keys were given");
+    let a = approx.analysis.gus.a();
 
-    let naive = naive_clt(&fs, a, level).map_err(sa_exec::ExecError::Core)?;
+    // The stream is deterministic in the seed: draining it again yields the
+    // very tuples the batch estimate saw, as raw f values for the baselines.
+    let (_, fs) = drain_first_agg(input, &aggs[0], catalog, seed)?;
+    let naive = naive_clt(&fs, a, level)?;
     let boot = bootstrap(
         &fs,
         a,
         level,
         bootstrap_resamples,
         seed ^ BOOTSTRAP_SEED_SALT,
-    )
-    .map_err(sa_exec::ExecError::Core)?;
-    let exact = exact_query(plan, catalog)?[0];
-    let oracle = oracle_variance(plan, catalog)?;
+    )?;
     Ok(ComparisonRun {
-        exact,
-        gus,
+        exact: exact.aggs[0].estimate,
+        gus: approx.aggs[0].clone(),
         naive,
         bootstrap: boot,
-        oracle_variance: oracle,
+        oracle_variance: oracle_variance(plan, catalog)?,
     })
 }
 

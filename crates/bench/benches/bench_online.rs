@@ -1,16 +1,14 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
-//! Criterion bench for the online aggregation subsystem: incremental
-//! accumulation vs batch, the O(1)-in-rows snapshot readout, shard merge,
-//! and the chunked stream vs materializing execution.
+//! Criterion bench for the online aggregation subsystem: per-row vs
+//! per-chunk accumulation, the O(1)-in-rows snapshot readout, shard merge,
+//! and the stream's columnar chunks vs its row adapter.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sa_bench::workloads;
-use sa_core::{GroupedMoments, GusParams, MomentAccumulator};
-use sa_exec::{execute, open_stream, ExecOptions};
-use sa_online::{run_online, Engine, OnlineOptions, StoppingRule};
+use sa_core::{GusParams, MomentAccumulator};
+use sa_exec::{open_stream, ExecOptions};
+use sa_online::Engine;
 use sa_plan::{AggSpec, LogicalPlan};
 use sa_sampling::SamplingMethod;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
@@ -26,22 +24,24 @@ fn push_all_incremental(m: u64) -> MomentAccumulator {
     acc
 }
 
-/// The per-push cost of maintaining `y_S` incrementally, against the batch
-/// accumulator that defers the squaring to `finish()`.
+/// The cost of maintaining `y_S` incrementally: one push per row, against
+/// one `push_batch` per 4096-row chunk (what the drivers do).
 fn bench_accumulate(c: &mut Criterion) {
     let mut group = c.benchmark_group("online_accumulate");
     group.throughput(Throughput::Elements(M));
-    group.bench_function("incremental", |b| {
+    group.bench_function("per_row", |b| {
         b.iter(|| black_box(push_all_incremental(M).snapshot().total[0]))
     });
-    group.bench_function("batch", |b| {
+    let x: Vec<u64> = (0..M).map(|i| i % 997).collect();
+    let y: Vec<u64> = (0..M).map(|i| i % 337).collect();
+    let f: Vec<f64> = (0..M).map(|i| (i % 97) as f64).collect();
+    group.bench_function("per_chunk", |b| {
         b.iter(|| {
-            let mut acc = GroupedMoments::new(2, 1);
-            for i in 0..M {
-                acc.push_scalar(black_box(&[i % 997, i % 337]), (i % 97) as f64)
-                    .unwrap();
+            let mut acc = MomentAccumulator::new(2, 1);
+            for ((x, y), f) in x.chunks(4096).zip(y.chunks(4096)).zip(f.chunks(4096)) {
+                acc.push_batch(black_box(&[x, y]), &[f]).unwrap();
             }
-            black_box(acc.finish().total[0])
+            black_box(acc.snapshot().total[0])
         })
     });
     group.finish();
@@ -97,49 +97,33 @@ fn catalog() -> Catalog {
     c
 }
 
-/// Chunked pull-based execution vs materializing the whole result.
-fn bench_stream_vs_materialize(c: &mut Criterion) {
+/// Pulling the stream as columnar chunks vs through the row adapter.
+fn bench_stream_columnar_vs_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("online_stream");
     let cat = catalog();
     let plan = LogicalPlan::scan("t").sample(SamplingMethod::Bernoulli { p: 0.5 });
+    let opts = ExecOptions {
+        seed: 1,
+        ..Default::default()
+    };
     group.throughput(Throughput::Elements(100_000));
-    group.bench_function("chunked_stream", |b| {
+    group.bench_function("columnar_chunks", |b| {
         b.iter(|| {
-            let mut s = open_stream(
-                &plan,
-                &cat,
-                &ExecOptions {
-                    seed: 1,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mut rows = 0u64;
+            let mut s = open_stream(&plan, &cat, &opts).unwrap();
+            let mut rows = 0;
             loop {
-                let chunk = s.next_chunk(4096).unwrap();
+                let chunk = s.next_batch(4096).unwrap();
                 if chunk.is_empty() {
-                    break;
+                    break black_box(rows);
                 }
-                rows += chunk.len() as u64;
+                rows += chunk.rows();
             }
-            black_box(rows)
         })
     });
-    group.bench_function("materialize", |b| {
+    group.bench_function("row_adapter", |b| {
         b.iter(|| {
-            black_box(
-                execute(
-                    &plan,
-                    &cat,
-                    &ExecOptions {
-                        seed: 1,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-                .rows
-                .len(),
-            )
+            let s = open_stream(&plan, &cat, &opts).unwrap();
+            black_box(s.collect_rows(4096).unwrap().len())
         })
     });
     group.finish();
@@ -153,26 +137,13 @@ fn bench_progressive_loop(c: &mut Criterion) {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Bernoulli { p: 0.5 })
         .aggregate(vec![AggSpec::sum(sa_expr::col("v"), "s")]);
-    let base = OnlineOptions {
-        seed: 3,
-        chunk_rows: 4096,
-        ..Default::default()
-    };
+    let engine = Engine::new(cat);
+    let query = || engine.session().query_plan(&plan).seed(3).chunk_rows(4096);
     group.bench_function("run_to_exhaustion", |b| {
-        b.iter(|| {
-            let r = run_online(&plan, &cat, &base, |_| {}).unwrap();
-            black_box(r.snapshot.rows)
-        })
+        b.iter(|| black_box(query().run().unwrap().snapshot.rows()))
     });
-    let early = OnlineOptions {
-        rule: StoppingRule::ci(0.05, 0.95),
-        ..base.clone()
-    };
     group.bench_function("stop_at_5pct_ci", |b| {
-        b.iter(|| {
-            let r = run_online(&plan, &cat, &early, |_| {}).unwrap();
-            black_box(r.snapshot.rows)
-        })
+        b.iter(|| black_box(query().within(0.05, 0.95).run().unwrap().snapshot.rows()))
     });
     group.finish();
 }
@@ -189,16 +160,18 @@ fn bench_tpch_scan_filter(c: &mut Criterion) {
     group.throughput(Throughput::Elements(rows));
     let scan = workloads::columnar::scan_plan();
     let scan_filter = workloads::columnar::filter_project_plan();
-    let opts = OnlineOptions {
-        seed: 1,
-        chunk_rows: 4096,
-        ..Default::default()
-    };
+    let engine = Engine::new(cat);
     for (name, plan) in [("scan", &scan), ("scan_filter", &scan_filter)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let r = run_online(black_box(plan), &cat, &opts, |_| {}).unwrap();
-                black_box(r.snapshot.rows)
+                let r = engine
+                    .session()
+                    .query_plan(black_box(plan))
+                    .seed(1)
+                    .chunk_rows(4096)
+                    .run()
+                    .unwrap();
+                black_box(r.snapshot.rows())
             })
         });
     }
@@ -238,7 +211,7 @@ criterion_group!(
     bench_accumulate,
     bench_snapshot_readout,
     bench_merge,
-    bench_stream_vs_materialize,
+    bench_stream_columnar_vs_rows,
     bench_progressive_loop,
     bench_tpch_scan_filter,
     bench_metrics_overhead

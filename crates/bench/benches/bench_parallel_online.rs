@@ -1,7 +1,5 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Criterion bench for shard-parallel online aggregation: the scaling
-//! curve of `OnlineOptions::parallelism` on time-to-fixed-ε-stop and on
+//! curve of `QueryOptions::parallelism` on time-to-fixed-ε-stop and on
 //! run-to-exhaustion throughput.
 //!
 //! The workload follows the regime that motivates parallel drivers (Kang
@@ -15,7 +13,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sa_expr::{col, lit};
-use sa_online::{run_online, OnlineOptions, StoppingRule};
+use sa_online::{Engine, QueryBuilder};
 use sa_plan::{AggSpec, LogicalPlan};
 use sa_sampling::SamplingMethod;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
@@ -63,33 +61,26 @@ fn plan() -> LogicalPlan {
         .aggregate(vec![AggSpec::sum(col("x"), "s")])
 }
 
-fn opts(jobs: usize, rule: StoppingRule) -> OnlineOptions {
-    OnlineOptions {
-        seed: 11,
-        chunk_rows: 4096,
-        rule,
-        parallelism: jobs,
-        ..Default::default()
-    }
+fn query(engine: &Engine, plan: &LogicalPlan, jobs: usize) -> QueryBuilder {
+    engine
+        .session()
+        .query_plan(plan)
+        .seed(11)
+        .chunk_rows(4096)
+        .jobs(jobs)
 }
 
 /// Wall clock to a fixed-ε CI stop (ε = 1%, 95%) at 1 / 2 / 4 workers —
 /// the headline scaling curve.
 fn bench_fixed_eps_stop(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_online_ci_stop");
-    let cat = catalog();
+    let engine = Engine::new(catalog());
     let plan = plan();
     for jobs in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &jobs| {
             b.iter(|| {
-                let r = run_online(
-                    &plan,
-                    &cat,
-                    &opts(jobs, StoppingRule::ci(0.01, 0.95)),
-                    |_| {},
-                )
-                .unwrap();
-                black_box(r.snapshot.rows)
+                let r = query(&engine, &plan, jobs).within(0.01, 0.95).run();
+                black_box(r.unwrap().snapshot.rows())
             })
         });
     }
@@ -101,15 +92,11 @@ fn bench_fixed_eps_stop(c: &mut Criterion) {
 /// noise).
 fn bench_exhaustion(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_online_exhaustion");
-    let cat = catalog();
+    let engine = Engine::new(catalog());
     let plan = plan();
     for jobs in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &jobs| {
-            b.iter(|| {
-                let r = run_online(&plan, &cat, &opts(jobs, StoppingRule::exhaustive()), |_| {})
-                    .unwrap();
-                black_box(r.snapshot.rows)
-            })
+            b.iter(|| black_box(query(&engine, &plan, jobs).run().unwrap().snapshot.rows()))
         });
     }
     group.finish();

@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sa_bench::workloads;
-use sa_core::{covariance_from_y, unbiased_y_hats, GroupedMoments, GusParams, LineageBernoulli};
+use sa_core::{covariance_from_y, unbiased_y_hats, GusParams, LineageBernoulli, MomentAccumulator};
 
 /// Pre-materialize a sampled join result once; benchmark only the variance
 /// estimation passes.
@@ -25,11 +25,11 @@ fn bench_variance_estimation(c: &mut Criterion) {
 
     group.bench_function("full_sample", |b| {
         b.iter(|| {
-            let mut acc = GroupedMoments::new(n, 1);
+            let mut acc = MomentAccumulator::new(n, 1);
             for (lineage, f) in &rows {
                 acc.push_scalar(lineage, *f).unwrap();
             }
-            let moments = acc.finish();
+            let moments = acc.snapshot();
             let y_hat = unbiased_y_hats(&gus, &moments).unwrap();
             black_box(covariance_from_y(&gus, &y_hat, 1).get(0, 0))
         })
@@ -43,13 +43,13 @@ fn bench_variance_estimation(c: &mut Criterion) {
         let compacted = gus.compact(&filter.gus()).unwrap();
         group.bench_with_input(BenchmarkId::new("subsampled", target), &target, |b, _| {
             b.iter(|| {
-                let mut acc = GroupedMoments::new(n, 1);
+                let mut acc = MomentAccumulator::new(n, 1);
                 for (lineage, f) in &rows {
                     if filter.keeps(lineage) {
                         acc.push_scalar(lineage, *f).unwrap();
                     }
                 }
-                let moments = acc.finish();
+                let moments = acc.snapshot();
                 let y_hat = unbiased_y_hats(&compacted, &moments).unwrap();
                 black_box(covariance_from_y(&gus, &y_hat, 1).get(0, 0))
             })

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Machine-readable throughput report for the online execution engine.
 //!
 //! Runs the four canonical TPC-H online workloads — scan, filter+project,
@@ -28,9 +26,7 @@ use std::time::Instant;
 
 use sa_bench::workloads::{self, columnar};
 use sa_expr::col;
-use sa_online::{
-    run_online, run_online_grouped, Engine, GroupedOnlineOptions, OnlineOptions, StoppingRule,
-};
+use sa_online::{Engine, QueryBuilder};
 use sa_plan::LogicalPlan;
 use sa_storage::{open_catalog_dir, persist_catalog, Catalog};
 
@@ -52,61 +48,31 @@ impl Cell {
     }
 }
 
-fn online_opts(jobs: usize) -> OnlineOptions {
-    OnlineOptions {
-        seed: 1,
-        chunk_rows: 4096,
-        rule: StoppingRule::exhaustive(),
-        parallelism: jobs,
-        ..Default::default()
-    }
-}
-
-/// Best-of-`reps` exhaustion run of a scalar workload.
-fn measure_scalar(
+/// Best-of-`reps` exhaustion run of the query `build` sets up (no stopping
+/// rule: the engine default runs the whole sample), at seed 1 in 4096-row
+/// chunks on `jobs` workers.
+fn measure(
     workload: &'static str,
-    plan: &LogicalPlan,
-    catalog: &Catalog,
     jobs: usize,
     reps: usize,
+    build: impl Fn() -> QueryBuilder,
 ) -> Cell {
-    let opts = online_opts(jobs);
     let mut best = f64::INFINITY;
     let mut rows = 0;
     for _ in 0..reps {
         let t = Instant::now();
-        let r = run_online(plan, catalog, &opts, |_| {}).expect("workload runs");
+        let r = build()
+            .seed(1)
+            .chunk_rows(4096)
+            .jobs(jobs)
+            .run()
+            .expect("workload runs");
         let secs = t.elapsed().as_secs_f64();
-        rows = r.snapshot.rows;
+        rows = r.snapshot.rows();
         best = best.min(secs);
     }
     Cell {
         workload,
-        jobs,
-        rows,
-        secs: best,
-    }
-}
-
-/// Best-of-`reps` exhaustion run of the grouped workload.
-fn measure_grouped(catalog: &Catalog, jobs: usize, reps: usize) -> Cell {
-    let opts = GroupedOnlineOptions {
-        online: online_opts(jobs),
-        ..Default::default()
-    };
-    let plan = columnar::grouped_plan();
-    let mut best = f64::INFINITY;
-    let mut rows = 0;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let r = run_online_grouped(&plan, &[col("l_returnflag")], catalog, &opts, |_| {})
-            .expect("grouped workload runs");
-        let secs = t.elapsed().as_secs_f64();
-        rows = r.snapshot.rows;
-        best = best.min(secs);
-    }
-    Cell {
-        workload: "grouped",
         jobs,
         rows,
         secs: best,
@@ -169,66 +135,21 @@ fn measure_metrics_pair(catalog: &Catalog, reps: usize) -> [Cell; 2] {
         Engine::builder(catalog.clone()).build(),
         Engine::builder(catalog.clone()).metrics(true).build(),
     ];
-    let mut best = [f64::INFINITY; 2];
-    let mut rows = [0u64; 2];
+    let mut cells = ["metrics_off", "metrics_on"].map(|workload| Cell {
+        workload,
+        jobs: 1,
+        rows: 0,
+        secs: f64::INFINITY,
+    });
+    // One rep per `measure` call, so the off/on reps interleave.
     for _ in 0..reps {
-        for (i, engine) in engines.iter().enumerate() {
-            let t = Instant::now();
-            let r = engine
-                .session()
-                .query_plan(&plan)
-                .seed(1)
-                .chunk_rows(4096)
-                .run()
-                .expect("metrics workload runs");
-            let secs = t.elapsed().as_secs_f64();
-            rows[i] = r.snapshot.rows();
-            best[i] = best[i].min(secs);
+        for (cell, engine) in cells.iter_mut().zip(&engines) {
+            let rep = measure(cell.workload, 1, 1, || engine.session().query_plan(&plan));
+            cell.rows = rep.rows;
+            cell.secs = cell.secs.min(rep.secs);
         }
     }
-    let cell = |workload, i: usize| Cell {
-        workload,
-        jobs: 1,
-        rows: rows[i],
-        secs: best[i],
-    };
-    [cell("metrics_off", 0), cell("metrics_on", 1)]
-}
-
-/// Best-of-`reps` exhaustion run through an [`Engine`] session with the
-/// scan pushdown toggled — the only surface that exposes the toggle.
-/// Shared scans are off so the toggle governs the real per-query scan
-/// (attached cursors never fuse predicates).
-fn measure_pushdown(
-    workload: &'static str,
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    pushdown: bool,
-    reps: usize,
-) -> Cell {
-    let engine = Engine::builder(catalog.clone()).shared_scans(false).build();
-    let mut best = f64::INFINITY;
-    let mut rows = 0;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let r = engine
-            .session()
-            .query_plan(plan)
-            .seed(1)
-            .chunk_rows(4096)
-            .pushdown(pushdown)
-            .run()
-            .expect("pushdown workload runs");
-        let secs = t.elapsed().as_secs_f64();
-        rows = r.snapshot.rows();
-        best = best.min(secs);
-    }
-    Cell {
-        workload,
-        jobs: 1,
-        rows,
-        secs: best,
-    }
+    cells
 }
 
 /// Persist `catalog` as `.sac` files under a per-process temp dir and
@@ -321,29 +242,24 @@ fn main() {
     eprintln!("generating TPC-H at scale {scale}…");
     let catalog = workloads::tpch_at(scale, 7);
     let mut cells = Vec::new();
+    let engine = Engine::new(catalog.clone());
+    let grouped = columnar::grouped_plan();
     for jobs in [1usize, 4] {
-        cells.push(measure_scalar(
-            "scan",
-            &columnar::scan_plan(),
-            &catalog,
-            jobs,
-            reps,
-        ));
-        cells.push(measure_scalar(
+        let plan_cell = |workload, plan: &LogicalPlan| {
+            measure(workload, jobs, reps, || engine.session().query_plan(plan))
+        };
+        cells.push(plan_cell("scan", &columnar::scan_plan()));
+        cells.push(plan_cell(
             "filter_project",
             &columnar::filter_project_plan(),
-            &catalog,
-            jobs,
-            reps,
         ));
-        cells.push(measure_grouped(&catalog, jobs, reps));
-        cells.push(measure_scalar(
-            "join",
-            &columnar::join_plan(),
-            &catalog,
-            jobs,
-            reps,
-        ));
+        cells.push(measure("grouped", jobs, reps, || {
+            engine
+                .session()
+                .query_plan(&grouped)
+                .group_by(vec![col("l_returnflag")])
+        }));
+        cells.push(plan_cell("join", &columnar::join_plan()));
         for c in cells.iter().rev().take(4) {
             eprintln!(
                 "{:>16} jobs={} rows={:>8} {:>8.1} ms {:>12.0} rows/s",
@@ -401,7 +317,12 @@ fn main() {
         ("wide_filter_mapped_pushdown", &wf, &mapped_wide, true),
     ];
     for (workload, plan, cat, on) in pushdown_cells {
-        let c = measure_pushdown(workload, plan, cat, on, reps);
+        // Private scans, so the toggle governs the real per-query scan
+        // (attached cursors never fuse predicates).
+        let engine = Engine::new(cat.clone());
+        let c = measure(workload, 1, reps, || {
+            engine.session().query_plan(plan).pushdown(on)
+        });
         eprintln!(
             "{:>28} jobs={} rows={:>8} {:>8.1} ms {:>12.0} rows/s",
             c.workload,

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Experiments E5 and E7: accuracy/coverage analysis and the comparison
 //! against naive estimators.
 //!
@@ -9,7 +7,6 @@
 //! and provide accuracy and runtime analysis" — on the TPC-H substrate.
 
 use sa_baselines::compare_estimators;
-use sa_exec::{approx_query, exact_query, ApproxOptions};
 use sa_plan::LogicalPlan;
 use sa_storage::Catalog;
 
@@ -31,22 +28,13 @@ fn coverage_cell(
     rate: String,
     trials: u64,
 ) -> CoverageRow {
-    let exact = exact_query(plan, catalog).unwrap()[0];
+    let exact = workloads::exact(catalog, plan);
     let mut rel_err = 0.0;
     let mut covered_n = 0u64;
     let mut covered_c = 0u64;
     let mut width = 0.0;
     for seed in 0..trials {
-        let r = approx_query(
-            plan,
-            catalog,
-            &ApproxOptions {
-                seed,
-                confidence: 0.95,
-                subsample_target: None,
-            },
-        )
-        .unwrap();
+        let r = workloads::batch_at(catalog, plan, seed);
         let a = &r.aggs[0];
         rel_err += (a.estimate - exact).abs() / exact.abs();
         let ci_n = a.ci_normal.as_ref().unwrap();
@@ -154,7 +142,7 @@ pub fn comparison(trials: u64) -> String {
         &catalog,
     )
     .expect("comparison workload binds");
-    let exact = exact_query(&plan, &catalog).unwrap()[0];
+    let exact = workloads::exact(&catalog, &plan);
     let mut cover = [0u64; 3]; // gus, naive, bootstrap
     let mut width = [0.0f64; 3];
     let mut oracle = 0.0;

@@ -1,9 +1,6 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Experiment E8: the Section 8 applications, as reportable tables.
 
 use sa_core::{GusParams, SBox};
-use sa_exec::{approx_query, exact_query, ApproxOptions};
 use sa_sql::plan_sql;
 
 use crate::workloads;
@@ -50,16 +47,7 @@ pub fn robustness() -> String {
 pub fn design_prediction() -> String {
     let catalog = workloads::tpch_small(43);
     let plan = workloads::single_table(&catalog, 30.0);
-    let pilot = approx_query(
-        &plan,
-        &catalog,
-        &ApproxOptions {
-            seed: 4,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let pilot = workloads::batch_at(&catalog, &plan, 4);
     let mut out = String::from(
         "### E8(ii) — Choosing sampling parameters from one pilot run (B(0.3))\n\n\
          | candidate design | predicted variance | true (oracle) variance | ratio |\n\
@@ -89,23 +77,14 @@ pub fn size_estimation() -> String {
         &catalog,
     )
     .unwrap();
-    let exact = exact_query(&plan, &catalog).unwrap()[0];
+    let exact = workloads::exact(&catalog, &plan);
     let mut out = format!(
         "### E8(iii) — Intermediate-result size estimation (join selectivity)\n\n\
          True join size: {exact:.0} tuples.\n\n\
          | seed | estimated size | 95% normal CI | true inside? |\n|---|---|---|---|\n"
     );
     for seed in 0..8u64 {
-        let r = approx_query(
-            &plan,
-            &catalog,
-            &ApproxOptions {
-                seed,
-                confidence: 0.95,
-                subsample_target: None,
-            },
-        )
-        .unwrap();
+        let r = workloads::batch_at(&catalog, &plan, seed);
         let ci = r.aggs[0].ci_normal.unwrap();
         out.push_str(&format!(
             "| {seed} | {:.0} | [{:.0}, {:.0}] | {} |\n",

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Experiment E6: runtime analysis.
 //!
 //! (i) SOA rewriter latency vs number of relations (the paper claims "a few
@@ -11,8 +9,8 @@
 
 use std::time::Instant;
 
-use sa_core::{estimate_from_sample_moments, GroupedMoments, SBox};
-use sa_exec::{approx_query, ApproxOptions};
+use sa_core::{MomentAccumulator, SBox};
+use sa_online::QueryOptions;
 use sa_plan::rewrite;
 
 use crate::workloads;
@@ -88,7 +86,7 @@ pub fn sbox_cost() -> String {
         }
         let run_once = || {
             let t0 = Instant::now();
-            let mut acc = GroupedMoments::new(n, 1);
+            let mut acc = MomentAccumulator::new(n, 1);
             let mut lineage = vec![0u64; n];
             for i in 0..m {
                 for (j, l) in lineage.iter_mut().enumerate() {
@@ -96,7 +94,7 @@ pub fn sbox_cost() -> String {
                 }
                 acc.push_scalar(&lineage, (i % 31) as f64).unwrap();
             }
-            let rep = estimate_from_sample_moments(&gus, &acc.finish()).unwrap();
+            let rep = acc.report(&gus).unwrap();
             std::hint::black_box(rep.estimate[0]);
             t0.elapsed().as_secs_f64() * 1e3
         };
@@ -121,16 +119,7 @@ pub fn subsample() -> String {
          | variance source | tuples used | std-error estimate | total time (ms) |\n|---|---|---|---|\n",
     );
     let t0 = Instant::now();
-    let full = approx_query(
-        &plan,
-        &catalog,
-        &ApproxOptions {
-            seed: 2,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let full = workloads::batch_at(&catalog, &plan, 2);
     let t_full = t0.elapsed();
     out.push_str(&format!(
         "| full sample | {} | {:.1} | {:.1} |\n",
@@ -140,16 +129,15 @@ pub fn subsample() -> String {
     ));
     for target in [10_000u64, 2_000, 500] {
         let t0 = Instant::now();
-        let sub = approx_query(
-            &plan,
+        let sub = workloads::batch(
             &catalog,
-            &ApproxOptions {
+            &plan,
+            QueryOptions {
                 seed: 2,
-                confidence: 0.95,
                 subsample_target: Some(target),
+                ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let t_sub = t0.elapsed();
         out.push_str(&format!(
             "| sub-sample ≈{target} | {} | {:.1} | {:.1} |\n",

@@ -1,6 +1,7 @@
 //! Shared workload builders for experiments and criterion benches.
 
-use sa_exec::{execute, ExecOptions};
+use sa_exec::{DrainedSample, ExecOptions};
+use sa_online::{ApproxResult, BatchOutput, Engine, QueryOptions};
 use sa_plan::LogicalPlan;
 use sa_sql::plan_sql;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
@@ -117,7 +118,7 @@ pub mod columnar {
     }
 
     /// Grouped: per-group SUM over the return flag (drive with
-    /// `run_online_grouped` and key `l_returnflag`).
+    /// `query_plan(..).group_by(vec![col("l_returnflag")])`).
     pub fn grouped_plan() -> LogicalPlan {
         scan_plan()
     }
@@ -206,8 +207,40 @@ pub fn synthetic_plan(n: usize, p: f64) -> LogicalPlan {
     plan.aggregate(vec![AggSpec::count_star("c")])
 }
 
-/// Materialized (lineage, f) rows of a sampled join, for estimator-only
-/// benchmarks.
+/// The scalar batch answer of `plan` over `catalog` under `opts`.
+pub fn batch(catalog: &Catalog, plan: &LogicalPlan, opts: QueryOptions) -> ApproxResult {
+    let session = Engine::new(catalog.clone()).session();
+    match session.query_plan(plan).options(opts).batch() {
+        Ok(BatchOutput::Scalar(r)) => r,
+        Ok(BatchOutput::Grouped(_)) => unreachable!("no GROUP BY keys were given"),
+        Err(e) => panic!("workload runs: {e}"),
+    }
+}
+
+/// [`batch`] at `seed`, everything else default (95% intervals).
+pub fn batch_at(catalog: &Catalog, plan: &LogicalPlan, seed: u64) -> ApproxResult {
+    batch(
+        catalog,
+        plan,
+        QueryOptions {
+            seed,
+            ..Default::default()
+        },
+    )
+}
+
+/// The exact value of `plan`'s first aggregate (sampling stripped).
+pub fn exact(catalog: &Catalog, plan: &LogicalPlan) -> f64 {
+    let session = Engine::new(catalog.clone()).session();
+    match session.query_plan(plan).exact() {
+        Ok(BatchOutput::Scalar(r)) => r.aggs[0].estimate,
+        Ok(BatchOutput::Grouped(_)) => unreachable!("no GROUP BY keys were given"),
+        Err(e) => panic!("workload runs: {e}"),
+    }
+}
+
+/// Materialized (lineage, f) rows of a sampled join's first aggregate, for
+/// estimator-only benchmarks.
 pub fn materialized_result(
     catalog: &Catalog,
     plan: &LogicalPlan,
@@ -216,27 +249,17 @@ pub fn materialized_result(
     let LogicalPlan::Aggregate { input, aggs } = plan else {
         panic!("aggregate plan required")
     };
-    let rs = execute(
-        input,
-        catalog,
-        &ExecOptions {
-            seed,
-            ..Default::default()
-        },
-    )
-    .expect("executes");
-    let expr = aggs[0].expr.as_ref().expect("sum agg");
-    let bound = sa_expr::bind(expr, &rs.schema).expect("binds");
-    let n = rs.relations.len();
-    let rows = rs
-        .rows
-        .iter()
-        .map(|r| {
-            let f = sa_expr::eval_f64(&bound, &r.values)
-                .expect("evaluates")
-                .unwrap_or(0.0);
-            (r.lineage.clone(), f)
-        })
+    let opts = ExecOptions {
+        seed,
+        ..Default::default()
+    };
+    let DrainedSample { lineage, mut f } =
+        DrainedSample::collect(input, &aggs[..1], catalog, &opts).expect("executes");
+    let rows = f
+        .swap_remove(0)
+        .into_iter()
+        .enumerate()
+        .map(|(r, f)| (lineage.iter().map(|col| col[r]).collect(), f))
         .collect();
-    (n, rows)
+    (lineage.len(), rows)
 }

@@ -1,9 +1,10 @@
-//! Incremental, merge-able moment accumulation for online aggregation.
+//! Incremental, merge-able moment accumulation — the one moment path every
+//! estimator (the [`crate::SBox`], batch and online queries) runs on.
 //!
-//! [`crate::moments::GroupedMoments`] is a *batch* accumulator: it stores
-//! per-group `ΣF` vectors and squares them once in `finish()`. That is the
-//! cheapest way to consume a sample exactly once, but it cannot answer "what
-//! is the estimate *right now*?" without an `O(#groups)` pass.
+//! The textbook way to get `y_S` stores per-group `ΣF` vectors and squares
+//! them once at the end ([`crate::moments::GroupedMoments`], kept as the
+//! reference the tests compare against). That cannot answer "what is the
+//! estimate *right now*?" without an `O(#groups)` pass.
 //!
 //! [`MomentAccumulator`] trades a small constant per push for an **O(1)
 //! readout in the number of consumed rows**: the `y_S` cross-moment matrices

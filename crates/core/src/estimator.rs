@@ -17,9 +17,10 @@
 
 use std::sync::Arc;
 
+use crate::accumulator::MomentAccumulator;
 use crate::ci::{chebyshev_ci, normal_ci, quantile_bound, ConfidenceInterval};
 use crate::error::CoreError;
-use crate::moments::{GroupedMoments, MomentMatrix, Moments};
+use crate::moments::{MomentMatrix, Moments};
 use crate::params::GusParams;
 use crate::relset::{LineageSchema, RelSet};
 use crate::Result;
@@ -28,7 +29,7 @@ use crate::Result;
 #[derive(Debug)]
 pub struct SBox {
     gus: GusParams,
-    acc: GroupedMoments,
+    acc: MomentAccumulator,
 }
 
 impl SBox {
@@ -42,7 +43,7 @@ impl SBox {
         let n = gus.n();
         SBox {
             gus,
-            acc: GroupedMoments::new(n, dims),
+            acc: MomentAccumulator::new(n, dims),
         }
     }
 
@@ -64,9 +65,7 @@ impl SBox {
 
     /// Finish consuming tuples and produce the estimate report.
     pub fn finish(self) -> Result<EstimateReport> {
-        let gus = self.gus;
-        let sample = self.acc.finish();
-        estimate_from_sample_moments(&gus, &sample)
+        self.acc.report(&self.gus)
     }
 }
 

@@ -84,7 +84,11 @@ impl MomentMatrix {
     }
 }
 
-/// Streaming accumulator of the `2ⁿ` grouped second moments of a result set.
+/// One-pass accumulator of the `2ⁿ` grouped second moments of a result set:
+/// per-group `ΣF` vectors, squared once in [`GroupedMoments::finish`]. This
+/// is the definition of `y_S` transcribed — the **reference** the
+/// incremental [`crate::MomentAccumulator`] is tested against; no estimator
+/// runs on it.
 #[derive(Debug)]
 pub struct GroupedMoments {
     n: usize,

@@ -7,7 +7,7 @@
 //! [`Row`]s are materialized only at the row-level API boundary
 //! ([`ColumnarChunk::to_rows`], which backs [`crate::ChunkStream::next_chunk`]).
 
-use sa_storage::{ColumnVec, ColumnarBatch, DataType, Schema, Value};
+use sa_storage::ColumnarBatch;
 
 use crate::exec::Row;
 
@@ -74,6 +74,32 @@ impl ColumnarChunk {
         }
     }
 
+    /// Vertical concatenation: the rows of `parts`, in order, as one chunk
+    /// (a drained subtree — a join build side, a blocking sampler's input).
+    /// `parts` must be non-empty and share one column shape.
+    pub fn concat(mut parts: Vec<ColumnarChunk>) -> ColumnarChunk {
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        let batches: Vec<&ColumnarBatch> = parts.iter().map(|p| &p.batch).collect();
+        let n_rels = parts
+            .first()
+            .expect("concat of at least one chunk")
+            .lineage
+            .len();
+        ColumnarChunk {
+            batch: ColumnarBatch::concat_rows(&batches),
+            lineage: (0..n_rels)
+                .map(|rel| {
+                    parts
+                        .iter()
+                        .flat_map(|p| p.lineage[rel].iter().copied())
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+
     /// Materialize the row-level view (the [`crate::ChunkStream::next_chunk`]
     /// adapter).
     pub fn to_rows(&self) -> Vec<Row> {
@@ -84,79 +110,32 @@ impl ColumnarChunk {
             })
             .collect()
     }
-
-    /// Convert materialized rows (a blocking sampler's drained subtree, a
-    /// join build side) into one columnar chunk. Column types come from
-    /// `schema`, except where the materialized values disagree with it (a
-    /// `NULL`-typed projection can produce, e.g., booleans under a `Float`
-    /// field — the row executor tolerates that, so this bridge must too);
-    /// such columns take the type of their first non-null value.
-    pub fn from_rows(schema: &Schema, n_rels: usize, rows: &[Row]) -> ColumnarChunk {
-        let columns = (0..schema.fields().len())
-            .map(|c| {
-                let declared = schema.field(c).data_type;
-                let compatible = rows.iter().all(|r| match (&r.values[c], declared) {
-                    (Value::Null, _) => true,
-                    (Value::Int(_), DataType::Int | DataType::Float) => true,
-                    (v, dt) => v.data_type() == Some(dt),
-                });
-                let dtype = if compatible {
-                    declared
-                } else {
-                    rows.iter()
-                        .find_map(|r| r.values[c].data_type())
-                        .unwrap_or(declared)
-                };
-                ColumnVec::from_values(dtype, rows.iter().map(move |r| r.values[c].clone()))
-            })
-            .collect();
-        let lineage = (0..n_rels)
-            .map(|rel| rows.iter().map(|r| r.lineage[rel]).collect())
-            .collect();
-        ColumnarChunk {
-            batch: ColumnarBatch::new(columns, rows.len()),
-            lineage,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_storage::Field;
+    use sa_storage::{ColumnData, ColumnVec, Value};
 
     fn chunk() -> ColumnarChunk {
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::Int),
-            Field::new("v", DataType::Float),
-        ])
-        .unwrap();
-        let rows: Vec<Row> = (0..5)
-            .map(|i| Row {
-                values: vec![Value::Int(i), Value::Float(i as f64 * 0.5)],
-                lineage: vec![i as u64, 100 + i as u64],
-            })
-            .collect();
-        ColumnarChunk::from_rows(&schema, 2, &rows)
+        ColumnarChunk {
+            batch: ColumnarBatch::new(
+                vec![
+                    ColumnVec::new(ColumnData::Int((0..5).collect())),
+                    ColumnVec::new(ColumnData::Float((0..5).map(|i| i as f64 * 0.5).collect())),
+                ],
+                5,
+            ),
+            lineage: vec![(0..5).collect(), (100..105).collect()],
+        }
     }
 
     #[test]
-    fn row_round_trip() {
-        let c = chunk();
-        let rows = c.to_rows();
+    fn rows_carry_values_and_lineage() {
+        let rows = chunk().to_rows();
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[3].values, vec![Value::Int(3), Value::Float(1.5)]);
         assert_eq!(rows[3].lineage, vec![3, 103]);
-        let again = ColumnarChunk::from_rows(
-            &Schema::new(vec![
-                Field::new("k", DataType::Int),
-                Field::new("v", DataType::Float),
-            ])
-            .unwrap(),
-            2,
-            &rows,
-        );
-        assert_eq!(again, c);
     }
 
     #[test]
@@ -174,22 +153,10 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_tolerates_schema_value_mismatch() {
-        // A NULL-typed projection defaults to a Float field but can produce
-        // booleans at runtime; the bridge must not panic.
-        let schema = Schema::new(vec![Field::new("x", DataType::Float)]).unwrap();
-        let rows = vec![
-            Row {
-                values: vec![Value::Bool(false)],
-                lineage: vec![0],
-            },
-            Row {
-                values: vec![Value::Null],
-                lineage: vec![1],
-            },
-        ];
-        let c = ColumnarChunk::from_rows(&schema, 1, &rows);
-        assert_eq!(c.to_rows()[0].values[0], Value::Bool(false));
-        assert!(c.to_rows()[1].values[0].is_null());
+    fn concat_restores_a_sliced_chunk() {
+        let c = chunk();
+        let parts = vec![c.slice(0, 2), c.slice(2, 3), c.slice(5, 0)];
+        assert_eq!(ColumnarChunk::concat(parts), c);
+        assert_eq!(ColumnarChunk::concat(vec![c.clone()]), c);
     }
 }

@@ -1,8 +1,8 @@
-//! Error type for execution and approximate-query driving.
+//! Error type for plan execution.
 
 use std::fmt;
 
-/// Errors from executing plans or producing approximate answers.
+/// Errors from executing plans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
     /// Propagated plan error (validation, rewriting).

@@ -1,16 +1,21 @@
-//! The physical executor: runs a [`LogicalPlan`] as written (sampling
-//! included) while carrying **lineage** — one id per base relation — through
-//! every operator.
+//! The row executor — the **reference implementation** the columnar stream
+//! is tested against, plus the vocabulary ([`ExecOptions`], [`Row`]) both
+//! share.
 //!
+//! [`execute`] runs a [`LogicalPlan`] as written (sampling included) while
+//! carrying **lineage** — one id per base relation — through every operator.
 //! Lineage is the paper's Section 6.2 requirement: "all there is needed is
 //! to carry IDs of tuples through the query plan and make them available,
 //! together with the aggregate, to the SBox". A scan emits its row id (or
 //! block id when the relation is `SYSTEM`-sampled), selection leaves lineage
 //! untouched, and a join concatenates the lineage of the matching tuples.
 //!
-//! The executor is deliberately simple — materialized row vectors between
-//! operators, hash join for equi-conditions, nested loops otherwise — since
-//! estimation quality, not raw throughput, is what this system demonstrates.
+//! It is deliberately the simplest thing that can be right — materialized
+//! row vectors between operators, the `sa_expr::eval` interpreter per row,
+//! a `Value`-keyed hash join, nested loops otherwise — because no query
+//! runs on it: every `QueryBuilder` terminal drains [`crate::open_stream`].
+//! The differential tests (`stream.rs`, `tests/columnar_equivalence.rs`)
+//! execute the same plans here and require the same tuples and lineage.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sa_expr::{bind, eval, eval_predicate, BinOp, Expr};
-use sa_plan::{AggFunc, AggSpec, LogicalPlan};
+use sa_plan::LogicalPlan;
 use sa_sampling::SamplingMethod;
 use sa_storage::{Catalog, Schema, SchemaRef, Table, Value};
 
@@ -57,10 +62,10 @@ pub struct ExecOptions {
     /// Visit each streaming scan's blocks in a seeded random order instead
     /// of physical order (see [`crate::open_stream`]). This makes the
     /// online driver's random-scan-order assumption true by construction
-    /// on sorted or clustered data. Off by default; the batch executor
-    /// ignores it (materialized results are order-insensitive). Turning it
-    /// on changes which realization a `(plan, seed)` pair produces, but the
-    /// shuffled realization is itself byte-reproducible per seed.
+    /// on sorted or clustered data. Off by default; the row executor
+    /// ignores it. Turning it on changes which realization a `(plan, seed)`
+    /// pair produces, but the shuffled realization is itself
+    /// byte-reproducible per seed.
     pub shuffle_scan: bool,
     /// Disable projection/predicate pushdown into the streaming scans:
     /// every scan gathers every column and `Filter`s stay separate
@@ -114,22 +119,15 @@ impl ScanObs {
     }
 }
 
-/// Execute a plan. The root may be an [`LogicalPlan::Aggregate`], in which
-/// case the result is a single row of exact aggregate values computed over
-/// whatever the (possibly sampled) input produced — i.e. the *unscaled*
-/// sampled aggregate. Use [`crate::approx`] for estimates with confidence
-/// intervals.
+/// Execute a (non-aggregate) plan row at a time. Aggregation happens above
+/// the tuples, in the estimator — pass the aggregate's *input*.
 pub fn execute(plan: &LogicalPlan, catalog: &Catalog, opts: &ExecOptions) -> Result<ResultSet> {
     plan.validate(catalog)?;
     let mut rng = StdRng::seed_from_u64(opts.seed);
     exec_node(plan, catalog, &mut rng)
 }
 
-pub(crate) fn exec_node(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    rng: &mut StdRng,
-) -> Result<ResultSet> {
+fn exec_node(plan: &LogicalPlan, catalog: &Catalog, rng: &mut StdRng) -> Result<ResultSet> {
     match plan {
         LogicalPlan::Scan { table, alias } => scan(catalog, table, alias),
         LogicalPlan::Sample { method, input } => {
@@ -189,10 +187,9 @@ pub(crate) fn exec_node(
                 relations: inner.relations,
             })
         }
-        LogicalPlan::Aggregate { aggs, input } => {
-            let inner = exec_node(input, catalog, rng)?;
-            aggregate_exact(aggs, inner)
-        }
+        LogicalPlan::Aggregate { .. } => Err(ExecError::Unsupported(
+            "execute runs the aggregate's input; strip the Aggregate root".into(),
+        )),
         LogicalPlan::UnionSamples { left, right } => {
             // Two independent samplings of the same expression (the RNG
             // advances between the branches, so their coins are
@@ -463,63 +460,10 @@ pub(crate) fn split_join_condition(
     Ok((keys, residual))
 }
 
-/// Exact aggregation of a materialized input (no scaling — used both for
-/// exact answers over unsampled plans and for "what the raw sampled query
-/// returns" demonstrations).
-fn aggregate_exact(aggs: &[AggSpec], input: ResultSet) -> Result<ResultSet> {
-    let mut fields = Vec::with_capacity(aggs.len());
-    let mut values = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        fields.push(sa_storage::Field::new(
-            &a.alias,
-            sa_storage::DataType::Float,
-        ));
-        let bound = a
-            .expr
-            .as_ref()
-            .map(|e| bind(e, &input.schema))
-            .transpose()?;
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        for row in &input.rows {
-            match &bound {
-                None => count += 1, // COUNT(*)
-                Some(e) => {
-                    if let Some(v) = sa_expr::eval_f64(e, &row.values)? {
-                        sum += v;
-                        count += 1;
-                    }
-                }
-            }
-        }
-        let v = match a.func {
-            AggFunc::Sum => sum,
-            AggFunc::Count => count as f64,
-            AggFunc::Avg => {
-                if count == 0 {
-                    f64::NAN
-                } else {
-                    sum / count as f64
-                }
-            }
-        };
-        values.push(Value::Float(v));
-    }
-    Ok(ResultSet {
-        schema: Arc::new(Schema::new(fields).map_err(ExecError::Storage)?),
-        rows: vec![Row {
-            values,
-            lineage: vec![],
-        }],
-        relations: vec![],
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sa_expr::{col, lit};
-    use sa_plan::AggSpec;
     use sa_storage::{DataType, Field, TableBuilder};
 
     fn catalog() -> Catalog {
@@ -689,20 +633,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rs.rows.len(), 50);
-    }
-
-    #[test]
-    fn exact_aggregates() {
-        let plan = LogicalPlan::scan("t").aggregate(vec![
-            AggSpec::sum(col("v"), "s"),
-            AggSpec::count_star("c"),
-            AggSpec::avg(col("v"), "a"),
-        ]);
-        let rs = execute(&plan, &catalog(), &ExecOptions::default()).unwrap();
-        assert_eq!(rs.rows.len(), 1);
-        assert_eq!(rs.rows[0].values[0], Value::Float(15.0));
-        assert_eq!(rs.rows[0].values[1], Value::Float(6.0));
-        assert_eq!(rs.rows[0].values[2], Value::Float(2.5));
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Chunked, pull-based plan execution — the feed of the online driver.
+//! Chunked, pull-based plan execution — the one executor queries run on.
 //!
-//! [`crate::execute`] materializes every operator's full output, which is
-//! fine for one-shot estimation but useless for *online aggregation*: there
-//! the consumer wants the first tuples of the sampled result immediately,
-//! an estimate after every chunk, and the right to stop early. This module
-//! provides exactly that: [`open_stream`] compiles a (non-aggregate) plan
-//! into a small Volcano-style operator tree that yields result tuples a
-//! chunk at a time — with full per-base-relation lineage, identical in
-//! content to what the batch executor would produce.
+//! An online-aggregation consumer wants the first tuples of the sampled
+//! result immediately, an estimate after every chunk, and the right to stop
+//! early; a batch consumer wants the same tuples, all of them. Both get
+//! them here: [`open_stream`] compiles a (non-aggregate) plan into a small
+//! Volcano-style operator tree that yields result tuples a chunk at a time
+//! — with full per-base-relation lineage, identical in content to what the
+//! row-at-a-time reference executor ([`crate::execute`]) produces.
 //!
 //! ## Columnar batches
 //!
@@ -28,11 +27,12 @@
 //! Streaming vs blocking operators:
 //!
 //! * scans, Bernoulli/`SYSTEM` samples, filters and projections stream;
-//! * a join materializes its **build** (right) side at open and streams the
-//!   probe side through it — the classic streaming hash join;
+//! * a join materializes its **build** (right) side at open — by draining
+//!   that subtree through this same operator tree — and streams the probe
+//!   side through it: the classic streaming hash join;
 //! * fixed-size samplers (`WOR`, with-replacement) are blocking by nature
-//!   (they must see their whole input's cardinality), so their subtree is
-//!   materialized at open and drained in chunks.
+//!   (they must see their whole input's cardinality), so their input is
+//!   drained at open, sampled by index, and handed out in chunks.
 //!
 //! Randomness: every stochastic operator draws its own RNG seed from a
 //! master RNG seeded with [`crate::ExecOptions::seed`] during `open`, in
@@ -40,9 +40,10 @@
 //! row in row order** — so a given `(plan, seed)` pair always streams the
 //! *same* sample realization, chunk-size independent and identical to what
 //! the row-at-a-time stream realized before batching. (The realization
-//! differs from [`crate::execute`]'s for the same seed: the batch executor
-//! interleaves all operators' draws on one RNG stream, which a pull-based
-//! pipeline cannot reproduce.)
+//! differs from [`crate::execute`]'s for the same seed: the reference
+//! executor interleaves all operators' draws on one RNG stream, which a
+//! pull-based pipeline cannot reproduce — the differential tests compare
+//! the two on deterministic plans and on `p = 1` samplers.)
 
 use std::collections::HashSet;
 use std::hash::Hasher;
@@ -59,9 +60,7 @@ use sa_storage::{Catalog, ColumnVec, ColumnarBatch, Schema, SchemaRef, Table};
 
 use crate::columnar::ColumnarChunk;
 use crate::error::ExecError;
-use crate::exec::{
-    base_table, exec_node, scan_schema, split_join_condition, ExecOptions, Row, ScanObs,
-};
+use crate::exec::{base_table, scan_schema, split_join_condition, ExecOptions, Row, ScanObs};
 use crate::shared::{SharedScanCursor, SharedTableScan};
 use crate::Result;
 
@@ -140,16 +139,31 @@ impl ChunkStream {
         self.root.progress_tree()
     }
 
+    /// Pull the stream dry, `hint` rows at a time, handing every non-empty
+    /// chunk to `sink` — the one drain loop behind the batch terminal, the
+    /// baselines and [`ChunkStream::collect_rows`].
+    pub fn drain<E: From<ExecError>>(
+        &mut self,
+        hint: usize,
+        mut sink: impl FnMut(&ColumnarChunk) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        loop {
+            let chunk = self.next_batch(hint)?;
+            if chunk.is_empty() {
+                return Ok(());
+            }
+            sink(&chunk)?;
+        }
+    }
+
     /// Drain the stream into one vector (testing / fallback convenience).
     pub fn collect_rows(mut self, hint: usize) -> Result<Vec<Row>> {
         let mut out = Vec::new();
-        loop {
-            let chunk = self.next_chunk(hint)?;
-            if chunk.is_empty() {
-                return Ok(out);
-            }
-            out.extend(chunk);
-        }
+        self.drain(hint, |chunk| {
+            out.extend(chunk.to_rows());
+            Ok::<(), ExecError>(())
+        })?;
+        Ok(out)
     }
 }
 
@@ -892,13 +906,17 @@ fn build_partitioned(
                 }
                 SamplingMethod::Wor { .. } | SamplingMethod::WithReplacement { .. } => {
                     // Blocking samplers need their input's full cardinality
-                    // up front: materialized once via the batch executor
-                    // (the same draw at any `parts`), sample rows sliced
-                    // contiguously across workers.
+                    // up front: the input is drained once (the same draw at
+                    // any `parts`), the sample rows gathered by index and
+                    // sliced contiguously across workers.
                     let mut rng = StdRng::seed_from_u64(master.random::<u64>());
-                    let rs = exec_node(plan, ctx.catalog, &mut rng)?;
-                    let n_rels = rs.relations.len();
-                    let chunk = ColumnarChunk::from_rows(&rs.schema, n_rels, &rs.rows);
+                    let (drained, schema, relations) = materialize(input, ctx, &mut rng)?;
+                    let kept: Vec<u32> = method
+                        .draw_fixed_size(drained.rows() as u64, &mut rng)?
+                        .into_iter()
+                        .map(|i| i as u32)
+                        .collect();
+                    let chunk = drained.take(&kept);
                     let len = chunk.rows();
                     let nodes = if parts == 1 {
                         vec![Node::Materialized { chunk, next: 0 }]
@@ -914,7 +932,7 @@ fn build_partitioned(
                             })
                             .collect()
                     };
-                    Ok((nodes, rs.schema, rs.relations))
+                    Ok((nodes, schema, relations))
                 }
             }
         }
@@ -1037,17 +1055,16 @@ fn build_partitioned(
             // re-drawing it per worker would join each probe slice against
             // a different sample of the right input.
             let mut rng = StdRng::seed_from_u64(master.random::<u64>());
-            let r = exec_node(right, ctx.catalog, &mut rng)?;
-            let schema = Arc::new(l_schema.join(&r.schema)?);
-            let mut relations = l_rels;
-            relations.extend(r.relations.iter().cloned());
+            let (build_chunk, r_schema, r_rels) = materialize(right, ctx, &mut rng)?;
+            let schema = Arc::new(l_schema.join(&r_schema)?);
             let (keys, residual) = match condition {
                 None => (vec![], None),
-                Some(c) => split_join_condition(c, &l_schema, &r.schema)?,
+                Some(c) => split_join_condition(c, &l_schema, &r_schema)?,
             };
             let residual = residual.map(|e| compile(&e, &schema)).transpose()?;
-            let build_chunk = ColumnarChunk::from_rows(&r.schema, r.relations.len(), &r.rows);
-            let build = Arc::new(JoinBuild::new(build_chunk, r.relations.len(), keys));
+            let build = Arc::new(JoinBuild::new(build_chunk, r_rels.len(), keys));
+            let mut relations = l_rels;
+            relations.extend(r_rels);
             let nodes = probes
                 .into_iter()
                 .map(|probe| build.clone().node(probe, residual.clone()))
@@ -1083,6 +1100,43 @@ fn build_partitioned(
                 .into(),
         )),
     }
+}
+
+/// Rows per pull while draining a subtree that must be materialized.
+const MATERIALIZE_CHUNK_ROWS: usize = 1 << 16;
+
+/// Drain `plan` — a join's build side, a blocking sampler's input — into
+/// one chunk through the same operator tree a stream would run: a single
+/// partition in physical scan order (the result is consumed whole, so
+/// neither slicing nor shuffling applies), its samplers seeded from `rng`.
+fn materialize(
+    plan: &LogicalPlan,
+    ctx: &BuildCtx<'_>,
+    rng: &mut StdRng,
+) -> Result<(ColumnarChunk, SchemaRef, Vec<String>)> {
+    let whole = BuildCtx {
+        parts: 1,
+        shuffle: false,
+        cols: ctx.cols.clone(),
+        obs: ctx.obs.clone(),
+        ..*ctx
+    };
+    let (mut nodes, schema, relations) = build_partitioned(plan, &whole, rng)?;
+    let mut node = nodes.pop().expect("one partition yields one node");
+    // The exhausted pull's empty chunk still has the subtree's column
+    // shape: it stands in for the result when nothing else came out.
+    let mut parts = Vec::new();
+    loop {
+        let chunk = node.next_batch(MATERIALIZE_CHUNK_ROWS)?;
+        let exhausted = chunk.is_empty();
+        if !exhausted || parts.is_empty() {
+            parts.push(chunk);
+        }
+        if exhausted {
+            break;
+        }
+    }
+    Ok((ColumnarChunk::concat(parts), schema, relations))
 }
 
 impl Node {
@@ -1650,8 +1704,9 @@ mod tests {
         c
     }
 
-    /// The streamed rows of an unsampled plan must equal the batch
-    /// executor's, in order, for any chunk hint.
+    /// The streamed rows of a deterministic plan (no sampler, or samplers
+    /// that keep everything) must equal the reference row executor's, in
+    /// order, for any chunk hint.
     fn assert_stream_matches_batch(plan: &LogicalPlan, hint: usize) {
         let c = catalog();
         let batch = execute(plan, &c, &ExecOptions::default()).unwrap();
@@ -1677,6 +1732,30 @@ mod tests {
         let plan = LogicalPlan::scan("t").join_on(LogicalPlan::scan("d"), col("k").eq(col("dk")));
         for hint in [1, 7, 512] {
             assert_stream_matches_batch(&plan, hint);
+        }
+    }
+
+    #[test]
+    fn materialized_subtrees_match_batch() {
+        // A join's build side and a fixed-size sampler's input are drained
+        // through the stream's own operators — here a sampler that keeps
+        // every row, a filter and a projection under the build, and a WOR
+        // of the whole table — and must still yield the row executor's
+        // tuples.
+        let build = LogicalPlan::scan("d")
+            .sample(SamplingMethod::Bernoulli { p: 1.0 })
+            .filter(col("w").gt(lit(-1.0)))
+            .project(vec![
+                (col("dk"), "dk".into()),
+                (col("w").div(col("dk")), "ratio".into()),
+            ]);
+        let join = LogicalPlan::scan("t").join_on(build, col("k").eq(col("dk")));
+        let whole_wor = LogicalPlan::scan("t")
+            .sample(SamplingMethod::Wor { size: 200 })
+            .filter(col("v").lt(lit(150.0)));
+        for hint in [1, 9, 512] {
+            assert_stream_matches_batch(&join, hint);
+            assert_stream_matches_batch(&whole_wor, hint);
         }
     }
 
@@ -2204,8 +2283,8 @@ mod tests {
     }
 
     #[test]
-    fn nan_join_keys_match_like_the_batch_executor() {
-        // Value::total_cmp says NaN == NaN, and the batch executor's
+    fn nan_join_keys_match_like_the_row_executor() {
+        // Value::total_cmp says NaN == NaN, and the row executor's
         // Value-keyed hash join honours that — the fingerprint join must
         // too (hash_cell already hashes every NaN identically; cell_eq
         // must agree).

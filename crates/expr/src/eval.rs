@@ -2,7 +2,9 @@
 //!
 //! * [`bind`] resolves column names to row offsets against a
 //!   [`Schema`] and type-checks the tree;
-//! * [`eval`] computes a [`Value`] for one row.
+//! * [`eval`] computes a [`Value`] for one row — the **reference
+//!   interpreter**: queries run on the compiled kernels of
+//!   [`crate::compile()`], which are tested cell for cell against it.
 //!
 //! SQL three-valued logic: any comparison or arithmetic with `NULL` yields
 //! `NULL`; `AND`/`OR`/`NOT` follow Kleene logic; a `NULL` predicate result is

@@ -2,7 +2,9 @@
 //!
 //! The expression language of the engine: a small AST ([`Expr`]) with a
 //! fluent builder ([`col`], [`lit`]), a name-resolving, type-checking binder
-//! ([`bind`]) and a row evaluator ([`eval()`]) with SQL three-valued logic.
+//! ([`bind`]), vectorized kernels compiled once per query ([`compile()`]) and
+//! the row-at-a-time reference interpreter they are tested against
+//! ([`eval()`]), all with SQL three-valued logic.
 //!
 //! Everything the paper's queries need is covered: arithmetic for aggregate
 //! expressions like `l_discount * (1.0 - l_tax)`, comparisons for selection

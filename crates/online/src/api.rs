@@ -1,31 +1,25 @@
-//! The unified options and result surface of the Engine/Session API.
+//! The options and result surface of the Engine/Session API.
 //!
-//! Historically every entry point had its own options struct and result
-//! shape: `OnlineOptions` for scalar online runs, `GroupedOnlineOptions`
-//! (which duplicated every scalar field behind an `.online` member) for
-//! grouped runs, and `ApproxOptions` for the batch drivers. [`QueryOptions`]
-//! collapses the online pair into one flat struct — scalar vs. grouped is
-//! decided by the query (its `GROUP BY` list), not by which options type
-//! the caller picked — and [`Snapshot`] / [`QueryResult`] make the result
-//! shape a variant rather than a separate entry point.
+//! One flat [`QueryOptions`] configures every terminal — scalar vs. grouped
+//! is decided by the query (its `GROUP BY` list), online vs. batch by the
+//! terminal called — and [`Snapshot`] / [`QueryResult`] / [`BatchOutput`]
+//! make the result shape a variant rather than a separate entry point.
 
 use std::time::Duration;
 
-use sa_core::GusParams;
-use sa_exec::{ApproxResult, GroupedApproxResult};
+use sa_core::{EstimateReport, GusParams};
+use sa_exec::AggResult;
 use sa_plan::{SoaAnalysis, StopReason, StoppingRule};
+use sa_storage::Value;
 
-#[allow(deprecated)]
-use crate::driver::OnlineOptions;
 use crate::driver::{OnlineResult, ProgressSnapshot};
-#[allow(deprecated)]
-use crate::grouped::GroupedOnlineOptions;
 use crate::grouped::{GroupedOnlineResult, GroupedProgressSnapshot};
 
-/// Options for one query run through the [`crate::Engine`] — the unified
-/// successor of `OnlineOptions` and `GroupedOnlineOptions` (grouped runs no
-/// longer nest the scalar options behind an `.online` member; the grouped
-/// `ci_top_k` policy is a flat field that scalar runs simply ignore).
+/// Options for one query run through the [`crate::Engine`]. Fields a
+/// terminal has no use for are ignored by it: scalar queries ignore
+/// `ci_top_k`; [`crate::QueryBuilder::batch`] drains the whole sample, so it
+/// ignores the stopping rule, `deadline`, `scale_to_population` and
+/// `adaptive_chunks`; the progressive terminals ignore `subsample_target`.
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
     /// Seed for the plan's sampling operators (the streamed sample
@@ -86,6 +80,12 @@ pub struct QueryOptions {
     /// *imposes*; both can be set and the deadline always wins. `None`
     /// (default): no deadline.
     pub deadline: Option<Duration>,
+    /// [`crate::QueryBuilder::batch`], scalar queries only: estimate the
+    /// `Ŷ_S` variance terms from a deterministic lineage-hash sub-sample of
+    /// roughly this many result tuples (Section 7) — the point estimate
+    /// still uses every tuple. `None` (default): variance from the full
+    /// result.
+    pub subsample_target: Option<u64>,
 }
 
 impl Default for QueryOptions {
@@ -102,35 +102,7 @@ impl Default for QueryOptions {
             ci_top_k: None,
             disable_pushdown: false,
             deadline: None,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<&OnlineOptions> for QueryOptions {
-    fn from(o: &OnlineOptions) -> Self {
-        QueryOptions {
-            seed: o.seed,
-            chunk_rows: o.chunk_rows,
-            confidence: o.confidence,
-            rule: o.rule.clone(),
-            scale_to_population: o.scale_to_population,
-            parallelism: o.parallelism,
-            adaptive_chunks: o.adaptive_chunks,
-            shuffle_scan: false,
-            ci_top_k: None,
-            disable_pushdown: false,
-            deadline: None,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<&GroupedOnlineOptions> for QueryOptions {
-    fn from(o: &GroupedOnlineOptions) -> Self {
-        QueryOptions {
-            ci_top_k: o.ci_top_k,
-            ..QueryOptions::from(&o.online)
+            subsample_target: None,
         }
     }
 }
@@ -257,8 +229,52 @@ impl From<GroupedOnlineResult> for QueryResult {
     }
 }
 
-/// The outcome of a one-shot batch run ([`crate::QueryBuilder::batch`]):
-/// the whole sample is consumed in one pass, no snapshots are streamed.
+/// A scalar batch answer: every aggregate of the `SELECT` list estimated
+/// from the whole drained sample.
+#[derive(Debug, Clone)]
+pub struct ApproxResult {
+    /// One entry per aggregate in the `SELECT` list, in order.
+    pub aggs: Vec<AggResult>,
+    /// Number of result tuples the sampled plan produced.
+    pub result_rows: u64,
+    /// Number of tuples used for variance estimation (differs from
+    /// `result_rows` under Section 7 sub-sampling).
+    pub variance_rows: u64,
+    /// The SOA analysis (top GUS, lineage schema, rewrite trace).
+    pub analysis: SoaAnalysis,
+    /// The underlying multi-dimensional estimate report (exposed for
+    /// variance prediction and delta-method post-processing).
+    pub report: EstimateReport,
+}
+
+/// Estimates for one observed group of a grouped batch answer.
+#[derive(Debug, Clone)]
+pub struct GroupEstimate {
+    /// The group key values, in `group_by` order.
+    pub key: Vec<Value>,
+    /// One result per aggregate in the `SELECT` list.
+    pub aggs: Vec<AggResult>,
+    /// Number of sampled result tuples in this group.
+    pub sample_rows: u64,
+}
+
+/// A grouped batch answer. Groups with **no sampled tuple are absent** —
+/// the classical caveat of sampling-based `GROUP BY` estimation.
+#[derive(Debug, Clone)]
+pub struct GroupedApproxResult {
+    /// Renderings of the group-by expressions.
+    pub group_exprs: Vec<String>,
+    /// One entry per group observed in the sample, ordered by key.
+    pub groups: Vec<GroupEstimate>,
+    /// The SOA analysis shared by every group.
+    pub analysis: SoaAnalysis,
+    /// Total sampled result tuples.
+    pub result_rows: u64,
+}
+
+/// The outcome of a one-shot batch run ([`crate::QueryBuilder::batch`] or
+/// [`crate::QueryBuilder::exact`]): the whole stream is drained and read
+/// out once, no snapshots are streamed.
 #[derive(Debug, Clone)]
 pub enum BatchOutput {
     /// A scalar query's estimates.
@@ -282,67 +298,5 @@ impl BatchOutput {
             BatchOutput::Scalar(_) => None,
             BatchOutput::Grouped(r) => Some(r),
         }
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
-mod tests {
-    use super::*;
-
-    /// The satellite regression: the unified defaults must match the old
-    /// option structs field-for-field, so migrating a caller from
-    /// `OnlineOptions::default()` / `GroupedOnlineOptions::default()` to
-    /// `QueryOptions::default()` cannot change any run's semantics.
-    #[test]
-    fn defaults_match_the_old_option_structs_field_for_field() {
-        let new = QueryOptions::default();
-        let old = OnlineOptions::default();
-        assert_eq!(new.seed, old.seed);
-        assert_eq!(new.chunk_rows, old.chunk_rows);
-        assert_eq!(new.confidence, old.confidence);
-        assert_eq!(new.rule, old.rule);
-        assert_eq!(new.scale_to_population, old.scale_to_population);
-        assert_eq!(new.parallelism, old.parallelism);
-        assert_eq!(new.adaptive_chunks, old.adaptive_chunks);
-        let grouped = GroupedOnlineOptions::default();
-        assert_eq!(new.ci_top_k, grouped.ci_top_k);
-        // And the grouped struct's nested defaults were identical to the
-        // scalar ones (the duplication QueryOptions collapses).
-        assert_eq!(grouped.online.seed, old.seed);
-        assert_eq!(grouped.online.chunk_rows, old.chunk_rows);
-        assert_eq!(grouped.online.confidence, old.confidence);
-        assert_eq!(grouped.online.rule, old.rule);
-        assert_eq!(grouped.online.scale_to_population, old.scale_to_population);
-        assert_eq!(grouped.online.parallelism, old.parallelism);
-        assert_eq!(grouped.online.adaptive_chunks, old.adaptive_chunks);
-    }
-
-    #[test]
-    fn conversions_carry_every_field() {
-        let old = OnlineOptions {
-            seed: 7,
-            chunk_rows: 99,
-            confidence: 0.9,
-            rule: StoppingRule::rows(123),
-            scale_to_population: false,
-            parallelism: 3,
-            adaptive_chunks: true,
-        };
-        let q = QueryOptions::from(&old);
-        assert_eq!(q.seed, 7);
-        assert_eq!(q.chunk_rows, 99);
-        assert_eq!(q.confidence, 0.9);
-        assert_eq!(q.rule, StoppingRule::rows(123));
-        assert!(!q.scale_to_population);
-        assert_eq!(q.parallelism, 3);
-        assert!(q.adaptive_chunks);
-        assert_eq!(q.ci_top_k, None);
-        let g = GroupedOnlineOptions {
-            online: old,
-            ci_top_k: Some(5),
-        };
-        assert_eq!(QueryOptions::from(&g).ci_top_k, Some(5));
-        assert_eq!(QueryOptions::from(&g).seed, 7);
     }
 }

@@ -1,10 +1,11 @@
 //! The progressive query loop: stream chunks, update moments, snapshot,
 //! stop when the rule fires.
 //!
-//! [`run_online`] is the online counterpart of `sa_exec::approx_query`. It
-//! rewrites the plan once (the SOA analysis — and hence the top GUS — does
-//! not depend on how much of the sample has been consumed), opens a chunked
-//! [`sa_exec::open_stream`] over the aggregate's input, and then loops:
+//! `drive_scalar` is what `QueryBuilder::run` / `run_with` / `online`
+//! execute for a query without `GROUP BY`. It rewrites the plan once (the
+//! SOA analysis — and hence the top GUS — does not depend on how much of
+//! the sample has been consumed), opens a chunked [`sa_exec::open_stream`]
+//! over the aggregate's input, and then loops:
 //!
 //! 1. pull the next chunk of sampled result tuples,
 //! 2. push each tuple's `(lineage, f)` into the incremental
@@ -12,7 +13,7 @@
 //!    nothing is ever recomputed from scratch),
 //! 3. emit a [`ProgressSnapshot`] (estimates, CI half-widths, rows, wall
 //!    time) to the caller's callback,
-//! 4. stop when the [`StoppingRule`] fires or the stream drains.
+//! 4. stop when the [`sa_plan::StoppingRule`] fires or the stream drains.
 //!
 //! ## Scan-progress scaling
 //!
@@ -29,7 +30,7 @@
 //! sampling, and at exhaustion every factor degenerates to the identity, so
 //! the final readout **equals the batch estimator's output** on the consumed
 //! sample (up to float associativity — the moments are accumulated
-//! incrementally). Set [`OnlineOptions::scale_to_population`]` = false` to
+//! incrementally). Set [`QueryOptions::scale_to_population`]` = false` to
 //! read raw prefix estimates under the plan GUS instead.
 //!
 //! `UnionSamples` plans need more care than one plan-wide compaction:
@@ -57,8 +58,7 @@ use sa_exec::ProgressTree;
 use sa_exec::{agg_results_from_report, layout_dims, open_stream_partitioned, AggResult};
 use sa_exec::{open_shared_stream, SharedTableScan};
 use sa_exec::{BatchDimEval, ChunkStream, ColumnarChunk, DimLayout, ExecError, ExecOptions};
-use sa_plan::{rewrite, AggSpec, GusTree, LogicalPlan, SoaAnalysis, StopReason, StoppingRule};
-use sa_sql::plan_online_sql;
+use sa_plan::{rewrite, AggSpec, GusTree, LogicalPlan, SoaAnalysis, StopReason};
 use sa_storage::Catalog;
 
 use crate::api::QueryOptions;
@@ -66,50 +66,7 @@ use crate::error::Error;
 use crate::parallel::{run_worker_pool, PoolObs};
 use crate::Result;
 
-/// Options for the deprecated [`run_online`] free function.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `sa_online::QueryOptions` with the `Engine`/`Session` builder API"
-)]
-#[derive(Debug, Clone)]
-pub struct OnlineOptions {
-    /// Seed for the plan's sampling operators (the streamed sample
-    /// realization is fully determined by `(plan, seed)`).
-    pub seed: u64,
-    /// Target rows per pulled chunk (operators may over/under-fill).
-    pub chunk_rows: usize,
-    /// Confidence level for reported intervals when the stopping rule has
-    /// no CI target of its own.
-    pub confidence: f64,
-    /// When to stop early. [`StoppingRule::exhaustive`] runs the whole
-    /// sample.
-    pub rule: StoppingRule,
-    /// Scale mid-stream estimates to the full population by compacting a
-    /// per-relation WOR(scanned, total) factor onto the plan GUS (the
-    /// random-scan-order assumption of online aggregation). Default `true`;
-    /// with `false`, snapshots read the raw prefix estimate under the plan
-    /// GUS.
-    pub scale_to_population: bool,
-    /// Number of worker threads driving the sampled plan (`--jobs N` in the
-    /// CLI). `1` (the default) runs the classic single-threaded loop —
-    /// byte-identical snapshots for a fixed seed. `N > 1` opens
-    /// [`sa_exec::open_stream_partitioned`] slices and merges shard-local
-    /// accumulators per snapshot tick; the exhaustion readout still equals
-    /// the batch estimator on the realized union sample, while mid-run
-    /// snapshot *timing* becomes scheduling-dependent. `0` is rejected.
-    pub parallelism: usize,
-    /// Grow the pull hint as the estimate stabilizes: once the relative CI
-    /// half-width improves by less than 10% between consecutive snapshots,
-    /// the chunk size doubles (up to 64× [`OnlineOptions::chunk_rows`]),
-    /// cutting snapshot/readout overhead on long runs. The *realized
-    /// sample* is chunk-size independent, so estimates are unchanged —
-    /// only snapshot cadence coarsens. Default `false`. Applies to the
-    /// sequential loops; parallel workers keep their fixed chunk size (the
-    /// coordinator already batches their deltas per tick).
-    pub adaptive_chunks: bool,
-}
-
-/// Hard cap multiplier for [`OnlineOptions::adaptive_chunks`]: the pull
+/// Hard cap multiplier for [`QueryOptions::adaptive_chunks`]: the pull
 /// hint never exceeds `chunk_rows × 64`.
 pub(crate) const ADAPTIVE_CHUNK_CAP_FACTOR: usize = 64;
 
@@ -131,26 +88,11 @@ pub(crate) fn adapt_chunk_hint(
     next
 }
 
-#[allow(deprecated)]
-impl Default for OnlineOptions {
-    fn default() -> Self {
-        OnlineOptions {
-            seed: 0,
-            chunk_rows: 1024,
-            confidence: 0.95,
-            rule: StoppingRule::exhaustive(),
-            scale_to_population: true,
-            parallelism: 1,
-            adaptive_chunks: false,
-        }
-    }
-}
-
 /// How a progressive run is wired into its surroundings: an optional
 /// cancellation flag (set by [`crate::QueryHandle::cancel`]) and an
 /// optional shared scan hub the stream should attach to instead of opening
-/// a private scan. The deprecated free functions run with the default
-/// (no cancellation, private scans); the [`crate::Engine`] fills both in.
+/// a private scan. The default is no cancellation and private scans; the
+/// [`crate::Engine`] fills both in.
 #[derive(Default, Clone)]
 pub(crate) struct RunCtx {
     /// Checked once per snapshot tick; when set, the loop stops with
@@ -160,9 +102,8 @@ pub(crate) struct RunCtx {
     /// attach origin becomes a scan-prefix origin shift in the Prop-8
     /// scaling. Ignored for `parallelism > 1`.
     pub(crate) shared: Option<Arc<SharedTableScan>>,
-    /// Worker-pool observability handles (disabled by default — the
-    /// deprecated free functions and uninstrumented engines record
-    /// nothing).
+    /// Worker-pool observability handles (disabled by default —
+    /// uninstrumented engines record nothing).
     pub(crate) pool: PoolObs,
     /// Streaming-scan observability handles threaded into
     /// [`sa_exec::ExecOptions`] (disabled by default).
@@ -220,31 +161,9 @@ pub struct OnlineResult {
     pub analysis: SoaAnalysis,
 }
 
-/// Run an aggregate plan progressively. The plan root must be an
+/// The scalar progressive loop. The plan root must be an
 /// [`LogicalPlan::Aggregate`]; `on_snapshot` is called after every chunk
 /// (including the final one).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Engine::new(catalog).session().query_plan(&plan).run_with(...)`"
-)]
-#[allow(deprecated)]
-pub fn run_online(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    opts: &OnlineOptions,
-    on_snapshot: impl FnMut(&ProgressSnapshot),
-) -> Result<OnlineResult> {
-    drive_scalar(
-        plan,
-        catalog,
-        &QueryOptions::from(opts),
-        &RunCtx::default(),
-        on_snapshot,
-    )
-}
-
-/// The canonical scalar progressive loop; everything public (the builder
-/// API and the deprecated free functions) funnels into this.
 pub(crate) fn drive_scalar(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -257,7 +176,7 @@ pub(crate) fn drive_scalar(
         aggs,
         mut streams,
         layout,
-    } = open_aggregate(plan, catalog, opts, ctx, &[], "run_online")?;
+    } = open_aggregate(plan, catalog, opts, ctx, &[])?;
     if streams.len() > 1 {
         return drive_scalar_parallel(analysis, aggs, streams, layout, opts, ctx, on_snapshot);
     }
@@ -323,11 +242,10 @@ pub(crate) fn push_scalar_chunk(
     acc.push_batch(&lineage, &f).map_err(Error::Core)
 }
 
-/// Build the snapshot for one tick of the scalar loop and judge the
-/// stopping rule (degradation wins, then exhaustion, then cancellation,
-/// then the hard deadline, then the rule) — the per-tick readout shared
-/// verbatim by the sequential loop and the parallel coordinator, so the
-/// two paths cannot diverge in snapshot semantics or stop precedence.
+/// Build the snapshot for one tick of the scalar loop and judge it with
+/// [`judge_stop`] — the per-tick readout shared verbatim by the sequential
+/// loop and the parallel coordinator, so the two paths cannot diverge in
+/// snapshot semantics.
 #[allow(clippy::too_many_arguments)]
 fn scalar_tick(
     acc: &MomentAccumulator,
@@ -363,28 +281,51 @@ fn scalar_tick(
         gus,
         elapsed: start.elapsed(),
     };
-    let reason = if degraded {
-        // A fault was contained mid-run (a panicked worker shard): the
-        // absorbed prefix is still a valid — merely smaller — sample, and
-        // this snapshot reads exactly it. Degradation outranks even
-        // exhaustion: the realized sample is not the full one.
+    let reason = judge_stop(
+        opts,
+        degraded,
+        exhausted,
+        cancelled,
+        rel_half_width,
+        snapshot.rows,
+        snapshot.elapsed,
+    );
+    Ok((snapshot, reason))
+}
+
+/// Why a tick stops the loop, if it does — the one precedence ladder the
+/// scalar and grouped loops share. Highest first:
+///
+/// 1. **degraded** — a fault was contained mid-run (a panicked worker
+///    shard). The absorbed prefix is still a valid, merely smaller, sample
+///    and the tick's snapshot reads exactly it; this outranks even
+///    exhaustion because the realized sample is not the full one.
+/// 2. **exhausted** — the stream drained.
+/// 3. **cancelled** — the tick's snapshot is still emitted: the accumulated
+///    prefix is a valid mid-stream estimate.
+/// 4. **deadline** — the imposed bound, checked before the rule so a
+///    simultaneous soft time-budget stop reports it.
+/// 5. the caller's **rule** (CI target, row budget, time budget).
+pub(crate) fn judge_stop(
+    opts: &QueryOptions,
+    degraded: bool,
+    exhausted: bool,
+    cancelled: bool,
+    rel_half_width: Option<f64>,
+    rows: u64,
+    elapsed: Duration,
+) -> Option<StopReason> {
+    if degraded {
         Some(StopReason::Degraded)
     } else if exhausted {
         Some(StopReason::Exhausted)
     } else if cancelled {
-        // A cancelled loop still emits this snapshot: the accumulated
-        // prefix is a valid mid-stream estimate.
         Some(StopReason::Cancelled)
-    } else if opts.deadline.is_some_and(|d| snapshot.elapsed >= d) {
-        // The hard deadline cancels the run even when the caller's soft
-        // rule never fires — checked before the rule so a simultaneous
-        // soft time-budget stop reports the imposed bound.
+    } else if opts.deadline.is_some_and(|d| elapsed >= d) {
         Some(StopReason::Deadline)
     } else {
-        opts.rule
-            .should_stop(rel_half_width, snapshot.rows, snapshot.elapsed)
-    };
-    Ok((snapshot, reason))
+        opts.rule.should_stop(rel_half_width, rows, elapsed)
+    }
 }
 
 /// The shard-parallel progressive loop: one worker thread per partitioned
@@ -452,29 +393,7 @@ fn drive_scalar_parallel(
     })
 }
 
-/// Parse, bind and progressively run a scalar aggregate SQL query. A
-/// `WITHIN ε PERCENT CONFIDENCE γ` clause in the query overrides the CI
-/// target of `opts.rule` (row/time budgets are kept — they compose).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Engine::new(catalog).session().query(sql).run_with(...)`"
-)]
-#[allow(deprecated)]
-pub fn run_online_sql(
-    sql: &str,
-    catalog: &Catalog,
-    opts: &OnlineOptions,
-    on_snapshot: impl FnMut(&ProgressSnapshot),
-) -> Result<OnlineResult> {
-    let (plan, rule) = plan_online_sql(sql, catalog)?;
-    let mut opts = QueryOptions::from(opts);
-    if let Some(rule) = rule {
-        opts.rule.ci_target = rule.ci_target;
-    }
-    drive_scalar(&plan, catalog, &opts, &RunCtx::default(), on_snapshot)
-}
-
-/// The validated, opened state every progressive loop starts from. For
+/// The validated, opened state every query starts from. For
 /// `parallelism = 1` there is exactly one stream (the classic sequential
 /// loop); for `N > 1`, `streams` holds one disjoint slice per worker.
 pub(crate) struct OpenedAggregate<'p> {
@@ -486,15 +405,14 @@ pub(crate) struct OpenedAggregate<'p> {
 
 /// Validate the options and plan shape, run the one-time SOA rewrite, open
 /// the chunked stream(s) over the aggregate's input, and lay the aggregates
-/// onto SBox dimensions — the preamble shared by [`run_online`] and
-/// [`crate::run_online_grouped`]. `caller` names the entry point in errors.
+/// onto SBox dimensions — the preamble every `QueryBuilder` terminal
+/// shares. `observed` are the caller's GROUP BY keys.
 pub(crate) fn open_aggregate<'p>(
     plan: &'p LogicalPlan,
     catalog: &Catalog,
     opts: &QueryOptions,
     ctx: &RunCtx,
     observed: &[sa_expr::Expr],
-    caller: &str,
 ) -> Result<OpenedAggregate<'p>> {
     if opts.chunk_rows == 0 {
         // A zero hint would degenerate the pull loop into one-row chunks
@@ -512,9 +430,11 @@ pub(crate) fn open_aggregate<'p>(
     }
     let analysis = rewrite(plan, catalog).map_err(ExecError::Plan)?;
     let LogicalPlan::Aggregate { aggs, input } = plan else {
-        return Err(Error::Unsupported(format!(
-            "{caller} requires an aggregate at the plan root"
-        )));
+        return Err(Error::Unsupported(
+            "the query plan needs an Aggregate at its root: `query_plan(..)` estimates the \
+             aggregates of an `Aggregate` node (`.run()` progressively, `.batch()` in one pass)"
+                .into(),
+        ));
     };
     let exec_opts = ExecOptions {
         seed: opts.seed,
@@ -679,12 +599,11 @@ pub(crate) fn worst_rel_half_width(aggs: &[AggResult]) -> Option<f64> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use sa_exec::{f_vector, open_stream};
     use sa_expr::col;
-    use sa_plan::AggSpec;
+    use sa_plan::{AggSpec, StoppingRule};
     use sa_sampling::SamplingMethod;
     use sa_storage::{DataType, Field, Schema, TableBuilder, Value};
 
@@ -704,6 +623,17 @@ mod tests {
         c
     }
 
+    /// The scalar loop as the engine drives it, minus the engine: private
+    /// scan, no cancellation, no metrics.
+    fn run(
+        plan: &LogicalPlan,
+        catalog: &Catalog,
+        opts: &QueryOptions,
+        on_snapshot: impl FnMut(&ProgressSnapshot),
+    ) -> Result<OnlineResult> {
+        drive_scalar(plan, catalog, opts, &RunCtx::default(), on_snapshot)
+    }
+
     fn sum_plan(p: f64) -> LogicalPlan {
         LogicalPlan::scan("t")
             .sample(SamplingMethod::Bernoulli { p })
@@ -713,13 +643,13 @@ mod tests {
     #[test]
     fn snapshots_are_emitted_per_chunk_and_monotone() {
         let c = catalog(5000);
-        let opts = OnlineOptions {
+        let opts = QueryOptions {
             seed: 3,
             chunk_rows: 256,
             ..Default::default()
         };
         let mut rows_seen = Vec::new();
-        let r = run_online(&sum_plan(0.5), &c, &opts, |s| rows_seen.push(s.rows)).unwrap();
+        let r = run(&sum_plan(0.5), &c, &opts, |s| rows_seen.push(s.rows)).unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
         assert_eq!(r.chunks as usize, rows_seen.len());
         assert!(rows_seen.windows(2).all(|w| w[0] <= w[1]));
@@ -731,12 +661,12 @@ mod tests {
     fn exhausted_run_matches_batch_estimate() {
         let c = catalog(4000);
         let plan = sum_plan(0.3);
-        let opts = OnlineOptions {
+        let opts = QueryOptions {
             seed: 9,
             chunk_rows: 128,
             ..Default::default()
         };
-        let online = run_online(&plan, &c, &opts, |_| {}).unwrap();
+        let online = run(&plan, &c, &opts, |_| {}).unwrap();
         // Batch over the SAME sample realization: collect the stream.
         let LogicalPlan::Aggregate { aggs, input } = &plan else {
             unreachable!()
@@ -781,15 +711,15 @@ mod tests {
         // estimate near a tenth of it.
         let c = catalog(20_000);
         let truth = 80_000.0; // v cycles 1..=7 (mean 4.0) over 20k rows
-        let opts = |scale| OnlineOptions {
+        let opts = |scale| QueryOptions {
             seed: 2,
             chunk_rows: 200,
             rule: StoppingRule::rows(1800),
             scale_to_population: scale,
             ..Default::default()
         };
-        let scaled = run_online(&sum_plan(0.9), &c, &opts(true), |_| {}).unwrap();
-        let raw = run_online(&sum_plan(0.9), &c, &opts(false), |_| {}).unwrap();
+        let scaled = run(&sum_plan(0.9), &c, &opts(true), |_| {}).unwrap();
+        let raw = run(&sum_plan(0.9), &c, &opts(false), |_| {}).unwrap();
         let (es, er) = (
             scaled.snapshot.aggs[0].estimate,
             raw.snapshot.aggs[0].estimate,
@@ -810,13 +740,13 @@ mod tests {
     #[test]
     fn row_budget_stops_early() {
         let c = catalog(20_000);
-        let opts = OnlineOptions {
+        let opts = QueryOptions {
             seed: 1,
             chunk_rows: 100,
             rule: StoppingRule::rows(500),
             ..Default::default()
         };
-        let r = run_online(&sum_plan(0.9), &c, &opts, |_| {}).unwrap();
+        let r = run(&sum_plan(0.9), &c, &opts, |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::RowBudget);
         assert!(r.snapshot.rows >= 500);
         assert!(
@@ -829,13 +759,13 @@ mod tests {
     #[test]
     fn time_budget_stops() {
         let c = catalog(2000);
-        let opts = OnlineOptions {
+        let opts = QueryOptions {
             seed: 1,
             chunk_rows: 10,
             rule: StoppingRule::time(Duration::ZERO),
             ..Default::default()
         };
-        let r = run_online(&sum_plan(0.9), &c, &opts, |_| {}).unwrap();
+        let r = run(&sum_plan(0.9), &c, &opts, |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::TimeBudget);
         assert_eq!(r.chunks, 1);
     }
@@ -843,13 +773,13 @@ mod tests {
     #[test]
     fn ci_rule_converges_on_big_sample() {
         let c = catalog(50_000);
-        let opts = OnlineOptions {
+        let opts = QueryOptions {
             seed: 4,
             chunk_rows: 512,
             rule: StoppingRule::ci(0.05, 0.95),
             ..Default::default()
         };
-        let r = run_online(&sum_plan(0.5), &c, &opts, |_| {}).unwrap();
+        let r = run(&sum_plan(0.5), &c, &opts, |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::CiConverged);
         assert!(r.snapshot.rel_half_width.unwrap() <= 0.05);
         // It genuinely stopped early.
@@ -858,37 +788,73 @@ mod tests {
 
     #[test]
     fn sql_within_clause_drives_the_rule() {
-        let c = catalog(50_000);
-        let opts = OnlineOptions {
-            seed: 4,
-            chunk_rows: 512,
-            ..Default::default()
-        };
+        let engine = crate::Engine::new(catalog(50_000));
         let mut snaps = 0u64;
-        let r = run_online_sql(
-            "SELECT SUM(v) AS s FROM t TABLESAMPLE (50 PERCENT) \
-             WITHIN 5 PERCENT CONFIDENCE 95",
-            &c,
-            &opts,
-            |_| snaps += 1,
-        )
-        .unwrap();
+        let r = engine
+            .session()
+            .query(
+                "SELECT SUM(v) AS s FROM t TABLESAMPLE (50 PERCENT) \
+                 WITHIN 5 PERCENT CONFIDENCE 95",
+            )
+            .seed(4)
+            .chunk_rows(512)
+            .run_with(|_| snaps += 1)
+            .unwrap();
         assert_eq!(r.reason, StopReason::CiConverged);
         assert_eq!(snaps, r.chunks);
-        assert!((r.snapshot.confidence - 0.95).abs() < 1e-12);
+        assert!((r.snapshot.confidence() - 0.95).abs() < 1e-12);
     }
 
     #[test]
-    fn group_by_rejected_for_online_sql() {
-        let c = catalog(100);
-        let err = run_online_sql(
-            "SELECT k, SUM(v) FROM t TABLESAMPLE (50 PERCENT) GROUP BY k",
-            &c,
-            &OnlineOptions::default(),
-            |_| {},
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("GROUP BY"), "{err}");
+    fn stop_precedence_is_one_ladder() {
+        // Every tick's verdict, highest rung first. The rule and the
+        // deadline are both armed (zero budgets fire on any elapsed time),
+        // so each row shows the rung above them winning.
+        let armed = QueryOptions {
+            rule: StoppingRule::time(Duration::ZERO),
+            deadline: Some(Duration::ZERO),
+            ..Default::default()
+        };
+        let soft_only = QueryOptions {
+            deadline: None,
+            ..armed.clone()
+        };
+        let idle = QueryOptions::default();
+        // (options, degraded, exhausted, cancelled) → reason
+        let table = [
+            (&armed, true, true, true, Some(StopReason::Degraded)),
+            (&armed, true, false, false, Some(StopReason::Degraded)),
+            (&armed, false, true, true, Some(StopReason::Exhausted)),
+            (&armed, false, false, true, Some(StopReason::Cancelled)),
+            (&armed, false, false, false, Some(StopReason::Deadline)),
+            (
+                &soft_only,
+                false,
+                false,
+                false,
+                Some(StopReason::TimeBudget),
+            ),
+            (&idle, false, false, false, None),
+            (&idle, false, false, true, Some(StopReason::Cancelled)),
+            (&idle, false, true, false, Some(StopReason::Exhausted)),
+        ];
+        for (opts, degraded, exhausted, cancelled, want) in table {
+            let got = judge_stop(
+                opts,
+                degraded,
+                exhausted,
+                cancelled,
+                Some(0.5),
+                10,
+                Duration::from_millis(1),
+            );
+            assert_eq!(
+                got, want,
+                "degraded={degraded} exhausted={exhausted} cancelled={cancelled} \
+                 deadline={:?}",
+                opts.deadline
+            );
+        }
     }
 
     fn union_plan(p: f64) -> LogicalPlan {
@@ -906,12 +872,12 @@ mod tests {
         // same realized sample.
         let c = catalog(2000);
         let plan = union_plan(0.4);
-        let opts = OnlineOptions {
+        let opts = QueryOptions {
             seed: 6,
             chunk_rows: 128,
             ..Default::default()
         };
-        let online = run_online(&plan, &c, &opts, |_| {}).unwrap();
+        let online = run(&plan, &c, &opts, |_| {}).unwrap();
         assert_eq!(online.reason, StopReason::Exhausted);
         assert!(online.snapshot.rows > 0);
         let LogicalPlan::Aggregate { aggs, input } = &plan else {
@@ -956,13 +922,13 @@ mod tests {
         // must target the full answer, not the scanned prefix of it.
         let c = catalog(20_000);
         let truth = 80_000.0; // v cycles 1..=7 (mean 4.0) over 20k rows
-        let opts = OnlineOptions {
+        let opts = QueryOptions {
             seed: 11,
             chunk_rows: 200,
             rule: StoppingRule::rows(1500),
             ..Default::default()
         };
-        let r = run_online(&union_plan(0.5), &c, &opts, |_| {}).unwrap();
+        let r = run(&union_plan(0.5), &c, &opts, |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::RowBudget);
         let (consumed, available) = r.snapshot.progress[0];
         assert!(consumed < available, "stopped mid-scan");
@@ -978,11 +944,11 @@ mod tests {
         // The parallel path does not partition union plans; the refusal
         // names the workaround precisely.
         let c = catalog(2000);
-        let opts = OnlineOptions {
+        let opts = QueryOptions {
             parallelism: 2,
             ..Default::default()
         };
-        let err = run_online(&union_plan(0.4), &c, &opts, |_| {}).unwrap_err();
+        let err = run(&union_plan(0.4), &c, &opts, |_| {}).unwrap_err();
         assert!(
             err.to_string().contains("parallelism = 1"),
             "the refusal must name the single-stream workaround: {err}"
@@ -994,11 +960,11 @@ mod tests {
         // chunk_rows = 0 would degenerate next_chunk's hint into 1-row
         // pulls (a snapshot per row); the driver refuses it up front.
         let c = catalog(100);
-        let opts = OnlineOptions {
+        let opts = QueryOptions {
             chunk_rows: 0,
             ..Default::default()
         };
-        let err = run_online(&sum_plan(0.5), &c, &opts, |_| {}).unwrap_err();
+        let err = run(&sum_plan(0.5), &c, &opts, |_| {}).unwrap_err();
         assert!(matches!(err, Error::InvalidOptions(_)), "{err}");
         assert!(err.to_string().contains("chunk_rows"), "{err}");
     }
@@ -1006,10 +972,10 @@ mod tests {
     #[test]
     fn non_aggregate_root_rejected() {
         let c = catalog(10);
-        let err = run_online(
+        let err = run(
             &LogicalPlan::scan("t"),
             &c,
-            &OnlineOptions::default(),
+            &QueryOptions::default(),
             |_| {},
         )
         .unwrap_err();
@@ -1021,14 +987,14 @@ mod tests {
         // Empty table → empty stream on the very first pull; the loop must
         // still emit one snapshot and stop as Exhausted. (A `p = 0` sampler,
         // by contrast, is a degenerate GUS with a = 0 and errors, exactly
-        // like the batch driver.)
+        // as `.batch()` does.)
         let c = catalog(0);
-        let r = run_online(&sum_plan(0.5), &c, &OnlineOptions::default(), |_| {}).unwrap();
+        let r = run(&sum_plan(0.5), &c, &QueryOptions::default(), |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
         assert_eq!(r.chunks, 1);
         assert_eq!(r.snapshot.rows, 0);
         assert_eq!(r.snapshot.aggs[0].estimate, 0.0);
-        let degenerate = run_online(&sum_plan(0.0), &c, &OnlineOptions::default(), |_| {});
+        let degenerate = run(&sum_plan(0.0), &c, &QueryOptions::default(), |_| {});
         assert!(matches!(degenerate, Err(Error::Core(_))));
     }
 }

@@ -11,7 +11,8 @@
 //!             ├─ .run() / .run_with(cb) ─▶ QueryResult   (synchronous)
 //!             ├─ .online()              ─▶ QueryHandle   (spawned thread:
 //!             │                            snapshot iterator + cancel + wait)
-//!             └─ .batch()               ─▶ BatchOutput   (one-shot estimate)
+//!             └─ .batch() / .exact()    ─▶ BatchOutput   (the same stream,
+//!                                          drained and read out once)
 //! ```
 //!
 //! ## Seeds
@@ -47,9 +48,7 @@ use std::time::{Duration, Instant};
 
 use sa_core::hash::splitmix64;
 use sa_exec::shared::{DEFAULT_BUS_ROWS, DEFAULT_MAX_LAG_ROWS};
-use sa_exec::{
-    shared_scan_needs, shared_scan_table, ApproxOptions, ScanObs, SharedScanStats, SharedTableScan,
-};
+use sa_exec::{shared_scan_needs, shared_scan_table, ScanObs, SharedScanStats, SharedTableScan};
 use sa_expr::Expr;
 use sa_obs::{Counter, EventKind, Gauge, Histogram, MetricsSnapshot, Registry};
 use sa_plan::{LogicalPlan, StopReason};
@@ -57,6 +56,7 @@ use sa_sql::plan_online_grouped_sql;
 use sa_storage::Catalog;
 
 use crate::api::{BatchOutput, QueryOptions, QueryResult, Snapshot};
+use crate::batch::drain_batch;
 use crate::driver::{drive_scalar, RunCtx};
 use crate::error::Error;
 use crate::grouped::drive_grouped;
@@ -564,6 +564,24 @@ impl Engine {
             None => Ok(None),
         }
     }
+
+    /// How a query is wired into this engine: its cancellation flag, the
+    /// shared hub it attaches to (if eligible), and the metric handles its
+    /// workers and scans record into.
+    fn run_ctx(
+        &self,
+        plan: &LogicalPlan,
+        group_by: &[Expr],
+        opts: &QueryOptions,
+        cancel: Option<Arc<AtomicBool>>,
+    ) -> Result<RunCtx> {
+        Ok(RunCtx {
+            cancel,
+            shared: self.shared_hub(plan, group_by, opts)?,
+            pool: self.inner.obs.pool.clone(),
+            scan_obs: self.inner.obs.scan.clone(),
+        })
+    }
 }
 
 /// Decrements the in-flight counter when a query finishes (however it
@@ -633,8 +651,7 @@ enum QueryInput {
     Plan(LogicalPlan),
 }
 
-/// One fluent surface for configuring and running a query — the successor
-/// of the six `run_online*`/`approx_*` free functions.
+/// One fluent surface for configuring and running a query.
 pub struct QueryBuilder {
     engine: Engine,
     session: u64,
@@ -813,27 +830,43 @@ impl QueryBuilder {
         })
     }
 
-    /// Run the paper's one-shot batch estimator over the full sample — no
-    /// snapshots, no stopping rule, just the final estimates with
-    /// intervals.
+    /// Sub-sample the variance estimation of a scalar [`QueryBuilder::batch`]
+    /// down to about `rows` tuples (see [`QueryOptions::subsample_target`]).
+    pub fn subsample(mut self, rows: u64) -> QueryBuilder {
+        self.opts.subsample_target = Some(rows);
+        self
+    }
+
+    /// The paper's one-shot estimator: drain the whole sample — the very
+    /// stream [`QueryBuilder::run`] opens for the same options — and read
+    /// the estimates and intervals out once. No snapshots, no stopping
+    /// rule; at `jobs = 1` every number equals `.run()`'s exhaustion
+    /// readout bit for bit, provided that run pulls fixed-size chunks
+    /// (`adaptive_chunks = false`, the default). The batch ignores
+    /// `adaptive_chunks`: a run that grows its pulls realizes the same
+    /// sample but sums it across other chunk boundaries, so it agrees to
+    /// float rounding (1e-9 relative), not to the bit.
     pub fn batch(self) -> Result<BatchOutput> {
+        self.drain(false)
+    }
+
+    /// Ground truth: [`QueryBuilder::batch`] over the plan with every
+    /// sampling operator stripped (the SOA rewrite's sampling-free core),
+    /// so each "estimate" is the exact aggregate with zero variance.
+    pub fn exact(self) -> Result<BatchOutput> {
+        self.drain(true)
+    }
+
+    fn drain(self, strip_sampling: bool) -> Result<BatchOutput> {
         let _guard = self.engine.admit(self.session)?;
         self.engine.inner.obs.batch_queries.inc();
-        let (plan, group_by, opts) = resolve(&self.engine, self.input, self.group_by, self.opts)?;
-        let approx = ApproxOptions {
-            seed: opts.seed,
-            confidence: opts.rule.confidence_or(opts.confidence),
-            subsample_target: None,
-        };
-        let catalog = self.engine.catalog();
-        #[allow(deprecated)]
-        if group_by.is_empty() {
-            let r = sa_exec::approx_query(&plan, catalog, &approx)?;
-            Ok(BatchOutput::Scalar(r))
-        } else {
-            let r = sa_exec::approx_group_query(&plan, &group_by, catalog, &approx)?;
-            Ok(BatchOutput::Grouped(r))
+        let (mut plan, group_by, opts) =
+            resolve(&self.engine, self.input, self.group_by, self.opts)?;
+        if strip_sampling {
+            plan = sa_plan::rewrite(&plan, self.engine.catalog())?.core;
         }
+        let ctx = self.engine.run_ctx(&plan, &group_by, &opts, None)?;
+        drain_batch(&plan, &group_by, self.engine.catalog(), &opts, &ctx)
     }
 }
 
@@ -896,12 +929,7 @@ fn execute(
     let obs = &engine.inner.obs;
     let query = engine.inner.queries.fetch_add(1, Ordering::Relaxed) + 1;
     let (plan, group_by, opts) = resolve(engine, input, group_by, opts)?;
-    let ctx = RunCtx {
-        cancel,
-        shared: engine.shared_hub(&plan, &group_by, &opts)?,
-        pool: obs.pool.clone(),
-        scan_obs: obs.scan.clone(),
-    };
+    let ctx = engine.run_ctx(&plan, &group_by, &opts, cancel)?;
     obs.queries_started.inc();
     obs.registry
         .record(EventKind::QueryStarted { session, query });
@@ -1052,35 +1080,6 @@ mod tests {
         let b = Engine::new(catalog(10));
         assert_eq!(b.session().seed(), s1.seed());
         assert_eq!(b.session().seed(), s2.seed());
-    }
-
-    #[test]
-    fn plan_query_matches_the_deprecated_driver() {
-        let c = catalog(4000);
-        let engine = Engine::new(catalog(4000));
-        let r = engine
-            .session()
-            .query_plan(&sum_plan(0.4))
-            .seed(9)
-            .chunk_rows(128)
-            .run()
-            .unwrap();
-        assert_eq!(r.reason, StopReason::Exhausted);
-        #[allow(deprecated)]
-        let old = crate::driver::run_online(
-            &sum_plan(0.4),
-            &c,
-            &crate::driver::OnlineOptions {
-                seed: 9,
-                chunk_rows: 128,
-                ..Default::default()
-            },
-            |_| {},
-        )
-        .unwrap();
-        let new = &r.snapshot.as_scalar().unwrap().aggs[0];
-        assert_eq!(new.estimate, old.snapshot.aggs[0].estimate);
-        assert_eq!(new.variance, old.snapshot.aggs[0].variance);
     }
 
     #[test]

@@ -133,16 +133,6 @@ impl SamplingMethod {
             SamplingMethod::Bernoulli { p } => {
                 (0..n).filter(|_| rng.random::<f64>() < *p).collect()
             }
-            SamplingMethod::Wor { size } => {
-                if *size > n {
-                    return Err(SamplingError::InvalidSpec(format!(
-                        "WOR size {size} exceeds population {n}"
-                    )));
-                }
-                let mut ids = floyd_sample(n, *size, rng);
-                ids.sort_unstable();
-                ids
-            }
             SamplingMethod::System { p } => {
                 let mut out = Vec::new();
                 for block in 0..table.block_count() {
@@ -153,15 +143,42 @@ impl SamplingMethod {
                 }
                 out
             }
+            SamplingMethod::Wor { .. } | SamplingMethod::WithReplacement { .. } => {
+                self.draw_fixed_size(n, rng)?
+            }
+        })
+    }
+
+    /// The positions a fixed-size method (`WOR`, with-replacement) keeps out
+    /// of `n` inputs — what [`SamplingMethod::sample`] draws over a table's
+    /// rows, for callers whose input is not a stored table (the executor
+    /// samples a drained subtree by position). `WOR` positions are
+    /// ascending, with-replacement ones in draw order. The per-unit methods
+    /// (Bernoulli, `SYSTEM`) are not fixed-size and are refused.
+    pub fn draw_fixed_size(&self, n: u64, rng: &mut StdRng) -> Result<Vec<u64>> {
+        match self {
+            SamplingMethod::Wor { size } => {
+                if *size > n {
+                    return Err(SamplingError::InvalidSpec(format!(
+                        "WOR size {size} exceeds population {n}"
+                    )));
+                }
+                let mut ids = floyd_sample(n, *size, rng);
+                ids.sort_unstable();
+                Ok(ids)
+            }
             SamplingMethod::WithReplacement { size } => {
                 if n == 0 {
                     return Err(SamplingError::InvalidSpec(
-                        "cannot draw with replacement from an empty table".into(),
+                        "cannot draw with replacement from an empty input".into(),
                     ));
                 }
-                (0..*size).map(|_| rng.random_range(0..n)).collect()
+                Ok((0..*size).map(|_| rng.random_range(0..n)).collect())
             }
-        })
+            SamplingMethod::Bernoulli { .. } | SamplingMethod::System { .. } => Err(
+                SamplingError::InvalidSpec(format!("{self} is not a fixed-size method")),
+            ),
+        }
     }
 
     /// Deterministic variant: draw with a seed.

@@ -244,18 +244,7 @@ impl Server {
             let ctl = Arc::clone(&ctl);
             thread::Builder::new()
                 .name("sa-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if ctl.draining() {
-                            return; // drops tx → workers drain and exit
-                        }
-                        if let Ok(conn) = conn {
-                            if tx.send(conn).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                })
+                .spawn(move || accept_loop(listener, &ctl, tx))
                 .expect("spawn accept loop")
         };
 
@@ -338,6 +327,27 @@ struct ConnState {
     seed: Option<u64>,
     shuffle: bool,
     deadline: Option<Duration>,
+}
+
+/// Hand accepted connections to the worker pool until the drain starts
+/// (returning drops `tx`, so the workers finish their clients and exit).
+fn accept_loop(listener: TcpListener, ctl: &Ctl, tx: mpsc::SyncSender<TcpStream>) {
+    for conn in listener.incoming() {
+        if ctl.draining() {
+            return;
+        }
+        let Ok(conn) = conn else { continue };
+        // A reply that streams progress flushes each `SNAP` line as its own
+        // small segment; under Nagle the second one waits for the client's
+        // delayed ACK (≥ 40 ms per query). A socket that refuses the option
+        // is broken — drop it.
+        if conn.set_nodelay(true).is_err() {
+            continue;
+        }
+        if tx.send(conn).is_err() {
+            return;
+        }
+    }
 }
 
 /// Serve one client connection until `QUIT`, EOF, a read timeout, a
@@ -574,6 +584,28 @@ mod tests {
         writeln!(tx, "QUIT").unwrap();
         tx.flush().unwrap();
         BufReader::new(conn).lines().map(|l| l.unwrap()).collect()
+    }
+
+    #[test]
+    fn accepted_sockets_have_nagle_off() {
+        // The socket a worker serves is the one the accept loop hands over:
+        // read the option back from exactly that socket.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let ctl = Arc::new(Ctl::new());
+        let _ = ctl.addr.set(addr);
+        let (tx, rx) = mpsc::sync_channel::<TcpStream>(0);
+        let accept = {
+            let ctl = Arc::clone(&ctl);
+            thread::spawn(move || accept_loop(listener, &ctl, tx))
+        };
+        let client = TcpStream::connect(addr).unwrap();
+        assert!(!client.nodelay().unwrap(), "the OS default is Nagle on");
+        let accepted = rx.recv().expect("the accept loop hands the socket over");
+        assert!(accepted.nodelay().unwrap());
+        drop(rx);
+        ctl.begin_shutdown();
+        accept.join().unwrap();
     }
 
     #[test]

@@ -187,7 +187,9 @@ pub fn plan_sql(sql: &str, catalog: &Catalog) -> Result<LogicalPlan> {
     let q = crate::parser::parse(sql)?;
     if !q.group_by.is_empty() {
         return Err(SqlError::Bind(
-            "query has GROUP BY; use plan_grouped_sql + approx_group_query".into(),
+            "query has GROUP BY; use plan_grouped_sql and pass the keys to \
+             `query_plan(..).group_by(..)`, or hand the SQL text to `Session::query`"
+                .into(),
         ));
     }
     bind_query(&q, catalog)
@@ -195,7 +197,7 @@ pub fn plan_sql(sql: &str, catalog: &Catalog) -> Result<LogicalPlan> {
 
 /// Parse and bind a (possibly grouped) aggregate query: returns the
 /// aggregate plan plus the `GROUP BY` expressions, ready for
-/// `sa_exec::approx_group_query` (or `approx_query` when the list is empty).
+/// `Session::query_plan(&plan).group_by(keys).batch()` in `sa-online`.
 ///
 /// A `WITHIN … PERCENT CONFIDENCE …` clause, if present, is accepted and
 /// ignored here — batch estimation has no stopping loop. Use
@@ -220,8 +222,8 @@ pub fn plan_online_sql(
         // Not a capability gap any more — the scalar signature just cannot
         // carry per-group results.
         return Err(SqlError::Bind(
-            "query has GROUP BY; plan it with plan_online_grouped_sql and run it with the \
-             grouped online driver (per-group stopping)"
+            "query has GROUP BY; plan it with plan_online_grouped_sql and pass the keys to \
+             `query_plan(..).group_by(..)` (per-group stopping)"
                 .into(),
         ));
     }
@@ -231,9 +233,8 @@ pub fn plan_online_sql(
 /// Parse and bind a (possibly grouped) aggregate query for **online**
 /// (progressive) estimation: returns the plan, the `GROUP BY` expressions
 /// (empty for a scalar query), and the stopping rule lowered from the
-/// query's `WITHIN ε PERCENT CONFIDENCE γ` clause. Ready for
-/// `sa_online::run_online_grouped` (or `run_online` when the key list is
-/// empty).
+/// query's `WITHIN ε PERCENT CONFIDENCE γ` clause — what `sa-online`'s
+/// `Session::query` runs on.
 pub fn plan_online_grouped_sql(
     sql: &str,
     catalog: &Catalog,

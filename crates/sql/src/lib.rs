@@ -10,7 +10,7 @@
 //! `CREATE VIEW APPROX (lo, hi) AS …` syntax.
 //!
 //! [`plan_sql`] goes from SQL text to a validated [`sa_plan::LogicalPlan`]
-//! ready for `sa_exec::approx_query`; [`plan_grouped_sql`] also returns the
+//! ready for `sa-online`'s `Session::query_plan`; [`plan_grouped_sql`] also returns the
 //! `GROUP BY` keys, and [`plan_online_sql`] / [`plan_online_grouped_sql`]
 //! additionally lower a `WITHIN ε PERCENT CONFIDENCE γ` accuracy clause
 //! into an `sa_plan::StoppingRule` for the online drivers.

@@ -14,6 +14,7 @@
 //! codes, so gathering, filtering and joining strings moves 4-byte codes,
 //! not refcounted pointers.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::column::Column;
@@ -299,6 +300,87 @@ impl ColumnVec {
         ColumnVec { data, validity }
     }
 
+    /// Vertical concatenation of same-typed columns, in order (a drained
+    /// subtree's chunks becoming one materialized column). Strings keep
+    /// sharing a dictionary when every part already does; otherwise the
+    /// dictionaries are merged and the codes rewritten. Panics on an empty
+    /// `parts` or mixed data types — the chunks of one stream come from one
+    /// compiled schema.
+    pub fn concat(parts: &[&ColumnVec]) -> ColumnVec {
+        let first = parts.first().expect("concat of at least one column");
+        let rows: usize = parts.iter().map(|p| p.len()).sum();
+        let validity = parts.iter().any(|p| p.validity.is_some()).then(|| {
+            let mut out = Vec::with_capacity(rows);
+            for p in parts {
+                match &p.validity {
+                    Some(v) => out.extend_from_slice(v),
+                    None => out.resize(out.len() + p.len(), true),
+                }
+            }
+            out
+        });
+        macro_rules! flat {
+            ($variant:ident) => {{
+                let mut out = Vec::with_capacity(rows);
+                for p in parts {
+                    match &p.data {
+                        ColumnData::$variant(v) => out.extend_from_slice(v),
+                        _ => panic!(
+                            "concat of mixed column types: {:?} after {:?}",
+                            p.data_type(),
+                            first.data_type()
+                        ),
+                    }
+                }
+                ColumnData::$variant(out)
+            }};
+        }
+        let data = match &first.data {
+            ColumnData::Bool(_) => flat!(Bool),
+            ColumnData::Int(_) => flat!(Int),
+            ColumnData::Float(_) => flat!(Float),
+            ColumnData::Str { dict: shared, .. } => {
+                let strs = parts.iter().map(|p| match &p.data {
+                    ColumnData::Str { dict, codes } => (dict, codes),
+                    _ => panic!(
+                        "concat of mixed column types: {:?} after Str",
+                        p.data_type()
+                    ),
+                });
+                let mut codes: Vec<u32> = Vec::with_capacity(rows);
+                if strs.clone().all(|(dict, _)| Arc::ptr_eq(dict, shared)) {
+                    strs.for_each(|(_, c)| codes.extend_from_slice(c));
+                    ColumnData::Str {
+                        dict: shared.clone(),
+                        codes,
+                    }
+                } else {
+                    // Different dictionaries: intern every string once and
+                    // rewrite each part's codes into the merged dictionary.
+                    let mut merged: Vec<Arc<str>> = Vec::new();
+                    let mut index: HashMap<Arc<str>, u32> = HashMap::new();
+                    for (dict, part_codes) in strs {
+                        let remap: Vec<u32> = dict
+                            .iter()
+                            .map(|s| {
+                                *index.entry(s.clone()).or_insert_with(|| {
+                                    merged.push(s.clone());
+                                    (merged.len() - 1) as u32
+                                })
+                            })
+                            .collect();
+                        codes.extend(part_codes.iter().map(|&c| remap[c as usize]));
+                    }
+                    ColumnData::Str {
+                        dict: Arc::new(merged),
+                        codes,
+                    }
+                }
+            }
+        };
+        ColumnVec { data, validity }
+    }
+
     /// Value equality between a cell of this column and a cell of `other`,
     /// under the engine's [`Value::total_cmp`] semantics (numeric values
     /// compare across `Int`/`Float`; `NaN` equals itself, as in `Value`'s
@@ -475,6 +557,23 @@ impl ColumnarBatch {
         }
     }
 
+    /// Vertical concatenation: the rows of `parts`, in order, as one batch
+    /// (see [`ColumnVec::concat`]). `parts` must be non-empty and agree on
+    /// their column count and types.
+    pub fn concat_rows(parts: &[&ColumnarBatch]) -> ColumnarBatch {
+        let first = parts.first().expect("concat of at least one batch");
+        let columns = (0..first.columns.len())
+            .map(|c| {
+                let cols: Vec<&ColumnVec> = parts.iter().map(|p| &p.columns[c]).collect();
+                ColumnVec::concat(&cols)
+            })
+            .collect();
+        ColumnarBatch {
+            columns,
+            rows: parts.iter().map(|p| p.rows).sum(),
+        }
+    }
+
     /// Horizontal concatenation (join output: probe columns ++ build
     /// columns). Both batches must have the same row count.
     pub fn concat_columns(mut self, right: ColumnarBatch) -> ColumnarBatch {
@@ -618,6 +717,57 @@ mod tests {
             validity: Some(vec![false]),
         };
         assert!(!a.cell_eq(0, &a, 0), "NULL join keys must not match");
+    }
+
+    #[test]
+    fn concat_stacks_rows_and_merges_dictionaries() {
+        let ints = ColumnVec::concat(&[
+            &ColumnVec::new(ColumnData::Int(vec![1, 2])),
+            &ColumnVec {
+                data: ColumnData::Int(vec![0, 4]),
+                validity: Some(vec![false, true]),
+            },
+        ]);
+        let got: Vec<Value> = (0..4).map(|i| ints.value(i)).collect();
+        assert_eq!(
+            got,
+            vec![Value::Int(1), Value::Int(2), Value::Null, Value::Int(4)]
+        );
+        // Same storage dictionary: shared, codes copied verbatim.
+        let col = str_column(&[Some("ny"), Some("sf"), None, Some("ny")]);
+        let (a, b) = (
+            ColumnVec::from_column_range(&col, 0, 2),
+            ColumnVec::from_column_range(&col, 2, 4),
+        );
+        let same = ColumnVec::concat(&[&a, &b]);
+        let (ColumnData::Str { dict: d, .. }, ColumnData::Str { dict: da, .. }) =
+            (&same.data, &a.data)
+        else {
+            panic!("expected str columns");
+        };
+        assert!(Arc::ptr_eq(d, da), "one dictionary stays shared");
+        // A foreign dictionary is merged, values preserved in order.
+        let other = ColumnVec::from_values(
+            DataType::Str,
+            [Value::str("la"), Value::str("ny")].into_iter(),
+        );
+        let mixed = ColumnVec::concat(&[&a, &other, &b]);
+        let got: Vec<Value> = (0..6).map(|i| mixed.value(i)).collect();
+        assert_eq!(
+            got,
+            vec![
+                Value::str("ny"),
+                Value::str("sf"),
+                Value::str("la"),
+                Value::str("ny"),
+                Value::Null,
+                Value::str("ny"),
+            ]
+        );
+        let batch = ColumnarBatch::new(vec![a], 2);
+        let stacked = ColumnarBatch::concat_rows(&[&batch, &batch]);
+        assert_eq!(stacked.rows(), 4);
+        assert_eq!(stacked.row_values(3), vec![Value::str("sf")]);
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! cargo run --release --example online_aggregation
 //! ```
 
-use sampling_algebra::exec::exact_group_query;
 use sampling_algebra::prelude::*;
-use sampling_algebra::sql::{plan_online_grouped_sql, plan_online_sql};
+use sampling_algebra::sql::plan_online_sql;
 
 fn main() {
     // 1. Data: TPC-H at a scale where batch execution is already noticeable.
@@ -84,7 +83,8 @@ fn main() {
     let (plan, _) = plan_online_sql(sql, engine.catalog()).unwrap();
     let batch = engine.session().query_plan(&plan).seed(7).batch().unwrap();
     let batch = batch.as_scalar().unwrap();
-    let exact = exact_query(&plan, engine.catalog()).unwrap()[0];
+    let exact = engine.session().query_plan(&plan).exact().unwrap();
+    let exact = exact.as_scalar().unwrap().aggs[0].estimate;
     let online_est = result.snapshot.as_scalar().unwrap().aggs[0].estimate;
     println!("online estimate (early stop)  : {online_est:.2}");
     println!(
@@ -154,14 +154,19 @@ fn main() {
     );
 
     // 6. Per-group comparison against the exact grouped answer.
-    let (gplan, group_by, _) = plan_online_grouped_sql(gsql, engine.catalog()).unwrap();
-    let exact_groups = exact_group_query(&gplan, &group_by, engine.catalog()).unwrap();
+    let exact_groups = engine.session().query(gsql).exact().unwrap();
+    let exact_groups = &exact_groups.as_grouped().unwrap().groups;
     println!(
         "{:<6} {:>16} {:>16} {:>9} {:>9}",
         "flag", "estimate", "exact", "error", "covered"
     );
     for g in &grouped.snapshot.as_grouped().unwrap().groups {
-        let truth = exact_groups[&g.key][0];
+        let truth = exact_groups
+            .iter()
+            .find(|e| e.key == g.key)
+            .expect("a sampled group exists in the data")
+            .aggs[0]
+            .estimate;
         let est = g.aggs[0].estimate;
         let ci = g.aggs[0].ci_normal.as_ref().unwrap();
         println!(

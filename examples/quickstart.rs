@@ -75,7 +75,8 @@ fn main() {
     );
 
     // 5. Ground truth (runs the sampling-free plan).
-    let exact = exact_query(&plan, engine.catalog()).unwrap()[0];
+    let exact = engine.session().query_plan(&plan).exact().unwrap();
+    let exact = exact.as_scalar().unwrap().aggs[0].estimate;
     println!("exact answer                         : {exact:.2}");
     let err = (agg.estimate - exact).abs() / exact * 100.0;
     println!("relative error of the estimate       : {err:.2}%");

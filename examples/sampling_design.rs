@@ -11,32 +11,21 @@
 //! cargo run --release --example sampling_design
 //! ```
 
-// This example deliberately drives the low-level batch entry point: the
-// Section 7 sub-sampled variance estimator (`subsample_target`) is
-// exec-layer plumbing the Engine API does not surface.
-#![allow(deprecated)]
-
 use sampling_algebra::prelude::*;
 use std::time::Instant;
 
 fn main() {
     let catalog = generate(&TpchConfig::scale(0.01).with_seed(5));
+    let engine = Engine::new(catalog.clone());
 
     // The instrumented pilot run: a half-rate Bernoulli on both sides.
     let sql = "SELECT SUM(l_quantity) \
                FROM lineitem TABLESAMPLE (50 PERCENT), orders TABLESAMPLE (50 PERCENT) \
                WHERE l_orderkey = o_orderkey";
     let plan = plan_sql(sql, &catalog).unwrap();
-    let pilot = approx_query(
-        &plan,
-        &catalog,
-        &ApproxOptions {
-            seed: 2,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let query = || engine.session().query_plan(&plan).seed(2);
+    let pilot = query().batch().unwrap();
+    let pilot = pilot.as_scalar().unwrap();
     println!("pilot query:\n  {sql}");
     println!(
         "pilot estimate: {:.0} (rel err bound ±{:.2}% at 95%)\n",
@@ -76,29 +65,12 @@ fn main() {
     // Section 7: full-sample vs sub-sampled variance estimation.
     println!("\nSection 7 — sub-sampled variance estimation:");
     let t0 = Instant::now();
-    let full = approx_query(
-        &plan,
-        &catalog,
-        &ApproxOptions {
-            seed: 2,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let full = query().batch().unwrap();
     let t_full = t0.elapsed();
     let t0 = Instant::now();
-    let sub = approx_query(
-        &plan,
-        &catalog,
-        &ApproxOptions {
-            seed: 2,
-            confidence: 0.95,
-            subsample_target: Some(10_000),
-        },
-    )
-    .unwrap();
+    let sub = query().subsample(10_000).batch().unwrap();
     let t_sub = t0.elapsed();
+    let (full, sub) = (full.as_scalar().unwrap(), sub.as_scalar().unwrap());
     println!("{:<26} {:>14} {:>14}", "", "full sample", "sub-sampled");
     println!(
         "{:<26} {:>14} {:>14}",

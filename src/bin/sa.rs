@@ -51,9 +51,6 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-#[allow(deprecated)]
-use sampling_algebra::exec::approx_group_query;
-use sampling_algebra::exec::{exact_group_query, GroupedApproxResult};
 use sampling_algebra::prelude::*;
 use sampling_algebra::sql::plan_grouped_sql;
 
@@ -237,7 +234,7 @@ fn main() {
 
     if let Some(sql) = one_shot {
         if online {
-            run_online_mode(&mut shell, &sql);
+            run_progressive(&mut shell, &sql);
         } else {
             run_line(&mut shell, &sql);
         }
@@ -428,7 +425,7 @@ fn run_line(shell: &mut Shell, line: &str) {
                 }
                 _ => println!("\\shuffle needs `on` or `off`"),
             },
-            "online" => run_online_mode(shell, arg),
+            "online" => run_progressive(shell, arg),
             "exact" => run_exact(shell, arg),
             "trace" => run_trace(shell, arg),
             "stats" => print!("{}", shell.engine.render_prometheus()),
@@ -439,33 +436,45 @@ fn run_line(shell: &mut Shell, line: &str) {
     run_estimate(shell, line);
 }
 
-// The batch path stays on the low-level exec entry points: the `\subsample`
-// knob (§7 sub-sampled variance) is exec-layer plumbing the Engine API does
-// not surface.
-#[allow(deprecated)]
+/// The query `sql` under the shell's current knobs — one builder behind
+/// batch, `\online` and `\exact`, so the same `\seed` realizes the same
+/// sample whichever way the query is run.
+fn query(shell: &Shell, sql: &str) -> QueryBuilder {
+    let mut builder = shell
+        .engine
+        .session()
+        .query(sql)
+        .seed(shell.seed)
+        .chunk_rows(shell.chunk_rows)
+        .confidence(shell.confidence)
+        .jobs(shell.jobs)
+        .adaptive_chunks(shell.adaptive_chunks)
+        .shuffle_scan(shell.shuffle_scan);
+    if let Some(d) = shell.deadline {
+        builder = builder.deadline(d);
+    }
+    if let Some(n) = shell.subsample {
+        builder = builder.subsample(n);
+    }
+    builder
+}
+
+fn print_batch(out: &BatchOutput) {
+    match out {
+        BatchOutput::Scalar(r) => print_scalar(r),
+        BatchOutput::Grouped(r) => print_grouped(r),
+    }
+}
+
 fn run_estimate(shell: &mut Shell, sql: &str) {
-    let (plan, group_by) = match plan_grouped_sql(sql, shell.engine.catalog()) {
-        Ok(p) => p,
-        Err(e) => {
-            println!("error: {e}");
-            return;
+    match query(shell, sql).batch() {
+        Ok(out) => {
+            print_batch(&out);
+            if shell.subsample.is_some() && out.as_grouped().is_some() {
+                println!("(\\subsample applies to scalar queries; GROUP BY used every tuple)");
+            }
         }
-    };
-    let opts = ApproxOptions {
-        seed: shell.seed,
-        confidence: shell.confidence,
-        subsample_target: shell.subsample,
-    };
-    if group_by.is_empty() {
-        match approx_query(&plan, shell.engine.catalog(), &opts) {
-            Ok(r) => print_scalar(&r),
-            Err(e) => println!("error: {e}"),
-        }
-    } else {
-        match approx_group_query(&plan, &group_by, shell.engine.catalog(), &opts) {
-            Ok(r) => print_grouped(&r),
-            Err(e) => println!("error: {e}"),
-        }
+        Err(e) => println!("error: {e}"),
     }
     shell.seed = shell.seed.wrapping_add(1); // fresh sample next time
 }
@@ -532,21 +541,8 @@ fn print_grouped(r: &GroupedApproxResult) {
 /// table (grouped) per snapshot, then the final estimates and why the query
 /// stopped. A `WITHIN … CONFIDENCE …` clause in the SQL sets the stopping
 /// rule; scalar vs. grouped is decided by `GROUP BY`.
-fn run_online_mode(shell: &mut Shell, sql: &str) {
-    let mut builder = shell
-        .engine
-        .session()
-        .query(sql)
-        .seed(shell.seed)
-        .chunk_rows(shell.chunk_rows)
-        .confidence(shell.confidence)
-        .jobs(shell.jobs)
-        .adaptive_chunks(shell.adaptive_chunks)
-        .shuffle_scan(shell.shuffle_scan);
-    if let Some(d) = shell.deadline {
-        builder = builder.deadline(d);
-    }
-    let result = builder.run_with({
+fn run_progressive(shell: &mut Shell, sql: &str) {
+    let result = query(shell, sql).run_with({
         let mut header = false;
         move |snap| match &snap {
             Snapshot::Scalar(s) => {
@@ -709,28 +705,16 @@ fn print_online_summary(r: &QueryResult) {
 }
 
 fn run_exact(shell: &Shell, sql: &str) {
-    let (plan, group_by) = match plan_grouped_sql(sql, shell.engine.catalog()) {
-        Ok(p) => p,
-        Err(e) => {
-            println!("error: {e}");
-            return;
-        }
-    };
-    if group_by.is_empty() {
-        match exact_query(&plan, shell.engine.catalog()) {
-            Ok(vals) => println!("exact: {vals:?}"),
-            Err(e) => println!("error: {e}"),
-        }
-    } else {
-        match exact_group_query(&plan, &group_by, shell.engine.catalog()) {
-            Ok(groups) => {
-                for (key, vals) in groups {
-                    let key: Vec<String> = key.iter().map(|v| v.to_string()).collect();
-                    println!("{:<24} {vals:?}", key.join(","));
-                }
+    let estimates = |aggs: &[AggResult]| aggs.iter().map(|a| a.estimate).collect::<Vec<f64>>();
+    match query(shell, sql).exact() {
+        Ok(BatchOutput::Scalar(r)) => println!("exact: {:?}", estimates(&r.aggs)),
+        Ok(BatchOutput::Grouped(r)) => {
+            for g in &r.groups {
+                let key: Vec<String> = g.key.iter().map(|v| v.to_string()).collect();
+                println!("{:<24} {:?}", key.join(","), estimates(&g.aggs));
             }
-            Err(e) => println!("error: {e}"),
         }
+        Err(e) => println!("error: {e}"),
     }
 }
 

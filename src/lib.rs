@@ -81,22 +81,12 @@ pub mod prelude {
         GroupedMomentAccumulator, GusParams, LineageBernoulli, LineageSchema, MomentAccumulator,
         RelSet, SBox,
     };
-    #[allow(deprecated)]
-    pub use sa_exec::approx_query;
-    pub use sa_exec::{
-        exact_query, execute, open_stream, open_stream_partitioned, ApproxOptions, ApproxResult,
-        ChunkStream, ExecOptions,
-    };
+    pub use sa_exec::{open_stream, open_stream_partitioned, AggResult, ChunkStream, ExecOptions};
     pub use sa_expr::{col, lit, Expr};
-    #[allow(deprecated)]
     pub use sa_online::{
-        run_online, run_online_grouped, run_online_grouped_sql, run_online_sql,
-        GroupedOnlineOptions, OnlineOptions,
-    };
-    pub use sa_online::{
-        BatchOutput, Engine, EngineBuilder, Error as OnlineError, GroupedOnlineResult,
-        GroupedProgressSnapshot, OnlineResult, ProgressSnapshot, QueryBuilder, QueryHandle,
-        QueryOptions, QueryResult, Session, Snapshot,
+        ApproxResult, BatchOutput, Engine, EngineBuilder, Error, GroupEstimate,
+        GroupedApproxResult, GroupedOnlineResult, GroupedProgressSnapshot, OnlineResult,
+        ProgressSnapshot, QueryBuilder, QueryHandle, QueryOptions, QueryResult, Session, Snapshot,
     };
     pub use sa_plan::{
         render_gus_table, rewrite, AggFunc, AggSpec, LogicalPlan, SoaAnalysis, StopReason,

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! The Section 8 applications of the paper, as integration tests:
 //!
 //! 1. **Database as a sample** — robustness analysis by viewing the stored
@@ -8,6 +6,8 @@
 //!    sampling designs from one sampling instance's `Ŷ_S`.
 //! 3. **Estimating the size of intermediate relations** — COUNT estimation
 //!    with precision, for optimizer-style cardinality estimates.
+
+mod support;
 
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 use sampling_algebra::prelude::*;
@@ -67,16 +67,7 @@ fn choosing_sampling_parameters_predicts_other_designs() {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Bernoulli { p: 0.3 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let run = approx_query(
-        &plan,
-        &cat,
-        &ApproxOptions {
-            seed: 4,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let run = support::batch(&plan, &cat, 4, 0.95).unwrap();
 
     for p_alt in [0.05, 0.1, 0.5, 0.8] {
         let alt = GusParams::bernoulli("t", p_alt).unwrap();
@@ -103,16 +94,7 @@ fn predicted_variance_ranks_designs_correctly() {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Bernoulli { p: 0.4 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let run = approx_query(
-        &plan,
-        &cat,
-        &ApproxOptions {
-            seed: 9,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let run = support::batch(&plan, &cat, 9, 0.95).unwrap();
     let predict = |p: f64| {
         run.report
             .predict_variance(&GusParams::bernoulli("t", p).unwrap(), 0)
@@ -136,21 +118,12 @@ fn intermediate_result_size_estimation() {
         &cat,
     )
     .unwrap();
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 100;
     let mut mean = 0.0;
     let mut covered = 0;
     for seed in 0..trials {
-        let r = approx_query(
-            &plan,
-            &cat,
-            &ApproxOptions {
-                seed,
-                confidence: 0.95,
-                subsample_target: None,
-            },
-        )
-        .unwrap();
+        let r = support::batch(&plan, &cat, seed, 0.95).unwrap();
         mean += r.aggs[0].estimate;
         if r.aggs[0].ci_chebyshev.as_ref().unwrap().contains(exact) {
             covered += 1;
@@ -174,16 +147,7 @@ fn load_shedding_rate_analysis() {
         &cat,
     )
     .unwrap();
-    let run = approx_query(
-        &plan,
-        &cat,
-        &ApproxOptions {
-            seed: 1,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let run = support::batch(&plan, &cat, 1, 0.95).unwrap();
     let estimate = run.aggs[0].estimate;
     // Predict the relative error at various joint shedding rates.
     let mut last_rel_err = f64::INFINITY;

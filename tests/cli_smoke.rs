@@ -96,6 +96,128 @@ fn interactive_commands() {
     assert!(stdout.contains("top GUS"), "{stdout}");
 }
 
+/// The estimate and std-err columns of the last table row for `name`.
+fn agg_row(stdout: &str, name: &str) -> (String, String) {
+    let row = stdout
+        .lines()
+        .rev()
+        .find(|l| l.starts_with(name))
+        .unwrap_or_else(|| panic!("no {name} row: {stdout}"));
+    let mut cols = row.split_whitespace().skip(1);
+    (
+        cols.next().expect("estimate column").to_string(),
+        cols.next().expect("std err column").to_string(),
+    )
+}
+
+/// The number right before `unit` (e.g. "1158 result tuples" → 1158).
+fn count_before(stdout: &str, unit: &str) -> u64 {
+    let head = stdout
+        .split(unit)
+        .next()
+        .filter(|h| h.len() < stdout.len())
+        .unwrap_or_else(|| panic!("no `{unit}` in: {stdout}"));
+    let digits = head.trim_end().rsplit(|c: char| !c.is_ascii_digit()).next();
+    digits.unwrap().parse().expect("a count")
+}
+
+#[test]
+fn batch_and_online_print_one_answer() {
+    // Same --seed, with and without --online: both drain the same stream,
+    // so the batch estimate IS the exhausted online estimate.
+    let run = |online: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_sa"));
+        cmd.args(["--tpch", "0.002", "--seed", "7"]);
+        if online {
+            cmd.arg("--online");
+        }
+        let out = cmd
+            .arg("--query")
+            .arg("SELECT SUM(l_quantity) FROM lineitem TABLESAMPLE (10 PERCENT)")
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let (batch, online) = (run(false), run(true));
+    assert!(online.contains("stopped: exhausted"), "{online}");
+    assert_eq!(agg_row(&batch, "col0"), agg_row(&online, "col0"));
+    assert_eq!(
+        count_before(&batch, " result tuples"),
+        count_before(&online, " rows in "),
+        "batch:\n{batch}\nonline:\n{online}"
+    );
+}
+
+#[test]
+fn subsample_and_exact_run_through_the_drain() {
+    let mut child = sa()
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary spawns");
+    let stdin = child.stdin.as_mut().expect("piped stdin");
+    let sql = "SELECT SUM(l_quantity) AS q FROM lineitem TABLESAMPLE (50 PERCENT)";
+    writeln!(stdin, "{sql};").unwrap();
+    writeln!(stdin, "\\seed 7").unwrap(); // the batch query advanced the seed
+    writeln!(stdin, "\\subsample 300").unwrap();
+    writeln!(stdin, "{sql};").unwrap();
+    writeln!(stdin, "\\exact SELECT COUNT(*) AS n FROM orders").unwrap();
+    writeln!(
+        stdin,
+        "\\exact SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag"
+    )
+    .unwrap();
+    // Still under \subsample 300: a grouped batch has no §7 path and says so.
+    writeln!(
+        stdin,
+        "SELECT l_returnflag, COUNT(*) AS n FROM lineitem TABLESAMPLE (50 PERCENT) \
+         GROUP BY l_returnflag;"
+    )
+    .unwrap();
+    writeln!(stdin, "\\quit").unwrap();
+    let out = child.wait_with_output().expect("binary exits");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("\\subsample applies to scalar queries"),
+        "{stdout}"
+    );
+    // \subsample: same sample, same point estimate, fewer variance tuples.
+    let (full, sub) = stdout
+        .split_once("variance from ~300 tuples")
+        .unwrap_or_else(|| panic!("no \\subsample ack: {stdout}"));
+    assert_eq!(agg_row(full, "q").0, agg_row(sub, "q").0, "{stdout}");
+    let tuples = count_before(sub, " result tuples");
+    let used = count_before(sub, "; top GUS");
+    assert_eq!(tuples, count_before(full, " result tuples"));
+    assert!(
+        used < tuples && used > 100,
+        "variance from {used} of {tuples}"
+    );
+    // \exact: orders has 1500 rows at this scale; the grouped form prints
+    // one line per return flag, summing to lineitem's 5971 rows.
+    assert!(stdout.contains("exact: [1500.0]"), "{stdout}");
+    let per_flag: f64 = ["A", "N", "R"]
+        .iter()
+        .map(|flag| {
+            let line = stdout
+                .lines()
+                .find(|l| l.starts_with(flag) && l.trim_end().ends_with(']'))
+                .unwrap_or_else(|| panic!("no exact row for {flag}: {stdout}"));
+            let value = line
+                .rsplit('[')
+                .next()
+                .unwrap()
+                .trim_end()
+                .trim_end_matches(']');
+            value.parse::<f64>().expect("a count")
+        })
+        .sum();
+    assert_eq!(per_flag, 5971.0, "lineitem's row count: {stdout}");
+}
+
 #[test]
 fn jobs_flag_drives_parallel_online_query() {
     // The shard-parallel path end to end: --jobs 4 must run the online

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Row-vs-columnar equivalence: the columnar batch engine must be
 //! observationally identical to row-at-a-time execution.
 //!
@@ -9,17 +7,25 @@
 //!   ([`ChunkStream::next_batch`]) yields exactly the row adapter's tuples
 //!   and that the batch-accumulated online estimate equals a per-row
 //!   reference accumulation to 1e-12 (relative);
-//! * adaptive chunk sizing ([`OnlineOptions::adaptive_chunks`]) must change
+//! * adaptive chunk sizing ([`QueryOptions::adaptive_chunks`]) must change
 //!   snapshot cadence only — the realized sample, and hence the exhaustion
-//!   estimate, is pinned equal to the fixed-chunk run.
+//!   estimate, is pinned equal to the fixed-chunk run;
+//! * `.batch()` is an exhaustive drain of the stream `.run()` opens: over
+//!   plan shape × sampler × seed × `shuffle_scan` × `disable_pushdown` the
+//!   two agree bit for bit on one worker (to 1e-9 on four), and Section 7
+//!   sub-sampling leaves the point estimate untouched;
+//! * `.exact()` runs that same drain, so its truth is checked against a
+//!   hand fold over the row executor's tuples, NULL arguments included.
+
+mod support;
 
 use proptest::prelude::*;
 
 use sa_core::MomentAccumulator;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder};
-use sampling_algebra::exec::{f_vector, layout_dims, open_stream, ExecOptions};
+use sampling_algebra::exec::{execute, f_vector, layout_dims, open_stream, ExecOptions};
 use sampling_algebra::expr::col;
-use sampling_algebra::online::{run_online, OnlineOptions};
+use sampling_algebra::online::QueryOptions;
 use sampling_algebra::prelude::*;
 
 /// `t`: 600 rows of (k Int, v Float-with-NULLs, s Str-with-NULLs), block
@@ -144,10 +150,10 @@ proptest! {
         // 2. Estimate equality: the online driver's batch accumulation vs a
         //    per-row reference over the same realized rows.
         let plan = input.clone().aggregate(vec![AggSpec::sum(agg_col, "s")]);
-        let online = run_online(
+        let online = support::run(
             &plan,
             &c,
-            &OnlineOptions {
+            &QueryOptions {
                 seed,
                 chunk_rows: hint_a,
                 ..Default::default()
@@ -186,6 +192,256 @@ proptest! {
     }
 }
 
+/// One of the five plan shapes the batch-vs-run pin walks, with its GROUP BY
+/// keys (empty unless the shape is grouped).
+fn shaped_plan(shape: u8, method: SamplingMethod) -> (LogicalPlan, Vec<Expr>) {
+    let sampled = || LogicalPlan::scan("t").sample(method.clone());
+    let aggs = |value: Expr| {
+        vec![
+            AggSpec::sum(value.clone(), "s"),
+            AggSpec::count_star("n"),
+            AggSpec::avg(value, "a"),
+        ]
+    };
+    match shape % 5 {
+        0 => (sampled().aggregate(aggs(col("v"))), vec![]),
+        1 => (
+            sampled()
+                .filter(col("k").lt(lit(9i64)).and(col("v").lt(lit(90.0))))
+                .project(vec![(col("v").mul(lit(2.0)).sub(col("k")), "x".into())])
+                .aggregate(aggs(col("x"))),
+            vec![],
+        ),
+        // The build side is sampled and filtered too: it is materialized
+        // through the same operator tree the probe side streams through.
+        2 => (
+            sampled()
+                .join_on(
+                    LogicalPlan::scan("d")
+                        .sample(SamplingMethod::Bernoulli { p: 0.75 })
+                        .filter(col("w").gt_eq(lit(10.0))),
+                    col("k").eq(col("dk")),
+                )
+                .aggregate(aggs(col("v").add(col("w")))),
+            vec![],
+        ),
+        3 => {
+            // Lineage granularity must match across the union.
+            let second = match method {
+                SamplingMethod::System { .. } => SamplingMethod::System { p: 0.3 },
+                _ => SamplingMethod::Bernoulli { p: 0.3 },
+            };
+            let union = sampled().union_samples(LogicalPlan::scan("t").sample(second));
+            (union.aggregate(aggs(col("v"))), vec![])
+        }
+        _ => (sampled().aggregate(aggs(col("v"))), vec![col("k")]),
+    }
+}
+
+/// Every (group key, sampled rows, aggregate) cell of an answer, flattened
+/// so a batch answer and a run's final snapshot compare cell by cell.
+type Cells = Vec<(Vec<Value>, u64, f64, Option<f64>)>;
+
+fn cells(key: &[Value], rows: u64, aggs: &[AggResult]) -> Cells {
+    aggs.iter()
+        .map(|a| (key.to_vec(), rows, a.estimate, a.variance))
+        .collect()
+}
+
+fn batch_cells(out: &BatchOutput) -> (u64, Cells) {
+    match out {
+        BatchOutput::Scalar(r) => (r.result_rows, cells(&[], r.result_rows, &r.aggs)),
+        BatchOutput::Grouped(r) => (
+            r.result_rows,
+            r.groups
+                .iter()
+                .flat_map(|g| cells(&g.key, g.sample_rows, &g.aggs))
+                .collect(),
+        ),
+    }
+}
+
+fn run_cells(snapshot: &Snapshot) -> (u64, Cells) {
+    match snapshot {
+        Snapshot::Scalar(s) => (s.rows, cells(&[], s.rows, &s.aggs)),
+        Snapshot::Grouped(s) => (
+            s.rows,
+            s.groups
+                .iter()
+                .flat_map(|g| cells(&g.key, g.sample_rows, &g.aggs))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The tentpole pin: same `(plan, QueryOptions)` ⇒ `.batch()` and
+    /// `.run()` to exhaustion realize the same sample and report the same
+    /// numbers — `to_bits`-equal on one worker, 1e-9 on four.
+    #[test]
+    fn batch_is_the_exhausted_run(
+        shape in 0u8..5,
+        sampler in 0u8..4,
+        p in 0.2f64..1.0,
+        size in 1u64..600,
+        seed in 0u64..10_000,
+        chunk_rows in 1usize..400,
+        shuffle_scan in any::<bool>(),
+        disable_pushdown in any::<bool>(),
+    ) {
+        let engine = Engine::new(catalog());
+        let method = match sampler % 4 {
+            0 => SamplingMethod::Bernoulli { p },
+            1 => SamplingMethod::System { p },
+            2 => SamplingMethod::Wor { size },
+            _ => SamplingMethod::WithReplacement { size },
+        };
+        let (plan, group_by) = shaped_plan(shape, method.clone());
+        for jobs in [1usize, 4] {
+            let opts = QueryOptions {
+                seed,
+                chunk_rows,
+                shuffle_scan,
+                disable_pushdown,
+                parallelism: jobs,
+                ..Default::default()
+            };
+            let query = || {
+                engine
+                    .session()
+                    .query_plan(&plan)
+                    .group_by(group_by.clone())
+                    .options(opts.clone())
+            };
+            let (batch, run) = match (query().batch(), query().run()) {
+                (Ok(batch), Ok(run)) => (batch, run),
+                // Whatever one refuses (a non-GUS sampler, a union at four
+                // workers) the other refuses identically.
+                (Err(b), Err(r)) => {
+                    prop_assert!(!method.is_gus() || (shape % 5 == 3 && jobs > 1), "{b}");
+                    prop_assert_eq!(b, r);
+                    continue;
+                }
+                (b, r) => panic!(
+                    "one terminal refused what the other ran: batch {:?}, run {:?}",
+                    b.map(|_| ()),
+                    r.map(|r| r.reason)
+                ),
+            };
+            prop_assert_eq!(run.reason, StopReason::Exhausted);
+            let ((batch_rows, batch), (run_rows, run)) =
+                (batch_cells(&batch), run_cells(&run.snapshot));
+            prop_assert_eq!(batch_rows, run_rows);
+            prop_assert_eq!(batch.len(), run.len());
+            for ((bk, bn, be, bv), (rk, rn, re, rv)) in batch.iter().zip(&run) {
+                prop_assert_eq!(bk, rk);
+                prop_assert_eq!(bn, rn);
+                if jobs == 1 {
+                    prop_assert_eq!(be.to_bits(), re.to_bits(), "{:?}: {} vs {}", bk, be, re);
+                    prop_assert_eq!(
+                        bv.map(f64::to_bits), rv.map(f64::to_bits),
+                        "{:?}: variance {:?} vs {:?}", bk, bv, rv
+                    );
+                } else {
+                    let close = |x: f64, y: f64| {
+                        (x - y).abs() <= 1e-9 * (1.0 + y.abs()) || (x.is_nan() && y.is_nan())
+                    };
+                    prop_assert!(close(*be, *re), "{:?}: {} vs {}", bk, be, re);
+                    match (bv, rv) {
+                        (Some(bv), Some(rv)) => {
+                            prop_assert!(close(*bv, *rv), "{:?}: variance {} vs {}", bk, bv, rv)
+                        }
+                        (bv, rv) => prop_assert_eq!(bv.is_some(), rv.is_some()),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Section 7 through the drain: the point estimate is the un-sub-sampled
+    /// one bit for bit, fewer tuples feed the variance, and the variance
+    /// stays within the factor-3 band the fixed-seed unit test uses.
+    #[test]
+    fn subsampling_leaves_the_estimate_and_tracks_the_variance(
+        shape in 0u8..3,
+        p in 0.5f64..1.0,
+        seed in 0u64..10_000,
+        chunk_rows in 1usize..400,
+    ) {
+        let engine = Engine::new(catalog());
+        let (plan, _) = shaped_plan(shape, SamplingMethod::Bernoulli { p });
+        let query = || engine.session().query_plan(&plan).seed(seed).chunk_rows(chunk_rows);
+        let full = query().batch().unwrap();
+        let sub = query().subsample(120).batch().unwrap();
+        let (full, sub) = (full.as_scalar().unwrap(), sub.as_scalar().unwrap());
+        prop_assert_eq!(sub.result_rows, full.result_rows);
+        prop_assert!(sub.variance_rows <= sub.result_rows);
+        if full.result_rows > 240 {
+            prop_assert!(sub.variance_rows < full.result_rows);
+        }
+        for (f, s) in full.aggs.iter().zip(&sub.aggs) {
+            prop_assert_eq!(f.estimate.to_bits(), s.estimate.to_bits(), "{}", &f.name);
+        }
+        // SUM only: the delta-method AVG of ~100 tuples is far noisier.
+        if let (Some(vf), Some(vs)) = (full.aggs[0].variance, sub.aggs[0].variance) {
+            prop_assert!(vs > vf / 3.0 && vs < vf * 3.0, "vf = {vf}, vs = {vs}");
+        }
+    }
+}
+
+/// `.exact()` is the drain under test, so it gets an oracle of its own: the
+/// row executor's tuples folded by hand. `t.v` is NULL every 13th row, and
+/// SQL's SUM, COUNT(v) and AVG skip those while COUNT(*) does not.
+#[test]
+fn exact_agrees_with_a_fold_over_the_row_executor() {
+    let c = catalog();
+    let input = LogicalPlan::scan("t").filter(col("k").lt(lit(9i64)));
+    let plan = LogicalPlan::scan("t")
+        .sample(SamplingMethod::Bernoulli { p: 0.3 })
+        .filter(col("k").lt(lit(9i64)))
+        .aggregate(vec![
+            AggSpec::sum(col("v"), "s"),
+            AggSpec::count_star("n"),
+            AggSpec {
+                expr: Some(col("v")),
+                ..AggSpec::count_star("nv")
+            },
+            AggSpec::avg(col("v"), "a"),
+        ]);
+    let rows = execute(&input, &c, &ExecOptions::default()).unwrap().rows;
+    let fold = |rows: &[&sampling_algebra::exec::Row]| {
+        let vs: Vec<f64> = rows
+            .iter()
+            .filter_map(|r| match r.values[1] {
+                Value::Float(v) => Some(v),
+                _ => None,
+            })
+            .collect();
+        let (sum, non_null) = (vs.iter().sum::<f64>(), vs.len() as f64);
+        vec![sum, rows.len() as f64, non_null, sum / non_null]
+    };
+    let close = |got: &[f64], want: &[f64]| {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert!(
+                (g - w).abs() <= 1e-9 * (1.0 + w.abs()),
+                "{got:?} vs {want:?}"
+            );
+        }
+    };
+    let all: Vec<_> = rows.iter().collect();
+    assert!(all.iter().any(|r| r.values[1] == Value::Null));
+    close(&support::exact(&plan, &c).unwrap(), &fold(&all));
+    let groups = support::exact_groups(&plan, &[col("k")], &c).unwrap();
+    assert_eq!(groups.len(), 9);
+    for (key, got) in &groups {
+        let of_key: Vec<_> = rows.iter().filter(|r| r.values[0] == key[0]).collect();
+        close(got, &fold(&of_key));
+    }
+}
+
 #[test]
 fn adaptive_chunks_change_cadence_not_estimates() {
     let c = catalog();
@@ -193,10 +449,10 @@ fn adaptive_chunks_change_cadence_not_estimates() {
         .sample(SamplingMethod::Bernoulli { p: 0.8 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
     let run = |adaptive: bool| {
-        run_online(
+        support::run(
             &plan,
             &c,
-            &OnlineOptions {
+            &QueryOptions {
                 seed: 5,
                 chunk_rows: 8,
                 adaptive_chunks: adaptive,
@@ -246,10 +502,10 @@ fn adaptive_chunks_respect_the_cap_and_ci_rule() {
     let plan = LogicalPlan::scan("big")
         .sample(SamplingMethod::Bernoulli { p: 0.5 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let r = run_online(
+    let r = support::run(
         &plan,
         &c,
-        &OnlineOptions {
+        &QueryOptions {
             seed: 4,
             chunk_rows: 64,
             rule: StoppingRule::ci(0.05, 0.95),

@@ -1,5 +1,3 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Statistical validation of the estimator across repeated sampled
 //! executions: unbiasedness of the point estimate (Theorem 1), unbiasedness
 //! of the variance estimate (the Section 6.3 `Ŷ_S` recursion), empirical
@@ -8,6 +6,8 @@
 //!
 //! All randomness is seeded, so these tests are deterministic despite being
 //! Monte-Carlo in nature.
+
+mod support;
 
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 use sampling_algebra::prelude::*;
@@ -54,18 +54,7 @@ fn join_plan() -> LogicalPlan {
 
 fn run_trials(plan: &LogicalPlan, cat: &Catalog, trials: u64) -> Vec<ApproxResult> {
     (0..trials)
-        .map(|seed| {
-            approx_query(
-                plan,
-                cat,
-                &ApproxOptions {
-                    seed,
-                    confidence: 0.95,
-                    subsample_target: None,
-                },
-            )
-            .unwrap()
-        })
+        .map(|seed| support::batch(plan, cat, seed, 0.95).unwrap())
         .collect()
 }
 
@@ -73,7 +62,7 @@ fn run_trials(plan: &LogicalPlan, cat: &Catalog, trials: u64) -> Vec<ApproxResul
 fn point_estimate_is_unbiased_on_sampled_join() {
     let cat = catalog();
     let plan = join_plan();
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let oracle = oracle_variance(&plan, &cat).unwrap();
     let trials = 300;
     let runs = run_trials(&plan, &cat, trials);
@@ -109,7 +98,7 @@ fn variance_estimate_is_unbiased() {
 fn normal_interval_coverage_near_nominal() {
     let cat = catalog();
     let plan = join_plan();
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 300;
     let runs = run_trials(&plan, &cat, trials);
     let covered = runs
@@ -125,7 +114,7 @@ fn normal_interval_coverage_near_nominal() {
 fn chebyshev_interval_coverage_at_least_nominal() {
     let cat = catalog();
     let plan = join_plan();
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 200;
     let runs = run_trials(&plan, &cat, trials);
     let covered = runs
@@ -143,7 +132,7 @@ fn count_estimate_unbiased() {
         .sample(SamplingMethod::Bernoulli { p: 0.2 })
         .join_on(LogicalPlan::scan("d"), col("k").eq(col("dk")))
         .aggregate(vec![AggSpec::count_star("c")]);
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     assert_eq!(exact, 2000.0); // every t row matches exactly one d row
     let trials = 200;
     let runs = run_trials(&plan, &cat, trials);
@@ -182,19 +171,16 @@ fn subsampled_variance_estimator_tracks_oracle() {
     let trials = 200;
     let mean_var: f64 = (0..trials)
         .map(|seed| {
-            approx_query(
-                &plan,
-                &cat,
-                &ApproxOptions {
-                    seed,
-                    confidence: 0.95,
-                    subsample_target: Some(150),
-                },
-            )
-            .unwrap()
-            .report
-            .raw_variance(0)
-            .unwrap()
+            let out = Engine::new(cat.clone())
+                .session()
+                .query_plan(&plan)
+                .seed(seed)
+                .subsample(150)
+                .batch()
+                .unwrap();
+            let r = out.as_scalar().unwrap();
+            assert!(r.variance_rows <= r.result_rows);
+            r.report.raw_variance(0).unwrap()
         })
         .sum::<f64>()
         / trials as f64;
@@ -219,7 +205,7 @@ fn system_block_sampling_estimates_correctly() {
     let plan = LogicalPlan::scan("blocks")
         .sample(SamplingMethod::System { p: 0.3 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let exact = exact_query(&plan, &c).unwrap()[0];
+    let exact = support::exact(&plan, &c).unwrap()[0];
     let trials = 300;
     let runs = run_trials(&plan, &c, trials);
     let mean: f64 = runs.iter().map(|r| r.aggs[0].estimate).sum::<f64>() / trials as f64;

@@ -1,8 +1,8 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Executor and estimator edge cases: empty inputs, extreme values,
 //! operator interleavings, and plan shapes at the boundaries of what the
 //! engine supports.
+
+mod support;
 
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 use sampling_algebra::prelude::*;
@@ -31,11 +31,11 @@ fn empty_table_through_whole_pipeline() {
     let plan = LogicalPlan::scan("empty")
         .sample(SamplingMethod::Bernoulli { p: 0.5 })
         .aggregate(vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")]);
-    let r = approx_query(&plan, &cat, &ApproxOptions::default()).unwrap();
+    let r = support::batch(&plan, &cat, 0, 0.95).unwrap();
     assert_eq!(r.aggs[0].estimate, 0.0);
     assert_eq!(r.aggs[1].estimate, 0.0);
     assert_eq!(r.result_rows, 0);
-    assert_eq!(exact_query(&plan, &cat).unwrap(), vec![0.0, 0.0]);
+    assert_eq!(support::exact(&plan, &cat).unwrap(), vec![0.0, 0.0]);
 }
 
 #[test]
@@ -48,7 +48,7 @@ fn join_with_empty_side_yields_zero() {
             col("t.k").eq(col("e.k")),
         )
         .aggregate(vec![AggSpec::count_star("n")]);
-    let r = approx_query(&plan, &cat, &ApproxOptions::default()).unwrap();
+    let r = support::batch(&plan, &cat, 0, 0.95).unwrap();
     assert_eq!(r.aggs[0].estimate, 0.0);
 }
 
@@ -60,24 +60,11 @@ fn projection_between_sample_and_aggregate() {
         .sample(SamplingMethod::Bernoulli { p: 0.6 })
         .project(vec![(col("v").mul(lit(2.0)), "vv".into())])
         .aggregate(vec![AggSpec::sum(col("vv"), "s")]);
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     assert_eq!(exact, 2.0 * (0..100).sum::<i64>() as f64);
     let trials = 120u64;
     let mean: f64 = (0..trials)
-        .map(|seed| {
-            approx_query(
-                &plan,
-                &cat,
-                &ApproxOptions {
-                    seed,
-                    confidence: 0.95,
-                    subsample_target: None,
-                },
-            )
-            .unwrap()
-            .aggs[0]
-                .estimate
-        })
+        .map(|seed| support::batch(&plan, &cat, seed, 0.95).unwrap().aggs[0].estimate)
         .sum::<f64>()
         / trials as f64;
     assert!(
@@ -134,15 +121,7 @@ fn negative_and_cancelling_values() {
     let plan = LogicalPlan::scan("pm")
         .sample(SamplingMethod::Bernoulli { p: 0.5 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let r = approx_query(
-        &plan,
-        &cat,
-        &ApproxOptions {
-            seed: 3,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let r = support::batch(&plan, &cat, 3, 0.95).unwrap();
     assert!(r.aggs[0].estimate.abs() < 60.0);
     assert!(r.aggs[0].variance.unwrap() > 0.0);
     // Exact answer 0 should be inside the Chebyshev interval.
@@ -166,7 +145,7 @@ fn aliased_same_table_join_is_analyzable() {
     assert_eq!(analysis.schema.n(), 2);
     assert!((analysis.gus.a() - 0.25).abs() < 1e-12);
     // Executes fine too.
-    let r = approx_query(&plan, &cat, &ApproxOptions::default()).unwrap();
+    let r = support::batch(&plan, &cat, 0, 0.95).unwrap();
     assert!(r.aggs[0].estimate >= 0.0);
 }
 
@@ -176,8 +155,8 @@ fn wor_of_entire_table_is_exact() {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Wor { size: 100 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let r = approx_query(&plan, &cat, &ApproxOptions::default()).unwrap();
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let r = support::batch(&plan, &cat, 0, 0.95).unwrap();
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     assert!((r.aggs[0].estimate - exact).abs() < 1e-9);
     assert!(r.aggs[0].variance.unwrap() < 1e-6);
 }
@@ -191,7 +170,7 @@ fn quantile_on_count_and_avg() {
             AggSpec::count_star("n").with_quantile(0.9),
             AggSpec::avg(col("v"), "a").with_quantile(0.9),
         ]);
-    let r = approx_query(&plan, &cat, &ApproxOptions::default()).unwrap();
+    let r = support::batch(&plan, &cat, 0, 0.95).unwrap();
     for a in &r.aggs {
         let q = a.quantile_bound.unwrap();
         assert!(q >= a.estimate, "0.9-quantile below the point estimate");
@@ -205,5 +184,5 @@ fn zero_probability_sampler_estimate_degenerate() {
         .sample(SamplingMethod::Bernoulli { p: 0.0 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
     // a = 0: nothing can be estimated; surfaced as an error, not a panic.
-    assert!(approx_query(&plan, &cat, &ApproxOptions::default()).is_err());
+    assert!(support::batch(&plan, &cat, 0, 0.95).is_err());
 }

@@ -1,10 +1,9 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! GROUP BY estimation end to end: SQL with `GROUP BY` → per-group
 //! estimates with per-group confidence intervals, validated against exact
 //! per-group answers on TPC-H data.
 
-use sampling_algebra::exec::{approx_group_query, exact_group_query};
+mod support;
+
 use sampling_algebra::prelude::*;
 use sampling_algebra::sql::plan_grouped_sql;
 
@@ -22,20 +21,10 @@ fn group_by_returnflag_coverage() {
         &cat,
     )
     .unwrap();
-    let exact = exact_group_query(&plan, &group_by, &cat).unwrap();
+    let exact = support::exact_groups(&plan, &group_by, &cat).unwrap();
     assert_eq!(exact.len(), 3); // A, N, R
 
-    let r = approx_group_query(
-        &plan,
-        &group_by,
-        &cat,
-        &ApproxOptions {
-            seed: 5,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let r = support::batch_groups(&plan, &group_by, &cat, 5, 0.95).unwrap();
     assert_eq!(r.groups.len(), 3);
     for g in &r.groups {
         let truth = &exact[&g.key];
@@ -67,21 +56,11 @@ fn group_by_unbiased_per_group() {
         &cat,
     )
     .unwrap();
-    let exact = exact_group_query(&plan, &group_by, &cat).unwrap();
+    let exact = support::exact_groups(&plan, &group_by, &cat).unwrap();
     let trials = 150u64;
     let mut sums: std::collections::BTreeMap<Vec<Value>, f64> = Default::default();
     for seed in 0..trials {
-        let r = approx_group_query(
-            &plan,
-            &group_by,
-            &cat,
-            &ApproxOptions {
-                seed,
-                confidence: 0.95,
-                subsample_target: None,
-            },
-        )
-        .unwrap();
+        let r = support::batch_groups(&plan, &group_by, &cat, seed, 0.95).unwrap();
         for g in &r.groups {
             *sums.entry(g.key.clone()).or_insert(0.0) += g.aggs[0].estimate;
         }
@@ -107,19 +86,9 @@ fn group_by_on_sampled_join() {
         &cat,
     )
     .unwrap();
-    let exact = exact_group_query(&plan, &group_by, &cat).unwrap();
+    let exact = support::exact_groups(&plan, &group_by, &cat).unwrap();
     assert_eq!(exact.len(), 5); // 5 priorities
-    let r = approx_group_query(
-        &plan,
-        &group_by,
-        &cat,
-        &ApproxOptions {
-            seed: 11,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let r = support::batch_groups(&plan, &group_by, &cat, 11, 0.95).unwrap();
     let mut covered = 0;
     for g in &r.groups {
         if g.aggs[0]
@@ -168,19 +137,9 @@ fn group_by_expression_keys() {
         &cat,
     )
     .unwrap();
-    let r = approx_group_query(
-        &plan,
-        &group_by,
-        &cat,
-        &ApproxOptions {
-            seed: 2,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let r = support::batch_groups(&plan, &group_by, &cat, 2, 0.95).unwrap();
     assert_eq!(r.groups.len(), 2); // true / false buckets
-    let exact = exact_group_query(&plan, &group_by, &cat).unwrap();
+    let exact = support::exact_groups(&plan, &group_by, &cat).unwrap();
     for g in &r.groups {
         let truth = exact[&g.key][0];
         assert!(g.aggs[0].ci_chebyshev.as_ref().unwrap().contains(truth));

@@ -1,12 +1,11 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Grouped online aggregation end to end: statistical coverage of the
 //! per-group confidence intervals under skew, and the acceptance pin for
 //! `GROUP BY … WITHIN ε PERCENT CONFIDENCE γ` — early stopping once every
 //! group meets the target, batch-equality at forced exhaustion.
 
+mod support;
+
 use sampling_algebra::expr::{bind, eval};
-use sampling_algebra::online::{run_online_grouped, run_online_grouped_sql, GroupedOnlineOptions};
 use sampling_algebra::prelude::*;
 use sampling_algebra::sql::plan_online_grouped_sql;
 use sampling_algebra::tpch::Zipf;
@@ -54,16 +53,13 @@ fn per_group_chebyshev_coverage_under_zipf_skew() {
     let mut intervals = 0u64;
     let mut covered = 0u64;
     for seed in 0..trials {
-        let opts = GroupedOnlineOptions {
-            online: OnlineOptions {
-                seed,
-                chunk_rows: 1024,
-                confidence: 0.99,
-                ..Default::default()
-            },
-            ci_top_k: None,
+        let opts = QueryOptions {
+            seed,
+            chunk_rows: 1024,
+            confidence: 0.99,
+            ..Default::default()
         };
-        let r = run_online_grouped(&plan, &[col("g")], &catalog, &opts, |_| {}).unwrap();
+        let r = support::run_groups(&plan, &[col("g")], &catalog, &opts, |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
         for g in &r.snapshot.groups {
             let id = g.key[0].as_i64().unwrap() as usize;
@@ -91,33 +87,28 @@ fn per_group_chebyshev_coverage_under_zipf_skew() {
 #[test]
 fn acceptance_query_stops_early_once_every_group_converges() {
     let catalog = generate(&TpchConfig::scale(0.02).with_seed(42));
-    let opts = GroupedOnlineOptions {
-        online: OnlineOptions {
-            seed: 42,
-            chunk_rows: 2000,
-            ..Default::default()
-        },
-        ci_top_k: None,
-    };
     let mut snapshots = 0u64;
-    let r = run_online_grouped_sql(
-        "SELECT l_returnflag, SUM(l_extendedprice) AS s \
-         FROM lineitem TABLESAMPLE (10 PERCENT) \
-         GROUP BY l_returnflag \
-         WITHIN 5 PERCENT CONFIDENCE 95",
-        &catalog,
-        &opts,
-        |_| snapshots += 1,
-    )
-    .unwrap();
+    let r = Engine::new(catalog.clone())
+        .session()
+        .query(
+            "SELECT l_returnflag, SUM(l_extendedprice) AS s \
+             FROM lineitem TABLESAMPLE (10 PERCENT) \
+             GROUP BY l_returnflag \
+             WITHIN 5 PERCENT CONFIDENCE 95",
+        )
+        .seed(42)
+        .chunk_rows(2000)
+        .run_with(|_| snapshots += 1)
+        .unwrap();
+    let snapshot = r.snapshot.as_grouped().unwrap();
     assert_eq!(r.reason, StopReason::CiConverged);
     assert_eq!(snapshots, r.chunks);
-    assert_eq!(r.snapshot.groups.len(), 3, "A, N, R");
-    for g in &r.snapshot.groups {
+    assert_eq!(snapshot.groups.len(), 3, "A, N, R");
+    for g in &snapshot.groups {
         assert!(g.converged, "{:?} had not converged", g.key);
         assert!(g.rel_half_width.unwrap() <= 0.05, "{:?}", g.key);
     }
-    let (consumed, available) = r.snapshot.progress[0];
+    let (consumed, available) = snapshot.progress[0];
     assert!(
         consumed < available,
         "stopped before exhaustion: {consumed}/{available}"
@@ -131,8 +122,8 @@ fn acceptance_query_stops_early_once_every_group_converges() {
         &catalog,
     )
     .unwrap();
-    let exact = sampling_algebra::exec::exact_group_query(&plan, &group_by, &catalog).unwrap();
-    for g in &r.snapshot.groups {
+    let exact = support::exact_groups(&plan, &group_by, &catalog).unwrap();
+    for g in &snapshot.groups {
         let truth = exact[&g.key][0];
         let ci = g.aggs[0].ci_chebyshev.as_ref().unwrap();
         assert!(ci.contains(truth), "{:?}: {ci} misses {truth}", g.key);
@@ -153,16 +144,13 @@ fn acceptance_query_matches_batch_grouped_estimator_at_exhaustion() {
     )
     .unwrap();
     // Force exhaustion: ignore the SQL rule, run the plan-level driver dry.
-    let opts = GroupedOnlineOptions {
-        online: OnlineOptions {
-            seed: 9,
-            chunk_rows: 1500,
-            rule: StoppingRule::exhaustive(),
-            ..Default::default()
-        },
-        ci_top_k: None,
+    let opts = QueryOptions {
+        seed: 9,
+        chunk_rows: 1500,
+        rule: StoppingRule::exhaustive(),
+        ..Default::default()
     };
-    let online = run_online_grouped(&plan, &group_by, &catalog, &opts, |_| {}).unwrap();
+    let online = support::run_groups(&plan, &group_by, &catalog, &opts, |_| {}).unwrap();
     assert_eq!(online.reason, StopReason::Exhausted);
 
     // Batch grouped estimation over the SAME sample realization: collect

@@ -1,13 +1,12 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Shard-parallel online aggregation end to end: option validation, exact
 //! agreement with the batch estimator at forced exhaustion, graceful
 //! oversubscription, cross-parallelism agreement on shared-realization
 //! plans, statistical coverage at `parallelism = 4`, and early stopping.
 
+mod support;
+
 use sampling_algebra::core::{estimate_from_sample_moments, GroupedMoments};
 use sampling_algebra::exec::{f_vector, layout_dims, open_stream_partitioned, ExecOptions};
-use sampling_algebra::online::{run_online, run_online_grouped, GroupedOnlineOptions, OnlineError};
 use sampling_algebra::prelude::*;
 use sampling_algebra::tpch::Zipf;
 
@@ -37,8 +36,8 @@ fn sum_plan(p: f64) -> LogicalPlan {
         .aggregate(vec![AggSpec::sum(col("v"), "s")])
 }
 
-fn opts(seed: u64, chunk_rows: usize, parallelism: usize) -> OnlineOptions {
-    OnlineOptions {
+fn opts(seed: u64, chunk_rows: usize, parallelism: usize) -> QueryOptions {
+    QueryOptions {
         seed,
         chunk_rows,
         parallelism,
@@ -50,21 +49,11 @@ fn opts(seed: u64, chunk_rows: usize, parallelism: usize) -> OnlineOptions {
 fn parallelism_zero_rejected_by_both_drivers() {
     let c = catalog(100);
     let bad = opts(0, 64, 0);
-    let err = run_online(&sum_plan(0.5), &c, &bad, |_| {}).unwrap_err();
-    assert!(matches!(err, OnlineError::InvalidOptions(_)), "{err}");
+    let err = support::run(&sum_plan(0.5), &c, &bad, |_| {}).unwrap_err();
+    assert!(matches!(err, Error::InvalidOptions(_)), "{err}");
     assert!(err.to_string().contains("parallelism"), "{err}");
-    let err = run_online_grouped(
-        &sum_plan(0.5),
-        &[col("k")],
-        &c,
-        &GroupedOnlineOptions {
-            online: bad,
-            ci_top_k: None,
-        },
-        |_| {},
-    )
-    .unwrap_err();
-    assert!(matches!(err, OnlineError::InvalidOptions(_)), "{err}");
+    let err = support::run_groups(&sum_plan(0.5), &[col("k")], &c, &bad, |_| {}).unwrap_err();
+    assert!(matches!(err, Error::InvalidOptions(_)), "{err}");
 }
 
 /// At forced exhaustion, the N-worker estimate must equal the batch
@@ -73,7 +62,7 @@ fn parallelism_zero_rejected_by_both_drivers() {
 fn parallel_exhaustion_equals_batch_estimator() {
     let c = catalog(4000);
     let plan = sum_plan(0.3);
-    let online = run_online(&plan, &c, &opts(9, 128, 4), |_| {}).unwrap();
+    let online = support::run(&plan, &c, &opts(9, 128, 4), |_| {}).unwrap();
     assert_eq!(online.reason, StopReason::Exhausted);
     // Batch moments over the SAME partitioned realization.
     let LogicalPlan::Aggregate { aggs, input } = &plan else {
@@ -125,17 +114,7 @@ fn parallel_exhaustion_equals_batch_estimator() {
 fn parallel_grouped_exhaustion_equals_batch_estimator() {
     let c = catalog(4800);
     let plan = sum_plan(0.4);
-    let r = run_online_grouped(
-        &plan,
-        &[col("k")],
-        &c,
-        &GroupedOnlineOptions {
-            online: opts(7, 256, 4),
-            ci_top_k: None,
-        },
-        |_| {},
-    )
-    .unwrap();
+    let r = support::run_groups(&plan, &[col("k")], &c, &opts(7, 256, 4), |_| {}).unwrap();
     assert_eq!(r.reason, StopReason::Exhausted);
     assert_eq!(r.snapshot.groups.len(), 10);
     // Batch per-group moments over the SAME partitioned realization.
@@ -193,7 +172,7 @@ fn oversubscribed_parallelism_degrades_gracefully() {
     let plan = LogicalPlan::scan("t").aggregate(vec![AggSpec::sum(col("v"), "s")]);
     let truth: f64 = (0..100).map(|i| 1.0 + (i % 7) as f64).sum();
     for parallelism in [7, 64] {
-        let r = run_online(&plan, &c, &opts(3, 16, parallelism), |_| {}).unwrap();
+        let r = support::run(&plan, &c, &opts(3, 16, parallelism), |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
         assert_eq!(r.snapshot.rows, 100);
         let est = r.snapshot.aggs[0].estimate;
@@ -218,8 +197,8 @@ fn shared_realization_plans_agree_across_parallelism() {
             .sample(SamplingMethod::Wor { size: 800 })
             .aggregate(vec![AggSpec::sum(col("v"), "s")]),
     ] {
-        let sequential = run_online(&plan, &c, &opts(5, 128, 1), |_| {}).unwrap();
-        let parallel = run_online(&plan, &c, &opts(5, 128, 4), |_| {}).unwrap();
+        let sequential = support::run(&plan, &c, &opts(5, 128, 1), |_| {}).unwrap();
+        let parallel = support::run(&plan, &c, &opts(5, 128, 4), |_| {}).unwrap();
         assert_eq!(parallel.snapshot.rows, sequential.snapshot.rows);
         let (es, ep) = (
             sequential.snapshot.aggs[0].estimate,
@@ -251,10 +230,10 @@ fn parallel_coverage_trial() {
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
     let mut covered = 0u32;
     for seed in 0..100 {
-        let r = run_online(
+        let r = support::run(
             &plan,
             &c,
-            &OnlineOptions {
+            &QueryOptions {
                 seed,
                 chunk_rows: 256,
                 confidence: 0.99,
@@ -281,10 +260,10 @@ fn parallel_coverage_trial() {
 #[test]
 fn parallel_ci_rule_stops_early() {
     let c = catalog(50_000);
-    let r = run_online(
+    let r = support::run(
         &sum_plan(0.5),
         &c,
-        &OnlineOptions {
+        &QueryOptions {
             seed: 4,
             chunk_rows: 512,
             rule: StoppingRule::ci(0.05, 0.95),
@@ -310,18 +289,18 @@ fn union_plans_refuse_parallel_streaming() {
         .sample(SamplingMethod::Bernoulli { p: 0.4 })
         .union_samples(LogicalPlan::scan("t").sample(SamplingMethod::Bernoulli { p: 0.4 }))
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let parallel = OnlineOptions {
+    let parallel = QueryOptions {
         scale_to_population: false,
         parallelism: 4,
         ..opts(6, 128, 4)
     };
-    let err = run_online(&plan, &c, &parallel, |_| {}).unwrap_err();
+    let err = support::run(&plan, &c, &parallel, |_| {}).unwrap_err();
     assert!(err.to_string().contains("UNION"), "{err}");
-    let sequential = OnlineOptions {
+    let sequential = QueryOptions {
         parallelism: 1,
         ..parallel
     };
-    let r = run_online(&plan, &c, &sequential, |_| {}).unwrap();
+    let r = support::run(&plan, &c, &sequential, |_| {}).unwrap();
     assert_eq!(r.reason, StopReason::Exhausted);
 }
 
@@ -336,7 +315,7 @@ fn single_worker_replays_byte_identically() {
     let c = catalog(5000);
     let collect = || {
         let mut snaps: Vec<SnapshotKey> = Vec::new();
-        let r = run_online(&sum_plan(0.5), &c, &opts(3, 256, 1), |s| {
+        let r = support::run(&sum_plan(0.5), &c, &opts(3, 256, 1), |s| {
             snaps.push((
                 s.chunk,
                 s.rows,

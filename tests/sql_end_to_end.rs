@@ -1,8 +1,8 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! End-to-end tests over TPC-H-style data: the paper's introduction query
 //! and APPROX view, AQUA-style correlated FK sampling, SYSTEM sampling, and
 //! multi-aggregate queries — all through SQL text.
+
+mod support;
 
 use sampling_algebra::prelude::*;
 
@@ -20,18 +20,9 @@ fn paper_query1_estimate_within_chebyshev() {
         &cat,
     )
     .unwrap();
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     assert!(exact > 0.0);
-    let r = approx_query(
-        &plan,
-        &cat,
-        &ApproxOptions {
-            seed: 3,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let r = support::batch(&plan, &cat, 3, 0.95).unwrap();
     let a = &r.aggs[0];
     assert!(
         a.ci_chebyshev.as_ref().unwrap().contains(exact),
@@ -58,20 +49,11 @@ fn approx_view_lo_hi_bracket_truth_usually() {
         &cat,
     )
     .unwrap();
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let mut bracketed = 0;
     let trials = 40;
     for seed in 0..trials {
-        let r = approx_query(
-            &plan,
-            &cat,
-            &ApproxOptions {
-                seed,
-                confidence: 0.95,
-                subsample_target: None,
-            },
-        )
-        .unwrap();
+        let r = support::batch(&plan, &cat, seed, 0.95).unwrap();
         let lo = r.aggs[0].quantile_bound.unwrap();
         let hi = r.aggs[1].quantile_bound.unwrap();
         assert!(lo < hi);
@@ -109,23 +91,10 @@ fn aqua_correlated_fk_sampling_equivalence() {
     assert!((b(&["orders", "customer"]) - 0.2).abs() < 1e-12);
 
     // And the estimate is unbiased for the FK join total.
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 60;
     let mean: f64 = (0..trials)
-        .map(|seed| {
-            approx_query(
-                &plan,
-                &cat,
-                &ApproxOptions {
-                    seed,
-                    confidence: 0.95,
-                    subsample_target: None,
-                },
-            )
-            .unwrap()
-            .aggs[0]
-                .estimate
-        })
+        .map(|seed| support::batch(&plan, &cat, seed, 0.95).unwrap().aggs[0].estimate)
         .sum::<f64>()
         / trials as f64;
     assert!(
@@ -144,23 +113,10 @@ fn system_sampling_via_sql() {
     .unwrap();
     let analysis = rewrite(&plan, &cat).unwrap();
     assert_eq!(analysis.lineage_units, vec![LineageUnit::Block]);
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 80;
     let mean: f64 = (0..trials)
-        .map(|seed| {
-            approx_query(
-                &plan,
-                &cat,
-                &ApproxOptions {
-                    seed,
-                    confidence: 0.95,
-                    subsample_target: None,
-                },
-            )
-            .unwrap()
-            .aggs[0]
-                .estimate
-        })
+        .map(|seed| support::batch(&plan, &cat, seed, 0.95).unwrap().aggs[0].estimate)
         .sum::<f64>()
         / trials as f64;
     assert!(
@@ -178,17 +134,8 @@ fn multi_aggregate_select_list() {
         &cat,
     )
     .unwrap();
-    let exact = exact_query(&plan, &cat).unwrap();
-    let r = approx_query(
-        &plan,
-        &cat,
-        &ApproxOptions {
-            seed: 5,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let exact = support::exact(&plan, &cat).unwrap();
+    let r = support::batch(&plan, &cat, 5, 0.95).unwrap();
     assert_eq!(r.aggs.len(), 3);
     for (agg, truth) in r.aggs.iter().zip(&exact) {
         let ci = agg.ci_chebyshev.as_ref().unwrap();
@@ -214,17 +161,8 @@ fn three_table_join_through_sql() {
     let analysis = rewrite(&plan, &cat).unwrap();
     assert_eq!(analysis.schema.n(), 3);
     assert!((analysis.gus.a() - 0.1).abs() < 1e-12); // 0.2 · 1 · 0.5
-    let exact = exact_query(&plan, &cat).unwrap()[0];
-    let r = approx_query(
-        &plan,
-        &cat,
-        &ApproxOptions {
-            seed: 7,
-            confidence: 0.95,
-            subsample_target: None,
-        },
-    )
-    .unwrap();
+    let exact = support::exact(&plan, &cat).unwrap()[0];
+    let r = support::batch(&plan, &cat, 7, 0.95).unwrap();
     assert!(r.aggs[0].ci_chebyshev.as_ref().unwrap().contains(exact));
 }
 
@@ -252,21 +190,11 @@ fn skewed_data_still_covered_by_chebyshev() {
         &cat,
     )
     .unwrap();
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 100;
     let covered = (0..trials)
         .filter(|seed| {
-            approx_query(
-                &plan,
-                &cat,
-                &ApproxOptions {
-                    seed: *seed,
-                    confidence: 0.99,
-                    subsample_target: None,
-                },
-            )
-            .unwrap()
-            .aggs[0]
+            support::batch(&plan, &cat, *seed, 0.99).unwrap().aggs[0]
                 .ci_chebyshev
                 .as_ref()
                 .unwrap()

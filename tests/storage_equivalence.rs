@@ -1,5 +1,3 @@
-#![allow(deprecated)] // run_online is the most direct differential harness
-
 //! InRam vs memory-mapped backend equivalence — the differential layer the
 //! out-of-core storage hangs on.
 //!
@@ -14,13 +12,15 @@
 //! mapped reopens replay the same realization (no hidden per-mapping
 //! state).
 
+mod support;
+
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use sampling_algebra::exec::{open_stream, ExecOptions, Row};
-use sampling_algebra::online::{run_online, OnlineOptions};
+use sampling_algebra::online::QueryOptions;
 use sampling_algebra::prelude::*;
 use sampling_algebra::storage::{open_catalog_dir, persist_catalog};
 
@@ -167,10 +167,10 @@ proptest! {
         //    same worker count.
         let plan = input.aggregate(vec![AggSpec::sum(agg_col, "s")]);
         let online = |c: &Catalog| {
-            run_online(
+            support::run(
                 &plan,
                 c,
-                &OnlineOptions {
+                &QueryOptions {
                     seed,
                     chunk_rows: hint_a,
                     parallelism: jobs,

@@ -1,9 +1,9 @@
-#![allow(deprecated)] // exercises the pre-Engine API on purpose
-
 //! Proposition 7 end to end: the `UnionSamples` plan operator — combining
 //! two independent samples of the same expression, deduplicated by lineage,
 //! analyzed with the union formula
 //! `a = a₁+a₂−a₁a₂`, `b_T = 2a−1+(1−2a₁+b₁_T)(1−2a₂+b₂_T)`.
+
+mod support;
 
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 use sampling_algebra::prelude::*;
@@ -66,17 +66,16 @@ fn union_execution_deduplicates_by_lineage() {
     let LogicalPlan::Aggregate { input, .. } = union_plan(0.6, 0.6) else {
         panic!()
     };
-    let rs = execute(
-        &input,
-        &cat,
-        &ExecOptions {
-            seed: 5,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let opts = ExecOptions {
+        seed: 5,
+        ..Default::default()
+    };
+    let rows = open_stream(&input, &cat, &opts)
+        .unwrap()
+        .collect_rows(256)
+        .unwrap();
     // No duplicate lineage.
-    let mut ids: Vec<u64> = rs.rows.iter().map(|r| r.lineage[0]).collect();
+    let mut ids: Vec<u64> = rows.iter().map(|r| r.lineage[0]).collect();
     let before = ids.len();
     ids.sort_unstable();
     ids.dedup();
@@ -90,21 +89,12 @@ fn union_execution_deduplicates_by_lineage() {
 fn union_estimate_unbiased_and_covered() {
     let cat = catalog();
     let plan = union_plan(0.3, 0.4);
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 300u64;
     let mut mean = 0.0;
     let mut covered = 0;
     for seed in 0..trials {
-        let r = approx_query(
-            &plan,
-            &cat,
-            &ApproxOptions {
-                seed,
-                confidence: 0.95,
-                subsample_target: None,
-            },
-        )
-        .unwrap();
+        let r = support::batch(&plan, &cat, seed, 0.95).unwrap();
         mean += r.aggs[0].estimate;
         if r.aggs[0].ci_normal.as_ref().unwrap().contains(exact) {
             covered += 1;
@@ -128,23 +118,10 @@ fn union_of_wor_samples() {
     let plan = branch()
         .union_samples(branch())
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 200u64;
     let mean: f64 = (0..trials)
-        .map(|seed| {
-            approx_query(
-                &plan,
-                &cat,
-                &ApproxOptions {
-                    seed,
-                    confidence: 0.95,
-                    subsample_target: None,
-                },
-            )
-            .unwrap()
-            .aggs[0]
-                .estimate
-        })
+        .map(|seed| support::batch(&plan, &cat, seed, 0.95).unwrap().aggs[0].estimate)
         .sum::<f64>()
         / trials as f64;
     assert!(
@@ -166,23 +143,10 @@ fn union_under_join_composes() {
     assert_eq!(analysis.schema.n(), 2);
     // a = (1−0.7²)·1 = 0.51
     assert!((analysis.gus.a() - 0.51).abs() < 1e-12);
-    let exact = exact_query(&plan, &cat).unwrap()[0];
+    let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 200u64;
     let mean: f64 = (0..trials)
-        .map(|seed| {
-            approx_query(
-                &plan,
-                &cat,
-                &ApproxOptions {
-                    seed,
-                    confidence: 0.95,
-                    subsample_target: None,
-                },
-            )
-            .unwrap()
-            .aggs[0]
-                .estimate
-        })
+        .map(|seed| support::batch(&plan, &cat, seed, 0.95).unwrap().aggs[0].estimate)
         .sum::<f64>()
         / trials as f64;
     assert!(
@@ -242,19 +206,11 @@ fn union_same_sampling_twice_matches_single_equivalent_bernoulli() {
     let avg_var = |plan: &LogicalPlan| -> f64 {
         (0..trials)
             .map(|seed| {
-                approx_query(
-                    plan,
-                    &cat,
-                    &ApproxOptions {
-                        seed,
-                        confidence: 0.95,
-                        subsample_target: None,
-                    },
-                )
-                .unwrap()
-                .report
-                .raw_variance(0)
-                .unwrap()
+                support::batch(plan, &cat, seed, 0.95)
+                    .unwrap()
+                    .report
+                    .raw_variance(0)
+                    .unwrap()
             })
             .sum::<f64>()
             / trials as f64
@@ -278,15 +234,15 @@ fn union_mid_scan_chebyshev_coverage_at_99() {
     // should cover; we gate at 96/100 to keep the test stable.
     let cat = catalog();
     let plan = union_plan(0.4, 0.4);
-    let truth = exact_query(&plan, &cat).unwrap()[0];
+    let truth = support::exact(&plan, &cat).unwrap()[0];
     assert!((truth - 4500.0).abs() < 1e-9, "catalog drifted: {truth}");
     let mut covered = 0u32;
     for trial in 0..100u64 {
         let budget = if trial % 2 == 0 { 300 } else { 700 };
-        let r = run_online(
+        let r = support::run(
             &plan,
             &cat,
-            &OnlineOptions {
+            &QueryOptions {
                 seed: trial,
                 chunk_rows: 64,
                 confidence: 0.99,
