@@ -442,7 +442,7 @@ impl SharedScanCursor {
                 continue;
             }
             let phys = st.head % self.total;
-            let upto = (phys + hub.bus_rows as u64).min(self.total);
+            let upto = phys.saturating_add(hub.bus_rows as u64).min(self.total);
             let batch = match &hub.cols {
                 None => hub.table.batch_range(phys, upto),
                 Some(cols) => hub.table.batch_range_cols(phys, upto, cols),

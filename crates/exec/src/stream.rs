@@ -1155,7 +1155,7 @@ impl Node {
                 // A pushed-down predicate can empty a whole range; an empty
                 // chunk is the exhaustion signal upstream, so keep scanning
                 // until a row survives or the slice truly drains.
-                let upto = (*next + hint as u64).min(*end);
+                let upto = next.saturating_add(hint as u64).min(*end);
                 let chunk = gather.gather(table, *next, upto)?;
                 *next = upto;
                 if !chunk.is_empty() || *next >= *end {
@@ -1179,7 +1179,7 @@ impl Node {
                         *offset = 0;
                         continue;
                     }
-                    let upto = (from + hint as u64).min(e);
+                    let upto = from.saturating_add(hint as u64).min(e);
                     let chunk = gather.gather(table, from, upto)?;
                     // `emitted` counts *consumed* rows — every row of the
                     // visited range had its chance, whatever a pushed
@@ -1196,7 +1196,7 @@ impl Node {
             }
             Node::Shared { cursor } => cursor.next_batch(hint),
             Node::Materialized { chunk, next } => {
-                let end = (*next + hint).min(chunk.rows());
+                let end = next.saturating_add(hint).min(chunk.rows());
                 let out = chunk.slice(*next, end - *next);
                 *next = end;
                 Ok(out)

@@ -12,8 +12,8 @@ use sa_exec::AggResult;
 use sa_plan::{SoaAnalysis, StopReason, StoppingRule};
 use sa_storage::Value;
 
-use crate::driver::{OnlineResult, ProgressSnapshot};
-use crate::grouped::{GroupedOnlineResult, GroupedProgressSnapshot};
+use crate::driver::ProgressSnapshot;
+use crate::grouped::GroupedProgressSnapshot;
 
 /// Options for one query run through the [`crate::Engine`]. Fields a
 /// terminal has no use for are ignored by it: scalar queries ignore
@@ -46,8 +46,12 @@ pub struct QueryOptions {
     /// snapshots for a fixed seed, and the only mode that can attach to an
     /// engine's shared scan. `0` is rejected.
     pub parallelism: usize,
-    /// Grow the pull hint as the estimate stabilizes (see the driver
-    /// module docs). Default `false`.
+    /// Grow the pull hint (doubling, up to 64 × `chunk_rows`) while the
+    /// relative CI half-width has stopped improving by 10% a tick: fewer,
+    /// larger snapshots over the same realized sample. It applies to the
+    /// in-thread pull of `parallelism = 1` only — pool workers pull at the
+    /// fixed `chunk_rows` and ignore it, as does
+    /// [`crate::QueryBuilder::batch`]. Default `false`.
     pub adaptive_chunks: bool,
     /// Visit the base table's blocks in a seeded random permutation
     /// instead of physical order (`--shuffle-scan` in the CLI). The
@@ -205,28 +209,6 @@ pub struct QueryResult {
     pub chunks: u64,
     /// The SOA analysis (top GUS, lineage schema, rewrite trace).
     pub analysis: SoaAnalysis,
-}
-
-impl From<OnlineResult> for QueryResult {
-    fn from(r: OnlineResult) -> Self {
-        QueryResult {
-            reason: r.reason,
-            snapshot: Snapshot::Scalar(r.snapshot),
-            chunks: r.chunks,
-            analysis: r.analysis,
-        }
-    }
-}
-
-impl From<GroupedOnlineResult> for QueryResult {
-    fn from(r: GroupedOnlineResult) -> Self {
-        QueryResult {
-            reason: r.reason,
-            snapshot: Snapshot::Grouped(r.snapshot),
-            chunks: r.chunks,
-            analysis: r.analysis,
-        }
-    }
 }
 
 /// A scalar batch answer: every aggregate of the `SELECT` list estimated

@@ -1,14 +1,15 @@
 //! The batch terminal: drain the stream `.run()` opens, read out once.
 //!
 //! The SBox needs only lineage ids and `f` values (Section 6.2), so a
-//! one-shot estimate is the progressive loop without its ticks: the same
-//! [`open_aggregate`] preamble, the same per-chunk accumulation, and a
-//! single readout under the plan GUS when the stream is dry. Same
-//! `(plan, QueryOptions)` therefore means the same realized sample as
-//! `.run()` to exhaustion, and on one worker the same bits in every
-//! estimate and variance — as long as the run pulls at the fixed
-//! `chunk_rows` the batch pulls at. With `adaptive_chunks` the run's pulls
-//! grow, the sums round at other boundaries, and the two agree to 1e-9.
+//! one-shot estimate is the progressive loop without its ticks — literally
+//! [`drive_shape`] with `every_chunk = false`: the same [`open_aggregate`]
+//! preamble, the same per-chunk accumulation, and one tick, at exhaustion,
+//! read under the plan GUS. Same `(plan, QueryOptions)` therefore means
+//! the same realized sample as `.run()` to exhaustion, and on one worker
+//! the same bits in every estimate and variance — as long as the run pulls
+//! at the fixed `chunk_rows` the batch pulls at. With `adaptive_chunks` the
+//! run's pulls grow, the sums round at other boundaries, and the two agree
+//! to 1e-9.
 //!
 //! With `parallelism = N` the batch drains the N disjoint slices `.run()`
 //! would hand its workers, one after the other on the calling thread: the
@@ -16,21 +17,24 @@
 //! there is nothing for a worker pool to hide.
 
 use sa_core::{
-    covariance_from_y, unbiased_y_hats, EstimateReport, GroupedMomentAccumulator, GusParams,
-    LineageBernoulli, MomentAccumulator,
+    covariance_from_y, unbiased_y_hats, EstimateReport, GusParams, LineageBernoulli,
+    MomentAccumulator,
 };
-use sa_exec::{agg_results_from_report, ChunkStream, ColumnarChunk, DrainedSample};
+use sa_exec::{agg_results_from_report, DrainedSample};
 use sa_expr::Expr;
 use sa_plan::LogicalPlan;
-use sa_storage::{Catalog, Value};
+use sa_storage::Catalog;
 
-use crate::api::{ApproxResult, BatchOutput, GroupEstimate, GroupedApproxResult, QueryOptions};
-use crate::driver::{open_aggregate, push_scalar_chunk, OpenedAggregate, RunCtx};
-use crate::grouped::{compile_group_keys, group_progress_table, push_grouped_chunk};
+use crate::api::{ApproxResult, BatchOutput, GroupEstimate, GroupedApproxResult};
+use crate::api::{QueryOptions, Snapshot};
+use crate::driver::{drive_shape, open_aggregate, OpenedAggregate, RunCtx, Scalar};
+use crate::error::Error;
+use crate::grouped::Grouped;
 use crate::Result;
 
 /// Estimate `plan`'s aggregates (per `group_by` key, if any) from its whole
-/// sample.
+/// sample: the progressive loop with its mid-stream ticks suppressed, and
+/// its one exhaustion readout converted to the batch result types.
 pub(crate) fn drain_batch(
     plan: &LogicalPlan,
     group_by: &[Expr],
@@ -38,84 +42,60 @@ pub(crate) fn drain_batch(
     opts: &QueryOptions,
     ctx: &RunCtx,
 ) -> Result<BatchOutput> {
-    let OpenedAggregate {
-        analysis,
-        aggs,
-        streams,
-        layout,
-    } = open_aggregate(plan, catalog, opts, ctx, group_by)?;
-    let schema = streams[0].schema().clone();
-    let dim_eval = layout.compile_batch(&schema)?;
-    let confidence = opts.rule.confidence_or(opts.confidence);
-    let (n, dims) = (analysis.schema.n(), layout.dims());
-    if group_by.is_empty() {
-        let (report, result_rows) = match opts.subsample_target {
-            None => {
-                let mut acc = MomentAccumulator::new(n, dims);
-                drain(streams, opts.chunk_rows, |chunk| {
-                    push_scalar_chunk(&mut acc, &dim_eval, chunk)
-                })?;
-                (acc.report(&analysis.gus)?, acc.count())
-            }
-            Some(target) => {
-                let mut sample = DrainedSample::new(n, dims);
-                drain(streams, opts.chunk_rows, |chunk| {
-                    Ok(sample.push(&dim_eval, chunk)?)
-                })?;
-                let report = subsampled_report(&sample, &analysis.gus, target, opts.seed)?;
-                (report, sample.rows() as u64)
-            }
+    if !group_by.is_empty() {
+        let (r, _) = drive_shape::<Grouped>(plan, group_by, catalog, opts, ctx, false, |_| {})?;
+        let Snapshot::Grouped(s) = r.snapshot else {
+            unreachable!("keys read out grouped")
         };
-        return Ok(BatchOutput::Scalar(ApproxResult {
-            aggs: agg_results_from_report(aggs, &layout, &report, confidence),
-            result_rows,
-            variance_rows: report.m,
-            analysis,
-            report,
+        let groups = s.groups.into_iter().map(|g| GroupEstimate {
+            key: g.key,
+            aggs: g.aggs,
+            sample_rows: g.sample_rows,
+        });
+        return Ok(BatchOutput::Grouped(GroupedApproxResult {
+            group_exprs: s.group_exprs,
+            groups: groups.collect(),
+            analysis: r.analysis,
+            result_rows: s.rows,
         }));
     }
-    let key_kernels = compile_group_keys(group_by, &schema)?;
-    let mut acc: GroupedMomentAccumulator<Vec<Value>> = GroupedMomentAccumulator::new(n, dims);
-    drain(streams, opts.chunk_rows, |chunk| {
-        push_grouped_chunk(&mut acc, &key_kernels, &dim_eval, chunk)
-    })?;
-    // The progressive loop's per-group readout, once, under the plan GUS.
-    let (groups, _) = group_progress_table(
-        &acc,
+    let (aggs, result_rows, report, analysis) = match opts.subsample_target {
+        None => {
+            let (r, acc) =
+                drive_shape::<Scalar>(plan, group_by, catalog, opts, ctx, false, |_| {})?;
+            let Snapshot::Scalar(s) = r.snapshot else {
+                unreachable!("zero keys read out scalar")
+            };
+            (s.aggs, s.rows, acc.report(&r.analysis.gus)?, r.analysis)
+        }
+        // Section 7 needs the whole sample in hand before it can pick the
+        // sub-sample's keep probability, so it drains the same streams into
+        // a second sink instead of the moment accumulator.
+        Some(target) => {
+            let OpenedAggregate {
+                analysis,
+                streams,
+                scalar,
+            } = open_aggregate(plan, catalog, opts, ctx, group_by)?;
+            let mut sample = DrainedSample::new(scalar.n, scalar.layout.dims());
+            for mut stream in streams {
+                stream.drain(opts.chunk_rows, |chunk| {
+                    Ok::<_, Error>(sample.push(&scalar.dim_eval, chunk)?)
+                })?;
+            }
+            let report = subsampled_report(&sample, &analysis.gus, target, opts.seed)?;
+            let confidence = opts.rule.confidence_or(opts.confidence);
+            let aggs = agg_results_from_report(scalar.aggs, &scalar.layout, &report, confidence);
+            (aggs, sample.rows() as u64, report, analysis)
+        }
+    };
+    Ok(BatchOutput::Scalar(ApproxResult {
         aggs,
-        &layout,
-        &opts.rule,
-        confidence,
-        None,
-        &analysis.gus,
-    )?;
-    Ok(BatchOutput::Grouped(GroupedApproxResult {
-        group_exprs: group_by.iter().map(|e| e.to_string()).collect(),
-        groups: groups
-            .into_iter()
-            .map(|g| GroupEstimate {
-                key: g.key,
-                aggs: g.aggs,
-                sample_rows: g.sample_rows,
-            })
-            .collect(),
+        result_rows,
+        variance_rows: report.m,
         analysis,
-        result_rows: acc.count(),
+        report,
     }))
-}
-
-/// Pull every stream dry, in worker order, with the chunk size the
-/// progressive loop pulls at (chunk boundaries shape the accumulator's
-/// float rounding, so bit-equality with `.run()` needs the same ones).
-fn drain(
-    streams: Vec<ChunkStream>,
-    chunk_rows: usize,
-    mut sink: impl FnMut(&ColumnarChunk) -> Result<()>,
-) -> Result<()> {
-    for mut stream in streams {
-        stream.drain(chunk_rows, &mut sink)?;
-    }
-    Ok(())
 }
 
 /// Section 7: the point estimate from every tuple under the plan GUS;
@@ -192,11 +172,11 @@ fn as_slices<T>(cols: &[Vec<T>]) -> Vec<&[T]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, Error};
+    use crate::Engine;
     use sa_expr::col;
     use sa_plan::AggSpec;
     use sa_sampling::SamplingMethod;
-    use sa_storage::{DataType, Field, Schema, TableBuilder};
+    use sa_storage::{DataType, Field, Schema, TableBuilder, Value};
 
     /// `t(k, v)`: 2000 rows of v = 1.0; `d(dk, w)`: 10 rows of w = 2.0.
     fn engine() -> Engine {

@@ -1,19 +1,41 @@
 //! The progressive query loop: stream chunks, update moments, snapshot,
 //! stop when the rule fires.
 //!
-//! `drive_scalar` is what `QueryBuilder::run` / `run_with` / `online`
-//! execute for a query without `GROUP BY`. It rewrites the plan once (the
-//! SOA analysis — and hence the top GUS — does not depend on how much of
-//! the sample has been consumed), opens a chunked [`sa_exec::open_stream`]
-//! over the aggregate's input, and then loops:
+//! `drive` is what every `QueryBuilder` terminal executes. It rewrites
+//! the plan once (the SOA analysis — and hence the top GUS — does not
+//! depend on how much of the sample has been consumed), opens a chunked
+//! [`sa_exec::open_stream`] over the aggregate's input, and then loops:
 //!
 //! 1. pull the next chunk of sampled result tuples,
-//! 2. push each tuple's `(lineage, f)` into the incremental
-//!    [`MomentAccumulator`] (so estimate/variance are O(1) to read out —
-//!    nothing is ever recomputed from scratch),
-//! 3. emit a [`ProgressSnapshot`] (estimates, CI half-widths, rows, wall
-//!    time) to the caller's callback,
-//! 4. stop when the [`sa_plan::StoppingRule`] fires or the stream drains.
+//! 2. push it into the shape's incremental accumulator (so
+//!    estimate/variance are O(1) to read out — nothing is ever recomputed
+//!    from scratch),
+//! 3. **tick**: scale the GUS to the scan progress, read the accumulator
+//!    out into a [`crate::Snapshot`], judge the stop ladder (`judge_stop`),
+//!    hand the snapshot to the caller's callback,
+//! 4. stop when the tick says so.
+//!
+//! There is one loop and one tick. What varies is factored out on two
+//! axes:
+//!
+//! * **the query's shape** (`QueryShape`): a scalar query is a grouped
+//!   query with zero keys, so `Scalar` and `grouped::Grouped`
+//!   differ only in the accumulator they build, how a chunk is pushed into
+//!   it, and how it is read out;
+//! * **where chunks come from**: this thread pulling one stream
+//!   (`parallelism = 1`), or the worker pool of `parallel.rs`
+//!   pulling one slice each and merging (`parallelism = N`). The
+//!   sequential run is the pool without threads — and without the
+//!   per-chunk delta + merge, which is what keeps a fixed seed's replay
+//!   bit-identical.
+//!
+//! `.batch()` is the same loop with the ticks suppressed: one readout,
+//! at exhaustion (see `batch.rs`).
+//!
+//! [`QueryOptions::adaptive_chunks`] grows the pull hint of step 1 while
+//! the interval has stopped tightening; it is a property of the in-thread
+//! pull, so the worker pool — which pulls at a fixed `chunk_rows` —
+//! ignores it.
 //!
 //! ## Scan-progress scaling
 //!
@@ -23,15 +45,14 @@
 //! fix (Hellerstein et al.) assumes tuples are scanned in random order, so
 //! the scanned prefix of `k` of `N` sampling units is itself a uniform
 //! WOR(`k`, `N`) sample — which is a GUS, and **compacts onto the plan's top
-//! GUS by Proposition 8**. The driver therefore reads each snapshot under
+//! GUS by Proposition 8**. Each tick therefore reads its snapshot under
 //! `gus_plan ⊙ Π_r WOR(k_r, N_r)` using [`ChunkStream::progress`]'s
 //! per-relation coverage: mid-stream estimates target the full answer, their
 //! intervals account for both the not-yet-scanned data *and* the plan's own
 //! sampling, and at exhaustion every factor degenerates to the identity, so
 //! the final readout **equals the batch estimator's output** on the consumed
-//! sample (up to float associativity — the moments are accumulated
-//! incrementally). Set [`QueryOptions::scale_to_population`]` = false` to
-//! read raw prefix estimates under the plan GUS instead.
+//! sample. Set [`QueryOptions::scale_to_population`]` = false` to read raw
+//! prefix estimates under the plan GUS instead.
 //!
 //! `UnionSamples` plans need more care than one plan-wide compaction:
 //! compaction does not distribute over Proposition 7 unions, and the
@@ -58,26 +79,23 @@ use sa_exec::ProgressTree;
 use sa_exec::{agg_results_from_report, layout_dims, open_stream_partitioned, AggResult};
 use sa_exec::{open_shared_stream, SharedTableScan};
 use sa_exec::{BatchDimEval, ChunkStream, ColumnarChunk, DimLayout, ExecError, ExecOptions};
+use sa_expr::Expr;
 use sa_plan::{rewrite, AggSpec, GusTree, LogicalPlan, SoaAnalysis, StopReason};
-use sa_storage::Catalog;
+use sa_storage::{Catalog, SchemaRef};
 
-use crate::api::QueryOptions;
+use crate::api::{QueryOptions, QueryResult, Snapshot};
 use crate::error::Error;
-use crate::parallel::{run_worker_pool, PoolObs};
+use crate::grouped::Grouped;
+use crate::parallel::{run_worker_pool, PoolObs, ShardAccumulator};
 use crate::Result;
 
 /// Hard cap multiplier for [`QueryOptions::adaptive_chunks`]: the pull
 /// hint never exceeds `chunk_rows × 64`.
-pub(crate) const ADAPTIVE_CHUNK_CAP_FACTOR: usize = 64;
+const ADAPTIVE_CHUNK_CAP_FACTOR: usize = 64;
 
 /// One step of the adaptive chunk policy: double `cur` (up to `cap`) when
 /// the relative CI half-width `rel` improved by less than 10% over `prev`.
-pub(crate) fn adapt_chunk_hint(
-    cur: usize,
-    cap: usize,
-    prev: &mut Option<f64>,
-    rel: Option<f64>,
-) -> usize {
+fn adapt_chunk_hint(cur: usize, cap: usize, prev: &mut Option<f64>, rel: Option<f64>) -> usize {
     let mut next = cur;
     if let (Some(p), Some(r)) = (*prev, rel) {
         if p.is_finite() && r.is_finite() && r > 0.9 * p {
@@ -146,155 +164,266 @@ pub struct ProgressSnapshot {
     pub elapsed: Duration,
 }
 
-/// The outcome of a progressive run.
-#[derive(Debug, Clone)]
-pub struct OnlineResult {
-    /// Why the loop stopped.
-    pub reason: StopReason,
-    /// The last emitted snapshot (the final estimates).
-    pub snapshot: ProgressSnapshot,
-    /// Number of snapshots emitted. Equals the chunks consumed only in the
-    /// sequential loop (`parallelism = 1`); a parallel coordinator tick may
-    /// absorb several worker chunks.
-    pub chunks: u64,
-    /// The SOA analysis (top GUS, lineage schema, rewrite trace).
-    pub analysis: SoaAnalysis,
+/// What differs between query shapes — the three things the one loop
+/// ([`drive_shape`]) cannot do for itself: build an accumulator, push a
+/// chunk into it, and read it out under a GUS. [`Scalar`] is the zero-key
+/// case; [`crate::grouped::Grouped`] is `Scalar` plus keys (a group
+/// indicator is just another selection, Proposition 5, so every group is a
+/// scalar readout of its own slot under the same GUS).
+pub(crate) trait QueryShape<'p>: Sized + Sync {
+    /// The accumulator the loop feeds; workers build one per chunk and the
+    /// coordinator merges them.
+    type Acc: ShardAccumulator;
+    /// Specialize the opened aggregate's `scalar` shape to `group_by`,
+    /// compiled against the stream's output `schema`.
+    fn compile(scalar: Scalar<'p>, group_by: &[Expr], schema: &SchemaRef) -> Result<Self>;
+    /// A fresh, empty accumulator.
+    fn new_acc(&self) -> Self::Acc;
+    /// Accumulate one columnar chunk (a no-op on the empty, exhaustion
+    /// chunk).
+    fn push(&self, acc: &mut Self::Acc, chunk: &ColumnarChunk) -> Result<()>;
+    /// Read `acc` out under `head.gus` into this tick's snapshot. `prev` is
+    /// the previous tick's snapshot (what a grouped readout counts newly
+    /// discovered groups against).
+    fn read(
+        &self,
+        acc: &Self::Acc,
+        head: TickHead,
+        prev: Option<&Snapshot>,
+        opts: &QueryOptions,
+    ) -> Result<Snapshot>;
 }
 
-/// The scalar progressive loop. The plan root must be an
-/// [`LogicalPlan::Aggregate`]; `on_snapshot` is called after every chunk
-/// (including the final one).
-pub(crate) fn drive_scalar(
+/// What a tick has settled before the shape reads the accumulator out —
+/// the snapshot fields that do not depend on the query's shape.
+pub(crate) struct TickHead {
+    pub(crate) chunk: u64,
+    pub(crate) confidence: f64,
+    pub(crate) progress: Vec<(u64, u64)>,
+    pub(crate) gus: GusParams,
+    /// When the loop started; a snapshot's `elapsed` is read off it after
+    /// the readout, so a time budget sees the readout's cost.
+    pub(crate) start: Instant,
+}
+
+/// The zero-key shape, and the part every shape shares: the `SELECT`
+/// list's aggregates laid onto SBox dimensions and compiled for batch
+/// evaluation against the stream's schema.
+pub(crate) struct Scalar<'p> {
+    pub(crate) aggs: &'p [AggSpec],
+    pub(crate) layout: DimLayout,
+    pub(crate) dim_eval: BatchDimEval,
+    /// Base relations in the lineage schema.
+    pub(crate) n: usize,
+}
+
+impl Scalar<'_> {
+    /// One accumulator slot — the whole sample, or one group's share of it
+    /// — read out under `gus`: the per-aggregate results and the worst
+    /// relative CI half-width across them.
+    pub(crate) fn read_slot(
+        &self,
+        slot: &MomentAccumulator,
+        gus: &GusParams,
+        confidence: f64,
+    ) -> Result<(Vec<AggResult>, Option<f64>)> {
+        let report = slot.report(gus)?;
+        let aggs = agg_results_from_report(self.aggs, &self.layout, &report, confidence);
+        let rel = worst_rel_half_width(&aggs);
+        Ok((aggs, rel))
+    }
+}
+
+impl<'p> QueryShape<'p> for Scalar<'p> {
+    type Acc = MomentAccumulator;
+
+    fn compile(scalar: Scalar<'p>, _group_by: &[Expr], _schema: &SchemaRef) -> Result<Self> {
+        Ok(scalar)
+    }
+
+    fn new_acc(&self) -> MomentAccumulator {
+        MomentAccumulator::new(self.n, self.layout.dims())
+    }
+
+    fn push(&self, acc: &mut MomentAccumulator, chunk: &ColumnarChunk) -> Result<()> {
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        let f_cols = self.dim_eval.eval(&chunk.batch)?;
+        let lineage: Vec<&[u64]> = chunk.lineage.iter().map(|l| l.as_slice()).collect();
+        let f: Vec<&[f64]> = f_cols.iter().map(|c| c.as_slice()).collect();
+        acc.push_batch(&lineage, &f).map_err(Error::Core)
+    }
+
+    fn read(
+        &self,
+        acc: &MomentAccumulator,
+        head: TickHead,
+        _prev: Option<&Snapshot>,
+        _opts: &QueryOptions,
+    ) -> Result<Snapshot> {
+        let (aggs, rel_half_width) = self.read_slot(acc, &head.gus, head.confidence)?;
+        Ok(Snapshot::Scalar(ProgressSnapshot {
+            chunk: head.chunk,
+            rows: acc.count(),
+            aggs,
+            rel_half_width,
+            confidence: head.confidence,
+            progress: head.progress,
+            gus: head.gus,
+            elapsed: head.start.elapsed(),
+        }))
+    }
+}
+
+/// Run `plan` progressively: zero keys is the scalar shape, anything else
+/// the grouped one. `on_snapshot` is called after every tick (including
+/// the final one).
+pub(crate) fn drive(
     plan: &LogicalPlan,
+    group_by: &[Expr],
     catalog: &Catalog,
     opts: &QueryOptions,
     ctx: &RunCtx,
-    mut on_snapshot: impl FnMut(&ProgressSnapshot),
-) -> Result<OnlineResult> {
+    on_snapshot: impl FnMut(&Snapshot),
+) -> Result<QueryResult> {
+    if group_by.is_empty() {
+        drive_shape::<Scalar>(plan, group_by, catalog, opts, ctx, true, on_snapshot).map(|r| r.0)
+    } else {
+        drive_shape::<Grouped>(plan, group_by, catalog, opts, ctx, true, on_snapshot).map(|r| r.0)
+    }
+}
+
+/// The one loop. Opens the aggregate, compiles the shape, and feeds chunks
+/// to the accumulator until a tick says stop; returns the result and the
+/// final accumulator.
+///
+/// The only fork is where chunks come from. With one stream this thread
+/// pulls it and pushes every chunk straight into the one accumulator (no
+/// delta, no merge — so a fixed seed replays bit for bit); with one stream
+/// per worker, [`run_worker_pool`] does the pulling and hands its merged
+/// state to the same `tick`.
+///
+/// `every_chunk = false` is the batch terminal: no mid-stream tick, the
+/// streams drained one after the other on this thread, and the one final
+/// readout taken under the plan GUS itself (every scan-progress factor is
+/// the identity at exhaustion).
+pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
+    plan: &'p LogicalPlan,
+    group_by: &[Expr],
+    catalog: &Catalog,
+    opts: &QueryOptions,
+    ctx: &RunCtx,
+    every_chunk: bool,
+    mut on_snapshot: impl FnMut(&Snapshot),
+) -> Result<(QueryResult, S::Acc)> {
     let OpenedAggregate {
         analysis,
-        aggs,
-        mut streams,
-        layout,
-    } = open_aggregate(plan, catalog, opts, ctx, &[])?;
-    if streams.len() > 1 {
-        return drive_scalar_parallel(analysis, aggs, streams, layout, opts, ctx, on_snapshot);
-    }
-    let mut stream = streams.pop().expect("open_aggregate yields >= 1 stream");
-    let dim_eval = layout.compile_batch(stream.schema())?;
-    let mut acc = MomentAccumulator::new(analysis.schema.n(), layout.dims());
+        streams,
+        scalar,
+    } = open_aggregate(plan, catalog, opts, ctx, group_by)?;
+    let shape = S::compile(scalar, group_by, streams[0].schema())?;
     let confidence = opts.rule.confidence_or(opts.confidence);
     let start = Instant::now();
-    let mut chunks = 0u64;
-    let mut hint = opts.chunk_rows;
-    let cap = opts.chunk_rows.saturating_mul(ADAPTIVE_CHUNK_CAP_FACTOR);
-    let mut prev_rel: Option<f64> = None;
-    loop {
-        let chunk = stream.next_batch(hint)?;
-        let exhausted = chunk.is_empty();
-        push_scalar_chunk(&mut acc, &dim_eval, &chunk)?;
-        chunks += 1;
-        let (snapshot, reason) = scalar_tick(
-            &acc,
-            aggs,
-            &layout,
-            &analysis.gus,
-            &analysis.gus_tree,
-            stream.progress(),
-            &stream.progress_tree(),
-            opts,
+    // One tick: scale the GUS to the scan progress, read the accumulator
+    // out, judge the stop ladder, emit. `last` is the previous snapshot
+    // going in and this one coming out.
+    let mut tick = |last: &mut Option<Snapshot>,
+                    acc: &S::Acc,
+                    progress: Vec<(u64, u64)>,
+                    prog_tree: &ProgressTree,
+                    exhausted: bool,
+                    degraded: bool|
+     -> Result<Option<StopReason>> {
+        let gus = if every_chunk && opts.scale_to_population {
+            scale_gus_tree(&analysis.gus_tree, prog_tree)?
+        } else {
+            analysis.gus.clone()
+        };
+        let head = TickHead {
+            chunk: last.as_ref().map_or(0, Snapshot::chunk) + 1,
             confidence,
-            chunks,
+            progress,
+            gus,
+            start,
+        };
+        let snapshot = shape.read(acc, head, last.as_ref(), opts)?;
+        let reason = judge_stop(
+            opts,
+            degraded,
             exhausted,
             ctx.cancelled(),
-            false,
-            &start,
-        )?;
+            snapshot.rel_half_width(),
+            snapshot.rows(),
+            snapshot.elapsed(),
+        );
         on_snapshot(&snapshot);
-        if let Some(reason) = reason {
-            return Ok(OnlineResult {
-                reason,
-                snapshot,
-                chunks,
-                analysis,
-            });
-        }
-        if opts.adaptive_chunks {
-            hint = adapt_chunk_hint(hint, cap, &mut prev_rel, snapshot.rel_half_width);
-        }
-    }
-}
-
-/// Accumulate one columnar chunk into a scalar accumulator: evaluate every
-/// SBox dimension's `f` column at once and land in the amortized
-/// [`MomentAccumulator::push_batch`] path.
-pub(crate) fn push_scalar_chunk(
-    acc: &mut MomentAccumulator,
-    dim_eval: &BatchDimEval,
-    chunk: &ColumnarChunk,
-) -> Result<()> {
-    if chunk.is_empty() {
-        return Ok(());
-    }
-    let f_cols = dim_eval.eval(&chunk.batch)?;
-    let lineage: Vec<&[u64]> = chunk.lineage.iter().map(|l| l.as_slice()).collect();
-    let f: Vec<&[f64]> = f_cols.iter().map(|c| c.as_slice()).collect();
-    acc.push_batch(&lineage, &f).map_err(Error::Core)
-}
-
-/// Build the snapshot for one tick of the scalar loop and judge it with
-/// [`judge_stop`] — the per-tick readout shared verbatim by the sequential
-/// loop and the parallel coordinator, so the two paths cannot diverge in
-/// snapshot semantics.
-#[allow(clippy::too_many_arguments)]
-fn scalar_tick(
-    acc: &MomentAccumulator,
-    aggs: &[AggSpec],
-    layout: &DimLayout,
-    plan_gus: &GusParams,
-    gus_tree: &GusTree,
-    progress: Vec<(u64, u64)>,
-    prog_tree: &ProgressTree,
-    opts: &QueryOptions,
-    confidence: f64,
-    chunk: u64,
-    exhausted: bool,
-    cancelled: bool,
-    degraded: bool,
-    start: &Instant,
-) -> Result<(ProgressSnapshot, Option<StopReason>)> {
-    let gus = if opts.scale_to_population {
-        scale_gus_tree(gus_tree, prog_tree)?
+        *last = Some(snapshot);
+        Ok(reason)
+    };
+    let mut last = None;
+    let (acc, reason) = if every_chunk && streams.len() > 1 {
+        run_worker_pool(
+            streams,
+            opts.chunk_rows,
+            &ctx.pool,
+            || shape.new_acc(),
+            |acc: &mut S::Acc, chunk: &ColumnarChunk| shape.push(acc, chunk),
+            |merged, progress, exhausted, degraded| {
+                // Workers see disjoint slices of one scan, so the summed
+                // coverage is a flat per-relation prefix; union plans never
+                // get here (partitioned opens refuse them).
+                let prog_tree = ProgressTree::Leaf(progress.to_vec());
+                let progress = progress.to_vec();
+                tick(&mut last, merged, progress, &prog_tree, exhausted, degraded)
+            },
+        )?
     } else {
-        plan_gus.clone()
+        let mut acc = shape.new_acc();
+        let mut streams = streams.into_iter();
+        let mut stream = streams.next().expect("open_aggregate yields >= 1 stream");
+        let mut hint = opts.chunk_rows;
+        let cap = opts.chunk_rows.saturating_mul(ADAPTIVE_CHUNK_CAP_FACTOR);
+        let mut prev_rel: Option<f64> = None;
+        let reason = loop {
+            let chunk = stream.next_batch(hint)?;
+            let exhausted = chunk.is_empty();
+            shape.push(&mut acc, &chunk)?;
+            if exhausted {
+                // Only a batch holds more than one stream here: the slices
+                // `.run()` would hand its workers, drained in worker order.
+                // (Its one snapshot reports the last slice's `progress`;
+                // a batch result carries none.)
+                if let Some(next) = streams.next() {
+                    stream = next;
+                    continue;
+                }
+            } else if !every_chunk {
+                continue;
+            }
+            let (progress, prog_tree) = (stream.progress(), stream.progress_tree());
+            if let Some(reason) = tick(&mut last, &acc, progress, &prog_tree, exhausted, false)? {
+                break reason;
+            }
+            if opts.adaptive_chunks {
+                let rel = last.as_ref().and_then(Snapshot::rel_half_width);
+                hint = adapt_chunk_hint(hint, cap, &mut prev_rel, rel);
+            }
+        };
+        (acc, reason)
     };
-    let report = acc.report(&gus)?;
-    let agg_results = agg_results_from_report(aggs, layout, &report, confidence);
-    let rel_half_width = worst_rel_half_width(&agg_results);
-    let snapshot = ProgressSnapshot {
-        chunk,
-        rows: acc.count(),
-        aggs: agg_results,
-        rel_half_width,
-        confidence,
-        progress,
-        gus,
-        elapsed: start.elapsed(),
+    let snapshot = last.expect("a run ends on a tick");
+    let result = QueryResult {
+        reason,
+        chunks: snapshot.chunk(),
+        snapshot,
+        analysis,
     };
-    let reason = judge_stop(
-        opts,
-        degraded,
-        exhausted,
-        cancelled,
-        rel_half_width,
-        snapshot.rows,
-        snapshot.elapsed,
-    );
-    Ok((snapshot, reason))
+    Ok((result, acc))
 }
 
-/// Why a tick stops the loop, if it does — the one precedence ladder the
-/// scalar and grouped loops share. Highest first:
+/// Why a tick stops the loop, if it does — one precedence ladder for
+/// every shape and chunk source. Highest first:
 ///
 /// 1. **degraded** — a fault was contained mid-run (a panicked worker
 ///    shard). The absorbed prefix is still a valid, merely smaller, sample
@@ -306,7 +435,7 @@ fn scalar_tick(
 /// 4. **deadline** — the imposed bound, checked before the rule so a
 ///    simultaneous soft time-budget stop reports it.
 /// 5. the caller's **rule** (CI target, row budget, time budget).
-pub(crate) fn judge_stop(
+fn judge_stop(
     opts: &QueryOptions,
     degraded: bool,
     exhausted: bool,
@@ -328,79 +457,48 @@ pub(crate) fn judge_stop(
     }
 }
 
-/// The shard-parallel progressive loop: one worker thread per partitioned
-/// stream, thread-local accumulators, a coordinator that absorbs the
-/// queued per-chunk deltas per snapshot tick and judges the stopping rule
-/// exactly as the sequential loop does (see [`crate::parallel`]).
-fn drive_scalar_parallel(
-    analysis: SoaAnalysis,
-    aggs: &[AggSpec],
-    streams: Vec<ChunkStream>,
-    layout: DimLayout,
-    opts: &QueryOptions,
-    ctx: &RunCtx,
-    mut on_snapshot: impl FnMut(&ProgressSnapshot),
-) -> Result<OnlineResult> {
-    let n = analysis.schema.n();
-    let dims = layout.dims();
-    let dim_eval = layout.compile_batch(streams[0].schema())?;
-    let confidence = opts.rule.confidence_or(opts.confidence);
-    let start = Instant::now();
-    let mut chunks = 0u64;
-    let mut last: Option<ProgressSnapshot> = None;
-    let layout = &layout;
-    let dim_eval = &dim_eval;
-    let (_, reason) = run_worker_pool(
-        streams,
-        opts.chunk_rows,
-        &ctx.pool,
-        || MomentAccumulator::new(n, dims),
-        |acc: &mut MomentAccumulator, chunk: &ColumnarChunk| {
-            push_scalar_chunk(acc, dim_eval, chunk)
-        },
-        |merged, progress, exhausted, degraded| {
-            chunks += 1;
-            // Workers see disjoint slices of one scan, so the element-wise
-            // summed coverage is a flat per-relation prefix; union plans
-            // never reach this loop (partitioned opens refuse them).
-            let prog_tree = ProgressTree::Leaf(progress.to_vec());
-            let (snapshot, reason) = scalar_tick(
-                merged,
-                aggs,
-                layout,
-                &analysis.gus,
-                &analysis.gus_tree,
-                progress.to_vec(),
-                &prog_tree,
-                opts,
-                confidence,
-                chunks,
-                exhausted,
-                ctx.cancelled(),
-                degraded,
-                &start,
-            )?;
-            on_snapshot(&snapshot);
-            last = Some(snapshot);
-            Ok(reason)
-        },
-    )?;
-    Ok(OnlineResult {
-        reason,
-        snapshot: last.expect("the pool judges at least one tick"),
-        chunks,
-        analysis,
-    })
-}
-
 /// The validated, opened state every query starts from. For
-/// `parallelism = 1` there is exactly one stream (the classic sequential
-/// loop); for `N > 1`, `streams` holds one disjoint slice per worker.
+/// `parallelism = 1` there is exactly one stream; for `N > 1`, `streams`
+/// holds one disjoint slice per worker.
 pub(crate) struct OpenedAggregate<'p> {
     pub(crate) analysis: SoaAnalysis,
-    pub(crate) aggs: &'p [AggSpec],
     pub(crate) streams: Vec<ChunkStream>,
-    pub(crate) layout: DimLayout,
+    pub(crate) scalar: Scalar<'p>,
+}
+
+/// Reject option values no run can honour. Each would otherwise fail
+/// silently: a zero `chunk_rows` degenerates the pull loop into one-row
+/// chunks, zero workers make no progress, a confidence outside (0, 1)
+/// turns every interval into `None`, and a non-positive (or NaN) ε or a
+/// `ci_top_k` of 0 disarms the CI target so the run exhausts the sample.
+fn validate_options(opts: &QueryOptions) -> Result<()> {
+    let in_unit = |x: f64| x > 0.0 && x < 1.0;
+    let target = opts.rule.ci_target;
+    let problem = if opts.chunk_rows == 0 {
+        "chunk_rows must be at least 1".into()
+    } else if opts.parallelism == 0 {
+        "parallelism must be at least 1".into()
+    } else if !in_unit(opts.confidence) {
+        format!(
+            "confidence must be strictly between 0 and 1, got {}",
+            opts.confidence
+        )
+    } else if let Some(t) = target.filter(|t| !in_unit(t.confidence)) {
+        format!(
+            "rule.ci_target.confidence (`.within(ε, γ)`) must be strictly between 0 and 1, got {}",
+            t.confidence
+        )
+    } else if let Some(t) = target.filter(|t| t.epsilon.is_nan() || t.epsilon <= 0.0) {
+        format!(
+            "rule.ci_target.epsilon (`.within(ε, γ)`) must be positive, got {}",
+            t.epsilon
+        )
+    } else if opts.ci_top_k == Some(0) {
+        "ci_top_k must be at least 1: with no group tracked the CI target can never fire".into()
+    } else {
+        return Ok(());
+    };
+    Err(Error::InvalidOptions(problem))
 }
 
 /// Validate the options and plan shape, run the one-time SOA rewrite, open
@@ -412,22 +510,9 @@ pub(crate) fn open_aggregate<'p>(
     catalog: &Catalog,
     opts: &QueryOptions,
     ctx: &RunCtx,
-    observed: &[sa_expr::Expr],
+    observed: &[Expr],
 ) -> Result<OpenedAggregate<'p>> {
-    if opts.chunk_rows == 0 {
-        // A zero hint would degenerate the pull loop into one-row chunks
-        // (with a snapshot after every row); reject it loudly instead.
-        return Err(Error::InvalidOptions(
-            "chunk_rows must be at least 1".into(),
-        ));
-    }
-    if opts.parallelism == 0 {
-        // Zero workers cannot make progress; mirror the chunk_rows check
-        // rather than silently rounding up to 1.
-        return Err(Error::InvalidOptions(
-            "parallelism must be at least 1".into(),
-        ));
-    }
+    validate_options(opts)?;
     let analysis = rewrite(plan, catalog).map_err(ExecError::Plan)?;
     let LogicalPlan::Aggregate { aggs, input } = plan else {
         return Err(Error::Unsupported(
@@ -459,11 +544,16 @@ pub(crate) fn open_aggregate<'p>(
         _ => open_stream_partitioned(input, catalog, &exec_opts, opts.parallelism)?,
     };
     let layout = layout_dims(aggs, streams[0].schema())?;
+    let scalar = Scalar {
+        aggs,
+        dim_eval: layout.compile_batch(streams[0].schema())?,
+        layout,
+        n: analysis.schema.n(),
+    };
     Ok(OpenedAggregate {
         analysis,
-        aggs,
         streams,
-        layout,
+        scalar,
     })
 }
 
@@ -474,7 +564,7 @@ pub(crate) fn open_aggregate<'p>(
 /// there and a 0-draw WOR would be the degenerate null sampler). `progress`
 /// may be a single stream's report or the element-wise sum over partitioned
 /// workers — slice-relative coverage sums to the true per-relation prefix.
-pub(crate) fn scan_scaled_gus(
+fn scan_scaled_gus(
     region_gus: &GusParams,
     relations: &[String],
     progress: &[(u64, u64)],
@@ -536,7 +626,7 @@ fn progress_shape_mismatch(tree: &GusTree, prog: &ProgressTree) -> Error {
 /// The executor's progress tree can only *lose* structure relative to the
 /// plan's (materialization flattens); any other pairing is an internal
 /// invariant violation.
-pub(crate) fn scale_gus_tree(tree: &GusTree, prog: &ProgressTree) -> Result<GusParams> {
+fn scale_gus_tree(tree: &GusTree, prog: &ProgressTree) -> Result<GusParams> {
     match (tree, prog) {
         (GusTree::Leaf { gus, rels }, ProgressTree::Leaf(cov)) => {
             if cov.len() != rels.len() {
@@ -589,7 +679,7 @@ pub(crate) fn scale_gus_tree(tree: &GusTree, prog: &ProgressTree) -> Result<GusP
 /// The largest relative CI half-width across the aggregates, `None` when
 /// any variance is not yet estimable (so a CI target cannot fire early on
 /// partial information).
-pub(crate) fn worst_rel_half_width(aggs: &[AggResult]) -> Option<f64> {
+fn worst_rel_half_width(aggs: &[AggResult]) -> Option<f64> {
     let mut worst = 0.0f64;
     for a in aggs {
         let ci = a.ci_normal.as_ref()?;
@@ -623,15 +713,21 @@ mod tests {
         c
     }
 
-    /// The scalar loop as the engine drives it, minus the engine: private
-    /// scan, no cancellation, no metrics.
+    /// The loop with zero keys as the engine drives it, minus the engine:
+    /// private scan, no cancellation, no metrics.
     fn run(
         plan: &LogicalPlan,
         catalog: &Catalog,
         opts: &QueryOptions,
-        on_snapshot: impl FnMut(&ProgressSnapshot),
-    ) -> Result<OnlineResult> {
-        drive_scalar(plan, catalog, opts, &RunCtx::default(), on_snapshot)
+        mut on_snapshot: impl FnMut(&ProgressSnapshot),
+    ) -> Result<QueryResult> {
+        drive(plan, &[], catalog, opts, &RunCtx::default(), |s| {
+            on_snapshot(s.as_scalar().expect("zero keys read out scalar"))
+        })
+    }
+
+    fn scalar(r: &QueryResult) -> &ProgressSnapshot {
+        r.snapshot.as_scalar().expect("zero keys read out scalar")
     }
 
     fn sum_plan(p: f64) -> LogicalPlan {
@@ -653,8 +749,8 @@ mod tests {
         assert_eq!(r.reason, StopReason::Exhausted);
         assert_eq!(r.chunks as usize, rows_seen.len());
         assert!(rows_seen.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(*rows_seen.last().unwrap(), r.snapshot.rows);
-        assert!(r.snapshot.rows > 1000, "50% of 5000 ≈ 2500");
+        assert_eq!(*rows_seen.last().unwrap(), r.snapshot.rows());
+        assert!(r.snapshot.rows() > 1000, "50% of 5000 ≈ 2500");
     }
 
     #[test]
@@ -695,10 +791,10 @@ mod tests {
         }
         let report =
             sa_core::estimate_from_sample_moments(&online.analysis.gus, &batch.finish()).unwrap();
-        let est = online.snapshot.aggs[0].estimate;
+        let est = scalar(&online).aggs[0].estimate;
         assert!((est - report.estimate[0]).abs() < 1e-9 * (1.0 + est.abs()));
         let (vo, vb) = (
-            online.snapshot.aggs[0].variance.unwrap(),
+            scalar(&online).aggs[0].variance.unwrap(),
             report.variance(0).unwrap(),
         );
         assert!((vo - vb).abs() < 1e-9 * (1.0 + vb.abs()), "{vo} vs {vb}");
@@ -721,8 +817,8 @@ mod tests {
         let scaled = run(&sum_plan(0.9), &c, &opts(true), |_| {}).unwrap();
         let raw = run(&sum_plan(0.9), &c, &opts(false), |_| {}).unwrap();
         let (es, er) = (
-            scaled.snapshot.aggs[0].estimate,
-            raw.snapshot.aggs[0].estimate,
+            scalar(&scaled).aggs[0].estimate,
+            scalar(&raw).aggs[0].estimate,
         );
         assert!(
             (es - truth).abs() < 0.1 * truth,
@@ -734,7 +830,7 @@ mod tests {
         );
         // Scaled intervals are wider: they also carry the unscanned-data
         // uncertainty.
-        assert!(scaled.snapshot.aggs[0].variance.unwrap() > raw.snapshot.aggs[0].variance.unwrap());
+        assert!(scalar(&scaled).aggs[0].variance.unwrap() > scalar(&raw).aggs[0].variance.unwrap());
     }
 
     #[test]
@@ -748,11 +844,11 @@ mod tests {
         };
         let r = run(&sum_plan(0.9), &c, &opts, |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::RowBudget);
-        assert!(r.snapshot.rows >= 500);
+        assert!(r.snapshot.rows() >= 500);
         assert!(
-            r.snapshot.rows < 2000,
+            r.snapshot.rows() < 2000,
             "stopped long before the ~18k sample drained: {}",
-            r.snapshot.rows
+            r.snapshot.rows()
         );
     }
 
@@ -781,9 +877,9 @@ mod tests {
         };
         let r = run(&sum_plan(0.5), &c, &opts, |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::CiConverged);
-        assert!(r.snapshot.rel_half_width.unwrap() <= 0.05);
+        assert!(r.snapshot.rel_half_width().unwrap() <= 0.05);
         // It genuinely stopped early.
-        assert!(r.snapshot.rows < 20_000, "rows = {}", r.snapshot.rows);
+        assert!(r.snapshot.rows() < 20_000, "rows = {}", r.snapshot.rows());
     }
 
     #[test]
@@ -879,7 +975,7 @@ mod tests {
         };
         let online = run(&plan, &c, &opts, |_| {}).unwrap();
         assert_eq!(online.reason, StopReason::Exhausted);
-        assert!(online.snapshot.rows > 0);
+        assert!(online.snapshot.rows() > 0);
         let LogicalPlan::Aggregate { aggs, input } = &plan else {
             unreachable!()
         };
@@ -903,14 +999,14 @@ mod tests {
         }
         let report =
             sa_core::estimate_from_sample_moments(&online.analysis.gus, &batch.finish()).unwrap();
-        let est = online.snapshot.aggs[0].estimate;
+        let est = scalar(&online).aggs[0].estimate;
         assert!(
             (est - report.estimate[0]).abs() < 1e-9 * (1.0 + est.abs()),
             "{est} vs {}",
             report.estimate[0]
         );
         let (vo, vb) = (
-            online.snapshot.aggs[0].variance.unwrap(),
+            scalar(&online).aggs[0].variance.unwrap(),
             report.variance(0).unwrap(),
         );
         assert!((vo - vb).abs() < 1e-9 * (1.0 + vb.abs()), "{vo} vs {vb}");
@@ -930,9 +1026,9 @@ mod tests {
         };
         let r = run(&union_plan(0.5), &c, &opts, |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::RowBudget);
-        let (consumed, available) = r.snapshot.progress[0];
+        let (consumed, available) = r.snapshot.progress()[0];
         assert!(consumed < available, "stopped mid-scan");
-        let est = r.snapshot.aggs[0].estimate;
+        let est = scalar(&r).aggs[0].estimate;
         assert!(
             (est - truth).abs() < 0.15 * truth,
             "scaled union estimate {est} should be near {truth}"
@@ -992,8 +1088,8 @@ mod tests {
         let r = run(&sum_plan(0.5), &c, &QueryOptions::default(), |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
         assert_eq!(r.chunks, 1);
-        assert_eq!(r.snapshot.rows, 0);
-        assert_eq!(r.snapshot.aggs[0].estimate, 0.0);
+        assert_eq!(r.snapshot.rows(), 0);
+        assert_eq!(scalar(&r).aggs[0].estimate, 0.0);
         let degenerate = run(&sum_plan(0.0), &c, &QueryOptions::default(), |_| {});
         assert!(matches!(degenerate, Err(Error::Core(_))));
     }

@@ -57,9 +57,8 @@ use sa_storage::Catalog;
 
 use crate::api::{BatchOutput, QueryOptions, QueryResult, Snapshot};
 use crate::batch::drain_batch;
-use crate::driver::{drive_scalar, RunCtx};
+use crate::driver::{drive, RunCtx};
 use crate::error::Error;
-use crate::grouped::drive_grouped;
 use crate::parallel::PoolObs;
 use crate::Result;
 
@@ -719,7 +718,8 @@ impl QueryBuilder {
         self
     }
 
-    /// Grow the pull hint as the estimate stabilizes.
+    /// Grow the pull hint as the estimate stabilizes (`jobs = 1` only;
+    /// see [`QueryOptions::adaptive_chunks`]).
     pub fn adaptive_chunks(mut self, on: bool) -> QueryBuilder {
         self.opts.adaptive_chunks = on;
         self
@@ -773,12 +773,16 @@ impl QueryBuilder {
     /// Run synchronously to the stopping rule, discarding intermediate
     /// snapshots.
     pub fn run(self) -> Result<QueryResult> {
-        self.run_with(|_| {})
+        self.run_sync(|_| {})
     }
 
     /// Run synchronously, invoking `on_snapshot` after every chunk
     /// (including the final one).
-    pub fn run_with(self, on_snapshot: impl FnMut(Snapshot)) -> Result<QueryResult> {
+    pub fn run_with(self, mut on_snapshot: impl FnMut(Snapshot)) -> Result<QueryResult> {
+        self.run_sync(|s| on_snapshot(s.clone()))
+    }
+
+    fn run_sync(self, on_snapshot: impl FnMut(&Snapshot)) -> Result<QueryResult> {
         let _guard = self.engine.admit(self.session)?;
         execute(
             &self.engine,
@@ -818,7 +822,7 @@ impl QueryBuilder {
                     |snap| {
                         // A receiver that went away is cancellation by
                         // disinterest, not an error.
-                        let _ = tx.send(snap);
+                        let _ = tx.send(snap.clone());
                     },
                 )
             })
@@ -909,8 +913,8 @@ fn scan_permille(progress: &[(u64, u64)]) -> u64 {
         .unwrap_or(1000)
 }
 
-/// The one dispatch point every terminal funnels into: resolve the input,
-/// pick a shared scan hub if eligible, and run the scalar or grouped
+/// The one dispatch point every progressive terminal funnels into:
+/// resolve the input, pick a shared scan hub if eligible, and run the
 /// progressive loop.
 ///
 /// All instrumentation lives here and in the components the run context
@@ -924,7 +928,7 @@ fn execute(
     group_by: Vec<Expr>,
     opts: QueryOptions,
     cancel: Option<Arc<AtomicBool>>,
-    mut on_snapshot: impl FnMut(Snapshot),
+    mut on_snapshot: impl FnMut(&Snapshot),
 ) -> Result<QueryResult> {
     let obs = &engine.inner.obs;
     let query = engine.inner.queries.fetch_add(1, Ordering::Relaxed) + 1;
@@ -950,20 +954,10 @@ fn execute(
             .record(EventKind::SnapshotEmitted { query, rows });
         prev_rows = rows;
     };
-    let catalog = engine.catalog();
-    let result = if group_by.is_empty() {
-        drive_scalar(&plan, catalog, &opts, &ctx, |s| {
-            tick(s.rows);
-            on_snapshot(Snapshot::Scalar(s.clone()))
-        })
-        .map(QueryResult::from)
-    } else {
-        drive_grouped(&plan, &group_by, catalog, &opts, &ctx, |s| {
-            tick(s.rows);
-            on_snapshot(Snapshot::Grouped(s.clone()))
-        })
-        .map(QueryResult::from)
-    };
+    let result = drive(&plan, &group_by, engine.catalog(), &opts, &ctx, |s| {
+        tick(s.rows());
+        on_snapshot(s)
+    });
     match &result {
         Ok(r) => {
             if obs.query_duration_us.enabled() {
@@ -1222,6 +1216,42 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, Error::InvalidOptions(_)), "{err}");
+    }
+
+    #[test]
+    fn invalid_options_are_rejected_by_every_terminal() {
+        // Each of these used to run and quietly misbehave: intervals all
+        // `None`, or a CI target that could never fire.
+        let engine = Engine::new(catalog(1000));
+        type Tweak = fn(QueryBuilder) -> QueryBuilder;
+        let table: [(&str, Tweak); 10] = [
+            ("chunk_rows", |q| q.chunk_rows(0)),
+            ("parallelism", |q| q.jobs(0)),
+            ("confidence", |q| q.confidence(1.5)),
+            ("confidence", |q| q.confidence(0.0)),
+            ("confidence", |q| q.confidence(f64::NAN)),
+            ("ci_target.confidence", |q| q.within(0.05, 1.0)),
+            ("ci_target.epsilon", |q| q.within(0.0, 0.95)),
+            ("ci_target.epsilon", |q| q.within(-1.0, 0.95)),
+            ("ci_target.epsilon", |q| q.within(f64::NAN, 0.95)),
+            ("ci_top_k", |q| q.ci_top_k(0)),
+        ];
+        for (row, (field, tweak)) in table.into_iter().enumerate() {
+            let query = || {
+                let plan = sum_plan(0.5);
+                tweak(engine.session().query_plan(&plan).group_by(vec![col("k")]))
+            };
+            let errs = [
+                query().run().unwrap_err(),
+                query().online().unwrap().wait().unwrap_err(),
+                query().batch().unwrap_err(),
+            ];
+            for err in errs {
+                assert!(matches!(err, Error::InvalidOptions(_)), "row {row}: {err}");
+                assert!(err.to_string().contains(field), "row {row}: {err}");
+            }
+        }
+        assert_eq!(engine.active_queries(), 0);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Grouped online aggregation: per-group accumulators, per-group stopping.
 //!
-//! `drive_grouped` is the `GROUP BY` counterpart of the scalar loop in
-//! [`crate::driver`] — what `QueryBuilder::run` / `run_with` / `online`
-//! execute when the query has group keys. The GUS algebra needs nothing new
-//! for it: a group's SUM is the SUM-like aggregate of
+//! `Grouped` is the `GROUP BY` shape of the one progressive loop in
+//! [`crate::driver`] — the scalar shape plus keys. The GUS algebra needs
+//! nothing new for it: a group's SUM is the SUM-like aggregate of
 //! `f_g(t) = f(t)·1{key(t) = g}` — the group indicator is just another
 //! selection (Proposition 5) — so the *same* top GUS from the one-time SOA
 //! rewrite analyzes every group, and each group gets its own unbiased
-//! estimate and variance. The driver pulls the existing
-//! [`sa_exec::ChunkStream`], routes each sampled tuple to its group's
-//! incremental [`sa_core::GroupedMomentAccumulator`] slot, applies the
-//! scan-progress GUS scaling (Proposition 8) once per snapshot, and reads
-//! every discovered group out in O(1)-in-rows.
+//! estimate and variance. A chunk is routed to its groups' slots of a
+//! [`sa_core::GroupedMomentAccumulator`]; a tick scales the GUS to the scan
+//! progress (Proposition 8) once and reads every discovered group's slot
+//! out exactly as the scalar shape reads its one accumulator.
 //!
 //! ## Per-group stopping
 //!
@@ -22,8 +20,8 @@
 //! may never tighten), so [`QueryOptions::ci_top_k`] restricts the
 //! *stopping decision* to the K groups with the largest absolute estimates;
 //! tail groups are still estimated and reported honestly, they just don't
-//! hold up termination. Row and time budgets stay **global**, exactly as in
-//! the scalar loop.
+//! hold up termination. Row and time budgets stay **global**, as for a
+//! scalar query.
 //!
 //! Groups with no sampled tuple yet are absent from snapshots (the honest
 //! classical caveat of sampling-based GROUP BY); each
@@ -32,26 +30,20 @@
 //!
 //! At exhaustion every scan-progress factor degenerates to the identity and
 //! each group's readout **equals `QueryBuilder::batch`'s** — bit for bit on
-//! one worker, since both drain the same stream into the same accumulator
-//! (pinned by `tests/columnar_equivalence.rs`).
+//! one worker, since both are the same loop over the same stream (pinned by
+//! `tests/columnar_equivalence.rs`).
 
 use std::hash::Hasher;
-use std::time::Instant;
 
 use sa_core::hash::{FxHashMap, FxHasher};
-use sa_core::{GroupedMomentAccumulator, GusParams};
-use sa_exec::{agg_results_from_report, AggResult, ChunkStream, ColumnarChunk, DimLayout};
-use sa_exec::{BatchDimEval, ExecError, ProgressTree};
+use sa_core::GroupedMomentAccumulator;
+use sa_exec::{AggResult, ColumnarChunk, ExecError};
 use sa_expr::{compile, CompiledExpr, Expr};
-use sa_plan::{AggSpec, GusTree, LogicalPlan, SoaAnalysis, StopReason, StoppingRule};
-use sa_storage::{Catalog, ColumnVec, SchemaRef, Value};
+use sa_storage::{ColumnVec, SchemaRef, Value};
 
-use crate::api::QueryOptions;
-use crate::driver::{adapt_chunk_hint, judge_stop, ADAPTIVE_CHUNK_CAP_FACTOR};
-use crate::driver::{open_aggregate, scale_gus_tree, worst_rel_half_width, OpenedAggregate};
-use crate::driver::{ProgressSnapshot, RunCtx};
+use crate::api::{QueryOptions, Snapshot};
+use crate::driver::{QueryShape, Scalar, TickHead};
 use crate::error::Error;
-use crate::parallel::run_worker_pool;
 use crate::Result;
 
 /// One group's state within a [`GroupedProgressSnapshot`].
@@ -108,124 +100,6 @@ pub struct GroupedProgressSnapshot {
     pub elapsed: std::time::Duration,
 }
 
-/// The outcome of a grouped progressive run.
-#[derive(Debug, Clone)]
-pub struct GroupedOnlineResult {
-    /// Why the loop stopped.
-    pub reason: StopReason,
-    /// The last emitted snapshot (the final per-group estimates).
-    pub snapshot: GroupedProgressSnapshot,
-    /// Number of snapshots emitted. Equals the chunks consumed only in the
-    /// sequential loop (`parallelism = 1`); a parallel coordinator tick may
-    /// absorb several worker chunks.
-    pub chunks: u64,
-    /// The SOA analysis shared by every group.
-    pub analysis: SoaAnalysis,
-}
-
-/// The grouped progressive loop. `plan`'s root must be an
-/// [`LogicalPlan::Aggregate`]; `group_by` are expressions over the
-/// aggregate input's schema; `on_snapshot` is called after every chunk
-/// (including the final one).
-pub(crate) fn drive_grouped(
-    plan: &LogicalPlan,
-    group_by: &[Expr],
-    catalog: &Catalog,
-    opts: &QueryOptions,
-    ctx: &RunCtx,
-    mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-) -> Result<GroupedOnlineResult> {
-    if group_by.is_empty() {
-        return Err(Error::Unsupported(
-            "a grouped run needs at least one GROUP BY expression: add \
-             `query_plan(..).group_by(..)` keys, or call `.run()` / `.batch()` without them \
-             for scalar aggregates"
-                .into(),
-        ));
-    }
-    let OpenedAggregate {
-        analysis,
-        aggs,
-        mut streams,
-        layout,
-    } = open_aggregate(plan, catalog, opts, ctx, group_by)?;
-    let key_kernels = compile_group_keys(group_by, streams[0].schema())?;
-    let group_exprs: Vec<String> = group_by.iter().map(|e| e.to_string()).collect();
-    if streams.len() > 1 {
-        return drive_grouped_parallel(
-            analysis,
-            aggs,
-            streams,
-            layout,
-            key_kernels,
-            group_exprs,
-            opts,
-            ctx,
-            on_snapshot,
-        );
-    }
-    let mut stream = streams.pop().expect("open_aggregate yields >= 1 stream");
-    let dim_eval = layout.compile_batch(stream.schema())?;
-    let mut acc: GroupedMomentAccumulator<Vec<Value>> =
-        GroupedMomentAccumulator::new(analysis.schema.n(), layout.dims());
-    let rule = &opts.rule;
-    let confidence = rule.confidence_or(opts.confidence);
-    let start = Instant::now();
-    let mut chunks = 0u64;
-    let mut hint = opts.chunk_rows;
-    let cap = opts.chunk_rows.saturating_mul(ADAPTIVE_CHUNK_CAP_FACTOR);
-    let mut prev_rel: Option<f64> = None;
-    loop {
-        let chunk = stream.next_batch(hint)?;
-        let exhausted = chunk.is_empty();
-        let known_groups = acc.group_count();
-        push_grouped_chunk(&mut acc, &key_kernels, &dim_eval, &chunk)?;
-        chunks += 1;
-        let new_groups = (acc.group_count() - known_groups) as u64;
-        let (snapshot, reason) = grouped_tick(
-            &acc,
-            aggs,
-            &layout,
-            &analysis.gus,
-            &analysis.gus_tree,
-            stream.progress(),
-            &stream.progress_tree(),
-            opts,
-            confidence,
-            chunks,
-            new_groups,
-            &group_exprs,
-            exhausted,
-            ctx.cancelled(),
-            false,
-            &start,
-        )?;
-        on_snapshot(&snapshot);
-        if let Some(reason) = reason {
-            return Ok(GroupedOnlineResult {
-                reason,
-                snapshot,
-                chunks,
-                analysis,
-            });
-        }
-        if opts.adaptive_chunks {
-            hint = adapt_chunk_hint(hint, cap, &mut prev_rel, snapshot.rel_half_width);
-        }
-    }
-}
-
-/// Compile the `GROUP BY` expressions against the stream's output schema.
-pub(crate) fn compile_group_keys(
-    group_by: &[Expr],
-    schema: &SchemaRef,
-) -> Result<Vec<CompiledExpr>> {
-    group_by
-        .iter()
-        .map(|e| compile(e, schema).map_err(|e| Error::Exec(ExecError::Expr(e))))
-        .collect()
-}
-
 /// Group-identity equality of two cells of one evaluated key column: like
 /// SQL `GROUP BY` (and unlike join keys), `NULL` groups with `NULL`.
 fn group_cell_eq(col: &ColumnVec, i: usize, j: usize) -> bool {
@@ -236,261 +110,163 @@ fn group_cell_eq(col: &ColumnVec, i: usize, j: usize) -> bool {
     }
 }
 
-/// Route one columnar chunk into the grouped accumulator: evaluate the key
-/// kernels and the aggregate dimensions once per chunk, partition the rows
-/// by a 64-bit key fingerprint, and feed each partition through the
-/// amortized [`GroupedMomentAccumulator::push_batch`] path — the group key
-/// tuple is materialized once per (chunk × group), not once per row. Rows
-/// whose key collides with a different key's fingerprint (astronomically
-/// rare; detected by comparing against the partition's representative row)
-/// fall back to individual pushes with their own key.
-pub(crate) fn push_grouped_chunk(
-    acc: &mut GroupedMomentAccumulator<Vec<Value>>,
-    key_kernels: &[CompiledExpr],
-    dim_eval: &BatchDimEval,
-    chunk: &ColumnarChunk,
-) -> Result<()> {
-    if chunk.is_empty() {
-        return Ok(());
-    }
-    let key_cols: Vec<ColumnVec> = key_kernels
-        .iter()
-        .map(|k| k.eval_column(&chunk.batch))
-        .collect::<std::result::Result<_, _>>()
-        .map_err(|e| Error::Exec(ExecError::Expr(e)))?;
-    let f_cols = dim_eval.eval(&chunk.batch)?;
-    let rows = chunk.rows();
-    // Partition row indices by key fingerprint, in first-seen order (the
-    // accumulation order is deterministic for a fixed seed and chunking).
-    let mut parts: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    let mut order: Vec<u64> = Vec::new();
-    for i in 0..rows {
-        let mut h = FxHasher::default();
-        for c in &key_cols {
-            c.hash_cell(i, &mut h);
-        }
-        // splitmix64 finalization: cell hashes carry their entropy in the
-        // high bits (f64 bit patterns), which Fx's multiply-only mixing
-        // never propagates down into the map's bucket-index bits.
-        let fp = sa_core::hash::splitmix64(h.finish());
-        parts
-            .entry(fp)
-            .or_insert_with(|| {
-                order.push(fp);
-                Vec::new()
-            })
-            .push(i as u32);
-    }
-    let materialize_key =
-        |row: usize| -> Vec<Value> { key_cols.iter().map(|c| c.value(row)).collect() };
-    let mut lin_scratch: Vec<Vec<u64>> = vec![Vec::new(); chunk.lineage.len()];
-    let mut f_scratch: Vec<Vec<f64>> = vec![Vec::new(); f_cols.len()];
-    for fp in order {
-        let idxs = &parts[&fp];
-        let rep = idxs[0] as usize;
-        for s in lin_scratch.iter_mut() {
-            s.clear();
-        }
-        for s in f_scratch.iter_mut() {
-            s.clear();
-        }
-        let mut stragglers: Vec<u32> = Vec::new();
-        for &i in idxs {
-            let i = i as usize;
-            // Stored-key collision check against the representative row.
-            if i != rep && !key_cols.iter().all(|c| group_cell_eq(c, i, rep)) {
-                stragglers.push(i as u32);
-                continue;
-            }
-            for (s, l) in lin_scratch.iter_mut().zip(&chunk.lineage) {
-                s.push(l[i]);
-            }
-            for (s, f) in f_scratch.iter_mut().zip(&f_cols) {
-                s.push(f[i]);
-            }
-        }
-        let lineage: Vec<&[u64]> = lin_scratch.iter().map(|s| s.as_slice()).collect();
-        let f: Vec<&[f64]> = f_scratch.iter().map(|s| s.as_slice()).collect();
-        acc.push_batch(materialize_key(rep), &lineage, &f)?;
-        for i in stragglers {
-            let i = i as usize;
-            let lin: Vec<u64> = chunk.lineage.iter().map(|l| l[i]).collect();
-            let fv: Vec<f64> = f_cols.iter().map(|f| f[i]).collect();
-            acc.push(materialize_key(i), &lin, &fv)?;
-        }
-    }
-    Ok(())
-}
-
-/// Build the snapshot for one tick of the grouped loop and judge it with
-/// [`judge_stop`] — the per-tick readout shared verbatim by the sequential
-/// loop and the parallel coordinator, so the two paths cannot diverge in
-/// snapshot semantics.
-#[allow(clippy::too_many_arguments)]
-fn grouped_tick(
-    acc: &GroupedMomentAccumulator<Vec<Value>>,
-    aggs: &[AggSpec],
-    layout: &DimLayout,
-    plan_gus: &GusParams,
-    gus_tree: &GusTree,
-    progress: Vec<(u64, u64)>,
-    prog_tree: &ProgressTree,
-    opts: &QueryOptions,
-    confidence: f64,
-    chunk: u64,
-    new_groups: u64,
-    group_exprs: &[String],
-    exhausted: bool,
-    cancelled: bool,
-    degraded: bool,
-    start: &Instant,
-) -> Result<(GroupedProgressSnapshot, Option<StopReason>)> {
-    let rule = &opts.rule;
-    let gus = if opts.scale_to_population {
-        scale_gus_tree(gus_tree, prog_tree)?
-    } else {
-        plan_gus.clone()
-    };
-    let (groups, rel_half_width) =
-        group_progress_table(acc, aggs, layout, rule, confidence, opts.ci_top_k, &gus)?;
-    let snapshot = GroupedProgressSnapshot {
-        chunk,
-        rows: acc.count(),
-        group_exprs: group_exprs.to_vec(),
-        groups,
-        new_groups,
-        rel_half_width,
-        confidence,
-        progress,
-        gus,
-        elapsed: start.elapsed(),
-    };
-    let reason = judge_stop(
-        opts,
-        degraded,
-        exhausted,
-        cancelled,
-        rel_half_width,
-        snapshot.rows,
-        snapshot.elapsed,
-    );
-    Ok((snapshot, reason))
-}
-
-/// Read every discovered group out of `acc` under `gus`, in deterministic
-/// key order, apply the top-K tracking policy, and return the table plus
-/// the tracked worst relative half-width — the per-snapshot readout shared
-/// by the sequential and shard-parallel grouped loops.
-pub(crate) fn group_progress_table(
-    acc: &GroupedMomentAccumulator<Vec<Value>>,
-    aggs: &[AggSpec],
-    layout: &DimLayout,
-    rule: &StoppingRule,
-    confidence: f64,
-    ci_top_k: Option<usize>,
-    gus: &GusParams,
-) -> Result<(Vec<GroupProgress>, Option<f64>)> {
-    let mut keys: Vec<Vec<Value>> = acc.keys().cloned().collect();
-    keys.sort();
-    let mut groups = Vec::with_capacity(keys.len());
-    for key in keys {
-        let slot = acc.group(&key).expect("key just listed");
-        let report = slot.report(gus)?;
-        let agg_results = agg_results_from_report(aggs, layout, &report, confidence);
-        let rel = worst_rel_half_width(&agg_results);
-        let converged = match (rule.ci_target, rel) {
-            (Some(t), Some(r)) => r.is_finite() && r <= t.epsilon,
-            _ => false,
-        };
-        groups.push(GroupProgress {
-            key,
-            aggs: agg_results,
-            sample_rows: slot.count(),
-            rel_half_width: rel,
-            converged,
-            tracked: true,
-        });
-    }
-    apply_top_k_policy(&mut groups, ci_top_k);
-    let rel_half_width = tracked_rel_half_width(&groups);
-    Ok((groups, rel_half_width))
-}
-
-/// The shard-parallel grouped loop: one worker per partitioned stream
-/// routing rows into a thread-local [`GroupedMomentAccumulator`]; the
-/// coordinator absorbs the queued per-chunk deltas per tick and judges the
-/// per-group rule exactly as the sequential loop does (see
-/// [`crate::parallel`]).
-#[allow(clippy::too_many_arguments)]
-fn drive_grouped_parallel(
-    analysis: SoaAnalysis,
-    aggs: &[AggSpec],
-    streams: Vec<ChunkStream>,
-    layout: DimLayout,
+/// The `GROUP BY` shape: the scalar shape plus compiled key expressions.
+pub(crate) struct Grouped<'p> {
+    scalar: Scalar<'p>,
     key_kernels: Vec<CompiledExpr>,
+    /// Renderings of the key expressions, copied into every snapshot.
     group_exprs: Vec<String>,
-    opts: &QueryOptions,
-    ctx: &RunCtx,
-    mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-) -> Result<GroupedOnlineResult> {
-    let n = analysis.schema.n();
-    let dims = layout.dims();
-    let dim_eval = layout.compile_batch(streams[0].schema())?;
-    let rule = &opts.rule;
-    let confidence = rule.confidence_or(opts.confidence);
-    let start = Instant::now();
-    let mut chunks = 0u64;
-    let mut known_groups = 0usize;
-    let mut last: Option<GroupedProgressSnapshot> = None;
-    let layout = &layout;
-    let dim_eval = &dim_eval;
-    let key_kernels = &key_kernels;
-    let (_, reason) = run_worker_pool(
-        streams,
-        opts.chunk_rows,
-        &ctx.pool,
-        || GroupedMomentAccumulator::<Vec<Value>>::new(n, dims),
-        |acc: &mut GroupedMomentAccumulator<Vec<Value>>, chunk: &ColumnarChunk| {
-            push_grouped_chunk(acc, key_kernels, dim_eval, chunk)
-        },
-        |merged, progress, exhausted, degraded| {
-            chunks += 1;
-            // Discovery is judged on the merged view: a group two shards
-            // found independently still counts as one discovery.
-            let new_groups = merged.group_count().saturating_sub(known_groups) as u64;
-            known_groups = merged.group_count();
-            // Flat summed worker coverage; union plans never reach this
-            // loop (partitioned opens refuse them).
-            let prog_tree = ProgressTree::Leaf(progress.to_vec());
-            let (snapshot, reason) = grouped_tick(
-                merged,
+}
+
+impl<'p> QueryShape<'p> for Grouped<'p> {
+    type Acc = GroupedMomentAccumulator<Vec<Value>>;
+
+    fn compile(scalar: Scalar<'p>, group_by: &[Expr], schema: &SchemaRef) -> Result<Self> {
+        let key_kernels = group_by
+            .iter()
+            .map(|e| compile(e, schema).map_err(|e| Error::Exec(ExecError::Expr(e))))
+            .collect::<Result<_>>()?;
+        Ok(Grouped {
+            scalar,
+            key_kernels,
+            group_exprs: group_by.iter().map(|e| e.to_string()).collect(),
+        })
+    }
+
+    fn new_acc(&self) -> Self::Acc {
+        GroupedMomentAccumulator::new(self.scalar.n, self.scalar.layout.dims())
+    }
+
+    /// Route one columnar chunk into the grouped accumulator: evaluate the
+    /// key kernels and the aggregate dimensions once per chunk, partition
+    /// the rows by a 64-bit key fingerprint, and feed each partition through
+    /// the amortized [`GroupedMomentAccumulator::push_batch`] path — the
+    /// group key tuple is materialized once per (chunk × group), not once
+    /// per row. Rows whose key collides with a different key's fingerprint
+    /// (astronomically rare; detected by comparing against the partition's
+    /// representative row) fall back to individual pushes with their own
+    /// key.
+    fn push(&self, acc: &mut Self::Acc, chunk: &ColumnarChunk) -> Result<()> {
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        let key_cols: Vec<ColumnVec> = self
+            .key_kernels
+            .iter()
+            .map(|k| k.eval_column(&chunk.batch))
+            .collect::<std::result::Result<_, _>>()
+            .map_err(|e| Error::Exec(ExecError::Expr(e)))?;
+        let f_cols = self.scalar.dim_eval.eval(&chunk.batch)?;
+        let rows = chunk.rows();
+        // Partition row indices by key fingerprint, in first-seen order (the
+        // accumulation order is deterministic for a fixed seed and chunking).
+        let mut parts: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+        let mut order: Vec<u64> = Vec::new();
+        for i in 0..rows {
+            let mut h = FxHasher::default();
+            for c in &key_cols {
+                c.hash_cell(i, &mut h);
+            }
+            // splitmix64 finalization: cell hashes carry their entropy in the
+            // high bits (f64 bit patterns), which Fx's multiply-only mixing
+            // never propagates down into the map's bucket-index bits.
+            let fp = sa_core::hash::splitmix64(h.finish());
+            parts
+                .entry(fp)
+                .or_insert_with(|| {
+                    order.push(fp);
+                    Vec::new()
+                })
+                .push(i as u32);
+        }
+        let materialize_key =
+            |row: usize| -> Vec<Value> { key_cols.iter().map(|c| c.value(row)).collect() };
+        let mut lin_scratch: Vec<Vec<u64>> = vec![Vec::new(); chunk.lineage.len()];
+        let mut f_scratch: Vec<Vec<f64>> = vec![Vec::new(); f_cols.len()];
+        for fp in order {
+            let idxs = &parts[&fp];
+            let rep = idxs[0] as usize;
+            for s in lin_scratch.iter_mut() {
+                s.clear();
+            }
+            for s in f_scratch.iter_mut() {
+                s.clear();
+            }
+            let mut stragglers: Vec<u32> = Vec::new();
+            for &i in idxs {
+                let i = i as usize;
+                // Stored-key collision check against the representative row.
+                if i != rep && !key_cols.iter().all(|c| group_cell_eq(c, i, rep)) {
+                    stragglers.push(i as u32);
+                    continue;
+                }
+                for (s, l) in lin_scratch.iter_mut().zip(&chunk.lineage) {
+                    s.push(l[i]);
+                }
+                for (s, f) in f_scratch.iter_mut().zip(&f_cols) {
+                    s.push(f[i]);
+                }
+            }
+            let lineage: Vec<&[u64]> = lin_scratch.iter().map(|s| s.as_slice()).collect();
+            let f: Vec<&[f64]> = f_scratch.iter().map(|s| s.as_slice()).collect();
+            acc.push_batch(materialize_key(rep), &lineage, &f)?;
+            for i in stragglers {
+                let i = i as usize;
+                let lin: Vec<u64> = chunk.lineage.iter().map(|l| l[i]).collect();
+                let fv: Vec<f64> = f_cols.iter().map(|f| f[i]).collect();
+                acc.push(materialize_key(i), &lin, &fv)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Read every discovered group out under `head.gus`, in deterministic
+    /// key order, and apply the top-K tracking policy; the snapshot's
+    /// `rel_half_width` is the tracked groups' worst.
+    fn read(
+        &self,
+        acc: &Self::Acc,
+        head: TickHead,
+        prev: Option<&Snapshot>,
+        opts: &QueryOptions,
+    ) -> Result<Snapshot> {
+        let mut slots: Vec<_> = acc.iter().collect();
+        slots.sort_by(|a, b| a.0.cmp(b.0));
+        let mut groups = Vec::with_capacity(slots.len());
+        for (key, slot) in slots {
+            let (aggs, rel) = self.scalar.read_slot(slot, &head.gus, head.confidence)?;
+            let converged = match (opts.rule.ci_target, rel) {
+                (Some(t), Some(r)) => r.is_finite() && r <= t.epsilon,
+                _ => false,
+            };
+            groups.push(GroupProgress {
+                key: key.clone(),
                 aggs,
-                layout,
-                &analysis.gus,
-                &analysis.gus_tree,
-                progress.to_vec(),
-                &prog_tree,
-                opts,
-                confidence,
-                chunks,
-                new_groups,
-                &group_exprs,
-                exhausted,
-                ctx.cancelled(),
-                degraded,
-                &start,
-            )?;
-            on_snapshot(&snapshot);
-            last = Some(snapshot);
-            Ok(reason)
-        },
-    )?;
-    Ok(GroupedOnlineResult {
-        reason,
-        snapshot: last.expect("the pool judges at least one tick"),
-        chunks,
-        analysis,
-    })
+                sample_rows: slot.count(),
+                rel_half_width: rel,
+                converged,
+                tracked: true,
+            });
+        }
+        apply_top_k_policy(&mut groups, opts.ci_top_k);
+        // Discovery is judged on the (merged) readout: a group two shards
+        // found independently still counts as one discovery.
+        let known = prev
+            .and_then(Snapshot::as_grouped)
+            .map_or(0, |s| s.groups.len());
+        Ok(Snapshot::Grouped(GroupedProgressSnapshot {
+            chunk: head.chunk,
+            rows: acc.count(),
+            group_exprs: self.group_exprs.clone(),
+            new_groups: (groups.len() - known) as u64,
+            rel_half_width: tracked_rel_half_width(&groups),
+            groups,
+            confidence: head.confidence,
+            progress: head.progress,
+            gus: head.gus,
+            elapsed: head.start.elapsed(),
+        }))
+    }
 }
 
 /// Demote all but the `k` groups with the largest absolute first-aggregate
@@ -534,35 +310,17 @@ fn tracked_rel_half_width(groups: &[GroupProgress]) -> Option<f64> {
     worst
 }
 
-/// Collapse a grouped snapshot's tracked view into the scalar snapshot
-/// shape, keyed on one group — a convenience for callers that watch a
-/// single group through scalar-snapshot tooling.
-pub fn group_snapshot(
-    snapshot: &GroupedProgressSnapshot,
-    key: &[Value],
-) -> Option<ProgressSnapshot> {
-    let g = snapshot.groups.iter().find(|g| g.key == key)?;
-    Some(ProgressSnapshot {
-        chunk: snapshot.chunk,
-        rows: snapshot.rows,
-        aggs: g.aggs.clone(),
-        rel_half_width: g.rel_half_width,
-        confidence: snapshot.confidence,
-        progress: snapshot.progress.clone(),
-        gus: snapshot.gus.clone(),
-        elapsed: snapshot.elapsed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{drive, RunCtx};
+    use crate::QueryResult;
     use sa_exec::{f_vector, layout_dims, open_stream, ExecOptions};
     use sa_expr::col;
     use sa_expr::{bind, eval};
-    use sa_plan::{AggSpec, StoppingRule};
+    use sa_plan::{AggSpec, LogicalPlan, StopReason, StoppingRule};
     use sa_sampling::SamplingMethod;
-    use sa_storage::{DataType, Field, Schema, TableBuilder};
+    use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder};
     use std::time::Duration;
 
     /// `t(g, v)`: group "A" = 3000 rows of v=1, "B" = 1500 rows of v=2,
@@ -602,23 +360,22 @@ mod tests {
         }
     }
 
-    /// The grouped loop as the engine drives it, minus the engine: private
-    /// scan, no cancellation, no metrics.
+    /// The loop with keys as the engine drives it, minus the engine:
+    /// private scan, no cancellation, no metrics.
     fn run(
         plan: &LogicalPlan,
         group_by: &[Expr],
         catalog: &Catalog,
         opts: &QueryOptions,
-        on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-    ) -> Result<GroupedOnlineResult> {
-        drive_grouped(
-            plan,
-            group_by,
-            catalog,
-            opts,
-            &RunCtx::default(),
-            on_snapshot,
-        )
+        mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
+    ) -> Result<QueryResult> {
+        drive(plan, group_by, catalog, opts, &RunCtx::default(), |s| {
+            on_snapshot(s.as_grouped().expect("keys read out grouped"))
+        })
+    }
+
+    fn grouped(r: &QueryResult) -> &GroupedProgressSnapshot {
+        r.snapshot.as_grouped().expect("keys read out grouped")
     }
 
     #[test]
@@ -640,13 +397,17 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
-        assert_eq!(r.snapshot.groups.len(), 3);
+        assert_eq!(grouped(&r).groups.len(), 3);
         assert_eq!(discovered, 3, "every group discovered exactly once");
         assert_eq!(
-            r.snapshot.rows,
-            r.snapshot.groups.iter().map(|g| g.sample_rows).sum::<u64>()
+            r.snapshot.rows(),
+            grouped(&r)
+                .groups
+                .iter()
+                .map(|g| g.sample_rows)
+                .sum::<u64>()
         );
-        assert_eq!(r.snapshot.group_exprs, vec!["g".to_string()]);
+        assert_eq!(grouped(&r).group_exprs, vec!["g".to_string()]);
     }
 
     #[test]
@@ -693,8 +454,8 @@ mod tests {
                     .unwrap();
             }
         }
-        assert_eq!(batch.len(), r.snapshot.groups.len());
-        for g in &r.snapshot.groups {
+        assert_eq!(batch.len(), grouped(&r).groups.len());
+        for g in &grouped(&r).groups {
             let moments = batch.remove(&g.key).expect("group in both").finish();
             let report = sa_core::estimate_from_sample_moments(&r.analysis.gus, &moments).unwrap();
             let (eo, eb) = (g.aggs[0].estimate, report.estimate[0]);
@@ -718,12 +479,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.reason, StopReason::CiConverged);
-        assert!(r.snapshot.rel_half_width.unwrap() <= 0.2);
-        for g in &r.snapshot.groups {
+        assert!(r.snapshot.rel_half_width().unwrap() <= 0.2);
+        for g in &grouped(&r).groups {
             assert!(g.converged, "group {:?} had not converged", g.key);
             assert!(g.tracked);
         }
-        let (consumed, available) = r.snapshot.progress[0];
+        let (consumed, available) = r.snapshot.progress()[0];
         assert!(consumed < available, "stopped before exhaustion");
     }
 
@@ -753,21 +514,20 @@ mod tests {
         .unwrap();
         assert_eq!(top2.reason, StopReason::CiConverged);
         assert!(
-            top2.snapshot.rows < all.snapshot.rows,
+            top2.snapshot.rows() < all.snapshot.rows(),
             "top-2 stop ({}) should beat all-groups stop ({})",
-            top2.snapshot.rows,
-            all.snapshot.rows
+            top2.snapshot.rows(),
+            all.snapshot.rows()
         );
         // The tail group is still reported, just untracked.
-        let c_group = top2
-            .snapshot
+        let c_group = grouped(&top2)
             .groups
             .iter()
             .find(|g| g.key == vec![Value::str("C")])
             .expect("tail group still reported");
         assert!(!c_group.tracked);
         assert!(c_group.aggs[0].estimate > 0.0);
-        let tracked = top2.snapshot.groups.iter().filter(|g| g.tracked).count();
+        let tracked = grouped(&top2).groups.iter().filter(|g| g.tracked).count();
         assert_eq!(tracked, 2);
     }
 
@@ -811,7 +571,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.reason, StopReason::RowBudget);
-        assert!(r.snapshot.rows >= 500 && r.snapshot.rows < 2000);
+        assert!(r.snapshot.rows() >= 500 && r.snapshot.rows() < 2000);
         let r = run(
             &sum_plan(0.9),
             &[col("g")],
@@ -845,12 +605,26 @@ mod tests {
     }
 
     #[test]
-    fn empty_keys_are_refused_in_builder_terms() {
+    fn zero_keys_are_the_scalar_shape() {
+        // No key is not an error any more: it is the scalar query.
         let c = catalog();
-        let err = run(&sum_plan(0.5), &[], &c, &QueryOptions::default(), |_| {}).unwrap_err();
-        assert!(matches!(err, Error::Unsupported(_)));
-        assert!(err.to_string().contains("GROUP BY"), "{err}");
-        assert!(err.to_string().contains(".group_by("), "{err}");
+        let ctx = RunCtx::default();
+        let mut ticks = 0u64;
+        let r = drive(
+            &sum_plan(0.5),
+            &[],
+            &c,
+            &QueryOptions::default(),
+            &ctx,
+            |s| {
+                assert!(s.as_scalar().is_some());
+                ticks += 1;
+            },
+        )
+        .unwrap();
+        assert_eq!(r.reason, StopReason::Exhausted);
+        assert_eq!(ticks, r.chunks);
+        assert_eq!(r.snapshot.as_scalar().unwrap().aggs.len(), 1);
     }
 
     #[test]
@@ -925,8 +699,8 @@ mod tests {
                     .unwrap();
             }
         }
-        assert_eq!(batch.len(), r.snapshot.groups.len());
-        for g in &r.snapshot.groups {
+        assert_eq!(batch.len(), grouped(&r).groups.len());
+        for g in &grouped(&r).groups {
             let moments = batch.remove(&g.key).expect("group in both").finish();
             let report = sa_core::estimate_from_sample_moments(&r.analysis.gus, &moments).unwrap();
             let (eo, eb) = (g.aggs[0].estimate, report.estimate[0]);
@@ -956,8 +730,8 @@ mod tests {
         .unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
         assert_eq!(r.chunks, 1);
-        assert!(r.snapshot.groups.is_empty());
-        assert_eq!(r.snapshot.rel_half_width, None);
+        assert!(grouped(&r).groups.is_empty());
+        assert_eq!(r.snapshot.rel_half_width(), None);
         // A CI rule over an empty stream must run to exhaustion, not fire.
         let r = run(
             &sum_plan(0.5),
@@ -968,23 +742,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
-    }
-
-    #[test]
-    fn group_snapshot_projects_one_group() {
-        let c = catalog();
-        let r = run(
-            &sum_plan(0.5),
-            &[col("g")],
-            &c,
-            &opts(3, 512, StoppingRule::exhaustive()),
-            |_| {},
-        )
-        .unwrap();
-        let a = group_snapshot(&r.snapshot, &[Value::str("A")]).unwrap();
-        assert_eq!(a.chunk, r.snapshot.chunk);
-        assert!((a.aggs[0].estimate - 3000.0).abs() < 500.0);
-        assert!(group_snapshot(&r.snapshot, &[Value::str("nope")]).is_none());
     }
 
     #[test]
@@ -1006,8 +763,8 @@ mod tests {
         )
         .unwrap();
         // (g, v) is functionally g here, so still 3 groups, 2-part keys.
-        assert_eq!(r.snapshot.groups.len(), 3);
-        for g in &r.snapshot.groups {
+        assert_eq!(grouped(&r).groups.len(), 3);
+        for g in &grouped(&r).groups {
             assert_eq!(g.key.len(), 2);
             assert_eq!(g.aggs.len(), 3);
             // AVG of the constant v within a group is exact.

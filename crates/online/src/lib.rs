@@ -29,13 +29,15 @@
 //!   mid-scan is just a scan-prefix *origin shift* in the Proposition-8
 //!   scaling (its exhaustion readout still equals the batch estimator);
 //! * **shard parallelism** ([`QueryOptions::parallelism`], `--jobs N` in
-//!   the CLI): both loops can fan the sampled plan out over N worker
-//!   threads via `sa_exec::open_stream_partitioned`.
+//!   the CLI): the loop can take its chunks from N worker threads over
+//!   `sa_exec::open_stream_partitioned` slices instead of pulling them
+//!   itself.
 //!
-//! Every terminal reaches tuples the same way — `open_aggregate` →
-//! `ChunkStream::next_batch` → the incremental accumulators — so for a
-//! fixed `(plan, QueryOptions)` a run to exhaustion and a batch realize
-//! the same sample and, on one worker, report bit-identical estimates.
+//! Every terminal runs one loop ([`driver`]) — `open_aggregate` →
+//! `ChunkStream::next_batch` → the query shape's incremental accumulator →
+//! tick — so for a fixed `(plan, QueryOptions)` a run to exhaustion and a
+//! batch realize the same sample and, on one worker, report bit-identical
+//! estimates, and a scalar query is a grouped query with zero keys.
 //!
 //! ## Quick start
 //!
@@ -75,10 +77,10 @@ pub use api::{
     ApproxResult, BatchOutput, GroupEstimate, GroupedApproxResult, QueryOptions, QueryResult,
     Snapshot,
 };
-pub use driver::{OnlineResult, ProgressSnapshot};
+pub use driver::ProgressSnapshot;
 pub use engine::{Engine, EngineBuilder, QueryBuilder, QueryHandle, Session};
 pub use error::Error;
-pub use grouped::{group_snapshot, GroupProgress, GroupedOnlineResult, GroupedProgressSnapshot};
+pub use grouped::{GroupProgress, GroupedProgressSnapshot};
 // The vocabulary types callers need alongside the driver.
 pub use sa_obs::{Event, EventKind, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use sa_plan::{CiTarget, StopReason, StoppingRule};

@@ -21,9 +21,12 @@
 //! per-tick cost is proportional to the *new* rows, never the total — sums
 //! per-shard scan progress (slices report slice-relative `(consumed,
 //! available)`, so the sums are true per-relation coverage and the Prop-8
-//! prefix scaling is unchanged), and judges the stopping rule exactly as
-//! the sequential loop does. On stop it raises a cancellation flag;
-//! workers observe it at their next chunk boundary.
+//! prefix scaling is unchanged), and hands the merged state to `judge` —
+//! the driver's one `tick`, the very function the in-thread pull of
+//! `parallelism = 1` calls, so a snapshot and a stop verdict mean the same
+//! thing from either source. On stop it raises a cancellation flag;
+//! workers observe it at their next chunk boundary. Workers always pull at
+//! the fixed `chunk_rows`: `adaptive_chunks` belongs to the in-thread pull.
 //!
 //! Mid-run snapshot *timing* depends on thread scheduling (which worker
 //! pings first), and so does the merge interleaving — estimates are exact
@@ -43,7 +46,7 @@
 //! coverage and bias the readout; with it, the surviving global state
 //! covers exactly the absorbed prefix — a valid, merely smaller, sample.
 //! The coordinator observes the `panicked` flag and judges one final tick
-//! with `degraded = true`, which the drivers report as
+//! with `degraded = true`, which the tick's stop ladder reports as
 //! [`sa_plan::StopReason::Degraded`]. Shard locks are acquired with
 //! explicit poison recovery everywhere, so even a panic at an unexpected
 //! point cannot wedge the pool.
@@ -81,7 +84,8 @@ pub(crate) struct PoolObs {
 }
 
 /// An accumulator that can absorb a shard built over the same lineage
-/// schema — the merge the coordinator folds worker state with. Deltas are
+/// schema — the merge the coordinator folds worker state with, and the
+/// bound on every [`crate::driver::QueryShape`]'s accumulator. Deltas are
 /// *moved* from worker queues to the coordinator (no cloning), so `Send`
 /// is the only marker required.
 pub(crate) trait ShardAccumulator: Send {
@@ -180,7 +184,7 @@ where
     // the overshoot past a stopping rule (and the delta memory) to
     // O(workers × chunk_rows) without throttling steady-state throughput —
     // the coordinator drains every tick.
-    let backpressure = 2 * chunk_rows.max(1) as u64;
+    let backpressure = (chunk_rows.max(1) as u64).saturating_mul(2);
     let shards: Vec<Shard<A>> = streams
         .iter()
         .map(|s| Shard {

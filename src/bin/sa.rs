@@ -41,6 +41,7 @@
 //! \chunk N              set the online chunk size (rows)
 //! \jobs N               set the online worker count (1 = sequential)
 //! \adaptive on|off      grow online chunks as the estimate stabilizes
+//!                       (\jobs 1 only: pool workers pull fixed chunks)
 //! \shuffle on|off       visit blocks in a seeded random order (restores
 //!                       the random-scan-order assumption on sorted data)
 //! \subsample N          estimate variance from ~N tuples (§7); 0 = off
@@ -406,7 +407,10 @@ fn run_line(shell: &mut Shell, line: &str) {
             "adaptive" => match arg.trim() {
                 "on" => {
                     shell.adaptive_chunks = true;
-                    println!("adaptive chunks on (grow up to 64× once the CI stalls)");
+                    println!(
+                        "adaptive chunks on (grow up to 64× once the CI stalls; \
+                         jobs = 1 only — pool workers pull fixed chunks)"
+                    );
                 }
                 "off" => {
                     shell.adaptive_chunks = false;

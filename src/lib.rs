@@ -85,8 +85,8 @@ pub mod prelude {
     pub use sa_expr::{col, lit, Expr};
     pub use sa_online::{
         ApproxResult, BatchOutput, Engine, EngineBuilder, Error, GroupEstimate,
-        GroupedApproxResult, GroupedOnlineResult, GroupedProgressSnapshot, OnlineResult,
-        ProgressSnapshot, QueryBuilder, QueryHandle, QueryOptions, QueryResult, Session, Snapshot,
+        GroupedApproxResult, GroupedProgressSnapshot, ProgressSnapshot, QueryBuilder, QueryHandle,
+        QueryOptions, QueryResult, Session, Snapshot,
     };
     pub use sa_plan::{
         render_gus_table, rewrite, AggFunc, AggSpec, LogicalPlan, SoaAnalysis, StopReason,

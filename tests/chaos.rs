@@ -138,6 +138,61 @@ fn worker_panic_degrades_grouped_query_too() {
     assert_eq!(s.groups.len(), 10);
 }
 
+/// The in-thread pull and the worker pool feed one `tick`, so a snapshot
+/// means the same thing whichever produced it, for either query shape:
+/// `chunk` counts ticks from 1 without gaps, `rows` never shrinks, the last
+/// callback is the result's snapshot, and there were `chunks` callbacks.
+/// The stop ladder is shared too: a row budget ends both sources
+/// `RowBudget`, and a contained worker panic ends the pool `Degraded`.
+#[test]
+fn both_sources_share_one_tick() {
+    let _g = guard();
+    fault::reset();
+    let engine = Engine::new(catalog(50_000));
+    let run = |sql: &str, jobs: usize, budget: u64| {
+        let mut seen: Vec<Snapshot> = Vec::new();
+        let r = engine
+            .session()
+            .query(sql)
+            .seed(9)
+            .jobs(jobs)
+            .chunk_rows(256)
+            .rows(budget)
+            .run_with(|s| seen.push(s))
+            .unwrap();
+        let case = format!("{sql} at jobs = {jobs}");
+        assert_eq!(seen.len() as u64, r.chunks, "{case}");
+        for (i, s) in seen.iter().enumerate() {
+            assert_eq!(s.chunk(), i as u64 + 1, "{case}");
+            assert_eq!(s.as_grouped().is_some(), sql == GROUPED_SUM, "{case}");
+        }
+        assert!(
+            seen.windows(2).all(|w| w[0].rows() <= w[1].rows()),
+            "{case}"
+        );
+        let last = seen.last().expect("a run ends on a tick");
+        assert_eq!(
+            format!("{last:?}"),
+            format!("{:?}", r.snapshot),
+            "{case}: the last callback is the result's snapshot"
+        );
+        r
+    };
+    for sql in [SUM, GROUPED_SUM] {
+        for jobs in [1, 4] {
+            let r = run(sql, jobs, 4_000);
+            assert_eq!(r.reason, StopReason::RowBudget, "{sql} at jobs = {jobs}");
+            assert!(r.snapshot.rows() >= 4_000);
+        }
+        // No budget the healthy workers could reach while the panic is
+        // still unwinding: degraded must outrank their exhaustion.
+        fault::install("worker.chunk.panic=hit:3", 5).unwrap();
+        let r = run(sql, 4, u64::MAX);
+        fault::reset();
+        assert_eq!(r.reason, StopReason::Degraded, "{sql}");
+    }
+}
+
 #[test]
 fn deadline_cancels_and_reports_the_last_valid_snapshot() {
     let _g = guard();

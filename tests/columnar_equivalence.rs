@@ -177,12 +177,12 @@ proptest! {
                 .unwrap();
         }
         let report = reference.report(&online.analysis.gus).unwrap();
-        let (eo, er) = (online.snapshot.aggs[0].estimate, report.estimate[0]);
+        let (eo, er) = (support::scalar(&online).aggs[0].estimate, report.estimate[0]);
         prop_assert!(
             (eo - er).abs() <= 1e-12 * (1.0 + er.abs()),
             "estimate {eo} vs reference {er}"
         );
-        match (online.snapshot.aggs[0].variance, report.variance(0).ok()) {
+        match (support::scalar(&online).aggs[0].variance, report.variance(0).ok()) {
             (Some(vo), Some(vr)) => prop_assert!(
                 (vo - vr).abs() <= 1e-12 * (1.0 + vr.abs()),
                 "variance {vo} vs reference {vr}"
@@ -360,6 +360,114 @@ proptest! {
         }
     }
 
+    /// The premise of the one loop (Proposition 5: a group indicator is
+    /// just another selection): a scalar aggregate is the grouped aggregate
+    /// with zero keys, so a scalar run and the same plan grouped by a
+    /// constant tick identically — `to_bits` on one worker, where both
+    /// push the same chunks into the same accumulator type; to 1e-9 at
+    /// exhaustion on four, where merge order is the scheduler's.
+    #[test]
+    fn scalar_is_grouped_with_a_constant_key(
+        shape in 0u8..3,
+        sampler in 0u8..3,
+        p in 0.2f64..1.0,
+        size in 1u64..600,
+        seed in 0u64..10_000,
+        chunk_rows in 1usize..200,
+        stop in 0u8..3,
+        budget in 1u64..300,
+        epsilon in 0.05f64..0.6,
+    ) {
+        let engine = Engine::new(catalog());
+        let method = match sampler {
+            0 => SamplingMethod::Bernoulli { p },
+            1 => SamplingMethod::System { p },
+            _ => SamplingMethod::Wor { size },
+        };
+        // Shapes 0..3 are scan, filter + project, and the 2-way join.
+        let (plan, _) = shaped_plan(shape, method);
+        let rule = match stop {
+            0 => StoppingRule::exhaustive(),
+            1 => StoppingRule::rows(budget),
+            _ => StoppingRule::ci(epsilon, 0.95),
+        };
+        // One tick, shape-blind: rows, the (estimate, variance) bits of
+        // every aggregate, the judged width and the GUS it was read under
+        // (`{:?}` prints an f64 in its shortest round-trip form, so equal
+        // strings are equal bits).
+        type Tick = (u64, Vec<(u64, Option<u64>)>, Option<u64>, String);
+        let bits = |aggs: &[AggResult]| -> Vec<(u64, Option<u64>)> {
+            aggs.iter()
+                .map(|a| (a.estimate.to_bits(), a.variance.map(f64::to_bits)))
+                .collect()
+        };
+        let ticks_of = |group_by: Vec<Expr>, jobs: usize| {
+            let mut ticks: Vec<Tick> = Vec::new();
+            let r = engine
+                .session()
+                .query_plan(&plan)
+                .group_by(group_by)
+                .options(QueryOptions {
+                    seed,
+                    chunk_rows,
+                    rule: rule.clone(),
+                    parallelism: jobs,
+                    ..Default::default()
+                })
+                .run_with(|s| {
+                    let aggs = match &s {
+                        Snapshot::Scalar(s) => bits(&s.aggs),
+                        // No sampled tuple yet, no group: only the
+                        // exhaustion tick of an empty sample gets here.
+                        Snapshot::Grouped(s) if s.groups.is_empty() => {
+                            assert_eq!(s.rows, 0);
+                            Vec::new()
+                        }
+                        Snapshot::Grouped(s) => {
+                            assert_eq!(s.groups.len(), 1);
+                            assert_eq!(s.groups[0].key, vec![Value::Int(1)]);
+                            assert_eq!(s.groups[0].sample_rows, s.rows);
+                            bits(&s.groups[0].aggs)
+                        }
+                    };
+                    let width = s.rel_half_width().map(f64::to_bits);
+                    ticks.push((s.rows(), aggs, width, format!("{:?}", s.gus())));
+                })
+                .unwrap();
+            assert_eq!(r.chunks as usize, ticks.len());
+            (ticks, r.reason)
+        };
+        let (scalar, scalar_reason) = ticks_of(vec![], 1);
+        let (grouped, grouped_reason) = ticks_of(vec![lit(1i64)], 1);
+        prop_assert_eq!(scalar_reason, grouped_reason);
+        prop_assert_eq!(scalar.len(), grouped.len());
+        for (i, (s, g)) in scalar.iter().zip(&grouped).enumerate() {
+            if s.0 == 0 {
+                // The empty sample: a scalar zero against no group at all.
+                prop_assert_eq!((g.0, &g.3), (0, &s.3), "tick {}", i + 1);
+            } else {
+                prop_assert_eq!(s, g, "tick {}", i + 1);
+            }
+        }
+        if stop == 0 {
+            let (scalar, _) = ticks_of(vec![], 4);
+            let (grouped, _) = ticks_of(vec![lit(1i64)], 4);
+            let (s, g) = (scalar.last().unwrap(), grouped.last().unwrap());
+            prop_assert_eq!(s.0, g.0);
+            let close = |x: u64, y: u64| {
+                let (x, y) = (f64::from_bits(x), f64::from_bits(y));
+                (x - y).abs() <= 1e-9 * (1.0 + y.abs()) || (x.is_nan() && y.is_nan())
+            };
+            for ((se, sv), (ge, gv)) in s.1.iter().zip(&g.1) {
+                prop_assert!(close(*se, *ge), "{} vs {}", f64::from_bits(*se), f64::from_bits(*ge));
+                match (sv, gv) {
+                    (Some(sv), Some(gv)) => prop_assert!(close(*sv, *gv)),
+                    (sv, gv) => prop_assert_eq!(sv.is_some(), gv.is_some()),
+                }
+            }
+        }
+    }
+
     /// Section 7 through the drain: the point estimate is the un-sub-sampled
     /// one bit for bit, fewer tuples feed the variance, and the variance
     /// stays within the factor-3 band the fixed-seed unit test uses.
@@ -466,15 +574,15 @@ fn adaptive_chunks_change_cadence_not_estimates() {
     let adaptive = run(true);
     // The realized sample is chunk-size independent, so the exhaustion
     // estimates agree …
-    assert_eq!(fixed.snapshot.rows, adaptive.snapshot.rows);
+    assert_eq!(fixed.snapshot.rows(), adaptive.snapshot.rows());
     let (ef, ea) = (
-        fixed.snapshot.aggs[0].estimate,
-        adaptive.snapshot.aggs[0].estimate,
+        support::scalar(&fixed).aggs[0].estimate,
+        support::scalar(&adaptive).aggs[0].estimate,
     );
     assert!((ef - ea).abs() <= 1e-9 * (1.0 + ef.abs()), "{ef} vs {ea}");
     let (vf, va) = (
-        fixed.snapshot.aggs[0].variance.unwrap(),
-        adaptive.snapshot.aggs[0].variance.unwrap(),
+        support::scalar(&fixed).aggs[0].variance.unwrap(),
+        support::scalar(&adaptive).aggs[0].variance.unwrap(),
     );
     assert!((vf - va).abs() <= 1e-9 * (1.0 + vf.abs()), "{vf} vs {va}");
     // … while the adaptive run needs far fewer snapshots once the relative
@@ -516,10 +624,10 @@ fn adaptive_chunks_respect_the_cap_and_ci_rule() {
     )
     .unwrap();
     assert_eq!(r.reason, StopReason::CiConverged);
-    assert!(r.snapshot.rel_half_width.unwrap() <= 0.05);
+    assert!(r.snapshot.rel_half_width().unwrap() <= 0.05);
     assert!(
-        r.snapshot.rows < 30_000,
+        r.snapshot.rows() < 30_000,
         "stopped early: {}",
-        r.snapshot.rows
+        r.snapshot.rows()
     );
 }

@@ -61,7 +61,7 @@ fn per_group_chebyshev_coverage_under_zipf_skew() {
         };
         let r = support::run_groups(&plan, &[col("g")], &catalog, &opts, |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
-        for g in &r.snapshot.groups {
+        for g in &support::grouped(&r).groups {
             let id = g.key[0].as_i64().unwrap() as usize;
             let ci = g.aggs[0].ci_chebyshev.as_ref().unwrap();
             intervals += 1;
@@ -191,8 +191,8 @@ fn acceptance_query_matches_batch_grouped_estimator_at_exhaustion() {
                 .unwrap();
         }
     }
-    assert_eq!(batch.len(), online.snapshot.groups.len());
-    for g in &online.snapshot.groups {
+    assert_eq!(batch.len(), support::grouped(&online).groups.len());
+    for g in &support::grouped(&online).groups {
         let moments = batch.remove(&g.key).expect("group in both").finish();
         let report =
             sampling_algebra::core::estimate_from_sample_moments(&online.analysis.gus, &moments)

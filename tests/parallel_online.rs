@@ -94,7 +94,7 @@ fn parallel_exhaustion_equals_batch_estimator() {
         }
     }
     let report = estimate_from_sample_moments(&online.analysis.gus, &batch.finish()).unwrap();
-    let est = online.snapshot.aggs[0].estimate;
+    let est = support::scalar(&online).aggs[0].estimate;
     assert!(est > 0.0);
     assert!(
         (est - report.estimate[0]).abs() < 1e-9 * (1.0 + est.abs()),
@@ -102,7 +102,7 @@ fn parallel_exhaustion_equals_batch_estimator() {
         report.estimate[0]
     );
     let (vo, vb) = (
-        online.snapshot.aggs[0].variance.unwrap(),
+        support::scalar(&online).aggs[0].variance.unwrap(),
         report.variance(0).unwrap(),
     );
     assert!((vo - vb).abs() < 1e-9 * (1.0 + vb.abs()), "{vo} vs {vb}");
@@ -116,7 +116,7 @@ fn parallel_grouped_exhaustion_equals_batch_estimator() {
     let plan = sum_plan(0.4);
     let r = support::run_groups(&plan, &[col("k")], &c, &opts(7, 256, 4), |_| {}).unwrap();
     assert_eq!(r.reason, StopReason::Exhausted);
-    assert_eq!(r.snapshot.groups.len(), 10);
+    assert_eq!(support::grouped(&r).groups.len(), 10);
     // Batch per-group moments over the SAME partitioned realization.
     let LogicalPlan::Aggregate { aggs, input } = &plan else {
         unreachable!()
@@ -151,8 +151,8 @@ fn parallel_grouped_exhaustion_equals_batch_estimator() {
             }
         }
     }
-    assert_eq!(batch.len(), r.snapshot.groups.len());
-    for g in &r.snapshot.groups {
+    assert_eq!(batch.len(), support::grouped(&r).groups.len());
+    for g in &support::grouped(&r).groups {
         let moments = batch.remove(&g.key).expect("group in both").finish();
         let report = estimate_from_sample_moments(&r.analysis.gus, &moments).unwrap();
         let (eo, eb) = (g.aggs[0].estimate, report.estimate[0]);
@@ -174,8 +174,8 @@ fn oversubscribed_parallelism_degrades_gracefully() {
     for parallelism in [7, 64] {
         let r = support::run(&plan, &c, &opts(3, 16, parallelism), |_| {}).unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
-        assert_eq!(r.snapshot.rows, 100);
-        let est = r.snapshot.aggs[0].estimate;
+        assert_eq!(r.snapshot.rows(), 100);
+        let est = support::scalar(&r).aggs[0].estimate;
         assert!(
             (est - truth).abs() < 1e-9 * truth,
             "parallelism={parallelism}: {est} vs {truth}"
@@ -199,10 +199,10 @@ fn shared_realization_plans_agree_across_parallelism() {
     ] {
         let sequential = support::run(&plan, &c, &opts(5, 128, 1), |_| {}).unwrap();
         let parallel = support::run(&plan, &c, &opts(5, 128, 4), |_| {}).unwrap();
-        assert_eq!(parallel.snapshot.rows, sequential.snapshot.rows);
+        assert_eq!(parallel.snapshot.rows(), sequential.snapshot.rows());
         let (es, ep) = (
-            sequential.snapshot.aggs[0].estimate,
-            parallel.snapshot.aggs[0].estimate,
+            support::scalar(&sequential).aggs[0].estimate,
+            support::scalar(&parallel).aggs[0].estimate,
         );
         assert!((es - ep).abs() < 1e-9 * (1.0 + es.abs()), "{es} vs {ep}");
     }
@@ -244,7 +244,7 @@ fn parallel_coverage_trial() {
         )
         .unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
-        let ci = r.snapshot.aggs[0].ci_chebyshev.as_ref().unwrap();
+        let ci = support::scalar(&r).aggs[0].ci_chebyshev.as_ref().unwrap();
         if ci.contains(truth) {
             covered += 1;
         }
@@ -274,9 +274,9 @@ fn parallel_ci_rule_stops_early() {
     )
     .unwrap();
     assert_eq!(r.reason, StopReason::CiConverged);
-    assert!(r.snapshot.rel_half_width.unwrap() <= 0.05);
+    assert!(r.snapshot.rel_half_width().unwrap() <= 0.05);
     // Early even with the bounded worker run-ahead (≤ 2 chunks per shard).
-    assert!(r.snapshot.rows < 20_000, "rows = {}", r.snapshot.rows);
+    assert!(r.snapshot.rows() < 20_000, "rows = {}", r.snapshot.rows());
 }
 
 /// UNION-of-samples plans cannot be partitioned (global dedup state): the
@@ -324,7 +324,93 @@ fn single_worker_replays_byte_identically() {
             ))
         })
         .unwrap();
-        (snaps, r.snapshot.rows, format!("{:?}", r.reason))
+        (snaps, r.snapshot.rows(), format!("{:?}", r.reason))
     };
     assert_eq!(collect(), collect());
+}
+
+/// A pull hint of `usize::MAX` used to wrap the scan cursor (`next + hint`)
+/// and spin forever in release builds. The cursors saturate now: the first
+/// pull takes the whole slice, the second is the empty exhaustion pull.
+/// `adaptive_chunks` doubles the hint up to a cap that saturates the same
+/// way, so it is part of the table.
+#[test]
+fn a_huge_chunk_hint_terminates_with_the_full_sample() {
+    let c = catalog(1000);
+    for shared in [false, true] {
+        for jobs in [1, 2] {
+            let engine = Engine::builder(c.clone()).shared_scans(shared).build();
+            let query = |chunk_rows: usize, adaptive: bool| {
+                engine
+                    .session()
+                    .query_plan(&sum_plan(0.5))
+                    .seed(5)
+                    .jobs(jobs)
+                    .chunk_rows(chunk_rows)
+                    .adaptive_chunks(adaptive)
+            };
+            let reference = query(64, false).run().unwrap();
+            for adaptive in [false, true] {
+                let case = format!("shared={shared} jobs={jobs} adaptive={adaptive}");
+                let r = query(usize::MAX, adaptive).run().unwrap();
+                assert_eq!(r.reason, StopReason::Exhausted, "{case}");
+                assert_eq!(r.snapshot.rows(), reference.snapshot.rows(), "{case}");
+                let (got, want) = (support::scalar(&r), support::scalar(&reference));
+                let (e, w) = (got.aggs[0].estimate, want.aggs[0].estimate);
+                assert!((e - w).abs() <= 1e-9 * w.abs(), "{case}: {e} vs {w}");
+                let batch = query(usize::MAX, adaptive).batch().unwrap();
+                assert_eq!(
+                    batch.as_scalar().unwrap().result_rows,
+                    reference.snapshot.rows(),
+                    "{case}"
+                );
+            }
+        }
+    }
+}
+
+/// `adaptive_chunks` grows the hint of the in-thread pull, so it is a
+/// `parallelism = 1` knob: there it thins the snapshots without touching
+/// the realized sample. Pool workers pull at the fixed `chunk_rows`
+/// whatever the flag says — the same number of worker chunks either way.
+#[test]
+fn adaptive_chunks_apply_to_the_in_thread_pull_only() {
+    let engine = Engine::builder(catalog(20_000)).metrics(true).build();
+    let run = |jobs: usize, adaptive: bool| {
+        let before = engine.metrics().counter("sa_worker_chunks_total");
+        let r = engine
+            .session()
+            .query_plan(&sum_plan(0.5))
+            .options(QueryOptions {
+                adaptive_chunks: adaptive,
+                ..opts(11, 64, jobs)
+            })
+            .run()
+            .unwrap();
+        assert_eq!(r.reason, StopReason::Exhausted);
+        let after = engine.metrics().counter("sa_worker_chunks_total");
+        (r, after.unwrap() - before.unwrap())
+    };
+    let same_estimates = |a: &QueryResult, b: &QueryResult| {
+        assert_eq!(a.snapshot.rows(), b.snapshot.rows());
+        let (a, b) = (&support::scalar(a).aggs[0], &support::scalar(b).aggs[0]);
+        assert!((a.estimate - b.estimate).abs() <= 1e-9 * b.estimate.abs());
+        let (va, vb) = (a.variance.unwrap(), b.variance.unwrap());
+        assert!((va - vb).abs() <= 1e-9 * vb.abs(), "{va} vs {vb}");
+    };
+    let ((fixed, _), (adaptive, _)) = (run(1, false), run(1, true));
+    same_estimates(&fixed, &adaptive);
+    assert!(
+        adaptive.chunks * 2 < fixed.chunks,
+        "jobs 1: adaptive {} vs fixed {} snapshots",
+        adaptive.chunks,
+        fixed.chunks
+    );
+    let ((fixed, fixed_pulls), (adaptive, adaptive_pulls)) = (run(4, false), run(4, true));
+    same_estimates(&fixed, &adaptive);
+    assert!(fixed_pulls > 100, "20k rows in 64-row pulls: {fixed_pulls}");
+    assert_eq!(
+        fixed_pulls, adaptive_pulls,
+        "jobs 4: the pool ignores the flag"
+    );
 }

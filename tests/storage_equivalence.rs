@@ -182,13 +182,13 @@ proptest! {
         };
         let a = online(&ram);
         let b = online(&mapped);
-        prop_assert_eq!(a.snapshot.rows, b.snapshot.rows);
-        let (ea, eb) = (a.snapshot.aggs[0].estimate, b.snapshot.aggs[0].estimate);
+        prop_assert_eq!(a.snapshot.rows(), b.snapshot.rows());
+        let (ea, eb) = (support::scalar(&a).aggs[0].estimate, support::scalar(&b).aggs[0].estimate);
         prop_assert!(
             (ea - eb).abs() <= 1e-12 * (1.0 + ea.abs()),
             "estimate {ea} (ram) vs {eb} (mapped)"
         );
-        match (a.snapshot.aggs[0].variance, b.snapshot.aggs[0].variance) {
+        match (support::scalar(&a).aggs[0].variance, support::scalar(&b).aggs[0].variance) {
             (Some(va), Some(vb)) => prop_assert!(
                 (va - vb).abs() <= 1e-12 * (1.0 + va.abs()),
                 "variance {va} (ram) vs {vb} (mapped)"

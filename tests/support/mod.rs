@@ -82,21 +82,12 @@ pub fn run(
     catalog: &Catalog,
     opts: &QueryOptions,
     mut on_snapshot: impl FnMut(&ProgressSnapshot),
-) -> Result<OnlineResult, Error> {
-    let query = Engine::new(catalog.clone())
+) -> Result<QueryResult, Error> {
+    Engine::new(catalog.clone())
         .session()
         .query_plan(plan)
-        .options(opts.clone());
-    let r = query.run_with(|s| on_snapshot(s.as_scalar().expect("no GROUP BY keys were given")))?;
-    let Snapshot::Scalar(snapshot) = r.snapshot else {
-        unreachable!("no GROUP BY keys were given")
-    };
-    Ok(OnlineResult {
-        reason: r.reason,
-        snapshot,
-        chunks: r.chunks,
-        analysis: r.analysis,
-    })
+        .options(opts.clone())
+        .run_with(|s| on_snapshot(s.as_scalar().expect("no GROUP BY keys were given")))
 }
 
 /// [`run`] grouped by `group_by` (at least one key).
@@ -106,20 +97,21 @@ pub fn run_groups(
     catalog: &Catalog,
     opts: &QueryOptions,
     mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
-) -> Result<GroupedOnlineResult, Error> {
-    let query = Engine::new(catalog.clone())
+) -> Result<QueryResult, Error> {
+    Engine::new(catalog.clone())
         .session()
         .query_plan(plan)
         .group_by(group_by.to_vec())
-        .options(opts.clone());
-    let r = query.run_with(|s| on_snapshot(s.as_grouped().expect("GROUP BY keys were given")))?;
-    let Snapshot::Grouped(snapshot) = r.snapshot else {
-        unreachable!("GROUP BY keys were given")
-    };
-    Ok(GroupedOnlineResult {
-        reason: r.reason,
-        snapshot,
-        chunks: r.chunks,
-        analysis: r.analysis,
-    })
+        .options(opts.clone())
+        .run_with(|s| on_snapshot(s.as_grouped().expect("GROUP BY keys were given")))
+}
+
+/// The final snapshot of a [`run`].
+pub fn scalar(r: &QueryResult) -> &ProgressSnapshot {
+    r.snapshot.as_scalar().expect("no GROUP BY keys were given")
+}
+
+/// The final snapshot of a [`run_groups`].
+pub fn grouped(r: &QueryResult) -> &GroupedProgressSnapshot {
+    r.snapshot.as_grouped().expect("GROUP BY keys were given")
 }

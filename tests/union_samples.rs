@@ -254,10 +254,10 @@ fn union_mid_scan_chebyshev_coverage_at_99() {
         .unwrap();
         assert_eq!(r.reason, StopReason::RowBudget, "trial {trial} ran dry");
         assert!(
-            r.snapshot.progress.iter().any(|&(c, a)| c < a),
+            r.snapshot.progress().iter().any(|&(c, a)| c < a),
             "trial {trial} exhausted the scan"
         );
-        if r.snapshot.aggs[0]
+        if support::scalar(&r).aggs[0]
             .ci_chebyshev
             .as_ref()
             .is_some_and(|ci| ci.contains(truth))
