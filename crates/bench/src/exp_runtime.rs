@@ -6,11 +6,14 @@
 //! (the `2ⁿ` group-by terms);
 //! (iii) the Section 7 sub-sampled variance estimator: wall-time and
 //! accuracy against the full-sample estimator.
+//!
+//! Also home of [`metrics_overhead`], the observability layer's hot-path
+//! gate CI enforces (`experiments overhead --budget 5`).
 
 use std::time::Instant;
 
 use sa_core::{MomentAccumulator, SBox};
-use sa_online::QueryOptions;
+use sa_online::{Engine, QueryOptions};
 use sa_plan::rewrite;
 
 use crate::workloads;
@@ -112,7 +115,7 @@ pub fn sbox_cost() -> String {
 /// (iii) Section 7 sub-sampling: estimator wall time and variance agreement.
 pub fn subsample() -> String {
     // Larger scale so the full result comfortably exceeds the 10k target.
-    let catalog = sa_tpch::generate(&sa_tpch::TpchConfig::scale(0.02).with_seed(31));
+    let catalog = workloads::tpch_at(0.02, 31);
     let plan = workloads::two_table(&catalog, 60.0);
     let mut out = String::from(
         "### E6(iii) — Section 7 sub-sampled variance estimation (2-table join, 60% Bernoulli)\n\n\
@@ -163,4 +166,38 @@ pub fn runtime() -> String {
     out.push('\n');
     out.push_str(&subsample());
     out
+}
+
+/// The observability layer's hot-path contract, measured: the same sampled
+/// scan (`SUM(l_quantity)` over 90% of lineitem at TPC-H scale 0.01, seed
+/// 1, 4096-row chunks, one worker) run to exhaustion through two engines
+/// that differ only in the metrics toggle, best of five each. Reps
+/// interleave off/on so slow drift (thermal, page cache) hits both modes
+/// alike. Returns the report line and the overhead of metrics-on over
+/// metrics-off, in percent of the metrics-off time.
+pub fn metrics_overhead() -> (String, f64) {
+    let catalog = workloads::tpch_at(0.01, 7);
+    let plan = workloads::single_table(&catalog, 90.0);
+    let engines = [
+        Engine::builder(catalog.clone()).build(),
+        Engine::builder(catalog).metrics(true).build(),
+    ];
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..5 {
+        for (best, engine) in best.iter_mut().zip(&engines) {
+            let t0 = Instant::now();
+            let run = engine.session().query_plan(&plan);
+            let r = run.seed(1).chunk_rows(4096).run().expect("workload runs");
+            std::hint::black_box(r.snapshot.rows());
+            *best = best.min(t0.elapsed().as_secs_f64());
+        }
+    }
+    let [off, on] = best;
+    let overhead = (on - off) / off * 100.0;
+    let report = format!(
+        "metrics overhead: off {:.1} ms, on {:.1} ms → {overhead:+.2}%\n",
+        off * 1e3,
+        on * 1e3
+    );
+    (report, overhead)
 }

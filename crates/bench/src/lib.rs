@@ -1,4 +1,4 @@
-//! # sa-bench — benchmark harness and experiment suite
+//! # sa-bench — the experiment suite
 //!
 //! One module per experiment family (see DESIGN.md §3 for the index):
 //!
@@ -11,8 +11,9 @@
 //! * [`exp_applications`] — E8: the Section 8 applications.
 //!
 //! The `experiments` binary drives them (`cargo run --release -p sa-bench
-//! --bin experiments -- all`); the `benches/` directory holds the criterion
-//! micro-benchmarks per performance figure.
+//! --bin experiments -- all`) and carries the metrics-overhead gate
+//! (`experiments overhead --budget 5`). Performance is measured by the
+//! `sabench` package at the repository root, not here.
 
 #![warn(missing_docs)]
 

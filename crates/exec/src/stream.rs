@@ -24,6 +24,21 @@
 //! [`ChunkStream::next_chunk`] is a thin adapter that materializes
 //! [`Row`]s for row-at-a-time consumers.
 //!
+//! ## One scan node, one coverage walk
+//!
+//! Every private scan is the same leaf: an ordered list of block-aligned
+//! row ranges and a cursor. The physical scan is the one range of its
+//! slice; [`crate::ExecOptions::shuffle_scan`] visits the slice's blocks in
+//! a seeded random order — the same node with a longer list, so pushdown,
+//! partitioning and coverage cannot differ between the two. Coverage — how
+//! much of each relation has had its chance to reach the output, the
+//! WOR(k, N) prefix that Proposition 8 compacts onto the plan's GUS — is
+//! computed by one recursion over the operators
+//! ([`ChunkStream::progress_tree`]); the flat per-relation view
+//! ([`ChunkStream::progress`]) is that tree flattened. `SYSTEM` reads its
+//! block coverage off the ranges the scan actually visited, so it is right
+//! in any visit order.
+//!
 //! Streaming vs blocking operators:
 //!
 //! * scans, Bernoulli/`SYSTEM` samples, filters and projections stream;
@@ -112,7 +127,7 @@ impl ChunkStream {
     /// Per-relation **coverage** of the stream so far, aligned with
     /// [`ChunkStream::relations`]: `(consumed, available)` sampling units of
     /// each base relation whose tuples have had the chance to reach the
-    /// output yet. A scan that has emitted its first `k` of `N` rows reports
+    /// output yet. A scan that has consumed `k` of its `N` rows reports
     /// `(k, N)`; a fully materialized side (a join's build side, a drained
     /// blocking sampler) reports complete coverage; `SYSTEM`-sampled
     /// relations count blocks (their sampling/lineage unit).
@@ -121,20 +136,22 @@ impl ChunkStream {
     /// full population: under a random scan order, the consumed prefix is a
     /// WOR(`consumed`, `available`) sample of the relation, which compacts
     /// onto the plan's GUS (Proposition 8).
+    ///
+    /// This is [`ChunkStream::progress_tree`] flattened
+    /// ([`ProgressTree::flatten`]): there is one walk over the operators,
+    /// and a union reads here as the per-relation minimum of its branches.
     pub fn progress(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.relations.len());
-        self.root.progress(&mut out);
+        let out = self.progress_tree().flatten();
         debug_assert_eq!(out.len(), self.relations.len());
         out
     }
 
     /// The stream's coverage with its union structure intact (see
-    /// [`ProgressTree`]). Where [`ChunkStream::progress`] flattens a union
-    /// to the per-relation minimum across branches, this reports each
-    /// branch's coverage separately plus whether the second branch has
-    /// started — exactly what per-branch Prop-8 prefix composition needs.
-    /// Union-free plans yield a single [`ProgressTree::Leaf`] equal to
-    /// [`ChunkStream::progress`].
+    /// [`ProgressTree`]) — the one coverage walk over the operator tree.
+    /// Each union branch reports its own coverage plus whether the second
+    /// branch has started — exactly what per-branch Prop-8 prefix
+    /// composition needs. Union-free plans yield a single
+    /// [`ProgressTree::Leaf`].
     pub fn progress_tree(&self) -> ProgressTree {
         self.root.progress_tree()
     }
@@ -386,13 +403,13 @@ fn worker_seed(base: u64, worker: u64) -> u64 {
 
 /// A stream's scan coverage with the plan's union structure preserved.
 ///
-/// [`ChunkStream::progress`] flattens a `UnionSamples` to the per-relation
-/// minimum across branches — safe for display, but useless for mid-stream
-/// population scaling, where each branch needs its *own* WOR prefix factor
-/// (the branches cover the relations independently and the executor drains
-/// the first branch fully before the second starts). This tree mirrors
-/// `sa_plan::GusTree`: maximal union-free regions collapse into flat
-/// leaves; unions — and joins above unions — stay structural.
+/// The flat view ([`ProgressTree::flatten`]) reduces a `UnionSamples` to the
+/// per-relation minimum across branches — safe for display, but useless for
+/// mid-stream population scaling, where each branch needs its *own* WOR
+/// prefix factor (the branches cover the relations independently and the
+/// executor drains the first branch fully before the second starts). This
+/// tree mirrors `sa_plan::GusTree`: maximal union-free regions collapse
+/// into flat leaves; unions — and joins above unions — stay structural.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgressTree {
     /// A union-free subtree's per-relation `(consumed, available)`
@@ -416,6 +433,31 @@ pub enum ProgressTree {
 }
 
 impl ProgressTree {
+    /// The flat per-relation `(consumed, available)` view, in scan order
+    /// (the [`ChunkStream::progress`] semantics). Both branches of a union
+    /// sample the same relations, but the union's true coverage is not a
+    /// simple function of the two scan prefixes (while the second branch
+    /// streams, tuples unique to it are still arriving even though the
+    /// first covered every position), so a union flattens to the
+    /// per-relation *minimum* — complete only once both branches drained.
+    /// Honest for display; population scaling reads the tree itself.
+    pub fn flatten(&self) -> Vec<(u64, u64)> {
+        match self {
+            ProgressTree::Leaf(coverage) => coverage.clone(),
+            ProgressTree::Union { left, right, .. } => left
+                .flatten()
+                .into_iter()
+                .zip(right.flatten())
+                .map(|((ca, na), (cb, _))| (ca.min(cb), na))
+                .collect(),
+            ProgressTree::Concat(left, right) => {
+                let mut out = left.flatten();
+                out.extend(right.flatten());
+                out
+            }
+        }
+    }
+
     /// Concatenate two subtree coverages, collapsing `Leaf ++ Leaf` into
     /// one leaf so union-free regions stay flat (mirrors the plan side,
     /// where compaction is associative).
@@ -479,8 +521,7 @@ impl<'a> BuildCtx<'a> {
 
 /// What a streaming scan node gathers per chunk: the (possibly pruned)
 /// output column set, an optional scan-level predicate, and the scan
-/// observability handles. Shared by [`Node::Scan`] and
-/// [`Node::ShuffledScan`]; built in [`build_partitioned`]'s scan arm and
+/// observability handles. Built in [`build_partitioned`]'s scan arm and
 /// extended with a predicate by its `Filter` arm.
 #[derive(Debug)]
 struct ScanGather {
@@ -642,36 +683,32 @@ impl ScanGather {
 /// [`ColumnarChunk`]s.
 #[derive(Debug)]
 enum Node {
-    /// Base-table scan over the row range `[start, end)`: gathers column
-    /// slices straight from storage plus a lineage column of row ids. A
-    /// full scan has `start = 0`, `end = row_count`; a partitioned worker
-    /// scans a block-aligned slice. What gets gathered — the pruned column
-    /// set and an optional pushed-down predicate — lives in [`ScanGather`].
+    /// Base-table scan: visits the block-aligned row ranges of `order` one
+    /// after the other, rows inside a range in physical order, gathering
+    /// column slices straight from storage plus a lineage column of physical
+    /// row ids. The physical scan is the one range `[start, end)` of its
+    /// slice (a full scan has `start = 0`, `end = row_count`); a shuffled
+    /// scan ([`ExecOptions::shuffle_scan`]) is the slice's blocks, one range
+    /// each, in a seeded random order — so columnar gathers stay batched
+    /// while the consumed prefix becomes a uniform random set of blocks,
+    /// making the online driver's random-scan-order assumption true by
+    /// construction. A chunk never crosses a range boundary; downstream
+    /// per-row samplers draw their coins in emission (visit) order. What
+    /// gets gathered — the pruned column set and an optional pushed-down
+    /// predicate — lives in [`ScanGather`].
     Scan {
         table: Arc<Table>,
-        start: u64,
-        next: u64,
-        end: u64,
-        gather: ScanGather,
-    },
-    /// A seeded block-permuted scan ([`ExecOptions::shuffle_scan`]): the
-    /// slice's blocks are visited in a seeded random order, rows inside a
-    /// block in physical order — so columnar gathers stay batched while the
-    /// consumed prefix becomes a uniform random set of blocks, making the
-    /// online driver's random-scan-order assumption true by construction.
-    /// Lineage stays physical row ids; downstream per-row samplers draw
-    /// their coins in emission (visit) order.
-    ShuffledScan {
-        table: Arc<Table>,
-        /// Block row-ranges `[start, end)` in visit order.
+        /// Row ranges `[start, end)` in visit order. Every start is a block
+        /// boundary and the ranges are disjoint, so only the range holding
+        /// the table's last row can end in a ragged block.
         order: Vec<(u64, u64)>,
-        /// Index into `order` of the block currently draining.
-        block: usize,
-        /// Row offset within the current block.
+        /// Index into `order` of the range currently draining.
+        at: usize,
+        /// Rows consumed of `order[at]`.
         offset: u64,
-        /// Rows emitted so far.
-        emitted: u64,
-        /// Total rows in the slice.
+        /// Rows of the fully visited ranges before `at`.
+        done: u64,
+        /// Rows of the whole slice.
         total: u64,
         gather: ScanGather,
     },
@@ -693,12 +730,6 @@ enum Node {
     System {
         keep: Vec<bool>,
         base: Arc<Table>,
-        /// True when the input chain is a streaming scan prefix, so its
-        /// consumed-row count is a base-table row-id prefix that converts to
-        /// block coverage. False over a materialized sampler (WOR below
-        /// SYSTEM), whose consumed count indexes *sample* rows — block
-        /// coverage is then unknowable and reported as complete.
-        row_prefix: bool,
         input: Box<Node>,
     },
     /// A blocking subtree (WOR / with-replacement sample), materialized at
@@ -803,49 +834,44 @@ fn build_partitioned(
             // immediately (oversubscription degrades gracefully).
             let nodes = (0..parts as u64)
                 .map(|w| {
-                    let gather = ScanGather {
-                        cols: cols.clone(),
-                        predicate: None,
-                        obs: ctx.obs.clone(),
-                    };
                     let lo = blocks * w / parts as u64;
                     let hi = blocks * (w + 1) / parts as u64;
-                    let start = (lo * block_rows).min(rows);
-                    let end = (hi * block_rows).min(rows);
-                    let Some(base) = shuffle_base else {
-                        return Node::Scan {
-                            table: t.clone(),
-                            start,
-                            next: start,
-                            end,
-                            gather,
-                        };
+                    let row = |block: u64| (block * block_rows).min(rows);
+                    // The visit order: the slice as one range, or — shuffled
+                    // — one range per block under a seeded Fisher–Yates over
+                    // the worker's own blocks: slices stay disjoint, progress
+                    // still sums, and the permutation is fixed by
+                    // (seed, parts, w).
+                    let order = match shuffle_base {
+                        None => vec![(row(lo), row(hi))],
+                        Some(base) => {
+                            let mut order: Vec<(u64, u64)> =
+                                (lo..hi).map(|b| (row(b), row(b + 1))).collect();
+                            let seed = if parts == 1 {
+                                base
+                            } else {
+                                worker_seed(base, w)
+                            };
+                            let mut rng = StdRng::seed_from_u64(seed);
+                            for i in (1..order.len()).rev() {
+                                let j = (rng.random::<u64>() % (i as u64 + 1)) as usize;
+                                order.swap(i, j);
+                            }
+                            order
+                        }
                     };
-                    // Seeded Fisher–Yates over the worker's own block
-                    // slice: slices stay disjoint, progress still sums,
-                    // and the permutation is fixed by (seed, parts, w).
-                    let mut order: Vec<(u64, u64)> = (lo..hi)
-                        .map(|b| ((b * block_rows).min(rows), ((b + 1) * block_rows).min(rows)))
-                        .filter(|(s, e)| s < e)
-                        .collect();
-                    let seed = if parts == 1 {
-                        base
-                    } else {
-                        worker_seed(base, w)
-                    };
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    for i in (1..order.len()).rev() {
-                        let j = (rng.random::<u64>() % (i as u64 + 1)) as usize;
-                        order.swap(i, j);
-                    }
-                    Node::ShuffledScan {
+                    Node::Scan {
                         table: t.clone(),
                         order,
-                        block: 0,
+                        at: 0,
                         offset: 0,
-                        emitted: 0,
-                        total: end - start,
-                        gather,
+                        done: 0,
+                        total: row(hi) - row(lo),
+                        gather: ScanGather {
+                            cols: cols.clone(),
+                            predicate: None,
+                            obs: ctx.obs.clone(),
+                        },
                     }
                 })
                 .collect();
@@ -892,14 +918,10 @@ fn build_partitioned(
                     let (inputs, schema, relations) = build_partitioned(input, ctx, master)?;
                     let nodes = inputs
                         .into_iter()
-                        .map(|node| {
-                            let row_prefix = node.is_scan_prefix();
-                            Node::System {
-                                keep: keep.clone(),
-                                base: base.clone(),
-                                row_prefix,
-                                input: Box::new(node),
-                            }
+                        .map(|node| Node::System {
+                            keep: keep.clone(),
+                            base: base.clone(),
+                            input: Box::new(node),
                         })
                         .collect();
                     Ok((nodes, schema, relations))
@@ -948,44 +970,14 @@ fn build_partitioned(
             // operator (compiled masks don't compose).
             let nodes = inputs
                 .into_iter()
-                .map(|node| match node {
-                    Node::Scan {
-                        table,
-                        start,
-                        next,
-                        end,
-                        gather,
-                    } if ctx.fuse_predicates && gather.predicate.is_none() => {
-                        let gather = gather.with_predicate(&compiled, &table);
-                        Node::Scan {
-                            table,
-                            start,
-                            next,
-                            end,
-                            gather,
-                        }
+                .map(|mut node| match &mut node {
+                    Node::Scan { table, gather, .. }
+                        if ctx.fuse_predicates && gather.predicate.is_none() =>
+                    {
+                        *gather = gather.with_predicate(&compiled, table);
+                        node
                     }
-                    Node::ShuffledScan {
-                        table,
-                        order,
-                        block,
-                        offset,
-                        emitted,
-                        total,
-                        gather,
-                    } if ctx.fuse_predicates && gather.predicate.is_none() => {
-                        let gather = gather.with_predicate(&compiled, &table);
-                        Node::ShuffledScan {
-                            table,
-                            order,
-                            block,
-                            offset,
-                            emitted,
-                            total,
-                            gather,
-                        }
-                    }
-                    node => Node::Filter {
+                    _ => Node::Filter {
                         predicate: compiled.clone(),
                         input: Box::new(node),
                     },
@@ -1147,49 +1139,33 @@ impl Node {
         match self {
             Node::Scan {
                 table,
-                next,
-                end,
-                gather,
-                ..
-            } => loop {
-                // A pushed-down predicate can empty a whole range; an empty
-                // chunk is the exhaustion signal upstream, so keep scanning
-                // until a row survives or the slice truly drains.
-                let upto = next.saturating_add(hint as u64).min(*end);
-                let chunk = gather.gather(table, *next, upto)?;
-                *next = upto;
-                if !chunk.is_empty() || *next >= *end {
-                    return Ok(chunk);
-                }
-            },
-            Node::ShuffledScan {
-                table,
                 order,
-                block,
+                at,
                 offset,
-                emitted,
+                done,
                 gather,
                 ..
             } => {
-                while *block < order.len() {
-                    let (s, e) = order[*block];
-                    let from = s + *offset;
-                    if from >= e {
-                        *block += 1;
+                while let Some(&(start, end)) = order.get(*at) {
+                    let from = start + *offset;
+                    if from >= end {
+                        *done += *offset;
                         *offset = 0;
+                        *at += 1;
                         continue;
                     }
-                    let upto = from.saturating_add(hint as u64).min(e);
+                    let upto = from.saturating_add(hint as u64).min(end);
                     let chunk = gather.gather(table, from, upto)?;
-                    // `emitted` counts *consumed* rows — every row of the
+                    // `offset` counts *consumed* rows — every row of the
                     // visited range had its chance, whatever a pushed
                     // predicate dropped — so Prop-8 coverage is unchanged.
                     *offset += upto - from;
-                    *emitted += upto - from;
-                    if chunk.is_empty() {
-                        continue;
+                    // A pushed-down predicate can empty a whole range; an
+                    // empty chunk is the exhaustion signal upstream, so keep
+                    // scanning until a row survives or the slice drains.
+                    if !chunk.is_empty() {
+                        return Ok(chunk);
                     }
-                    return Ok(chunk);
                 }
                 // Exhausted: an empty chunk with the scan's column shape.
                 gather.gather(table, 0, 0)
@@ -1450,106 +1426,73 @@ fn join_output(
 }
 
 impl Node {
-    /// Append this subtree's per-relation `(consumed, available)` coverage
-    /// to `out`, in scan order (see [`ChunkStream::progress`]).
-    fn progress(&self, out: &mut Vec<(u64, u64)>) {
+    /// This subtree's coverage with union structure intact (see
+    /// [`ProgressTree`]) — the one recursion over operators that computes
+    /// coverage; [`ChunkStream::progress`] is its flattening.
+    fn progress_tree(&self) -> ProgressTree {
+        let leaf = |coverage| ProgressTree::Leaf(vec![coverage]);
         match self {
             // Coverage is relative to this node's slice, so a partitioned
             // set of workers sums to the whole relation's `(consumed,
-            // available)` — a full scan reports `(next, row_count)` as ever.
+            // available)`. Whatever the visit order, the consumed rows are
+            // whole ranges plus a prefix of the current one: a row prefix of
+            // the slice in physical order, a seeded-random set of blocks —
+            // a WOR(consumed, available) draw of the slice by construction —
+            // when shuffled.
             Node::Scan {
-                start, next, end, ..
-            } => out.push((*next - *start, *end - *start)),
-            // A shuffled scan's consumed rows are a seeded-random set of
-            // blocks (plus at most one partial block) — a WOR(consumed,
-            // available) draw of the slice by construction, which is
-            // exactly the coverage contract.
-            Node::ShuffledScan { emitted, total, .. } => out.push((*emitted, *total)),
+                offset,
+                done,
+                total,
+                ..
+            } => leaf((done + offset, *total)),
             // A shared cursor's consumed prefix is a circularly-shifted row
             // range — still WOR(consumed, N) coverage (the design is
             // invariant under a fixed rotation of the relation), so it
             // reports exactly like a private scan.
-            Node::Shared { cursor } => out.push(cursor.progress()),
+            Node::Shared { cursor } => leaf(cursor.progress()),
             // A materialized blocking sampler: coverage over the *drawn
             // sample* — it stacks onto the plan's own WOR factor exactly
             // like a scan prefix stacks onto a Bernoulli.
-            Node::Materialized { chunk, next } => out.push((*next as u64, chunk.rows() as u64)),
-            Node::Bernoulli { input, .. } | Node::Filter { input, .. } => input.progress(out),
-            Node::Project { input, .. } | Node::FilterProject { input, .. } => input.progress(out),
-            Node::System {
-                base,
-                row_prefix,
-                input,
-                ..
-            } => {
-                if !*row_prefix {
-                    // The input's consumed count is not a base-row prefix
-                    // (a materialized sampler sits below): block coverage is
-                    // unknowable, so report complete — conservative for
-                    // scaling (no inflation; converges at exhaustion).
-                    out.push((base.block_count(), base.block_count()));
-                    return;
-                }
-                // Convert the row-level coverage of the underlying chain to
-                // this relation's sampling unit: blocks. A partially scanned
-                // block counts as covered (its tuples had their chance as a
-                // group; the boundary error is at most one block). Slices
-                // are block-aligned, so per-worker block ranges are disjoint
-                // and sum to the full block count.
-                let (start, next, end) =
-                    input.scan_span().expect("row_prefix chains end in a scan");
-                let blocks_seen = if next == start {
-                    0
-                } else {
-                    base.block_of(next - 1) - base.block_of(start) + 1
-                };
-                let blocks_avail = if end == start {
-                    0
-                } else {
-                    base.block_of(end - 1) - base.block_of(start) + 1
-                };
-                out.push((blocks_seen, blocks_avail));
-            }
-            Node::HashJoin { probe, build, .. } => {
-                probe.progress(out);
-                // Build side is fully materialized: complete coverage.
-                out.extend(std::iter::repeat_n((1, 1), build.n_rels));
-            }
-            Node::NestedLoop { left, build, .. } => {
-                left.progress(out);
-                out.extend(std::iter::repeat_n((1, 1), build.n_rels));
-            }
-            Node::Dedup { first, second, .. } => {
-                // Both branches sample the same relations, but the union's
-                // true coverage is NOT a simple function of the two scan
-                // prefixes (while the second branch streams, tuples unique
-                // to it are still arriving even though the first branch
-                // covered every position). This flat view reports the
-                // *minimum* — complete only once both branches drained —
-                // which is honest for display; the online driver's union
-                // scaling reads [`Node::progress_tree`] instead, where each
-                // branch's coverage stays separate for per-branch Prop-8
-                // prefix composition.
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                first.progress(&mut a);
-                second.progress(&mut b);
-                for ((ca, na), (cb, _)) in a.into_iter().zip(b) {
-                    out.push((ca.min(cb), na));
-                }
-            }
-        }
-    }
-
-    /// This subtree's coverage with union structure intact (see
-    /// [`ProgressTree`] and [`ChunkStream::progress_tree`]).
-    fn progress_tree(&self) -> ProgressTree {
-        match self {
+            Node::Materialized { chunk, next } => leaf((*next as u64, chunk.rows() as u64)),
             // Pass-through operators: coverage lives below.
             Node::Bernoulli { input, .. }
             | Node::Filter { input, .. }
             | Node::Project { input, .. }
             | Node::FilterProject { input, .. } => input.progress_tree(),
+            Node::System { base, input, .. } => {
+                // This relation's sampling unit is the block, so its
+                // coverage is the blocks of the ranges the scan below has
+                // visited (through any per-row samplers, which consume one
+                // coin per scanned row): fully visited ranges count their
+                // blocks, the current one counts up to its cursor — a
+                // partially scanned block counts as covered (its tuples had
+                // their chance as a group; the boundary error is at most one
+                // block). Range starts are block-aligned and at most one
+                // range is ragged, so rows round up to blocks per term, and
+                // per-worker slices sum to the full block count.
+                let mut below = &**input;
+                while let Node::Bernoulli { input, .. } = below {
+                    below = input;
+                }
+                let unit = base.block_rows() as u64;
+                leaf(match below {
+                    Node::Scan {
+                        offset,
+                        done,
+                        total,
+                        ..
+                    } => (
+                        done.div_ceil(unit) + offset.div_ceil(unit),
+                        total.div_ceil(unit),
+                    ),
+                    // Anything else (a materialized sampler) consumes
+                    // *sample* rows, not a base-row prefix: block coverage
+                    // is unknowable, so report complete — conservative for
+                    // scaling (no inflation; converges at exhaustion).
+                    _ => (base.block_count(), base.block_count()),
+                })
+            }
+            // Build sides are fully materialized: complete coverage.
             Node::HashJoin { probe, build, .. } => ProgressTree::concat(
                 probe.progress_tree(),
                 ProgressTree::Leaf(vec![(1, 1); build.n_rels]),
@@ -1568,42 +1511,6 @@ impl Node {
                 right: Box::new(second.progress_tree()),
                 second_started: *on_second,
             },
-            // Leaves (scans, cursors, materialized samplers) and SYSTEM —
-            // whose unit conversion `progress` already performs — have no
-            // union structure below them.
-            Node::Scan { .. }
-            | Node::ShuffledScan { .. }
-            | Node::Shared { .. }
-            | Node::Materialized { .. }
-            | Node::System { .. } => {
-                let mut out = Vec::new();
-                self.progress(&mut out);
-                ProgressTree::Leaf(out)
-            }
-        }
-    }
-
-    /// True when this chain's consumed-row count is a prefix of base-table
-    /// row ids (a scan, possibly through streaming per-row samplers) —
-    /// false as soon as a materialized sampler or a block-unit rewrite sits
-    /// below, because their counts index different units.
-    fn is_scan_prefix(&self) -> bool {
-        match self {
-            Node::Scan { .. } => true,
-            Node::Bernoulli { input, .. } => input.is_scan_prefix(),
-            _ => false,
-        }
-    }
-
-    /// The `(start, next, end)` row span of the scan at the bottom of a
-    /// scan-prefix chain (`None` when [`Node::is_scan_prefix`] is false).
-    fn scan_span(&self) -> Option<(u64, u64, u64)> {
-        match self {
-            Node::Scan {
-                start, next, end, ..
-            } => Some((*start, *next, *end)),
-            Node::Bernoulli { input, .. } => input.scan_span(),
-            _ => None,
         }
     }
 }
@@ -2525,6 +2432,94 @@ mod tests {
             ids.windows(2).all(|w| w[0] < w[1]),
             "off-mode lineage must stay monotone (physical scan order)"
         );
+    }
+
+    /// One pulled chunk: its lineage ids and the coverage reported after it.
+    type Pull = (Vec<Vec<u64>>, Vec<(u64, u64)>);
+
+    /// Every pull until the stream drains.
+    fn trace(stream: &mut ChunkStream, hint: usize) -> Vec<Pull> {
+        let mut out = Vec::new();
+        loop {
+            let chunk = stream.next_batch(hint).unwrap();
+            let exhausted = chunk.is_empty();
+            out.push((chunk.lineage, stream.progress()));
+            if exhausted {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn physical_scan_is_the_one_range_order() {
+        // "Physical = shuffled with the identity order", checked: the scan
+        // leaf the builder makes with the flag off behaves — chunk
+        // boundaries, lineage ids, coverage after every chunk — like a
+        // one-range visit order over the worker's slice written out by
+        // hand, and the plain scan matches plain arithmetic.
+        fn scan_leaf(node: &mut Node) -> &mut Node {
+            match node {
+                Node::Bernoulli { input, .. }
+                | Node::System { input, .. }
+                | Node::Filter { input, .. } => scan_leaf(input),
+                leaf => leaf,
+            }
+        }
+        let c = catalog();
+        let scan = LogicalPlan::scan("t");
+        let plans = [
+            scan.clone(),
+            scan.clone().sample(SamplingMethod::Bernoulli { p: 0.5 }),
+            scan.clone().sample(SamplingMethod::System { p: 0.5 }),
+            scan.clone().filter(col("k").lt(lit(3i64))),
+        ];
+        let opts = ExecOptions {
+            seed: 11,
+            ..Default::default()
+        };
+        for (plan, parts, hint) in plans.iter().flat_map(|plan| {
+            [1usize, 3]
+                .into_iter()
+                .flat_map(move |parts| [1, 7, 4096, usize::MAX].map(|hint| (plan, parts, hint)))
+        }) {
+            let mut built = open_stream_partitioned(plan, &c, &opts, parts).unwrap();
+            let mut by_hand = open_stream_partitioned(plan, &c, &opts, parts).unwrap();
+            for (w, (built, by_hand)) in built.iter_mut().zip(&mut by_hand).enumerate() {
+                // 200 rows in 13 blocks of 16: worker w owns blocks
+                // [13·w/parts, 13·(w+1)/parts).
+                let start = (13 * w / parts * 16) as u64;
+                let end = ((13 * (w + 1) / parts * 16) as u64).min(200);
+                let Node::Scan {
+                    order,
+                    at,
+                    offset,
+                    done,
+                    total,
+                    ..
+                } = scan_leaf(&mut by_hand.root)
+                else {
+                    panic!("these chains bottom out in a scan");
+                };
+                (*order, *at, *offset, *done, *total) = (vec![(start, end)], 0, 0, 0, end - start);
+                let got = trace(built, hint);
+                assert_eq!(got, trace(by_hand, hint), "parts={parts} w={w} hint={hint}");
+                if *plan == scan {
+                    let step = (hint as u64).min(end - start);
+                    let mut want: Vec<_> = (1..=(end - start).div_ceil(step))
+                        .map(|k| {
+                            let from = start + (k - 1) * step;
+                            let upto = (start + k * step).min(end);
+                            (
+                                vec![(from..upto).collect()],
+                                vec![(upto - start, end - start)],
+                            )
+                        })
+                        .collect();
+                    want.push((vec![vec![]], vec![(end - start, end - start)]));
+                    assert_eq!(got, want, "parts={parts} w={w} hint={hint}");
+                }
+            }
+        }
     }
 
     #[test]

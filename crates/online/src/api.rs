@@ -19,7 +19,9 @@ use crate::grouped::GroupedProgressSnapshot;
 /// terminal has no use for are ignored by it: scalar queries ignore
 /// `ci_top_k`; [`crate::QueryBuilder::batch`] drains the whole sample, so it
 /// ignores the stopping rule, `deadline`, `scale_to_population` and
-/// `adaptive_chunks`; the progressive terminals ignore `subsample_target`.
+/// `adaptive_chunks`; the progressive terminals ignore `subsample_target`
+/// on a scalar query. With GROUP BY keys `subsample_target` is not ignored
+/// but refused, by every terminal ([`crate::Error::InvalidOptions`]).
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
     /// Seed for the plan's sampling operators (the streamed sample
@@ -88,7 +90,8 @@ pub struct QueryOptions {
     /// `Ŷ_S` variance terms from a deterministic lineage-hash sub-sample of
     /// roughly this many result tuples (Section 7) — the point estimate
     /// still uses every tuple. `None` (default): variance from the full
-    /// result.
+    /// result. Section 7 has no grouped form: setting this together with
+    /// GROUP BY keys is [`crate::Error::InvalidOptions`].
     pub subsample_target: Option<u64>,
 }
 

@@ -46,12 +46,12 @@
 //! the scanned prefix of `k` of `N` sampling units is itself a uniform
 //! WOR(`k`, `N`) sample — which is a GUS, and **compacts onto the plan's top
 //! GUS by Proposition 8**. Each tick therefore reads its snapshot under
-//! `gus_plan ⊙ Π_r WOR(k_r, N_r)` using [`ChunkStream::progress`]'s
-//! per-relation coverage: mid-stream estimates target the full answer, their
-//! intervals account for both the not-yet-scanned data *and* the plan's own
-//! sampling, and at exhaustion every factor degenerates to the identity, so
-//! the final readout **equals the batch estimator's output** on the consumed
-//! sample. Set [`QueryOptions::scale_to_population`]` = false` to read raw
+//! `gus_plan ⊙ Π_r WOR(k_r, N_r)` using the stream's per-relation coverage
+//! ([`ChunkStream::progress_tree`], walked once per tick): mid-stream
+//! estimates target the full answer, their intervals account for both the
+//! not-yet-scanned data *and* the plan's own sampling, and at exhaustion
+//! every factor degenerates to the identity, so the final readout **equals
+//! the batch estimator's output** on the consumed sample. Set [`QueryOptions::scale_to_population`]` = false` to read raw
 //! prefix estimates under the plan GUS instead.
 //!
 //! `UnionSamples` plans need more care than one plan-wide compaction:
@@ -330,7 +330,6 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
     // going in and this one coming out.
     let mut tick = |last: &mut Option<Snapshot>,
                     acc: &S::Acc,
-                    progress: Vec<(u64, u64)>,
                     prog_tree: &ProgressTree,
                     exhausted: bool,
                     degraded: bool|
@@ -343,7 +342,7 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
         let head = TickHead {
             chunk: last.as_ref().map_or(0, Snapshot::chunk) + 1,
             confidence,
-            progress,
+            progress: prog_tree.flatten(),
             gus,
             start,
         };
@@ -374,8 +373,7 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
                 // coverage is a flat per-relation prefix; union plans never
                 // get here (partitioned opens refuse them).
                 let prog_tree = ProgressTree::Leaf(progress.to_vec());
-                let progress = progress.to_vec();
-                tick(&mut last, merged, progress, &prog_tree, exhausted, degraded)
+                tick(&mut last, merged, &prog_tree, exhausted, degraded)
             },
         )?
     } else {
@@ -401,8 +399,10 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
             } else if !every_chunk {
                 continue;
             }
-            let (progress, prog_tree) = (stream.progress(), stream.progress_tree());
-            if let Some(reason) = tick(&mut last, &acc, progress, &prog_tree, exhausted, false)? {
+            // The one coverage walk of this tick; the snapshot's flat
+            // `progress` is its flattening.
+            let prog_tree = stream.progress_tree();
+            if let Some(reason) = tick(&mut last, &acc, &prog_tree, exhausted, false)? {
                 break reason;
             }
             if opts.adaptive_chunks {
@@ -470,8 +470,10 @@ pub(crate) struct OpenedAggregate<'p> {
 /// silently: a zero `chunk_rows` degenerates the pull loop into one-row
 /// chunks, zero workers make no progress, a confidence outside (0, 1)
 /// turns every interval into `None`, and a non-positive (or NaN) ε or a
-/// `ci_top_k` of 0 disarms the CI target so the run exhausts the sample.
-fn validate_options(opts: &QueryOptions) -> Result<()> {
+/// `ci_top_k` of 0 disarms the CI target so the run exhausts the sample,
+/// and §7 sub-sampling has no grouped form, so under `observed` GROUP BY
+/// keys a `subsample_target` would be dropped without a word.
+fn validate_options(opts: &QueryOptions, observed: &[Expr]) -> Result<()> {
     let in_unit = |x: f64| x > 0.0 && x < 1.0;
     let target = opts.rule.ci_target;
     let problem = if opts.chunk_rows == 0 {
@@ -495,6 +497,10 @@ fn validate_options(opts: &QueryOptions) -> Result<()> {
         )
     } else if opts.ci_top_k == Some(0) {
         "ci_top_k must be at least 1: with no group tracked the CI target can never fire".into()
+    } else if opts.subsample_target.is_some() && !observed.is_empty() {
+        "subsample_target (`.subsample(n)`) applies to scalar queries only: a GROUP BY \
+         estimates every group's variance from every tuple"
+            .into()
     } else {
         return Ok(());
     };
@@ -512,7 +518,7 @@ pub(crate) fn open_aggregate<'p>(
     ctx: &RunCtx,
     observed: &[Expr],
 ) -> Result<OpenedAggregate<'p>> {
-    validate_options(opts)?;
+    validate_options(opts, observed)?;
     let analysis = rewrite(plan, catalog).map_err(ExecError::Plan)?;
     let LogicalPlan::Aggregate { aggs, input } = plan else {
         return Err(Error::Unsupported(

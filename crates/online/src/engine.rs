@@ -835,7 +835,9 @@ impl QueryBuilder {
     }
 
     /// Sub-sample the variance estimation of a scalar [`QueryBuilder::batch`]
-    /// down to about `rows` tuples (see [`QueryOptions::subsample_target`]).
+    /// down to about `rows` tuples (see [`QueryOptions::subsample_target`]);
+    /// with GROUP BY keys every terminal refuses it as
+    /// [`Error::InvalidOptions`].
     pub fn subsample(mut self, rows: u64) -> QueryBuilder {
         self.opts.subsample_target = Some(rows);
         self
@@ -1224,7 +1226,7 @@ mod tests {
         // `None`, or a CI target that could never fire.
         let engine = Engine::new(catalog(1000));
         type Tweak = fn(QueryBuilder) -> QueryBuilder;
-        let table: [(&str, Tweak); 10] = [
+        let table: [(&str, Tweak); 11] = [
             ("chunk_rows", |q| q.chunk_rows(0)),
             ("parallelism", |q| q.jobs(0)),
             ("confidence", |q| q.confidence(1.5)),
@@ -1235,6 +1237,8 @@ mod tests {
             ("ci_target.epsilon", |q| q.within(-1.0, 0.95)),
             ("ci_target.epsilon", |q| q.within(f64::NAN, 0.95)),
             ("ci_top_k", |q| q.ci_top_k(0)),
+            // Valid on a scalar query; every row here runs under GROUP BY.
+            ("subsample_target", |q| q.subsample(100)),
         ];
         for (row, (field, tweak)) in table.into_iter().enumerate() {
             let query = || {

@@ -159,8 +159,11 @@ fn main() {
     let engine = server.engine().clone();
     std::thread::spawn(move || loop {
         if TERM.load(Ordering::Relaxed) {
-            eprintln!("signal received: draining …");
+            // Drain first, report second, and never through a panicking
+            // write: an orchestrator may have closed our stderr long ago,
+            // and the in-flight queries are owed their FINAL regardless.
             ctl.begin_shutdown();
+            let _ = writeln!(std::io::stderr(), "signal received: draining …");
             return;
         }
         std::thread::sleep(std::time::Duration::from_millis(100));
@@ -170,7 +173,8 @@ fn main() {
     // drain completes; then emit the final metrics so an orchestrator's
     // logs capture what the process did before exiting 0.
     server.join();
-    eprintln!("drained; final STATS follow");
-    print!("{}", engine.render_prometheus());
-    let _ = std::io::stdout().flush();
+    let _ = writeln!(std::io::stderr(), "drained; final STATS follow");
+    let mut stdout = std::io::stdout();
+    let _ = write!(stdout, "{}", engine.render_prometheus());
+    let _ = stdout.flush();
 }

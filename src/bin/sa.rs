@@ -68,7 +68,29 @@ struct Shell {
     deadline: Option<std::time::Duration>,
 }
 
+/// Let a closed stdout (`sa --online … | head -3`) end the process the way
+/// it ends any Unix filter. The Rust runtime starts with SIGPIPE ignored,
+/// which turns the next `println!` into a panic and exit code 101; putting
+/// the default disposition back makes that write fatal and silent instead.
+/// Socket writes in client mode are unaffected (std sends them with
+/// `MSG_NOSIGNAL`).
+#[cfg(unix)]
+fn die_quietly_on_closed_pipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    // SAFETY: `signal(2)` with `SIG_DFL` (0) runs no code of ours, and this
+    // is the first thing `main` does — no other thread exists yet.
+    unsafe {
+        signal(13, 0); // SIGPIPE, SIG_DFL
+    }
+}
+
+#[cfg(not(unix))]
+fn die_quietly_on_closed_pipe() {}
+
 fn main() {
+    die_quietly_on_closed_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 0.005f64;
     let mut seed = 42u64;
@@ -442,7 +464,8 @@ fn run_line(shell: &mut Shell, line: &str) {
 
 /// The query `sql` under the shell's current knobs — one builder behind
 /// batch, `\online` and `\exact`, so the same `\seed` realizes the same
-/// sample whichever way the query is run.
+/// sample whichever way the query is run. (`\subsample` is the batch
+/// estimate's knob alone; [`run_estimate`] applies it.)
 fn query(shell: &Shell, sql: &str) -> QueryBuilder {
     let mut builder = shell
         .engine
@@ -457,9 +480,6 @@ fn query(shell: &Shell, sql: &str) -> QueryBuilder {
     if let Some(d) = shell.deadline {
         builder = builder.deadline(d);
     }
-    if let Some(n) = shell.subsample {
-        builder = builder.subsample(n);
-    }
     builder
 }
 
@@ -471,10 +491,20 @@ fn print_batch(out: &BatchOutput) {
 }
 
 fn run_estimate(shell: &mut Shell, sql: &str) {
-    match query(shell, sql).batch() {
+    let mut out = match shell.subsample {
+        Some(n) => query(shell, sql).subsample(n).batch(),
+        None => query(shell, sql).batch(),
+    };
+    // §7 sub-sampling is scalar-only and the engine refuses it on a GROUP
+    // BY by type, before it scans anything: run that one on every tuple.
+    let refused = shell.subsample.is_some() && matches!(out, Err(Error::InvalidOptions(_)));
+    if refused {
+        out = query(shell, sql).batch();
+    }
+    match out {
         Ok(out) => {
             print_batch(&out);
-            if shell.subsample.is_some() && out.as_grouped().is_some() {
+            if refused {
                 println!("(\\subsample applies to scalar queries; GROUP BY used every tuple)");
             }
         }

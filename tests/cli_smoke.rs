@@ -1,7 +1,7 @@
 //! Smoke tests for the `sa` shell binary: one-shot queries, grouped output,
 //! and the interactive command loop over a pipe.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Command, Stdio};
 
 fn sa() -> Command {
@@ -456,4 +456,120 @@ fn bad_sql_reports_error_and_continues() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("error:"), "{stdout}");
     assert!(stdout.contains("estimate"), "survived the error: {stdout}");
+}
+
+/// `sa … | head -1`: a reader that goes away mid-stream ends `sa` like any
+/// Unix filter — silently, not with a `println!` panic and exit code 101.
+/// The query prints far more than a pipe buffers, so the child is still
+/// writing when the read end closes.
+#[test]
+fn closed_stdout_ends_the_process_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sa"))
+        .args(["--tpch", "0.01", "--seed", "7", "--chunk", "10", "--online"])
+        .args([
+            "--query",
+            "SELECT SUM(l_quantity) AS q FROM lineitem TABLESAMPLE (50 PERCENT)",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("one line arrives");
+    assert!(!first.is_empty());
+    drop(stdout);
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
+
+/// The `sa-server` binary belongs to another package, so cargo hands this
+/// suite no path to it: build it (a link at most — the library is a
+/// dependency of this package) into the directory `sa` came from.
+#[cfg(unix)]
+fn sa_server() -> Command {
+    let bin_dir = std::path::Path::new(env!("CARGO_BIN_EXE_sa"))
+        .parent()
+        .expect("sa sits in a profile directory");
+    let mut build = Command::new(env!("CARGO"));
+    build
+        .args(["build", "--offline", "--quiet", "-p", "sa-server"])
+        .args(["--bin", "sa-server", "--target-dir"])
+        .arg(bin_dir.parent().expect("profile directory sits in target"))
+        .current_dir(env!("CARGO_MANIFEST_DIR"));
+    if bin_dir.ends_with("release") {
+        build.arg("--release");
+    }
+    assert!(build.status().expect("cargo runs").success());
+    Command::new(bin_dir.join("sa-server"))
+}
+
+/// SIGTERM with stderr on a closed pipe: the drain must start before the
+/// server says anything, so the in-flight query still gets its `FINAL` and
+/// the process exits 0 — the signal monitor used to panic on its own log
+/// line and the server never drained.
+#[cfg(unix)]
+#[test]
+fn server_drains_on_sigterm_with_stderr_closed() {
+    /// A failed assertion must not leave the server running.
+    struct Reaped(std::process::Child);
+    impl Drop for Reaped {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut server = Reaped(
+        sa_server()
+            .args(["--tpch", "0.01", "--seed", "42", "--addr", "127.0.0.1:0"])
+            .args(["--drain-ms", "10000"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sa-server spawns"),
+    );
+    let mut stdout = BufReader::new(server.0.stdout.take().expect("piped stdout"));
+    let mut ready = String::new();
+    stdout.read_line(&mut ready).expect("READY line");
+    let addr = ready
+        .trim()
+        .strip_prefix("READY ")
+        .unwrap_or_else(|| panic!("expected READY, got {ready:?}"));
+    // Everything the server says at start-up precedes READY; from here on
+    // its stderr is a closed pipe.
+    drop(server.0.stderr.take());
+
+    // An exhaustive query, in flight once its first snapshot arrives.
+    // A server that never drains keeps the connection open: fail, not hang.
+    let conn = std::net::TcpStream::connect(addr).expect("server accepts");
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("timeout sets");
+    let mut tx = conn.try_clone().expect("socket clones");
+    writeln!(
+        tx,
+        "QUERY SELECT SUM(l_quantity) AS q FROM lineitem TABLESAMPLE (50 PERCENT)"
+    )
+    .unwrap();
+    let mut lines = BufReader::new(conn).lines();
+    let first = lines.next().expect("a snapshot").expect("socket reads");
+    assert!(!first.starts_with("ERR"), "{first}");
+    let term = Command::new("kill")
+        .args(["-TERM", &server.0.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(term.success());
+    let rest: Vec<String> = lines.map(|l| l.expect("socket reads")).collect();
+    assert!(
+        rest.iter().any(|l| l.starts_with("FINAL reason=")),
+        "in-flight query lost its answer: {rest:?}"
+    );
+    assert_eq!(rest.last().map(String::as_str), Some("DONE"));
+    let status = server.0.wait().expect("server exits");
+    assert!(status.success(), "server exited {status}");
+    // The final STATS dump still goes to the (open) stdout.
+    let mut stats = String::new();
+    stdout.read_to_string(&mut stats).expect("stdout reads");
+    assert!(stats.contains("sa_queries_finished_total"), "{stats}");
 }

@@ -7,7 +7,10 @@
 //! missing the truth until `shuffle_scan` restores the random-order
 //! assumption, and the shuffled scan itself stays byte-reproducible per
 //! seed, composes with union plans and partitioned workers, and bypasses
-//! shared-scan hubs instead of corrupting them.
+//! shared-scan hubs instead of corrupting them. The sampler axis is
+//! tuple-level Bernoulli and block-level `SYSTEM`: under `SYSTEM` the
+//! consumed prefix is counted in blocks, the unit the variance is summed
+//! over, in whatever order the scan visits them.
 
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
 use sampling_algebra::prelude::*;
@@ -33,16 +36,33 @@ fn sorted_catalog() -> Catalog {
 
 const TRUTH: f64 = 19_999.0 * 20_000.0 / 2.0;
 
-fn sum_plan(p: f64) -> LogicalPlan {
+/// Blocks of [`sorted_catalog`]'s table: ⌈20 000 / 64⌉.
+const BLOCKS: u64 = 313;
+
+/// The sampler axis: both at rate one half, per tuple and per block.
+const SAMPLERS: [SamplingMethod; 2] = [
+    SamplingMethod::Bernoulli { p: 0.5 },
+    SamplingMethod::System { p: 0.5 },
+];
+
+fn sum_plan(method: &SamplingMethod) -> LogicalPlan {
     LogicalPlan::scan("t")
-        .sample(SamplingMethod::Bernoulli { p })
+        .sample(method.clone())
         .aggregate(vec![AggSpec::sum(col("v"), "s")])
 }
 
-fn mid_scan_covers(engine: &Engine, seed: u64, shuffle: bool) -> bool {
+/// Relative standard deviation of the `SUM(v)` estimate from `units`
+/// sampling units (rows, or blocks) each included with probability `pi`:
+/// unit totals spread like a uniform variate on (0, max), so their squared
+/// coefficient of variation is 1/3 and `σ²/μ² = (1 − π)/π · (1 + 1/3)/units`.
+fn rel_sigma(pi: f64, units: u64) -> f64 {
+    ((1.0 - pi) / pi * (4.0 / 3.0) / units as f64).sqrt()
+}
+
+fn mid_scan_covers(engine: &Engine, method: &SamplingMethod, seed: u64, shuffle: bool) -> bool {
     let r = engine
         .session()
-        .query_plan(&sum_plan(0.5))
+        .query_plan(&sum_plan(method))
         .seed(seed)
         .chunk_rows(256)
         .confidence(0.99)
@@ -71,18 +91,23 @@ fn mid_scan_covers(engine: &Engine, seed: u64, shuffle: bool) -> bool {
 #[test]
 fn sorted_table_mid_scan_needs_the_shuffle() {
     let engine = Engine::new(sorted_catalog());
-    let physical: u32 = (0..10)
-        .filter(|&s| mid_scan_covers(&engine, s, false))
-        .count() as u32;
-    let shuffled: u32 = (0..10)
-        .filter(|&s| mid_scan_covers(&engine, s, true))
-        .count() as u32;
-    assert!(
-        physical <= 2,
-        "physical order covered {physical}/10 on a sorted table — the \
-         adversarial setup lost its teeth"
-    );
-    assert!(shuffled >= 8, "shuffled order covered only {shuffled}/10");
+    for method in &SAMPLERS {
+        let physical: u32 = (0..10)
+            .filter(|&s| mid_scan_covers(&engine, method, s, false))
+            .count() as u32;
+        let shuffled: u32 = (0..10)
+            .filter(|&s| mid_scan_covers(&engine, method, s, true))
+            .count() as u32;
+        assert!(
+            physical <= 2,
+            "{method:?}: physical order covered {physical}/10 on a sorted table — the \
+             adversarial setup lost its teeth"
+        );
+        assert!(
+            shuffled >= 8,
+            "{method:?}: shuffled order covered only {shuffled}/10"
+        );
+    }
 }
 
 /// `(seed, shuffle_scan)` fully determines the run: two identical
@@ -91,11 +116,17 @@ fn sorted_table_mid_scan_needs_the_shuffle() {
 #[test]
 fn shuffled_replays_are_byte_identical() {
     let engine = Engine::new(sorted_catalog());
+    for method in &SAMPLERS {
+        replays_byte_identically(&engine, method);
+    }
+}
+
+fn replays_byte_identically(engine: &Engine, method: &SamplingMethod) {
     let trace = |seed: u64| {
         let mut snaps: Vec<(u64, u64)> = Vec::new();
         engine
             .session()
-            .query_plan(&sum_plan(0.5))
+            .query_plan(&sum_plan(method))
             .seed(seed)
             .chunk_rows(256)
             .rows(1500)
@@ -159,10 +190,19 @@ fn shuffle_composes_with_union_plans() {
 #[test]
 fn shuffle_composes_with_partitioned_workers() {
     let engine = Engine::new(sorted_catalog());
+    // Bernoulli keeps its 5% (> 6σ over 20 000 rows); SYSTEM's sampling
+    // unit is one of 313 blocks, so its band is 4.5σ of that design.
+    let tolerances = [0.05, 4.5 * rel_sigma(0.5, BLOCKS)];
+    for (method, tolerance) in SAMPLERS.iter().zip(tolerances) {
+        partitioned_shuffle_replays_on_scale(&engine, method, tolerance);
+    }
+}
+
+fn partitioned_shuffle_replays_on_scale(engine: &Engine, method: &SamplingMethod, tolerance: f64) {
     let run = || {
         let r = engine
             .session()
-            .query_plan(&sum_plan(0.5))
+            .query_plan(&sum_plan(method))
             .seed(13)
             .chunk_rows(512)
             .jobs(3)
@@ -182,9 +222,146 @@ fn shuffle_composes_with_partitioned_workers() {
         "parallel shuffle must replay"
     );
     assert!(
-        (e1 - TRUTH).abs() < 0.05 * TRUTH,
-        "exhaustive estimate {e1} vs truth {TRUTH}"
+        (e1 - TRUTH).abs() < tolerance * TRUTH,
+        "{method:?}: exhaustive estimate {e1} vs truth {TRUTH}"
     );
+}
+
+/// Stream level: `SYSTEM` over a shuffled scan reports the blocks the scan
+/// has actually visited — strictly fewer than the table holds until the
+/// scan's last range is reached, exactly all of them once the stream
+/// drains — and three partitioned slices sum to the same totals.
+#[test]
+fn system_over_shuffle_counts_visited_blocks() {
+    let c = sorted_catalog();
+    let plan = LogicalPlan::scan("t").sample(SamplingMethod::System { p: 0.5 });
+    let opts = ExecOptions {
+        seed: 5,
+        shuffle_scan: true,
+        ..Default::default()
+    };
+    for parts in [1, 3] {
+        let mut streams = open_stream_partitioned(&plan, &c, &opts, parts).unwrap();
+        let summed = |streams: &[ChunkStream]| {
+            streams.iter().fold((0, 0), |(consumed, available), s| {
+                let (c, a) = s.progress()[0];
+                (consumed + c, available + a)
+            })
+        };
+        assert_eq!(summed(&streams), (0, BLOCKS), "parts={parts}");
+        let mut seen = Vec::new();
+        for w in 0..parts {
+            loop {
+                let exhausted = streams[w].next_batch(32).unwrap().is_empty();
+                seen.push(summed(&streams));
+                if exhausted {
+                    break;
+                }
+            }
+        }
+        assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0), "parts={parts}");
+        assert_eq!(seen.pop(), Some((BLOCKS, BLOCKS)), "parts={parts}");
+        // The drained stream's last pull may sweep the dropped tail of the
+        // order; every pull before the last non-empty one leaves blocks
+        // unvisited.
+        let mid = &seen[..seen.len() - 1];
+        assert!(mid.len() > BLOCKS as usize / 4, "parts={parts}");
+        for &(consumed, available) in mid {
+            assert_eq!(available, BLOCKS, "parts={parts}");
+            assert!(
+                consumed < BLOCKS,
+                "parts={parts}: {consumed} blocks reported before the scan got there"
+            );
+        }
+    }
+}
+
+/// [`sorted_catalog`]'s shape with the trend taken out: every row of block
+/// `b` holds `b mod 16 + ½`, so block totals still spread like a uniform
+/// variate (squared coefficient of variation ⅓, as on the sorted table)
+/// but every worker's slice looks like every other. On the sorted table
+/// workers that run unevenly make the summed prefix a lopsided stratified
+/// sample — the scan-order caveat, N times over — which is not what this
+/// test is about. Returns the catalog and the exact `SUM(v)`.
+fn striped_catalog() -> (Catalog, f64) {
+    let mut c = Catalog::new();
+    let schema = Schema::new(vec![Field::new("v", DataType::Float)]).unwrap();
+    let mut b = TableBuilder::new("t", schema).with_block_rows(64);
+    let mut truth = 0.0;
+    for i in 0..20_000 {
+        let v = (i / 64 % 16) as f64 + 0.5;
+        truth += v;
+        b.push_row(&[Value::Float(v)]).unwrap();
+    }
+    c.register(b.finish().unwrap()).unwrap();
+    (c, truth)
+}
+
+/// Estimator level: a mid-scan `SYSTEM` estimate over a shuffled scan
+/// targets the whole table (the visited blocks are a WOR draw of the
+/// blocks, compacted onto the plan's GUS), at `jobs` 1 and N — both a
+/// quarter of the way in and where a `WITHIN 20 PERCENT CONFIDENCE 95`
+/// rule stops it, which is before the scan ends.
+#[test]
+fn system_over_shuffle_estimates_the_whole_table() {
+    const SEEDS: u64 = 100;
+    let (catalog, truth) = striped_catalog();
+    let engine = Engine::new(catalog);
+    let plan = sum_plan(&SamplingMethod::System { p: 0.5 });
+    // One seed's estimate from a quarter of the blocks, each kept with
+    // probability one half, has relative σ ≈ 17%, so the mean of 100 seeds
+    // has ≈ 1.7%. A stop at ±20% is tighter per seed, but stopping when
+    // the *relative* width first dips under ε favours the seeds that run
+    // high — up to about a tenth on this data, and the rule's property, not
+    // the scan's.
+    let band = 0.15;
+    assert!(band > 4.0 * rel_sigma(0.25 * 0.5, BLOCKS) / (SEEDS as f64).sqrt());
+    for jobs in [1, 4] {
+        let query = |seed: u64| {
+            engine
+                .session()
+                .query_plan(&plan)
+                .seed(seed)
+                .chunk_rows(64)
+                .jobs(jobs)
+                .shuffle_scan(true)
+        };
+        let (mut quarter, mut stop) = (0.0, 0.0);
+        for seed in 0..SEEDS {
+            // No rule: of the whole run, the snapshot nearest 25% coverage.
+            let mut nearest = (f64::INFINITY, f64::NAN);
+            query(seed)
+                .run_with(|s| {
+                    let Snapshot::Scalar(p) = s else { panic!() };
+                    let (consumed, available) = p.progress[0];
+                    let off = (consumed as f64 / available as f64 - 0.25).abs();
+                    if off < nearest.0 {
+                        nearest = (off, p.aggs[0].estimate);
+                    }
+                })
+                .unwrap();
+            quarter += nearest.1 / SEEDS as f64;
+
+            let r = query(seed).within(0.2, 0.95).run().unwrap();
+            assert_eq!(r.reason, StopReason::CiConverged, "jobs={jobs} seed={seed}");
+            let Snapshot::Scalar(s) = r.snapshot else {
+                panic!()
+            };
+            let (consumed, available) = s.progress[0];
+            assert_eq!(available, BLOCKS);
+            assert!(
+                consumed < available,
+                "jobs={jobs} seed={seed}: stopped at full block coverage"
+            );
+            stop += s.aggs[0].estimate / SEEDS as f64;
+        }
+        for (what, mean) in [("25% coverage", quarter), ("the CI stop", stop)] {
+            assert!(
+                (mean - truth).abs() < band * truth,
+                "jobs={jobs}: mean estimate at {what} is {mean}, truth {truth}"
+            );
+        }
+    }
 }
 
 /// A shuffled query on a shared-scan engine silently takes a private
@@ -195,7 +372,7 @@ fn shuffle_bypasses_shared_scan_hubs() {
     let engine = Engine::builder(sorted_catalog()).shared_scans(true).build();
     let r = engine
         .session()
-        .query_plan(&sum_plan(0.5))
+        .query_plan(&sum_plan(&SAMPLERS[0]))
         .seed(3)
         .rows(1000)
         .shuffle_scan(true)
@@ -209,7 +386,7 @@ fn shuffle_bypasses_shared_scan_hubs() {
     // A physical-order query on the same engine still rides the hub.
     engine
         .session()
-        .query_plan(&sum_plan(0.5))
+        .query_plan(&sum_plan(&SAMPLERS[0]))
         .seed(3)
         .rows(1000)
         .run()
