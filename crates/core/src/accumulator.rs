@@ -8,18 +8,54 @@
 //!
 //! [`MomentAccumulator`] trades a small constant per push for an **O(1)
 //! readout in the number of consumed rows**: the `y_S` cross-moment matrices
-//! are maintained incrementally. When a tuple with aggregate vector `f`
-//! lands in a group whose running sum is `g`, the group's contribution to
-//! `y_S` changes from `g·gᵀ` to `(g+f)(g+f)ᵀ`, so
+//! are maintained incrementally. When tuples with aggregate vectors summing
+//! to `Δ` land in a lineage group whose running sum is `g`, the group's
+//! contribution to `y_S` changes from `g·gᵀ` to `(g+Δ)(g+Δ)ᵀ`, so
 //!
 //! ```text
-//! y_S += (g+f)(g+f)ᵀ − g·gᵀ
+//! y_S += (g+Δ)(g+Δ)ᵀ − g·gᵀ
 //! ```
 //!
 //! — a rank-two delta per subset `S`. [`MomentAccumulator::snapshot`] then
 //! just clones the `2ⁿ` small matrices (no pass over groups or rows), which
 //! makes estimate, variance and confidence intervals readable after *every*
 //! chunk of an online aggregation loop.
+//!
+//! # Two modes
+//!
+//! The **general** accumulator ([`MomentAccumulator::new`]) assumes nothing
+//! about its input and keeps a lineage table for every non-empty `S`.
+//!
+//! The **lineage-distinct** accumulator
+//! ([`MomentAccumulator::with_lineage`]) is promised that no two tuples it
+//! will ever see — across every shard merged into it — share their full
+//! lineage. Then every lineage group of `S` = *all relations* is a single
+//! tuple and
+//!
+//! ```text
+//! y_full = Σ f·fᵀ
+//! ```
+//!
+//! is a running sum: no key, no probe, no entry, and `merge` is a matrix
+//! add (the accumulator form of Szegedy–Thorup's observation that under
+//! per-item sampling the variance of a subset sum is a sum of per-item
+//! terms). A single-table query owns **no** lineage table at all; a 2-way
+//! join keeps the two single-relation tables and drops the largest, the
+//! pair table. The promise is a property of the plan — `sa-plan`'s
+//! `SoaAnalysis::lineage_distinct` derives it and `sa-online` passes it on;
+//! it is not checked here, and a tuple stream that breaks it (`SYSTEM`'s
+//! block lineage) must use the general mode. The two modes never mix:
+//! merging one into the other is [`CoreError::LineageModeMismatch`].
+//!
+//! # Slab layout
+//!
+//! A kept table is a `key → offset` index over one flat `Vec<f64>` of
+//! `dims`-wide `ΣF` rows — no allocation per lineage group. A
+//! single-relation `S` is keyed by the raw `u64` lineage id (exact); a
+//! larger `S` by the 128-bit fingerprint of the projected lineage.
+//! [`MomentAccumulator::push_batch`] walks a chunk once per `S` and folds
+//! each run of consecutive equal keys (a join's probe rows sharing one
+//! build row, say) into **one** retract/add/re-add.
 //!
 //! Accumulators over the same lineage schema are **merge-able**
 //! ([`MomentAccumulator::merge`]): shards can consume disjoint chunk ranges
@@ -30,17 +66,112 @@
 //! accumulators across threads and merges deltas on a coordinator; that
 //! surface is pinned by a compile-time assertion in this module's tests.
 //!
-//! Up to floating-point associativity, a `MomentAccumulator` fed any chunk
-//! split (and merged in any shape) agrees with `GroupedMoments` fed the same
-//! rows — the property `tests/proptests.rs` pins down.
+//! Up to floating-point associativity, a `MomentAccumulator` of either mode
+//! fed any chunk split (and merged in any shape) agrees with
+//! `GroupedMoments` fed the same rows — the property this module's
+//! generated differential and `tests/proptests.rs` pin down.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash};
 
 use crate::error::CoreError;
 use crate::estimator::{estimate_from_sample_moments, EstimateReport};
-use crate::hash::{fingerprint128, rel_salts, subset_key, FxHashMap};
+use crate::hash::{fingerprint128, rel_salt, subset_key, FoldedFxHasher};
 use crate::moments::{MomentMatrix, Moments};
 use crate::params::GusParams;
 use crate::relset::RelSet;
 use crate::Result;
+
+/// The lineage groups of one relation subset: key → offset of the group's
+/// `dims`-wide running `ΣF` row in one flat slab.
+#[derive(Debug, Clone)]
+struct Slab<K> {
+    rows: HashMap<K, usize, BuildHasherDefault<FoldedFxHasher>>,
+    sums: Vec<f64>,
+}
+
+impl<K> Default for Slab<K> {
+    fn default() -> Self {
+        Slab {
+            rows: HashMap::default(),
+            sums: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash> Slab<K> {
+    /// Let `grow` add to the `ΣF` row `g` of `key` (created zero on first
+    /// touch) and carry `y` along: `y += (g+Δ)(g+Δ)ᵀ − g·gᵀ`. A fresh
+    /// group skips the retract of its zero vector (exact — it would
+    /// subtract `0·0ᵀ`).
+    fn update(&mut self, key: K, dims: usize, y: &mut MomentMatrix, grow: impl FnOnce(&mut [f64])) {
+        let end = self.sums.len();
+        let at = *self.rows.entry(key).or_insert(end);
+        if at == end {
+            self.sums.resize(end + dims, 0.0);
+        }
+        let sum = &mut self.sums[at..at + dims];
+        if at != end {
+            y.add_outer_scaled(sum, -1.0);
+        }
+        grow(sum);
+        y.add_outer(sum);
+    }
+
+    /// Absorb a column-major chunk (`f`: one value column per dimension)
+    /// whose row `r` belongs to group `key_at(r)`: one [`Slab::update`]
+    /// per run of consecutive equal keys.
+    fn push_runs(&mut self, y: &mut MomentMatrix, f: &[&[f64]], key_at: impl Fn(usize) -> K) {
+        let rows = f[0].len();
+        let mut r = 0;
+        while r < rows {
+            let key = key_at(r);
+            self.update(key, f.len(), y, |sum| loop {
+                for (d, col) in sum.iter_mut().zip(f) {
+                    *d += col[r];
+                }
+                r += 1;
+                if r == rows || key_at(r) != key {
+                    break;
+                }
+            });
+        }
+    }
+
+    /// Absorb every group of `other`, re-linking the shared ones.
+    fn merge(&mut self, other: &Slab<K>, dims: usize, y: &mut MomentMatrix) {
+        for (&key, &at) in &other.rows {
+            let add = &other.sums[at..at + dims];
+            self.update(key, dims, y, |sum| add_to(sum, add));
+        }
+    }
+}
+
+/// `sum += add`, element by element.
+fn add_to(sum: &mut [f64], add: &[f64]) {
+    for (s, a) in sum.iter_mut().zip(add) {
+        *s += a;
+    }
+}
+
+/// How one relation subset `S` tracks its lineage groups.
+#[derive(Debug, Clone)]
+enum Groups {
+    /// No table: `S = ∅` is one global group whose `ΣF` is the running
+    /// total, and the full set of a lineage-distinct accumulator has only
+    /// single-tuple groups (`y_S = Σ f·fᵀ`).
+    Implicit,
+    /// `S = {rel}`, keyed exactly by the raw lineage id.
+    ById { rel: usize, slab: Slab<u64> },
+    /// `|S| ≥ 2`, keyed by the fingerprint of the `S`-projected lineage.
+    ByFingerprint(Slab<u128>),
+}
+
+impl Groups {
+    fn is_fingerprinted(&self) -> bool {
+        matches!(self, Groups::ByFingerprint(_))
+    }
+}
 
 /// Streaming, merge-able accumulator of the `2ⁿ` grouped second moments
 /// with O(1)-in-rows readout.
@@ -48,10 +179,9 @@ use crate::Result;
 pub struct MomentAccumulator {
     n: usize,
     dims: usize,
-    salts: Vec<u64>,
-    /// For each nonempty `S` (indexed by `S.index()`): fingerprint → running
-    /// ΣF vector of that group. `S = ∅` needs no map (one global group).
-    groups: Vec<FxHashMap<u128, Vec<f64>>>,
+    lineage_distinct: bool,
+    /// How each `S` (indexed by `S.index()`) tracks its lineage groups.
+    groups: Vec<Groups>,
     /// Incrementally maintained `y_S` for every `S` (∅ included).
     y: Vec<MomentMatrix>,
     total: Vec<f64>,
@@ -59,16 +189,40 @@ pub struct MomentAccumulator {
 }
 
 impl MomentAccumulator {
-    /// An accumulator over `n` base relations and `dims` aggregate
-    /// dimensions.
+    /// A general accumulator over `n` base relations and `dims` aggregate
+    /// dimensions: any tuple stream, a lineage table for every non-empty
+    /// relation subset.
     pub fn new(n: usize, dims: usize) -> MomentAccumulator {
+        MomentAccumulator::with_lineage(n, dims, false)
+    }
+
+    /// An accumulator for a tuple stream that is `lineage_distinct` — no
+    /// two tuples, across every shard ever merged in, share their full
+    /// lineage — or not (`false` is [`MomentAccumulator::new`]). See the
+    /// module docs for what the promise buys.
+    pub fn with_lineage(n: usize, dims: usize, lineage_distinct: bool) -> MomentAccumulator {
         assert!(dims >= 1, "at least one aggregate dimension required");
+        let full = (1usize << n) - 1;
+        let groups = (0..=full)
+            .map(|s_idx| {
+                if s_idx == 0 || (lineage_distinct && s_idx == full) {
+                    Groups::Implicit
+                } else if s_idx.is_power_of_two() {
+                    Groups::ById {
+                        rel: s_idx.trailing_zeros() as usize,
+                        slab: Slab::default(),
+                    }
+                } else {
+                    Groups::ByFingerprint(Slab::default())
+                }
+            })
+            .collect();
         MomentAccumulator {
             n,
             dims,
-            salts: rel_salts(n),
-            groups: (0..1usize << n).map(|_| FxHashMap::default()).collect(),
-            y: (0..1usize << n).map(|_| MomentMatrix::zero(dims)).collect(),
+            lineage_distinct,
+            groups,
+            y: (0..=full).map(|_| MomentMatrix::zero(dims)).collect(),
             total: vec![0.0; dims],
             count: 0,
         }
@@ -94,43 +248,57 @@ impl MomentAccumulator {
         &self.total
     }
 
+    /// Lineage groups held in memory, summed over every relation subset —
+    /// what the accumulator's size grows with. A lineage-distinct
+    /// accumulator over one relation holds none.
+    pub fn lineage_entries(&self) -> usize {
+        self.groups
+            .iter()
+            .map(|g| match g {
+                Groups::Implicit => 0,
+                Groups::ById { slab, .. } => slab.rows.len(),
+                Groups::ByFingerprint(slab) => slab.rows.len(),
+            })
+            .sum()
+    }
+
+    /// `n` lineage columns and `dims` value columns, or a typed refusal.
+    fn check_shape(&self, n: usize, dims: usize) -> Result<()> {
+        for (expected, got) in [(self.n, n), (self.dims, dims)] {
+            if got != expected {
+                return Err(CoreError::DimensionMismatch { expected, got });
+            }
+        }
+        Ok(())
+    }
+
     /// Consume one result tuple: its per-base-relation lineage ids and its
     /// aggregate vector.
     pub fn push(&mut self, lineage: &[u64], f: &[f64]) -> Result<()> {
-        if lineage.len() != self.n {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.n,
-                got: lineage.len(),
-            });
-        }
-        if f.len() != self.dims {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dims,
-                got: f.len(),
-            });
-        }
+        self.check_shape(lineage.len(), f.len())?;
         self.count += 1;
         // S = ∅: the single global group is the running total.
         self.y[RelSet::EMPTY.index()].add_outer_scaled(&self.total, -1.0);
-        for (t, v) in self.total.iter_mut().zip(f) {
-            *t += v;
-        }
+        add_to(&mut self.total, f);
         self.y[RelSet::EMPTY.index()].add_outer(&self.total);
-        // Per-relation fingerprints once, then combine per subset.
-        let mut fp = [0u128; crate::relset::MAX_RELS];
-        for i in 0..self.n {
-            fp[i] = fingerprint128(self.salts[i], lineage[i]);
-        }
-        for s_idx in 1..1usize << self.n {
-            let key = subset_key(&fp, RelSet::from_bits(s_idx as u32));
-            let entry = self.groups[s_idx]
-                .entry(key)
-                .or_insert_with(|| vec![0.0; self.dims]);
-            self.y[s_idx].add_outer_scaled(entry, -1.0);
-            for (e, v) in entry.iter_mut().zip(f) {
-                *e += v;
+        let mut fps = [0u128; crate::relset::MAX_RELS];
+        if self.groups.iter().any(Groups::is_fingerprinted) {
+            for (i, id) in lineage.iter().enumerate() {
+                fps[i] = fingerprint128(rel_salt(i), *id);
             }
-            self.y[s_idx].add_outer(entry);
+        }
+        let dims = self.dims;
+        for (s_idx, (groups, y)) in self.groups.iter_mut().zip(&mut self.y).enumerate().skip(1) {
+            match groups {
+                Groups::Implicit => y.add_outer(f),
+                Groups::ById { rel, slab } => {
+                    slab.update(lineage[*rel], dims, y, |sum| add_to(sum, f))
+                }
+                Groups::ByFingerprint(slab) => {
+                    let key = subset_key(&fps, RelSet::from_bits(s_idx as u32));
+                    slab.update(key, dims, y, |sum| add_to(sum, f))
+                }
+            }
         }
         Ok(())
     }
@@ -145,28 +313,11 @@ impl MomentAccumulator {
     /// dimension, all of equal length. Equivalent to pushing each row (up
     /// to float associativity — the same 1e-9 class as shard merging), but
     /// amortized: the `S = ∅` rank-two delta collapses to **one**
-    /// retract/add pair per batch instead of two outer products per row,
-    /// arity checks hoist out of the row loop, and a tuple landing in a
-    /// fresh lineage group skips the retract of its zero vector entirely
-    /// (exact — the retract would subtract `0·0ᵀ`).
+    /// retract/add pair per batch, every kept `S` pays one per run of
+    /// consecutive equal keys, and an implicit full set pays none.
     pub fn push_batch(&mut self, lineage: &[&[u64]], f: &[&[f64]]) -> Result<()> {
-        if lineage.len() != self.n {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.n,
-                got: lineage.len(),
-            });
-        }
-        if f.len() != self.dims {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dims,
-                got: f.len(),
-            });
-        }
-        let rows = f
-            .first()
-            .map(|c| c.len())
-            .or_else(|| lineage.first().map(|c| c.len()))
-            .unwrap_or(0);
+        self.check_shape(lineage.len(), f.len())?;
+        let rows = f[0].len();
         for col in lineage
             .iter()
             .map(|c| c.len())
@@ -183,73 +334,65 @@ impl MomentAccumulator {
             return Ok(());
         }
         self.count += rows as u64;
-        // S = ∅: the single global group — retract once, replay every row's
-        // contribution to the running total, re-add once.
+        // S = ∅: the single global group — retract once, add every row to
+        // the running total, re-add once.
         self.y[RelSet::EMPTY.index()].add_outer_scaled(&self.total, -1.0);
-        let mut fp = [0u128; crate::relset::MAX_RELS];
-        for r in 0..rows {
-            for (t, col) in self.total.iter_mut().zip(f) {
-                *t += col[r];
-            }
-            for i in 0..self.n {
-                fp[i] = fingerprint128(self.salts[i], lineage[i][r]);
-            }
-            for s_idx in 1..1usize << self.n {
-                let key = subset_key(&fp, RelSet::from_bits(s_idx as u32));
-                match self.groups[s_idx].entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let entry = e.get_mut();
-                        self.y[s_idx].add_outer_scaled(entry, -1.0);
-                        for (d, col) in entry.iter_mut().zip(f) {
-                            *d += col[r];
-                        }
-                        self.y[s_idx].add_outer(entry);
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let entry = v.insert(f.iter().map(|col| col[r]).collect());
-                        self.y[s_idx].add_outer(entry);
-                    }
-                }
+        for (t, col) in self.total.iter_mut().zip(f) {
+            for v in *col {
+                *t += v;
             }
         }
         self.y[RelSet::EMPTY.index()].add_outer(&self.total);
+        // Per-relation fingerprints once per row (row-major), and only
+        // when some subset is keyed by them.
+        let n = self.n;
+        let fps: Vec<u128> = if self.groups.iter().any(Groups::is_fingerprinted) {
+            (0..rows)
+                .flat_map(|r| (0..n).map(move |i| fingerprint128(rel_salt(i), lineage[i][r])))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for (s_idx, (groups, y)) in self.groups.iter_mut().zip(&mut self.y).enumerate().skip(1) {
+            match groups {
+                Groups::Implicit => y.add_gram(f),
+                Groups::ById { rel, slab } => slab.push_runs(y, f, |r| lineage[*rel][r]),
+                Groups::ByFingerprint(slab) => {
+                    let s = RelSet::from_bits(s_idx as u32);
+                    slab.push_runs(y, f, |r| subset_key(&fps[r * n..][..n], s));
+                }
+            }
+        }
         Ok(())
     }
 
     /// Absorb another accumulator over the same lineage schema — the shard
     /// merge. Groups present in both shards are combined through the same
-    /// rank-two delta the per-row path uses, so the result is exactly what a
+    /// rank-two delta the push path uses, so the result is exactly what a
     /// single accumulator fed both row streams would hold (up to float
-    /// associativity). Cost: `O(groups in other)`.
+    /// associativity). Cost: `O(groups in other)`; an implicit full set is
+    /// a matrix add. Both must be of one mode.
     pub fn merge(&mut self, other: &MomentAccumulator) -> Result<()> {
-        if other.n != self.n {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.n,
-                got: other.n,
-            });
-        }
-        if other.dims != self.dims {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dims,
-                got: other.dims,
-            });
+        self.check_shape(other.n, other.dims)?;
+        if other.lineage_distinct != self.lineage_distinct {
+            return Err(CoreError::LineageModeMismatch);
         }
         self.count += other.count;
         self.y[RelSet::EMPTY.index()].add_outer_scaled(&self.total, -1.0);
-        for (t, v) in self.total.iter_mut().zip(&other.total) {
-            *t += v;
-        }
+        add_to(&mut self.total, &other.total);
         self.y[RelSet::EMPTY.index()].add_outer(&self.total);
-        for s_idx in 1..1usize << self.n {
-            for (key, osum) in &other.groups[s_idx] {
-                let entry = self.groups[s_idx]
-                    .entry(*key)
-                    .or_insert_with(|| vec![0.0; self.dims]);
-                self.y[s_idx].add_outer_scaled(entry, -1.0);
-                for (e, v) in entry.iter_mut().zip(osum) {
-                    *e += v;
+        let ours = self.groups.iter_mut().zip(&mut self.y);
+        let theirs = other.groups.iter().zip(&other.y);
+        for ((groups, y), (other_groups, other_y)) in ours.zip(theirs).skip(1) {
+            match (groups, other_groups) {
+                (Groups::Implicit, Groups::Implicit) => y.add_scaled(other_y, 1.0),
+                (Groups::ById { slab, .. }, Groups::ById { slab: other, .. }) => {
+                    slab.merge(other, self.dims, y)
                 }
-                self.y[s_idx].add_outer(entry);
+                (Groups::ByFingerprint(slab), Groups::ByFingerprint(other)) => {
+                    slab.merge(other, self.dims, y)
+                }
+                _ => unreachable!("same n and mode lay the subsets out identically"),
             }
         }
         Ok(())

@@ -50,6 +50,10 @@ pub enum CoreError {
     /// An estimate was requested from a configuration that cannot produce one
     /// (e.g. `a = 0`).
     Degenerate(String),
+    /// A lineage-distinct moment accumulator merged with a general one: the
+    /// first keeps no lineage table for the full relation set, so the
+    /// second's full-set groups have nothing to link to.
+    LineageModeMismatch,
 }
 
 impl fmt::Display for CoreError {
@@ -76,6 +80,10 @@ impl fmt::Display for CoreError {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
             CoreError::Degenerate(msg) => write!(f, "degenerate estimation problem: {msg}"),
+            CoreError::LineageModeMismatch => write!(
+                f,
+                "cannot merge a lineage-distinct moment accumulator with a general one"
+            ),
         }
     }
 }

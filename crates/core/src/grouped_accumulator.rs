@@ -24,6 +24,11 @@
 //! evaluated `GROUP BY` key tuple, tests use integers. Per-relation
 //! fingerprint salts are derived deterministically ([`crate::hash::rel_salts`]),
 //! so independently created shard accumulators merge exactly.
+//!
+//! Every slot inherits the accumulator's mode (see [`MomentAccumulator`]'s
+//! module docs): a group's tuples are a subset of the stream's, so a
+//! lineage-distinct stream is lineage-distinct in every group, and a
+//! single-table grouped query owns no lineage table in any of its slots.
 
 use std::hash::Hash;
 
@@ -48,18 +53,30 @@ use crate::Result;
 pub struct GroupedMomentAccumulator<K> {
     n: usize,
     dims: usize,
+    lineage_distinct: bool,
     groups: FpMap<K, MomentAccumulator>,
     count: u64,
 }
 
 impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
-    /// An accumulator over `n` base relations and `dims` aggregate
+    /// A general accumulator over `n` base relations and `dims` aggregate
     /// dimensions per group.
     pub fn new(n: usize, dims: usize) -> GroupedMomentAccumulator<K> {
+        GroupedMomentAccumulator::with_lineage(n, dims, false)
+    }
+
+    /// An accumulator whose every slot is a
+    /// [`MomentAccumulator::with_lineage`] of this mode.
+    pub fn with_lineage(
+        n: usize,
+        dims: usize,
+        lineage_distinct: bool,
+    ) -> GroupedMomentAccumulator<K> {
         assert!(dims >= 1, "at least one aggregate dimension required");
         GroupedMomentAccumulator {
             n,
             dims,
+            lineage_distinct,
             groups: FpMap::new(),
             count: 0,
         }
@@ -67,9 +84,9 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
 
     /// The accumulator slot of `key`, created on first touch.
     fn slot(&mut self, key: K) -> &mut MomentAccumulator {
-        let (n, dims) = (self.n, self.dims);
+        let (n, dims, distinct) = (self.n, self.dims, self.lineage_distinct);
         self.groups
-            .get_or_insert_with(key, || MomentAccumulator::new(n, dims))
+            .get_or_insert_with(key, || MomentAccumulator::with_lineage(n, dims, distinct))
     }
 
     /// Number of base relations.
@@ -95,6 +112,12 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
     /// True when no row has been consumed yet.
     pub fn is_empty(&self) -> bool {
         self.count == 0
+    }
+
+    /// Lineage groups held in memory across every slot (see
+    /// [`MomentAccumulator::lineage_entries`]).
+    pub fn lineage_entries(&self) -> usize {
+        self.iter().map(|(_, acc)| acc.lineage_entries()).sum()
     }
 
     /// Consume one result tuple of group `key`: its per-base-relation
@@ -194,9 +217,10 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
         self.group(key).map(|acc| acc.report(gus))
     }
 
-    /// Absorb another grouped accumulator over the same schema — the shard
-    /// merge. Groups shared by both shards combine exactly (same fingerprint
-    /// salts, same rank-two delta); groups unique to `other` are copied.
+    /// Absorb another grouped accumulator over the same schema and of the
+    /// same mode — the shard merge. Groups shared by both shards combine
+    /// exactly (same keys and fingerprint salts, same rank-two delta);
+    /// groups unique to `other` are copied, and only they clone their key.
     /// Cost: `O(groups in other × their lineage groups)`, never `O(rows)`.
     pub fn merge(&mut self, other: &GroupedMomentAccumulator<K>) -> Result<()>
     where
@@ -214,8 +238,14 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
                 got: other.dims,
             });
         }
+        if other.lineage_distinct != self.lineage_distinct {
+            return Err(CoreError::LineageModeMismatch);
+        }
         for (key, acc) in other.groups.iter() {
-            self.slot(key.clone()).merge(acc)?;
+            match self.groups.get_mut(key) {
+                Some(slot) => slot.merge(acc)?,
+                None => self.slot(key.clone()).merge(acc)?,
+            }
         }
         self.count += other.count;
         Ok(())
@@ -425,6 +455,60 @@ mod tests {
         acc.merge(&other).unwrap();
         assert_eq!(acc.group_count(), 3);
         assert!((acc.group(&SameHash(1)).unwrap().total()[0] - 12.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merge_clones_a_key_only_for_a_group_it_adopts() {
+        use std::cell::Cell;
+        thread_local!(static CLONES: Cell<u32> = const { Cell::new(0) });
+        #[derive(PartialEq, Eq, Hash, Debug)]
+        struct Counted(u32);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                CLONES.with(|c| c.set(c.get() + 1));
+                Counted(self.0)
+            }
+        }
+        let mut acc: GroupedMomentAccumulator<Counted> = GroupedMomentAccumulator::new(1, 1);
+        let mut delta: GroupedMomentAccumulator<Counted> = GroupedMomentAccumulator::new(1, 1);
+        for g in 0..5 {
+            acc.push_scalar(Counted(g), &[1], 1.0).unwrap();
+            delta.push_scalar(Counted(g), &[2], 1.0).unwrap();
+        }
+        delta.push_scalar(Counted(9), &[3], 1.0).unwrap();
+        acc.merge(&delta).unwrap();
+        assert_eq!(acc.group_count(), 6);
+        assert_eq!(CLONES.with(Cell::get), 1, "only group 9 is new");
+    }
+
+    #[test]
+    fn every_slot_inherits_the_mode_and_modes_do_not_merge() {
+        let mut distinct: GroupedMomentAccumulator<u32> =
+            GroupedMomentAccumulator::with_lineage(1, 1, true);
+        let mut general: GroupedMomentAccumulator<u32> = GroupedMomentAccumulator::new(1, 1);
+        for (key, lin, f) in sample_rows().iter().take(5) {
+            distinct.push_scalar(*key, lin, *f).unwrap();
+            general.push_scalar(*key, lin, *f).unwrap();
+        }
+        assert_eq!(distinct.lineage_entries(), 0);
+        assert_eq!(general.lineage_entries(), 5);
+        for g in 0..3u32 {
+            let (d, r) = (
+                distinct.group(&g).unwrap().snapshot(),
+                general.group(&g).unwrap().snapshot(),
+            );
+            let s = RelSet::singleton(0);
+            assert!((d.y_scalar(s) - r.y_scalar(s)).abs() < 1e-12);
+        }
+        // Typed, even when the absorbed side is empty.
+        assert_eq!(
+            general.merge(&GroupedMomentAccumulator::with_lineage(1, 1, true)),
+            Err(CoreError::LineageModeMismatch)
+        );
+        assert_eq!(
+            distinct.merge(&general),
+            Err(CoreError::LineageModeMismatch)
+        );
     }
 
     #[test]

@@ -72,6 +72,39 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`], for use with `HashMap::with_hasher`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// [`FxHasher`] with the state's high half folded onto its low half at
+/// `finish`. Fx's multiply leaves the low bits of the hash a function of
+/// the low bits of the key alone, and `HashMap` picks its bucket from the
+/// low bits — fine for fingerprints, which are uniform in every bit, but
+/// the lineage tables of [`crate::MomentAccumulator`] key single relations
+/// by the **raw** row or block id, and ids that share their low bits (every
+/// 1024th row surviving a predicate, say) would all probe from one bucket.
+#[derive(Debug, Default, Clone)]
+pub struct FoldedFxHasher(FxHasher);
+
+impl Hasher for FoldedFxHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        let h = self.0.finish();
+        h ^ (h >> 32)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.0.write_u64(i);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.0.write_u128(i);
+    }
+}
+
 /// A `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
@@ -104,9 +137,13 @@ pub fn fingerprint128(salt: u64, id: u64) -> u128 {
 /// [`crate::MomentAccumulator`] and shard-local instances must agree, so
 /// they all derive their salts here.
 pub fn rel_salts(n: usize) -> Vec<u64> {
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0xa076_1d64_78bd_642f))
-        .collect()
+    (0..n).map(rel_salt).collect()
+}
+
+/// The fingerprint salt of relation `i` — one entry of [`rel_salts`].
+#[inline]
+pub fn rel_salt(i: usize) -> u64 {
+    (i as u64).wrapping_mul(0xa076_1d64_78bd_642f)
 }
 
 /// The grouping key of subset `s`: per-relation fingerprints combined with
@@ -181,6 +218,15 @@ impl<K: Eq + std::hash::Hash, V> FpMap<K, V> {
             .map(|(_, v)| v)
     }
 
+    /// The value of `key` for update, if present.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.buckets
+            .get_mut(&Self::fingerprint(key))?
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
     /// The value slot of `key`, created with `make` on first touch (the
     /// key is moved in only when new — no clone on the hit path).
     pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
@@ -249,6 +295,20 @@ mod tests {
         assert_ne!(h1, h2);
         // Deterministic.
         assert_eq!(h1, bh.hash_one(1u64));
+    }
+
+    #[test]
+    fn folded_fx_spreads_ids_that_share_their_low_bits() {
+        let low_bits = |bh: &dyn Fn(u64) -> u64| -> usize {
+            let seen: HashSet<u64> = (0..1024u64).map(|i| bh(i << 20) & 1023).collect();
+            seen.len()
+        };
+        let fx = FxBuildHasher::default();
+        let folded = BuildHasherDefault::<FoldedFxHasher>::default();
+        // Plain Fx maps every multiple of 2²⁰ to bucket 0 of a 1024-bucket
+        // table; folded, they spread over most of it.
+        assert_eq!(low_bits(&|id| fx.hash_one(id)), 1);
+        assert!(low_bits(&|id| folded.hash_one(id)) > 512);
     }
 
     #[test]

@@ -68,6 +68,22 @@ impl MomentMatrix {
         }
     }
 
+    /// Add `Σ_r f_r·f_rᵀ` over the rows of a column-major chunk (`cols`
+    /// holds one equal-length value column per dimension): every row's
+    /// outer product at once, as `k(k+1)/2` column dot products.
+    pub fn add_gram(&mut self, cols: &[&[f64]]) {
+        debug_assert_eq!(cols.len(), self.k);
+        for p in 0..self.k {
+            for q in p..self.k {
+                let d = dot(cols[p], cols[q]);
+                self.data[p * self.k + q] += d;
+                if p != q {
+                    self.data[q * self.k + p] += d;
+                }
+            }
+        }
+    }
+
     /// `self += scale · other`.
     pub fn add_scaled(&mut self, other: &MomentMatrix, scale: f64) {
         debug_assert_eq!(self.k, other.k);
@@ -82,6 +98,25 @@ impl MomentMatrix {
             *d *= scale;
         }
     }
+}
+
+/// `Σ a[r]·b[r]`, summed in four independent lanes so the loop vectorizes
+/// (a single running sum is one add latency per row).
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let (a4, b4) = (a.chunks_exact(4), b.chunks_exact(4));
+    let tail: f64 = a4
+        .remainder()
+        .iter()
+        .zip(b4.remainder())
+        .map(|(x, y)| x * y)
+        .sum();
+    let mut lanes = [0.0f64; 4];
+    for (x, y) in a4.zip(b4) {
+        for (lane, (x, y)) in lanes.iter_mut().zip(x.iter().zip(y)) {
+            *lane += x * y;
+        }
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
 }
 
 /// One-pass accumulator of the `2ⁿ` grouped second moments of a result set:

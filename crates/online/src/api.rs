@@ -210,6 +210,11 @@ pub struct QueryResult {
     pub snapshot: Snapshot,
     /// Number of snapshots emitted.
     pub chunks: u64,
+    /// Lineage groups the moment accumulator held when the loop stopped
+    /// (`sa_core::MomentAccumulator::lineage_entries`, summed over groups
+    /// for a grouped query) — what its memory grew with. Zero for a
+    /// single-table query whose plan is lineage-distinct.
+    pub lineage_entries: usize,
     /// The SOA analysis (top GUS, lineage schema, rewrite trace).
     pub analysis: SoaAnalysis,
 }

@@ -215,6 +215,9 @@ pub(crate) struct Scalar<'p> {
     pub(crate) dim_eval: BatchDimEval,
     /// Base relations in the lineage schema.
     pub(crate) n: usize,
+    /// The plan's `SoaAnalysis::lineage_distinct`: every accumulator of
+    /// this query is built in that mode.
+    pub(crate) lineage_distinct: bool,
 }
 
 impl Scalar<'_> {
@@ -242,7 +245,7 @@ impl<'p> QueryShape<'p> for Scalar<'p> {
     }
 
     fn new_acc(&self) -> MomentAccumulator {
-        MomentAccumulator::new(self.n, self.layout.dims())
+        MomentAccumulator::with_lineage(self.n, self.layout.dims(), self.lineage_distinct)
     }
 
     fn push(&self, acc: &mut MomentAccumulator, chunk: &ColumnarChunk) -> Result<()> {
@@ -417,6 +420,7 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
         reason,
         chunks: snapshot.chunk(),
         snapshot,
+        lineage_entries: acc.lineage_entries(),
         analysis,
     };
     Ok((result, acc))
@@ -555,6 +559,7 @@ pub(crate) fn open_aggregate<'p>(
         dim_eval: layout.compile_batch(streams[0].schema())?,
         layout,
         n: analysis.schema.n(),
+        lineage_distinct: analysis.lineage_distinct,
     };
     Ok(OpenedAggregate {
         analysis,

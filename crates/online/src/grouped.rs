@@ -134,7 +134,11 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
     }
 
     fn new_acc(&self) -> Self::Acc {
-        GroupedMomentAccumulator::new(self.scalar.n, self.scalar.layout.dims())
+        GroupedMomentAccumulator::with_lineage(
+            self.scalar.n,
+            self.scalar.layout.dims(),
+            self.scalar.lineage_distinct,
+        )
     }
 
     /// Route one columnar chunk into the grouped accumulator: evaluate the

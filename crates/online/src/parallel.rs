@@ -94,6 +94,8 @@ pub(crate) trait ShardAccumulator: Send {
     fn absorb(&mut self, other: &Self) -> Result<()>;
     /// Rows consumed so far (used to skip no-change snapshot ticks).
     fn rows(&self) -> u64;
+    /// Lineage groups held in memory (reported on the query's result).
+    fn lineage_entries(&self) -> usize;
 }
 
 impl ShardAccumulator for sa_core::MomentAccumulator {
@@ -103,6 +105,9 @@ impl ShardAccumulator for sa_core::MomentAccumulator {
     fn rows(&self) -> u64 {
         self.count()
     }
+    fn lineage_entries(&self) -> usize {
+        self.lineage_entries()
+    }
 }
 
 impl ShardAccumulator for sa_core::GroupedMomentAccumulator<Vec<Value>> {
@@ -111,6 +116,9 @@ impl ShardAccumulator for sa_core::GroupedMomentAccumulator<Vec<Value>> {
     }
     fn rows(&self) -> u64 {
         self.count()
+    }
+    fn lineage_entries(&self) -> usize {
+        self.lineage_entries()
     }
 }
 

@@ -19,6 +19,8 @@
 
 mod support;
 
+use support::{catalog, shaped_plan};
+
 use proptest::prelude::*;
 
 use sa_core::MomentAccumulator;
@@ -27,47 +29,6 @@ use sampling_algebra::exec::{execute, f_vector, layout_dims, open_stream, ExecOp
 use sampling_algebra::expr::col;
 use sampling_algebra::online::QueryOptions;
 use sampling_algebra::prelude::*;
-
-/// `t`: 600 rows of (k Int, v Float-with-NULLs, s Str-with-NULLs), block
-/// size 16 (so SYSTEM sampling has 38 blocks); `d`: a 12-row dimension
-/// table for the join case.
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    let schema = Schema::new(vec![
-        Field::new("k", DataType::Int),
-        Field::new("v", DataType::Float),
-        Field::new("s", DataType::Str),
-    ])
-    .unwrap();
-    let mut b = TableBuilder::new("t", schema).with_block_rows(16);
-    for i in 0..600i64 {
-        let v = if i % 13 == 0 {
-            Value::Null
-        } else {
-            Value::Float((i % 97) as f64 + 0.25)
-        };
-        let s = match i % 7 {
-            0 => Value::Null,
-            1 | 2 => Value::str("a"),
-            3 => Value::str("bb"),
-            _ => Value::str("ccc"),
-        };
-        b.push_row(&[Value::Int(i % 12), v, s]).unwrap();
-    }
-    c.register(b.finish().unwrap()).unwrap();
-    let schema = Schema::new(vec![
-        Field::new("dk", DataType::Int),
-        Field::new("w", DataType::Float),
-    ])
-    .unwrap();
-    let mut b = TableBuilder::new("d", schema);
-    for i in 0..12i64 {
-        b.push_row(&[Value::Int(i), Value::Float(10.0 * i as f64)])
-            .unwrap();
-    }
-    c.register(b.finish().unwrap()).unwrap();
-    c
-}
 
 /// A random (non-aggregate) plan over `t` (possibly ⋈ `d`) plus the column
 /// the SUM reference aggregates.
@@ -189,52 +150,6 @@ proptest! {
             ),
             (vo, vr) => prop_assert_eq!(vo.is_some(), vr.is_some()),
         }
-    }
-}
-
-/// One of the five plan shapes the batch-vs-run pin walks, with its GROUP BY
-/// keys (empty unless the shape is grouped).
-fn shaped_plan(shape: u8, method: SamplingMethod) -> (LogicalPlan, Vec<Expr>) {
-    let sampled = || LogicalPlan::scan("t").sample(method.clone());
-    let aggs = |value: Expr| {
-        vec![
-            AggSpec::sum(value.clone(), "s"),
-            AggSpec::count_star("n"),
-            AggSpec::avg(value, "a"),
-        ]
-    };
-    match shape % 5 {
-        0 => (sampled().aggregate(aggs(col("v"))), vec![]),
-        1 => (
-            sampled()
-                .filter(col("k").lt(lit(9i64)).and(col("v").lt(lit(90.0))))
-                .project(vec![(col("v").mul(lit(2.0)).sub(col("k")), "x".into())])
-                .aggregate(aggs(col("x"))),
-            vec![],
-        ),
-        // The build side is sampled and filtered too: it is materialized
-        // through the same operator tree the probe side streams through.
-        2 => (
-            sampled()
-                .join_on(
-                    LogicalPlan::scan("d")
-                        .sample(SamplingMethod::Bernoulli { p: 0.75 })
-                        .filter(col("w").gt_eq(lit(10.0))),
-                    col("k").eq(col("dk")),
-                )
-                .aggregate(aggs(col("v").add(col("w")))),
-            vec![],
-        ),
-        3 => {
-            // Lineage granularity must match across the union.
-            let second = match method {
-                SamplingMethod::System { .. } => SamplingMethod::System { p: 0.3 },
-                _ => SamplingMethod::Bernoulli { p: 0.3 },
-            };
-            let union = sampled().union_samples(LogicalPlan::scan("t").sample(second));
-            (union.aggregate(aggs(col("v"))), vec![])
-        }
-        _ => (sampled().aggregate(aggs(col("v"))), vec![col("k")]),
     }
 }
 
