@@ -16,10 +16,13 @@
 //! y_S += (g+Δ)(g+Δ)ᵀ − g·gᵀ
 //! ```
 //!
-//! — a rank-two delta per subset `S`. [`MomentAccumulator::snapshot`] then
-//! just clones the `2ⁿ` small matrices (no pass over groups or rows), which
-//! makes estimate, variance and confidence intervals readable after *every*
-//! chunk of an online aggregation loop.
+//! — a rank-two delta per subset `S`. A readout then touches only the `2ⁿ`
+//! small matrices (no pass over groups or rows), which makes estimate,
+//! variance and confidence intervals readable after *every* chunk of an
+//! online aggregation loop: [`MomentAccumulator::y`] under a
+//! [`crate::ReadoutPlan`] is what a tick does (a dot product per covariance
+//! entry, in place), [`MomentAccumulator::report`] the full
+//! [`EstimateReport`] with every `Ŷ_S` materialized.
 //!
 //! # Two modes
 //!
@@ -248,6 +251,12 @@ impl MomentAccumulator {
         &self.total
     }
 
+    /// The maintained sample moments `Y_S`, by `S.index()` — what a
+    /// [`crate::ReadoutPlan`] reads in place.
+    pub fn y(&self) -> &[MomentMatrix] {
+        &self.y
+    }
+
     /// Lineage groups held in memory, summed over every relation subset —
     /// what the accumulator's size grows with. A lineage-distinct
     /// accumulator over one relation holds none.
@@ -412,7 +421,9 @@ impl MomentAccumulator {
 
     /// Produce the full [`EstimateReport`] (point estimates, variance, `Ŷ_S`)
     /// for the rows consumed so far, under `gus`. Does **not** consume the
-    /// accumulator — the online loop calls this after every chunk.
+    /// accumulator. It clones the `2ⁿ` matrices and re-derives the GUS's
+    /// coefficients on every call; a loop reading many slots under one GUS
+    /// builds a [`crate::ReadoutPlan`] once instead.
     pub fn report(&self, gus: &GusParams) -> Result<EstimateReport> {
         estimate_from_sample_moments(gus, &self.snapshot())
     }

@@ -76,12 +76,9 @@ impl fmt::Display for ConfidenceInterval {
     }
 }
 
-fn check_inputs(variance: f64, level: f64) -> Result<f64> {
-    if !(0.0 < level && level < 1.0) {
-        return Err(CoreError::InvalidParam(format!(
-            "confidence level {level} must be in (0,1)"
-        )));
-    }
+/// `√variance`, or a typed refusal of a variance no interval can be built
+/// on.
+fn std_dev(variance: f64) -> Result<f64> {
     if !variance.is_finite() || variance < 0.0 {
         return Err(CoreError::Degenerate(format!(
             "variance {variance} is not a finite non-negative number"
@@ -90,36 +87,79 @@ fn check_inputs(variance: f64, level: f64) -> Result<f64> {
     Ok(variance.sqrt())
 }
 
-/// Two-sided normal interval at coverage `level`.
-pub fn normal_ci(mean: f64, variance: f64, level: f64) -> Result<ConfidenceInterval> {
-    let sd = check_inputs(variance, level)?;
-    let z = inv_normal_cdf((1.0 + level) / 2.0);
-    Ok(ConfidenceInterval {
-        lo: mean - z * sd,
-        hi: mean + z * sd,
-        level,
-        method: CiMethod::Normal,
-    })
+/// The multipliers of one coverage level — `z = Φ⁻¹((1+γ)/2)` and the
+/// Chebyshev `k = 1/√(1−γ)` — settled once and applied to any number of
+/// `(mean, variance)` pairs: a grouped tick reads thousands of slots at one
+/// level, and `Φ⁻¹` is the expensive part of an interval.
+#[derive(Debug, Clone, Copy)]
+pub struct CiLevel {
+    level: f64,
+    z: f64,
+    k: f64,
 }
 
-/// Two-sided Chebyshev interval at coverage `level`:
-/// `P(|X−μ| ≥ kσ) ≤ 1/k²`, so `k = 1/√(1−level)`.
+impl CiLevel {
+    /// The multipliers of coverage `level` ∈ (0,1).
+    pub fn new(level: f64) -> Result<CiLevel> {
+        if !(0.0 < level && level < 1.0) {
+            return Err(CoreError::InvalidParam(format!(
+                "confidence level {level} must be in (0,1)"
+            )));
+        }
+        Ok(CiLevel {
+            level,
+            z: inv_normal_cdf((1.0 + level) / 2.0),
+            k: 1.0 / (1.0 - level).sqrt(),
+        })
+    }
+
+    /// The coverage level γ.
+    pub fn level(&self) -> f64 {
+        self.level
+    }
+
+    /// Two-sided normal interval `mean ± z·σ`.
+    pub fn normal(&self, mean: f64, variance: f64) -> Result<ConfidenceInterval> {
+        self.interval(mean, variance, self.z, CiMethod::Normal)
+    }
+
+    /// Two-sided Chebyshev interval `mean ± k·σ`:
+    /// `P(|X−μ| ≥ kσ) ≤ 1/k²`, so `k = 1/√(1−level)`.
+    pub fn chebyshev(&self, mean: f64, variance: f64) -> Result<ConfidenceInterval> {
+        self.interval(mean, variance, self.k, CiMethod::Chebyshev)
+    }
+
+    fn interval(
+        &self,
+        mean: f64,
+        variance: f64,
+        width: f64,
+        method: CiMethod,
+    ) -> Result<ConfidenceInterval> {
+        let sd = std_dev(variance)?;
+        Ok(ConfidenceInterval {
+            lo: mean - width * sd,
+            hi: mean + width * sd,
+            level: self.level,
+            method,
+        })
+    }
+}
+
+/// Two-sided normal interval at coverage `level`.
+pub fn normal_ci(mean: f64, variance: f64, level: f64) -> Result<ConfidenceInterval> {
+    CiLevel::new(level)?.normal(mean, variance)
+}
+
+/// Two-sided Chebyshev interval at coverage `level`.
 pub fn chebyshev_ci(mean: f64, variance: f64, level: f64) -> Result<ConfidenceInterval> {
-    let sd = check_inputs(variance, level)?;
-    let k = 1.0 / (1.0 - level).sqrt();
-    Ok(ConfidenceInterval {
-        lo: mean - k * sd,
-        hi: mean + k * sd,
-        level,
-        method: CiMethod::Chebyshev,
-    })
+    CiLevel::new(level)?.chebyshev(mean, variance)
 }
 
 /// One-sided quantile bound: the value `v` with `P(true answer ≤ v) ≈ q`
 /// under the normal approximation — the paper's `QUANTILE(SUM(…), q)`.
 pub fn quantile_bound(mean: f64, variance: f64, q: f64) -> Result<f64> {
-    let sd = check_inputs(variance, q.clamp(1e-12, 1.0 - 1e-12))?;
-    Ok(mean + inv_normal_cdf(q) * sd)
+    Ok(mean + inv_normal_cdf(q) * std_dev(variance)?)
 }
 
 #[cfg(test)]

@@ -46,16 +46,26 @@ pub fn ratio(report: &EstimateReport, num: usize, den: usize) -> Result<DeltaEst
     let cov = report.covariance.as_ref().ok_or_else(|| {
         CoreError::Degenerate("covariance unavailable: ratio variance cannot be formed".into())
     })?;
-    let mu_n = report.estimate[num];
-    let mu_d = report.estimate[den];
+    ratio_of(
+        (report.estimate[num], report.estimate[den]),
+        [cov.get(num, num), cov.get(num, den), cov.get(den, den)],
+    )
+}
+
+/// [`ratio`] from its five inputs: the two estimates `(μ_N, μ_D)` and their
+/// covariance entries `[Var_N, Cov(N,D), Var_D]` — for callers that read
+/// the three entries off something other than an [`EstimateReport`].
+pub fn ratio_of(
+    (mu_n, mu_d): (f64, f64),
+    [var_n, cov_nd, var_d]: [f64; 3],
+) -> Result<DeltaEstimate> {
     if mu_d == 0.0 {
         return Err(CoreError::Degenerate(
             "denominator estimate is zero; ratio undefined".into(),
         ));
     }
     let r = mu_n / mu_d;
-    let var = (cov.get(num, num) - 2.0 * r * cov.get(num, den) + r * r * cov.get(den, den))
-        / (mu_d * mu_d);
+    let var = (var_n - 2.0 * r * cov_nd + r * r * var_d) / (mu_d * mu_d);
     Ok(DeltaEstimate {
         value: r,
         variance: var.max(0.0),

@@ -152,14 +152,24 @@ pub fn unbiased_y_hats(gus: &GusParams, sample: &Moments) -> Result<Vec<MomentMa
 /// Theorem 1 variance/covariance from moment matrices (exact if `y` are the
 /// population moments, estimated if they are `Ŷ_S`):
 /// `Cov[p,q] = Σ_S (c_S/a²)·y_S[p,q] − y_∅[p,q]`.
+///
+/// The `− y_∅` is folded into `y_∅`'s coefficient before anything is
+/// multiplied: `y_∅ = (Σf)²` dwarfs the variance on any sizeable sample, and
+/// adding it in only to take it out again would round the variance to
+/// `y_∅`'s last place (for a Bernoulli design the coefficient `c_∅/a² − 1`
+/// is exactly 0 and `y_∅` drops out, as it should).
 pub fn covariance_from_y(gus: &GusParams, y: &[MomentMatrix], dims: usize) -> MomentMatrix {
     let c = gus.c_coeffs();
     let a2 = gus.a() * gus.a();
     let mut cov = MomentMatrix::zero(dims);
     for (s_idx, y_s) in y.iter().enumerate() {
-        cov.add_scaled(y_s, c[s_idx] / a2);
+        let own = if s_idx == RelSet::EMPTY.index() {
+            1.0
+        } else {
+            0.0
+        };
+        cov.add_scaled(y_s, c[s_idx] / a2 - own);
     }
-    cov.add_scaled(&y[RelSet::EMPTY.index()], -1.0);
     cov
 }
 

@@ -6,10 +6,15 @@
 //! (`f_g(t) = f(t)·1{key(t) = g}`, a selection by Proposition 5), so the
 //! *same* top GUS analyzes every group and each group gets its own unbiased
 //! estimate and variance. [`GroupedMomentAccumulator`] materializes exactly
-//! that view: a hash map from group key to an independent incremental
+//! that view: a map from group key to an independent incremental
 //! [`MomentAccumulator`], so after any prefix of the sampled stream every
-//! discovered group's estimate/variance/CI is an **O(1)-in-rows readout**
-//! (`O(2ⁿ k²)` per group, nothing recomputed from scratch).
+//! discovered group's estimate/variance/CI is an **O(1)-in-rows readout**.
+//! Because the GUS is shared, so is everything a readout derives from it:
+//! one [`crate::ReadoutPlan`] per tick reads every slot with a `2ⁿ`-term
+//! dot product per covariance entry. Slots are kept in **discovery order**
+//! ([`GroupedMomentAccumulator::iter`]), which growth and merging only ever
+//! append to — a progressive readout can therefore update the groups it
+//! already knows in place and look for new ones in the tail alone.
 //!
 //! Like its scalar building block, the grouped accumulator is
 //! **merge-able** ([`GroupedMomentAccumulator::merge`]): shards can consume
@@ -42,10 +47,10 @@ use crate::Result;
 /// A map of group key → incremental [`MomentAccumulator`], with push, shard
 /// merge, and O(1)-in-rows per-group readout.
 ///
-/// Groups live in an [`FpMap`]: keyed by a 64-bit fingerprint of the key
-/// (one cheap hash instead of cloning/boxing key tuples through a generic
-/// map) with stored-key collision resolution, so a fingerprint collision
-/// costs an equality check, never correctness.
+/// Groups live in an [`FpMap`]: dense, in discovery order, found by a
+/// 64-bit fingerprint of the key (one cheap hash instead of cloning/boxing
+/// key tuples through a generic map) with stored-key collision resolution,
+/// so a fingerprint collision costs an equality check, never correctness.
 /// [`GroupedMomentAccumulator::push_batch`] feeds one group a whole chunk
 /// partition at a time, landing in the scalar accumulator's amortized
 /// batch path.
@@ -198,13 +203,15 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
         self.groups.get(key)
     }
 
-    /// Iterate over `(key, accumulator)` pairs, in hash order — sort the
-    /// keys for deterministic output.
+    /// Iterate over `(key, accumulator)` pairs in discovery order: the
+    /// order keys were first pushed, then — for groups adopted by
+    /// [`GroupedMomentAccumulator::merge`] — the absorbed side's order.
+    /// Positions are stable; new groups only ever extend the sequence.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &MomentAccumulator)> {
         self.groups.iter()
     }
 
-    /// Iterate over the discovered group keys, in hash order.
+    /// Iterate over the discovered group keys, in discovery order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.iter().map(|(k, _)| k)
     }
@@ -220,7 +227,8 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
     /// Absorb another grouped accumulator over the same schema and of the
     /// same mode — the shard merge. Groups shared by both shards combine
     /// exactly (same keys and fingerprint salts, same rank-two delta);
-    /// groups unique to `other` are copied, and only they clone their key.
+    /// groups unique to `other` are copied — appended in `other`'s
+    /// discovery order — and only they clone their key.
     /// Cost: `O(groups in other × their lineage groups)`, never `O(rows)`.
     pub fn merge(&mut self, other: &GroupedMomentAccumulator<K>) -> Result<()>
     where
@@ -455,6 +463,25 @@ mod tests {
         acc.merge(&other).unwrap();
         assert_eq!(acc.group_count(), 3);
         assert!((acc.group(&SameHash(1)).unwrap().total()[0] - 12.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn discovery_order_is_stable_and_merge_appends_in_the_absorbed_order() {
+        let mut acc: GroupedMomentAccumulator<u32> = GroupedMomentAccumulator::new(1, 1);
+        for (i, g) in [7u32, 3, 7, 9, 3, 1].into_iter().enumerate() {
+            acc.push_scalar(g, &[i as u64], 1.0).unwrap();
+        }
+        let order = |a: &GroupedMomentAccumulator<u32>| a.keys().copied().collect::<Vec<_>>();
+        assert_eq!(order(&acc), vec![7, 3, 9, 1]);
+        let mut delta: GroupedMomentAccumulator<u32> = GroupedMomentAccumulator::new(1, 1);
+        for (i, g) in [5u32, 9, 2, 5, 8].into_iter().enumerate() {
+            delta.push_scalar(g, &[100 + i as u64], 1.0).unwrap();
+        }
+        acc.merge(&delta).unwrap();
+        // The known prefix has not moved; 9 was shared; 5, 2, 8 follow in
+        // the order `delta` discovered them.
+        assert_eq!(order(&acc), vec![7, 3, 9, 1, 5, 2, 8]);
+        assert_eq!(acc.group(&5).map(|a| a.count()), Some(2));
     }
 
     #[test]

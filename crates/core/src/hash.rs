@@ -158,29 +158,40 @@ pub fn subset_key(fp: &[u128], s: crate::relset::RelSet) -> u128 {
     key
 }
 
-/// A map keyed by a 64-bit **fingerprint** of the key with stored-key
-/// collision resolution: the deterministic splitmix64-finalized Fx hash of
-/// the key selects a bucket of `(stored key, value)` pairs, and real key
-/// equality resolves within the bucket — so a fingerprint collision costs
+/// An insertion-ordered map keyed by a 64-bit **fingerprint** of the key
+/// with stored-key collision resolution. Entries live in one dense vector,
+/// in the order their keys were first inserted; the deterministic
+/// splitmix64-finalized Fx hash of a key finds the newest entry bearing
+/// that fingerprint, entries sharing one chain through each other, and real
+/// key equality decides along the chain — so a fingerprint collision costs
 /// one extra comparison, never correctness. The splitmix64 finalization
 /// matters: keys often hash f64 bit patterns whose entropy sits in the
 /// high bits, which Fx's multiply-only mixing would leave out of the
-/// map's bucket-index (low) bits.
+/// index's bucket (low) bits.
 ///
-/// This is the one bucket scheme shared by every group-keyed structure
-/// (the grouped moment accumulators, the batch `GROUP BY` partitioner), so
-/// collision/equality semantics cannot drift between them.
+/// Insertion order is what a progressive readout leans on: an entry's
+/// position never changes, growth only appends, so "the keys I have not
+/// seen yet" is the tail `[known..]` of [`FpMap::iter`].
 #[derive(Debug, Clone)]
 pub struct FpMap<K, V> {
-    buckets: FxHashMap<u64, Vec<(K, V)>>,
-    len: usize,
+    entries: Vec<FpEntry<K, V>>,
+    /// Fingerprint → position of the newest entry bearing it.
+    heads: FxHashMap<u64, usize>,
+}
+
+#[derive(Debug, Clone)]
+struct FpEntry<K, V> {
+    key: K,
+    value: V,
+    /// The next older entry with the same fingerprint.
+    next: Option<usize>,
 }
 
 impl<K, V> Default for FpMap<K, V> {
     fn default() -> Self {
         FpMap {
-            buckets: FxHashMap::default(),
-            len: 0,
+            entries: Vec::new(),
+            heads: FxHashMap::default(),
         }
     }
 }
@@ -201,51 +212,66 @@ impl<K: Eq + std::hash::Hash, V> FpMap<K, V> {
 
     /// Number of entries (distinct keys).
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when the map holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
+    }
+
+    /// Walk the chain starting at `head` to the entry storing `key` — the
+    /// collision check: match on the stored key, not the hash.
+    fn find_from(&self, head: usize, key: &K) -> Option<usize> {
+        let mut at = Some(head);
+        while let Some(i) = at {
+            if self.entries[i].key == *key {
+                return Some(i);
+            }
+            at = self.entries[i].next;
+        }
+        None
+    }
+
+    /// The insertion position of `key`, if present.
+    fn position(&self, key: &K) -> Option<usize> {
+        let head = *self.heads.get(&Self::fingerprint(key))?;
+        self.find_from(head, key)
     }
 
     /// The value of `key`, if present.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.buckets
-            .get(&Self::fingerprint(key))?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+        self.position(key).map(|i| &self.entries[i].value)
     }
 
     /// The value of `key` for update, if present.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.buckets
-            .get_mut(&Self::fingerprint(key))?
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+        self.position(key).map(|i| &mut self.entries[i].value)
     }
 
     /// The value slot of `key`, created with `make` on first touch (the
     /// key is moved in only when new — no clone on the hit path).
     pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
-        let bucket = self.buckets.entry(Self::fingerprint(&key)).or_default();
-        // The collision check: match on the stored key, not the hash.
-        if let Some(i) = bucket.iter().position(|(k, _)| *k == key) {
-            return &mut bucket[i].1;
-        }
-        self.len += 1;
-        bucket.push((key, make()));
-        &mut bucket.last_mut().expect("just pushed").1
+        let fp = Self::fingerprint(&key);
+        let head = self.heads.get(&fp).copied();
+        let at = match head.and_then(|h| self.find_from(h, &key)) {
+            Some(at) => at,
+            None => {
+                self.heads.insert(fp, self.entries.len());
+                self.entries.push(FpEntry {
+                    key,
+                    value: make(),
+                    next: head,
+                });
+                self.entries.len() - 1
+            }
+        };
+        &mut self.entries[at].value
     }
 
-    /// Iterate over `(key, value)` pairs, in hash order — sort the keys
-    /// for deterministic output.
+    /// Iterate over `(key, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.buckets
-            .values()
-            .flat_map(|b| b.iter().map(|(k, v)| (k, v)))
+        self.entries.iter().map(|e| (&e.key, &e.value))
     }
 
     /// Drain into `(key, value)` pairs ordered by key — the one sort, paid
@@ -254,7 +280,7 @@ impl<K: Eq + std::hash::Hash, V> FpMap<K, V> {
     where
         K: Ord,
     {
-        let mut out: Vec<(K, V)> = self.buckets.into_values().flatten().collect();
+        let mut out: Vec<(K, V)> = self.entries.into_iter().map(|e| (e.key, e.value)).collect();
         out.sort_by(|(a, _), (b, _)| a.cmp(b));
         out
     }
@@ -282,9 +308,37 @@ mod tests {
         assert_eq!(m.len(), 3);
         assert_eq!(m.get(&SameHash(2)), Some(&3));
         assert_eq!(m.get(&SameHash(9)), None);
+        // Colliding or not, entries keep the order their keys first came in.
+        let seen: Vec<(u32, u32)> = m.iter().map(|(k, v)| (k.0, *v)).collect();
+        assert_eq!(seen, vec![(2, 3), (0, 2), (1, 1)]);
+        *m.get_mut(&SameHash(1)).unwrap() += 10;
         let sorted = m.into_sorted();
-        let keys: Vec<u32> = sorted.iter().map(|(k, _)| k.0).collect();
-        assert_eq!(keys, vec![0, 1, 2]);
+        let keys: Vec<(u32, u32)> = sorted.iter().map(|(k, v)| (k.0, *v)).collect();
+        assert_eq!(keys, vec![(0, 2), (1, 11), (2, 3)]);
+    }
+
+    #[test]
+    fn fp_map_iterates_in_insertion_order_under_growth() {
+        let mut m: FpMap<u64, usize> = FpMap::new();
+        let key = |i: usize| splitmix64(i as u64) % 5000;
+        let mut firsts = Vec::new();
+        for i in 0..20_000 {
+            let before = m.len();
+            *m.get_or_insert_with(key(i), || before) += 0;
+            if m.len() > before {
+                firsts.push(key(i));
+            }
+            // The prefix seen so far never moves.
+            if i % 4099 == 0 {
+                let got: Vec<u64> = m.iter().map(|(k, _)| *k).collect();
+                assert_eq!(got, firsts);
+            }
+        }
+        assert_eq!(m.len(), firsts.len());
+        for (at, (k, v)) in m.iter().enumerate() {
+            assert_eq!((*k, *v), (firsts[at], at), "value = position at insertion");
+            assert_eq!(m.get(k), Some(&at));
+        }
     }
 
     #[test]

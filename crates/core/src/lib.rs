@@ -60,12 +60,13 @@ pub mod hash;
 pub mod moments;
 pub mod normal;
 pub mod params;
+pub mod readout;
 pub mod relset;
 pub mod subsample;
 
 pub use accumulator::MomentAccumulator;
-pub use ci::{chebyshev_ci, normal_ci, quantile_bound, CiMethod, ConfidenceInterval};
-pub use delta::{ratio, smooth_function, DeltaEstimate};
+pub use ci::{chebyshev_ci, normal_ci, quantile_bound, CiLevel, CiMethod, ConfidenceInterval};
+pub use delta::{ratio, ratio_of, smooth_function, DeltaEstimate};
 pub use error::CoreError;
 pub use estimator::{
     covariance_from_y, estimate_from_sample_moments, exact_variance, unbiased_y_hats,
@@ -74,6 +75,7 @@ pub use estimator::{
 pub use grouped_accumulator::GroupedMomentAccumulator;
 pub use moments::{GroupedMoments, MomentMatrix, Moments};
 pub use params::GusParams;
+pub use readout::{ReadoutPlan, SlotReadout};
 pub use relset::{LineageSchema, RelSet, MAX_RELS};
 pub use subsample::LineageBernoulli;
 

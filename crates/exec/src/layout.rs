@@ -6,9 +6,11 @@
 //! delta-method ratio), [`BatchDimEval`] computes every dimension's `f`
 //! column for a whole columnar batch, and [`agg_results_from_report`] turns
 //! an [`EstimateReport`] over those dimensions back into per-aggregate
-//! estimates with confidence intervals and `QUANTILE(…)` bounds.
+//! estimates with confidence intervals and `QUANTILE(…)` bounds —
+//! [`DimLayout::read_slot`] does the same for a slot seen through a tick's
+//! [`sa_core::ReadoutPlan`], in place and without building a report.
 
-use sa_core::{ratio, ConfidenceInterval, EstimateReport};
+use sa_core::{ratio_of, CiLevel, ConfidenceInterval, EstimateReport, SlotReadout};
 use sa_expr::{bind, eval_f64, Expr};
 use sa_plan::{AggFunc, AggSpec};
 
@@ -263,31 +265,95 @@ pub fn agg_results_from_report(
     report: &EstimateReport,
     confidence: f64,
 ) -> Vec<AggResult> {
-    aggs.iter()
-        .zip(&layout.per_agg)
-        .map(|(spec, (num, den))| {
-            let (estimate, variance) = match den {
-                None => (report.estimate[*num], report.variance(*num).ok()),
-                Some(den) => match ratio(report, *num, *den) {
-                    Ok(d) => (d.value, Some(d.variance)),
-                    Err(_) => (f64::NAN, None),
-                },
-            };
-            let ci_normal = variance.and_then(|v| sa_core::normal_ci(estimate, v, confidence).ok());
-            let ci_chebyshev =
-                variance.and_then(|v| sa_core::chebyshev_ci(estimate, v, confidence).ok());
-            let quantile_bound = spec
-                .quantile
-                .and_then(|q| variance.and_then(|v| sa_core::quantile_bound(estimate, v, q).ok()));
-            AggResult {
-                name: spec.alias.clone(),
-                func: spec.func,
-                estimate,
-                variance,
-                ci_normal,
-                ci_chebyshev,
-                quantile_bound,
+    let level = CiLevel::new(confidence).ok();
+    let cov = report.covariance.as_ref();
+    let mut out = Vec::new();
+    read_aggs(
+        &mut out,
+        aggs,
+        layout,
+        level.as_ref(),
+        |d| report.estimate[d],
+        |p, q| cov.map(|c| c.get(p, q)),
+    );
+    out
+}
+
+impl DimLayout {
+    /// Read one accumulator slot — seen through the tick's
+    /// [`sa_core::ReadoutPlan`] as `slot` — into `out`: the same results
+    /// [`agg_results_from_report`] gives for that slot's report, with no
+    /// report built. An `out` already holding this `SELECT` list's results
+    /// (a previous tick's) has their numbers overwritten in place; an empty
+    /// one is filled.
+    pub fn read_slot(
+        &self,
+        aggs: &[AggSpec],
+        slot: &SlotReadout<'_>,
+        level: &CiLevel,
+        out: &mut Vec<AggResult>,
+    ) {
+        read_aggs(
+            out,
+            aggs,
+            self,
+            Some(level),
+            |d| slot.estimate(d),
+            |p, q| slot.covariance(p, q),
+        );
+    }
+}
+
+/// The per-aggregate arithmetic of a readout, whichever route feeds it:
+/// `estimate_of(d)` is dimension `d`'s point estimate, `cov_of(p, q)` the
+/// (unclamped) covariance entry or `None` when variance is not estimable.
+/// A plain aggregate clamps its variance at 0; `AVG` is the delta-method
+/// ratio of its two dimensions (NaN with no variance when the ratio cannot
+/// be formed); intervals come from `level` (`None`: an invalid confidence,
+/// no intervals), the `QUANTILE` bound from its own `Φ⁻¹(q)`.
+fn read_aggs(
+    out: &mut Vec<AggResult>,
+    aggs: &[AggSpec],
+    layout: &DimLayout,
+    level: Option<&CiLevel>,
+    estimate_of: impl Fn(usize) -> f64,
+    cov_of: impl Fn(usize, usize) -> Option<f64>,
+) {
+    if out.len() != aggs.len() {
+        out.clear();
+        out.extend(aggs.iter().map(|spec| AggResult {
+            name: spec.alias.clone(),
+            func: spec.func,
+            estimate: f64::NAN,
+            variance: None,
+            ci_normal: None,
+            ci_chebyshev: None,
+            quantile_bound: None,
+        }));
+    }
+    for ((res, spec), &(num, den)) in out.iter_mut().zip(aggs).zip(&layout.per_agg) {
+        let (estimate, variance) = match den {
+            None => (estimate_of(num), cov_of(num, num).map(|v| v.max(0.0))),
+            Some(den) => {
+                let ratio = cov_of(num, num)
+                    .zip(cov_of(num, den))
+                    .zip(cov_of(den, den))
+                    .and_then(|((vn, cnd), vd)| {
+                        ratio_of((estimate_of(num), estimate_of(den)), [vn, cnd, vd]).ok()
+                    });
+                match ratio {
+                    Some(d) => (d.value, Some(d.variance)),
+                    None => (f64::NAN, None),
+                }
             }
-        })
-        .collect()
+        };
+        let at_level = level.zip(variance);
+        res.estimate = estimate;
+        res.variance = variance;
+        res.ci_normal = at_level.and_then(|(l, v)| l.normal(estimate, v).ok());
+        res.ci_chebyshev = at_level.and_then(|(l, v)| l.chebyshev(estimate, v).ok());
+        res.quantile_bound = spec
+            .quantile
+            .and_then(|q| variance.and_then(|v| sa_core::quantile_bound(estimate, v, q).ok()));
+    }
 }

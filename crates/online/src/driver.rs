@@ -10,9 +10,12 @@
 //! 2. push it into the shape's incremental accumulator (so
 //!    estimate/variance are O(1) to read out — nothing is ever recomputed
 //!    from scratch),
-//! 3. **tick**: scale the GUS to the scan progress, read the accumulator
-//!    out into a [`crate::Snapshot`], judge the stop ladder (`judge_stop`),
-//!    hand the snapshot to the caller's callback,
+//! 3. **tick**: scale the GUS to the scan progress, derive that GUS's
+//!    readout plan (`a` and the variance functional's weights — once, however
+//!    many slots are read), read the accumulator out into a
+//!    [`crate::Snapshot`] — updating the previous tick's snapshot in place —
+//!    judge the stop ladder (`judge_stop`), hand the snapshot to the
+//!    caller's callback,
 //! 4. stop when the tick says so.
 //!
 //! There is one loop and one tick. What varies is factored out on two
@@ -74,9 +77,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sa_core::{GusParams, MomentAccumulator};
+use sa_core::{CiLevel, GusParams, MomentAccumulator, ReadoutPlan};
 use sa_exec::ProgressTree;
-use sa_exec::{agg_results_from_report, layout_dims, open_stream_partitioned, AggResult};
+use sa_exec::{layout_dims, open_stream_partitioned, AggResult};
 use sa_exec::{open_shared_stream, SharedTableScan};
 use sa_exec::{BatchDimEval, ChunkStream, ColumnarChunk, DimLayout, ExecError, ExecOptions};
 use sa_expr::Expr;
@@ -166,14 +169,18 @@ pub struct ProgressSnapshot {
 
 /// What differs between query shapes — the three things the one loop
 /// ([`drive_shape`]) cannot do for itself: build an accumulator, push a
-/// chunk into it, and read it out under a GUS. [`Scalar`] is the zero-key
-/// case; [`crate::grouped::Grouped`] is `Scalar` plus keys (a group
-/// indicator is just another selection, Proposition 5, so every group is a
-/// scalar readout of its own slot under the same GUS).
+/// chunk into it, and read it out through a tick's plan. [`Scalar`] is the
+/// zero-key case; [`crate::grouped::Grouped`] is `Scalar` plus keys (a
+/// group indicator is just another selection, Proposition 5, so every
+/// group is a scalar readout of its own slot under the same GUS, hence
+/// through the same plan).
 pub(crate) trait QueryShape<'p>: Sized + Sync {
     /// The accumulator the loop feeds; workers build one per chunk and the
     /// coordinator merges them.
     type Acc: ShardAccumulator;
+    /// What a readout keeps from one tick to the next beside the snapshot
+    /// itself; the loop owns it next to `last`.
+    type Tick: Default;
     /// Specialize the opened aggregate's `scalar` shape to `group_by`,
     /// compiled against the stream's output `schema`.
     fn compile(scalar: Scalar<'p>, group_by: &[Expr], schema: &SchemaRef) -> Result<Self>;
@@ -182,14 +189,17 @@ pub(crate) trait QueryShape<'p>: Sized + Sync {
     /// Accumulate one columnar chunk (a no-op on the empty, exhaustion
     /// chunk).
     fn push(&self, acc: &mut Self::Acc, chunk: &ColumnarChunk) -> Result<()>;
-    /// Read `acc` out under `head.gus` into this tick's snapshot. `prev` is
-    /// the previous tick's snapshot (what a grouped readout counts newly
-    /// discovered groups against).
+    /// Read `acc` out under `head`'s plan into this tick's snapshot. `prev`
+    /// is the previous tick's snapshot, handed over for good: the readout
+    /// overwrites its numbers and returns it, so a tick allocates for what
+    /// is new, not for what it already showed (callbacks only ever borrow a
+    /// snapshot; whoever wants to keep one clones it).
     fn read(
         &self,
         acc: &Self::Acc,
         head: TickHead,
-        prev: Option<&Snapshot>,
+        prev: Option<Snapshot>,
+        tick: &mut Self::Tick,
         opts: &QueryOptions,
     ) -> Result<Snapshot>;
 }
@@ -198,7 +208,10 @@ pub(crate) trait QueryShape<'p>: Sized + Sync {
 /// the snapshot fields that do not depend on the query's shape.
 pub(crate) struct TickHead {
     pub(crate) chunk: u64,
-    pub(crate) confidence: f64,
+    /// The interval multipliers of the run's confidence level.
+    pub(crate) level: CiLevel,
+    /// `gus`'s readout plan: every slot of this tick is read through it.
+    pub(crate) plan: ReadoutPlan,
     pub(crate) progress: Vec<(u64, u64)>,
     pub(crate) gus: GusParams,
     /// When the loop started; a snapshot's `elapsed` is read off it after
@@ -222,23 +235,25 @@ pub(crate) struct Scalar<'p> {
 
 impl Scalar<'_> {
     /// One accumulator slot — the whole sample, or one group's share of it
-    /// — read out under `gus`: the per-aggregate results and the worst
-    /// relative CI half-width across them.
+    /// — read out through the tick's plan into `aggs` (overwritten in place
+    /// when it already holds this slot's previous readout); returns the
+    /// worst relative CI half-width across the aggregates.
     pub(crate) fn read_slot(
         &self,
         slot: &MomentAccumulator,
-        gus: &GusParams,
-        confidence: f64,
-    ) -> Result<(Vec<AggResult>, Option<f64>)> {
-        let report = slot.report(gus)?;
-        let aggs = agg_results_from_report(self.aggs, &self.layout, &report, confidence);
-        let rel = worst_rel_half_width(&aggs);
-        Ok((aggs, rel))
+        head: &TickHead,
+        aggs: &mut Vec<AggResult>,
+    ) -> Result<Option<f64>> {
+        let readout = head.plan.read(slot.total(), slot.y())?;
+        self.layout
+            .read_slot(self.aggs, &readout, &head.level, aggs);
+        Ok(worst_rel_half_width(aggs))
     }
 }
 
 impl<'p> QueryShape<'p> for Scalar<'p> {
     type Acc = MomentAccumulator;
+    type Tick = ();
 
     fn compile(scalar: Scalar<'p>, _group_by: &[Expr], _schema: &SchemaRef) -> Result<Self> {
         Ok(scalar)
@@ -262,16 +277,21 @@ impl<'p> QueryShape<'p> for Scalar<'p> {
         &self,
         acc: &MomentAccumulator,
         head: TickHead,
-        _prev: Option<&Snapshot>,
+        prev: Option<Snapshot>,
+        _tick: &mut (),
         _opts: &QueryOptions,
     ) -> Result<Snapshot> {
-        let (aggs, rel_half_width) = self.read_slot(acc, &head.gus, head.confidence)?;
+        let mut aggs = match prev {
+            Some(Snapshot::Scalar(s)) => s.aggs,
+            _ => Vec::new(),
+        };
+        let rel_half_width = self.read_slot(acc, &head, &mut aggs)?;
         Ok(Snapshot::Scalar(ProgressSnapshot {
             chunk: head.chunk,
             rows: acc.count(),
             aggs,
             rel_half_width,
-            confidence: head.confidence,
+            confidence: head.level.level(),
             progress: head.progress,
             gus: head.gus,
             elapsed: head.start.elapsed(),
@@ -326,11 +346,13 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
         scalar,
     } = open_aggregate(plan, catalog, opts, ctx, group_by)?;
     let shape = S::compile(scalar, group_by, streams[0].schema())?;
-    let confidence = opts.rule.confidence_or(opts.confidence);
+    let level = CiLevel::new(opts.rule.confidence_or(opts.confidence)).map_err(Error::Core)?;
     let start = Instant::now();
-    // One tick: scale the GUS to the scan progress, read the accumulator
-    // out, judge the stop ladder, emit. `last` is the previous snapshot
-    // going in and this one coming out.
+    let mut kept = S::Tick::default();
+    // One tick: scale the GUS to the scan progress, plan its readout, read
+    // the accumulator out, judge the stop ladder, emit. `last` is the
+    // previous snapshot going in — handed to the readout to update in
+    // place — and this one coming out.
     let mut tick = |last: &mut Option<Snapshot>,
                     acc: &S::Acc,
                     prog_tree: &ProgressTree,
@@ -344,12 +366,13 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
         };
         let head = TickHead {
             chunk: last.as_ref().map_or(0, Snapshot::chunk) + 1,
-            confidence,
+            level,
+            plan: ReadoutPlan::new(&gus),
             progress: prog_tree.flatten(),
             gus,
             start,
         };
-        let snapshot = shape.read(acc, head, last.as_ref(), opts)?;
+        let snapshot = shape.read(acc, head, last.take(), &mut kept, opts)?;
         let reason = judge_stop(
             opts,
             degraded,
@@ -910,6 +933,166 @@ mod tests {
         assert_eq!(r.reason, StopReason::CiConverged);
         assert_eq!(snaps, r.chunks);
         assert!((r.snapshot.confidence() - 0.95).abs() < 1e-12);
+    }
+
+    /// Field for field: `name`/`func`/`level`/`method` exact, estimates to
+    /// the bit, variances and interval endpoints to 1e-12 relative.
+    /// `cancelled` ≥ 1 says how much larger the terms the variance is a
+    /// rounded sum of are than the variance itself: 1 for a plain
+    /// aggregate, whose variance is one covariance entry, more for `AVG`,
+    /// whose delta-method variance is a difference of three — two routes
+    /// that agree on each entry to the last bits agree on the difference
+    /// only relative to what was subtracted.
+    fn assert_same_agg(got: &AggResult, want: &AggResult, cancelled: f64, what: &str) {
+        let close = |g: f64, w: f64| (g - w).abs() <= 1e-12 * cancelled * w.abs();
+        assert_eq!((&got.name, got.func), (&want.name, want.func), "{what}");
+        assert_eq!(
+            got.estimate.to_bits(),
+            want.estimate.to_bits(),
+            "{what} {}: estimate {} vs {}",
+            got.name,
+            got.estimate,
+            want.estimate
+        );
+        let pair = |g: Option<f64>, w: Option<f64>, field: &str| match (g, w) {
+            (Some(g), Some(w)) => assert!(close(g, w), "{what} {} {field}: {g} vs {w}", got.name),
+            (g, w) => assert_eq!(g, w, "{what} {} {field}", got.name),
+        };
+        pair(got.variance, want.variance, "variance");
+        pair(got.quantile_bound, want.quantile_bound, "quantile bound");
+        for (g, w) in [
+            (&got.ci_normal, &want.ci_normal),
+            (&got.ci_chebyshev, &want.ci_chebyshev),
+        ] {
+            assert_eq!(g.is_some(), w.is_some(), "{what} {}: interval", got.name);
+            if let (Some(g), Some(w)) = (g, w) {
+                assert_eq!((g.level, g.method), (w.level, w.method), "{what}");
+                assert!(close(g.lo, w.lo) && close(g.hi, w.hi), "{what}: {g} vs {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_plan_route_reads_what_the_report_route_reads() {
+        // Every aggregate kind the layout knows — SUM, COUNT(*), AVG (the
+        // delta-method ratio) and QUANTILE bounds — read through a tick's
+        // plan must be what `agg_results_from_report` makes of the same
+        // slot's report: mid-stream under Prop-8 scaled designs, at
+        // exhaustion under the plan GUS, with no variance (one scanned row)
+        // and with no rows at all.
+        let c = catalog(3000);
+        let plan = LogicalPlan::scan("t")
+            .sample(SamplingMethod::Bernoulli { p: 0.6 })
+            .aggregate(vec![
+                AggSpec::sum(col("v"), "s").with_quantile(0.9),
+                AggSpec::count_star("n"),
+                AggSpec::avg(col("v"), "a").with_quantile(0.05),
+                AggSpec::avg(col("k"), "ak"),
+            ]);
+        let opts = QueryOptions {
+            seed: 5,
+            ..Default::default()
+        };
+        let OpenedAggregate {
+            analysis,
+            mut streams,
+            scalar,
+        } = open_aggregate(&plan, &c, &opts, &RunCtx::default(), &[]).unwrap();
+        let mut stream = streams.pop().unwrap();
+        let mut acc = scalar.new_acc();
+        let check = |acc: &MomentAccumulator, gus: &GusParams, confidence: f64, what: &str| {
+            let head = TickHead {
+                chunk: 1,
+                level: CiLevel::new(confidence).unwrap(),
+                plan: ReadoutPlan::new(gus),
+                progress: Vec::new(),
+                gus: gus.clone(),
+                start: Instant::now(),
+            };
+            let report = acc.report(gus).unwrap();
+            let want =
+                sa_exec::agg_results_from_report(scalar.aggs, &scalar.layout, &report, confidence);
+            // Once into a fresh vector, once over a stale previous readout.
+            let mut fresh = Vec::new();
+            let rel = scalar.read_slot(acc, &head, &mut fresh).unwrap();
+            let mut reused = want.clone();
+            for r in &mut reused {
+                (r.estimate, r.variance, r.ci_normal) = (-1.0, Some(-1.0), None);
+                r.quantile_bound = Some(f64::NAN);
+            }
+            assert_eq!(scalar.read_slot(acc, &head, &mut reused).unwrap(), rel);
+            assert_eq!((fresh.len(), reused.len()), (want.len(), want.len()));
+            let mut worst_cancelled = 1.0f64;
+            for (((f, r), w), &(num, den)) in fresh
+                .iter()
+                .zip(&reused)
+                .zip(&want)
+                .zip(scalar.layout.per_agg())
+            {
+                let cancelled = match (den, &report.covariance, w.variance) {
+                    (Some(den), Some(cov), Some(v)) if v > 0.0 => {
+                        let (mu_n, mu_d) = (report.estimate[num], report.estimate[den]);
+                        let r = mu_n / mu_d;
+                        let terms = cov.get(num, num).abs()
+                            + (2.0 * r * cov.get(num, den)).abs()
+                            + (r * r * cov.get(den, den)).abs();
+                        (terms / (mu_d * mu_d) / v).max(1.0)
+                    }
+                    _ => 1.0,
+                };
+                worst_cancelled = worst_cancelled.max(cancelled);
+                assert_same_agg(f, w, cancelled, what);
+                assert_same_agg(r, w, cancelled, what);
+            }
+            match (rel, worst_rel_half_width(&want)) {
+                (Some(g), Some(w)) => assert!(
+                    (g - w).abs() <= 1e-12 * worst_cancelled * w,
+                    "{what}: rel {g} vs {w}"
+                ),
+                (g, w) => assert_eq!(g, w, "{what}: rel"),
+            }
+        };
+        let prefix = |k: u64| {
+            GusParams::wor("t", k, 3000)
+                .and_then(|g| analysis.gus.compact(&g))
+                .unwrap()
+        };
+        check(&acc, &analysis.gus, 0.95, "empty");
+        let mut pulled = 0;
+        loop {
+            let chunk = stream
+                .next_batch(if pulled == 0 { 1 } else { 700 })
+                .unwrap();
+            if chunk.is_empty() {
+                break;
+            }
+            scalar.push(&mut acc, &chunk).unwrap();
+            pulled += 1;
+            let (scanned, _) = stream.progress()[0];
+            check(&acc, &prefix(scanned), 0.95, "mid-stream");
+            check(&acc, &prefix(scanned), 0.5, "mid-stream at 50%");
+        }
+        assert!(pulled > 3);
+        check(&acc, &analysis.gus, 0.99, "exhausted");
+        // One scanned unit: b_∅ = 0, estimates without variance on both.
+        check(&acc, &prefix(1), 0.95, "no variance");
+        // a = 0 is the same typed refusal.
+        let blocked = GusParams::bernoulli("t", 0.0).unwrap();
+        let head = TickHead {
+            chunk: 1,
+            level: CiLevel::new(0.95).unwrap(),
+            plan: ReadoutPlan::new(&blocked),
+            progress: Vec::new(),
+            gus: blocked.clone(),
+            start: Instant::now(),
+        };
+        let by_plan = scalar.read_slot(&acc, &head, &mut Vec::new()).unwrap_err();
+        let by_report = Error::Core(acc.report(&blocked).unwrap_err());
+        assert_eq!(by_plan.to_string(), by_report.to_string());
+        assert!(matches!(
+            by_plan,
+            Error::Core(sa_core::CoreError::Degenerate(_))
+        ));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! rewrite analyzes every group, and each group gets its own unbiased
 //! estimate and variance. A chunk is routed to its groups' slots of a
 //! [`sa_core::GroupedMomentAccumulator`]; a tick scales the GUS to the scan
-//! progress (Proposition 8) once and reads every discovered group's slot
-//! out exactly as the scalar shape reads its one accumulator.
+//! progress (Proposition 8) and plans its readout once, then reads every
+//! discovered group's slot out exactly as the scalar shape reads its one
+//! accumulator — into the snapshot it built last time, so a tick's cost
+//! follows what changed (new groups, new numbers), not what it holds.
 //!
 //! ## Per-group stopping
 //!
@@ -36,12 +38,13 @@
 use std::hash::Hasher;
 
 use sa_core::hash::{FxHashMap, FxHasher};
-use sa_core::GroupedMomentAccumulator;
+use sa_core::{GroupedMomentAccumulator, MomentAccumulator};
 use sa_exec::{AggResult, ColumnarChunk, ExecError};
 use sa_expr::{compile, CompiledExpr, Expr};
 use sa_storage::{ColumnVec, SchemaRef, Value};
 
 use crate::api::{QueryOptions, Snapshot};
+use crate::batch::gather;
 use crate::driver::{QueryShape, Scalar, TickHead};
 use crate::error::Error;
 use crate::Result;
@@ -120,6 +123,7 @@ pub(crate) struct Grouped<'p> {
 
 impl<'p> QueryShape<'p> for Grouped<'p> {
     type Acc = GroupedMomentAccumulator<Vec<Value>>;
+    type Tick = GroupedTick;
 
     fn compile(scalar: Scalar<'p>, group_by: &[Expr], schema: &SchemaRef) -> Result<Self> {
         let key_kernels = group_by
@@ -143,13 +147,16 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
 
     /// Route one columnar chunk into the grouped accumulator: evaluate the
     /// key kernels and the aggregate dimensions once per chunk, partition
-    /// the rows by a 64-bit key fingerprint, and feed each partition through
-    /// the amortized [`GroupedMomentAccumulator::push_batch`] path — the
-    /// group key tuple is materialized once per (chunk × group), not once
-    /// per row. Rows whose key collides with a different key's fingerprint
-    /// (astronomically rare; detected by comparing against the partition's
-    /// representative row) fall back to individual pushes with their own
-    /// key.
+    /// the rows by a 64-bit key fingerprint (partitions in first-seen
+    /// order, rows in chunk order within each — so the accumulation order
+    /// is deterministic for a fixed seed and chunking), gather every column
+    /// once into partition order, and feed each partition's slice of it
+    /// through the amortized [`GroupedMomentAccumulator::push_batch`] path —
+    /// the group key tuple is materialized once per (chunk × group), not
+    /// once per row, and nothing else is allocated per group. Rows whose
+    /// key collides with a different key's fingerprint (astronomically
+    /// rare; detected by comparing against the partition's first row) are
+    /// pushed one by one with their own key after the partitions.
     fn push(&self, acc: &mut Self::Acc, chunk: &ColumnarChunk) -> Result<()> {
         if chunk.is_empty() {
             return Ok(());
@@ -162,10 +169,15 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
             .map_err(|e| Error::Exec(ExecError::Expr(e)))?;
         let f_cols = self.scalar.dim_eval.eval(&chunk.batch)?;
         let rows = chunk.rows();
-        // Partition row indices by key fingerprint, in first-seen order (the
-        // accumulation order is deterministic for a fixed seed and chunking).
-        let mut parts: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut order: Vec<u64> = Vec::new();
+        // Row → partition, partitions numbered as their fingerprints first
+        // appear; `firsts[p]` is partition p's first row, `sizes[p]` its
+        // row count.
+        const STRAGGLER: usize = usize::MAX;
+        let mut part_of_fp: FxHashMap<u64, usize> = FxHashMap::default();
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut part_of_row: Vec<usize> = Vec::with_capacity(rows);
+        let mut stragglers: Vec<usize> = Vec::new();
         for i in 0..rows {
             let mut h = FxHasher::default();
             for c in &key_cols {
@@ -175,101 +187,225 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
             // high bits (f64 bit patterns), which Fx's multiply-only mixing
             // never propagates down into the map's bucket-index bits.
             let fp = sa_core::hash::splitmix64(h.finish());
-            parts
-                .entry(fp)
-                .or_insert_with(|| {
-                    order.push(fp);
-                    Vec::new()
-                })
-                .push(i as u32);
+            let part = *part_of_fp.entry(fp).or_insert_with(|| {
+                firsts.push(i);
+                sizes.push(0);
+                firsts.len() - 1
+            });
+            // Stored-key collision check against the partition's first row.
+            let first = firsts[part];
+            if i != first && !key_cols.iter().all(|c| group_cell_eq(c, i, first)) {
+                stragglers.push(i);
+                part_of_row.push(STRAGGLER);
+                continue;
+            }
+            sizes[part] += 1;
+            part_of_row.push(part);
         }
+        // Counting sort of the rows by partition: each partition's cursor
+        // starts where the one before it ends and, once every row is
+        // placed, stands at its own end.
+        let mut cursors = Vec::with_capacity(sizes.len());
+        let mut placed = 0;
+        for n in &sizes {
+            cursors.push(placed);
+            placed += n;
+        }
+        let mut by_part = vec![0usize; placed];
+        for (i, &part) in part_of_row.iter().enumerate() {
+            if part != STRAGGLER {
+                by_part[cursors[part]] = i;
+                cursors[part] += 1;
+            }
+        }
+        let lineage_cols = gather(&chunk.lineage, &by_part);
+        let f_cols_by_part = gather(&f_cols, &by_part);
         let materialize_key =
             |row: usize| -> Vec<Value> { key_cols.iter().map(|c| c.value(row)).collect() };
-        let mut lin_scratch: Vec<Vec<u64>> = vec![Vec::new(); chunk.lineage.len()];
-        let mut f_scratch: Vec<Vec<f64>> = vec![Vec::new(); f_cols.len()];
-        for fp in order {
-            let idxs = &parts[&fp];
-            let rep = idxs[0] as usize;
-            for s in lin_scratch.iter_mut() {
-                s.clear();
-            }
-            for s in f_scratch.iter_mut() {
-                s.clear();
-            }
-            let mut stragglers: Vec<u32> = Vec::new();
-            for &i in idxs {
-                let i = i as usize;
-                // Stored-key collision check against the representative row.
-                if i != rep && !key_cols.iter().all(|c| group_cell_eq(c, i, rep)) {
-                    stragglers.push(i as u32);
-                    continue;
-                }
-                for (s, l) in lin_scratch.iter_mut().zip(&chunk.lineage) {
-                    s.push(l[i]);
-                }
-                for (s, f) in f_scratch.iter_mut().zip(&f_cols) {
-                    s.push(f[i]);
-                }
-            }
-            let lineage: Vec<&[u64]> = lin_scratch.iter().map(|s| s.as_slice()).collect();
-            let f: Vec<&[f64]> = f_scratch.iter().map(|s| s.as_slice()).collect();
-            acc.push_batch(materialize_key(rep), &lineage, &f)?;
-            for i in stragglers {
-                let i = i as usize;
-                let lin: Vec<u64> = chunk.lineage.iter().map(|l| l[i]).collect();
-                let fv: Vec<f64> = f_cols.iter().map(|f| f[i]).collect();
-                acc.push(materialize_key(i), &lin, &fv)?;
-            }
+        let mut lineage: Vec<&[u64]> = Vec::with_capacity(lineage_cols.len());
+        let mut f: Vec<&[f64]> = Vec::with_capacity(f_cols_by_part.len());
+        let mut start = 0;
+        for (&first, &end) in firsts.iter().zip(&cursors) {
+            let range = start..end;
+            start = end;
+            lineage.clear();
+            lineage.extend(lineage_cols.iter().map(|c| &c[range.clone()]));
+            f.clear();
+            f.extend(f_cols_by_part.iter().map(|c| &c[range.clone()]));
+            acc.push_batch(materialize_key(first), &lineage, &f)?;
+        }
+        for i in stragglers {
+            let lin: Vec<u64> = chunk.lineage.iter().map(|l| l[i]).collect();
+            let fv: Vec<f64> = f_cols.iter().map(|f| f[i]).collect();
+            acc.push(materialize_key(i), &lin, &fv)?;
         }
         Ok(())
     }
 
-    /// Read every discovered group out under `head.gus`, in deterministic
-    /// key order, and apply the top-K tracking policy; the snapshot's
-    /// `rel_half_width` is the tracked groups' worst.
+    /// Read every discovered group out through `head`'s plan, in
+    /// deterministic key order, and apply the top-K tracking policy; the
+    /// snapshot's `rel_half_width` is the tracked groups' worst.
+    ///
+    /// The previous snapshot is updated in place: a group it already lists
+    /// has its numbers overwritten where it stands (`tick.place` remembers
+    /// where each accumulator slot's group stands in the key order), and
+    /// only the groups discovered since — the tail of the accumulator's
+    /// discovery order — are built, sorted among themselves and merged in.
     fn read(
         &self,
         acc: &Self::Acc,
         head: TickHead,
-        prev: Option<&Snapshot>,
+        prev: Option<Snapshot>,
+        tick: &mut GroupedTick,
         opts: &QueryOptions,
     ) -> Result<Snapshot> {
-        let mut slots: Vec<_> = acc.iter().collect();
-        slots.sort_by(|a, b| a.0.cmp(b.0));
-        let mut groups = Vec::with_capacity(slots.len());
-        for (key, slot) in slots {
-            let (aggs, rel) = self.scalar.read_slot(slot, &head.gus, head.confidence)?;
-            let converged = match (opts.rule.ci_target, rel) {
+        let (mut groups, group_exprs) = match prev {
+            Some(Snapshot::Grouped(s)) => (s.groups, s.group_exprs),
+            _ => {
+                tick.place.clear();
+                (Vec::new(), self.group_exprs.clone())
+            }
+        };
+        let read_group = |g: &mut GroupProgress, slot: &MomentAccumulator| -> Result<()> {
+            let rel = self.scalar.read_slot(slot, &head, &mut g.aggs)?;
+            g.sample_rows = slot.count();
+            g.rel_half_width = rel;
+            g.converged = match (opts.rule.ci_target, rel) {
                 (Some(t), Some(r)) => r.is_finite() && r <= t.epsilon,
                 _ => false,
             };
-            groups.push(GroupProgress {
-                key: key.clone(),
-                aggs,
-                sample_rows: slot.count(),
-                rel_half_width: rel,
-                converged,
-                tracked: true,
-            });
+            g.tracked = true;
+            Ok(())
+        };
+        // Slots are walked in discovery order — the order they, and the
+        // snapshot entries they feed, were allocated in — and `place` says
+        // where in the key order each one's entry stands. Discovery is
+        // judged on the (merged) accumulator: a group two shards found
+        // independently still counts as one discovery.
+        let known = groups.len();
+        debug_assert_eq!(known, tick.place.len());
+        let mut fresh = Vec::with_capacity(acc.group_count() - known);
+        for (at, (key, slot)) in acc.iter().enumerate() {
+            match tick.place.get(at) {
+                Some(&pos) => read_group(&mut groups[pos], slot)?,
+                None => {
+                    let mut g = GroupProgress {
+                        key: key.clone(),
+                        aggs: Vec::new(),
+                        sample_rows: 0,
+                        rel_half_width: None,
+                        converged: false,
+                        tracked: true,
+                    };
+                    read_group(&mut g, slot)?;
+                    fresh.push(g);
+                }
+            }
         }
-        apply_top_k_policy(&mut groups, opts.ci_top_k);
-        // Discovery is judged on the (merged) readout: a group two shards
-        // found independently still counts as one discovery.
-        let known = prev
-            .and_then(Snapshot::as_grouped)
-            .map_or(0, |s| s.groups.len());
-        Ok(Snapshot::Grouped(GroupedProgressSnapshot {
+        let new_groups = fresh.len() as u64;
+        if !fresh.is_empty() {
+            merge_by_key(&mut groups, &mut tick.place, fresh);
+        }
+        apply_top_k_policy(&mut groups, opts.ci_top_k, &mut tick.rank);
+        let snapshot = GroupedProgressSnapshot {
             chunk: head.chunk,
             rows: acc.count(),
-            group_exprs: self.group_exprs.clone(),
-            new_groups: (groups.len() - known) as u64,
+            group_exprs,
+            new_groups,
             rel_half_width: tracked_rel_half_width(&groups),
             groups,
-            confidence: head.confidence,
+            confidence: head.level.level(),
             progress: head.progress,
             gus: head.gus,
             elapsed: head.start.elapsed(),
-        }))
+        };
+        // Every grouped tick of this crate's own tests — any shape, any
+        // chunk source — checks the in-place update against a from-scratch
+        // readout of the same accumulator.
+        #[cfg(test)]
+        if known > 0 {
+            self.assert_is_the_scratch_readout(acc, &snapshot, head.level, head.start, opts);
+        }
+        Ok(Snapshot::Grouped(snapshot))
+    }
+}
+
+#[cfg(test)]
+impl<'p> Grouped<'p> {
+    /// `updated` — a snapshot the readout produced by updating its
+    /// predecessor in place — must be, bit for bit, what reading `acc` with
+    /// no predecessor gives (bar `new_groups`, which is relative to the
+    /// predecessor, and the clock).
+    fn assert_is_the_scratch_readout(
+        &self,
+        acc: &<Self as QueryShape<'p>>::Acc,
+        updated: &GroupedProgressSnapshot,
+        level: sa_core::CiLevel,
+        start: std::time::Instant,
+        opts: &QueryOptions,
+    ) {
+        let head = TickHead {
+            chunk: updated.chunk,
+            level,
+            plan: sa_core::ReadoutPlan::new(&updated.gus),
+            progress: updated.progress.clone(),
+            gus: updated.gus.clone(),
+            start,
+        };
+        let scratch = self
+            .read(acc, head, None, &mut GroupedTick::default(), opts)
+            .expect("the in-place readout of the same slots succeeded");
+        let mut scratch = scratch.as_grouped().expect("keys read out grouped").clone();
+        assert_eq!(scratch.new_groups as usize, scratch.groups.len());
+        (scratch.new_groups, scratch.elapsed) = (updated.new_groups, updated.elapsed);
+        // `Debug` prints every f64 so that it round-trips: equal renderings
+        // are equal bits (and NaN = NaN, which `==` would deny).
+        assert_eq!(format!("{updated:?}"), format!("{scratch:?}"));
+    }
+}
+
+/// What the grouped readout keeps between ticks beside the snapshot it
+/// updates in place.
+#[derive(Default)]
+pub(crate) struct GroupedTick {
+    /// For each accumulator slot, in discovery order: where its group
+    /// stands in the last snapshot's key-ordered `groups`.
+    place: Vec<usize>,
+    /// Scratch of the top-K policy: (ranked magnitude, group position).
+    rank: Vec<(f64, usize)>,
+}
+
+/// Merge `fresh` — the groups of the accumulator slots after the first
+/// `place.len()`, in discovery order — into the key-sorted `groups`, and
+/// bring `place` up to date: old groups shift right by the fresh keys that
+/// sort before them, fresh ones land between.
+fn merge_by_key(
+    groups: &mut Vec<GroupProgress>,
+    place: &mut Vec<usize>,
+    fresh: Vec<GroupProgress>,
+) {
+    let known = groups.len();
+    let mut fresh: Vec<(GroupProgress, usize)> = fresh.into_iter().zip(known..).collect();
+    fresh.sort_by(|a, b| a.0.key.cmp(&b.0.key));
+    place.resize(known + fresh.len(), 0);
+    let old = std::mem::replace(groups, Vec::with_capacity(known + fresh.len()));
+    // `moved[pos]`: where the old snapshot's group `pos` stands now.
+    let mut moved = Vec::with_capacity(known);
+    let mut fresh = fresh.into_iter().peekable();
+    for g in old {
+        while let Some((f, at)) = fresh.next_if(|(f, _)| f.key < g.key) {
+            place[at] = groups.len();
+            groups.push(f);
+        }
+        moved.push(groups.len());
+        groups.push(g);
+    }
+    for (f, at) in fresh {
+        place[at] = groups.len();
+        groups.push(f);
+    }
+    for pos in &mut place[..known] {
+        *pos = moved[*pos];
     }
 }
 
@@ -277,26 +413,32 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
 /// estimates to untracked. Ties (and NaN estimates, ranked below every
 /// finite magnitude — an inestimable group must not hold up the stop that
 /// `ci_top_k` exists to unblock) break by key order, so the tracked set is
-/// deterministic.
-fn apply_top_k_policy(groups: &mut [GroupProgress], ci_top_k: Option<usize>) {
+/// deterministic. Every group arrives tracked; each magnitude is computed
+/// once into `rank` (scratch, kept between ticks for its allocation) and
+/// the top `k` are split off by selection, `O(groups)`, not by a full sort.
+fn apply_top_k_policy(
+    groups: &mut [GroupProgress],
+    ci_top_k: Option<usize>,
+    rank: &mut Vec<(f64, usize)>,
+) {
     let Some(k) = ci_top_k else { return };
     if groups.len() <= k {
         return;
     }
-    let magnitude = |g: &GroupProgress| {
-        g.aggs
+    rank.clear();
+    rank.extend(groups.iter().enumerate().map(|(i, g)| {
+        let magnitude = g
+            .aggs
             .first()
             .map(|a| a.estimate.abs())
             .filter(|m| m.is_finite())
-            .unwrap_or(f64::NEG_INFINITY)
-    };
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    order.sort_by(|&a, &b| {
-        magnitude(&groups[b])
-            .total_cmp(&magnitude(&groups[a]))
-            .then(a.cmp(&b))
-    });
-    for &i in &order[k..] {
+            .unwrap_or(f64::NEG_INFINITY);
+        (magnitude, i)
+    }));
+    // A strict total order (positions are distinct), so the k-th element
+    // splits the same top k a full sort would.
+    rank.select_nth_unstable_by(k, |a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    for &(_, i) in &rank[k..] {
         groups[i].tracked = false;
     }
 }
@@ -558,9 +700,222 @@ mod tests {
             tracked: true,
         };
         let mut groups = vec![mk("a", f64::NAN), mk("b", 10.0), mk("c", -20.0)];
-        apply_top_k_policy(&mut groups, Some(2));
+        apply_top_k_policy(&mut groups, Some(2), &mut Vec::new());
         assert!(!groups[0].tracked, "NaN group must be demoted");
         assert!(groups[1].tracked && groups[2].tracked);
+    }
+
+    /// The policy as it was before selection replaced the sort: rank every
+    /// group, demote all but the first `k`.
+    fn top_k_by_full_sort(groups: &mut [GroupProgress], k: usize) {
+        let magnitude = |g: &GroupProgress| {
+            g.aggs
+                .first()
+                .map(|a| a.estimate.abs())
+                .filter(|m| m.is_finite())
+                .unwrap_or(f64::NEG_INFINITY)
+        };
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_by(|&a, &b| {
+            magnitude(&groups[b])
+                .total_cmp(&magnitude(&groups[a]))
+                .then(a.cmp(&b))
+        });
+        for &i in order.iter().skip(k) {
+            groups[i].tracked = false;
+        }
+    }
+
+    #[test]
+    fn top_k_selection_tracks_what_the_full_sort_tracks() {
+        // Generated estimates drawn from a handful of values, so ties are
+        // the rule: ±magnitudes that tie in absolute value, zeros of both
+        // signs, NaN and ±∞ (all three rank last, among themselves by key
+        // order). A group with no aggregate at all ranks last too.
+        let pool = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.5,
+            -2.5,
+            7.0,
+            1e-300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        let mk = |i: usize, estimate: f64, bare: bool| GroupProgress {
+            key: vec![Value::Int(i as i64)],
+            aggs: if bare {
+                Vec::new()
+            } else {
+                vec![AggResult {
+                    name: "s".into(),
+                    func: sa_plan::AggFunc::Sum,
+                    estimate,
+                    variance: None,
+                    ci_normal: None,
+                    ci_chebyshev: None,
+                    quantile_bound: None,
+                }]
+            },
+            sample_rows: 1,
+            rel_half_width: None,
+            converged: false,
+            tracked: true,
+        };
+        let mut rank = Vec::new();
+        let mut draw = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [1usize, 2, 3, 7, 40, 257] {
+            for round in 0..20 {
+                let groups: Vec<GroupProgress> = (0..len)
+                    .map(|i| {
+                        draw = sa_core::hash::splitmix64(draw);
+                        // Later rounds narrow the pool: more and longer ties.
+                        let pick = draw as usize % (pool.len() - round % 10);
+                        mk(i, pool[pick], draw >> 60 == 0)
+                    })
+                    .collect();
+                for k in [1, len.saturating_sub(1).max(1), len, len + 1, len / 2 + 1] {
+                    let (mut by_sort, mut by_selection) = (groups.clone(), groups.clone());
+                    top_k_by_full_sort(&mut by_sort, k);
+                    apply_top_k_policy(&mut by_selection, Some(k), &mut rank);
+                    let tracked = |gs: &[GroupProgress]| -> Vec<bool> {
+                        gs.iter().map(|g| g.tracked).collect()
+                    };
+                    assert_eq!(
+                        tracked(&by_selection),
+                        tracked(&by_sort),
+                        "len {len}, k {k}, round {round}"
+                    );
+                    assert_eq!(
+                        by_selection.iter().filter(|g| g.tracked).count(),
+                        k.min(len)
+                    );
+                }
+            }
+        }
+        // No policy: nothing is demoted, whatever the scratch holds.
+        let mut groups = vec![mk(0, 1.0, false), mk(1, 2.0, false)];
+        apply_top_k_policy(&mut groups, None, &mut rank);
+        assert!(groups.iter().all(|g| g.tracked));
+    }
+
+    /// `t(g, v)`: 41 groups cycling through the first `rows − 3` rows (every
+    /// fifth of them under a NULL key instead), then three rows of a group
+    /// nothing else belongs to — discovered by whichever chunk comes last.
+    fn late_group_catalog(rows: i64) -> Catalog {
+        let mut c = Catalog::new();
+        let schema = Schema::new(vec![
+            Field::new("g", DataType::Int),
+            Field::new("v", DataType::Float),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new("t", schema);
+        for i in 0..rows {
+            let g = if i >= rows - 3 {
+                Value::Int(-7)
+            } else if i % 5 == 0 {
+                Value::Null
+            } else {
+                // Keys come in an order that is neither ascending nor
+                // descending, so discovery order ≠ key order.
+                Value::Int((i * 17) % 41)
+            };
+            b.push_row(&[g, Value::Float(1.0 + (i % 7) as f64)])
+                .unwrap();
+        }
+        c.register(b.finish().unwrap()).unwrap();
+        c
+    }
+
+    #[test]
+    fn in_place_ticks_show_what_a_scratch_readout_shows() {
+        // Every tick below also runs `assert_is_the_scratch_readout` (the
+        // readout's own `cfg(test)` check): the snapshot updated in place is
+        // bit for bit the from-scratch readout of the same accumulator. On
+        // top of it, what a caller relies on across ticks.
+        let c = late_group_catalog(6000);
+        let plan = LogicalPlan::scan("t").aggregate(vec![
+            AggSpec::sum(col("v"), "s"),
+            AggSpec::avg(col("v"), "a"),
+        ]);
+        for (jobs, top_k) in [(1, None), (1, Some(5)), (4, None), (4, Some(5))] {
+            let opts = QueryOptions {
+                parallelism: jobs,
+                ci_top_k: top_k,
+                ..opts(11, 256, StoppingRule::exhaustive())
+            };
+            let (mut discovered, mut news, mut ticks) = (0u64, Vec::new(), 0u64);
+            let r = run(&plan, &[col("g")], &c, &opts, |s| {
+                ticks += 1;
+                assert_eq!(s.chunk, ticks);
+                assert!(
+                    s.groups.windows(2).all(|w| w[0].key < w[1].key),
+                    "keys strictly ascending at tick {ticks}, jobs {jobs}"
+                );
+                discovered += s.new_groups;
+                news.push(s.new_groups);
+                assert_eq!(discovered as usize, s.groups.len());
+                assert_eq!(s.rows, s.groups.iter().map(|g| g.sample_rows).sum::<u64>());
+                let tracked = s.groups.iter().filter(|g| g.tracked).count();
+                assert_eq!(
+                    tracked,
+                    top_k.map_or(s.groups.len(), |k| k.min(s.groups.len()))
+                );
+            })
+            .unwrap();
+            assert_eq!(r.reason, StopReason::Exhausted);
+            let s = grouped(&r);
+            assert_eq!(s.rows, 6000);
+            assert_eq!(s.groups.len(), 43, "41 keys, NULL, and the late one");
+            assert_eq!(s.groups[0].key, vec![Value::Null], "NULL sorts first");
+            assert_eq!(s.groups[1].key, vec![Value::Int(-7)]);
+            assert_eq!(s.groups[1].sample_rows, 3);
+            if jobs == 1 {
+                // 6000 rows in 256-row chunks: the late group's three rows
+                // sit in the last non-empty chunk, one tick before the
+                // empty exhaustion pull.
+                assert_eq!(news.len(), 25);
+                assert_eq!(news[22..], [0, 1, 0]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_snapshot_taken_off_the_channel_is_not_touched_by_later_ticks() {
+        let engine = crate::Engine::new(late_group_catalog(4000));
+        let query = || {
+            engine
+                .session()
+                .query(
+                    "SELECT g, SUM(v) AS s, AVG(v) AS a FROM t TABLESAMPLE (80 PERCENT) \
+                     GROUP BY g",
+                )
+                .seed(21)
+                .chunk_rows(300)
+        };
+        // What each tick looked like when it was emitted.
+        let mut emitted = Vec::new();
+        query()
+            .run_with(|s| emitted.push(format!("{:?}", s.as_grouped().unwrap().groups)))
+            .unwrap();
+        // Hold every snapshot of an `.online()` run until the run is over —
+        // the loop has long since rewritten its own copy in place.
+        let handle = query().online().unwrap();
+        let held: Vec<Snapshot> = handle.snapshots().collect();
+        let r = handle.wait().unwrap();
+        assert_eq!(held.len() as u64, r.chunks);
+        assert_eq!(held.len(), emitted.len());
+        assert!(held.len() > 5);
+        for (i, (snap, at_emission)) in held.iter().zip(&emitted).enumerate() {
+            let s = snap.as_grouped().unwrap();
+            assert_eq!(s.chunk, i as u64 + 1);
+            assert_eq!(&format!("{:?}", s.groups), at_emission, "tick {}", i + 1);
+        }
+        assert!(held[0].rows() < held.last().unwrap().rows());
     }
 
     #[test]

@@ -212,3 +212,75 @@ fn acceptance_query_matches_batch_grouped_estimator_at_exhaustion() {
         assert_eq!(g.sample_rows, moments.count);
     }
 }
+
+/// A long-tailed grouped table for the top-K pins: 30 000 rows over up to
+/// 400 Zipf(1.1) groups, values cycling 1..=7 — the tail is full of groups
+/// seen once or twice whose |estimate| ties.
+fn long_tail_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    let schema = Schema::new(vec![
+        Field::new("g", DataType::Int),
+        Field::new("v", DataType::Float),
+    ])
+    .unwrap();
+    let zipf = Zipf::new(400, 1.1);
+    let mut rng = StdRng::seed_from_u64(20_261_003);
+    let mut b = TableBuilder::new("t", schema);
+    for i in 0..30_000 {
+        let g = zipf.sample(&mut rng);
+        b.push_row(&[Value::Int(g as i64), Value::Float(1.0 + (i % 7) as f64)])
+            .unwrap();
+    }
+    c.register(b.finish().unwrap()).unwrap();
+    c
+}
+
+/// Satellite: the O(G) top-K partition tracks exactly the groups the full
+/// sort tracked. Golden values were taken from the parent commit (c07a669,
+/// `sort_by` over every group) before `apply_top_k_policy` changed: stop
+/// reason, stop chunk, rows, group count, and a fold of the tracked keys of
+/// *every* tick (so a tie broken differently mid-run shows, not only one at
+/// the stop).
+#[test]
+fn top_k_tracks_what_the_full_sort_tracked() {
+    let catalog = long_tail_catalog();
+    let plan = LogicalPlan::scan("t")
+        .sample(SamplingMethod::Bernoulli { p: 0.5 })
+        .aggregate(vec![AggSpec::sum(col("v"), "s")]);
+    // (seed, K, ε) → (stop chunk, rows, groups, tracked at stop, fold)
+    let golden = [
+        (
+            (1u64, 12usize, 0.25),
+            (20u64, 5089u64, 362usize, 12usize, 2368389330091717869u64),
+        ),
+        ((2, 60, 0.7), (17, 4367, 354, 60, 4077366255946328657)),
+        ((3, 150, 1.5), (11, 2832, 329, 150, 2615768873676977146)),
+    ];
+    for ((seed, k, eps), want) in golden {
+        let opts = QueryOptions {
+            seed,
+            chunk_rows: 512,
+            rule: StoppingRule::ci(eps, 0.95),
+            ci_top_k: Some(k),
+            ..Default::default()
+        };
+        let mut fold = 0u64;
+        let r = support::run_groups(&plan, &[col("g")], &catalog, &opts, |s| {
+            for g in s.groups.iter().filter(|g| g.tracked) {
+                fold = fold
+                    .wrapping_mul(1_000_003)
+                    .wrapping_add(g.key[0].as_i64().unwrap() as u64 + 1);
+            }
+            fold = fold.wrapping_mul(1_000_003); // tick boundary
+        })
+        .unwrap();
+        let s = support::grouped(&r);
+        assert_eq!(r.reason, StopReason::CiConverged, "seed {seed}");
+        let tracked = s.groups.iter().filter(|g| g.tracked).count();
+        assert_eq!(
+            (r.chunks, s.rows, s.groups.len(), tracked, fold),
+            want,
+            "seed {seed}, top-{k}, ε = {eps}"
+        );
+    }
+}

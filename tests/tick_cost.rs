@@ -1,0 +1,136 @@
+//! What a grouped tick costs, as a count rather than a clock: heap
+//! allocations per tick, through a counting global allocator.
+//!
+//! A tick reads every discovered group's slot through one readout plan into
+//! the snapshot it built last time, so once discovery has plateaued a tick
+//! allocates for its own bookkeeping (the scaled GUS, the plan, the pulled
+//! chunk) and nothing per group. Before the readout went in place a tick
+//! cloned every key, built a fresh `Vec<AggResult>` with fresh name strings
+//! per group, and ran the §6.3 recursion over cloned matrices for each —
+//! upwards of fifteen allocations per group and tick.
+//!
+//! This file holds exactly one test: the counter is per thread, but a quiet
+//! process keeps the numbers easy to reason about.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sampling_algebra::prelude::*;
+
+struct Counting;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread. `const`
+    /// initialization and no destructor: safe to touch from the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a thread-local counter bump that itself never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr`/`layout` describe a live `System` block; `new_size`
+        // is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `t(g, v)`: `4·groups` rows dealing the keys `0..groups` round-robin — so
+/// the first chunks discover every group — then a long tail over 16 hot
+/// keys, so later chunks push little and discover nothing.
+fn plateau_catalog(groups: i64, rows: i64) -> Catalog {
+    let mut c = Catalog::new();
+    let schema = Schema::new(vec![
+        Field::new("g", DataType::Int),
+        Field::new("v", DataType::Float),
+    ])
+    .unwrap();
+    let mut b = TableBuilder::new("t", schema);
+    for i in 0..rows {
+        let g = if i < 4 * groups { i % groups } else { i % 16 };
+        b.push_row(&[Value::Int(g), Value::Float(1.0 + (i % 7) as f64)])
+            .unwrap();
+    }
+    c.register(b.finish().unwrap()).unwrap();
+    c
+}
+
+/// Run the grouped query until `row_budget` sampled rows are in; returns
+/// the allocations the whole run made, its tick count and its group count.
+/// `.run()` hands no snapshot out, so nothing here is a caller's copy.
+fn run_to(catalog: &Catalog, row_budget: u64) -> (u64, u64, usize) {
+    let engine = Engine::new(catalog.clone());
+    let query = engine
+        .session()
+        .query("SELECT g, SUM(v) AS s, COUNT(*) AS n FROM t TABLESAMPLE (90 PERCENT) GROUP BY g")
+        .seed(5)
+        .chunk_rows(4096)
+        .ci_top_k(50)
+        .rows(row_budget);
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = query.run().unwrap();
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(r.reason, StopReason::RowBudget);
+    let groups = r.snapshot.as_grouped().expect("GROUP BY").groups.len();
+    (made, r.chunks, groups)
+}
+
+/// Allocations per tick (pull, push and readout of one chunk) once
+/// discovery has plateaued, and the group count they were measured at: two
+/// runs of one seed that differ only in how many plateau ticks they take,
+/// so the difference of their totals is those ticks' allocations exactly.
+fn steady_tick_allocations(groups: i64) -> (f64, usize) {
+    let catalog = plateau_catalog(groups, 4 * groups + 14 * 4096);
+    let discovered = (4 * groups + 2 * 4096) as u64;
+    let (short, short_ticks, short_groups) = run_to(&catalog, discovered);
+    let (long, long_ticks, long_groups) = run_to(&catalog, discovered + 8 * 3600);
+    assert_eq!(short_groups, long_groups, "discovery had plateaued");
+    assert!(
+        long_ticks >= short_ticks + 7,
+        "{short_ticks} → {long_ticks}"
+    );
+    let per_tick = (long - short) as f64 / (long_ticks - short_ticks) as f64;
+    (per_tick, long_groups)
+}
+
+#[test]
+fn a_tick_that_discovers_nothing_allocates_nothing_per_group() {
+    let (small, small_groups) = steady_tick_allocations(1000);
+    let (large, large_groups) = steady_tick_allocations(2000);
+    assert!(small_groups >= 990 && large_groups >= 1980);
+    // At most one allocation per group and tick on average (it is far
+    // fewer; the parent made at least fifteen).
+    let per_group = large / large_groups as f64;
+    assert!(
+        per_group <= 1.0,
+        "{per_group:.2} allocations per group and tick ({large:.0} a tick)"
+    );
+    // And a thousand more groups add nothing a tick allocates for: the
+    // counts differ by what a chunk's hash partitioning happens to need,
+    // not by anything proportional to the groups read.
+    let extra = large - small;
+    assert!(
+        extra.abs() <= 0.02 * (large_groups - small_groups) as f64,
+        "{} more groups cost {extra:.1} more allocations a tick ({small:.0} vs {large:.0})",
+        large_groups - small_groups
+    );
+}
