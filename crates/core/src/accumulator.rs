@@ -21,8 +21,8 @@
 //! variance and confidence intervals readable after *every* chunk of an
 //! online aggregation loop: [`MomentAccumulator::y`] under a
 //! [`crate::ReadoutPlan`] is what a tick does (a dot product per covariance
-//! entry, in place), [`MomentAccumulator::report`] the full
-//! [`EstimateReport`] with every `Ŷ_S` materialized.
+//! entry, in place), and [`MomentAccumulator::report`] the same readout
+//! collected into an [`EstimateReport`].
 //!
 //! # Two modes
 //!
@@ -78,7 +78,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash};
 
 use crate::error::CoreError;
-use crate::estimator::{estimate_from_sample_moments, EstimateReport};
+use crate::estimator::EstimateReport;
 use crate::hash::{fingerprint128, rel_salt, subset_key, FoldedFxHasher};
 use crate::moments::{MomentMatrix, Moments};
 use crate::params::GusParams;
@@ -419,13 +419,14 @@ impl MomentAccumulator {
         }
     }
 
-    /// Produce the full [`EstimateReport`] (point estimates, variance, `Ŷ_S`)
-    /// for the rows consumed so far, under `gus`. Does **not** consume the
-    /// accumulator. It clones the `2ⁿ` matrices and re-derives the GUS's
-    /// coefficients on every call; a loop reading many slots under one GUS
-    /// builds a [`crate::ReadoutPlan`] once instead.
+    /// Produce the full [`EstimateReport`] (point estimates, covariance, and
+    /// the moments for variance prediction) for the rows consumed so far,
+    /// under `gus`. Does **not** consume the accumulator. It clones the `2ⁿ`
+    /// matrices and re-derives the GUS's weights on every call; a loop
+    /// reading many slots under one GUS builds a [`crate::ReadoutPlan`] once
+    /// instead — and reads the same bits.
     pub fn report(&self, gus: &GusParams) -> Result<EstimateReport> {
-        estimate_from_sample_moments(gus, &self.snapshot())
+        EstimateReport::of(gus, self.snapshot())
     }
 }
 

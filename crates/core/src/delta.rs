@@ -39,22 +39,10 @@ impl DeltaEstimate {
     }
 }
 
-/// Ratio estimator `estimate[num] / estimate[den]` with delta-method
-/// variance. This is `AVG` when `num` accumulates `f` and `den` accumulates
-/// the constant 1.
-pub fn ratio(report: &EstimateReport, num: usize, den: usize) -> Result<DeltaEstimate> {
-    let cov = report.covariance.as_ref().ok_or_else(|| {
-        CoreError::Degenerate("covariance unavailable: ratio variance cannot be formed".into())
-    })?;
-    ratio_of(
-        (report.estimate[num], report.estimate[den]),
-        [cov.get(num, num), cov.get(num, den), cov.get(den, den)],
-    )
-}
-
-/// [`ratio`] from its five inputs: the two estimates `(μ_N, μ_D)` and their
-/// covariance entries `[Var_N, Cov(N,D), Var_D]` — for callers that read
-/// the three entries off something other than an [`EstimateReport`].
+/// Ratio estimator `μ_N / μ_D` with delta-method variance, from the two
+/// estimates `(μ_N, μ_D)` and their covariance entries
+/// `[Var_N, Cov(N,D), Var_D]`. This is `AVG` when `N` accumulates `f` and
+/// `D` accumulates the constant 1 (or the non-null indicator).
 pub fn ratio_of(
     (mu_n, mu_d): (f64, f64),
     [var_n, cov_nd, var_d]: [f64; 3],
@@ -113,12 +101,21 @@ mod tests {
         sbox.finish().unwrap()
     }
 
+    /// `AVG` off a report built by [`avg_report`].
+    fn ratio(rep: &EstimateReport) -> Result<DeltaEstimate> {
+        let cov = rep.covariance.as_ref().unwrap();
+        ratio_of(
+            (rep.estimate[0], rep.estimate[1]),
+            [cov.get(0, 0), cov.get(0, 1), cov.get(1, 1)],
+        )
+    }
+
     #[test]
     fn ratio_point_estimate_is_sample_mean() {
         // AVG via ratio of scaled sums: the 1/a factors cancel, so the point
         // estimate is exactly the sample mean.
         let rep = avg_report(0.5, &[2.0, 4.0, 9.0]);
-        let est = ratio(&rep, 0, 1).unwrap();
+        let est = ratio(&rep).unwrap();
         assert!((est.value - 5.0).abs() < 1e-12);
         assert!(est.variance >= 0.0);
     }
@@ -129,7 +126,7 @@ mod tests {
         // delta-method variance collapses (numerator and denominator are
         // perfectly correlated).
         let rep = avg_report(0.5, &[3.0; 40]);
-        let est = ratio(&rep, 0, 1).unwrap();
+        let est = ratio(&rep).unwrap();
         assert!((est.value - 3.0).abs() < 1e-12);
         assert!(
             est.variance.abs() < 1e-6 * 9.0,
@@ -141,7 +138,7 @@ mod tests {
     #[test]
     fn ratio_ci_contains_point() {
         let rep = avg_report(0.3, &[1.0, 2.0, 3.0, 10.0]);
-        let est = ratio(&rep, 0, 1).unwrap();
+        let est = ratio(&rep).unwrap();
         let ci = est.ci_normal(0.95).unwrap();
         assert!(ci.contains(est.value));
         assert!((est.std_error() * est.std_error() - est.variance).abs() < 1e-12);
@@ -151,7 +148,7 @@ mod tests {
     fn zero_denominator_rejected() {
         let gus = GusParams::bernoulli("r", 0.5).unwrap();
         let rep = SBox::with_dims(gus, 2).finish().unwrap();
-        assert!(ratio(&rep, 0, 1).is_err());
+        assert!(ratio(&rep).is_err());
     }
 
     #[test]
@@ -172,7 +169,7 @@ mod tests {
     #[test]
     fn ratio_matches_smooth_function_formulation() {
         let rep = avg_report(0.4, &[2.0, 6.0, 7.0, 9.0]);
-        let r = ratio(&rep, 0, 1).unwrap();
+        let r = ratio(&rep).unwrap();
         let mu_n = rep.estimate[0];
         let mu_d = rep.estimate[1];
         // ∇(n/d) = (1/d, −n/d²)

@@ -7,9 +7,10 @@
 //!
 //! 1. the unbiased point estimate `X = (1/a) Σ f(t)` (Theorem 1),
 //! 2. the sample statistics `Y_S` (grouped second moments),
-//! 3. the unbiased moment estimates `Ŷ_S` via the Section 6.3 recursion,
-//! 4. the variance estimate `σ̂² = Σ_S (c_S/a²)·Ŷ_S − Ŷ_∅`, and
-//! 5. normal / Chebyshev confidence intervals and `QUANTILE` bounds.
+//! 3. the variance estimate `σ̂² = Σ_S w_S·Y_S` — Theorem 1 with the
+//!    Section 6.3 unbiasing folded into one weight vector
+//!    ([`crate::ReadoutPlan`]), and
+//! 4. normal / Chebyshev confidence intervals and `QUANTILE` bounds.
 //!
 //! The SBox is aggregate-vector-valued: pushing `k` values per tuple yields a
 //! `k×k` covariance estimate, which powers the delta-method AVG (see
@@ -22,7 +23,8 @@ use crate::ci::{chebyshev_ci, normal_ci, quantile_bound, ConfidenceInterval};
 use crate::error::CoreError;
 use crate::moments::{MomentMatrix, Moments};
 use crate::params::GusParams;
-use crate::relset::{LineageSchema, RelSet};
+use crate::readout::ReadoutPlan;
+use crate::relset::LineageSchema;
 use crate::Result;
 
 /// Streaming estimator for SUM-like aggregates under a GUS sampling method.
@@ -72,127 +74,55 @@ impl SBox {
 /// Compute an [`EstimateReport`] from already-accumulated *sample* moments.
 ///
 /// Split out of [`SBox::finish`] so callers that keep the raw moments around
-/// (e.g. the Section 7 sub-sampled estimator) can reuse them.
+/// can reuse them.
 pub fn estimate_from_sample_moments(gus: &GusParams, sample: &Moments) -> Result<EstimateReport> {
+    EstimateReport::of(gus, sample.clone())
+}
+
+/// Exact (oracle) variance of dimension `dim` given **population** moments —
+/// the right-hand side of Theorem 1 evaluated exactly, which is the
+/// readout of moments "sampled" by the identity: `w(identity, gus)`. NaN
+/// when `gus` has `a = 0` or the moments are over another lineage arity.
+/// Used by tests and the oracle baseline.
+pub fn exact_variance(gus: &GusParams, population: &Moments, dim: usize) -> f64 {
+    let identity = GusParams::identity(gus.schema().clone());
+    ReadoutPlan::between(&identity, gus)
+        .ok()
+        .and_then(|plan| {
+            plan.read(&population.total, &population.y)
+                .ok()?
+                .covariance(dim, dim)
+        })
+        .unwrap_or(f64::NAN)
+}
+
+/// `sample` is over `gus`'s lineage arity.
+fn check_arity(gus: &GusParams, sample: &Moments) -> Result<()> {
     if sample.n != gus.n() {
         return Err(CoreError::DimensionMismatch {
             expected: gus.n(),
             got: sample.n,
         });
     }
-    let a = gus.a();
-    if a <= 0.0 {
-        return Err(CoreError::Degenerate(
-            "GUS a = 0: nothing can be estimated from a sampler that blocks everything".into(),
-        ));
-    }
-    let estimate: Vec<f64> = sample.total.iter().map(|t| t / a).collect();
-    let y_hat = unbiased_y_hats(gus, sample);
-    let covariance = y_hat
-        .as_ref()
-        .ok()
-        .map(|yh| covariance_from_y(gus, yh, sample.dims));
-    Ok(EstimateReport {
-        schema: gus.schema().clone(),
-        gus: gus.clone(),
-        estimate,
-        covariance,
-        y_hat: y_hat.ok(),
-        dims: sample.dims,
-        m: sample.count,
-    })
+    Ok(())
 }
 
-/// The Section 6.3 recursion: unbiased `Ŷ_S` from sample `Y_S`.
-///
-/// Processes `S` in decreasing cardinality:
-/// `Ŷ_S = (Y_S − Σ_{∅≠V⊆S^c} d_{S,V}·Ŷ_{S∪V}) / b_S`, starting from
-/// `Ŷ_full = Y_full / a`. Fails with [`CoreError::Degenerate`] when some
-/// `b_S = 0` (e.g. a WOR sample of size 1: a single draw carries no variance
-/// information), in which case the point estimate is still available.
-pub fn unbiased_y_hats(gus: &GusParams, sample: &Moments) -> Result<Vec<MomentMatrix>> {
-    let n = gus.n();
-    let size = 1usize << n;
-    let mut order: Vec<usize> = (0..size).collect();
-    order.sort_by_key(|s| std::cmp::Reverse(s.count_ones()));
-    let mut y_hat: Vec<Option<MomentMatrix>> = vec![None; size];
-    for s_idx in order {
-        let s = RelSet::from_bits(s_idx as u32);
-        let d = gus.d_coeffs_for(s);
-        let b_s = d[RelSet::EMPTY.index()];
-        if b_s <= 0.0 {
-            return Err(CoreError::Degenerate(format!(
-                "b_{} = 0: the pair probability needed to unbias Y is zero",
-                gus.schema().display_set(s)
-            )));
-        }
-        let mut acc = sample.y[s_idx].clone();
-        for v in s.complement(n).subsets() {
-            if v.is_empty() {
-                continue;
-            }
-            let dv = d[v.index()];
-            if dv != 0.0 {
-                let superset = s.union(v).index();
-                let yh = y_hat[superset]
-                    .as_ref()
-                    .expect("supersets are processed before subsets");
-                acc.add_scaled(yh, -dv);
-            }
-        }
-        acc.scale(1.0 / b_s);
-        y_hat[s_idx] = Some(acc);
-    }
-    Ok(y_hat
-        .into_iter()
-        .map(|m| m.expect("all computed"))
-        .collect())
-}
-
-/// Theorem 1 variance/covariance from moment matrices (exact if `y` are the
-/// population moments, estimated if they are `Ŷ_S`):
-/// `Cov[p,q] = Σ_S (c_S/a²)·y_S[p,q] − y_∅[p,q]`.
-///
-/// The `− y_∅` is folded into `y_∅`'s coefficient before anything is
-/// multiplied: `y_∅ = (Σf)²` dwarfs the variance on any sizeable sample, and
-/// adding it in only to take it out again would round the variance to
-/// `y_∅`'s last place (for a Bernoulli design the coefficient `c_∅/a² − 1`
-/// is exactly 0 and `y_∅` drops out, as it should).
-pub fn covariance_from_y(gus: &GusParams, y: &[MomentMatrix], dims: usize) -> MomentMatrix {
-    let c = gus.c_coeffs();
-    let a2 = gus.a() * gus.a();
-    let mut cov = MomentMatrix::zero(dims);
-    for (s_idx, y_s) in y.iter().enumerate() {
-        let own = if s_idx == RelSet::EMPTY.index() {
-            1.0
-        } else {
-            0.0
-        };
-        cov.add_scaled(y_s, c[s_idx] / a2 - own);
-    }
-    cov
-}
-
-/// Exact (oracle) variance of dimension `dim` given **population** moments —
-/// the right-hand side of Theorem 1 evaluated exactly. Used by tests and the
-/// oracle baseline.
-pub fn exact_variance(gus: &GusParams, population: &Moments, dim: usize) -> f64 {
-    covariance_from_y(gus, &population.y, population.dims).get(dim, dim)
-}
-
-/// The SBox output: point estimates, estimated covariance, and the unbiased
-/// `Ŷ_S` (exposed because Section 8's "choosing sampling parameters"
-/// application plugs *other* schemes' coefficients into the same `Ŷ_S`).
+/// The SBox output: point estimates and estimated covariance, plus the
+/// sample moments they were read from (Section 8's "choosing sampling
+/// parameters" reads the same moments for *other* schemes).
 #[derive(Debug, Clone)]
 pub struct EstimateReport {
-    schema: Arc<LineageSchema>,
+    /// The design `estimate` and `covariance` are of.
     gus: GusParams,
+    /// The design `sample` was drawn under: `gus` itself, or under Section
+    /// 7 sub-sampling `gus` compacted with the sub-sampler.
+    sampled: GusParams,
+    /// Boxed: a report rides inside every scalar batch answer.
+    sample: Box<Moments>,
     /// Unbiased point estimate per aggregate dimension.
     pub estimate: Vec<f64>,
     /// Estimated covariance matrix of the estimators, when estimable.
     pub covariance: Option<MomentMatrix>,
-    /// Unbiased estimates `Ŷ_S` of the population `y_S`, when estimable.
-    pub y_hat: Option<Vec<MomentMatrix>>,
     /// Aggregate dimension.
     pub dims: usize,
     /// Number of result tuples consumed.
@@ -200,33 +130,64 @@ pub struct EstimateReport {
 }
 
 impl EstimateReport {
-    /// Assemble a report from independently computed parts.
-    ///
-    /// Needed by the Section 7 sub-sampled estimator, where the *point
-    /// estimate* comes from the full sample under the original GUS while the
-    /// `Ŷ_S`/covariance come from a sub-sample under the compacted GUS.
-    pub fn from_parts(
-        gus: GusParams,
+    /// `sample`'s report under the design it was drawn under: estimates
+    /// `ΣF / a` and the tick's readout `w(gus, gus)`. A design with `a = 0`
+    /// is a typed refusal.
+    pub(crate) fn of(gus: &GusParams, sample: Moments) -> Result<EstimateReport> {
+        check_arity(gus, &sample)?;
+        let plan = ReadoutPlan::new(gus);
+        let slot = plan.read(&sample.total, &sample.y)?;
+        let estimate = (0..sample.dims).map(|p| slot.estimate(p)).collect();
+        EstimateReport::between(gus, gus, sample, estimate)
+    }
+
+    /// `estimate` of `target`'s estimator, with the covariance `sample` —
+    /// drawn under `sampled` — says it has: `w(sampled, target)` read
+    /// through [`ReadoutPlan::between`], entry by entry, exactly as a tick
+    /// reads it. No covariance when `sampled` admits no variance estimate
+    /// (some `b_S = 0`, or `a = 0`: a sub-sample of nothing). Section 7
+    /// sub-sampling is the one caller with two designs: its estimate is the
+    /// full sample's, its covariance the sub-sample's.
+    pub fn between(
+        sampled: &GusParams,
+        target: &GusParams,
+        sample: Moments,
         estimate: Vec<f64>,
-        covariance: Option<MomentMatrix>,
-        y_hat: Option<Vec<MomentMatrix>>,
-        dims: usize,
-        m: u64,
-    ) -> EstimateReport {
-        EstimateReport {
-            schema: gus.schema().clone(),
-            gus,
+    ) -> Result<EstimateReport> {
+        check_arity(sampled, &sample)?;
+        let dims = sample.dims;
+        if estimate.len() != dims {
+            return Err(CoreError::DimensionMismatch {
+                expected: dims,
+                got: estimate.len(),
+            });
+        }
+        let plan = ReadoutPlan::between(sampled, target)?;
+        // Weights exist only where the sampled design has a > 0, so the
+        // read cannot refuse.
+        let covariance = match plan.weights() {
+            Some(_) => {
+                let slot = plan.read(&sample.total, &sample.y)?;
+                Some(MomentMatrix::from_fn(dims, |p, q| {
+                    slot.covariance(p, q).expect("the plan has weights")
+                }))
+            }
+            None => None,
+        };
+        Ok(EstimateReport {
+            gus: target.clone(),
+            sampled: sampled.clone(),
             estimate,
             covariance,
-            y_hat,
             dims,
-            m,
-        }
+            m: sample.count,
+            sample: Box::new(sample),
+        })
     }
 
     /// The lineage schema of the analysis.
     pub fn schema(&self) -> &Arc<LineageSchema> {
-        &self.schema
+        self.gus.schema()
     }
 
     /// The GUS the estimate was produced under.
@@ -273,25 +234,22 @@ impl EstimateReport {
 
     /// Predict the variance this query would have under a **different** GUS
     /// method (same lineage schema) — Section 8's "choosing sampling
-    /// parameters": the unbiased `Ŷ_S` from one sampling instance are valid
-    /// estimates of the population `y_S`, so any other scheme's coefficients
-    /// can be plugged in.
+    /// parameters": the sample moments read through `w(sampled, other)`
+    /// estimate `other`'s Theorem 1 variance, unbiasedly.
     pub fn predict_variance(&self, other: &GusParams, dim: usize) -> Result<f64> {
-        if other.schema() != &self.schema {
-            return Err(CoreError::SchemaMismatch {
-                left: self.schema.to_string(),
-                right: other.schema().to_string(),
-            });
-        }
-        let y_hat = self.y_hat.as_ref().ok_or_else(|| {
-            CoreError::Degenerate("Ŷ_S unavailable; variance prediction impossible".into())
-        })?;
+        let plan = ReadoutPlan::between(&self.sampled, other)?;
         if other.a() <= 0.0 {
             return Err(CoreError::Degenerate("target GUS has a = 0".into()));
         }
-        Ok(covariance_from_y(other, y_hat, self.dims)
-            .get(dim, dim)
-            .max(0.0))
+        let variance = plan
+            .read(&self.sample.total, &self.sample.y)?
+            .covariance(dim, dim)
+            .ok_or_else(|| {
+                CoreError::Degenerate(
+                    "some b_S = 0 under the sampled design; variance prediction impossible".into(),
+                )
+            })?;
+        Ok(variance.max(0.0))
     }
 }
 
@@ -388,18 +346,26 @@ mod tests {
     }
 
     #[test]
-    fn y_hat_unbiased_under_full_inclusion() {
-        // With a = 1 Bernoulli, Ŷ_S must equal the (now fully observed) y_S.
+    fn full_inclusion_predicts_from_the_population_moments() {
+        // With a = 1 Bernoulli the sample is the population: a prediction
+        // for Bernoulli(q) is the closed form ((1−q)/q)·y_r over it, and
+        // for the identity it is 0 — what exact_variance says of both.
         let gus = GusParams::bernoulli("r", 1.0).unwrap();
         let mut sbox = SBox::new(gus);
         for i in 1..=5u64 {
             sbox.push_scalar(&[i], i as f64).unwrap();
         }
         let rep = sbox.finish().unwrap();
-        let yh = rep.y_hat.unwrap();
-        // y_∅ = 15² = 225, y_{r} = 1+4+9+16+25 = 55.
-        assert!((yh[0].get(0, 0) - 225.0).abs() < 1e-9);
-        assert!((yh[1].get(0, 0) - 55.0).abs() < 1e-9);
+        let q = 0.2;
+        let design = GusParams::bernoulli("r", q).unwrap();
+        // y_r = 1+4+9+16+25 = 55.
+        let want = (1.0 - q) / q * 55.0;
+        let got = rep.predict_variance(&design, 0).unwrap();
+        assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        let exact = exact_variance(&design, &population_moments(5), 0);
+        assert!((exact - want).abs() < 1e-9, "{exact} vs {want}");
+        let identity = GusParams::identity(rep.schema().clone());
+        assert!(rep.predict_variance(&identity, 0).unwrap().abs() < 1e-9);
     }
 
     #[test]

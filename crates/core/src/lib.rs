@@ -16,9 +16,10 @@
 //!   ([`coeffs`]), grouped second moments ([`moments`]), and the exact
 //!   variance evaluator [`estimator::exact_variance`].
 //! * **The SBox** ([`SBox`]): the streaming estimator of Section 6 —
-//!   unbiased point estimates, the `Ŷ_S` recursion, variance/covariance,
-//!   normal and Chebyshev confidence intervals, `QUANTILE` bounds, and
-//!   cross-scheme variance prediction.
+//!   unbiased point estimates, variance/covariance, normal and Chebyshev
+//!   confidence intervals, `QUANTILE` bounds, and cross-scheme variance
+//!   prediction. Every variance is one weight vector over the sample
+//!   moments, `w(sampled design, target design)` ([`ReadoutPlan`]).
 //! * **Section 7**: deterministic lineage-hash sub-sampling
 //!   ([`LineageBernoulli`]) for cheap variance estimation.
 //! * **Section 9 extension**: delta-method ratio/AVG estimation ([`delta`]).
@@ -66,12 +67,9 @@ pub mod subsample;
 
 pub use accumulator::MomentAccumulator;
 pub use ci::{chebyshev_ci, normal_ci, quantile_bound, CiLevel, CiMethod, ConfidenceInterval};
-pub use delta::{ratio, ratio_of, smooth_function, DeltaEstimate};
+pub use delta::{ratio_of, smooth_function, DeltaEstimate};
 pub use error::CoreError;
-pub use estimator::{
-    covariance_from_y, estimate_from_sample_moments, exact_variance, unbiased_y_hats,
-    EstimateReport, SBox,
-};
+pub use estimator::{estimate_from_sample_moments, exact_variance, EstimateReport, SBox};
 pub use grouped_accumulator::GroupedMomentAccumulator;
 pub use moments::{GroupedMoments, MomentMatrix, Moments};
 pub use params::GusParams;

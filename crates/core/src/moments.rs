@@ -42,6 +42,14 @@ impl MomentMatrix {
         }
     }
 
+    /// The `k×k` matrix whose entry `(p, q)` is `entry(p, q)`.
+    pub(crate) fn from_fn(k: usize, mut entry: impl FnMut(usize, usize) -> f64) -> MomentMatrix {
+        MomentMatrix {
+            k,
+            data: (0..k * k).map(|i| entry(i / k, i % k)).collect(),
+        }
+    }
+
     /// Dimension `k`.
     pub fn dim(&self) -> usize {
         self.k

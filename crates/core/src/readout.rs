@@ -3,34 +3,36 @@
 //!
 //! Theorem 1 and the Section 6.3 recursion are both linear in the sample
 //! moments: every `Ŷ_S` is a triangular combination of the `Y_T` (`T ⊇ S`),
-//! and `σ̂² = Σ_S (c_S/a²)·Ŷ_S − Ŷ_∅` a combination of those. Composed, the
-//! whole variance readout is one weight vector `w(GUS)`:
+//! and `σ̂² = Σ_S (c_S/a²)·Ŷ_S − Ŷ_∅` a combination of those. Composed, every
+//! variance this crate reports is one weight vector fixed by two designs —
+//! the one the moments were **sampled** under, which supplies `b`/`d`, and
+//! the **target** whose variance is wanted, which supplies `c/a²`:
 //!
 //! ```text
-//! Cov[p,q] = Σ_S w_S · Y_S[p,q]
+//! Cov[p,q] = Σ_S w_S(sampled, target) · Y_S[p,q]
 //! ```
 //!
-//! `w` depends on the GUS alone, not on the data — and by Proposition 5 a
-//! group's indicator is just another selection, so the *same* `w` reads
-//! every group of a `GROUP BY` (the accumulator-side form of Szegedy and
-//! Thorup's point that one sample answers every subset sum with a
-//! per-subset variance that needs no per-subset re-analysis of the
-//! sampler). A [`ReadoutPlan`] is that vector plus `a`; reading a slot with
-//! it is a `2ⁿ`-term dot product per covariance entry — no clone of the
-//! moment matrices, no coefficient transform, no allocation.
+//! A tick reads `w(G, G)` ([`ReadoutPlan::new`]); Section 7 sub-sampling
+//! `w(G ⊙ LineageBernoulli, G)`, Section 8's variance prediction `w(G, G′)`
+//! and the exact variance over population moments `w(identity, G)`
+//! ([`ReadoutPlan::between`]). `w` depends on the designs alone, not on the
+//! data — and by Proposition 5 a group's indicator is just another
+//! selection, so the *same* `w` reads every group of a `GROUP BY` (the
+//! accumulator-side form of Szegedy and Thorup's point that a design's
+//! variance is a closed form of the design, with no per-subset
+//! re-analysis of the sampler). A [`ReadoutPlan`] is that vector plus `a`;
+//! reading a slot with it is a `2ⁿ`-term dot product per covariance entry
+//! — no clone of the moment matrices, no coefficient transform, no
+//! allocation, and no `Ŷ_S` materialized.
 //!
 //! The weights come from running the recursion backwards. Write the target
-//! as `Σ_S g_S·Ŷ_S` with `g_S = c_S/a² − [S = ∅]` and substitute
-//! `Ŷ_S = (Y_S − Σ_{∅≠V⊆S^c} d_{S,V}·Ŷ_{S∪V}) / b_S` for the smallest `S`
-//! first: `Y_S` picks up `w_S = g_S/b_S`, and each strict superset's
-//! coefficient `g_{S∪V}` loses `w_S·d_{S,V}` — by the time a set is
-//! reached, every subset has already been folded into its coefficient.
-//!
-//! [`crate::estimate_from_sample_moments`] stays the definition (it
-//! materializes every `Ŷ_S`, which Section 8's variance prediction needs);
-//! a plan readout equals it bit for bit on the estimates (`total / a` on
-//! both routes) and to float association on the covariance —
-//! `tests/readout_plan.rs` is the generated differential.
+//! as `Σ_S g_S·Ŷ_S` with `g_S = c_S/a² − [S = ∅]` (the target's `c` and `a`)
+//! and substitute `Ŷ_S = (Y_S − Σ_{∅≠V⊆S^c} d_{S,V}·Ŷ_{S∪V}) / b_S` (the
+//! sampled design's `b` and `d`) for the smallest `S` first: `Y_S` picks up
+//! `w_S = g_S/b_S`, and each strict superset's coefficient `g_{S∪V}` loses
+//! `w_S·d_{S,V}` — by the time a set is reached, every subset has already
+//! been folded into its coefficient. `tests/readout_plan.rs` checks every
+//! case against the recursion run forwards, as the paper writes it.
 
 use crate::error::CoreError;
 use crate::moments::MomentMatrix;
@@ -38,29 +40,50 @@ use crate::params::GusParams;
 use crate::relset::RelSet;
 use crate::Result;
 
-/// Everything about a readout that depends on the GUS alone: `a`, and the
-/// variance functional's weights when every `b_S > 0`.
+/// Everything about a readout that depends on the designs alone: the
+/// sampled design's `a`, and the variance functional's weights when it is
+/// defined.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReadoutPlan {
     n: usize,
     a: f64,
-    /// `w_S` by `S.index()`; `None` when some `b_S = 0` (no variance is
-    /// estimable — a WOR sample of size 1, say — but estimates still are).
+    /// `w_S` by `S.index()`; `None` when some `b_S = 0` under the sampled
+    /// design (no variance is estimable — a WOR sample of size 1, say — but
+    /// estimates still are) or the target has `a = 0`.
     weights: Option<Box<[f64]>>,
 }
 
 impl ReadoutPlan {
-    /// The plan for reading slots accumulated under `gus`. Never fails: a
-    /// GUS with `a = 0` yields a plan whose every [`ReadoutPlan::read`] is
-    /// the typed [`CoreError::Degenerate`] the report route gives, so a
-    /// readout with no slot to read (a `GROUP BY` that has found no group)
-    /// stays an empty answer rather than an error.
+    /// The plan for reading slots accumulated under `gus`, for `gus`'s own
+    /// variance: `w(gus, gus)`. Never fails: a GUS with `a = 0` yields a
+    /// plan whose every [`ReadoutPlan::read`] is a typed
+    /// [`CoreError::Degenerate`], so a readout with no slot to read (a
+    /// `GROUP BY` that has found no group) stays an empty answer rather
+    /// than an error.
     pub fn new(gus: &GusParams) -> ReadoutPlan {
         ReadoutPlan {
             n: gus.n(),
             a: gus.a(),
-            weights: variance_weights(gus),
+            weights: variance_weights(gus, gus),
         }
+    }
+
+    /// The plan for reading slots sampled under `sampled` for the variance
+    /// `target` would have: `w(sampled, target)`. Estimates are still the
+    /// sample's own (`ΣF / a` under `sampled`); the two designs must share
+    /// a lineage schema.
+    pub fn between(sampled: &GusParams, target: &GusParams) -> Result<ReadoutPlan> {
+        if sampled.schema() != target.schema() {
+            return Err(CoreError::SchemaMismatch {
+                left: sampled.schema().to_string(),
+                right: target.schema().to_string(),
+            });
+        }
+        Ok(ReadoutPlan {
+            n: sampled.n(),
+            a: sampled.a(),
+            weights: variance_weights(sampled, target),
+        })
     }
 
     /// The weights `w_S` of the variance functional, by `S.index()`, when
@@ -92,21 +115,23 @@ impl ReadoutPlan {
     }
 }
 
-/// `w_S` for every `S`, or `None` when some `b_S ≤ 0` (or `a ≤ 0`).
-fn variance_weights(gus: &GusParams) -> Option<Box<[f64]>> {
-    let (n, a) = (gus.n(), gus.a());
-    if a <= 0.0 || gus.b_table().iter().any(|b| *b <= 0.0) {
+/// `w_S(sampled, target)` for every `S`, or `None` when some sampled
+/// `b_S ≤ 0` or either design has `a ≤ 0`.
+fn variance_weights(sampled: &GusParams, target: &GusParams) -> Option<Box<[f64]>> {
+    let (n, a) = (target.n(), target.a());
+    if a <= 0.0 || sampled.a() <= 0.0 || sampled.b_table().iter().any(|b| *b <= 0.0) {
         return None;
     }
-    // g_S = c_S/a² − [S = ∅]: the coefficient of Ŷ_S in Theorem 1.
-    let mut g: Vec<f64> = gus.c_coeffs().iter().map(|c| c / (a * a)).collect();
+    // g_S = c_S/a² − [S = ∅]: the coefficient of Ŷ_S in the target's
+    // Theorem 1.
+    let mut g: Vec<f64> = target.c_coeffs().iter().map(|c| c / (a * a)).collect();
     g[RelSet::EMPTY.index()] -= 1.0;
     let mut order: Vec<usize> = (0..g.len()).collect();
     order.sort_by_key(|s| s.count_ones());
     let mut w = vec![0.0; g.len()];
     for s_idx in order {
         let s = RelSet::from_bits(s_idx as u32);
-        let d = gus.d_coeffs_for(s);
+        let d = sampled.d_coeffs_for(s);
         w[s_idx] = g[s_idx] / d[RelSet::EMPTY.index()];
         for v in s.complement(n).subsets().filter(|v| !v.is_empty()) {
             g[s.union(v).index()] -= w[s_idx] * d[v.index()];
@@ -156,7 +181,29 @@ mod tests {
     }
 
     #[test]
-    fn join_readout_matches_the_report() {
+    fn a_prediction_reweights_the_sampled_moments() {
+        // Sampled under Bernoulli(p), read for Bernoulli(q):
+        // Var_q = ((1−q)/q)·y_r with y_r unbiased by Y_r/p.
+        let (p, q) = (0.25, 0.6);
+        let sampled = GusParams::bernoulli("r", p).unwrap();
+        let plan = ReadoutPlan::between(&sampled, &GusParams::bernoulli("r", q).unwrap()).unwrap();
+        let w = plan.weights().unwrap();
+        assert!(w[0].abs() < 1e-12, "w_∅ = {}", w[0]);
+        assert!((w[1] - (1.0 - q) / (q * p)).abs() < 1e-12, "w_r = {}", w[1]);
+        // The same design on both sides is the tick's plan, to the bit.
+        assert_eq!(
+            ReadoutPlan::between(&sampled, &sampled).unwrap(),
+            ReadoutPlan::new(&sampled)
+        );
+        let other = GusParams::bernoulli("s", q).unwrap();
+        assert!(matches!(
+            ReadoutPlan::between(&sampled, &other),
+            Err(CoreError::SchemaMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn join_readout_is_the_report() {
         let gus = GusParams::bernoulli("l", 0.3)
             .unwrap()
             .join(&GusParams::wor("o", 5, 40).unwrap())
@@ -172,8 +219,8 @@ mod tests {
         for p in 0..2 {
             assert_eq!(slot.estimate(p).to_bits(), report.estimate[p].to_bits());
             for q in 0..2 {
-                let (got, want) = (slot.covariance(p, q).unwrap(), cov.get(p, q));
-                assert!((got - want).abs() <= 1e-12 * want.abs(), "{got} vs {want}");
+                let got = slot.covariance(p, q).unwrap();
+                assert_eq!(got.to_bits(), cov.get(p, q).to_bits());
             }
         }
     }

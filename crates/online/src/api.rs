@@ -18,10 +18,10 @@ use crate::grouped::GroupedProgressSnapshot;
 /// Options for one query run through the [`crate::Engine`]. Fields a
 /// terminal has no use for are ignored by it: scalar queries ignore
 /// `ci_top_k`; [`crate::QueryBuilder::batch`] drains the whole sample, so it
-/// ignores the stopping rule, `deadline`, `scale_to_population` and
-/// `adaptive_chunks`; the progressive terminals ignore `subsample_target`
-/// on a scalar query. With GROUP BY keys `subsample_target` is not ignored
-/// but refused, by every terminal ([`crate::Error::InvalidOptions`]).
+/// ignores the stopping rule, `deadline` and `adaptive_chunks`; the
+/// progressive terminals ignore `subsample_target` on a scalar query. With
+/// GROUP BY keys `subsample_target` is not ignored but refused, by every
+/// terminal ([`crate::Error::InvalidOptions`]).
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
     /// Seed for the plan's sampling operators (the streamed sample
@@ -37,12 +37,6 @@ pub struct QueryOptions {
     /// sample. For grouped queries the rule's CI target is judged per
     /// group.
     pub rule: StoppingRule,
-    /// Scale mid-stream estimates to the full population by compacting a
-    /// per-relation WOR(scanned, total) factor onto the plan GUS (the
-    /// random-scan-order assumption of online aggregation). Default `true`;
-    /// with `false`, snapshots read the raw prefix estimate under the plan
-    /// GUS.
-    pub scale_to_population: bool,
     /// Number of worker threads driving the sampled plan. `1` (the
     /// default) runs the classic single-threaded loop — byte-identical
     /// snapshots for a fixed seed, and the only mode that can attach to an
@@ -73,11 +67,6 @@ pub struct QueryOptions {
     /// they just cannot postpone termination. Ignored by scalar queries.
     /// `None` (default): every discovered group must meet the target.
     pub ci_top_k: Option<usize>,
-    /// Disable projection/predicate pushdown into the streaming scans (see
-    /// [`sa_exec::ExecOptions::disable_pushdown`]). The realized sample
-    /// and every estimate are identical either way; this exists for
-    /// benchmark baselines and equivalence tests. Default `false`.
-    pub disable_pushdown: bool,
     /// Hard wall-clock deadline for the whole query. When it expires the
     /// loop cancels itself and reports the last valid snapshot with
     /// [`StopReason::Deadline`] — still an unbiased scan-prefix estimate.
@@ -102,12 +91,10 @@ impl Default for QueryOptions {
             chunk_rows: 1024,
             confidence: 0.95,
             rule: StoppingRule::exhaustive(),
-            scale_to_population: true,
             parallelism: 1,
             adaptive_chunks: false,
             shuffle_scan: false,
             ci_top_k: None,
-            disable_pushdown: false,
             deadline: None,
             subsample_target: None,
         }

@@ -16,10 +16,7 @@
 //! realized sample is the parallel run's, and with no ticks to overlap
 //! there is nothing for a worker pool to hide.
 
-use sa_core::{
-    covariance_from_y, unbiased_y_hats, EstimateReport, GusParams, LineageBernoulli,
-    MomentAccumulator,
-};
+use sa_core::{EstimateReport, GusParams, LineageBernoulli, MomentAccumulator};
 use sa_exec::{agg_results_from_report, DrainedSample};
 use sa_expr::Expr;
 use sa_plan::LogicalPlan;
@@ -98,11 +95,12 @@ pub(crate) fn drain_batch(
     }))
 }
 
-/// Section 7: the point estimate from every tuple under the plan GUS;
-/// `Ŷ_S` and the covariance from a lineage-hash sub-sample of about
-/// `target` tuples under the compacted GUS (Figure 5's pipeline). The
-/// per-relation keep probability is chosen so the expected surviving
-/// count is near the target; a result already that small is not
+/// Section 7: the point estimate from every tuple under the plan GUS; the
+/// covariance from a lineage-hash sub-sample of about `target` tuples,
+/// read for the plan GUS through `w(compacted, gus)` — the sub-sample was
+/// drawn under the plan GUS compacted with the sub-sampler (Figure 5's
+/// pipeline). The per-relation keep probability is chosen so the expected
+/// surviving count is near the target; a result already that small is not
 /// sub-sampled.
 fn subsampled_report(
     sample: &DrainedSample,
@@ -134,28 +132,20 @@ fn subsampled_report(
     let sub_lineage = gather(&sample.lineage, &kept);
     let sub_f = gather(&sample.f, &kept);
     acc.push_batch(&as_slices(&sub_lineage), &as_slices(&sub_f))?;
-    let sub_moments = acc.snapshot();
-    // Summed in row order from zero, exactly as the accumulator's
-    // running total is — the estimate matches the un-sub-sampled one
-    // bit for bit.
+    // Summed in row order from zero, exactly as the accumulator's running
+    // total is — the estimate matches the un-sub-sampled one bit for bit.
     let estimate = sample
         .f
         .iter()
         .map(|col| col.iter().fold(0.0, |t, v| t + v) / gus.a())
         .collect();
     let compacted = gus.compact(&filter.gus())?;
-    let (covariance, y_hat) = match unbiased_y_hats(&compacted, &sub_moments) {
-        Ok(yh) => (Some(covariance_from_y(gus, &yh, dims)), Some(yh)),
-        Err(_) => (None, None),
-    };
-    Ok(EstimateReport::from_parts(
-        gus.clone(),
+    Ok(EstimateReport::between(
+        &compacted,
+        gus,
+        acc.snapshot(),
         estimate,
-        covariance,
-        y_hat,
-        dims,
-        sub_moments.count,
-    ))
+    )?)
 }
 
 /// The `rows` of every column, in order.
@@ -405,6 +395,20 @@ mod tests {
             .batch()
             .unwrap();
         assert_eq!(out.as_scalar().unwrap().variance_rows, full.result_rows);
+        // A sub-sample of no tuples keeps the estimate and has no variance.
+        let out = engine
+            .session()
+            .query_plan(&plan)
+            .seed(0)
+            .subsample(0)
+            .batch()
+            .unwrap();
+        let none = out.as_scalar().unwrap();
+        assert_eq!(
+            none.aggs[0].estimate.to_bits(),
+            full.aggs[0].estimate.to_bits()
+        );
+        assert_eq!((none.aggs[0].variance, none.variance_rows), (None, 0));
     }
 
     #[test]

@@ -54,8 +54,7 @@
 //! estimates target the full answer, their intervals account for both the
 //! not-yet-scanned data *and* the plan's own sampling, and at exhaustion
 //! every factor degenerates to the identity, so the final readout **equals
-//! the batch estimator's output** on the consumed sample. Set [`QueryOptions::scale_to_population`]` = false` to read raw
-//! prefix estimates under the plan GUS instead.
+//! the batch estimator's output** on the consumed sample.
 //!
 //! `UnionSamples` plans need more care than one plan-wide compaction:
 //! compaction does not distribute over Proposition 7 unions, and the
@@ -160,8 +159,8 @@ pub struct ProgressSnapshot {
     /// plan's lineage schema (see [`ChunkStream::progress`]).
     pub progress: Vec<(u64, u64)>,
     /// The GUS the snapshot was read under: the plan GUS compacted with the
-    /// scan-progress factors (or the plan GUS itself when scaling is off /
-    /// the stream is exhausted).
+    /// scan-progress factors (the plan GUS itself once the stream is
+    /// exhausted).
     pub gus: GusParams,
     /// Wall time since the loop started.
     pub elapsed: Duration,
@@ -359,7 +358,7 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
                     exhausted: bool,
                     degraded: bool|
      -> Result<Option<StopReason>> {
-        let gus = if every_chunk && opts.scale_to_population {
+        let gus = if every_chunk {
             scale_gus_tree(&analysis.gus_tree, prog_tree)?
         } else {
             analysis.gus.clone()
@@ -557,12 +556,12 @@ pub(crate) fn open_aggregate<'p>(
     let exec_opts = ExecOptions {
         seed: opts.seed,
         shuffle_scan: opts.shuffle_scan,
-        disable_pushdown: opts.disable_pushdown,
         scan_obs: ctx.scan_obs.clone(),
         // The stream carries the aggregate's INPUT; analyze the full plan
         // (plus the caller's GROUP BY keys) so the scans prune down to what
         // the estimator actually reads, not the input's whole schema.
         scan_cols: Some(sa_plan::ScanColumnMap::analyze_with(plan, observed)),
+        ..Default::default()
     };
     let streams = match (&ctx.shared, opts.parallelism) {
         // Attach the sequential loop to the engine's shared circular scan:
@@ -837,23 +836,22 @@ mod tests {
     #[test]
     fn scan_scaling_targets_the_full_population() {
         // 20k rows of mean 4.0 → truth 80k. Stop after ~1/10 of the sample:
-        // the scaled estimate must be near the full answer, the raw prefix
-        // estimate near a tenth of it.
+        // the scaled estimate must be near the full answer, the same run's
+        // accumulator read under the plan GUS alone (the raw prefix
+        // estimate) near a tenth of it.
         let c = catalog(20_000);
         let truth = 80_000.0; // v cycles 1..=7 (mean 4.0) over 20k rows
-        let opts = |scale| QueryOptions {
+        let opts = QueryOptions {
             seed: 2,
             chunk_rows: 200,
             rule: StoppingRule::rows(1800),
-            scale_to_population: scale,
             ..Default::default()
         };
-        let scaled = run(&sum_plan(0.9), &c, &opts(true), |_| {}).unwrap();
-        let raw = run(&sum_plan(0.9), &c, &opts(false), |_| {}).unwrap();
-        let (es, er) = (
-            scalar(&scaled).aggs[0].estimate,
-            scalar(&raw).aggs[0].estimate,
-        );
+        let plan = sum_plan(0.9);
+        let (scaled, acc) =
+            drive_shape::<Scalar>(&plan, &[], &c, &opts, &RunCtx::default(), true, |_| {}).unwrap();
+        let raw = acc.report(&scaled.analysis.gus).unwrap();
+        let (es, er) = (scalar(&scaled).aggs[0].estimate, raw.estimate[0]);
         assert!(
             (es - truth).abs() < 0.1 * truth,
             "scaled {es} should be near {truth}"
@@ -864,7 +862,7 @@ mod tests {
         );
         // Scaled intervals are wider: they also carry the unscanned-data
         // uncertainty.
-        assert!(scalar(&scaled).aggs[0].variance.unwrap() > scalar(&raw).aggs[0].variance.unwrap());
+        assert!(scalar(&scaled).aggs[0].variance.unwrap() > raw.variance(0).unwrap());
     }
 
     #[test]
@@ -935,40 +933,43 @@ mod tests {
         assert!((r.snapshot.confidence() - 0.95).abs() < 1e-12);
     }
 
-    /// Field for field: `name`/`func`/`level`/`method` exact, estimates to
-    /// the bit, variances and interval endpoints to 1e-12 relative.
-    /// `cancelled` ≥ 1 says how much larger the terms the variance is a
-    /// rounded sum of are than the variance itself: 1 for a plain
-    /// aggregate, whose variance is one covariance entry, more for `AVG`,
-    /// whose delta-method variance is a difference of three — two routes
-    /// that agree on each entry to the last bits agree on the difference
-    /// only relative to what was subtracted.
-    fn assert_same_agg(got: &AggResult, want: &AggResult, cancelled: f64, what: &str) {
-        let close = |g: f64, w: f64| (g - w).abs() <= 1e-12 * cancelled * w.abs();
+    /// Field for field and to the bit: both routes read one functional.
+    fn assert_same_agg(got: &AggResult, want: &AggResult, what: &str) {
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
         assert_eq!((&got.name, got.func), (&want.name, want.func), "{what}");
         assert_eq!(
             got.estimate.to_bits(),
             want.estimate.to_bits(),
-            "{what} {}: estimate {} vs {}",
-            got.name,
-            got.estimate,
-            want.estimate
+            "{what} {}",
+            got.name
         );
-        let pair = |g: Option<f64>, w: Option<f64>, field: &str| match (g, w) {
-            (Some(g), Some(w)) => assert!(close(g, w), "{what} {} {field}: {g} vs {w}", got.name),
-            (g, w) => assert_eq!(g, w, "{what} {} {field}", got.name),
-        };
-        pair(got.variance, want.variance, "variance");
-        pair(got.quantile_bound, want.quantile_bound, "quantile bound");
+        assert_eq!(
+            bits(got.variance),
+            bits(want.variance),
+            "{what} {}",
+            got.name
+        );
+        assert_eq!(
+            bits(got.quantile_bound),
+            bits(want.quantile_bound),
+            "{what} {}",
+            got.name
+        );
         for (g, w) in [
             (&got.ci_normal, &want.ci_normal),
             (&got.ci_chebyshev, &want.ci_chebyshev),
         ] {
-            assert_eq!(g.is_some(), w.is_some(), "{what} {}: interval", got.name);
-            if let (Some(g), Some(w)) = (g, w) {
-                assert_eq!((g.level, g.method), (w.level, w.method), "{what}");
-                assert!(close(g.lo, w.lo) && close(g.hi, w.hi), "{what}: {g} vs {w}");
-            }
+            let key = |ci: &Option<sa_core::ConfidenceInterval>| {
+                ci.map(|ci| {
+                    (
+                        ci.level.to_bits(),
+                        ci.method,
+                        ci.lo.to_bits(),
+                        ci.hi.to_bits(),
+                    )
+                })
+            };
+            assert_eq!(key(g), key(w), "{what} {}: interval", got.name);
         }
     }
 
@@ -1022,35 +1023,15 @@ mod tests {
             }
             assert_eq!(scalar.read_slot(acc, &head, &mut reused).unwrap(), rel);
             assert_eq!((fresh.len(), reused.len()), (want.len(), want.len()));
-            let mut worst_cancelled = 1.0f64;
-            for (((f, r), w), &(num, den)) in fresh
-                .iter()
-                .zip(&reused)
-                .zip(&want)
-                .zip(scalar.layout.per_agg())
-            {
-                let cancelled = match (den, &report.covariance, w.variance) {
-                    (Some(den), Some(cov), Some(v)) if v > 0.0 => {
-                        let (mu_n, mu_d) = (report.estimate[num], report.estimate[den]);
-                        let r = mu_n / mu_d;
-                        let terms = cov.get(num, num).abs()
-                            + (2.0 * r * cov.get(num, den)).abs()
-                            + (r * r * cov.get(den, den)).abs();
-                        (terms / (mu_d * mu_d) / v).max(1.0)
-                    }
-                    _ => 1.0,
-                };
-                worst_cancelled = worst_cancelled.max(cancelled);
-                assert_same_agg(f, w, cancelled, what);
-                assert_same_agg(r, w, cancelled, what);
+            for ((f, r), w) in fresh.iter().zip(&reused).zip(&want) {
+                assert_same_agg(f, w, what);
+                assert_same_agg(r, w, what);
             }
-            match (rel, worst_rel_half_width(&want)) {
-                (Some(g), Some(w)) => assert!(
-                    (g - w).abs() <= 1e-12 * worst_cancelled * w,
-                    "{what}: rel {g} vs {w}"
-                ),
-                (g, w) => assert_eq!(g, w, "{what}: rel"),
-            }
+            assert_eq!(
+                rel.map(f64::to_bits),
+                worst_rel_half_width(&want).map(f64::to_bits),
+                "{what}: rel"
+            );
         };
         let prefix = |k: u64| {
             GusParams::wor("t", k, 3000)

@@ -552,12 +552,8 @@ impl Engine {
                 // Mirror the driver's pruning (full plan + GROUP BY keys)
                 // so the hub's column set covers what the cursor will ask
                 // for — the swap-in attach can then never be rejected.
-                let needed = if opts.disable_pushdown {
-                    None
-                } else {
-                    let map = sa_plan::ScanColumnMap::analyze_with(plan, group_by);
-                    shared_scan_needs(input, &self.inner.catalog, &map)?
-                };
+                let map = sa_plan::ScanColumnMap::analyze_with(plan, group_by);
+                let needed = shared_scan_needs(input, &self.inner.catalog, &map)?;
                 Ok(Some(self.covering_hub(&table, needed)?))
             }
             None => Ok(None),
@@ -730,22 +726,6 @@ impl QueryBuilder {
     /// tables (see [`QueryOptions::shuffle_scan`]).
     pub fn shuffle_scan(mut self, on: bool) -> QueryBuilder {
         self.opts.shuffle_scan = on;
-        self
-    }
-
-    /// Toggle projection/predicate pushdown into the scans (on by
-    /// default). The realized sample and every estimate are identical
-    /// either way (see [`QueryOptions::disable_pushdown`]); turning it off
-    /// exists for benchmark baselines and the differential tests.
-    pub fn pushdown(mut self, on: bool) -> QueryBuilder {
-        self.opts.disable_pushdown = !on;
-        self
-    }
-
-    /// Scale mid-stream estimates to the full population (default) or read
-    /// raw prefix estimates.
-    pub fn scale_to_population(mut self, on: bool) -> QueryBuilder {
-        self.opts.scale_to_population = on;
         self
     }
 

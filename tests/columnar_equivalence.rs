@@ -11,8 +11,9 @@
 //!   snapshot cadence only — the realized sample, and hence the exhaustion
 //!   estimate, is pinned equal to the fixed-chunk run;
 //! * `.batch()` is an exhaustive drain of the stream `.run()` opens: over
-//!   plan shape × sampler × seed × `shuffle_scan` × `disable_pushdown` the
-//!   two agree bit for bit on one worker (to 1e-9 on four), and Section 7
+//!   plan shape × sampler × seed × `shuffle_scan` the two agree bit for bit
+//!   on one worker (to 1e-9 on four), the stream realizes the same tuples
+//!   with [`ExecOptions::disable_pushdown`] on or off, and Section 7
 //!   sub-sampling leaves the point estimate untouched;
 //! * `.exact()` runs that same drain, so its truth is checked against a
 //!   hand fold over the row executor's tuples, NULL arguments included.
@@ -204,9 +205,9 @@ proptest! {
         seed in 0u64..10_000,
         chunk_rows in 1usize..400,
         shuffle_scan in any::<bool>(),
-        disable_pushdown in any::<bool>(),
     ) {
-        let engine = Engine::new(catalog());
+        let c = catalog();
+        let engine = Engine::new(c.clone());
         let method = match sampler % 4 {
             0 => SamplingMethod::Bernoulli { p },
             1 => SamplingMethod::System { p },
@@ -214,12 +215,24 @@ proptest! {
             _ => SamplingMethod::WithReplacement { size },
         };
         let (plan, group_by) = shaped_plan(shape, method.clone());
+        // Pushdown is a property of the stream, not of the estimate: off,
+        // the scans gather every column and keep filters apart, and the
+        // realized tuples and lineage are the same.
+        let LogicalPlan::Aggregate { input, .. } = &plan else { unreachable!() };
+        let pushdown = ExecOptions { seed, shuffle_scan, ..Default::default() };
+        let no_pushdown = ExecOptions { disable_pushdown: true, ..pushdown.clone() };
+        match (open_stream(input, &c, &pushdown), open_stream(input, &c, &no_pushdown)) {
+            (Ok(on), Ok(off)) => prop_assert_eq!(
+                on.collect_rows(chunk_rows).unwrap(),
+                off.collect_rows(chunk_rows).unwrap()
+            ),
+            (on, off) => prop_assert_eq!(on.is_ok(), off.is_ok()),
+        }
         for jobs in [1usize, 4] {
             let opts = QueryOptions {
                 seed,
                 chunk_rows,
                 shuffle_scan,
-                disable_pushdown,
                 parallelism: jobs,
                 ..Default::default()
             };
@@ -410,6 +423,65 @@ proptest! {
         // SUM only: the delta-method AVG of ~100 tuples is far noisier.
         if let (Some(vf), Some(vs)) = (full.aggs[0].variance, sub.aggs[0].variance) {
             prop_assert!(vs > vf / 3.0 && vs < vf * 3.0, "vf = {vf}, vs = {vs}");
+        }
+    }
+}
+
+/// An `ApproxResult` is one readout: its `aggs` are what its `report` says,
+/// to the bit — whether the aggregates came off the drain's exhaustion
+/// tick (`.batch()`) or off the report itself (Section 7's
+/// `.subsample(n).batch()`), on a single-table Bernoulli scan and a
+/// Bernoulli ⋈ Bernoulli join.
+#[test]
+fn an_approx_result_is_one_readout() {
+    let c = catalog();
+    let engine = Engine::new(c.clone());
+    // `shaped_plan`'s SELECT list: SUM on dimension 0, COUNT(*) on 1, AVG
+    // the ratio of dimension 2 over 3.
+    let sum_and_count = [(0usize, 0usize), (1, 1)];
+    let (avg, num, den) = (2usize, 2usize, 3usize);
+    for shape in [0u8, 2] {
+        let (plan, _) = shaped_plan(shape, SamplingMethod::Bernoulli { p: 0.4 });
+        for seed in 0..20u64 {
+            let query = || engine.session().query_plan(&plan).seed(seed);
+            for (what, out) in [
+                ("batch", query().batch().unwrap()),
+                ("subsample", query().subsample(60).batch().unwrap()),
+            ] {
+                let r = out.as_scalar().unwrap();
+                let at = format!("shape {shape}, seed {seed}, {what}");
+                for (i, dim) in sum_and_count {
+                    let agg = &r.aggs[i];
+                    assert_eq!(
+                        agg.estimate.to_bits(),
+                        r.report.estimate[dim].to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        agg.variance.map(f64::to_bits),
+                        r.report.variance(dim).ok().map(f64::to_bits),
+                        "{at}: {} variance",
+                        agg.name
+                    );
+                }
+                let cov = r.report.covariance.as_ref().unwrap();
+                let ratio = sa_core::ratio_of(
+                    (r.report.estimate[num], r.report.estimate[den]),
+                    [cov.get(num, num), cov.get(num, den), cov.get(den, den)],
+                );
+                let agg = &r.aggs[avg];
+                match ratio {
+                    Ok(d) => {
+                        assert_eq!(agg.estimate.to_bits(), d.value.to_bits(), "{at}: AVG");
+                        assert_eq!(
+                            agg.variance.map(f64::to_bits),
+                            Some(d.variance.to_bits()),
+                            "{at}"
+                        );
+                    }
+                    Err(_) => assert!(agg.estimate.is_nan() && agg.variance.is_none(), "{at}"),
+                }
+            }
         }
     }
 }

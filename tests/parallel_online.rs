@@ -289,11 +289,7 @@ fn union_plans_refuse_parallel_streaming() {
         .sample(SamplingMethod::Bernoulli { p: 0.4 })
         .union_samples(LogicalPlan::scan("t").sample(SamplingMethod::Bernoulli { p: 0.4 }))
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let parallel = QueryOptions {
-        scale_to_population: false,
-        parallelism: 4,
-        ..opts(6, 128, 4)
-    };
+    let parallel = opts(6, 128, 4);
     let err = support::run(&plan, &c, &parallel, |_| {}).unwrap_err();
     assert!(err.to_string().contains("UNION"), "{err}");
     let sequential = QueryOptions {
