@@ -1,78 +1,64 @@
 //! Incremental, merge-able moment accumulation — the one moment path every
-//! estimator (the [`crate::SBox`], batch and online queries) runs on.
+//! estimator (the [`crate::SBox`], batch and online queries, scalar and
+//! `GROUP BY`) runs on.
 //!
 //! The textbook way to get `y_S` stores per-group `ΣF` vectors and squares
 //! them once at the end ([`crate::moments::GroupedMoments`], kept as the
-//! reference the tests compare against). That cannot answer "what is the
-//! estimate *right now*?" without an `O(#groups)` pass.
-//!
-//! [`MomentAccumulator`] trades a small constant per push for an **O(1)
-//! readout in the number of consumed rows**: the `y_S` cross-moment matrices
-//! are maintained incrementally. When tuples with aggregate vectors summing
-//! to `Δ` land in a lineage group whose running sum is `g`, the group's
-//! contribution to `y_S` changes from `g·gᵀ` to `(g+Δ)(g+Δ)ᵀ`, so
+//! reference the tests compare against), which cannot say what the estimate
+//! is *right now* without an `O(#groups)` pass. Here the `y_S` are
+//! maintained as rows arrive: when tuples summing to `Δ` land in a lineage
+//! group whose running sum is `g`,
 //!
 //! ```text
 //! y_S += (g+Δ)(g+Δ)ᵀ − g·gᵀ
 //! ```
 //!
-//! — a rank-two delta per subset `S`. A readout then touches only the `2ⁿ`
-//! small matrices (no pass over groups or rows), which makes estimate,
-//! variance and confidence intervals readable after *every* chunk of an
-//! online aggregation loop: [`MomentAccumulator::y`] under a
-//! [`crate::ReadoutPlan`] is what a tick does (a dot product per covariance
-//! entry, in place), and [`MomentAccumulator::report`] the same readout
-//! collected into an [`EstimateReport`].
+//! — a rank-two delta per subset `S` — so a readout touches only `2ⁿ` small
+//! matrices, after every chunk: a [`MomentSlot::y`] under a
+//! [`crate::ReadoutPlan`] is what a tick reads in place, and
+//! [`MomentSlot::report`] the same readout as an [`EstimateReport`].
+//!
+//! # Slots over shared slabs
+//!
+//! By Proposition 5 a `GROUP BY` group's indicator is just another
+//! selection, so a group is a **slot** of the same arithmetic: a row count,
+//! `k` totals `ΣF` and the `2ⁿ·k²` moments `Y_S`, stored slot-major so that
+//! reading every slot is a linear walk. [`MomentAccumulator`] is one slot;
+//! [`crate::GroupedMomentAccumulator`] a key → slot index over many. A kept
+//! `S` has **one** lineage table over all slots: a (slot, key) → offset
+//! index over one flat `Vec<f64>` of `dims`-wide `ΣF` rows, so neither a
+//! lineage group nor a slot allocates. A single-relation `S` is keyed by
+//! the raw `u64` lineage id (exact), a larger one by the 128-bit fingerprint
+//! of the projected lineage. A push walks a chunk once per `S` and folds
+//! each run of consecutive equal keys (a join's probe rows sharing one build
+//! row) into **one** retract/add/re-add; a single row is a batch of one.
 //!
 //! # Two modes
 //!
-//! The **general** accumulator ([`MomentAccumulator::new`]) assumes nothing
-//! about its input and keeps a lineage table for every non-empty `S`.
-//!
-//! The **lineage-distinct** accumulator
+//! The **general** accumulator ([`MomentAccumulator::new`]) keeps a lineage
+//! table for every non-empty `S`. The **lineage-distinct** one
 //! ([`MomentAccumulator::with_lineage`]) is promised that no two tuples it
-//! will ever see — across every shard merged into it — share their full
-//! lineage. Then every lineage group of `S` = *all relations* is a single
-//! tuple and
-//!
-//! ```text
-//! y_full = Σ f·fᵀ
-//! ```
-//!
+//! will see — across every shard merged in — share their full lineage, so
+//! every group of `S` = *all relations* is one tuple and `y_full = Σ f·fᵀ`
 //! is a running sum: no key, no probe, no entry, and `merge` is a matrix
 //! add (the accumulator form of Szegedy–Thorup's observation that under
-//! per-item sampling the variance of a subset sum is a sum of per-item
-//! terms). A single-table query owns **no** lineage table at all; a 2-way
-//! join keeps the two single-relation tables and drops the largest, the
-//! pair table. The promise is a property of the plan — `sa-plan`'s
-//! `SoaAnalysis::lineage_distinct` derives it and `sa-online` passes it on;
-//! it is not checked here, and a tuple stream that breaks it (`SYSTEM`'s
-//! block lineage) must use the general mode. The two modes never mix:
-//! merging one into the other is [`CoreError::LineageModeMismatch`].
+//! per-item sampling a subset sum's variance is a sum of per-item terms). A
+//! single-table query then owns no lineage table in any slot; a 2-way join
+//! keeps the two single-relation tables and drops the pair table. The
+//! promise is the plan's (`sa-plan`'s `SoaAnalysis::lineage_distinct`),
+//! unchecked here; `SYSTEM`'s block lineage breaks it and runs general.
+//! Every slot shares the mode, and merging one mode into the other is
+//! [`CoreError::LineageModeMismatch`].
 //!
-//! # Slab layout
-//!
-//! A kept table is a `key → offset` index over one flat `Vec<f64>` of
-//! `dims`-wide `ΣF` rows — no allocation per lineage group. A
-//! single-relation `S` is keyed by the raw `u64` lineage id (exact); a
-//! larger `S` by the 128-bit fingerprint of the projected lineage.
-//! [`MomentAccumulator::push_batch`] walks a chunk once per `S` and folds
-//! each run of consecutive equal keys (a join's probe rows sharing one
-//! build row, say) into **one** retract/add/re-add.
-//!
-//! Accumulators over the same lineage schema are **merge-able**
-//! ([`MomentAccumulator::merge`]): shards can consume disjoint chunk ranges
-//! in parallel and be combined associatively, with groups shared across
-//! shards re-linked through the same rank-two delta. Merging is `O(groups
-//! in the absorbed shard)`, never `O(rows)`. The type is plain data
-//! (`Send + Sync + Clone`) — `sa-online`'s worker pool moves shard
-//! accumulators across threads and merges deltas on a coordinator; that
-//! surface is pinned by a compile-time assertion in this module's tests.
-//!
-//! Up to floating-point associativity, a `MomentAccumulator` of either mode
-//! fed any chunk split (and merged in any shape) agrees with
-//! `GroupedMoments` fed the same rows — the property this module's
-//! generated differential and `tests/proptests.rs` pin down.
+//! Accumulators over one lineage schema **merge** associatively
+//! ([`MomentAccumulator::merge`]): the absorbed side's slots map onto ours
+//! (new ones appended) and groups shared across shards re-link through the
+//! same rank-two delta, at `O(lineage groups absorbed)`, never `O(rows)`.
+//! The types are plain data (`Send + Sync + Clone`, pinned in this module's
+//! tests) that `sa-online`'s worker pool moves across threads. Fed any
+//! chunk split and merged in any shape, either mode agrees with
+//! `GroupedMoments` fed the same rows, slot by slot, up to float
+//! associativity (`tests/accumulator_modes.rs`, `tests/proptests.rs`).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash};
@@ -80,34 +66,31 @@ use std::hash::{BuildHasherDefault, Hash};
 use crate::error::CoreError;
 use crate::estimator::EstimateReport;
 use crate::hash::{fingerprint128, rel_salt, subset_key, FoldedFxHasher};
-use crate::moments::{MomentMatrix, Moments};
+use crate::moments::{add_gram, add_outer_scaled, MomentMatrix, Moments};
 use crate::params::GusParams;
-use crate::relset::RelSet;
+use crate::relset::{RelSet, MAX_RELS};
 use crate::Result;
 
-/// The lineage groups of one relation subset: key → offset of the group's
-/// `dims`-wide running `ΣF` row in one flat slab.
-#[derive(Debug, Clone)]
+/// The lineage groups of one relation subset, in every slot: (slot, key) →
+/// offset of the group's `dims`-wide running `ΣF` row in one flat slab.
+#[derive(Debug, Clone, Default)]
 struct Slab<K> {
-    rows: HashMap<K, usize, BuildHasherDefault<FoldedFxHasher>>,
+    rows: HashMap<(usize, K), usize, BuildHasherDefault<FoldedFxHasher>>,
     sums: Vec<f64>,
-}
-
-impl<K> Default for Slab<K> {
-    fn default() -> Self {
-        Slab {
-            rows: HashMap::default(),
-            sums: Vec::new(),
-        }
-    }
 }
 
 impl<K: Copy + Eq + Hash> Slab<K> {
     /// Let `grow` add to the `ΣF` row `g` of `key` (created zero on first
-    /// touch) and carry `y` along: `y += (g+Δ)(g+Δ)ᵀ − g·gᵀ`. A fresh
-    /// group skips the retract of its zero vector (exact — it would
-    /// subtract `0·0ᵀ`).
-    fn update(&mut self, key: K, dims: usize, y: &mut MomentMatrix, grow: impl FnOnce(&mut [f64])) {
+    /// touch) and carry the slot's `y` block along: `y += (g+Δ)(g+Δ)ᵀ −
+    /// g·gᵀ`. A fresh group skips the retract of its zero vector (exact — it
+    /// would subtract `0·0ᵀ`).
+    fn update(
+        &mut self,
+        key: (usize, K),
+        dims: usize,
+        y: &mut [f64],
+        grow: impl FnOnce(&mut [f64]),
+    ) {
         let end = self.sums.len();
         let at = *self.rows.entry(key).or_insert(end);
         if at == end {
@@ -115,21 +98,21 @@ impl<K: Copy + Eq + Hash> Slab<K> {
         }
         let sum = &mut self.sums[at..at + dims];
         if at != end {
-            y.add_outer_scaled(sum, -1.0);
+            add_outer_scaled(y, sum, -1.0);
         }
         grow(sum);
-        y.add_outer(sum);
+        add_outer_scaled(y, sum, 1.0);
     }
 
     /// Absorb a column-major chunk (`f`: one value column per dimension)
-    /// whose row `r` belongs to group `key_at(r)`: one [`Slab::update`]
-    /// per run of consecutive equal keys.
-    fn push_runs(&mut self, y: &mut MomentMatrix, f: &[&[f64]], key_at: impl Fn(usize) -> K) {
+    /// into `slot`, whose row `r` belongs to group `key_at(r)`: one
+    /// [`Slab::update`] per run of consecutive equal keys.
+    fn push_runs(&mut self, slot: usize, y: &mut [f64], f: &[&[f64]], key_at: impl Fn(usize) -> K) {
         let rows = f[0].len();
         let mut r = 0;
         while r < rows {
             let key = key_at(r);
-            self.update(key, f.len(), y, |sum| loop {
+            self.update((slot, key), f.len(), y, |sum| loop {
                 for (d, col) in sum.iter_mut().zip(f) {
                     *d += col[r];
                 }
@@ -141,11 +124,22 @@ impl<K: Copy + Eq + Hash> Slab<K> {
         }
     }
 
-    /// Absorb every group of `other`, re-linking the shared ones.
-    fn merge(&mut self, other: &Slab<K>, dims: usize, y: &mut MomentMatrix) {
-        for (&key, &at) in &other.rows {
+    /// Absorb every group of `other`, its slot `i` landing on our slot
+    /// `onto[i]`, whose `y` block of this subset starts at `y_at(slot)` in
+    /// `values`; shared groups are re-linked.
+    fn merge(
+        &mut self,
+        other: &Slab<K>,
+        dims: usize,
+        onto: &[usize],
+        values: &mut [f64],
+        y_at: impl Fn(usize) -> usize,
+    ) {
+        for (&(slot, key), &at) in &other.rows {
+            let slot = onto[slot];
+            let y = &mut values[y_at(slot)..][..dims * dims];
             let add = &other.sums[at..at + dims];
-            self.update(key, dims, y, |sum| add_to(sum, add));
+            self.update((slot, key), dims, y, |sum| add_to(sum, add));
         }
     }
 }
@@ -160,9 +154,9 @@ fn add_to(sum: &mut [f64], add: &[f64]) {
 /// How one relation subset `S` tracks its lineage groups.
 #[derive(Debug, Clone)]
 enum Groups {
-    /// No table: `S = ∅` is one global group whose `ΣF` is the running
-    /// total, and the full set of a lineage-distinct accumulator has only
-    /// single-tuple groups (`y_S = Σ f·fᵀ`).
+    /// No table: `S = ∅` is one global group per slot whose `ΣF` is the
+    /// slot's running total, and the full set of a lineage-distinct
+    /// accumulator has only single-tuple groups (`y_S = Σ f·fᵀ`).
     Implicit,
     /// `S = {rel}`, keyed exactly by the raw lineage id.
     ById { rel: usize, slab: Slab<u64> },
@@ -170,41 +164,32 @@ enum Groups {
     ByFingerprint(Slab<u128>),
 }
 
-impl Groups {
-    fn is_fingerprinted(&self) -> bool {
-        matches!(self, Groups::ByFingerprint(_))
-    }
-}
-
-/// Streaming, merge-able accumulator of the `2ⁿ` grouped second moments
-/// with O(1)-in-rows readout.
+/// All moment arithmetic, indexed by slot position: per slot a row count,
+/// the totals and the `Y_S`, and one lineage table per kept `S` shared by
+/// every slot.
 #[derive(Debug, Clone)]
-pub struct MomentAccumulator {
+pub(crate) struct Slots {
     n: usize,
     dims: usize,
     lineage_distinct: bool,
     /// How each `S` (indexed by `S.index()`) tracks its lineage groups.
     groups: Vec<Groups>,
-    /// Incrementally maintained `y_S` for every `S` (∅ included).
-    y: Vec<MomentMatrix>,
-    total: Vec<f64>,
-    count: u64,
+    /// Rows consumed, per slot.
+    counts: Vec<u64>,
+    /// Slot-major: slot `i`'s `ΣF` (`dims` values) followed by its `Y_S`
+    /// (row-major `dims × dims` blocks by `S.index()`, ∅ first), starting
+    /// at `i · stride`.
+    values: Vec<f64>,
 }
 
-impl MomentAccumulator {
-    /// A general accumulator over `n` base relations and `dims` aggregate
-    /// dimensions: any tuple stream, a lineage table for every non-empty
-    /// relation subset.
-    pub fn new(n: usize, dims: usize) -> MomentAccumulator {
-        MomentAccumulator::with_lineage(n, dims, false)
-    }
-
-    /// An accumulator for a tuple stream that is `lineage_distinct` — no
-    /// two tuples, across every shard ever merged in, share their full
-    /// lineage — or not (`false` is [`MomentAccumulator::new`]). See the
-    /// module docs for what the promise buys.
-    pub fn with_lineage(n: usize, dims: usize, lineage_distinct: bool) -> MomentAccumulator {
+impl Slots {
+    /// No slot yet, over `n` base relations and `dims` aggregate dimensions.
+    pub(crate) fn new(n: usize, dims: usize, lineage_distinct: bool) -> Slots {
         assert!(dims >= 1, "at least one aggregate dimension required");
+        assert!(
+            n <= MAX_RELS,
+            "a lineage schema has at most {MAX_RELS} base relations, got {n}"
+        );
         let full = (1usize << n) - 1;
         let groups = (0..=full)
             .map(|s_idx| {
@@ -220,47 +205,52 @@ impl MomentAccumulator {
                 }
             })
             .collect();
-        MomentAccumulator {
+        Slots {
             n,
             dims,
             lineage_distinct,
             groups,
-            y: (0..=full).map(|_| MomentMatrix::zero(dims)).collect(),
-            total: vec![0.0; dims],
-            count: 0,
+            counts: Vec::new(),
+            values: Vec::new(),
         }
     }
 
-    /// Number of base relations.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
-    /// Aggregate dimension `k`.
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.dims
     }
 
-    /// Number of rows consumed (across all merged shards).
-    pub fn count(&self) -> u64 {
-        self.count
+    /// Values per slot: the totals and the `2ⁿ` moment blocks.
+    fn stride(&self) -> usize {
+        self.dims + ((self.dims * self.dims) << self.n)
     }
 
-    /// Running totals `ΣF` per dimension.
-    pub fn total(&self) -> &[f64] {
-        &self.total
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.counts.len()
     }
 
-    /// The maintained sample moments `Y_S`, by `S.index()` — what a
-    /// [`crate::ReadoutPlan`] reads in place.
-    pub fn y(&self) -> &[MomentMatrix] {
-        &self.y
+    /// `at`, once an empty slot is appended there if it is one past the
+    /// end.
+    pub(crate) fn ensure(&mut self, at: usize) -> usize {
+        if at == self.len() {
+            self.values.resize(self.values.len() + self.stride(), 0.0);
+            self.counts.push(0);
+        }
+        at
     }
 
-    /// Lineage groups held in memory, summed over every relation subset —
-    /// what the accumulator's size grows with. A lineage-distinct
-    /// accumulator over one relation holds none.
-    pub fn lineage_entries(&self) -> usize {
+    /// Rows consumed across every slot.
+    pub(crate) fn rows(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Lineage groups held in memory, summed over every relation subset and
+    /// slot.
+    pub(crate) fn lineage_entries(&self) -> usize {
         self.groups
             .iter()
             .map(|g| match g {
@@ -269,6 +259,18 @@ impl MomentAccumulator {
                 Groups::ByFingerprint(slab) => slab.rows.len(),
             })
             .sum()
+    }
+
+    /// The slot at `at`.
+    pub(crate) fn slot(&self, at: usize) -> MomentSlot<'_> {
+        let stride = self.stride();
+        let (total, y) = self.values[at * stride..][..stride].split_at(self.dims);
+        MomentSlot {
+            n: self.n,
+            count: self.counts[at],
+            total,
+            y,
+        }
     }
 
     /// `n` lineage columns and `dims` value columns, or a typed refusal.
@@ -281,35 +283,242 @@ impl MomentAccumulator {
         Ok(())
     }
 
-    /// Consume one result tuple: its per-base-relation lineage ids and its
-    /// aggregate vector.
-    pub fn push(&mut self, lineage: &[u64], f: &[f64]) -> Result<()> {
+    /// Validate a columnar chunk — one id column per base relation, one
+    /// value column per dimension, all of equal length — and return its row
+    /// count. Nothing is touched, so a refused chunk cannot half-apply.
+    pub(crate) fn check_batch(&self, lineage: &[&[u64]], f: &[&[f64]]) -> Result<usize> {
         self.check_shape(lineage.len(), f.len())?;
-        self.count += 1;
-        // S = ∅: the single global group is the running total.
-        self.y[RelSet::EMPTY.index()].add_outer_scaled(&self.total, -1.0);
-        add_to(&mut self.total, f);
-        self.y[RelSet::EMPTY.index()].add_outer(&self.total);
-        let mut fps = [0u128; crate::relset::MAX_RELS];
-        if self.groups.iter().any(Groups::is_fingerprinted) {
-            for (i, id) in lineage.iter().enumerate() {
-                fps[i] = fingerprint128(rel_salt(i), *id);
+        let rows = f[0].len();
+        for col in lineage
+            .iter()
+            .map(|c| c.len())
+            .chain(f.iter().map(|c| c.len()))
+        {
+            if col != rows {
+                return Err(CoreError::DimensionMismatch {
+                    expected: rows,
+                    got: col,
+                });
             }
         }
-        let dims = self.dims;
-        for (s_idx, (groups, y)) in self.groups.iter_mut().zip(&mut self.y).enumerate().skip(1) {
+        Ok(rows)
+    }
+
+    /// Consume a chunk [`Slots::check_batch`] accepted into slot `at`: the
+    /// `S = ∅` rank-two delta collapses to **one** retract/add pair, every
+    /// kept `S` pays one per run of consecutive equal keys, and an implicit
+    /// full set pays none.
+    pub(crate) fn push_batch(&mut self, at: usize, lineage: &[&[u64]], f: &[&[f64]]) {
+        let (n, dims, stride) = (self.n, self.dims, self.stride());
+        let rows = f[0].len();
+        self.counts[at] += rows as u64;
+        let (total, y) = self.values[at * stride..][..stride].split_at_mut(dims);
+        // S = ∅: the slot's single global group — retract once, add every
+        // row to the running total, re-add once.
+        let y_empty = &mut y[..dims * dims];
+        add_outer_scaled(y_empty, total, -1.0);
+        for (t, col) in total.iter_mut().zip(f) {
+            for v in *col {
+                *t += v;
+            }
+        }
+        add_outer_scaled(y_empty, total, 1.0);
+        // Per-relation fingerprints once per row (row-major), and only
+        // when some subset is keyed by them.
+        let fps: Vec<u128> = if self
+            .groups
+            .iter()
+            .any(|g| matches!(g, Groups::ByFingerprint(_)))
+        {
+            (0..rows)
+                .flat_map(|r| (0..n).map(move |i| fingerprint128(rel_salt(i), lineage[i][r])))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let blocks = y.chunks_exact_mut(dims * dims);
+        for (s_idx, (groups, y)) in self.groups.iter_mut().zip(blocks).enumerate().skip(1) {
             match groups {
-                Groups::Implicit => y.add_outer(f),
-                Groups::ById { rel, slab } => {
-                    slab.update(lineage[*rel], dims, y, |sum| add_to(sum, f))
-                }
+                Groups::Implicit => add_gram(y, f),
+                Groups::ById { rel, slab } => slab.push_runs(at, y, f, |r| lineage[*rel][r]),
                 Groups::ByFingerprint(slab) => {
-                    let key = subset_key(&fps, RelSet::from_bits(s_idx as u32));
-                    slab.update(key, dims, y, |sum| add_to(sum, f))
+                    let s = RelSet::from_bits(s_idx as u32);
+                    slab.push_runs(at, y, f, |r| subset_key(&fps[r * n..][..n], s));
                 }
+            }
+        }
+    }
+
+    /// Absorb `other` — the shard merge. `onto` yields, for each of
+    /// `other`'s slots in order, the position it lands on here: an
+    /// existing slot, or the next one, appended. Groups present in both
+    /// combine through the same rank-two delta the push path uses, so the
+    /// result is what one accumulator fed both row streams would hold (up
+    /// to float associativity). Shape and mode are checked before `onto`
+    /// is consumed or anything is touched.
+    pub(crate) fn merge(
+        &mut self,
+        other: &Slots,
+        onto: impl IntoIterator<Item = usize>,
+    ) -> Result<()> {
+        self.check_shape(other.n, other.dims)?;
+        if other.lineage_distinct != self.lineage_distinct {
+            return Err(CoreError::LineageModeMismatch);
+        }
+        let onto: Vec<usize> = onto.into_iter().map(|at| self.ensure(at)).collect();
+        assert_eq!(onto.len(), other.len(), "one position per absorbed slot");
+        let (dims, stride) = (self.dims, self.stride());
+        let kk = dims * dims;
+        for (theirs, &ours) in onto.iter().enumerate() {
+            self.counts[ours] += other.counts[theirs];
+            let (total, y) = self.values[ours * stride..][..stride].split_at_mut(dims);
+            let (their_total, their_y) = other.values[theirs * stride..][..stride].split_at(dims);
+            add_outer_scaled(&mut y[..kk], total, -1.0);
+            add_to(total, their_total);
+            add_outer_scaled(&mut y[..kk], total, 1.0);
+            for (s_idx, groups) in self.groups.iter().enumerate().skip(1) {
+                if let Groups::Implicit = groups {
+                    add_to(&mut y[s_idx * kk..][..kk], &their_y[s_idx * kk..][..kk]);
+                }
+            }
+        }
+        let ours = self.groups.iter_mut().zip(&other.groups).enumerate();
+        for (s_idx, (groups, theirs)) in ours.skip(1) {
+            let y_at = |slot: usize| slot * stride + dims + s_idx * kk;
+            match (groups, theirs) {
+                (Groups::Implicit, Groups::Implicit) => {}
+                (Groups::ById { slab, .. }, Groups::ById { slab: theirs, .. }) => {
+                    slab.merge(theirs, dims, &onto, &mut self.values, y_at)
+                }
+                (Groups::ByFingerprint(slab), Groups::ByFingerprint(theirs)) => {
+                    slab.merge(theirs, dims, &onto, &mut self.values, y_at)
+                }
+                _ => unreachable!("same n and mode lay the subsets out identically"),
             }
         }
         Ok(())
+    }
+}
+
+/// One slot of an accumulator, borrowed: its row count, running totals and
+/// sample moments, and the readouts built on them.
+#[derive(Debug, Clone, Copy)]
+pub struct MomentSlot<'a> {
+    n: usize,
+    count: u64,
+    total: &'a [f64],
+    y: &'a [f64],
+}
+
+impl<'a> MomentSlot<'a> {
+    /// Number of rows consumed into this slot.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Running totals `ΣF` per dimension.
+    pub fn total(&self) -> &'a [f64] {
+        self.total
+    }
+
+    /// The maintained sample moments `Y_S`: row-major `k×k` blocks by
+    /// `S.index()`, laid end to end — what a [`crate::ReadoutPlan`] reads
+    /// in place.
+    pub fn y(&self) -> &'a [f64] {
+        self.y
+    }
+
+    /// The current moments, as a copy of the maintained state: `O(2ⁿ k²)`,
+    /// independent of how many rows were consumed.
+    pub fn snapshot(&self) -> Moments {
+        let dims = self.total.len();
+        let y = self
+            .y
+            .chunks_exact(dims * dims)
+            .map(|block| MomentMatrix::from_fn(dims, |p, q| block[p * dims + q]))
+            .collect();
+        Moments {
+            n: self.n,
+            dims,
+            y,
+            total: self.total.to_vec(),
+            count: self.count,
+        }
+    }
+
+    /// The full [`EstimateReport`] (point estimates, covariance, and the
+    /// moments for variance prediction) for the rows consumed so far, under
+    /// `gus`. It copies the `2ⁿ` matrices and re-derives the GUS's weights
+    /// on every call; a loop reading many slots under one GUS builds a
+    /// [`crate::ReadoutPlan`] once instead — and reads the same bits.
+    pub fn report(&self, gus: &GusParams) -> Result<EstimateReport> {
+        EstimateReport::of(gus, self.snapshot())
+    }
+}
+
+/// Streaming, merge-able accumulator of the `2ⁿ` grouped second moments
+/// with O(1)-in-rows readout: one slot.
+#[derive(Debug, Clone)]
+pub struct MomentAccumulator {
+    /// Exactly one slot, at position 0.
+    slots: Slots,
+}
+
+impl MomentAccumulator {
+    /// A general accumulator over `n` base relations and `dims` aggregate
+    /// dimensions: any tuple stream, a lineage table for every non-empty
+    /// relation subset.
+    pub fn new(n: usize, dims: usize) -> MomentAccumulator {
+        MomentAccumulator::with_lineage(n, dims, false)
+    }
+
+    /// An accumulator for a tuple stream that is `lineage_distinct` — no
+    /// two tuples, across every shard ever merged in, share their full
+    /// lineage — or not (`false` is [`MomentAccumulator::new`]). See the
+    /// module docs for what the promise buys.
+    ///
+    /// # Panics
+    ///
+    /// When `dims` is 0 or `n` exceeds [`MAX_RELS`].
+    pub fn with_lineage(n: usize, dims: usize, lineage_distinct: bool) -> MomentAccumulator {
+        let mut slots = Slots::new(n, dims, lineage_distinct);
+        slots.ensure(0);
+        MomentAccumulator { slots }
+    }
+
+    /// The one slot.
+    pub fn slot(&self) -> MomentSlot<'_> {
+        self.slots.slot(0)
+    }
+
+    /// Number of rows consumed (across all merged shards).
+    pub fn count(&self) -> u64 {
+        self.slot().count()
+    }
+
+    /// Running totals `ΣF` per dimension.
+    pub fn total(&self) -> &[f64] {
+        self.slot().total()
+    }
+
+    /// The maintained sample moments `Y_S` (see [`MomentSlot::y`]).
+    pub fn y(&self) -> &[f64] {
+        self.slot().y()
+    }
+
+    /// Lineage groups held in memory, summed over every relation subset —
+    /// what the accumulator's size grows with. A lineage-distinct
+    /// accumulator over one relation holds none.
+    pub fn lineage_entries(&self) -> usize {
+        self.slots.lineage_entries()
+    }
+
+    /// Consume one result tuple: its per-base-relation lineage ids and its
+    /// aggregate vector — a batch of one row.
+    pub fn push(&mut self, lineage: &[u64], f: &[f64]) -> Result<()> {
+        let lineage: Vec<&[u64]> = lineage.iter().map(std::slice::from_ref).collect();
+        let f: Vec<&[f64]> = f.iter().map(std::slice::from_ref).collect();
+        self.push_batch(&lineage, &f)
     }
 
     /// Scalar convenience for `dims == 1`.
@@ -325,52 +534,8 @@ impl MomentAccumulator {
     /// retract/add pair per batch, every kept `S` pays one per run of
     /// consecutive equal keys, and an implicit full set pays none.
     pub fn push_batch(&mut self, lineage: &[&[u64]], f: &[&[f64]]) -> Result<()> {
-        self.check_shape(lineage.len(), f.len())?;
-        let rows = f[0].len();
-        for col in lineage
-            .iter()
-            .map(|c| c.len())
-            .chain(f.iter().map(|c| c.len()))
-        {
-            if col != rows {
-                return Err(CoreError::DimensionMismatch {
-                    expected: rows,
-                    got: col,
-                });
-            }
-        }
-        if rows == 0 {
-            return Ok(());
-        }
-        self.count += rows as u64;
-        // S = ∅: the single global group — retract once, add every row to
-        // the running total, re-add once.
-        self.y[RelSet::EMPTY.index()].add_outer_scaled(&self.total, -1.0);
-        for (t, col) in self.total.iter_mut().zip(f) {
-            for v in *col {
-                *t += v;
-            }
-        }
-        self.y[RelSet::EMPTY.index()].add_outer(&self.total);
-        // Per-relation fingerprints once per row (row-major), and only
-        // when some subset is keyed by them.
-        let n = self.n;
-        let fps: Vec<u128> = if self.groups.iter().any(Groups::is_fingerprinted) {
-            (0..rows)
-                .flat_map(|r| (0..n).map(move |i| fingerprint128(rel_salt(i), lineage[i][r])))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        for (s_idx, (groups, y)) in self.groups.iter_mut().zip(&mut self.y).enumerate().skip(1) {
-            match groups {
-                Groups::Implicit => y.add_gram(f),
-                Groups::ById { rel, slab } => slab.push_runs(y, f, |r| lineage[*rel][r]),
-                Groups::ByFingerprint(slab) => {
-                    let s = RelSet::from_bits(s_idx as u32);
-                    slab.push_runs(y, f, |r| subset_key(&fps[r * n..][..n], s));
-                }
-            }
+        if self.slots.check_batch(lineage, f)? > 0 {
+            self.slots.push_batch(0, lineage, f);
         }
         Ok(())
     }
@@ -379,54 +544,23 @@ impl MomentAccumulator {
     /// merge. Groups present in both shards are combined through the same
     /// rank-two delta the push path uses, so the result is exactly what a
     /// single accumulator fed both row streams would hold (up to float
-    /// associativity). Cost: `O(groups in other)`; an implicit full set is
-    /// a matrix add. Both must be of one mode.
+    /// associativity). Cost: `O(lineage groups in other)`; an implicit full
+    /// set is a matrix add. Both must be of one mode.
     pub fn merge(&mut self, other: &MomentAccumulator) -> Result<()> {
-        self.check_shape(other.n, other.dims)?;
-        if other.lineage_distinct != self.lineage_distinct {
-            return Err(CoreError::LineageModeMismatch);
-        }
-        self.count += other.count;
-        self.y[RelSet::EMPTY.index()].add_outer_scaled(&self.total, -1.0);
-        add_to(&mut self.total, &other.total);
-        self.y[RelSet::EMPTY.index()].add_outer(&self.total);
-        let ours = self.groups.iter_mut().zip(&mut self.y);
-        let theirs = other.groups.iter().zip(&other.y);
-        for ((groups, y), (other_groups, other_y)) in ours.zip(theirs).skip(1) {
-            match (groups, other_groups) {
-                (Groups::Implicit, Groups::Implicit) => y.add_scaled(other_y, 1.0),
-                (Groups::ById { slab, .. }, Groups::ById { slab: other, .. }) => {
-                    slab.merge(other, self.dims, y)
-                }
-                (Groups::ByFingerprint(slab), Groups::ByFingerprint(other)) => {
-                    slab.merge(other, self.dims, y)
-                }
-                _ => unreachable!("same n and mode lay the subsets out identically"),
-            }
-        }
-        Ok(())
+        self.slots.merge(&other.slots, [0])
     }
 
     /// The current moments, as a cheap copy of the maintained state: `O(2ⁿ
     /// k²)`, independent of how many rows were consumed.
     pub fn snapshot(&self) -> Moments {
-        Moments {
-            n: self.n,
-            dims: self.dims,
-            y: self.y.clone(),
-            total: self.total.clone(),
-            count: self.count,
-        }
+        self.slot().snapshot()
     }
 
-    /// Produce the full [`EstimateReport`] (point estimates, covariance, and
-    /// the moments for variance prediction) for the rows consumed so far,
-    /// under `gus`. Does **not** consume the accumulator. It clones the `2ⁿ`
-    /// matrices and re-derives the GUS's weights on every call; a loop
-    /// reading many slots under one GUS builds a [`crate::ReadoutPlan`] once
-    /// instead — and reads the same bits.
+    /// Produce the full [`EstimateReport`] for the rows consumed so far,
+    /// under `gus` (see [`MomentSlot::report`]). Does **not** consume the
+    /// accumulator.
     pub fn report(&self, gus: &GusParams) -> Result<EstimateReport> {
-        EstimateReport::of(gus, self.snapshot())
+        self.slot().report(gus)
     }
 }
 
@@ -596,6 +730,14 @@ mod tests {
         assert!(acc.merge(&other).is_err());
         let other = MomentAccumulator::new(2, 2);
         assert!(acc.merge(&other).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 base relations, got 17")]
+    fn arity_beyond_max_rels_panics_at_construction() {
+        // Past the cap the accumulator would lay out 2¹⁷ subsets; refuse at
+        // construction, not at the first push.
+        MomentAccumulator::with_lineage(MAX_RELS + 1, 1, false);
     }
 
     #[test]

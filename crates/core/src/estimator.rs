@@ -89,7 +89,7 @@ pub fn exact_variance(gus: &GusParams, population: &Moments, dim: usize) -> f64 
     ReadoutPlan::between(&identity, gus)
         .ok()
         .and_then(|plan| {
-            plan.read(&population.total, &population.y)
+            plan.read(&population.total, &population.y_flat())
                 .ok()?
                 .covariance(dim, dim)
         })
@@ -136,7 +136,8 @@ impl EstimateReport {
     pub(crate) fn of(gus: &GusParams, sample: Moments) -> Result<EstimateReport> {
         check_arity(gus, &sample)?;
         let plan = ReadoutPlan::new(gus);
-        let slot = plan.read(&sample.total, &sample.y)?;
+        let y = sample.y_flat();
+        let slot = plan.read(&sample.total, &y)?;
         let estimate = (0..sample.dims).map(|p| slot.estimate(p)).collect();
         EstimateReport::between(gus, gus, sample, estimate)
     }
@@ -167,7 +168,8 @@ impl EstimateReport {
         // read cannot refuse.
         let covariance = match plan.weights() {
             Some(_) => {
-                let slot = plan.read(&sample.total, &sample.y)?;
+                let y = sample.y_flat();
+                let slot = plan.read(&sample.total, &y)?;
                 Some(MomentMatrix::from_fn(dims, |p, q| {
                     slot.covariance(p, q).expect("the plan has weights")
                 }))
@@ -242,7 +244,7 @@ impl EstimateReport {
             return Err(CoreError::Degenerate("target GUS has a = 0".into()));
         }
         let variance = plan
-            .read(&self.sample.total, &self.sample.y)?
+            .read(&self.sample.total, &self.sample.y_flat())?
             .covariance(dim, dim)
             .ok_or_else(|| {
                 CoreError::Degenerate(

@@ -1,66 +1,36 @@
-//! Per-group incremental moment accumulation — the state behind grouped
-//! online aggregation.
+//! Per-group incremental moment accumulation — the state behind every
+//! online and batch query.
 //!
-//! The paper's GUS algebra makes every group of a `GROUP BY` query just
-//! another SUM-like aggregate: the group's indicator folds into `f(·)`
-//! (`f_g(t) = f(t)·1{key(t) = g}`, a selection by Proposition 5), so the
-//! *same* top GUS analyzes every group and each group gets its own unbiased
-//! estimate and variance. [`GroupedMomentAccumulator`] materializes exactly
-//! that view: a map from group key to an independent incremental
-//! [`MomentAccumulator`], so after any prefix of the sampled stream every
-//! discovered group's estimate/variance/CI is an **O(1)-in-rows readout**.
-//! Because the GUS is shared, so is everything a readout derives from it:
-//! one [`crate::ReadoutPlan`] per tick reads every slot with a `2ⁿ`-term
-//! dot product per covariance entry. Slots are kept in **discovery order**
-//! ([`GroupedMomentAccumulator::iter`]), which growth and merging only ever
-//! append to — a progressive readout can therefore update the groups it
-//! already knows in place and look for new ones in the tail alone.
-//!
-//! Like its scalar building block, the grouped accumulator is
-//! **merge-able** ([`GroupedMomentAccumulator::merge`]): shards can consume
-//! disjoint chunk ranges and be combined associatively — groups present in
-//! both shards merge through the same rank-two delta, groups unique to one
-//! shard are adopted wholesale. Fed any chunk split (and merged in any
-//! shape), the per-group moments equal a single batch pass over the same
-//! rows, up to float associativity — the property `tests/proptests.rs` pins
-//! against the batch grouped driver.
-//!
-//! The key type is generic (`K: Eq + Hash`): the online driver uses the
-//! evaluated `GROUP BY` key tuple, tests use integers. Per-relation
-//! fingerprint salts are derived deterministically ([`crate::hash::rel_salts`]),
-//! so independently created shard accumulators merge exactly.
-//!
-//! Every slot inherits the accumulator's mode (see [`MomentAccumulator`]'s
-//! module docs): a group's tuples are a subset of the stream's, so a
-//! lineage-distinct stream is lineage-distinct in every group, and a
-//! single-table grouped query owns no lineage table in any of its slots.
+//! A group's SUM is the SUM-like aggregate of `f_g(t) = f(t)·1{key(t) = g}`
+//! (the indicator is a selection, Proposition 5), so the same top GUS
+//! analyzes every group, and a group needs a **slot** of the one moment
+//! arithmetic in `accumulator.rs`, not an object of its own.
+//! [`GroupedMomentAccumulator`] is a key → slot index ([`FpMap`]) over
+//! those slots; it holds no arithmetic. Each discovered group is an
+//! O(1)-in-rows readout of its [`MomentSlot`], one [`crate::ReadoutPlan`]
+//! per tick reads them all, and slots stay in **discovery order**
+//! ([`GroupedMomentAccumulator::iter`]), which pushes and merges only
+//! append to — so a progressive readout updates the groups it knows in
+//! place and finds new ones in the tail. A scalar query is the one-key
+//! case. Keys are generic (`K: Eq + Hash`): the online driver's are the
+//! evaluated `GROUP BY` tuples (empty for a scalar query); fingerprint
+//! salts are deterministic ([`crate::hash::rel_salts`]), so independently
+//! built shards merge exactly.
 
 use std::hash::Hash;
 
-use crate::accumulator::MomentAccumulator;
-use crate::error::CoreError;
-use crate::estimator::EstimateReport;
+use crate::accumulator::{MomentSlot, Slots};
 use crate::hash::FpMap;
-use crate::params::GusParams;
 use crate::Result;
 
-/// A map of group key → incremental [`MomentAccumulator`], with push, shard
-/// merge, and O(1)-in-rows per-group readout.
-///
-/// Groups live in an [`FpMap`]: dense, in discovery order, found by a
-/// 64-bit fingerprint of the key (one cheap hash instead of cloning/boxing
-/// key tuples through a generic map) with stored-key collision resolution,
-/// so a fingerprint collision costs an equality check, never correctness.
-/// [`GroupedMomentAccumulator::push_batch`] feeds one group a whole chunk
-/// partition at a time, landing in the scalar accumulator's amortized
-/// batch path.
+/// A key → slot index over one accumulator's slots, with push, shard merge,
+/// and O(1)-in-rows per-group readout. A key's position in the [`FpMap`]
+/// (dense, in discovery order, found by fingerprint, the stored key
+/// deciding) is its slot.
 #[derive(Debug, Clone)]
 pub struct GroupedMomentAccumulator<K> {
-    n: usize,
-    dims: usize,
-    lineage_distinct: bool,
-    groups: FpMap<K, MomentAccumulator>,
-    count: u64,
+    index: FpMap<K>,
+    slots: Slots,
 }
 
 impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
@@ -70,81 +40,56 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
         GroupedMomentAccumulator::with_lineage(n, dims, false)
     }
 
-    /// An accumulator whose every slot is a
-    /// [`MomentAccumulator::with_lineage`] of this mode.
+    /// An accumulator whose every slot is in the mode of
+    /// [`crate::MomentAccumulator::with_lineage`].
     pub fn with_lineage(
         n: usize,
         dims: usize,
         lineage_distinct: bool,
     ) -> GroupedMomentAccumulator<K> {
-        assert!(dims >= 1, "at least one aggregate dimension required");
         GroupedMomentAccumulator {
-            n,
-            dims,
-            lineage_distinct,
-            groups: FpMap::new(),
-            count: 0,
+            index: FpMap::new(),
+            slots: Slots::new(n, dims, lineage_distinct),
         }
     }
 
-    /// The accumulator slot of `key`, created on first touch.
-    fn slot(&mut self, key: K) -> &mut MomentAccumulator {
-        let (n, dims, distinct) = (self.n, self.dims, self.lineage_distinct);
-        self.groups
-            .get_or_insert_with(key, || MomentAccumulator::with_lineage(n, dims, distinct))
+    /// The slot of `key`, created on first touch.
+    fn slot(&mut self, key: K) -> usize {
+        self.slots.ensure(self.index.insert(key))
     }
 
     /// Number of base relations.
     pub fn n(&self) -> usize {
-        self.n
+        self.slots.n()
     }
 
     /// Aggregate dimension `k` of every group.
     pub fn dims(&self) -> usize {
-        self.dims
+        self.slots.dims()
     }
 
     /// Total rows consumed across all groups (and merged shards).
     pub fn count(&self) -> u64 {
-        self.count
+        self.slots.rows()
     }
 
     /// Number of groups discovered so far.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True when no row has been consumed yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.index.len()
     }
 
     /// Lineage groups held in memory across every slot (see
-    /// [`MomentAccumulator::lineage_entries`]).
+    /// [`crate::MomentAccumulator::lineage_entries`]).
     pub fn lineage_entries(&self) -> usize {
-        self.iter().map(|(_, acc)| acc.lineage_entries()).sum()
+        self.slots.lineage_entries()
     }
 
     /// Consume one result tuple of group `key`: its per-base-relation
-    /// lineage ids and its aggregate vector.
+    /// lineage ids and its aggregate vector — a batch of one row.
     pub fn push(&mut self, key: K, lineage: &[u64], f: &[f64]) -> Result<()> {
-        // Validate before touching the map, so a bad push cannot leave an
-        // empty phantom group behind.
-        if lineage.len() != self.n {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.n,
-                got: lineage.len(),
-            });
-        }
-        if f.len() != self.dims {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dims,
-                got: f.len(),
-            });
-        }
-        self.slot(key).push(lineage, f)?;
-        self.count += 1;
-        Ok(())
+        let lineage: Vec<&[u64]> = lineage.iter().map(std::slice::from_ref).collect();
+        let f: Vec<&[f64]> = f.iter().map(std::slice::from_ref).collect();
+        self.push_batch(key, &lineage, &f)
     }
 
     /// Scalar convenience for `dims == 1`.
@@ -154,115 +99,58 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
 
     /// Consume a whole chunk partition of one group: `lineage` holds one id
     /// column per base relation, `f` one value column per dimension (see
-    /// [`MomentAccumulator::push_batch`]). The grouped online driver
+    /// [`crate::MomentAccumulator::push_batch`]). The grouped online driver
     /// partitions each chunk by key once and lands every partition here —
     /// the key is hashed (and, for a new group, stored) once per partition
-    /// instead of once per row.
+    /// instead of once per row. The chunk is validated before the key is
+    /// looked at, so a bad push — or an empty one — leaves no phantom group.
     pub fn push_batch(&mut self, key: K, lineage: &[&[u64]], f: &[&[f64]]) -> Result<()> {
-        // Validate before touching the map, so a bad push cannot leave an
-        // empty phantom group behind.
-        if lineage.len() != self.n {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.n,
-                got: lineage.len(),
-            });
+        if self.slots.check_batch(lineage, f)? > 0 {
+            let at = self.slot(key);
+            self.slots.push_batch(at, lineage, f);
         }
-        if f.len() != self.dims {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dims,
-                got: f.len(),
-            });
-        }
-        let rows = f
-            .first()
-            .map(|c| c.len())
-            .or_else(|| lineage.first().map(|c| c.len()))
-            .unwrap_or(0);
-        for len in lineage
-            .iter()
-            .map(|c| c.len())
-            .chain(f.iter().map(|c| c.len()))
-        {
-            if len != rows {
-                return Err(CoreError::DimensionMismatch {
-                    expected: rows,
-                    got: len,
-                });
-            }
-        }
-        if rows == 0 {
-            return Ok(());
-        }
-        self.slot(key).push_batch(lineage, f)?;
-        self.count += rows as u64;
         Ok(())
     }
 
-    /// The accumulator of one group, if discovered.
-    pub fn group(&self, key: &K) -> Option<&MomentAccumulator> {
-        self.groups.get(key)
+    /// The slot of one group, if discovered.
+    pub fn group(&self, key: &K) -> Option<MomentSlot<'_>> {
+        self.index.get(key).map(|at| self.slots.slot(at))
     }
 
-    /// Iterate over `(key, accumulator)` pairs in discovery order: the
-    /// order keys were first pushed, then — for groups adopted by
+    /// Iterate over `(key, slot)` pairs in discovery order: the order keys
+    /// were first pushed, then — for groups adopted by
     /// [`GroupedMomentAccumulator::merge`] — the absorbed side's order.
     /// Positions are stable; new groups only ever extend the sequence.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &MomentAccumulator)> {
-        self.groups.iter()
-    }
-
-    /// Iterate over the discovered group keys, in discovery order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.iter().map(|(k, _)| k)
-    }
-
-    /// The full [`EstimateReport`] of one group under `gus` — the O(1)
-    /// per-group readout (`None` for an undiscovered group: a group with no
-    /// sampled tuple has estimate 0 and no estimable variance, the honest
-    /// classical caveat of sampling-based GROUP BY).
-    pub fn report_group(&self, key: &K, gus: &GusParams) -> Option<Result<EstimateReport>> {
-        self.group(key).map(|acc| acc.report(gus))
+    pub fn iter(&self) -> impl Iterator<Item = (&K, MomentSlot<'_>)> {
+        self.index
+            .iter()
+            .enumerate()
+            .map(|(at, key)| (key, self.slots.slot(at)))
     }
 
     /// Absorb another grouped accumulator over the same schema and of the
     /// same mode — the shard merge. Groups shared by both shards combine
     /// exactly (same keys and fingerprint salts, same rank-two delta);
-    /// groups unique to `other` are copied — appended in `other`'s
-    /// discovery order — and only they clone their key.
-    /// Cost: `O(groups in other × their lineage groups)`, never `O(rows)`.
+    /// groups unique to `other` are appended in `other`'s discovery order,
+    /// and only they clone their key.
+    /// Cost: `O(groups in other + their lineage groups)`, never `O(rows)`.
     pub fn merge(&mut self, other: &GroupedMomentAccumulator<K>) -> Result<()>
     where
         K: Clone,
     {
-        if other.n != self.n {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.n,
-                got: other.n,
-            });
-        }
-        if other.dims != self.dims {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.dims,
-                got: other.dims,
-            });
-        }
-        if other.lineage_distinct != self.lineage_distinct {
-            return Err(CoreError::LineageModeMismatch);
-        }
-        for (key, acc) in other.groups.iter() {
-            match self.groups.get_mut(key) {
-                Some(slot) => slot.merge(acc)?,
-                None => self.slot(key.clone()).merge(acc)?,
-            }
-        }
-        self.count += other.count;
-        Ok(())
+        let index = &mut self.index;
+        let onto = other
+            .index
+            .iter()
+            .map(|key| index.get(key).unwrap_or_else(|| index.insert(key.clone())));
+        self.slots.merge(&other.slots, onto)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::moments::GroupedMoments;
     use crate::relset::RelSet;
 
@@ -363,26 +251,12 @@ mod tests {
     }
 
     #[test]
-    fn report_group_reads_out_mid_stream() {
-        let gus = GusParams::bernoulli("r", 0.5).unwrap();
-        let mut acc: GroupedMomentAccumulator<u32> = GroupedMomentAccumulator::new(1, 1);
-        acc.push_scalar(0, &[1], 3.0).unwrap();
-        acc.push_scalar(1, &[2], 5.0).unwrap();
-        let r0 = acc.report_group(&0, &gus).unwrap().unwrap();
-        assert!((r0.estimate[0] - 6.0).abs() < 1e-12);
-        let r1 = acc.report_group(&1, &gus).unwrap().unwrap();
-        assert!((r1.estimate[0] - 10.0).abs() < 1e-12);
-        assert!(acc.report_group(&9, &gus).is_none());
-    }
-
-    #[test]
     fn bad_pushes_leave_no_phantom_group() {
         let mut acc: GroupedMomentAccumulator<u32> = GroupedMomentAccumulator::new(2, 1);
         assert!(acc.push_scalar(0, &[1], 1.0).is_err()); // lineage arity
         assert!(acc.push(0, &[1, 2], &[1.0, 2.0]).is_err()); // dims
         assert_eq!(acc.group_count(), 0);
         assert_eq!(acc.count(), 0);
-        assert!(acc.is_empty());
     }
 
     #[test]
@@ -471,7 +345,8 @@ mod tests {
         for (i, g) in [7u32, 3, 7, 9, 3, 1].into_iter().enumerate() {
             acc.push_scalar(g, &[i as u64], 1.0).unwrap();
         }
-        let order = |a: &GroupedMomentAccumulator<u32>| a.keys().copied().collect::<Vec<_>>();
+        let order =
+            |a: &GroupedMomentAccumulator<u32>| a.iter().map(|(k, _)| *k).collect::<Vec<_>>();
         assert_eq!(order(&acc), vec![7, 3, 9, 1]);
         let mut delta: GroupedMomentAccumulator<u32> = GroupedMomentAccumulator::new(1, 1);
         for (i, g) in [5u32, 9, 2, 5, 8].into_iter().enumerate() {

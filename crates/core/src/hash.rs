@@ -158,36 +158,36 @@ pub fn subset_key(fp: &[u128], s: crate::relset::RelSet) -> u128 {
     key
 }
 
-/// An insertion-ordered map keyed by a 64-bit **fingerprint** of the key
-/// with stored-key collision resolution. Entries live in one dense vector,
-/// in the order their keys were first inserted; the deterministic
-/// splitmix64-finalized Fx hash of a key finds the newest entry bearing
-/// that fingerprint, entries sharing one chain through each other, and real
-/// key equality decides along the chain — so a fingerprint collision costs
-/// one extra comparison, never correctness. The splitmix64 finalization
-/// matters: keys often hash f64 bit patterns whose entropy sits in the
-/// high bits, which Fx's multiply-only mixing would leave out of the
-/// index's bucket (low) bits.
+/// An insertion-ordered index of keys: each key maps to its **position**,
+/// the order it was first inserted in, found by a 64-bit fingerprint of the
+/// key with stored-key collision resolution. Keys live in one dense vector;
+/// the deterministic splitmix64-finalized Fx hash of a key finds the newest
+/// entry bearing that fingerprint, entries sharing one chain through each
+/// other, and real key equality decides along the chain — so a fingerprint
+/// collision costs one extra comparison, never correctness. The splitmix64
+/// finalization matters: keys often hash f64 bit patterns whose entropy
+/// sits in the high bits, which Fx's multiply-only mixing would leave out of
+/// the index's bucket (low) bits.
 ///
-/// Insertion order is what a progressive readout leans on: an entry's
-/// position never changes, growth only appends, so "the keys I have not
-/// seen yet" is the tail `[known..]` of [`FpMap::iter`].
+/// Positions are what a progressive readout leans on: a key's position
+/// never changes and growth only appends, so "the keys I have not seen yet"
+/// is the tail `[known..]` of [`FpMap::iter`], and a position can index
+/// per-key state kept elsewhere (an accumulator's slots).
 #[derive(Debug, Clone)]
-pub struct FpMap<K, V> {
-    entries: Vec<FpEntry<K, V>>,
+pub struct FpMap<K> {
+    entries: Vec<FpEntry<K>>,
     /// Fingerprint → position of the newest entry bearing it.
     heads: FxHashMap<u64, usize>,
 }
 
 #[derive(Debug, Clone)]
-struct FpEntry<K, V> {
+struct FpEntry<K> {
     key: K,
-    value: V,
     /// The next older entry with the same fingerprint.
     next: Option<usize>,
 }
 
-impl<K, V> Default for FpMap<K, V> {
+impl<K> Default for FpMap<K> {
     fn default() -> Self {
         FpMap {
             entries: Vec::new(),
@@ -196,26 +196,26 @@ impl<K, V> Default for FpMap<K, V> {
     }
 }
 
-impl<K: Eq + std::hash::Hash, V> FpMap<K, V> {
-    /// An empty map.
+impl<K: Eq + std::hash::Hash> FpMap<K> {
+    /// An empty index.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// The deterministic key fingerprint (a fixed hasher, so independently
-    /// built maps — e.g. shard accumulators — bucket identically).
+    /// built indexes — e.g. shard accumulators — bucket identically).
     #[inline]
     pub fn fingerprint(key: &K) -> u64 {
         use std::hash::BuildHasher;
         splitmix64(FxBuildHasher::default().hash_one(key))
     }
 
-    /// Number of entries (distinct keys).
+    /// Number of distinct keys.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when the map holds no entries.
+    /// True when the index holds no key.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -233,56 +233,30 @@ impl<K: Eq + std::hash::Hash, V> FpMap<K, V> {
         None
     }
 
-    /// The insertion position of `key`, if present.
-    fn position(&self, key: &K) -> Option<usize> {
+    /// The position of `key`, if present.
+    pub fn get(&self, key: &K) -> Option<usize> {
         let head = *self.heads.get(&Self::fingerprint(key))?;
         self.find_from(head, key)
     }
 
-    /// The value of `key`, if present.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.position(key).map(|i| &self.entries[i].value)
-    }
-
-    /// The value of `key` for update, if present.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.position(key).map(|i| &mut self.entries[i].value)
-    }
-
-    /// The value slot of `key`, created with `make` on first touch (the
-    /// key is moved in only when new — no clone on the hit path).
-    pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
+    /// The position of `key`, appended at [`FpMap::len`] when new (the key
+    /// is moved in only then — no clone on the hit path).
+    pub fn insert(&mut self, key: K) -> usize {
         let fp = Self::fingerprint(&key);
         let head = self.heads.get(&fp).copied();
-        let at = match head.and_then(|h| self.find_from(h, &key)) {
-            Some(at) => at,
-            None => {
-                self.heads.insert(fp, self.entries.len());
-                self.entries.push(FpEntry {
-                    key,
-                    value: make(),
-                    next: head,
-                });
-                self.entries.len() - 1
-            }
-        };
-        &mut self.entries[at].value
+        if let Some(at) = head.and_then(|h| self.find_from(h, &key)) {
+            return at;
+        }
+        let at = self.entries.len();
+        self.heads.insert(fp, at);
+        self.entries.push(FpEntry { key, next: head });
+        at
     }
 
-    /// Iterate over `(key, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|e| (&e.key, &e.value))
-    }
-
-    /// Drain into `(key, value)` pairs ordered by key — the one sort, paid
-    /// at readout instead of on every probe.
-    pub fn into_sorted(self) -> Vec<(K, V)>
-    where
-        K: Ord,
-    {
-        let mut out: Vec<(K, V)> = self.entries.into_iter().map(|e| (e.key, e.value)).collect();
-        out.sort_by(|(a, _), (b, _)| a.cmp(b));
-        out
+    /// Iterate over the keys in insertion order: the `i`-th is at
+    /// position `i`.
+    pub fn iter(&self) -> impl Iterator<Item = &K> {
+        self.entries.iter().map(|e| &e.key)
     }
 }
 
@@ -293,51 +267,50 @@ mod tests {
     use std::hash::BuildHasher;
 
     #[test]
-    fn fp_map_resolves_collisions_and_sorts_at_readout() {
-        #[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Debug)]
+    fn fp_map_resolves_collisions_by_stored_key() {
+        #[derive(PartialEq, Eq, Clone, Debug)]
         struct SameHash(u32);
         impl std::hash::Hash for SameHash {
             fn hash<H: Hasher>(&self, state: &mut H) {
                 state.write_u64(7); // every key shares one fingerprint
             }
         }
-        let mut m: FpMap<SameHash, u32> = FpMap::new();
-        for k in [2u32, 0, 1, 0, 2, 2] {
-            *m.get_or_insert_with(SameHash(k), || 0) += 1;
-        }
+        let mut m: FpMap<SameHash> = FpMap::new();
+        let at: Vec<usize> = [2u32, 0, 1, 0, 2, 2]
+            .into_iter()
+            .map(|k| m.insert(SameHash(k)))
+            .collect();
+        assert_eq!(at, vec![0, 1, 2, 1, 0, 0]);
         assert_eq!(m.len(), 3);
-        assert_eq!(m.get(&SameHash(2)), Some(&3));
+        assert_eq!(m.get(&SameHash(1)), Some(2));
         assert_eq!(m.get(&SameHash(9)), None);
-        // Colliding or not, entries keep the order their keys first came in.
-        let seen: Vec<(u32, u32)> = m.iter().map(|(k, v)| (k.0, *v)).collect();
-        assert_eq!(seen, vec![(2, 3), (0, 2), (1, 1)]);
-        *m.get_mut(&SameHash(1)).unwrap() += 10;
-        let sorted = m.into_sorted();
-        let keys: Vec<(u32, u32)> = sorted.iter().map(|(k, v)| (k.0, *v)).collect();
-        assert_eq!(keys, vec![(0, 2), (1, 11), (2, 3)]);
+        // Colliding or not, keys keep the order they first came in.
+        let seen: Vec<u32> = m.iter().map(|k| k.0).collect();
+        assert_eq!(seen, vec![2, 0, 1]);
     }
 
     #[test]
     fn fp_map_iterates_in_insertion_order_under_growth() {
-        let mut m: FpMap<u64, usize> = FpMap::new();
+        let mut m: FpMap<u64> = FpMap::new();
         let key = |i: usize| splitmix64(i as u64) % 5000;
         let mut firsts = Vec::new();
         for i in 0..20_000 {
             let before = m.len();
-            *m.get_or_insert_with(key(i), || before) += 0;
+            let at = m.insert(key(i));
             if m.len() > before {
+                assert_eq!(at, before, "a new key lands at the end");
                 firsts.push(key(i));
             }
             // The prefix seen so far never moves.
             if i % 4099 == 0 {
-                let got: Vec<u64> = m.iter().map(|(k, _)| *k).collect();
+                let got: Vec<u64> = m.iter().copied().collect();
                 assert_eq!(got, firsts);
             }
         }
         assert_eq!(m.len(), firsts.len());
-        for (at, (k, v)) in m.iter().enumerate() {
-            assert_eq!((*k, *v), (firsts[at], at), "value = position at insertion");
-            assert_eq!(m.get(k), Some(&at));
+        for (at, k) in m.iter().enumerate() {
+            assert_eq!(*k, firsts[at]);
+            assert_eq!(m.get(k), Some(at));
         }
     }
 

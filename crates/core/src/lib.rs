@@ -65,7 +65,7 @@ pub mod readout;
 pub mod relset;
 pub mod subsample;
 
-pub use accumulator::MomentAccumulator;
+pub use accumulator::{MomentAccumulator, MomentSlot};
 pub use ci::{chebyshev_ci, normal_ci, quantile_bound, CiLevel, CiMethod, ConfidenceInterval};
 pub use delta::{ratio_of, smooth_function, DeltaEstimate};
 pub use error::CoreError;

@@ -62,34 +62,8 @@ impl MomentMatrix {
 
     /// Add the outer product `v·vᵀ`.
     pub fn add_outer(&mut self, v: &[f64]) {
-        self.add_outer_scaled(v, 1.0);
-    }
-
-    /// Add `scale · v·vᵀ` (with `scale = -1` this retracts a previously
-    /// added outer product — the delta update incremental accumulators use).
-    pub fn add_outer_scaled(&mut self, v: &[f64], scale: f64) {
         debug_assert_eq!(v.len(), self.k);
-        for p in 0..self.k {
-            for q in 0..self.k {
-                self.data[p * self.k + q] += scale * v[p] * v[q];
-            }
-        }
-    }
-
-    /// Add `Σ_r f_r·f_rᵀ` over the rows of a column-major chunk (`cols`
-    /// holds one equal-length value column per dimension): every row's
-    /// outer product at once, as `k(k+1)/2` column dot products.
-    pub fn add_gram(&mut self, cols: &[&[f64]]) {
-        debug_assert_eq!(cols.len(), self.k);
-        for p in 0..self.k {
-            for q in p..self.k {
-                let d = dot(cols[p], cols[q]);
-                self.data[p * self.k + q] += d;
-                if p != q {
-                    self.data[q * self.k + p] += d;
-                }
-            }
-        }
+        add_outer_scaled(&mut self.data, v, 1.0);
     }
 
     /// `self += scale · other`.
@@ -104,6 +78,36 @@ impl MomentMatrix {
     pub fn scale(&mut self, scale: f64) {
         for d in &mut self.data {
             *d *= scale;
+        }
+    }
+}
+
+/// `y += scale · v·vᵀ` over one row-major `k×k` block, `k = v.len()` (with
+/// `scale = -1` this retracts a previously added outer product — the delta
+/// update the incremental accumulator uses).
+pub(crate) fn add_outer_scaled(y: &mut [f64], v: &[f64], scale: f64) {
+    let k = v.len();
+    debug_assert_eq!(y.len(), k * k);
+    for p in 0..k {
+        for q in 0..k {
+            y[p * k + q] += scale * v[p] * v[q];
+        }
+    }
+}
+
+/// `y += Σ_r f_r·f_rᵀ` over the rows of a column-major chunk (`cols` holds
+/// one equal-length value column per dimension): every row's outer product
+/// at once, as `k(k+1)/2` column dot products.
+pub(crate) fn add_gram(y: &mut [f64], cols: &[&[f64]]) {
+    let k = cols.len();
+    debug_assert_eq!(y.len(), k * k);
+    for p in 0..k {
+        for q in p..k {
+            let d = dot(cols[p], cols[q]);
+            y[p * k + q] += d;
+            if p != q {
+                y[q * k + p] += d;
+            }
         }
     }
 }
@@ -259,6 +263,13 @@ impl Moments {
     /// Scalar `y_S` for dimension 0 (the common single-aggregate case).
     pub fn y_scalar(&self, s: RelSet) -> f64 {
         self.y[s.index()].get(0, 0)
+    }
+
+    /// `y` laid end to end — the row-major `Y_S` blocks by `S.index()` — as
+    /// an accumulator slot keeps them and a [`crate::ReadoutPlan`] reads
+    /// them.
+    pub fn y_flat(&self) -> Vec<f64> {
+        self.y.iter().flat_map(|m| m.data.iter().copied()).collect()
     }
 }
 

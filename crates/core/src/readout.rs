@@ -35,7 +35,6 @@
 //! case against the recursion run forwards, as the paper writes it.
 
 use crate::error::CoreError;
-use crate::moments::MomentMatrix;
 use crate::params::GusParams;
 use crate::relset::RelSet;
 use crate::Result;
@@ -93,12 +92,13 @@ impl ReadoutPlan {
     }
 
     /// Bind the plan to one slot's running totals `ΣF` and sample moments
-    /// `Y_S` (`y[S.index()]`, as [`crate::MomentAccumulator::y`] and
-    /// [`crate::Moments::y`] hold them).
-    pub fn read<'a>(&'a self, total: &'a [f64], y: &'a [MomentMatrix]) -> Result<SlotReadout<'a>> {
-        if y.len() != 1usize << self.n {
+    /// `Y_S`: `k×k` row-major blocks by `S.index()`, laid end to end, as
+    /// [`crate::MomentSlot::y`] and [`crate::Moments::y_flat`] hold them.
+    pub fn read<'a>(&'a self, total: &'a [f64], y: &'a [f64]) -> Result<SlotReadout<'a>> {
+        let expected = (total.len() * total.len()) << self.n;
+        if y.len() != expected {
             return Err(CoreError::DimensionMismatch {
-                expected: 1usize << self.n,
+                expected,
                 got: y.len(),
             });
         }
@@ -146,7 +146,7 @@ fn variance_weights(sampled: &GusParams, target: &GusParams) -> Option<Box<[f64]
 pub struct SlotReadout<'a> {
     plan: &'a ReadoutPlan,
     total: &'a [f64],
-    y: &'a [MomentMatrix],
+    y: &'a [f64],
 }
 
 impl SlotReadout<'_> {
@@ -160,7 +160,9 @@ impl SlotReadout<'_> {
     /// the GUS admits no variance estimate.
     pub fn covariance(&self, p: usize, q: usize) -> Option<f64> {
         let w = self.plan.weights.as_deref()?;
-        Some(w.iter().zip(self.y).map(|(w, y)| w * y.get(p, q)).sum())
+        let k = self.total.len();
+        let blocks = self.y.chunks_exact(k * k);
+        Some(w.iter().zip(blocks).map(|(w, y)| w * y[p * k + q]).sum())
     }
 }
 

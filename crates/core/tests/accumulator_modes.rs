@@ -8,11 +8,18 @@
 //! deliberate duplicates the general accumulator still matches the
 //! reference, so the slab tables and the run collapse are pinned on both
 //! paths.
+//!
+//! The same generator with a group axis — rows keyed from a pool of five,
+//! a key only one shard sees, a lineage id under two keys — pins that a
+//! [`GroupedMomentAccumulator`] is slots of that arithmetic over shared
+//! lineage tables: every group's moments are the reference fed that
+//! group's rows, lineage entries add up over groups, and one key reads, to
+//! the bit, what the one-slot accumulator reads.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use sa_core::{CoreError, GroupedMoments, MomentAccumulator, Moments};
+use sa_core::{CoreError, GroupedMomentAccumulator, GroupedMoments, MomentAccumulator, Moments};
 
 const TOL: f64 = 1e-9;
 
@@ -39,7 +46,17 @@ fn rows_of(raw: &[Row], n: usize, dims: usize, clustered: bool) -> Vec<Row> {
     rows
 }
 
-fn push_chunk(acc: &mut MomentAccumulator, chunk: &[Row], n: usize, dims: usize) {
+/// A row of a `GROUP BY`: its key and the row.
+type KeyedRow = (u8, Row);
+
+/// `chunk` column-major — one id column per relation, one value column per
+/// dimension — handed to `push` as slices.
+fn with_columns<T>(
+    chunk: &[Row],
+    n: usize,
+    dims: usize,
+    push: impl FnOnce(&[&[u64]], &[&[f64]]) -> T,
+) -> T {
     let lineage: Vec<Vec<u64>> = (0..n)
         .map(|i| chunk.iter().map(|(ids, _)| ids[i]).collect())
         .collect();
@@ -48,13 +65,79 @@ fn push_chunk(acc: &mut MomentAccumulator, chunk: &[Row], n: usize, dims: usize)
         .collect();
     let lineage: Vec<&[u64]> = lineage.iter().map(Vec::as_slice).collect();
     let f: Vec<&[f64]> = f.iter().map(Vec::as_slice).collect();
-    acc.push_batch(&lineage, &f).unwrap();
+    push(&lineage, &f)
 }
 
-/// Cut `rows` into chunks of the sizes `cuts` cycles through, deal the
-/// chunks to `shards` accumulators as `picks` says, and merge the shards
-/// two at a time — which two, and which way round, again by `picks` —
-/// until one is left.
+fn push_chunk(acc: &mut MomentAccumulator, chunk: &[Row], n: usize, dims: usize) {
+    with_columns(chunk, n, dims, |lineage, f| acc.push_batch(lineage, f)).unwrap();
+}
+
+/// Push `chunk` as the grouped online driver does: one batch per key, keys
+/// in first-seen order, rows in chunk order within each.
+fn push_partitions(
+    acc: &mut GroupedMomentAccumulator<u8>,
+    chunk: &[KeyedRow],
+    n: usize,
+    dims: usize,
+) {
+    let mut keys: Vec<u8> = Vec::new();
+    for (key, _) in chunk {
+        if !keys.contains(key) {
+            keys.push(*key);
+        }
+    }
+    for key in keys {
+        let part: Vec<Row> = chunk
+            .iter()
+            .filter(|(k, _)| *k == key)
+            .map(|(_, row)| row.clone())
+            .collect();
+        with_columns(&part, n, dims, |lineage, f| acc.push_batch(key, lineage, f)).unwrap();
+    }
+}
+
+/// How rows reach the accumulator that is read: cut into chunks of the
+/// sizes `cuts` cycles through, the chunks dealt to `shards` accumulators
+/// as `picks` says, and the shards merged two at a time — which two, and
+/// which way round, again by `picks` — until one is left.
+struct Deal<'a> {
+    cuts: &'a [usize],
+    shards: usize,
+    picks: &'a [usize],
+}
+
+impl Deal<'_> {
+    /// Deal `rows`, then `lonely` as one more chunk to a single shard, and
+    /// merge.
+    fn run<T, A>(
+        &self,
+        rows: &[T],
+        lonely: &[T],
+        new: impl Fn() -> A,
+        push: impl Fn(&mut A, &[T]),
+        merge: impl Fn(&mut A, &A),
+    ) -> A {
+        let mut pick = self.picks.iter().copied().cycle();
+        let mut accs: Vec<A> = (0..self.shards).map(|_| new()).collect();
+        let (mut at, mut sizes) = (0, self.cuts.iter().copied().cycle());
+        while at < rows.len() {
+            let end = (at + sizes.next().unwrap()).min(rows.len());
+            let shard = pick.next().unwrap() % self.shards;
+            push(&mut accs[shard], &rows[at..end]);
+            at = end;
+        }
+        if !lonely.is_empty() {
+            push(&mut accs[self.picks[0] % self.shards], lonely);
+        }
+        while accs.len() > 1 {
+            let from = accs.swap_remove(pick.next().unwrap() % accs.len());
+            let into = pick.next().unwrap() % accs.len();
+            merge(&mut accs[into], &from);
+        }
+        accs.pop().unwrap()
+    }
+}
+
 fn accumulate(
     rows: &[Row],
     (n, dims, distinct): (usize, usize, bool),
@@ -62,23 +145,33 @@ fn accumulate(
     shards: usize,
     picks: &[usize],
 ) -> MomentAccumulator {
-    let mut pick = picks.iter().copied().cycle();
-    let mut accs: Vec<MomentAccumulator> = (0..shards)
-        .map(|_| MomentAccumulator::with_lineage(n, dims, distinct))
-        .collect();
-    let (mut at, mut sizes) = (0, cuts.iter().copied().cycle());
-    while at < rows.len() {
-        let end = (at + sizes.next().unwrap()).min(rows.len());
-        let shard = pick.next().unwrap() % shards;
-        push_chunk(&mut accs[shard], &rows[at..end], n, dims);
-        at = end;
+    Deal {
+        cuts,
+        shards,
+        picks,
     }
-    while accs.len() > 1 {
-        let from = accs.swap_remove(pick.next().unwrap() % accs.len());
-        let into = pick.next().unwrap() % accs.len();
-        accs[into].merge(&from).unwrap();
-    }
-    accs.pop().unwrap()
+    .run(
+        rows,
+        &[],
+        || MomentAccumulator::with_lineage(n, dims, distinct),
+        |acc, chunk| push_chunk(acc, chunk, n, dims),
+        |into, from| into.merge(from).unwrap(),
+    )
+}
+
+fn accumulate_grouped(
+    rows: &[KeyedRow],
+    lonely: &[KeyedRow],
+    (n, dims, distinct): (usize, usize, bool),
+    deal: &Deal,
+) -> GroupedMomentAccumulator<u8> {
+    deal.run(
+        rows,
+        lonely,
+        || GroupedMomentAccumulator::with_lineage(n, dims, distinct),
+        |acc, chunk| push_partitions(acc, chunk, n, dims),
+        |into, from| into.merge(from).unwrap(),
+    )
 }
 
 fn reference(rows: &[Row], n: usize, dims: usize) -> Moments {
@@ -152,6 +245,90 @@ proptest! {
         let want = reference(&with_duplicates, n, dims);
         let general = accumulate(&with_duplicates, (n, dims, false), &cuts, shards, &picks);
         assert_moments_close(&general.snapshot(), &want, "general, with duplicates");
+    }
+
+    #[test]
+    fn every_group_is_a_slot_of_the_same_arithmetic(
+        n in 1usize..4,
+        dims in 1usize..6,
+        raw in prop::collection::vec(
+            (prop::collection::vec(0u64..64, 3usize), prop::collection::vec(-50.0f64..50.0, 5usize)),
+            0..70,
+        ),
+        keys in prop::collection::vec(0u8..4, 70usize),
+        clustered in any::<bool>(),
+        cuts in prop::collection::vec(1usize..12, 1..6),
+        shards in 1usize..5,
+        picks in prop::collection::vec(0usize..1000, 1..12),
+    ) {
+        let deal = Deal { cuts: &cuts, shards, picks: &picks };
+        let mut with_duplicates: Vec<KeyedRow> =
+            keys.iter().copied().zip(rows_of(&raw, n, dims, clustered)).collect();
+        // Relation 0's id 100 — outside every generated range — under keys
+        // 0 and 1. At arity 1 that repeats the whole lineage, so the
+        // duplicate-free rows keep only the first.
+        with_duplicates.push((0, ([100, 1, 1][..n].to_vec(), vec![1.5; dims])));
+        with_duplicates.push((1, ([100, 2, 2][..n].to_vec(), vec![-2.5; dims])));
+        // Key 4 reaches one shard only, as a chunk of its own.
+        let lonely: Vec<KeyedRow> = vec![(4, (vec![1000; n], vec![4.0; dims]))];
+        let mut seen = HashSet::new();
+        let duplicate_free: Vec<KeyedRow> = with_duplicates
+            .iter()
+            .filter(|(_, (ids, _))| seen.insert(ids.clone()))
+            .cloned()
+            .collect();
+
+        for (rows, distinct) in [
+            (&duplicate_free, false),
+            (&duplicate_free, true),
+            (&with_duplicates, false),
+        ] {
+            let acc = accumulate_grouped(rows, &lonely, (n, dims, distinct), &deal);
+            let all: Vec<&KeyedRow> = rows.iter().chain(&lonely).collect();
+            let mut group_keys: Vec<u8> = all.iter().map(|(key, _)| *key).collect();
+            group_keys.sort_unstable();
+            group_keys.dedup();
+            prop_assert_eq!(acc.group_count(), group_keys.len());
+            prop_assert_eq!(acc.count(), all.len() as u64);
+            let mut entries = 0;
+            for key in group_keys {
+                let own: Vec<Row> = all
+                    .iter()
+                    .filter(|(k, _)| *k == key)
+                    .map(|(_, row)| row.clone())
+                    .collect();
+                let slot = acc.group(&key).unwrap();
+                let what = format!("group {key}, distinct {distinct}");
+                assert_moments_close(&slot.snapshot(), &reference(&own, n, dims), &what);
+                let mut alone = MomentAccumulator::with_lineage(n, dims, distinct);
+                push_chunk(&mut alone, &own, n, dims);
+                entries += alone.lineage_entries();
+            }
+            // One table per subset over every slot holds exactly the
+            // groups' own tables.
+            prop_assert_eq!(acc.lineage_entries(), entries);
+        }
+
+        // One key: the same pushes read the same bits as the one-slot
+        // accumulator, in both modes.
+        for (rows, distinct) in [(&with_duplicates, false), (&duplicate_free, true)] {
+            let mut grouped = GroupedMomentAccumulator::with_lineage(n, dims, distinct);
+            let mut scalar = MomentAccumulator::with_lineage(n, dims, distinct);
+            let plain: Vec<Row> = rows.iter().map(|(_, row)| row.clone()).collect();
+            let (mut at, mut sizes) = (0, cuts.iter().copied().cycle());
+            while at < plain.len() {
+                let end = (at + sizes.next().unwrap()).min(plain.len());
+                with_columns(&plain[at..end], n, dims, |lineage, f| grouped.push_batch((), lineage, f))
+                    .unwrap();
+                push_chunk(&mut scalar, &plain[at..end], n, dims);
+                at = end;
+            }
+            let slot = grouped.group(&()).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(slot.count(), scalar.count());
+            prop_assert_eq!(bits(slot.total()), bits(scalar.total()));
+            prop_assert_eq!(bits(slot.y()), bits(scalar.y()));
+        }
     }
 }
 

@@ -138,7 +138,8 @@ fn assert_reads_the_recursion(
     scale: impl Fn(f64, f64) -> f64,
 ) {
     let plan = ReadoutPlan::between(sampled, target).unwrap();
-    let slot = match plan.read(&sample.total, &sample.y) {
+    let y = sample.y_flat();
+    let slot = match plan.read(&sample.total, &y) {
         Ok(slot) => slot,
         Err(err) => {
             assert_eq!(err, a_zero_refusal(), "the same typed refusal");
@@ -223,8 +224,9 @@ proptest! {
         assert_tick_is_the_recursion(&gus, &sample);
         let plan = ReadoutPlan::new(&gus);
         prop_assert_eq!(&plan, &ReadoutPlan::between(&gus, &gus).unwrap());
+        let y = sample.y_flat();
         if let Ok(report) = estimate_from_sample_moments(&gus, &sample) {
-            let slot = plan.read(&sample.total, &sample.y).unwrap();
+            let slot = plan.read(&sample.total, &y).unwrap();
             for p in 0..dims {
                 prop_assert_eq!(report.estimate[p].to_bits(), slot.estimate(p).to_bits());
                 for q in 0..dims {
@@ -258,7 +260,7 @@ proptest! {
         if k == Some(1) {
             // One scanned unit: b_∅ = 0, so estimates come without variance.
             prop_assert!(plan.weights().is_none());
-            let slot = plan.read(&sample.total, &sample.y).unwrap();
+            let slot = plan.read(&sample.total, &y).unwrap();
             prop_assert!(slot.estimate(0).is_finite());
             prop_assert_eq!(slot.covariance(0, 0), None);
         }
@@ -292,7 +294,7 @@ fn blocking_designs_are_typed_refusals() {
     for target in [&open, &blocked] {
         let plan = ReadoutPlan::between(&blocked, target).unwrap();
         assert_eq!(
-            plan.read(&sample.total, &sample.y).unwrap_err(),
+            plan.read(&sample.total, &sample.y_flat()).unwrap_err(),
             a_zero_refusal()
         );
     }
@@ -363,7 +365,8 @@ fn a_large_total_does_not_round_the_variance_away() {
     let sample = acc.snapshot();
     let report = estimate_from_sample_moments(&gus, &sample).unwrap();
     let plan = ReadoutPlan::new(&gus);
-    let slot = plan.read(&sample.total, &sample.y).unwrap();
+    let y = sample.y_flat();
+    let slot = plan.read(&sample.total, &y).unwrap();
     for (route, got) in [
         ("report", report.raw_variance(0).unwrap()),
         ("plan", slot.covariance(0, 0).unwrap()),

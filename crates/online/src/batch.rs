@@ -24,7 +24,9 @@ use sa_storage::Catalog;
 
 use crate::api::{ApproxResult, BatchOutput, GroupEstimate, GroupedApproxResult};
 use crate::api::{QueryOptions, Snapshot};
-use crate::driver::{drive_shape, open_aggregate, OpenedAggregate, RunCtx, Scalar};
+use crate::driver::{
+    drive_shape, open_aggregate, read_scalar_slot, OpenedAggregate, RunCtx, Scalar,
+};
 use crate::error::Error;
 use crate::grouped::Grouped;
 use crate::Result;
@@ -63,7 +65,8 @@ pub(crate) fn drain_batch(
             let Snapshot::Scalar(s) = r.snapshot else {
                 unreachable!("zero keys read out scalar")
             };
-            (s.aggs, s.rows, acc.report(&r.analysis.gus)?, r.analysis)
+            let report = read_scalar_slot(&acc, |slot| slot.report(&r.analysis.gus))?;
+            (s.aggs, s.rows, report, r.analysis)
         }
         // Section 7 needs the whole sample in hand before it can pick the
         // sub-sample's keep probability, so it drains the same streams into

@@ -7,9 +7,9 @@
 //! [`sa_exec::open_stream`] over the aggregate's input, and then loops:
 //!
 //! 1. pull the next chunk of sampled result tuples,
-//! 2. push it into the shape's incremental accumulator (so
-//!    estimate/variance are O(1) to read out — nothing is ever recomputed
-//!    from scratch),
+//! 2. push it into the query's incremental accumulator, one slot per
+//!    `GROUP BY` key (so estimate/variance are O(1) to read out — nothing
+//!    is ever recomputed from scratch),
 //! 3. **tick**: scale the GUS to the scan progress, derive that GUS's
 //!    readout plan (`a` and the variance functional's weights — once, however
 //!    many slots are read), read the accumulator out into a
@@ -22,9 +22,10 @@
 //! axes:
 //!
 //! * **the query's shape** (`QueryShape`): a scalar query is a grouped
-//!   query with zero keys, so `Scalar` and `grouped::Grouped`
-//!   differ only in the accumulator they build, how a chunk is pushed into
-//!   it, and how it is read out;
+//!   query with zero keys, so `Scalar` and `grouped::Grouped` feed the same
+//!   [`GroupedMomentAccumulator`] — the scalar shape's one slot is the
+//!   empty key's — and differ only in how a chunk is pushed into it and how
+//!   it is read out;
 //! * **where chunks come from**: this thread pulling one stream
 //!   (`parallelism = 1`), or the worker pool of `parallel.rs`
 //!   pulling one slice each and merging (`parallelism = N`). The
@@ -76,19 +77,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sa_core::{CiLevel, GusParams, MomentAccumulator, ReadoutPlan};
+use sa_core::{
+    CiLevel, GroupedMomentAccumulator, GusParams, MomentAccumulator, MomentSlot, ReadoutPlan,
+};
 use sa_exec::ProgressTree;
 use sa_exec::{layout_dims, open_stream_partitioned, AggResult};
 use sa_exec::{open_shared_stream, SharedTableScan};
 use sa_exec::{BatchDimEval, ChunkStream, ColumnarChunk, DimLayout, ExecError, ExecOptions};
 use sa_expr::Expr;
 use sa_plan::{rewrite, AggSpec, GusTree, LogicalPlan, SoaAnalysis, StopReason};
-use sa_storage::{Catalog, SchemaRef};
+use sa_storage::{Catalog, SchemaRef, Value};
 
 use crate::api::{QueryOptions, QueryResult, Snapshot};
 use crate::error::Error;
 use crate::grouped::Grouped;
-use crate::parallel::{run_worker_pool, PoolObs, ShardAccumulator};
+use crate::parallel::{run_worker_pool, PoolObs};
 use crate::Result;
 
 /// Hard cap multiplier for [`QueryOptions::adaptive_chunks`]: the pull
@@ -166,28 +169,29 @@ pub struct ProgressSnapshot {
     pub elapsed: Duration,
 }
 
-/// What differs between query shapes — the three things the one loop
-/// ([`drive_shape`]) cannot do for itself: build an accumulator, push a
-/// chunk into it, and read it out through a tick's plan. [`Scalar`] is the
-/// zero-key case; [`crate::grouped::Grouped`] is `Scalar` plus keys (a
-/// group indicator is just another selection, Proposition 5, so every
-/// group is a scalar readout of its own slot under the same GUS, hence
-/// through the same plan).
+/// What differs between query shapes — the two things the one loop
+/// ([`drive_shape`]) cannot do for itself: push a chunk into the query's
+/// accumulator, and read it out through a tick's plan. Both shapes feed one
+/// [`GroupedMomentAccumulator`], one slot per key: [`Scalar`] is the
+/// zero-key case, whose one slot is the empty key's;
+/// [`crate::grouped::Grouped`] is `Scalar` plus keys (a group indicator is
+/// just another selection, Proposition 5, so every group is a scalar
+/// readout of its own slot under the same GUS, hence through the same
+/// plan).
 pub(crate) trait QueryShape<'p>: Sized + Sync {
-    /// The accumulator the loop feeds; workers build one per chunk and the
-    /// coordinator merges them.
-    type Acc: ShardAccumulator;
     /// What a readout keeps from one tick to the next beside the snapshot
     /// itself; the loop owns it next to `last`.
     type Tick: Default;
     /// Specialize the opened aggregate's `scalar` shape to `group_by`,
     /// compiled against the stream's output `schema`.
     fn compile(scalar: Scalar<'p>, group_by: &[Expr], schema: &SchemaRef) -> Result<Self>;
-    /// A fresh, empty accumulator.
-    fn new_acc(&self) -> Self::Acc;
     /// Accumulate one columnar chunk (a no-op on the empty, exhaustion
     /// chunk).
-    fn push(&self, acc: &mut Self::Acc, chunk: &ColumnarChunk) -> Result<()>;
+    fn push(
+        &self,
+        acc: &mut GroupedMomentAccumulator<Vec<Value>>,
+        chunk: &ColumnarChunk,
+    ) -> Result<()>;
     /// Read `acc` out under `head`'s plan into this tick's snapshot. `prev`
     /// is the previous tick's snapshot, handed over for good: the readout
     /// overwrites its numbers and returns it, so a tick allocates for what
@@ -195,7 +199,7 @@ pub(crate) trait QueryShape<'p>: Sized + Sync {
     /// snapshot; whoever wants to keep one clones it).
     fn read(
         &self,
-        acc: &Self::Acc,
+        acc: &GroupedMomentAccumulator<Vec<Value>>,
         head: TickHead,
         prev: Option<Snapshot>,
         tick: &mut Self::Tick,
@@ -227,8 +231,8 @@ pub(crate) struct Scalar<'p> {
     pub(crate) dim_eval: BatchDimEval,
     /// Base relations in the lineage schema.
     pub(crate) n: usize,
-    /// The plan's `SoaAnalysis::lineage_distinct`: every accumulator of
-    /// this query is built in that mode.
+    /// The plan's `SoaAnalysis::lineage_distinct`: the query's accumulator
+    /// is built in that mode.
     pub(crate) lineage_distinct: bool,
 }
 
@@ -239,7 +243,7 @@ impl Scalar<'_> {
     /// worst relative CI half-width across the aggregates.
     pub(crate) fn read_slot(
         &self,
-        slot: &MomentAccumulator,
+        slot: MomentSlot<'_>,
         head: &TickHead,
         aggs: &mut Vec<AggResult>,
     ) -> Result<Option<f64>> {
@@ -250,31 +254,44 @@ impl Scalar<'_> {
     }
 }
 
+/// `read` of the scalar shape's one slot — the empty key's — or, before its
+/// first row has arrived, of an empty sample's.
+pub(crate) fn read_scalar_slot<T>(
+    acc: &GroupedMomentAccumulator<Vec<Value>>,
+    read: impl FnOnce(MomentSlot<'_>) -> T,
+) -> T {
+    match acc.group(&Vec::new()) {
+        Some(slot) => read(slot),
+        None => read(MomentAccumulator::new(acc.n(), acc.dims()).slot()),
+    }
+}
+
 impl<'p> QueryShape<'p> for Scalar<'p> {
-    type Acc = MomentAccumulator;
     type Tick = ();
 
     fn compile(scalar: Scalar<'p>, _group_by: &[Expr], _schema: &SchemaRef) -> Result<Self> {
         Ok(scalar)
     }
 
-    fn new_acc(&self) -> MomentAccumulator {
-        MomentAccumulator::with_lineage(self.n, self.layout.dims(), self.lineage_distinct)
-    }
-
-    fn push(&self, acc: &mut MomentAccumulator, chunk: &ColumnarChunk) -> Result<()> {
+    /// The whole chunk lands in the one slot, unpartitioned.
+    fn push(
+        &self,
+        acc: &mut GroupedMomentAccumulator<Vec<Value>>,
+        chunk: &ColumnarChunk,
+    ) -> Result<()> {
         if chunk.is_empty() {
             return Ok(());
         }
         let f_cols = self.dim_eval.eval(&chunk.batch)?;
         let lineage: Vec<&[u64]> = chunk.lineage.iter().map(|l| l.as_slice()).collect();
         let f: Vec<&[f64]> = f_cols.iter().map(|c| c.as_slice()).collect();
-        acc.push_batch(&lineage, &f).map_err(Error::Core)
+        acc.push_batch(Vec::new(), &lineage, &f)
+            .map_err(Error::Core)
     }
 
     fn read(
         &self,
-        acc: &MomentAccumulator,
+        acc: &GroupedMomentAccumulator<Vec<Value>>,
         head: TickHead,
         prev: Option<Snapshot>,
         _tick: &mut (),
@@ -284,7 +301,7 @@ impl<'p> QueryShape<'p> for Scalar<'p> {
             Some(Snapshot::Scalar(s)) => s.aggs,
             _ => Vec::new(),
         };
-        let rel_half_width = self.read_slot(acc, &head, &mut aggs)?;
+        let rel_half_width = read_scalar_slot(acc, |slot| self.read_slot(slot, &head, &mut aggs))?;
         Ok(Snapshot::Scalar(ProgressSnapshot {
             chunk: head.chunk,
             rows: acc.count(),
@@ -317,8 +334,8 @@ pub(crate) fn drive(
 }
 
 /// The one loop. Opens the aggregate, compiles the shape, and feeds chunks
-/// to the accumulator until a tick says stop; returns the result and the
-/// final accumulator.
+/// to the query's accumulator until a tick says stop; returns the result
+/// and the final accumulator.
 ///
 /// The only fork is where chunks come from. With one stream this thread
 /// pulls it and pushes every chunk straight into the one accumulator (no
@@ -338,12 +355,14 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
     ctx: &RunCtx,
     every_chunk: bool,
     mut on_snapshot: impl FnMut(&Snapshot),
-) -> Result<(QueryResult, S::Acc)> {
+) -> Result<(QueryResult, GroupedMomentAccumulator<Vec<Value>>)> {
     let OpenedAggregate {
         analysis,
         streams,
         scalar,
     } = open_aggregate(plan, catalog, opts, ctx, group_by)?;
+    let (n, dims, distinct) = (scalar.n, scalar.layout.dims(), scalar.lineage_distinct);
+    let fresh = || GroupedMomentAccumulator::with_lineage(n, dims, distinct);
     let shape = S::compile(scalar, group_by, streams[0].schema())?;
     let level = CiLevel::new(opts.rule.confidence_or(opts.confidence)).map_err(Error::Core)?;
     let start = Instant::now();
@@ -353,7 +372,7 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
     // previous snapshot going in — handed to the readout to update in
     // place — and this one coming out.
     let mut tick = |last: &mut Option<Snapshot>,
-                    acc: &S::Acc,
+                    acc: &GroupedMomentAccumulator<Vec<Value>>,
                     prog_tree: &ProgressTree,
                     exhausted: bool,
                     degraded: bool|
@@ -391,8 +410,8 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
             streams,
             opts.chunk_rows,
             &ctx.pool,
-            || shape.new_acc(),
-            |acc: &mut S::Acc, chunk: &ColumnarChunk| shape.push(acc, chunk),
+            fresh,
+            |acc, chunk| shape.push(acc, chunk),
             |merged, progress, exhausted, degraded| {
                 // Workers see disjoint slices of one scan, so the summed
                 // coverage is a flat per-relation prefix; union plans never
@@ -402,7 +421,7 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
             },
         )?
     } else {
-        let mut acc = shape.new_acc();
+        let mut acc = fresh();
         let mut streams = streams.into_iter();
         let mut stream = streams.next().expect("open_aggregate yields >= 1 stream");
         let mut hint = opts.chunk_rows;
@@ -850,7 +869,7 @@ mod tests {
         let plan = sum_plan(0.9);
         let (scaled, acc) =
             drive_shape::<Scalar>(&plan, &[], &c, &opts, &RunCtx::default(), true, |_| {}).unwrap();
-        let raw = acc.report(&scaled.analysis.gus).unwrap();
+        let raw = read_scalar_slot(&acc, |slot| slot.report(&scaled.analysis.gus)).unwrap();
         let (es, er) = (scalar(&scaled).aggs[0].estimate, raw.estimate[0]);
         assert!(
             (es - truth).abs() < 0.1 * truth,
@@ -1000,8 +1019,12 @@ mod tests {
             scalar,
         } = open_aggregate(&plan, &c, &opts, &RunCtx::default(), &[]).unwrap();
         let mut stream = streams.pop().unwrap();
-        let mut acc = scalar.new_acc();
-        let check = |acc: &MomentAccumulator, gus: &GusParams, confidence: f64, what: &str| {
+        let mut acc = GroupedMomentAccumulator::with_lineage(
+            scalar.n,
+            scalar.layout.dims(),
+            scalar.lineage_distinct,
+        );
+        let check = |slot: MomentSlot<'_>, gus: &GusParams, confidence: f64, what: &str| {
             let head = TickHead {
                 chunk: 1,
                 level: CiLevel::new(confidence).unwrap(),
@@ -1010,18 +1033,18 @@ mod tests {
                 gus: gus.clone(),
                 start: Instant::now(),
             };
-            let report = acc.report(gus).unwrap();
+            let report = slot.report(gus).unwrap();
             let want =
                 sa_exec::agg_results_from_report(scalar.aggs, &scalar.layout, &report, confidence);
             // Once into a fresh vector, once over a stale previous readout.
             let mut fresh = Vec::new();
-            let rel = scalar.read_slot(acc, &head, &mut fresh).unwrap();
+            let rel = scalar.read_slot(slot, &head, &mut fresh).unwrap();
             let mut reused = want.clone();
             for r in &mut reused {
                 (r.estimate, r.variance, r.ci_normal) = (-1.0, Some(-1.0), None);
                 r.quantile_bound = Some(f64::NAN);
             }
-            assert_eq!(scalar.read_slot(acc, &head, &mut reused).unwrap(), rel);
+            assert_eq!(scalar.read_slot(slot, &head, &mut reused).unwrap(), rel);
             assert_eq!((fresh.len(), reused.len()), (want.len(), want.len()));
             for ((f, r), w) in fresh.iter().zip(&reused).zip(&want) {
                 assert_same_agg(f, w, what);
@@ -1038,7 +1061,7 @@ mod tests {
                 .and_then(|g| analysis.gus.compact(&g))
                 .unwrap()
         };
-        check(&acc, &analysis.gus, 0.95, "empty");
+        read_scalar_slot(&acc, |slot| check(slot, &analysis.gus, 0.95, "empty"));
         let mut pulled = 0;
         loop {
             let chunk = stream
@@ -1050,13 +1073,15 @@ mod tests {
             scalar.push(&mut acc, &chunk).unwrap();
             pulled += 1;
             let (scanned, _) = stream.progress()[0];
-            check(&acc, &prefix(scanned), 0.95, "mid-stream");
-            check(&acc, &prefix(scanned), 0.5, "mid-stream at 50%");
+            let slot = acc.group(&Vec::new()).unwrap();
+            check(slot, &prefix(scanned), 0.95, "mid-stream");
+            check(slot, &prefix(scanned), 0.5, "mid-stream at 50%");
         }
         assert!(pulled > 3);
-        check(&acc, &analysis.gus, 0.99, "exhausted");
+        let slot = acc.group(&Vec::new()).unwrap();
+        check(slot, &analysis.gus, 0.99, "exhausted");
         // One scanned unit: b_∅ = 0, estimates without variance on both.
-        check(&acc, &prefix(1), 0.95, "no variance");
+        check(slot, &prefix(1), 0.95, "no variance");
         // a = 0 is the same typed refusal.
         let blocked = GusParams::bernoulli("t", 0.0).unwrap();
         let head = TickHead {
@@ -1067,8 +1092,8 @@ mod tests {
             gus: blocked.clone(),
             start: Instant::now(),
         };
-        let by_plan = scalar.read_slot(&acc, &head, &mut Vec::new()).unwrap_err();
-        let by_report = Error::Core(acc.report(&blocked).unwrap_err());
+        let by_plan = scalar.read_slot(slot, &head, &mut Vec::new()).unwrap_err();
+        let by_report = Error::Core(slot.report(&blocked).unwrap_err());
         assert_eq!(by_plan.to_string(), by_report.to_string());
         assert!(matches!(
             by_plan,

@@ -1,4 +1,4 @@
-//! Grouped online aggregation: per-group accumulators, per-group stopping.
+//! Grouped online aggregation: per-group slots, per-group stopping.
 //!
 //! `Grouped` is the `GROUP BY` shape of the one progressive loop in
 //! [`crate::driver`] — the scalar shape plus keys. The GUS algebra needs
@@ -6,12 +6,14 @@
 //! `f_g(t) = f(t)·1{key(t) = g}` — the group indicator is just another
 //! selection (Proposition 5) — so the *same* top GUS from the one-time SOA
 //! rewrite analyzes every group, and each group gets its own unbiased
-//! estimate and variance. A chunk is routed to its groups' slots of a
-//! [`sa_core::GroupedMomentAccumulator`]; a tick scales the GUS to the scan
-//! progress (Proposition 8) and plans its readout once, then reads every
-//! discovered group's slot out exactly as the scalar shape reads its one
-//! accumulator — into the snapshot it built last time, so a tick's cost
-//! follows what changed (new groups, new numbers), not what it holds.
+//! estimate and variance. A chunk is partitioned by key and each partition
+//! lands in its group's slot of the query's
+//! [`sa_core::GroupedMomentAccumulator`] — the one the scalar shape fills
+//! under the empty key; a tick scales the GUS to the scan progress
+//! (Proposition 8) and plans its readout once, then reads every discovered
+//! group's slot out exactly as the scalar shape reads its one slot — into
+//! the snapshot it built last time, so a tick's cost follows what changed
+//! (new groups, new numbers), not what it holds.
 //!
 //! ## Per-group stopping
 //!
@@ -38,7 +40,7 @@
 use std::hash::Hasher;
 
 use sa_core::hash::{FxHashMap, FxHasher};
-use sa_core::{GroupedMomentAccumulator, MomentAccumulator};
+use sa_core::{GroupedMomentAccumulator, MomentSlot};
 use sa_exec::{AggResult, ColumnarChunk, ExecError};
 use sa_expr::{compile, CompiledExpr, Expr};
 use sa_storage::{ColumnVec, SchemaRef, Value};
@@ -122,7 +124,6 @@ pub(crate) struct Grouped<'p> {
 }
 
 impl<'p> QueryShape<'p> for Grouped<'p> {
-    type Acc = GroupedMomentAccumulator<Vec<Value>>;
     type Tick = GroupedTick;
 
     fn compile(scalar: Scalar<'p>, group_by: &[Expr], schema: &SchemaRef) -> Result<Self> {
@@ -137,14 +138,6 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
         })
     }
 
-    fn new_acc(&self) -> Self::Acc {
-        GroupedMomentAccumulator::with_lineage(
-            self.scalar.n,
-            self.scalar.layout.dims(),
-            self.scalar.lineage_distinct,
-        )
-    }
-
     /// Route one columnar chunk into the grouped accumulator: evaluate the
     /// key kernels and the aggregate dimensions once per chunk, partition
     /// the rows by a 64-bit key fingerprint (partitions in first-seen
@@ -157,7 +150,11 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
     /// key collides with a different key's fingerprint (astronomically
     /// rare; detected by comparing against the partition's first row) are
     /// pushed one by one with their own key after the partitions.
-    fn push(&self, acc: &mut Self::Acc, chunk: &ColumnarChunk) -> Result<()> {
+    fn push(
+        &self,
+        acc: &mut GroupedMomentAccumulator<Vec<Value>>,
+        chunk: &ColumnarChunk,
+    ) -> Result<()> {
         if chunk.is_empty() {
             return Ok(());
         }
@@ -253,7 +250,7 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
     /// discovery order — are built, sorted among themselves and merged in.
     fn read(
         &self,
-        acc: &Self::Acc,
+        acc: &GroupedMomentAccumulator<Vec<Value>>,
         head: TickHead,
         prev: Option<Snapshot>,
         tick: &mut GroupedTick,
@@ -266,7 +263,7 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
                 (Vec::new(), self.group_exprs.clone())
             }
         };
-        let read_group = |g: &mut GroupProgress, slot: &MomentAccumulator| -> Result<()> {
+        let read_group = |g: &mut GroupProgress, slot: MomentSlot<'_>| -> Result<()> {
             let rel = self.scalar.read_slot(slot, &head, &mut g.aggs)?;
             g.sample_rows = slot.count();
             g.rel_half_width = rel;
@@ -338,7 +335,7 @@ impl<'p> Grouped<'p> {
     /// predecessor, and the clock).
     fn assert_is_the_scratch_readout(
         &self,
-        acc: &<Self as QueryShape<'p>>::Acc,
+        acc: &GroupedMomentAccumulator<Vec<Value>>,
         updated: &GroupedProgressSnapshot,
         level: sa_core::CiLevel,
         start: std::time::Instant,

@@ -2,11 +2,14 @@
 //!
 //! The paper's estimator makes parallel online aggregation almost free:
 //! second-moment state composes exactly under
-//! [`sa_core::MomentAccumulator::merge`] (the same rank-two delta algebra
-//! the per-row path uses), so N workers can consume disjoint slices of the
-//! sampled plan and the coordinator can read the *global* estimate at any
-//! time by absorbing the workers' queued deltas — never touching a row
-//! twice.
+//! [`sa_core::GroupedMomentAccumulator::merge`] (the same rank-two delta
+//! algebra the push path uses; a delta's slots land on the global
+//! accumulator's by key, new groups appended), so N workers can consume
+//! disjoint slices of the sampled plan and the coordinator can read the
+//! *global* estimate at any time by absorbing the workers' queued deltas —
+//! never touching a row twice. Both query shapes feed the same accumulator
+//! type (the scalar shape's one slot is the empty key's), so the pool knows
+//! one.
 //!
 //! Topology: [`sa_exec::open_stream_partitioned`] hands each worker thread
 //! its own [`ChunkStream`] over a disjoint, deterministic slice. Workers
@@ -55,6 +58,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
+use sa_core::GroupedMomentAccumulator;
 use sa_exec::{ChunkStream, ColumnarChunk};
 use sa_obs::{Counter, Histogram};
 use sa_storage::Value;
@@ -83,52 +87,13 @@ pub(crate) struct PoolObs {
     pub(crate) panics: Counter,
 }
 
-/// An accumulator that can absorb a shard built over the same lineage
-/// schema — the merge the coordinator folds worker state with, and the
-/// bound on every [`crate::driver::QueryShape`]'s accumulator. Deltas are
-/// *moved* from worker queues to the coordinator (no cloning), so `Send`
-/// is the only marker required.
-pub(crate) trait ShardAccumulator: Send {
-    /// Merge `other` into `self` (exact, order-insensitive up to float
-    /// associativity).
-    fn absorb(&mut self, other: &Self) -> Result<()>;
-    /// Rows consumed so far (used to skip no-change snapshot ticks).
-    fn rows(&self) -> u64;
-    /// Lineage groups held in memory (reported on the query's result).
-    fn lineage_entries(&self) -> usize;
-}
-
-impl ShardAccumulator for sa_core::MomentAccumulator {
-    fn absorb(&mut self, other: &Self) -> Result<()> {
-        self.merge(other).map_err(Error::Core)
-    }
-    fn rows(&self) -> u64 {
-        self.count()
-    }
-    fn lineage_entries(&self) -> usize {
-        self.lineage_entries()
-    }
-}
-
-impl ShardAccumulator for sa_core::GroupedMomentAccumulator<Vec<Value>> {
-    fn absorb(&mut self, other: &Self) -> Result<()> {
-        self.merge(other).map_err(Error::Core)
-    }
-    fn rows(&self) -> u64 {
-        self.count()
-    }
-    fn lineage_entries(&self) -> usize {
-        self.lineage_entries()
-    }
-}
-
 /// One worker's published state: per-chunk delta accumulators queued since
 /// the coordinator last drained (each built *outside* the lock — publishing
 /// is an O(1) `Vec::push`, so the coordinator never waits on a chunk's
 /// accumulation), the latest slice-relative scan progress, and whether the
 /// stream has drained.
-struct ShardState<A> {
-    deltas: Vec<A>,
+struct ShardState {
+    deltas: Vec<GroupedMomentAccumulator<Vec<Value>>>,
     /// Rows across `deltas` not yet drained by the coordinator — the
     /// backpressure quantity.
     pending_rows: u64,
@@ -148,8 +113,8 @@ struct ShardState<A> {
 
 /// One worker's slot: its state plus the condvar the coordinator signals
 /// after draining the delta (backpressure release).
-struct Shard<A> {
-    state: Mutex<ShardState<A>>,
+struct Shard {
+    state: Mutex<ShardState>,
     drained: Condvar,
 }
 
@@ -157,7 +122,7 @@ struct Shard<A> {
 /// contained by the pool) must never cascade into a poisoned-lock panic on
 /// a healthy thread. `ShardState` is plain data — every mutation below is
 /// a complete, consistent update, so the recovered view is always usable.
-fn lock_shard<A>(m: &Mutex<ShardState<A>>) -> MutexGuard<'_, ShardState<A>> {
+fn lock_shard(m: &Mutex<ShardState>) -> MutexGuard<'_, ShardState> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -173,18 +138,22 @@ fn lock_shard<A>(m: &Mutex<ShardState<A>>) -> MutexGuard<'_, ShardState<A>> {
 /// return `Some` when `exhausted` or `degraded` is true — there will be no
 /// further tick). The final merged accumulator and the stop reason are
 /// returned; workers are joined before this function returns.
-pub(crate) fn run_worker_pool<A, P, J>(
+pub(crate) fn run_worker_pool<P, J>(
     streams: Vec<ChunkStream>,
     chunk_rows: usize,
     obs: &PoolObs,
-    new_acc: impl Fn() -> A + Sync,
+    fresh: impl Fn() -> GroupedMomentAccumulator<Vec<Value>> + Sync,
     push_chunk: P,
     mut judge: J,
-) -> Result<(A, sa_plan::StopReason)>
+) -> Result<(GroupedMomentAccumulator<Vec<Value>>, sa_plan::StopReason)>
 where
-    A: ShardAccumulator,
-    P: Fn(&mut A, &ColumnarChunk) -> Result<()> + Sync,
-    J: FnMut(&A, &[(u64, u64)], bool, bool) -> Result<Option<sa_plan::StopReason>>,
+    P: Fn(&mut GroupedMomentAccumulator<Vec<Value>>, &ColumnarChunk) -> Result<()> + Sync,
+    J: FnMut(
+        &GroupedMomentAccumulator<Vec<Value>>,
+        &[(u64, u64)],
+        bool,
+        bool,
+    ) -> Result<Option<sa_plan::StopReason>>,
 {
     let nrels = streams.first().map(|s| s.relations().len()).unwrap_or(0);
     // Backpressure: a worker pauses once its un-drained deltas hold two
@@ -193,7 +162,7 @@ where
     // O(workers × chunk_rows) without throttling steady-state throughput —
     // the coordinator drains every tick.
     let backpressure = (chunk_rows.max(1) as u64).saturating_mul(2);
-    let shards: Vec<Shard<A>> = streams
+    let shards: Vec<Shard> = streams
         .iter()
         .map(|s| Shard {
             state: Mutex::new(ShardState {
@@ -215,7 +184,7 @@ where
             let tx = tx.clone();
             let cancel = &cancel;
             let push_chunk = &push_chunk;
-            let new_acc = &new_acc;
+            let fresh = &fresh;
             scope.spawn(move || {
                 worker_loop(
                     stream,
@@ -223,7 +192,7 @@ where
                     backpressure,
                     shard,
                     obs,
-                    new_acc,
+                    fresh,
                     push_chunk,
                     cancel,
                     tx,
@@ -231,7 +200,7 @@ where
             });
         }
         drop(tx); // the coordinator's recv() errors once every worker exits
-        let mut global = new_acc();
+        let mut global = fresh();
         let out = (|| {
             let mut last_judged: Option<u64> = None;
             loop {
@@ -268,7 +237,7 @@ where
                     };
                     shard.drained.notify_all();
                     for delta in &deltas {
-                        global.absorb(delta)?;
+                        global.merge(delta)?;
                     }
                 }
                 if let Some(t) = merge_start {
@@ -280,10 +249,10 @@ where
                 // the exhaustion or degradation verdict. Quiet gaps are
                 // bounded by one chunk, so a time budget still fires
                 // promptly.
-                if last_judged == Some(global.rows()) && !exhausted && !degraded {
+                if last_judged == Some(global.count()) && !exhausted && !degraded {
                     continue;
                 }
-                last_judged = Some(global.rows());
+                last_judged = Some(global.count());
                 if let Some(reason) = judge(&global, &progress, exhausted, degraded)? {
                     return Ok(reason);
                 }
@@ -308,19 +277,18 @@ where
 /// coordinator — pausing under backpressure — until drained, cancelled or
 /// failed.
 #[allow(clippy::too_many_arguments)]
-fn worker_loop<A, P>(
+fn worker_loop<P>(
     mut stream: ChunkStream,
     chunk_rows: usize,
     backpressure: u64,
-    shard: &Shard<A>,
+    shard: &Shard,
     obs: &PoolObs,
-    new_acc: &(impl Fn() -> A + Sync),
+    fresh: &(impl Fn() -> GroupedMomentAccumulator<Vec<Value>> + Sync),
     push_chunk: &P,
     cancel: &AtomicBool,
     tx: mpsc::Sender<()>,
 ) where
-    A: ShardAccumulator,
-    P: Fn(&mut A, &ColumnarChunk) -> Result<()> + Sync,
+    P: Fn(&mut GroupedMomentAccumulator<Vec<Value>>, &ColumnarChunk) -> Result<()> + Sync,
 {
     let fail = |e: Error| {
         let mut s = lock_shard(&shard.state);
@@ -338,25 +306,23 @@ fn worker_loop<A, P>(
         // dying. AssertUnwindSafe is sound because a panicking iteration
         // abandons the shard: `stream` and the local delta are never
         // observed again.
-        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<(Option<A>, usize, bool)> {
-                if sa_fault::hit(sa_fault::sites::WORKER_STALL) {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                if sa_fault::hit(sa_fault::sites::WORKER_PANIC) {
-                    panic!("injected fault: worker panic at a chunk boundary");
-                }
-                let chunk = stream.next_batch(chunk_rows)?;
-                let exhausted = chunk.is_empty();
-                let mut delta = None;
-                if !exhausted {
-                    let mut local = new_acc();
-                    push_chunk(&mut local, &chunk)?;
-                    delta = Some(local);
-                }
-                Ok((delta, chunk.rows(), exhausted))
-            },
-        ));
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if sa_fault::hit(sa_fault::sites::WORKER_STALL) {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            if sa_fault::hit(sa_fault::sites::WORKER_PANIC) {
+                panic!("injected fault: worker panic at a chunk boundary");
+            }
+            let chunk = stream.next_batch(chunk_rows)?;
+            let exhausted = chunk.is_empty();
+            let mut delta = None;
+            if !exhausted {
+                let mut local = fresh();
+                push_chunk(&mut local, &chunk)?;
+                delta = Some(local);
+            }
+            Ok::<_, Error>((delta, chunk.rows(), exhausted))
+        }));
         let (delta, chunk_len, exhausted) = match step {
             Ok(Ok(v)) => v,
             Ok(Err(e)) => return fail(e),

@@ -422,7 +422,7 @@ proptest! {
         for acc in [&inc, &left] {
             prop_assert_eq!(acc.group_count(), batch.groups.len());
             for g in &batch.groups {
-                let report = acc.report_group(&g.key, gus).expect("group present").unwrap();
+                let report = acc.group(&g.key).map(|s| s.report(gus)).expect("group present").unwrap();
                 let incs = agg_results_from_report(aggs, &layout, &report, 0.95);
                 for (a_inc, a_batch) in incs.iter().zip(&g.aggs) {
                     prop_assert!(

@@ -9,8 +9,12 @@
 //! per group, and ran the §6.3 recursion over cloned matrices for each —
 //! upwards of fifteen allocations per group and tick.
 //!
-//! This file holds exactly one test: the counter is per thread, but a quiet
-//! process keeps the numbers easy to reason about.
+//! Discovery is the other half: a group's first appearance costs its key
+//! and its share of storage that grows by doubling, not an accumulator
+//! object of its own.
+//!
+//! The counter is per thread and `.run()` at `jobs = 1` never leaves the
+//! calling thread, so each test counts only its own queries.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -132,5 +136,37 @@ fn a_tick_that_discovers_nothing_allocates_nothing_per_group() {
         extra.abs() <= 0.02 * (large_groups - small_groups) as f64,
         "{} more groups cost {extra:.1} more allocations a tick ({small:.0} vs {large:.0})",
         large_groups - small_groups
+    );
+}
+
+/// Allocations per group that discovering it costs: two runs of one seed to
+/// one row budget, past the end of discovery in both, over catalogs whose
+/// discovery phases deal 1000 and 2000 keys — the difference of their
+/// totals over the difference of their group counts. Both runs take the
+/// same ticks (the sampler draws one coin per row, whatever the row holds),
+/// and a tick's readout allocates nothing per known group (the test
+/// above), so what is left is what a group's first appearance costs.
+fn discovery_allocations_per_group() -> f64 {
+    let budget = (4 * 2000 + 2 * 4096) as u64;
+    let run = |groups: i64| run_to(&plateau_catalog(groups, 4 * groups + 14 * 4096), budget);
+    let (small, small_ticks, small_groups) = run(1000);
+    let (large, large_ticks, large_groups) = run(2000);
+    assert_eq!(small_ticks, large_ticks, "one budget, one tick count");
+    assert!(small_groups >= 990 && large_groups >= 1980);
+    (large - small) as f64 / (large_groups - small_groups) as f64
+}
+
+#[test]
+fn discovering_a_group_costs_its_key_not_a_slot_object() {
+    // About seven: the key tuple the chunk partition builds (kept as the
+    // group's index entry), one more per later discovery chunk holding the
+    // group's rows, and the snapshot entry a tick builds for a group it
+    // shows first (key, aggregate list, two names). A group's slot is a
+    // stride of shared vectors, not an accumulator owning heap blocks of
+    // its own.
+    let per_group = discovery_allocations_per_group();
+    assert!(
+        per_group <= 8.0,
+        "{per_group:.2} allocations per discovered group"
     );
 }
