@@ -561,6 +561,15 @@ enum OutCol {
     LateCol(usize),
 }
 
+/// The positions a predicate mask selects, ascending.
+fn selection(mask: &[bool]) -> Vec<u32> {
+    mask.iter()
+        .enumerate()
+        .filter(|(_, &m)| m)
+        .map(|(i, _)| i as u32)
+        .collect()
+}
+
 impl ScanGather {
     /// The scan's output columns as table-schema indices.
     fn out_cols(&self, table: &Table) -> Vec<usize> {
@@ -635,13 +644,7 @@ impl ScanGather {
         let pred_batch = table
             .batch_range_cols(from, upto, &pred.table_cols)
             .map_err(ExecError::Storage)?;
-        let mask = pred.expr.eval_mask(&pred_batch)?;
-        let selected: Vec<u32> = mask
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| i as u32)
-            .collect();
+        let selected = selection(&pred.expr.eval_mask(&pred_batch)?);
         let ids: Vec<u64> = selected.iter().map(|&i| from + i as u64).collect();
         // Page accounting: blocks of the range whose every row the mask
         // dropped never have their non-predicate columns touched.
@@ -1252,13 +1255,7 @@ impl Node {
                     // expressions against it.
                     Vec::new()
                 } else {
-                    let mask = predicate.eval_mask(&chunk.batch)?;
-                    let selected: Vec<u32> = mask
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &m)| m)
-                        .map(|(i, _)| i as u32)
-                        .collect();
+                    let selected = selection(&predicate.eval_mask(&chunk.batch)?);
                     if selected.is_empty() {
                         continue;
                     }

@@ -3,23 +3,34 @@
 //! [`compile`] turns a (bindable) [`Expr`] into a [`CompiledExpr`] — a tree
 //! of *typed kernels* that evaluate directly over the typed column vectors
 //! of a [`ColumnarBatch`]. All name resolution, type dispatch and constant
-//! folding happen once at compile time; per-batch evaluation is tight loops
-//! over `i64`/`f64`/`bool`/dictionary-code slices with no per-row
-//! [`Value`](sa_storage::Value) allocation or operator-enum dispatch.
+//! folding happen once at compile time.
+//!
+//! Every per-row boolean is a **bit word**: values, validity and the
+//! division-by-zero mask are packed 64 rows to a `u64`. A comparison picks
+//! its loop once per batch — by operator and by operand shape (slice or
+//! constant) — and runs one monomorphic pass that packs a word at a time;
+//! Kleene `AND`/`OR`/`NOT`, validity merges and short-circuit error
+//! clearing are word `&`/`|`/`!`. Arithmetic runs over `i64`/`f64` slices
+//! with the operator chosen outside the loop. Words become `Vec<bool>` only
+//! where [`CompiledExpr::eval_mask`], [`CompiledExpr::eval_f64`] and
+//! [`CompiledExpr::eval_column`] return.
 //!
 //! Semantics are **bit-identical to the row interpreter** ([`crate::eval()`]):
 //!
 //! * SQL three-valued logic — `NULL` poisons arithmetic and comparisons,
-//!   `AND`/`OR`/`NOT` are Kleene — carried by per-column validity vectors;
+//!   `AND`/`OR`/`NOT` are Kleene — carried by validity words;
+//! * comparisons keep [`Value::total_cmp`](sa_storage::Value::total_cmp)'s
+//!   float order, not IEEE's: NaN sorts greatest and equals itself, and
+//!   `-0.0 = +0.0`;
 //! * `Int op Int` stays in wrapping `i64` arithmetic (and exact `i64`
 //!   comparison); any float operand promotes the whole operation to `f64`,
 //!   exactly like [`crate::eval()`]'s value-level promotion;
 //! * integer division by zero is the one *runtime* error an already-bound
 //!   expression can raise. The row interpreter raises it for the first row
 //!   that actually evaluates the division — in particular, a short-circuited
-//!   `AND`/`OR` operand never raises. Kernels carry a per-row error mask
-//!   that `AND`/`OR` clear on short-circuited rows, so batch evaluation
-//!   errors for exactly the rows the row interpreter would have.
+//!   `AND`/`OR` operand never raises. Kernels carry an error mask that
+//!   `AND`/`OR` clear on short-circuited rows, so batch evaluation errors
+//!   for exactly the rows the row interpreter would have.
 //!
 //! Batch entry points: [`CompiledExpr::eval_mask`] (filter selection),
 //! [`CompiledExpr::eval_f64`] (numeric aggregate inputs) and
@@ -67,7 +78,19 @@ impl CmpOp {
         }
     }
 
-    #[inline]
+    /// The operator with its operands swapped: `a op b ⟺ b op.flip() a`.
+    fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::LtEq => CmpOp::GtEq,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::GtEq => CmpOp::LtEq,
+            op @ (CmpOp::Eq | CmpOp::NotEq) => op,
+        }
+    }
+
+    /// The verdict on a compile-time ordering (constant folding and
+    /// per-dictionary-entry tables — never per row).
     fn judge(self, ord: std::cmp::Ordering) -> bool {
         match self {
             CmpOp::Eq => ord.is_eq(),
@@ -515,8 +538,82 @@ fn cmp_f64(a: f64, b: f64) -> std::cmp::Ordering {
 // Batch evaluation.
 // ---------------------------------------------------------------------------
 
-/// A kernel result's values: a broadcast constant, an owned vector (a
-/// computed intermediate) or a **borrowed slice of the batch's own
+/// Per-row booleans packed 64 rows to a word: row `i` is bit `i % 64` of
+/// word `i / 64`. Bits past the batch's last row are unspecified in values
+/// and validity (a word `!` sets them) but clear in error masks: each one
+/// starts clear past the end and is combined only by `&` and `|`, so any
+/// nonzero word holds an error row.
+type Bits = Vec<u64>;
+
+/// Pack `f` of each element a word at a time. The fixed 64-element inner
+/// loop is what the autovectorizer turns into compare-and-movemask.
+#[inline]
+fn pack<T: Copy>(xs: &[T], f: impl Fn(T) -> bool) -> Bits {
+    let word = |c: &[T]| {
+        c.iter()
+            .enumerate()
+            .fold(0u64, |w, (j, &x)| w | (f(x) as u64) << j)
+    };
+    let words = xs.chunks_exact(64);
+    let tail = words.remainder();
+    let mut out = Vec::with_capacity(xs.len().div_ceil(64));
+    out.extend(words.map(word));
+    if !tail.is_empty() {
+        out.push(word(tail));
+    }
+    out
+}
+
+/// [`pack`] of `f` over two equally long slices, row by row.
+#[inline]
+fn pack2<T: Copy>(xs: &[T], ys: &[T], f: impl Fn(T, T) -> bool) -> Bits {
+    debug_assert_eq!(xs.len(), ys.len());
+    let word = |(a, b): (&[T], &[T])| {
+        a.iter()
+            .zip(b)
+            .enumerate()
+            .fold(0u64, |w, (j, (&x, &y))| w | (f(x, y) as u64) << j)
+    };
+    let (a, b) = (xs.chunks_exact(64), ys.chunks_exact(64));
+    let tail = (a.remainder(), b.remainder());
+    let mut out = Vec::with_capacity(xs.len().div_ceil(64));
+    out.extend(a.zip(b).map(word));
+    if !tail.0.is_empty() {
+        out.push(word(tail));
+    }
+    out
+}
+
+/// `rows` rows all `v` (bits past `rows` clear).
+fn splat(rows: usize, v: bool) -> Bits {
+    let mut out = vec![if v { !0 } else { 0 }; rows.div_ceil(64)];
+    let tail = rows % 64;
+    if v && tail != 0 {
+        out[rows / 64] = (1 << tail) - 1;
+    }
+    out
+}
+
+/// The first `rows` bits as `bool`s — where words leave the kernels.
+fn unpack(bits: &[u64], rows: usize) -> Vec<bool> {
+    let mut out = Vec::with_capacity(rows);
+    for (k, &w) in bits.iter().enumerate() {
+        let n = (rows - 64 * k).min(64);
+        out.extend((0..n).map(|j| w >> j & 1 != 0));
+    }
+    out
+}
+
+/// `a[k] = f(a[k], b[k])` word by word, in place.
+fn zip_words(mut a: Bits, b: &[u64], f: impl Fn(u64, u64) -> u64) -> Bits {
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x = f(*x, y);
+    }
+    a
+}
+
+/// A numeric kernel result's values: a broadcast constant, an owned vector
+/// (a computed intermediate) or a **borrowed slice of the batch's own
 /// storage** — a bare column reference lends the batch's data instead of
 /// copying it, so `col(a) > 0 AND col(a) < 10` never memcpys column `a`.
 /// Binary kernels specialize their loops on the shape, so `col + 1.0`
@@ -527,20 +624,7 @@ enum Vals<'a, T> {
     Slice(&'a [T]),
 }
 
-/// A validity mask borrowed from the batch (a column's own bitmap) or
-/// owned (computed by a kernel); `None` = all rows valid.
-type Validity<'a> = Option<std::borrow::Cow<'a, [bool]>>;
-
 impl<'a, T: Copy> Vals<'a, T> {
-    #[inline]
-    fn at(&self, i: usize) -> T {
-        match self {
-            Vals::Const(c) => *c,
-            Vals::Vec(v) => v[i],
-            Vals::Slice(s) => s[i],
-        }
-    }
-
     /// The broadcast constant, if this is one.
     #[inline]
     fn as_const(&self) -> Option<T> {
@@ -567,56 +651,111 @@ impl<'a, T: Copy> Vals<'a, T> {
             Vals::Slice(s) => s.to_vec(),
         }
     }
+
+    /// `f` of each value; a constant stays a constant.
+    #[inline]
+    fn map<R>(&self, f: impl Fn(T) -> R) -> Vals<'a, R> {
+        match self.as_const() {
+            Some(x) => Vals::Const(f(x)),
+            None => Vals::Vec(self.slice().iter().map(|&x| f(x)).collect()),
+        }
+    }
 }
 
-/// A numeric/boolean kernel's batch result: values, validity (`None` = all
-/// valid) and the rows whose evaluation raised integer division by zero.
-struct Evaled<'a, T> {
-    vals: Vals<'a, T>,
-    validity: Validity<'a>,
-    div0: Option<Vec<bool>>,
+/// `f` of each row's pair of values, the loop chosen once by the operands'
+/// shapes.
+#[inline]
+fn zip_vals<'a, T: Copy, R>(
+    a: &Vals<'_, T>,
+    b: &Vals<'_, T>,
+    f: impl Fn(T, T) -> R,
+) -> Vals<'a, R> {
+    match (a.as_const(), b.as_const()) {
+        (Some(x), Some(y)) => Vals::Const(f(x, y)),
+        (None, Some(y)) => Vals::Vec(a.slice().iter().map(|&x| f(x, y)).collect()),
+        (Some(x), None) => Vals::Vec(b.slice().iter().map(|&y| f(x, y)).collect()),
+        (None, None) => Vals::Vec(
+            a.slice()
+                .iter()
+                .zip(b.slice())
+                .map(|(&x, &y)| f(x, y))
+                .collect(),
+        ),
+    }
 }
 
-impl<T: Copy> Evaled<'_, T> {
-    fn constant(c: T) -> Evaled<'static, T> {
+/// A kernel's batch result: values (a [`Vals`] for numbers, [`Bits`] for
+/// booleans; arbitrary on invalid rows), validity (`None` = all valid) and
+/// the rows whose evaluation raised integer division by zero (`None` =
+/// none).
+struct Evaled<V> {
+    vals: V,
+    validity: Option<Bits>,
+    div0: Option<Bits>,
+}
+
+impl<T> Evaled<Vals<'_, T>> {
+    fn constant(c: T) -> Evaled<Vals<'static, T>> {
         Evaled {
             vals: Vals::Const(c),
             validity: None,
             div0: None,
         }
     }
+}
 
-    #[inline]
-    fn is_valid(&self, i: usize) -> bool {
-        self.validity.as_deref().is_none_or(|v| v[i])
+impl Evaled<Bits> {
+    /// The rows whose value is definitely `v` (valid and equal to it).
+    fn definite(&self, v: bool) -> Bits {
+        let flip = if v { 0 } else { !0 };
+        match &self.validity {
+            None => self.vals.iter().map(|&x| x ^ flip).collect(),
+            Some(ok) => self
+                .vals
+                .iter()
+                .zip(ok)
+                .map(|(&x, &ok)| (x ^ flip) & ok)
+                .collect(),
+        }
+    }
+}
+
+/// A binary kernel's result: `vals` with both operands' nulls and errors.
+fn both<V, A, B>(vals: V, a: Evaled<A>, b: Evaled<B>) -> Evaled<V> {
+    Evaled {
+        vals,
+        validity: merge_validity(a.validity, b.validity),
+        div0: union_masks(a.div0, b.div0),
     }
 }
 
 /// Union of two optional row masks.
-fn union_masks(a: Option<Vec<bool>>, b: Option<Vec<bool>>) -> Option<Vec<bool>> {
+fn union_masks(a: Option<Bits>, b: Option<Bits>) -> Option<Bits> {
     match (a, b) {
         (None, x) | (x, None) => x,
-        (Some(mut a), Some(b)) => {
-            for (x, y) in a.iter_mut().zip(&b) {
-                *x |= y;
-            }
-            Some(a)
-        }
+        (Some(a), Some(b)) => Some(zip_words(a, &b, |x, y| x | y)),
     }
 }
 
 /// Intersection of validity: invalid if either side is.
-fn merge_validity<'a>(a: Validity<'a>, b: Validity<'a>) -> Validity<'a> {
+fn merge_validity(a: Option<Bits>, b: Option<Bits>) -> Option<Bits> {
     match (a, b) {
         (None, x) | (x, None) => x,
-        (Some(a), Some(b)) => {
-            let mut a = a.into_owned();
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                *x &= y;
-            }
-            Some(std::borrow::Cow::Owned(a))
-        }
+        (Some(a), Some(b)) => Some(zip_words(a, &b, |x, y| x & y)),
     }
+}
+
+/// `DivisionByZero` if any row of the error mask is set.
+fn raise(div0: &Option<Bits>) -> Result<()> {
+    match div0 {
+        Some(rows) if rows.iter().any(|&w| w != 0) => Err(ExprError::DivisionByZero),
+        _ => Ok(()),
+    }
+}
+
+/// A column's storage validity as words, packed only when it has one.
+fn col_validity(col: &ColumnVec) -> Option<Bits> {
+    col.validity.as_deref().map(|v| pack(v, |ok| ok))
 }
 
 fn expect_col<'a>(batch: &'a ColumnarBatch, idx: usize, want: &str) -> Result<&'a ColumnVec> {
@@ -642,9 +781,9 @@ fn expect_col<'a>(batch: &'a ColumnarBatch, idx: usize, want: &str) -> Result<&'
     Ok(col)
 }
 
-fn eval_int<'a>(k: &IntK, batch: &'a ColumnarBatch) -> Result<Evaled<'a, i64>> {
+fn eval_int<'a>(k: &IntK, batch: &'a ColumnarBatch) -> Result<Evaled<Vals<'a, i64>>> {
     Ok(match k {
-        IntK::Const(c) => Evaled::<i64>::constant(*c),
+        IntK::Const(c) => Evaled::constant(*c),
         IntK::Col(i) => {
             let col = expect_col(batch, *i, "Int")?;
             let ColumnData::Int(data) = &col.data else {
@@ -652,41 +791,33 @@ fn eval_int<'a>(k: &IntK, batch: &'a ColumnarBatch) -> Result<Evaled<'a, i64>> {
             };
             Evaled {
                 vals: Vals::Slice(data),
-                validity: col.validity.as_deref().map(std::borrow::Cow::Borrowed),
+                validity: col_validity(col),
                 div0: None,
             }
         }
         IntK::Bin(op, a, b) => {
-            let a = eval_int(a, batch)?;
-            let b = eval_int(b, batch)?;
-            let f = match op {
-                ArithOp::Add => i64::wrapping_add,
-                ArithOp::Sub => i64::wrapping_sub,
-                ArithOp::Mul => i64::wrapping_mul,
+            let (a, b) = (eval_int(a, batch)?, eval_int(b, batch)?);
+            let vals = match op {
+                ArithOp::Add => zip_vals(&a.vals, &b.vals, i64::wrapping_add),
+                ArithOp::Sub => zip_vals(&a.vals, &b.vals, i64::wrapping_sub),
+                ArithOp::Mul => zip_vals(&a.vals, &b.vals, i64::wrapping_mul),
                 ArithOp::Div => unreachable!("Int ÷ Int compiles to FloatK::DivInt"),
             };
-            let vals = zip_vals(&a.vals, &b.vals, f);
-            Evaled {
-                vals,
-                validity: merge_validity(a.validity, b.validity),
-                div0: union_masks(a.div0, b.div0),
-            }
+            both(vals, a, b)
         }
         IntK::Neg(a) => {
             let a = eval_int(a, batch)?;
-            let vals = map_vals(&a.vals, i64::wrapping_neg);
             Evaled {
-                vals,
-                validity: a.validity,
-                div0: a.div0,
+                vals: a.vals.map(i64::wrapping_neg),
+                ..a
             }
         }
     })
 }
 
-fn eval_float<'a>(k: &FloatK, batch: &'a ColumnarBatch) -> Result<Evaled<'a, f64>> {
+fn eval_float<'a>(k: &FloatK, batch: &'a ColumnarBatch) -> Result<Evaled<Vals<'a, f64>>> {
     Ok(match k {
-        FloatK::Const(c) => Evaled::<f64>::constant(*c),
+        FloatK::Const(c) => Evaled::constant(*c),
         FloatK::Col(i) => {
             let col = expect_col(batch, *i, "Float")?;
             let ColumnData::Float(data) = &col.data else {
@@ -694,129 +825,153 @@ fn eval_float<'a>(k: &FloatK, batch: &'a ColumnarBatch) -> Result<Evaled<'a, f64
             };
             Evaled {
                 vals: Vals::Slice(data),
-                validity: col.validity.as_deref().map(std::borrow::Cow::Borrowed),
+                validity: col_validity(col),
                 div0: None,
             }
         }
         FloatK::FromInt(a) => {
             let a = eval_int(a, batch)?;
-            let vals = match a.vals.as_const() {
-                Some(c) => Vals::Const(c as f64),
-                None => Vals::Vec(a.vals.slice().iter().map(|&x| x as f64).collect()),
-            };
             Evaled {
-                vals,
+                vals: a.vals.map(|x| x as f64),
                 validity: a.validity,
                 div0: a.div0,
             }
         }
         FloatK::Bin(op, a, b) => {
-            let a = eval_float(a, batch)?;
-            let b = eval_float(b, batch)?;
-            let f: fn(f64, f64) -> f64 = match op {
-                ArithOp::Add => |x, y| x + y,
-                ArithOp::Sub => |x, y| x - y,
-                ArithOp::Mul => |x, y| x * y,
-                ArithOp::Div => |x, y| x / y,
+            let (a, b) = (eval_float(a, batch)?, eval_float(b, batch)?);
+            let vals = match op {
+                ArithOp::Add => zip_vals(&a.vals, &b.vals, |x, y| x + y),
+                ArithOp::Sub => zip_vals(&a.vals, &b.vals, |x, y| x - y),
+                ArithOp::Mul => zip_vals(&a.vals, &b.vals, |x, y| x * y),
+                ArithOp::Div => zip_vals(&a.vals, &b.vals, |x, y| x / y),
             };
-            let vals = zip_vals(&a.vals, &b.vals, f);
-            Evaled {
-                vals,
-                validity: merge_validity(a.validity, b.validity),
-                div0: union_masks(a.div0, b.div0),
-            }
+            both(vals, a, b)
         }
         FloatK::DivInt(a, b) => {
-            let a = eval_int(a, batch)?;
-            let b = eval_int(b, batch)?;
-            let rows = batch.rows();
-            let mut out = Vec::with_capacity(rows);
-            let mut div0: Option<Vec<bool>> = None;
-            for i in 0..rows {
-                let d = b.vals.at(i);
+            let (a, b) = (eval_int(a, batch)?, eval_int(b, batch)?);
+            let vals = zip_vals(&a.vals, &b.vals, |x, d| {
                 if d == 0 {
-                    // Only rows where BOTH operands are non-null actually
-                    // reach the division in the row interpreter (NULL
-                    // poisons first and returns before dividing).
-                    if a.is_valid(i) && b.is_valid(i) {
-                        div0.get_or_insert_with(|| vec![false; rows])[i] = true;
-                    }
-                    out.push(0.0);
+                    0.0
                 } else {
-                    out.push(a.vals.at(i) as f64 / d as f64);
+                    x as f64 / d as f64
                 }
-            }
-            Evaled {
-                vals: Vals::Vec(out),
-                validity: merge_validity(a.validity, b.validity),
-                div0: union_masks(union_masks(a.div0, b.div0), div0),
-            }
+            });
+            let zero = match b.vals.as_const() {
+                Some(d) => (d == 0).then(|| splat(batch.rows(), true)),
+                None => Some(pack(b.vals.slice(), |d| d == 0)),
+            };
+            let mut out = both(vals, a, b);
+            // Only rows where BOTH operands are non-null actually reach the
+            // division in the row interpreter (NULL poisons first and
+            // returns before dividing).
+            let zero = zero.map(|z| match &out.validity {
+                Some(ok) => zip_words(z, ok, |z, ok| z & ok),
+                None => z,
+            });
+            out.div0 = union_masks(out.div0, zero.filter(|z| z.iter().any(|&w| w != 0)));
+            out
         }
         FloatK::Neg(a) => {
             let a = eval_float(a, batch)?;
-            let vals = map_vals(&a.vals, |x| -x);
             Evaled {
-                vals,
-                validity: a.validity,
-                div0: a.div0,
+                vals: a.vals.map(|x| -x),
+                ..a
             }
         }
     })
 }
 
-#[inline]
-fn zip_vals<'a, T: Copy>(a: &Vals<'a, T>, b: &Vals<'a, T>, f: impl Fn(T, T) -> T) -> Vals<'a, T> {
-    match (a.as_const(), b.as_const()) {
-        (Some(x), Some(y)) => Vals::Const(f(x, y)),
-        (None, Some(y)) => Vals::Vec(a.slice().iter().map(|&x| f(x, y)).collect()),
-        (Some(x), None) => Vals::Vec(b.slice().iter().map(|&y| f(x, y)).collect()),
-        (None, None) => Vals::Vec(
-            a.slice()
-                .iter()
-                .zip(b.slice())
-                .map(|(&x, &y)| f(x, y))
-                .collect(),
-        ),
+/// A total order on one operand type, as the three predicates a packed
+/// comparison needs (`>` and `>=` are read off them).
+trait Order<T> {
+    fn eq(x: T, y: T) -> bool;
+    fn lt(x: T, y: T) -> bool;
+    fn le(x: T, y: T) -> bool;
+}
+
+/// The type's own `PartialOrd`: total on `i64` and `&str`, and on `f64`
+/// against a non-NaN constant, because [`pack_cmp`] reads `x > c` as
+/// `!(x <= c)` and `x >= c` as `!(x < c)` — true for a NaN `x`, which
+/// sorts greatest.
+struct Native;
+
+impl<T: PartialOrd> Order<T> for Native {
+    #[inline]
+    fn eq(x: T, y: T) -> bool {
+        x == y
+    }
+    #[inline]
+    fn lt(x: T, y: T) -> bool {
+        x < y
+    }
+    #[inline]
+    fn le(x: T, y: T) -> bool {
+        x <= y
     }
 }
 
-#[inline]
-fn map_vals<'a, T: Copy>(a: &Vals<'a, T>, f: impl Fn(T) -> T) -> Vals<'a, T> {
-    match a.as_const() {
-        Some(x) => Vals::Const(f(x)),
-        None => Vals::Vec(a.slice().iter().map(|&x| f(x)).collect()),
+/// [`Value::total_cmp`](sa_storage::Value::total_cmp)'s float order,
+/// branch-free: NaN sorts greatest and equals itself; `-0.0 = +0.0`.
+struct TotalF64;
+
+impl Order<f64> for TotalF64 {
+    #[inline]
+    fn eq(x: f64, y: f64) -> bool {
+        (x == y) | (x.is_nan() & y.is_nan())
+    }
+    #[inline]
+    fn lt(x: f64, y: f64) -> bool {
+        (x < y) | (!x.is_nan() & y.is_nan())
+    }
+    #[inline]
+    fn le(x: f64, y: f64) -> bool {
+        (x <= y) | y.is_nan()
     }
 }
 
-/// Evaluate a comparison into a three-valued boolean result.
-fn eval_cmp<'a, T: Copy>(
+/// `a op b` packed into words. The operator and the operand shapes pick one
+/// monomorphic loop per call; a constant on the left is flipped right.
+fn pack_cmp<T: Copy, O: Order<T>>(
     op: CmpOp,
-    a: Evaled<'a, T>,
-    b: Evaled<'a, T>,
+    a: &Vals<'_, T>,
+    b: &Vals<'_, T>,
     rows: usize,
-    cmp: impl Fn(T, T) -> std::cmp::Ordering,
-) -> Evaled<'a, bool> {
-    let vals = match (a.vals.as_const(), b.vals.as_const()) {
-        (Some(x), Some(y)) => Vals::Const(op.judge(cmp(x, y))),
-        _ => {
-            let mut out = Vec::with_capacity(rows);
-            for i in 0..rows {
-                out.push(op.judge(cmp(a.vals.at(i), b.vals.at(i))));
-            }
-            Vals::Vec(out)
+) -> Bits {
+    match (a.as_const(), b.as_const()) {
+        (Some(x), Some(_)) => {
+            let xs = vec![x; rows];
+            pack_cmp::<T, O>(op, &Vals::Slice(&xs), b, rows)
         }
-    };
-    Evaled {
-        vals,
-        validity: merge_validity(a.validity, b.validity),
-        div0: union_masks(a.div0, b.div0),
+        (Some(_), None) => pack_cmp::<T, O>(op.flip(), b, a, rows),
+        (None, Some(c)) => {
+            let xs = a.slice();
+            match op {
+                CmpOp::Eq => pack(xs, |x| O::eq(x, c)),
+                CmpOp::NotEq => pack(xs, |x| !O::eq(x, c)),
+                CmpOp::Lt => pack(xs, |x| O::lt(x, c)),
+                CmpOp::LtEq => pack(xs, |x| O::le(x, c)),
+                CmpOp::Gt => pack(xs, |x| !O::le(x, c)),
+                CmpOp::GtEq => pack(xs, |x| !O::lt(x, c)),
+            }
+        }
+        (None, None) => {
+            let (xs, ys) = (a.slice(), b.slice());
+            match op {
+                CmpOp::Eq => pack2(xs, ys, O::eq),
+                CmpOp::NotEq => pack2(xs, ys, |x, y| !O::eq(x, y)),
+                CmpOp::Lt => pack2(xs, ys, O::lt),
+                CmpOp::LtEq => pack2(xs, ys, O::le),
+                CmpOp::Gt => pack2(ys, xs, O::lt),
+                CmpOp::GtEq => pack2(ys, xs, O::le),
+            }
+        }
     }
 }
 
 /// Evaluate guard kernels for their error masks only (the union of their
 /// div-by-zero rows) — the runtime half of [`Kernel::NullGuarded`].
-fn eval_guards(guards: &[Kernel], batch: &ColumnarBatch) -> Result<Option<Vec<bool>>> {
-    let mut err: Option<Vec<bool>> = None;
+fn eval_guards(guards: &[Kernel], batch: &ColumnarBatch) -> Result<Option<Bits>> {
+    let mut err: Option<Bits> = None;
     for g in guards {
         let div0 = match g {
             Kernel::Num(NumK::Int(_)) | Kernel::Str(_) | Kernel::Null => None,
@@ -829,18 +984,22 @@ fn eval_guards(guards: &[Kernel], batch: &ColumnarBatch) -> Result<Option<Vec<bo
     Ok(err)
 }
 
-fn eval_bool<'a>(k: &BoolK, batch: &'a ColumnarBatch) -> Result<Evaled<'a, bool>> {
+fn eval_bool(k: &BoolK, batch: &ColumnarBatch) -> Result<Evaled<Bits>> {
     let rows = batch.rows();
     Ok(match k {
-        BoolK::Const(c) => Evaled::<bool>::constant(*c),
+        BoolK::Const(c) => Evaled {
+            vals: splat(rows, *c),
+            validity: None,
+            div0: None,
+        },
         BoolK::ConstNull => Evaled {
-            vals: Vals::Const(false),
-            validity: Some(std::borrow::Cow::Owned(vec![false; rows])),
+            vals: splat(rows, false),
+            validity: Some(splat(rows, false)),
             div0: None,
         },
         BoolK::NullGuarded(guards) => Evaled {
-            vals: Vals::Const(false),
-            validity: Some(std::borrow::Cow::Owned(vec![false; rows])),
+            vals: splat(rows, false),
+            validity: Some(splat(rows, false)),
             div0: eval_guards(guards, batch)?,
         },
         BoolK::Col(i) => {
@@ -849,111 +1008,84 @@ fn eval_bool<'a>(k: &BoolK, batch: &'a ColumnarBatch) -> Result<Evaled<'a, bool>
                 unreachable!("type checked");
             };
             Evaled {
-                vals: Vals::Slice(data),
-                validity: col.validity.as_deref().map(std::borrow::Cow::Borrowed),
+                vals: pack(data, |b| b),
+                validity: col_validity(col),
                 div0: None,
             }
         }
         BoolK::CmpInt(op, a, b) => {
             let (a, b) = (eval_int(a, batch)?, eval_int(b, batch)?);
-            eval_cmp(*op, a, b, rows, |x: i64, y: i64| x.cmp(&y))
+            both(pack_cmp::<i64, Native>(*op, &a.vals, &b.vals, rows), a, b)
         }
         BoolK::CmpFloat(op, a, b) => {
             let (a, b) = (eval_float(a, batch)?, eval_float(b, batch)?);
-            eval_cmp(*op, a, b, rows, cmp_f64)
+            let nan_free_const = match (a.vals.as_const(), b.vals.as_const()) {
+                (Some(x), Some(y)) => !x.is_nan() && !y.is_nan(),
+                (Some(c), None) | (None, Some(c)) => !c.is_nan(),
+                (None, None) => false,
+            };
+            let vals = if nan_free_const {
+                pack_cmp::<f64, Native>(*op, &a.vals, &b.vals, rows)
+            } else {
+                pack_cmp::<f64, TotalF64>(*op, &a.vals, &b.vals, rows)
+            };
+            both(vals, a, b)
         }
         BoolK::CmpBool(op, a, b) => {
-            let (a, b) = (eval_bool(a, batch)?, eval_bool(b, batch)?);
-            eval_cmp(*op, a, b, rows, |x: bool, y: bool| x.cmp(&y))
+            let (mut a, b) = (eval_bool(a, batch)?, eval_bool(b, batch)?);
+            // false < true, a word at a time.
+            let vals = std::mem::take(&mut a.vals);
+            let vals = match op {
+                CmpOp::Eq => zip_words(vals, &b.vals, |x, y| !(x ^ y)),
+                CmpOp::NotEq => zip_words(vals, &b.vals, |x, y| x ^ y),
+                CmpOp::Lt => zip_words(vals, &b.vals, |x, y| !x & y),
+                CmpOp::LtEq => zip_words(vals, &b.vals, |x, y| !x | y),
+                CmpOp::Gt => zip_words(vals, &b.vals, |x, y| x & !y),
+                CmpOp::GtEq => zip_words(vals, &b.vals, |x, y| x | !y),
+            };
+            both(vals, a, b)
         }
         BoolK::CmpStr(op, a, b) => eval_cmp_str(*op, a, b, batch)?,
-        BoolK::And(a, b) => {
-            let a = eval_bool(a, batch)?;
-            let b = eval_bool(b, batch)?;
-            let mut vals = Vec::with_capacity(rows);
-            let mut validity: Option<Vec<bool>> = None;
-            for i in 0..rows {
-                let (av, an) = (a.vals.at(i), !a.is_valid(i));
-                let (bv, bn) = (b.vals.at(i), !b.is_valid(i));
-                // Kleene AND: false dominates; NULL beats true.
-                let (v, null) = if (!an && !av) || (!bn && !bv) {
-                    (false, false)
-                } else if an || bn {
-                    (false, true)
-                } else {
-                    (true, false)
-                };
-                vals.push(v);
-                if null {
-                    validity.get_or_insert_with(|| vec![true; rows])[i] = false;
-                }
-            }
+        BoolK::And(a, b) | BoolK::Or(a, b) => {
+            let or = matches!(k, BoolK::Or(..));
+            let (a, b) = (eval_bool(a, batch)?, eval_bool(b, batch)?);
+            // Kleene: the dominant verdict (false for AND, true for OR)
+            // wins over NULL; otherwise NULL wins.
+            let (dom_a, dom_b) = (a.definite(or), b.definite(or));
             // Short-circuit-faithful errors: the left operand's errors
             // always count; the right's only on rows the row interpreter
-            // would have evaluated it (left not definite-false).
-            let b_err = mask_shortcircuit(b.div0, |i| a.is_valid(i) && !a.vals.at(i));
-            Evaled {
-                vals: Vals::Vec(vals),
-                validity: validity.map(std::borrow::Cow::Owned),
-                div0: union_masks(a.div0, b_err),
+            // would have evaluated it (left not dominant).
+            let b_err = mask_shortcircuit(b.div0, &dom_a);
+            let dominant = zip_words(dom_a, &dom_b, |x, y| x | y);
+            let validity = merge_validity(a.validity, b.validity)
+                .map(|ok| zip_words(ok, &dominant, |ok, d| ok | d));
+            // A valid row reads the dominant verdict where either side has
+            // it and the other verdict elsewhere.
+            let mut vals = dominant;
+            if !or {
+                vals.iter_mut().for_each(|w| *w = !*w);
             }
-        }
-        BoolK::Or(a, b) => {
-            let a = eval_bool(a, batch)?;
-            let b = eval_bool(b, batch)?;
-            let mut vals = Vec::with_capacity(rows);
-            let mut validity: Option<Vec<bool>> = None;
-            for i in 0..rows {
-                let (av, an) = (a.vals.at(i), !a.is_valid(i));
-                let (bv, bn) = (b.vals.at(i), !b.is_valid(i));
-                // Kleene OR: true dominates; NULL beats false.
-                let (v, null) = if (!an && av) || (!bn && bv) {
-                    (true, false)
-                } else if an || bn {
-                    (false, true)
-                } else {
-                    (false, false)
-                };
-                vals.push(v);
-                if null {
-                    validity.get_or_insert_with(|| vec![true; rows])[i] = false;
-                }
-            }
-            let b_err = mask_shortcircuit(b.div0, |i| a.is_valid(i) && a.vals.at(i));
             Evaled {
-                vals: Vals::Vec(vals),
-                validity: validity.map(std::borrow::Cow::Owned),
+                vals,
+                validity,
                 div0: union_masks(a.div0, b_err),
             }
         }
         BoolK::Not(a) => {
             let a = eval_bool(a, batch)?;
-            let vals = map_vals(&a.vals, |x| !x);
             Evaled {
-                vals,
-                validity: a.validity,
-                div0: a.div0,
+                vals: a.vals.iter().map(|&x| !x).collect(),
+                ..a
             }
         }
     })
 }
 
-/// Clear error-mask rows where the row interpreter would have
-/// short-circuited past the operand (`skipped(i)` = true).
-fn mask_shortcircuit(err: Option<Vec<bool>>, skipped: impl Fn(usize) -> bool) -> Option<Vec<bool>> {
-    let mut err = err?;
-    let mut any = false;
-    for (i, e) in err.iter_mut().enumerate() {
-        if *e && skipped(i) {
-            *e = false;
-        }
-        any |= *e;
-    }
-    if any {
-        Some(err)
-    } else {
-        None
-    }
+/// Clear error rows where the row interpreter short-circuited past the
+/// operand (`skipped` set); `None` once no error row is left.
+fn mask_shortcircuit(err: Option<Bits>, skipped: &[u64]) -> Option<Bits> {
+    let err = zip_words(err?, skipped, |e, s| e & !s);
+    err.iter().any(|&w| w != 0).then_some(err)
 }
 
 /// A string operand resolved against a batch: dictionary + codes, or a
@@ -962,7 +1094,7 @@ enum StrVals<'a> {
     Col {
         dict: &'a [Arc<str>],
         codes: &'a [u32],
-        validity: Option<&'a [bool]>,
+        validity: Option<Bits>,
     },
     /// A constant operand (one cheap `Arc` clone per batch, so the variant
     /// borrows only from the batch, not the kernel).
@@ -970,19 +1102,20 @@ enum StrVals<'a> {
 }
 
 impl StrVals<'_> {
-    #[inline]
-    fn at(&self, i: usize) -> &str {
+    /// The per-row strings (a constant stays a constant).
+    fn decode(&self) -> Vals<'_, &str> {
         match self {
-            StrVals::Col { dict, codes, .. } => &dict[codes[i] as usize],
-            StrVals::Const(s) => s,
+            StrVals::Col { dict, codes, .. } => {
+                Vals::Vec(codes.iter().map(|&k| &*dict[k as usize]).collect())
+            }
+            StrVals::Const(c) => Vals::Const(c),
         }
     }
 
-    #[inline]
-    fn is_valid(&self, i: usize) -> bool {
+    fn validity(self) -> Option<Bits> {
         match self {
-            StrVals::Col { validity, .. } => validity.is_none_or(|v| v[i]),
-            StrVals::Const(_) => true,
+            StrVals::Col { validity, .. } => validity,
+            StrVals::Const(_) => None,
         }
     }
 }
@@ -998,56 +1131,41 @@ fn str_vals<'a>(k: &StrK, batch: &'a ColumnarBatch) -> Result<StrVals<'a>> {
             StrVals::Col {
                 dict,
                 codes,
-                validity: col.validity.as_deref(),
+                validity: col_validity(col),
             }
         }
     })
 }
 
-fn eval_cmp_str<'a>(
-    op: CmpOp,
-    a: &StrK,
-    b: &StrK,
-    batch: &'a ColumnarBatch,
-) -> Result<Evaled<'a, bool>> {
+fn eval_cmp_str(op: CmpOp, a: &StrK, b: &StrK, batch: &ColumnarBatch) -> Result<Evaled<Bits>> {
     let rows = batch.rows();
-    let a = str_vals(a, batch)?;
-    let b = str_vals(b, batch)?;
-    // Fast path: column vs constant — decide once per dictionary entry,
-    // then map codes (the dictionary is tiny next to the batch).
-    if let (
-        StrVals::Col {
-            dict,
-            codes,
-            validity,
-        },
-        StrVals::Const(c),
-    ) = (&a, &b)
-    {
-        let table: Vec<bool> = dict
-            .iter()
-            .map(|e| op.judge(e.as_ref().cmp(c.as_ref())))
-            .collect();
-        let vals: Vec<bool> = codes.iter().map(|&code| table[code as usize]).collect();
-        return Ok(Evaled {
-            vals: Vals::Vec(vals),
-            validity: validity.map(std::borrow::Cow::Borrowed),
-            div0: None,
-        });
-    }
-    let mut vals = Vec::with_capacity(rows);
-    let mut validity: Option<Vec<bool>> = None;
-    for i in 0..rows {
-        if !a.is_valid(i) || !b.is_valid(i) {
-            validity.get_or_insert_with(|| vec![true; rows])[i] = false;
-            vals.push(false);
-        } else {
-            vals.push(op.judge(a.at(i).cmp(b.at(i))));
+    let (a, b) = match (str_vals(a, batch)?, str_vals(b, batch)?) {
+        // Fast path: column vs constant — decide once per dictionary
+        // entry, then map codes (the dictionary is tiny next to the batch).
+        (
+            StrVals::Col {
+                dict,
+                codes,
+                validity,
+            },
+            StrVals::Const(c),
+        ) => {
+            let table: Vec<bool> = dict
+                .iter()
+                .map(|e| op.judge(e.as_ref().cmp(c.as_ref())))
+                .collect();
+            return Ok(Evaled {
+                vals: pack(codes, |code| table[code as usize]),
+                validity,
+                div0: None,
+            });
         }
-    }
+        operands => operands,
+    };
+    // Otherwise compare the decoded strings.
     Ok(Evaled {
-        vals: Vals::Vec(vals),
-        validity: validity.map(std::borrow::Cow::Owned),
+        vals: pack_cmp::<&str, Native>(op, &a.decode(), &b.decode(), rows),
+        validity: merge_validity(a.validity(), b.validity()),
         div0: None,
     })
 }
@@ -1093,18 +1211,13 @@ impl CompiledExpr {
     /// semantics (`NULL` does not pass). Errors if the expression is not
     /// boolean or any non-short-circuited row divides an integer by zero.
     pub fn eval_mask(&self, batch: &ColumnarBatch) -> Result<Vec<bool>> {
+        let rows = batch.rows();
         let b = match &self.kernel {
             Kernel::Bool(k) => eval_bool(k, batch)?,
-            Kernel::Null => {
-                return Ok(vec![false; batch.rows()]);
-            }
+            Kernel::Null => return Ok(vec![false; rows]),
             Kernel::NullGuarded(guards) => {
-                if let Some(errs) = eval_guards(guards, batch)? {
-                    if errs.iter().any(|&e| e) {
-                        return Err(ExprError::DivisionByZero);
-                    }
-                }
-                return Ok(vec![false; batch.rows()]);
+                raise(&eval_guards(guards, batch)?)?;
+                return Ok(vec![false; rows]);
             }
             other => {
                 return Err(type_err(format!(
@@ -1113,19 +1226,12 @@ impl CompiledExpr {
                 )))
             }
         };
-        if let Some(errs) = &b.div0 {
-            if errs.iter().any(|&e| e) {
-                return Err(ExprError::DivisionByZero);
-            }
-        }
-        let rows = batch.rows();
-        let mut out = b.vals.materialize(rows);
-        if let Some(validity) = &b.validity {
-            for (o, &v) in out.iter_mut().zip(validity.iter()) {
-                *o &= v;
-            }
-        }
-        Ok(out)
+        raise(&b.div0)?;
+        let pass = match &b.validity {
+            Some(ok) => zip_words(b.vals, ok, |v, ok| v & ok),
+            None => b.vals,
+        };
+        Ok(unpack(&pass, rows))
     }
 
     /// Evaluate as a numeric vector (`f64`, ints widened) with validity
@@ -1136,25 +1242,15 @@ impl CompiledExpr {
             Kernel::Num(NumK::Float(k)) => eval_float(k, batch)?,
             Kernel::Num(NumK::Int(k)) => {
                 let e = eval_int(k, batch)?;
-                let vals = match e.vals.as_const() {
-                    Some(c) => Vals::Const(c as f64),
-                    None => Vals::Vec(e.vals.slice().iter().map(|&x| x as f64).collect()),
-                };
                 Evaled {
-                    vals,
+                    vals: e.vals.map(|x| x as f64),
                     validity: e.validity,
                     div0: e.div0,
                 }
             }
-            Kernel::Null => {
-                return Ok((vec![0.0; rows], Some(vec![false; rows])));
-            }
+            Kernel::Null => return Ok((vec![0.0; rows], Some(vec![false; rows]))),
             Kernel::NullGuarded(guards) => {
-                if let Some(errs) = eval_guards(guards, batch)? {
-                    if errs.iter().any(|&e| e) {
-                        return Err(ExprError::DivisionByZero);
-                    }
-                }
+                raise(&eval_guards(guards, batch)?)?;
                 return Ok((vec![0.0; rows], Some(vec![false; rows])));
             }
             other => {
@@ -1164,12 +1260,11 @@ impl CompiledExpr {
                 )))
             }
         };
-        if let Some(errs) = &e.div0 {
-            if errs.iter().any(|&x| x) {
-                return Err(ExprError::DivisionByZero);
-            }
-        }
-        Ok((e.vals.materialize(rows), e.validity.map(|v| v.into_owned())))
+        raise(&e.div0)?;
+        Ok((
+            e.vals.materialize(rows),
+            e.validity.map(|ok| unpack(&ok, rows)),
+        ))
     }
 
     /// Evaluate as an output column (projection). The column's type is the
@@ -1177,37 +1272,30 @@ impl CompiledExpr {
     /// all-null `Float` column (matching the executor's schema default).
     pub fn eval_column(&self, batch: &ColumnarBatch) -> Result<ColumnVec> {
         let rows = batch.rows();
-        let check = |div0: &Option<Vec<bool>>| -> Result<()> {
-            if let Some(errs) = div0 {
-                if errs.iter().any(|&x| x) {
-                    return Err(ExprError::DivisionByZero);
-                }
-            }
-            Ok(())
-        };
+        let validity = |ok: Option<Bits>| ok.map(|ok| unpack(&ok, rows));
         Ok(match &self.kernel {
             Kernel::Num(NumK::Int(k)) => {
                 let e = eval_int(k, batch)?;
-                check(&e.div0)?;
+                raise(&e.div0)?;
                 ColumnVec {
                     data: ColumnData::Int(e.vals.materialize(rows)),
-                    validity: e.validity.map(|v| v.into_owned()),
+                    validity: validity(e.validity),
                 }
             }
             Kernel::Num(NumK::Float(k)) => {
                 let e = eval_float(k, batch)?;
-                check(&e.div0)?;
+                raise(&e.div0)?;
                 ColumnVec {
                     data: ColumnData::Float(e.vals.materialize(rows)),
-                    validity: e.validity.map(|v| v.into_owned()),
+                    validity: validity(e.validity),
                 }
             }
             Kernel::Bool(k) => {
                 let e = eval_bool(k, batch)?;
-                check(&e.div0)?;
+                raise(&e.div0)?;
                 ColumnVec {
-                    data: ColumnData::Bool(e.vals.materialize(rows)),
-                    validity: e.validity.map(|v| v.into_owned()),
+                    data: ColumnData::Bool(unpack(&e.vals, rows)),
+                    validity: validity(e.validity),
                 }
             }
             Kernel::Str(StrK::Col(i)) => expect_col(batch, *i, "Str")?.clone(),
@@ -1223,11 +1311,7 @@ impl CompiledExpr {
                 validity: Some(vec![false; rows]),
             },
             Kernel::NullGuarded(guards) => {
-                if let Some(errs) = eval_guards(guards, batch)? {
-                    if errs.iter().any(|&e| e) {
-                        return Err(ExprError::DivisionByZero);
-                    }
-                }
+                raise(&eval_guards(guards, batch)?)?;
                 ColumnVec {
                     data: ColumnData::Float(vec![0.0; rows]),
                     validity: Some(vec![false; rows]),
