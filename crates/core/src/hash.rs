@@ -122,6 +122,17 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The keep coin of every sampler that decides by lineage: `id` is kept iff
+/// one [`splitmix64`] of `seed ^ id` falls below `p·2⁶⁴`. Under the
+/// random-hash model that is Bernoulli(`p`) per id, independently across
+/// ids and across seeds, and a pure function of `(seed, id)`: a row gets
+/// the same decision whichever worker, scan order or chunk visits it.
+/// `p ≥ 1` keeps every id, including the one whose mix is `u64::MAX`.
+#[inline]
+pub fn coin(seed: u64, p: f64, id: u64) -> bool {
+    p >= 1.0 || splitmix64(seed ^ id) < (p * 18_446_744_073_709_551_616.0) as u64
+}
+
 /// Two independent 64-bit mixes of `(salt, id)` packed into a `u128`
 /// fingerprint. With 128 bits, collision probability among `m` distinct keys
 /// is ≈ `m²/2^129` — negligible for any realistic result size.
@@ -261,10 +272,81 @@ impl<K: Eq + std::hash::Hash> FpMap<K> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::hash::BuildHasher;
+
+    /// The `x` with `splitmix64(x) == y`: each step of the finalizer undone
+    /// in reverse (an xor-shift by iterating it, a multiply by the odd
+    /// constant's inverse mod 2⁶⁴).
+    pub(crate) fn splitmix64_inverse(y: u64) -> u64 {
+        let unshift = |v: u64, k: u32| (0..64 / k).fold(v, |u, _| v ^ (u >> k));
+        let inverse = |m: u64| {
+            (0..6).fold(m, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x)))
+            })
+        };
+        let mut x = unshift(y, 31).wrapping_mul(inverse(0x94d0_49bb_1331_11eb));
+        x = unshift(x, 27).wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9));
+        unshift(x, 30).wrapping_sub(0x9e37_79b9_7f4a_7c15)
+    }
+
+    #[test]
+    fn coin_at_p_one_keeps_the_id_whose_mix_is_all_ones() {
+        for seed in [7u64, 0x2545_f491_4f6c_dd1d] {
+            let id = splitmix64_inverse(u64::MAX) ^ seed;
+            assert_eq!(splitmix64(seed ^ id), u64::MAX, "the inverse is exact");
+            assert!(coin(seed, 1.0, id), "p = 1 is not sub-sampled");
+            assert!(!coin(seed, 0.999_999, id));
+            assert!(!coin(seed, 0.0, splitmix64_inverse(0) ^ seed));
+        }
+    }
+
+    /// 64 operator seeds × 4096 consecutive ids at three rates, each count
+    /// within 5σ of what independent Bernoulli coins give: every seed's
+    /// kept count, the agreement of neighbouring ids, and the joint keep
+    /// rate of two seeds on one id (two samplers stacked on a relation).
+    #[test]
+    fn coins_are_bernoulli_per_id_across_neighbours_and_seeds() {
+        const SEEDS: u64 = 64;
+        const IDS: u64 = 4096;
+        let within = |count: u64, n: u64, q: f64, var: f64, what: &str| {
+            let (mean, sigma) = (n as f64 * q, var.sqrt());
+            assert!(
+                (count as f64 - mean).abs() <= 5.0 * sigma,
+                "{what}: {count} against {mean:.1} ± 5·{sigma:.2}"
+            );
+        };
+        for (p, p2) in [(0.01, 0.5), (0.5, 0.9), (0.9, 0.01)] {
+            let (mut agree, mut joint) = (0u64, 0u64);
+            for s in 0..SEEDS {
+                let (seed, other) = (splitmix64(s), splitmix64(s + SEEDS));
+                let kept: Vec<bool> = (0..IDS).map(|id| coin(seed, p, id)).collect();
+                let count = kept.iter().filter(|&&k| k).count() as u64;
+                within(count, IDS, p, IDS as f64 * p * (1.0 - p), "kept");
+                agree += kept.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+                joint += (0..IDS)
+                    .filter(|&id| kept[id as usize] && coin(other, p2, id))
+                    .count() as u64;
+            }
+            // Neighbouring agreements overlap: A_i and A_{i+1} share an id,
+            // so the variance carries their covariance too.
+            let q = p * p + (1.0 - p) * (1.0 - p);
+            let cov = p.powi(3) + (1.0 - p).powi(3) - q * q;
+            let pairs = SEEDS * (IDS - 1);
+            let var = pairs as f64 * q * (1.0 - q) + 2.0 * (SEEDS * (IDS - 2)) as f64 * cov;
+            within(agree, pairs, q, var, "lag-1 agreement");
+            let pq = p * p2;
+            within(
+                joint,
+                SEEDS * IDS,
+                pq,
+                (SEEDS * IDS) as f64 * pq * (1.0 - pq),
+                "joint",
+            );
+        }
+    }
 
     #[test]
     fn fp_map_resolves_collisions_by_stored_key() {

@@ -10,8 +10,9 @@
 //! cost is one seed per base relation.
 //!
 //! [`LineageBernoulli`] implements exactly that: relation `i` keeps lineage
-//! id `x` iff `splitmix64(seed_i, x) < p_i·2⁶⁴`; a result tuple survives iff
-//! all of its base components survive. Its GUS translation is the
+//! id `x` iff [`crate::hash::coin`]`(seed_i, p_i, x)` — the coin the
+//! executor's samplers toss too; a result tuple survives iff all of its base
+//! components survive. Its GUS translation is the
 //! multi-dimensional Bernoulli of Example 5 (composition, Proposition 9),
 //! and the analysis of "sub-sample of a sampled plan" is compaction
 //! (Proposition 8) — the Figure 5 pipeline.
@@ -19,7 +20,7 @@
 use std::sync::Arc;
 
 use crate::error::CoreError;
-use crate::hash::splitmix64;
+use crate::hash::{coin, splitmix64};
 use crate::params::GusParams;
 use crate::relset::{LineageSchema, RelSet};
 use crate::Result;
@@ -32,9 +33,6 @@ pub struct LineageBernoulli {
     probs: Vec<f64>,
     /// Per-relation seed for the pseudo-random function.
     seeds: Vec<u64>,
-    /// Per-relation keep threshold: keep iff `hash < threshold`
-    /// (`threshold = p·2⁶⁴`, saturating).
-    thresholds: Vec<u64>,
 }
 
 impl LineageBernoulli {
@@ -58,12 +56,10 @@ impl LineageBernoulli {
         let seeds: Vec<u64> = (0..schema.n() as u64)
             .map(|i| splitmix64(seed ^ splitmix64(i.wrapping_mul(0x2545_F491_4F6C_DD1D))))
             .collect();
-        let thresholds = probs.iter().map(|&p| prob_to_threshold(p)).collect();
         Ok(LineageBernoulli {
             schema,
             probs: probs.to_vec(),
             seeds,
-            thresholds,
         })
     }
 
@@ -90,7 +86,7 @@ impl LineageBernoulli {
     /// so in all result tuples in which it appears".
     #[inline]
     pub fn keeps_component(&self, rel: usize, lineage_id: u64) -> bool {
-        splitmix64(self.seeds[rel] ^ splitmix64(lineage_id)) < self.thresholds[rel]
+        coin(self.seeds[rel], self.probs[rel], lineage_id)
     }
 
     /// Keep/drop decision for a whole result tuple (all components must
@@ -124,16 +120,6 @@ impl LineageBernoulli {
             *slot = v;
         }
         GusParams::new(self.schema.clone(), a, b).expect("probabilities validated on construction")
-    }
-}
-
-fn prob_to_threshold(p: f64) -> u64 {
-    if p >= 1.0 {
-        u64::MAX
-    } else {
-        // p·2⁶⁴, computed in f64 (exact enough: threshold error ~2⁻⁵³·2⁶⁴
-        // corresponds to a probability error ~1e-16).
-        (p * (u64::MAX as f64 + 1.0)) as u64
     }
 }
 
@@ -184,6 +170,10 @@ mod tests {
     fn probability_one_keeps_everything() {
         let f = LineageBernoulli::new(schema_lo(), &[1.0, 0.5], 3).unwrap();
         assert!((0..10_000u64).all(|i| f.keeps_component(0, i)));
+        // Even the id whose mix is u64::MAX, the one a `hash < p·2⁶⁴`
+        // test alone would drop at p = 1.
+        let edge = crate::hash::tests::splitmix64_inverse(u64::MAX) ^ f.seeds[0];
+        assert!(f.keeps_component(0, edge));
     }
 
     #[test]

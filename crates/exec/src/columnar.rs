@@ -75,7 +75,7 @@ impl ColumnarChunk {
     }
 
     /// Vertical concatenation: the rows of `parts`, in order, as one chunk
-    /// (a drained subtree — a join build side, a blocking sampler's input).
+    /// (a drained subtree: a join build side).
     /// `parts` must be non-empty and share one column shape.
     pub fn concat(mut parts: Vec<ColumnarChunk>) -> ColumnarChunk {
         if parts.len() == 1 {

@@ -63,9 +63,8 @@ pub struct ExecOptions {
     /// of physical order (see [`crate::open_stream`]). This makes the
     /// online driver's random-scan-order assumption true by construction
     /// on sorted or clustered data. Off by default; the row executor
-    /// ignores it. Turning it on changes which realization a `(plan, seed)`
-    /// pair produces, but the shuffled realization is itself
-    /// byte-reproducible per seed.
+    /// ignores it. It changes the order the sample streams in, never which
+    /// tuples it holds, and the order is byte-reproducible per seed.
     pub shuffle_scan: bool,
     /// Disable projection/predicate pushdown into the streaming scans:
     /// every scan gathers every column and `Filter`s stay separate

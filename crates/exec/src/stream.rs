@@ -33,41 +33,49 @@
 //! partitioning and coverage cannot differ between the two. Coverage — how
 //! much of each relation has had its chance to reach the output, the
 //! WOR(k, N) prefix that Proposition 8 compacts onto the plan's GUS — is
-//! computed by one recursion over the operators
-//! ([`ChunkStream::progress_tree`]); the flat per-relation view
-//! ([`ChunkStream::progress`]) is that tree flattened. `SYSTEM` reads its
-//! block coverage off the ranges the scan actually visited, so it is right
-//! in any visit order.
+//! one recursion over the operators ([`ChunkStream::progress`]). `SYSTEM`
+//! reads its block coverage off the ranges the scan actually visited, so it
+//! is right in any visit order.
 //!
-//! Streaming vs blocking operators:
+//! ## A sample is a set
 //!
-//! * scans, Bernoulli/`SYSTEM` samples, filters and projections stream;
-//! * a join materializes its **build** (right) side at open — by draining
-//!   that subtree through this same operator tree — and streams the probe
-//!   side through it: the classic streaming hash join;
-//! * fixed-size samplers (`WOR`, with-replacement) are blocking by nature
-//!   (they must see their whole input's cardinality), so their input is
-//!   drained at open, sampled by index, and handed out in chunks.
+//! Every sampler is a keep predicate on its relation's sampling unit, drawn
+//! at open: Bernoulli keeps a row iff its [`coin`] under the operator's
+//! seed comes up, `SYSTEM` keeps the blocks whose coin came up at open, WOR
+//! keeps the row ids it drew at open. The sampler node right above a scan
+//! applies the relation's stacked samplers to the lineage column, so the
+//! realized sample is a pure function of `(plan, seed)`: not of the worker
+//! count or slice boundaries, the scan order, a hub's attach origin or the
+//! chunk size.
 //!
-//! Randomness: every stochastic operator draws its own RNG seed from a
-//! master RNG seeded with [`crate::ExecOptions::seed`] during `open`, in
-//! plan traversal order — and per-row samplers draw **one coin per input
-//! row in row order** — so a given `(plan, seed)` pair always streams the
-//! *same* sample realization, chunk-size independent and identical to what
-//! the row-at-a-time stream realized before batching. (The realization
-//! differs from [`crate::execute`]'s for the same seed: the reference
-//! executor interleaves all operators' draws on one RNG stream, which a
-//! pull-based pipeline cannot reproduce — the differential tests compare
-//! the two on deterministic plans and on `p = 1` samplers.)
+//! `UnionSamples` runs in one pass over the expression its branches share:
+//! each scan keeps the rows some branch keeps, which decides a union over
+//! one relation; a union spanning several relations also judges each whole
+//! tuple, which is in the union iff one branch keeps every component of its
+//! lineage (Proposition 7). No set of seen lineages is kept, so a union
+//! partitions like any other plan.
+//!
+//! Scans, samplers, filters and projections stream; a join materializes
+//! its **build** (right) side at open — by draining that subtree through
+//! this same operator tree — and streams the probe side through it: the
+//! classic streaming hash join.
+//!
+//! Randomness: every sampler's seed is drawn at open from a master RNG
+//! seeded with [`crate::ExecOptions::seed`], one per operator in plan
+//! traversal order; the shuffle's permutations derive from the seed apart
+//! from it, so turning the shuffle on moves no sampler's seed. (The
+//! realization differs from [`crate::execute`]'s for the same seed: the
+//! reference executor draws its samples off one RNG stream in row order —
+//! the differential tests compare the two on deterministic plans and on
+//! `p = 1` samplers.)
 
-use std::collections::HashSet;
 use std::hash::Hasher;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use sa_core::hash::{FxHashMap, FxHasher};
+use sa_core::hash::{coin, splitmix64, FxHashMap, FxHasher};
 use sa_expr::{bind, compile, CompiledExpr};
 use sa_plan::{LogicalPlan, ScanColumnMap};
 use sa_sampling::SamplingMethod;
@@ -128,32 +136,21 @@ impl ChunkStream {
     /// [`ChunkStream::relations`]: `(consumed, available)` sampling units of
     /// each base relation whose tuples have had the chance to reach the
     /// output yet. A scan that has consumed `k` of its `N` rows reports
-    /// `(k, N)`; a fully materialized side (a join's build side, a drained
-    /// blocking sampler) reports complete coverage; `SYSTEM`-sampled
+    /// `(k, N)`, whatever its samplers keep of them; a join's build side,
+    /// materialized at open, reports complete coverage; `SYSTEM`-sampled
     /// relations count blocks (their sampling/lineage unit).
     ///
     /// Online aggregation uses this to scale mid-stream estimates to the
     /// full population: under a random scan order, the consumed prefix is a
-    /// WOR(`consumed`, `available`) sample of the relation, which compacts
-    /// onto the plan's GUS (Proposition 8).
-    ///
-    /// This is [`ChunkStream::progress_tree`] flattened
-    /// ([`ProgressTree::flatten`]): there is one walk over the operators,
-    /// and a union reads here as the per-relation minimum of its branches.
+    /// WOR(`consumed`, `available`) sample of the relation, independent of
+    /// every sampler's keep predicate, which compacts onto the plan's GUS
+    /// (Proposition 8). A union's one pass shares one prefix per relation,
+    /// so this holds for unions too.
     pub fn progress(&self) -> Vec<(u64, u64)> {
-        let out = self.progress_tree().flatten();
+        let mut out = Vec::with_capacity(self.relations.len());
+        self.root.progress(&mut out);
         debug_assert_eq!(out.len(), self.relations.len());
         out
-    }
-
-    /// The stream's coverage with its union structure intact (see
-    /// [`ProgressTree`]) — the one coverage walk over the operator tree.
-    /// Each union branch reports its own coverage plus whether the second
-    /// branch has started — exactly what per-branch Prop-8 prefix
-    /// composition needs. Union-free plans yield a single
-    /// [`ProgressTree::Leaf`].
-    pub fn progress_tree(&self) -> ProgressTree {
-        self.root.progress_tree()
     }
 
     /// Pull the stream dry, `hint` rows at a time, handing every non-empty
@@ -200,41 +197,20 @@ pub fn open_stream(
 /// deterministic slices** of the sampled data, for shard-parallel online
 /// aggregation (`sa-online` drives one worker thread per stream).
 ///
-/// Partitioning semantics, chosen so the union of the worker streams is a
-/// single coherent sample of the plan and summed per-worker
-/// [`ChunkStream::progress`] is a true per-relation `(consumed, available)`
-/// coverage (the Prop-8 prefix compaction keeps working):
-///
-/// * the streaming **scan spine** is split into `parts` contiguous,
-///   block-aligned row slices (block alignment keeps `SYSTEM` block
-///   coverage and keep-decisions whole per worker);
-/// * **Bernoulli** samplers on the spine draw from per-worker RNG streams
-///   (seeds derived deterministically from the operator seed and the worker
-///   index), so per-row keep decisions stay independent across rows;
-/// * **`SYSTEM`** keep decisions, **blocking samplers** (WOR /
-///   with-replacement, materialized once and sliced contiguously) and
-///   **join build sides** (materialized once, shared behind `Arc`) are
-///   drawn exactly once from the same master-RNG positions the sequential
-///   [`open_stream`] uses — so those realizations are *identical* to the
-///   single-stream run and every worker probes the same build side;
-/// * `UnionSamples` cannot be partitioned (its lineage dedup is global
-///   state across both branches) and is rejected for `parts > 1` — run
-///   union plans at `parallelism = 1`, where they stream, report
-///   per-branch coverage through [`ChunkStream::progress_tree`], and
-///   support mid-stream population scaling.
+/// The streaming **scan spine** is split into `parts` contiguous,
+/// block-aligned row slices (block alignment keeps `SYSTEM` blocks whole
+/// per worker), so summed per-worker [`ChunkStream::progress`] is a true
+/// per-relation `(consumed, available)` coverage and the Prop-8 prefix
+/// compaction keeps working. Samplers keep rows by functions of their ids
+/// drawn once at open, and join build sides are materialized once and
+/// shared behind `Arc`: the workers stream exactly the tuples of
+/// [`open_stream`], unions included, cut at the slice boundaries — and in
+/// its order, concatenated by worker index, unless the scan is shuffled.
 ///
 /// With [`ExecOptions::shuffle_scan`] set, each worker visits its own
 /// block slice in a seeded random order (slices stay disjoint, coverage
 /// still sums); the permutation is fixed by `(seed, parts, worker)`.
-///
-/// `parts == 1` IS the sequential stream ([`open_stream`] delegates here),
-/// so the two paths cannot drift: one full-range slice, base seeds used
-/// directly, `UnionSamples` supported.
-/// For `parts > 1`, a plan whose only stochastic operators are shared
-/// (scans, `SYSTEM`, WOR, build sides) streams the *same* rows as the
-/// sequential run, in the same order when worker outputs are concatenated
-/// by index; only spine Bernoulli draws differ (each worker has its own
-/// stream), and the union remains a valid Bernoulli sample.
+/// `parts == 1` IS the sequential stream ([`open_stream`] delegates here).
 pub fn open_stream_partitioned(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -246,10 +222,7 @@ pub fn open_stream_partitioned(
             "open_stream_partitioned needs at least one partition".into(),
         ));
     }
-    plan.validate(catalog)?;
-    let mut master = StdRng::seed_from_u64(opts.seed);
-    let ctx = BuildCtx::new(plan, catalog, opts, parts, true);
-    let (roots, schema, relations) = build_partitioned(plan, &ctx, &mut master)?;
+    let (roots, schema, relations) = open(plan, catalog, opts, parts, true)?;
     Ok(roots
         .into_iter()
         .map(|root| ChunkStream {
@@ -264,9 +237,8 @@ pub fn open_stream_partitioned(
 /// The catalog table name of a plan that can ride a shared scan cursor, or
 /// `None` when it cannot. Eligible shapes are a single-table streaming
 /// chain — `Scan`, optionally through tuple-level `Bernoulli` sampling,
-/// `Filter`s and `Project`s. Everything else (joins, unions, `SYSTEM` — a
-/// block-coverage design whose keep decisions are tied to a scan-prefix
-/// origin — and blocking samplers, which materialize privately anyway)
+/// `Filter`s and `Project`s. Everything else (joins, unions, `SYSTEM` —
+/// whose block coverage is read off a private scan's ranges — and WOR)
 /// falls back to a private stream.
 pub fn shared_scan_table(plan: &LogicalPlan) -> Option<&str> {
     shared_scan_ids(plan).map(|(table, _)| table)
@@ -315,10 +287,8 @@ pub fn shared_scan_needs(
 ///
 /// The plan must be shared-scan eligible ([`shared_scan_table`]) over the
 /// hub's table. Everything else is identical to [`open_stream`] — the same
-/// master-RNG seed derivation (a Bernoulli sampler's coins depend only on
-/// `opts.seed` and the attach origin, one coin per consumed row in
-/// consumption order), the same compiled expressions, the same fused
-/// operators.
+/// samplers, so the same realized sample whatever the attach origin, the
+/// same compiled expressions, the same fused operators.
 pub fn open_shared_stream(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -348,14 +318,11 @@ pub fn open_shared_stream(
                 .into(),
         ));
     }
-    plan.validate(catalog)?;
-    let mut master = StdRng::seed_from_u64(opts.seed);
     // Predicate fusion stays off on the shared path: the scan leaf is about
     // to be swapped for a hub cursor, which serves pre-gathered bus chunks —
     // a fused predicate would be lost in the swap. Projection pruning still
     // applies (the cursor selects its columns from the hub's set).
-    let ctx = BuildCtx::new(plan, catalog, opts, 1, false);
-    let (mut roots, schema, relations) = build_partitioned(plan, &ctx, &mut master)?;
+    let (mut roots, schema, relations) = open(plan, catalog, opts, 1, false)?;
     let mut root = roots.pop().expect("one partition yields one stream");
     let swapped = swap_in_shared_cursor(&mut root, scan)?;
     debug_assert!(swapped, "eligible plan must bottom out in a scan");
@@ -383,7 +350,7 @@ fn swap_in_shared_cursor(node: &mut Node, scan: &Arc<SharedTableScan>) -> Result
             *node = Node::Shared { cursor };
             Ok(true)
         }
-        Node::Bernoulli { input, .. }
+        Node::Sample { input, .. }
         | Node::Filter { input, .. }
         | Node::Project { input, .. }
         | Node::FilterProject { input, .. } => swap_in_shared_cursor(input, scan),
@@ -391,105 +358,230 @@ fn swap_in_shared_cursor(node: &mut Node, scan: &Arc<SharedTableScan>) -> Result
     }
 }
 
-/// Derive worker `w`'s RNG seed from a spine operator's base seed —
-/// splitmix64-style finalization, so per-worker streams are decorrelated
-/// but fully determined by `(plan, seed, parts)`.
-fn worker_seed(base: u64, worker: u64) -> u64 {
-    let mut z = base ^ worker.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One sampler's keep predicate on its relation's sampling unit — the row
+/// id, or the block id under `SYSTEM` — drawn at open.
+#[derive(Debug, Clone)]
+enum Keep {
+    /// Bernoulli(`p`): the row's [`coin`] under the operator's seed.
+    Coin { seed: u64, p: f64 },
+    /// `SYSTEM`: each block's coin, tossed at open.
+    Blocks(Arc<[bool]>),
+    /// WOR: the row ids drawn at open, one bit per row of the table.
+    Rows(Arc<[u64]>),
 }
 
-/// A stream's scan coverage with the plan's union structure preserved.
-///
-/// The flat view ([`ProgressTree::flatten`]) reduces a `UnionSamples` to the
-/// per-relation minimum across branches — safe for display, but useless for
-/// mid-stream population scaling, where each branch needs its *own* WOR
-/// prefix factor (the branches cover the relations independently and the
-/// executor drains the first branch fully before the second starts). This
-/// tree mirrors `sa_plan::GusTree`: maximal union-free regions collapse
-/// into flat leaves; unions — and joins above unions — stay structural.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProgressTree {
-    /// A union-free subtree's per-relation `(consumed, available)`
-    /// coverage, in scan order (the [`ChunkStream::progress`] semantics).
-    Leaf(Vec<(u64, u64)>),
-    /// A Proposition-7 union. Both branches cover the same relations.
-    /// `second_started` is the executor's drain state: `false` means the
-    /// first branch is still streaming and no tuple of the second has had
-    /// a chance to appear; `true` means the first branch is complete.
-    Union {
-        /// Coverage of the first (drained-first) branch.
-        left: Box<ProgressTree>,
-        /// Coverage of the second branch.
-        right: Box<ProgressTree>,
-        /// Has the second branch started streaming (⇒ first is complete)?
-        second_started: bool,
-    },
-    /// A join above a union: the operands' coverages, concatenated in scan
-    /// order (left then right).
-    Concat(Box<ProgressTree>, Box<ProgressTree>),
-}
-
-impl ProgressTree {
-    /// The flat per-relation `(consumed, available)` view, in scan order
-    /// (the [`ChunkStream::progress`] semantics). Both branches of a union
-    /// sample the same relations, but the union's true coverage is not a
-    /// simple function of the two scan prefixes (while the second branch
-    /// streams, tuples unique to it are still arriving even though the
-    /// first covered every position), so a union flattens to the
-    /// per-relation *minimum* — complete only once both branches drained.
-    /// Honest for display; population scaling reads the tree itself.
-    pub fn flatten(&self) -> Vec<(u64, u64)> {
+impl Keep {
+    /// Clear `mask[i]` wherever this sampler drops unit `ids[i]`.
+    fn narrow(&self, ids: &[u64], mask: &mut [bool]) {
+        let lanes = mask.iter_mut().zip(ids);
         match self {
-            ProgressTree::Leaf(coverage) => coverage.clone(),
-            ProgressTree::Union { left, right, .. } => left
-                .flatten()
-                .into_iter()
-                .zip(right.flatten())
-                .map(|((ca, na), (cb, _))| (ca.min(cb), na))
-                .collect(),
-            ProgressTree::Concat(left, right) => {
-                let mut out = left.flatten();
-                out.extend(right.flatten());
-                out
+            Keep::Coin { seed, p } => lanes.for_each(|(m, &id)| *m &= coin(*seed, *p, id)),
+            Keep::Blocks(keep) => lanes.for_each(|(m, &id)| *m &= keep[id as usize]),
+            Keep::Rows(bits) => {
+                lanes.for_each(|(m, &id)| *m &= bits[(id / 64) as usize] >> (id % 64) & 1 == 1)
             }
         }
     }
+}
 
-    /// Concatenate two subtree coverages, collapsing `Leaf ++ Leaf` into
-    /// one leaf so union-free regions stay flat (mirrors the plan side,
-    /// where compaction is associative).
-    fn concat(left: ProgressTree, right: ProgressTree) -> ProgressTree {
-        match (left, right) {
-            (ProgressTree::Leaf(mut a), ProgressTree::Leaf(b)) => {
-                a.extend(b);
-                ProgressTree::Leaf(a)
+/// A relation's stacked samplers: a unit survives iff every one keeps it.
+type Stack = Vec<Keep>;
+
+/// What a [`Node::Sample`] keeps: the tuples for which, in some branch,
+/// every lineage column's stack keeps its id — Proposition 7's union ORs
+/// branches, a join (Proposition 6) and stacked samplers (Proposition 8)
+/// AND what they keep.
+#[derive(Debug)]
+struct Keeps {
+    /// Per branch, one stack per lineage column of the node's input.
+    branches: Vec<Vec<Stack>>,
+    /// `Some(rows)` right above the scan of a `SYSTEM`-sampled relation:
+    /// its row ids become the ids of its `rows`-row blocks, the relation's
+    /// sampling and lineage unit, before the stacks read them.
+    blocks: Option<u64>,
+}
+
+impl Keeps {
+    /// Which tuples of `lineage` (one id column per relation) are kept.
+    fn mask(&self, lineage: &[Vec<u64>]) -> Vec<bool> {
+        let rows = lineage.first().map_or(0, Vec::len);
+        let branch = |stacks: &Vec<Stack>| {
+            let mut mask = vec![true; rows];
+            for (stack, ids) in stacks.iter().zip(lineage) {
+                for keep in stack {
+                    keep.narrow(ids, &mut mask);
+                }
             }
-            (l, r) => ProgressTree::Concat(Box::new(l), Box::new(r)),
+            mask
+        };
+        let (first, rest) = self.branches.split_first().expect("a design has a branch");
+        let mut out = branch(first);
+        for stacks in rest {
+            for (o, m) in out.iter_mut().zip(branch(stacks)) {
+                *o |= m;
+            }
+        }
+        out
+    }
+}
+
+/// A plan's samplers, drawn at open by [`design`]: what the plan keeps of
+/// its whole lineage, and what the build needs to hand each relation's
+/// scan its share of it.
+struct Design {
+    /// [`Keeps::branches`] over the plan's relations, in scan order.
+    branches: Vec<Vec<Stack>>,
+    /// Per relation, [`Keeps::blocks`] of its scan's sampler.
+    units: Vec<Option<u64>>,
+    /// Some union spans several relations, so the per-relation ORs its
+    /// scans apply admit tuples no one branch keeps whole.
+    spans: bool,
+}
+
+/// Draw `plan`'s samplers: one seed per operator off `master`, in plan
+/// traversal order (a join's build side off a seed of its own), so the
+/// `SYSTEM` keep vectors and WOR draws of a `(plan, seed)` are what they
+/// always were. With-replacement sampling keeps a row once per draw: it is
+/// no set, hence no GUS, and is refused.
+fn design(plan: &LogicalPlan, catalog: &Catalog, master: &mut StdRng) -> Result<Design> {
+    match plan {
+        LogicalPlan::Scan { .. } => Ok(Design {
+            branches: vec![vec![Vec::new()]],
+            units: vec![None],
+            spans: false,
+        }),
+        LogicalPlan::Sample { method, input } => {
+            method.validate().map_err(ExecError::Sampling)?;
+            let table = base_table(input, catalog)?;
+            let (keep, unit) = match method {
+                SamplingMethod::Bernoulli { p } => (
+                    Keep::Coin {
+                        seed: master.random(),
+                        p: *p,
+                    },
+                    None,
+                ),
+                SamplingMethod::System { p } => {
+                    let mut rng = StdRng::seed_from_u64(master.random::<u64>());
+                    let keep = (0..table.block_count())
+                        .map(|_| rng.random::<f64>() < *p)
+                        .collect();
+                    (Keep::Blocks(keep), Some(table.block_rows() as u64))
+                }
+                // Validation puts WOR straight on its scan, so the positions
+                // it draws out of the table's rows are row ids.
+                SamplingMethod::Wor { .. } => {
+                    let mut rng = StdRng::seed_from_u64(master.random::<u64>());
+                    let mut bits = vec![0u64; table.row_count().div_ceil(64) as usize];
+                    for id in method.draw_fixed_size(table.row_count(), &mut rng)? {
+                        bits[(id / 64) as usize] |= 1 << (id % 64);
+                    }
+                    (Keep::Rows(bits.into()), None)
+                }
+                SamplingMethod::WithReplacement { .. } => {
+                    return Err(ExecError::Unsupported(format!(
+                        "{method} keeps a row once per draw: it is not a GUS sampler, and \
+                         the stream samples by keeping sets of rows"
+                    )))
+                }
+            };
+            // A sampler sits on a Sample*/Scan chain: one branch, one relation.
+            let mut d = design(input, catalog, master)?;
+            let stack = &mut d.branches[0][0];
+            stack.push(keep);
+            d.units[0] = d.units[0].or(unit);
+            if d.units[0].is_some() && stack.len() > 1 {
+                return Err(ExecError::Unsupported(
+                    "SYSTEM (block-level) sampling stacked with another sampler on one \
+                     relation mixes lineage units: it is not a GUS"
+                        .into(),
+                ));
+            }
+            Ok(d)
+        }
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. } => design(input, catalog, master),
+        LogicalPlan::Join { left, right, .. } => {
+            let l = design(left, catalog, master)?;
+            let r = design(right, catalog, &mut StdRng::seed_from_u64(master.random()))?;
+            Ok(Design {
+                branches: l
+                    .branches
+                    .iter()
+                    .flat_map(|a| r.branches.iter().map(move |b| [&a[..], b].concat()))
+                    .collect(),
+                units: [l.units, r.units].concat(),
+                spans: l.spans || r.spans,
+            })
+        }
+        LogicalPlan::UnionSamples { left, right } => {
+            let mut d = design(left, catalog, master)?;
+            let r = design(right, catalog, master)?;
+            d.spans |= r.spans || d.units.len() > 1;
+            d.branches.extend(r.branches);
+            Ok(d)
         }
     }
+}
+
+/// Validate `plan`, draw its samplers ([`design`]) and build one operator
+/// tree per worker — how every stream opens.
+fn open(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    parts: usize,
+    fuse_predicates: bool,
+) -> Result<(Vec<Node>, SchemaRef, Vec<String>)> {
+    plan.validate(catalog)?;
+    let design = design(plan, catalog, &mut StdRng::seed_from_u64(opts.seed))?;
+    let ctx = BuildCtx::new(plan, catalog, opts, parts, fuse_predicates, &design);
+    let (nodes, schema, relations) = build_partitioned(plan, &ctx)?;
+    if !design.spans {
+        return Ok((nodes, schema, relations));
+    }
+    // A tuple of a union spanning several relations is in it iff one
+    // branch keeps all its components, not each by some branch of its own.
+    let keeps = Arc::new(Keeps {
+        branches: design.branches,
+        blocks: None,
+    });
+    let nodes = nodes
+        .into_iter()
+        .map(|input| Node::Sample {
+            keeps: keeps.clone(),
+            input: Box::new(input),
+        })
+        .collect();
+    Ok((nodes, schema, relations))
 }
 
 /// Build-time context threaded through [`build_partitioned`]: the catalog,
-/// the partitioning shape, and the pushdown configuration derived from
-/// [`ExecOptions`] and the plan's needed-column analysis.
+/// the partitioning shape, each relation's samplers, and the pushdown
+/// configuration derived from [`ExecOptions`] and the plan's needed-column
+/// analysis.
+#[derive(Clone)]
 struct BuildCtx<'a> {
     catalog: &'a Catalog,
     parts: usize,
     shuffle: bool,
+    /// [`ExecOptions::seed`], which the shuffled scans' permutations derive
+    /// from.
+    seed: u64,
     /// Fuse a `Filter`'s compiled predicate into a directly-underlying scan
     /// node. Off under [`ExecOptions::disable_pushdown`] and on the shared
-    /// path (see [`open_shared_stream`]). Structure guarantees RNG safety:
-    /// plan validation only admits samplers over `Sample*/Scan` chains, so
-    /// a `Filter` sitting directly on a scan never has a sampler's
-    /// per-row coin stream between them.
+    /// path (see [`open_shared_stream`]). A sampler node sits between a
+    /// sampled scan and any `Filter`, so only unsampled scans fuse.
     fuse_predicates: bool,
     /// Per-alias needed-column sets (empty — prune nothing — when pushdown
     /// is disabled).
     cols: ScanColumnMap,
     obs: ScanObs,
+    /// What each sampled relation's scan keeps: the OR over the plan's
+    /// branches of the relation's stack. A branch that leaves the relation
+    /// unsampled keeps all of it, and its scan gets no sampler.
+    samplers: FxHashMap<String, Arc<Keeps>>,
 }
 
 impl<'a> BuildCtx<'a> {
@@ -499,12 +591,27 @@ impl<'a> BuildCtx<'a> {
         opts: &ExecOptions,
         parts: usize,
         fuse_predicates: bool,
+        design: &Design,
     ) -> BuildCtx<'a> {
         let pushdown = !opts.disable_pushdown;
+        let samplers = plan
+            .base_relations()
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| design.branches.iter().all(|b| !b[i].is_empty()))
+            .map(|(i, alias)| {
+                let keeps = Keeps {
+                    branches: design.branches.iter().map(|b| vec![b[i].clone()]).collect(),
+                    blocks: design.units[i],
+                };
+                (alias.to_string(), Arc::new(keeps))
+            })
+            .collect();
         BuildCtx {
             catalog,
             parts,
             shuffle: opts.shuffle_scan,
+            seed: opts.seed,
             fuse_predicates: pushdown && fuse_predicates,
             cols: if pushdown {
                 match &opts.scan_cols {
@@ -515,6 +622,7 @@ impl<'a> BuildCtx<'a> {
                 ScanColumnMap::default()
             },
             obs: opts.scan_obs.clone(),
+            samplers,
         }
     }
 }
@@ -695,9 +803,8 @@ enum Node {
     /// each, in a seeded random order — so columnar gathers stay batched
     /// while the consumed prefix becomes a uniform random set of blocks,
     /// making the online driver's random-scan-order assumption true by
-    /// construction. A chunk never crosses a range boundary; downstream
-    /// per-row samplers draw their coins in emission (visit) order. What
-    /// gets gathered — the pruned column set and an optional pushed-down
+    /// construction. A chunk never crosses a range boundary. What gets
+    /// gathered — the pruned column set and an optional pushed-down
     /// predicate — lives in [`ScanGather`].
     Scan {
         table: Arc<Table>,
@@ -720,24 +827,10 @@ enum Node {
     /// circular order from the cursor's attach origin and the gathering
     /// work is shared with every other cursor on the hub.
     Shared { cursor: SharedScanCursor },
-    /// Tuple-level Bernoulli sampling with its own RNG stream (one coin per
-    /// input row, in row order).
-    Bernoulli {
-        p: f64,
-        rng: StdRng,
-        input: Box<Node>,
-    },
-    /// Block-level Bernoulli: the keep decisions are drawn at open (one coin
-    /// per block), rows ride along with their block and have their lineage
-    /// rewritten to the block id.
-    System {
-        keep: Vec<bool>,
-        base: Arc<Table>,
-        input: Box<Node>,
-    },
-    /// A blocking subtree (WOR / with-replacement sample), materialized at
-    /// open as one columnar chunk and drained in slices.
-    Materialized { chunk: ColumnarChunk, next: usize },
+    /// Sampling: keeps the tuples [`Keeps`] keeps. Right above a scan it is
+    /// that relation's samplers; at the root of a plan whose union spans
+    /// several relations, the whole plan's over each tuple's full lineage.
+    Sample { keeps: Arc<Keeps>, input: Box<Node> },
     /// Relational selection (compiled predicate → mask → compact).
     Filter {
         predicate: CompiledExpr,
@@ -762,8 +855,7 @@ enum Node {
     },
     /// Streaming hash join: build side materialized and fingerprint-keyed,
     /// probe side streamed. The build sits behind `Arc` so partitioned
-    /// worker streams share one materialization instead of re-drawing (and
-    /// re-sampling!) the build side per worker.
+    /// worker streams share one materialization.
     HashJoin {
         probe: Box<Node>,
         build: Arc<JoinBuild>,
@@ -776,29 +868,19 @@ enum Node {
         build: Arc<JoinBuild>,
         residual: Option<CompiledExpr>,
     },
-    /// Union of two independent samplings of one expression, deduplicated
-    /// by lineage (Proposition 7): left drained first, then right.
-    Dedup {
-        first: Box<Node>,
-        second: Box<Node>,
-        on_second: bool,
-        seen: HashSet<Vec<u64>>,
-    },
 }
 
 /// Build one operator tree per worker over disjoint slices; returns
 /// `(nodes, schema, relations)` with `nodes.len() == parts`. This is THE
 /// builder — the sequential stream is simply `parts == 1` (one full-range
-/// slice, base seeds used directly), so the traversal, the master-RNG draw
-/// order and the compiled expressions cannot drift between the sequential
-/// and partitioned paths. Shared stochastic operators (SYSTEM keeps,
-/// blocking samplers, join build sides) are drawn once at the same master
-/// positions regardless of `parts`; only spine Bernoulli samplers derive
-/// per-worker seeds when `parts > 1`.
+/// slice), so the traversal and the compiled expressions cannot drift
+/// between the sequential and partitioned paths. Sampling operators build
+/// nothing of their own: the scan under them carries the relation's
+/// samplers ([`BuildCtx::samplers`]), and a union builds the expression its
+/// branches share once.
 fn build_partitioned(
     plan: &LogicalPlan,
     ctx: &BuildCtx<'_>,
-    master: &mut StdRng,
 ) -> Result<(Vec<Node>, SchemaRef, Vec<String>)> {
     let parts = ctx.parts;
     match plan {
@@ -823,14 +905,6 @@ fn build_partitioned(
             let block_rows = t.block_rows() as u64;
             let rows = t.row_count();
             let blocks = t.block_count();
-            // One base seed per scan, drawn ONLY in shuffle mode so the
-            // master-RNG draw order — and therefore every realization every
-            // pinned test depends on — is untouched when the flag is off.
-            let shuffle_base = if ctx.shuffle {
-                Some(master.random::<u64>())
-            } else {
-                None
-            };
             // Contiguous block-aligned slices: worker w owns blocks
             // [blocks·w/parts, blocks·(w+1)/parts). Some slices are empty
             // when there are fewer blocks than workers — they just drain
@@ -845,25 +919,19 @@ fn build_partitioned(
                     // the worker's own blocks: slices stay disjoint, progress
                     // still sums, and the permutation is fixed by
                     // (seed, parts, w).
-                    let order = match shuffle_base {
-                        None => vec![(row(lo), row(hi))],
-                        Some(base) => {
-                            let mut order: Vec<(u64, u64)> =
-                                (lo..hi).map(|b| (row(b), row(b + 1))).collect();
-                            let seed = if parts == 1 {
-                                base
-                            } else {
-                                worker_seed(base, w)
-                            };
-                            let mut rng = StdRng::seed_from_u64(seed);
-                            for i in (1..order.len()).rev() {
-                                let j = (rng.random::<u64>() % (i as u64 + 1)) as usize;
-                                order.swap(i, j);
-                            }
-                            order
+                    let order = if ctx.shuffle {
+                        let mut order: Vec<(u64, u64)> =
+                            (lo..hi).map(|b| (row(b), row(b + 1))).collect();
+                        let mut rng = StdRng::seed_from_u64(splitmix64(ctx.seed ^ splitmix64(w)));
+                        for i in (1..order.len()).rev() {
+                            let j = (rng.random::<u64>() % (i as u64 + 1)) as usize;
+                            order.swap(i, j);
                         }
+                        order
+                    } else {
+                        vec![(row(lo), row(hi))]
                     };
-                    Node::Scan {
+                    let scan = Node::Scan {
                         table: t.clone(),
                         order,
                         at: 0,
@@ -875,102 +943,32 @@ fn build_partitioned(
                             predicate: None,
                             obs: ctx.obs.clone(),
                         },
+                    };
+                    match ctx.samplers.get(alias.as_str()) {
+                        Some(keeps) => Node::Sample {
+                            keeps: keeps.clone(),
+                            input: Box::new(scan),
+                        },
+                        None => scan,
                     }
                 })
                 .collect();
             Ok((nodes, schema, vec![alias.clone()]))
         }
-        LogicalPlan::Sample { method, input } => {
-            method.validate().map_err(ExecError::Sampling)?;
-            match method {
-                SamplingMethod::Bernoulli { p } => {
-                    let base = master.random::<u64>();
-                    let (inputs, schema, relations) = build_partitioned(input, ctx, master)?;
-                    let nodes = inputs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(w, node)| {
-                            // A single stream uses the base seed directly
-                            // (the historical sequential realization);
-                            // workers get derived, decorrelated streams.
-                            let seed = if parts == 1 {
-                                base
-                            } else {
-                                worker_seed(base, w as u64)
-                            };
-                            Node::Bernoulli {
-                                p: *p,
-                                rng: StdRng::seed_from_u64(seed),
-                                input: Box::new(node),
-                            }
-                        })
-                        .collect();
-                    Ok((nodes, schema, relations))
-                }
-                SamplingMethod::System { p } => {
-                    let base = base_table(input, ctx.catalog)?;
-                    let mut rng = StdRng::seed_from_u64(master.random::<u64>());
-                    // ONE keep vector for all workers: slices are
-                    // block-aligned, so each block's keep decision is used
-                    // by exactly one worker and the union is a single
-                    // coherent SYSTEM sample (identical to the sequential
-                    // realization for the same seed).
-                    let keep: Vec<bool> = (0..base.block_count())
-                        .map(|_| rng.random::<f64>() < *p)
-                        .collect();
-                    let (inputs, schema, relations) = build_partitioned(input, ctx, master)?;
-                    let nodes = inputs
-                        .into_iter()
-                        .map(|node| Node::System {
-                            keep: keep.clone(),
-                            base: base.clone(),
-                            input: Box::new(node),
-                        })
-                        .collect();
-                    Ok((nodes, schema, relations))
-                }
-                SamplingMethod::Wor { .. } | SamplingMethod::WithReplacement { .. } => {
-                    // Blocking samplers need their input's full cardinality
-                    // up front: the input is drained once (the same draw at
-                    // any `parts`), the sample rows gathered by index and
-                    // sliced contiguously across workers.
-                    let mut rng = StdRng::seed_from_u64(master.random::<u64>());
-                    let (drained, schema, relations) = materialize(input, ctx, &mut rng)?;
-                    let kept: Vec<u32> = method
-                        .draw_fixed_size(drained.rows() as u64, &mut rng)?
-                        .into_iter()
-                        .map(|i| i as u32)
-                        .collect();
-                    let chunk = drained.take(&kept);
-                    let len = chunk.rows();
-                    let nodes = if parts == 1 {
-                        vec![Node::Materialized { chunk, next: 0 }]
-                    } else {
-                        (0..parts)
-                            .map(|w| {
-                                let start = len * w / parts;
-                                let end = len * (w + 1) / parts;
-                                Node::Materialized {
-                                    chunk: chunk.slice(start, end - start),
-                                    next: 0,
-                                }
-                            })
-                            .collect()
-                    };
-                    Ok((nodes, schema, relations))
-                }
-            }
+        // The scan below carries the sampler; the right branch of a union
+        // is the left one's expression, sampled differently.
+        LogicalPlan::Sample { input, .. } | LogicalPlan::UnionSamples { left: input, .. } => {
+            build_partitioned(input, ctx)
         }
         LogicalPlan::Filter { predicate, input } => {
-            let (inputs, schema, relations) = build_partitioned(input, ctx, master)?;
+            let (inputs, schema, relations) = build_partitioned(input, ctx)?;
             let compiled = compile(predicate, &schema)?;
             // Predicate pushdown: a Filter sitting directly on a scan node
             // fuses into the scan's gather — its dropped rows never
-            // materialize. Plan validation keeps samplers on Sample*/Scan
-            // chains only, so no per-row coin stream can sit between this
-            // Filter and the scan; the realized sample is unchanged. A scan
-            // already carrying a predicate keeps the second Filter as an
-            // operator (compiled masks don't compose).
+            // materialize. A sampled scan has its sampler node between the
+            // two, so no sampler ever sees fewer rows than it would
+            // unfused. A scan already carrying a predicate keeps the
+            // second Filter as an operator (compiled masks don't compose).
             let nodes = inputs
                 .into_iter()
                 .map(|mut node| match &mut node {
@@ -989,7 +987,7 @@ fn build_partitioned(
             Ok((nodes, schema, relations))
         }
         LogicalPlan::Project { exprs, input } => {
-            let (inputs, in_schema, relations) = build_partitioned(input, ctx, master)?;
+            let (inputs, in_schema, relations) = build_partitioned(input, ctx)?;
             let mut compiled = Vec::with_capacity(exprs.len());
             let mut fields = Vec::with_capacity(exprs.len());
             for (e, name) in exprs {
@@ -1044,13 +1042,10 @@ fn build_partitioned(
             left,
             right,
         } => {
-            let (probes, l_schema, l_rels) = build_partitioned(left, ctx, master)?;
-            // Build side: materialized ONCE (same master position as the
-            // sequential build) and shared behind Arc by every worker —
-            // re-drawing it per worker would join each probe slice against
-            // a different sample of the right input.
-            let mut rng = StdRng::seed_from_u64(master.random::<u64>());
-            let (build_chunk, r_schema, r_rels) = materialize(right, ctx, &mut rng)?;
+            let (probes, l_schema, l_rels) = build_partitioned(left, ctx)?;
+            // Build side: materialized ONCE and shared behind Arc by every
+            // worker, which probe it with their own slices.
+            let (build_chunk, r_schema, r_rels) = materialize(right, ctx)?;
             let schema = Arc::new(l_schema.join(&r_schema)?);
             let (keys, residual) = match condition {
                 None => (vec![], None),
@@ -1066,29 +1061,6 @@ fn build_partitioned(
                 .collect();
             Ok((nodes, schema, relations))
         }
-        LogicalPlan::UnionSamples { left, right } => {
-            // The union's lineage dedup is global state across both
-            // branches, so it only streams on a single stream.
-            if parts > 1 {
-                return Err(ExecError::Unsupported(
-                    "a UNION of samples cannot be partitioned: its lineage dedup is global \
-                     state across both branches — run it on a single stream (parallelism = 1)"
-                        .into(),
-                ));
-            }
-            let (mut l, schema, relations) = build_partitioned(left, ctx, master)?;
-            let (mut r, _, _) = build_partitioned(right, ctx, master)?;
-            Ok((
-                vec![Node::Dedup {
-                    first: Box::new(l.pop().expect("one part")),
-                    second: Box::new(r.pop().expect("one part")),
-                    on_second: false,
-                    seen: HashSet::new(),
-                }],
-                schema,
-                relations,
-            ))
-        }
         LogicalPlan::Aggregate { .. } => Err(ExecError::Unsupported(
             "open_stream streams the aggregate's input; strip the Aggregate root and \
              accumulate incrementally (see sa-online)"
@@ -1100,23 +1072,20 @@ fn build_partitioned(
 /// Rows per pull while draining a subtree that must be materialized.
 const MATERIALIZE_CHUNK_ROWS: usize = 1 << 16;
 
-/// Drain `plan` — a join's build side, a blocking sampler's input — into
-/// one chunk through the same operator tree a stream would run: a single
-/// partition in physical scan order (the result is consumed whole, so
-/// neither slicing nor shuffling applies), its samplers seeded from `rng`.
+/// Drain `plan` — a join's build side — into one chunk through the same
+/// operator tree a stream would run: a single partition in physical scan
+/// order (the result is consumed whole, so neither slicing nor shuffling
+/// applies).
 fn materialize(
     plan: &LogicalPlan,
     ctx: &BuildCtx<'_>,
-    rng: &mut StdRng,
 ) -> Result<(ColumnarChunk, SchemaRef, Vec<String>)> {
     let whole = BuildCtx {
         parts: 1,
         shuffle: false,
-        cols: ctx.cols.clone(),
-        obs: ctx.obs.clone(),
-        ..*ctx
+        ..ctx.clone()
     };
-    let (mut nodes, schema, relations) = build_partitioned(plan, &whole, rng)?;
+    let (mut nodes, schema, relations) = build_partitioned(plan, &whole)?;
     let mut node = nodes.pop().expect("one partition yields one node");
     // The exhausted pull's empty chunk still has the subtree's column
     // shape: it stands in for the result when nothing else came out.
@@ -1174,50 +1143,20 @@ impl Node {
                 gather.gather(table, 0, 0)
             }
             Node::Shared { cursor } => cursor.next_batch(hint),
-            Node::Materialized { chunk, next } => {
-                let end = next.saturating_add(hint).min(chunk.rows());
-                let out = chunk.slice(*next, end - *next);
-                *next = end;
-                Ok(out)
-            }
-            Node::Bernoulli { p, rng, input } => loop {
-                let chunk = input.next_batch(hint)?;
+            Node::Sample { keeps, input } => loop {
+                let mut chunk = input.next_batch(hint)?;
                 if chunk.is_empty() {
                     return Ok(chunk);
                 }
-                // One coin per input row, in row order — the same RNG
-                // consumption as a per-row filter, so the realization is
-                // chunk-size independent.
-                let mask: Vec<bool> = (0..chunk.rows())
-                    .map(|_| rng.random::<f64>() < *p)
-                    .collect();
+                if let Some(rows) = keeps.blocks {
+                    for id in &mut chunk.lineage[0] {
+                        *id /= rows;
+                    }
+                }
+                let mask = keeps.mask(&chunk.lineage);
                 if mask.iter().any(|&m| m) {
                     return Ok(chunk.filter(&mask));
                 }
-            },
-            Node::System {
-                keep, base, input, ..
-            } => loop {
-                let chunk = input.next_batch(hint)?;
-                if chunk.is_empty() {
-                    return Ok(chunk);
-                }
-                let rids = chunk.lineage.last().expect("scan lineage");
-                let mask: Vec<bool> = rids
-                    .iter()
-                    .map(|&rid| keep[base.block_of(rid) as usize])
-                    .collect();
-                if !mask.iter().any(|&m| m) {
-                    continue;
-                }
-                let mut out = chunk.filter(&mask);
-                // This relation's sampling — and hence lineage — unit is
-                // the block: rewrite the kept rows' ids.
-                let blocks = out.lineage.last_mut().expect("scan lineage");
-                for rid in blocks.iter_mut() {
-                    *rid = base.block_of(*rid);
-                }
-                return Ok(out);
             },
             Node::Filter { predicate, input } => loop {
                 let chunk = input.next_batch(hint)?;
@@ -1346,31 +1285,69 @@ impl Node {
                     return Ok(out);
                 }
             },
-            Node::Dedup {
-                first,
-                second,
-                on_second,
-                seen,
-            } => loop {
-                let active: &mut Node = if *on_second { second } else { first };
-                let chunk = active.next_batch(hint)?;
-                if chunk.is_empty() {
-                    if *on_second {
-                        return Ok(chunk);
-                    }
-                    *on_second = true;
-                    continue;
-                }
-                let mask: Vec<bool> = (0..chunk.rows())
-                    .map(|i| {
-                        let lin: Vec<u64> = chunk.lineage.iter().map(|l| l[i]).collect();
-                        seen.insert(lin)
-                    })
-                    .collect();
-                if mask.iter().any(|&m| m) {
-                    return Ok(chunk.filter(&mask));
-                }
+        }
+    }
+
+    /// Append this subtree's coverage to `out`, one entry per relation in
+    /// scan order — the one recursion over operators that computes it.
+    fn progress(&self, out: &mut Vec<(u64, u64)>) {
+        match self {
+            // Coverage is relative to this node's slice, so a partitioned
+            // set of workers sums to the whole relation's `(consumed,
+            // available)`. Whatever the visit order, the consumed rows are
+            // whole ranges plus a prefix of the current one: a row prefix of
+            // the slice in physical order, a seeded-random set of blocks —
+            // a WOR(consumed, available) draw of the slice by construction —
+            // when shuffled.
+            Node::Scan {
+                offset,
+                done,
+                total,
+                ..
+            } => out.push((done + offset, *total)),
+            // A shared cursor's consumed prefix is a circularly-shifted row
+            // range — still WOR(consumed, N) coverage (the design is
+            // invariant under a fixed rotation of the relation), so it
+            // reports exactly like a private scan.
+            Node::Shared { cursor } => out.push(cursor.progress()),
+            // A `SYSTEM`-sampled relation's unit is the block, so its
+            // coverage is the blocks of the ranges its scan has visited:
+            // fully visited ranges count their blocks, the current one up to
+            // its cursor — a partially scanned block counts as covered (its
+            // tuples had their chance as a group; the boundary error is at
+            // most one block). Range starts are block-aligned and at most
+            // one range is ragged, so rows round up to blocks per term, and
+            // per-worker slices sum to the full block count.
+            Node::Sample { keeps, input } => match (keeps.blocks, &**input) {
+                (
+                    Some(unit),
+                    Node::Scan {
+                        offset,
+                        done,
+                        total,
+                        ..
+                    },
+                ) => out.push((
+                    done.div_ceil(unit) + offset.div_ceil(unit),
+                    total.div_ceil(unit),
+                )),
+                _ => input.progress(out),
             },
+            Node::Filter { input, .. }
+            | Node::Project { input, .. }
+            | Node::FilterProject { input, .. } => input.progress(out),
+            // Build sides are fully materialized: complete coverage.
+            Node::HashJoin {
+                probe: input,
+                build,
+                ..
+            }
+            | Node::NestedLoop {
+                left: input, build, ..
+            } => {
+                input.progress(out);
+                out.extend(std::iter::repeat_n((1, 1), build.n_rels));
+            }
         }
     }
 }
@@ -1418,96 +1395,6 @@ fn join_output(
         Some(pred) => {
             let mask = pred.eval_mask(&combined.batch)?;
             Ok(combined.filter(&mask))
-        }
-    }
-}
-
-impl Node {
-    /// This subtree's coverage with union structure intact (see
-    /// [`ProgressTree`]) — the one recursion over operators that computes
-    /// coverage; [`ChunkStream::progress`] is its flattening.
-    fn progress_tree(&self) -> ProgressTree {
-        let leaf = |coverage| ProgressTree::Leaf(vec![coverage]);
-        match self {
-            // Coverage is relative to this node's slice, so a partitioned
-            // set of workers sums to the whole relation's `(consumed,
-            // available)`. Whatever the visit order, the consumed rows are
-            // whole ranges plus a prefix of the current one: a row prefix of
-            // the slice in physical order, a seeded-random set of blocks —
-            // a WOR(consumed, available) draw of the slice by construction —
-            // when shuffled.
-            Node::Scan {
-                offset,
-                done,
-                total,
-                ..
-            } => leaf((done + offset, *total)),
-            // A shared cursor's consumed prefix is a circularly-shifted row
-            // range — still WOR(consumed, N) coverage (the design is
-            // invariant under a fixed rotation of the relation), so it
-            // reports exactly like a private scan.
-            Node::Shared { cursor } => leaf(cursor.progress()),
-            // A materialized blocking sampler: coverage over the *drawn
-            // sample* — it stacks onto the plan's own WOR factor exactly
-            // like a scan prefix stacks onto a Bernoulli.
-            Node::Materialized { chunk, next } => leaf((*next as u64, chunk.rows() as u64)),
-            // Pass-through operators: coverage lives below.
-            Node::Bernoulli { input, .. }
-            | Node::Filter { input, .. }
-            | Node::Project { input, .. }
-            | Node::FilterProject { input, .. } => input.progress_tree(),
-            Node::System { base, input, .. } => {
-                // This relation's sampling unit is the block, so its
-                // coverage is the blocks of the ranges the scan below has
-                // visited (through any per-row samplers, which consume one
-                // coin per scanned row): fully visited ranges count their
-                // blocks, the current one counts up to its cursor — a
-                // partially scanned block counts as covered (its tuples had
-                // their chance as a group; the boundary error is at most one
-                // block). Range starts are block-aligned and at most one
-                // range is ragged, so rows round up to blocks per term, and
-                // per-worker slices sum to the full block count.
-                let mut below = &**input;
-                while let Node::Bernoulli { input, .. } = below {
-                    below = input;
-                }
-                let unit = base.block_rows() as u64;
-                leaf(match below {
-                    Node::Scan {
-                        offset,
-                        done,
-                        total,
-                        ..
-                    } => (
-                        done.div_ceil(unit) + offset.div_ceil(unit),
-                        total.div_ceil(unit),
-                    ),
-                    // Anything else (a materialized sampler) consumes
-                    // *sample* rows, not a base-row prefix: block coverage
-                    // is unknowable, so report complete — conservative for
-                    // scaling (no inflation; converges at exhaustion).
-                    _ => (base.block_count(), base.block_count()),
-                })
-            }
-            // Build sides are fully materialized: complete coverage.
-            Node::HashJoin { probe, build, .. } => ProgressTree::concat(
-                probe.progress_tree(),
-                ProgressTree::Leaf(vec![(1, 1); build.n_rels]),
-            ),
-            Node::NestedLoop { left, build, .. } => ProgressTree::concat(
-                left.progress_tree(),
-                ProgressTree::Leaf(vec![(1, 1); build.n_rels]),
-            ),
-            Node::Dedup {
-                first,
-                second,
-                on_second,
-                ..
-            } => ProgressTree::Union {
-                left: Box::new(first.progress_tree()),
-                right: Box::new(second.progress_tree()),
-                second_started: *on_second,
-            },
         }
     }
 }
@@ -1580,6 +1467,7 @@ mod tests {
     use crate::exec::execute;
     use sa_expr::{col, lit};
     use sa_storage::{DataType, Field, TableBuilder, Value};
+    use std::collections::HashSet;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -1817,7 +1705,9 @@ mod tests {
     }
 
     #[test]
-    fn progress_over_materialized_wor_counts_sample_rows() {
+    fn progress_over_wor_counts_its_scan_prefix() {
+        // WOR keeps the row ids it drew at open as its scan streams by, so
+        // its coverage is the scan's: every row it emits lies in the prefix.
         let plan = LogicalPlan::scan("t").sample(SamplingMethod::Wor { size: 40 });
         let c = catalog();
         let mut s = open_stream(
@@ -1829,11 +1719,20 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(s.progress(), vec![(0, 40)]);
-        s.next_chunk(15).unwrap();
-        assert_eq!(s.progress(), vec![(15, 40)]);
-        while !s.next_chunk(64).unwrap().is_empty() {}
-        assert_eq!(s.progress(), vec![(40, 40)]);
+        assert_eq!(s.progress(), vec![(0, 200)]);
+        let mut rows = 0;
+        loop {
+            let chunk = s.next_chunk(15).unwrap();
+            let (consumed, available) = s.progress()[0];
+            assert_eq!(available, 200);
+            if chunk.is_empty() {
+                assert_eq!(consumed, 200);
+                break;
+            }
+            assert!(chunk.iter().all(|r| r.lineage[0] < consumed));
+            rows += chunk.len();
+        }
+        assert_eq!(rows, 40);
     }
 
     #[test]
@@ -1861,10 +1760,7 @@ mod tests {
                 break;
             }
             chunks += 1;
-            // Once coverage claims completion, no further rows may arrive —
-            // the old max-of-branches report declared completion when the
-            // first branch drained, while tuples unique to the second were
-            // still streaming in.
+            // Once coverage claims completion, no further rows may arrive.
             assert!(
                 complete_since.is_none(),
                 "rows arrived after completion was claimed at chunk {complete_since:?}"
@@ -1876,26 +1772,28 @@ mod tests {
     }
 
     #[test]
-    fn system_over_wor_progress_reports_complete_not_inflated() {
-        // The WOR sample's consumed count indexes *sample* rows, not base
-        // row ids; block coverage is unknowable, so it must be reported
-        // complete rather than converted (which would claim ~1 of 13 blocks
-        // and inflate scaled estimates ~13x).
-        let plan = LogicalPlan::scan("t")
-            .sample(SamplingMethod::Wor { size: 40 })
-            .sample(SamplingMethod::System { p: 1.0 });
+    fn system_stacked_with_a_row_sampler_is_refused() {
+        // Block and row keeps on one relation read different units: no GUS,
+        // and the stream refuses it as the rewriter does.
         let c = catalog();
-        let mut s = open_stream(
-            &plan,
-            &c,
-            &ExecOptions {
-                seed: 5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        s.next_chunk(15).unwrap();
-        assert_eq!(s.progress(), vec![(13, 13)]);
+        for plan in [
+            LogicalPlan::scan("t")
+                .sample(SamplingMethod::Wor { size: 40 })
+                .sample(SamplingMethod::System { p: 1.0 }),
+            LogicalPlan::scan("t")
+                .sample(SamplingMethod::System { p: 0.5 })
+                .sample(SamplingMethod::Bernoulli { p: 0.5 }),
+        ] {
+            let err = open_stream(&plan, &c, &ExecOptions::default()).unwrap_err();
+            assert!(matches!(err, ExecError::Unsupported(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn with_replacement_sampling_is_refused() {
+        let plan = LogicalPlan::scan("t").sample(SamplingMethod::WithReplacement { size: 10 });
+        let err = open_stream(&plan, &catalog(), &ExecOptions::default()).unwrap_err();
+        assert!(matches!(err, ExecError::Unsupported(_)), "{err}");
     }
 
     /// Drain a stream into rows with the given chunk hint.
@@ -2071,13 +1969,8 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_union_and_aggregate_and_zero_parts_rejected() {
+    fn partitioned_aggregate_and_zero_parts_rejected() {
         let c = catalog();
-        let union = LogicalPlan::scan("t")
-            .sample(SamplingMethod::Bernoulli { p: 0.4 })
-            .union_samples(LogicalPlan::scan("t").sample(SamplingMethod::Bernoulli { p: 0.4 }));
-        let err = open_stream_partitioned(&union, &c, &ExecOptions::default(), 2).unwrap_err();
-        assert!(err.to_string().contains("UNION"), "{err}");
         let agg = LogicalPlan::scan("t").aggregate(vec![sa_plan::AggSpec::count_star("c")]);
         assert!(open_stream_partitioned(&agg, &c, &ExecOptions::default(), 2).is_err());
         let scan = LogicalPlan::scan("t");
@@ -2410,9 +2303,8 @@ mod tests {
 
     #[test]
     fn shuffle_off_keeps_the_physical_scan_order() {
-        // The shuffle seed is drawn from the master RNG only when the flag
-        // is on, so off-mode streams are untouched: physical order, same
-        // realization as before the flag existed.
+        // Off, the scan is the one physical range: lineage comes out in
+        // row order.
         let c = catalog();
         let plan = LogicalPlan::scan("t").sample(SamplingMethod::Bernoulli { p: 0.5 });
         let off = ExecOptions {
@@ -2456,9 +2348,7 @@ mod tests {
         // hand, and the plain scan matches plain arithmetic.
         fn scan_leaf(node: &mut Node) -> &mut Node {
             match node {
-                Node::Bernoulli { input, .. }
-                | Node::System { input, .. }
-                | Node::Filter { input, .. } => scan_leaf(input),
+                Node::Sample { input, .. } | Node::Filter { input, .. } => scan_leaf(input),
                 leaf => leaf,
             }
         }
@@ -2528,47 +2418,87 @@ mod tests {
     }
 
     #[test]
-    fn progress_tree_tracks_union_branches() {
-        // Branch 1 drains fully before branch 2 starts; the tree exposes
-        // per-branch coverage plus the second_started flip the online
-        // driver's per-branch scaling keys on.
+    fn union_streams_in_one_pass_over_one_prefix() {
+        // Both branches are read off one scan: lineage ascends across the
+        // whole stream (a second pass would start over at row 0), no tuple
+        // repeats, and the coverage is that one scan's prefix.
         let c = catalog();
         let plan = LogicalPlan::scan("t")
             .sample(SamplingMethod::Bernoulli { p: 0.5 })
             .union_samples(LogicalPlan::scan("t").sample(SamplingMethod::Bernoulli { p: 0.5 }));
         let mut stream = open_stream(&plan, &c, &ExecOptions::default()).unwrap();
-        let mut saw_first_only = false;
-        let mut saw_second = false;
+        let (mut ids, mut scanned) = (Vec::new(), 0);
         loop {
             let chunk = stream.next_batch(16).unwrap();
-            match stream.progress_tree() {
-                ProgressTree::Union {
-                    left,
-                    right,
-                    second_started,
-                } => {
-                    let (ProgressTree::Leaf(l), ProgressTree::Leaf(r)) = (*left, *right) else {
-                        panic!("union branches over one scan each must be leaves");
-                    };
-                    assert_eq!(l.len(), 1);
-                    assert_eq!(r.len(), 1);
-                    if second_started {
-                        saw_second = true;
-                        assert_eq!(l[0], (200, 200), "branch 1 drains before branch 2");
-                    } else {
-                        saw_first_only = true;
-                        assert_eq!(r[0].0, 0, "branch 2 untouched while branch 1 streams");
-                    }
-                }
-                other => panic!("union plan must report a union progress tree, got {other:?}"),
-            }
+            let (consumed, available) = stream.progress()[0];
+            assert!(consumed >= scanned && available == 200);
+            assert!(chunk.lineage[0].iter().all(|&id| id < consumed));
+            scanned = consumed;
             if chunk.is_empty() {
                 break;
             }
+            ids.extend_from_slice(&chunk.lineage[0]);
         }
-        assert!(saw_first_only && saw_second);
-        // Flat progress still reports the conservative min view.
-        assert_eq!(stream.progress(), vec![(200, 200)]);
+        assert_eq!(scanned, 200);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "one ascending pass");
+        // Each row is in the union with probability 1 − 0.5² = 0.75.
+        assert!((120..180).contains(&ids.len()), "{} of 200", ids.len());
+    }
+
+    #[test]
+    fn a_system_union_keeps_every_row_of_a_kept_block() {
+        // A block's rows share its lineage id: a union that keeps the block
+        // keeps all of them, not one row per id.
+        let plan = LogicalPlan::scan("t")
+            .sample(SamplingMethod::System { p: 1.0 })
+            .union_samples(LogicalPlan::scan("t").sample(SamplingMethod::System { p: 0.5 }));
+        let rows = open_stream(&plan, &catalog(), &ExecOptions::default())
+            .unwrap()
+            .collect_rows(16)
+            .unwrap();
+        assert_eq!(rows.len(), 200);
+    }
+
+    #[test]
+    fn a_union_over_a_join_keeps_a_tuple_one_branch_keeps_whole() {
+        // Branch 1 keeps half of t and all of d, branch 2 all of t and none
+        // of d: each scan on its own keeps every row some branch keeps —
+        // all of t, all of d — but only branch 1's tuples are in the union,
+        // exactly the tuples branch 1 alone realizes under the same seed
+        // (its samplers take the first seeds either way).
+        let c = catalog();
+        let branch = |pt: f64, pd: f64| {
+            LogicalPlan::scan("t")
+                .sample(SamplingMethod::Bernoulli { p: pt })
+                .join_on(
+                    LogicalPlan::scan("d").sample(SamplingMethod::Bernoulli { p: pd }),
+                    col("k").eq(col("dk")),
+                )
+        };
+        let union = branch(0.5, 1.0).union_samples(branch(1.0, 0.0));
+        for seed in 0..4 {
+            let opts = ExecOptions {
+                seed,
+                ..Default::default()
+            };
+            let rows = open_stream(&union, &c, &opts)
+                .unwrap()
+                .collect_rows(32)
+                .unwrap();
+            let alone = open_stream(&branch(0.5, 1.0), &c, &opts)
+                .unwrap()
+                .collect_rows(32)
+                .unwrap();
+            assert_eq!(rows, alone, "seed {seed}");
+            assert!(rows.len() > 50 && rows.len() < 150, "{}", rows.len());
+            // At four workers the same tuples come out, sliced.
+            let sliced: Vec<Row> = open_stream_partitioned(&union, &c, &opts, 4)
+                .unwrap()
+                .into_iter()
+                .flat_map(|s| drain(s, 7))
+                .collect();
+            assert_eq!(sliced, rows, "seed {seed}");
+        }
     }
 
     #[test]
@@ -2577,9 +2507,7 @@ mod tests {
         let plan = LogicalPlan::scan("t").join_on(LogicalPlan::scan("d"), col("k").eq(col("dk")));
         let mut stream = open_stream(&plan, &c, &ExecOptions::default()).unwrap();
         stream.next_batch(32).unwrap();
-        let ProgressTree::Leaf(cov) = stream.progress_tree() else {
-            panic!("a union-free join must flatten to one leaf");
-        };
+        let cov = stream.progress();
         assert_eq!(cov.len(), 2, "probe relation first, build relation after");
         assert_eq!(cov[1], (1, 1), "materialized build side is fully covered");
     }

@@ -54,9 +54,10 @@ pub struct QueryOptions {
     /// scan-progress scaling assumes the scanned prefix is a uniform random
     /// subset of the sampling units; on physically ordered (e.g.
     /// value-sorted) tables that assumption fails and mid-stream intervals
-    /// undercover. Shuffling restores it at the block level. The
-    /// permutation is fully determined by `(seed, parallelism, worker)`, so
-    /// runs stay byte-reproducible; shuffled queries always open a private
+    /// undercover. Shuffling restores it at the block level, and changes
+    /// the order the sample arrives in, not the sample. The permutation is
+    /// fully determined by `(seed, parallelism, worker)`, so runs stay
+    /// byte-reproducible; shuffled queries always open a private
     /// scan (they cannot attach to a shared hub, whose gather order is
     /// shared state). Default `false` — physical scan order, which keeps
     /// columnar gathers perfectly sequential.

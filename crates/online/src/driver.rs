@@ -51,22 +51,14 @@
 //! WOR(`k`, `N`) sample — which is a GUS, and **compacts onto the plan's top
 //! GUS by Proposition 8**. Each tick therefore reads its snapshot under
 //! `gus_plan ⊙ Π_r WOR(k_r, N_r)` using the stream's per-relation coverage
-//! ([`ChunkStream::progress_tree`], walked once per tick): mid-stream
+//! ([`ChunkStream::progress`], walked once per tick): mid-stream
 //! estimates target the full answer, their intervals account for both the
 //! not-yet-scanned data *and* the plan's own sampling, and at exhaustion
 //! every factor degenerates to the identity, so the final readout **equals
-//! the batch estimator's output** on the consumed sample.
-//!
-//! `UnionSamples` plans need more care than one plan-wide compaction:
-//! compaction does not distribute over Proposition 7 unions, and the
-//! streamed union drains branch 1 completely before branch 2 starts, so a
-//! *flat* per-relation coverage would misstate which branch's sample is
-//! partial. The scaling walk (`scale_gus_tree`) therefore walks the plan's
-//! [`sa_plan::GusTree`] against the stream's [`ProgressTree`]: each
-//! union-free region gets its own WOR prefix factors, and the scaled branch
-//! designs are re-unioned — `union(G₁ ⊙ WOR(k₁, N), G₂ ⊙ WOR(k₂, N))`,
-//! with the second branch excluded entirely until its first tuple can
-//! arrive.
+//! the batch estimator's output** on the consumed sample. A union of
+//! samples is no exception: its one pass shares one prefix per relation,
+//! so its sample is `(S₁ ∪ S₂) ∩ P` and its design
+//! `union(G₁, G₂) ⊙ WOR(k, N)`.
 //!
 //! Online mode is meaningful when the plan actually samples: the interval
 //! then tightens as the sample streams in. An unsampled plan still gets the
@@ -80,12 +72,11 @@ use std::time::{Duration, Instant};
 use sa_core::{
     CiLevel, GroupedMomentAccumulator, GusParams, MomentAccumulator, MomentSlot, ReadoutPlan,
 };
-use sa_exec::ProgressTree;
 use sa_exec::{layout_dims, open_stream_partitioned, AggResult};
 use sa_exec::{open_shared_stream, SharedTableScan};
 use sa_exec::{BatchDimEval, ChunkStream, ColumnarChunk, DimLayout, ExecError, ExecOptions};
 use sa_expr::Expr;
-use sa_plan::{rewrite, AggSpec, GusTree, LogicalPlan, SoaAnalysis, StopReason};
+use sa_plan::{rewrite, AggSpec, LogicalPlan, SoaAnalysis, StopReason};
 use sa_storage::{Catalog, SchemaRef, Value};
 
 use crate::api::{QueryOptions, QueryResult, Snapshot};
@@ -373,12 +364,12 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
     // place — and this one coming out.
     let mut tick = |last: &mut Option<Snapshot>,
                     acc: &GroupedMomentAccumulator<Vec<Value>>,
-                    prog_tree: &ProgressTree,
+                    progress: Vec<(u64, u64)>,
                     exhausted: bool,
                     degraded: bool|
      -> Result<Option<StopReason>> {
         let gus = if every_chunk {
-            scale_gus_tree(&analysis.gus_tree, prog_tree)?
+            scan_scaled_gus(&analysis.gus, &progress)?
         } else {
             analysis.gus.clone()
         };
@@ -386,7 +377,7 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
             chunk: last.as_ref().map_or(0, Snapshot::chunk) + 1,
             level,
             plan: ReadoutPlan::new(&gus),
-            progress: prog_tree.flatten(),
+            progress,
             gus,
             start,
         };
@@ -414,10 +405,8 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
             |acc, chunk| shape.push(acc, chunk),
             |merged, progress, exhausted, degraded| {
                 // Workers see disjoint slices of one scan, so the summed
-                // coverage is a flat per-relation prefix; union plans never
-                // get here (partitioned opens refuse them).
-                let prog_tree = ProgressTree::Leaf(progress.to_vec());
-                tick(&mut last, merged, &prog_tree, exhausted, degraded)
+                // coverage is a per-relation prefix.
+                tick(&mut last, merged, progress.to_vec(), exhausted, degraded)
             },
         )?
     } else {
@@ -443,10 +432,7 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
             } else if !every_chunk {
                 continue;
             }
-            // The one coverage walk of this tick; the snapshot's flat
-            // `progress` is its flattening.
-            let prog_tree = stream.progress_tree();
-            if let Some(reason) = tick(&mut last, &acc, &prog_tree, exhausted, false)? {
+            if let Some(reason) = tick(&mut last, &acc, stream.progress(), exhausted, false)? {
                 break reason;
             }
             if opts.adaptive_chunks {
@@ -584,9 +570,9 @@ pub(crate) fn open_aggregate<'p>(
     };
     let streams = match (&ctx.shared, opts.parallelism) {
         // Attach the sequential loop to the engine's shared circular scan:
-        // same sample realization semantics (one Bernoulli coin per consumed
-        // row), but the scan origin is wherever the hub's head currently is
-        // — a scan-prefix origin shift the Prop-8 scaling is invariant to.
+        // the same realized sample (samplers keep rows by their ids), but
+        // the scan origin is wherever the hub's head currently is — a
+        // scan-prefix origin shift the Prop-8 scaling is invariant to.
         // A shuffled scan cannot ride the hub (its gather order is shared
         // state), so it always opens a private stream.
         (Some(hub), 1) if !opts.shuffle_scan => {
@@ -609,123 +595,27 @@ pub(crate) fn open_aggregate<'p>(
     })
 }
 
-/// A union-free region's GUS compacted with one WOR(consumed, available)
-/// factor per partially scanned relation — the random-scan-order prefix
-/// model (Proposition 8). Fully covered relations contribute the identity;
+/// The plan's GUS compacted with one WOR(consumed, available) factor per
+/// partially scanned relation — the random-scan-order prefix model
+/// (Proposition 8). Fully covered relations contribute the identity;
 /// relations with nothing consumed yet are skipped too (the estimate is 0
 /// there and a 0-draw WOR would be the degenerate null sampler). `progress`
-/// may be a single stream's report or the element-wise sum over partitioned
-/// workers — slice-relative coverage sums to the true per-relation prefix.
-fn scan_scaled_gus(
-    region_gus: &GusParams,
-    relations: &[String],
-    progress: &[(u64, u64)],
-) -> Result<GusParams> {
-    let mut gus = region_gus.clone();
-    for (name, &(consumed, available)) in relations.iter().zip(progress) {
+/// is aligned with the GUS's lineage schema and may be a single stream's
+/// report or the element-wise sum over partitioned workers — slice-relative
+/// coverage sums to the true per-relation prefix.
+fn scan_scaled_gus(plan_gus: &GusParams, progress: &[(u64, u64)]) -> Result<GusParams> {
+    let mut gus = plan_gus.clone();
+    for (name, &(consumed, available)) in plan_gus.schema().names().iter().zip(progress) {
         if consumed == 0 || consumed >= available {
             continue;
         }
         let prefix = GusParams::wor(name, consumed, available)
-            .and_then(|g| g.embed_by_name(region_gus.schema().clone()))
+            .and_then(|g| g.embed_by_name(plan_gus.schema().clone()))
             .and_then(|g| gus.compact(&g))
             .map_err(ExecError::Core)?;
         gus = prefix;
     }
     Ok(gus)
-}
-
-/// The internal invariant error for [`scale_gus_tree`]: the stream's
-/// progress report and the plan's GUS structure disagree. The executor is
-/// built from the same plan the analysis walked, so any mismatch is a
-/// driver bug, not a user error.
-fn progress_shape_mismatch(tree: &GusTree, prog: &ProgressTree) -> Error {
-    Error::Unsupported(format!(
-        "internal: the stream's scan-progress shape does not match the plan's GUS \
-         structure (plan node: {}, progress node: {}); please report this as a bug",
-        match tree {
-            GusTree::Leaf { rels, .. } => format!("union-free region over {rels:?}"),
-            GusTree::Union { .. } => "union".into(),
-            GusTree::Join { .. } => "join".into(),
-        },
-        match prog {
-            ProgressTree::Leaf(cov) => format!("flat coverage of {} relations", cov.len()),
-            ProgressTree::Union { .. } => "union".into(),
-            ProgressTree::Concat(..) => "join".into(),
-        }
-    ))
-}
-
-/// Scale the plan's GUS to the scanned population by walking its union/join
-/// structure ([`GusTree`]) against the stream's per-branch coverage
-/// ([`ProgressTree`]) — per-branch prefix composition:
-///
-/// * a union-free region gets its own Prop-8 WOR factors
-///   ([`scan_scaled_gus`]);
-/// * a union whose second branch has not started is read as the **first
-///   branch alone** (no tuple unique to branch 2 can have arrived, so the
-///   consumed prefix *is* a branch-1 sample — unioning an untouched G₂
-///   would claim coverage the stream does not have);
-/// * once branch 2 starts, branch 1 is complete (the streamed union drains
-///   it fully first) and the snapshot reads
-///   `union(G₁, G₂ ⊙ WOR(k₂, N))` — Prop 7 over the re-scaled branch
-///   designs;
-/// * joins compact their scaled sides (Prop 6/8). A flat coverage report
-///   under a union/join node means the executor materialized that region
-///   (e.g. a join build side): every unit is consumed, so the same flat
-///   report recurses into both sides.
-///
-/// The executor's progress tree can only *lose* structure relative to the
-/// plan's (materialization flattens); any other pairing is an internal
-/// invariant violation.
-fn scale_gus_tree(tree: &GusTree, prog: &ProgressTree) -> Result<GusParams> {
-    match (tree, prog) {
-        (GusTree::Leaf { gus, rels }, ProgressTree::Leaf(cov)) => {
-            if cov.len() != rels.len() {
-                return Err(progress_shape_mismatch(tree, prog));
-            }
-            scan_scaled_gus(gus, rels, cov)
-        }
-        (
-            GusTree::Union { left, right },
-            ProgressTree::Union {
-                left: pl,
-                right: pr,
-                second_started,
-            },
-        ) => {
-            let l = scale_gus_tree(left, pl)?;
-            if !*second_started {
-                return Ok(l);
-            }
-            let r = scale_gus_tree(right, pr)?;
-            l.union(&r).map_err(|e| Error::Exec(ExecError::Core(e)))
-        }
-        (GusTree::Union { left, right }, ProgressTree::Leaf(_)) => {
-            // Materialized union: one flat, fully-consumed report stands
-            // for both branches.
-            let l = scale_gus_tree(left, prog)?;
-            let r = scale_gus_tree(right, prog)?;
-            l.union(&r).map_err(|e| Error::Exec(ExecError::Core(e)))
-        }
-        (GusTree::Join { left, right }, ProgressTree::Concat(pl, pr)) => {
-            let l = scale_gus_tree(left, pl)?;
-            let r = scale_gus_tree(right, pr)?;
-            l.compact(&r).map_err(|e| Error::Exec(ExecError::Core(e)))
-        }
-        (GusTree::Join { left, right }, ProgressTree::Leaf(cov)) => {
-            // Flattened join report: the probe side's relations come first
-            // (scan order), the build side's after.
-            let k = left.n_rels();
-            if cov.len() != tree.n_rels() {
-                return Err(progress_shape_mismatch(tree, prog));
-            }
-            let l = scale_gus_tree(left, &ProgressTree::Leaf(cov[..k].to_vec()))?;
-            let r = scale_gus_tree(right, &ProgressTree::Leaf(cov[k..].to_vec()))?;
-            l.compact(&r).map_err(|e| Error::Exec(ExecError::Core(e)))
-        }
-        (t, p) => Err(progress_shape_mismatch(t, p)),
-    }
 }
 
 /// The largest relative CI half-width across the aggregates, `None` when
@@ -1162,10 +1052,9 @@ mod tests {
 
     #[test]
     fn union_scaling_runs_online_and_matches_batch_at_exhaustion() {
-        // Per-branch prefix composition: the union plan now scales to the
-        // population mid-stream, and at exhaustion every WOR factor is the
-        // identity, so the readout equals the batch union estimator on the
-        // same realized sample.
+        // The union plan scales to the population mid-stream, and at
+        // exhaustion its WOR factor is the identity, so the readout equals
+        // the batch union estimator on the same realized sample.
         let c = catalog(2000);
         let plan = union_plan(0.4);
         let opts = QueryOptions {
@@ -1214,8 +1103,8 @@ mod tests {
 
     #[test]
     fn union_mid_scan_scaling_targets_the_population() {
-        // Stop the union run early (inside branch 1): the scaled estimate
-        // must target the full answer, not the scanned prefix of it.
+        // Stop the union run early: the scaled estimate must target the
+        // full answer, not the scanned prefix of it.
         let c = catalog(20_000);
         let truth = 80_000.0; // v cycles 1..=7 (mean 4.0) over 20k rows
         let opts = QueryOptions {
@@ -1237,18 +1126,26 @@ mod tests {
 
     #[test]
     fn union_plans_still_refuse_partitioned_workers() {
-        // The parallel path does not partition union plans; the refusal
-        // names the workaround precisely.
+        // The parallel path partitions a union's spine like any other
+        // plan: two workers emit the sequential run's sample, so the
+        // exhausted readouts agree.
         let c = catalog(2000);
-        let opts = QueryOptions {
-            parallelism: 2,
+        let opts = |parallelism: usize| QueryOptions {
+            seed: 6,
+            chunk_rows: 128,
+            parallelism,
             ..Default::default()
         };
-        let err = run(&union_plan(0.4), &c, &opts, |_| {}).unwrap_err();
-        assert!(
-            err.to_string().contains("parallelism = 1"),
-            "the refusal must name the single-stream workaround: {err}"
+        let parallel = run(&union_plan(0.4), &c, &opts(2), |_| {}).unwrap();
+        let sequential = run(&union_plan(0.4), &c, &opts(1), |_| {}).unwrap();
+        assert_eq!(parallel.reason, StopReason::Exhausted);
+        assert_eq!(parallel.snapshot.rows(), sequential.snapshot.rows());
+        assert!(parallel.snapshot.rows() > 0);
+        let (es, ep) = (
+            scalar(&sequential).aggs[0].estimate,
+            scalar(&parallel).aggs[0].estimate,
         );
+        assert!((es - ep).abs() < 1e-9 * (1.0 + es.abs()), "{es} vs {ep}");
     }
 
     #[test]

@@ -18,9 +18,7 @@ pub mod stopping;
 pub use columns::{ScanCols, ScanColumnMap};
 pub use error::PlanError;
 pub use plan::{AggFunc, AggSpec, LogicalPlan};
-pub use rewrite::{
-    render_gus_table, rewrite, GusTree, RewriteStep, RewriteTrace, Rule, SoaAnalysis,
-};
+pub use rewrite::{render_gus_table, rewrite, RewriteStep, RewriteTrace, Rule, SoaAnalysis};
 pub use stopping::{CiTarget, StopReason, StoppingRule};
 
 /// Crate-wide result alias.

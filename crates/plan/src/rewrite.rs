@@ -100,69 +100,6 @@ impl RewriteTrace {
     }
 }
 
-/// The union/join structure of the plan's sampling design.
-///
-/// The top GUS in [`SoaAnalysis::gus`] is the fully composed design —
-/// enough for batch estimation, where every sampled tuple has been seen.
-/// Mid-stream population scaling (a Prop-8 WOR factor over the scanned
-/// prefix) needs more: a union's branches cover the base relations
-/// *independently*, so each branch must get its own prefix factor before
-/// the branch designs are re-unioned (Prop 7) — compaction does not
-/// distribute over union. `GusTree` keeps exactly the structure that walk
-/// needs: maximal union-free subtrees collapse into [`GusTree::Leaf`]
-/// nodes (their GUS composes by compaction, which is associative), while
-/// unions — and joins above unions — remain interior nodes.
-#[derive(Debug, Clone)]
-pub enum GusTree {
-    /// A union-free subtree: its compacted GUS (embedded in the global
-    /// lineage schema) and the aliases it scans, in scan order.
-    Leaf {
-        /// Compacted GUS of the subtree, embedded in the global schema.
-        gus: GusParams,
-        /// Base-relation aliases the subtree scans, in scan order.
-        rels: Vec<String>,
-    },
-    /// Proposition 7 union of two independent samplings of one expression.
-    /// Both branches scan the same aliases.
-    Union {
-        /// First sampling of the expression.
-        left: Box<GusTree>,
-        /// Second, independent sampling of the same expression.
-        right: Box<GusTree>,
-    },
-    /// A join whose operands could not be collapsed (at least one side
-    /// contains a union). The sides sample disjoint relations and compose
-    /// by compaction (Prop 6).
-    Join {
-        /// Left join operand.
-        left: Box<GusTree>,
-        /// Right join operand.
-        right: Box<GusTree>,
-    },
-}
-
-impl GusTree {
-    /// Number of distinct base relations below this node (union branches
-    /// share their relations and count once, matching
-    /// [`LogicalPlan::base_relations`]).
-    pub fn n_rels(&self) -> usize {
-        match self {
-            GusTree::Leaf { rels, .. } => rels.len(),
-            GusTree::Union { left, .. } => left.n_rels(),
-            GusTree::Join { left, right } => left.n_rels() + right.n_rels(),
-        }
-    }
-
-    /// Does this subtree union independent samples anywhere?
-    pub fn has_union(&self) -> bool {
-        match self {
-            GusTree::Leaf { .. } => false,
-            GusTree::Union { .. } => true,
-            GusTree::Join { left, right } => left.has_union() || right.has_union(),
-        }
-    }
-}
-
 /// The result of the SOA rewriting: everything the SBox needs.
 #[derive(Debug, Clone)]
 pub struct SoaAnalysis {
@@ -171,10 +108,6 @@ pub struct SoaAnalysis {
     pub core: LogicalPlan,
     /// The single top-level GUS quasi-operator's parameters.
     pub gus: GusParams,
-    /// The union/join structure behind [`SoaAnalysis::gus`], for
-    /// per-branch mid-stream scaling. Union-free plans are a single leaf
-    /// carrying exactly `gus`.
-    pub gus_tree: GusTree,
     /// The plan's lineage schema (base-relation aliases in scan order).
     pub schema: Arc<LineageSchema>,
     /// Per-relation lineage granularity (row, or block for `SYSTEM`).
@@ -184,7 +117,8 @@ pub struct SoaAnalysis {
     /// once (a shared cursor goes round once), every GUS sampler keeps a
     /// row at most once (with-replacement sampling is not a GUS and never
     /// gets this far), a join pairs two rows once, and `UnionSamples`
-    /// dedups by lineage; `SYSTEM`'s block lineage, shared by every row of
+    /// keeps a tuple once when either branch keeps it; `SYSTEM`'s block
+    /// lineage, shared by every row of
     /// a block, is the one exception. The moment accumulators then keep no
     /// lineage table for the full relation set.
     pub lineage_distinct: bool,
@@ -223,11 +157,10 @@ pub fn rewrite(plan: &LogicalPlan, catalog: &Catalog) -> Result<SoaAnalysis> {
     let lineage_units = lineage_units(plan)?;
     let lineage_distinct = lineage_units.iter().all(|u| *u == LineageUnit::Row);
     let mut trace = RewriteTrace::default();
-    let (core, gus, gus_tree) = analyze(plan, catalog, &schema, &mut trace)?;
+    let (core, gus) = analyze(plan, catalog, &schema, &mut trace)?;
     Ok(SoaAnalysis {
         core,
         gus,
-        gus_tree,
         schema,
         lineage_units,
         lineage_distinct,
@@ -260,15 +193,14 @@ fn lineage_units(plan: &LogicalPlan) -> Result<Vec<LineageUnit>> {
     Ok(units)
 }
 
-/// Bottom-up analysis: returns the sampling-free core plan of the subtree,
-/// its accumulated GUS over the **global** lineage schema, and the
-/// union/join structure of that GUS (see [`GusTree`]).
+/// Bottom-up analysis: returns the sampling-free core plan of the subtree
+/// and its accumulated GUS over the **global** lineage schema.
 fn analyze(
     node: &LogicalPlan,
     catalog: &Catalog,
     global: &Arc<LineageSchema>,
     trace: &mut RewriteTrace,
-) -> Result<(LogicalPlan, GusParams, GusTree)> {
+) -> Result<(LogicalPlan, GusParams)> {
     match node {
         LogicalPlan::Scan { table, alias } => {
             let gus = GusParams::identity(global.clone());
@@ -277,14 +209,10 @@ fn analyze(
                 format!("G(1,1̄) over unsampled relation `{alias}` (table `{table}`)"),
                 &gus,
             );
-            let tree = GusTree::Leaf {
-                gus: gus.clone(),
-                rels: vec![alias.clone()],
-            };
-            Ok((node.clone(), gus, tree))
+            Ok((node.clone(), gus))
         }
         LogicalPlan::Sample { method, input } => {
-            let (core, inner_gus, _) = analyze(input, catalog, global, trace)?;
+            let (core, inner_gus) = analyze(input, catalog, global, trace)?;
             // validate() guarantees the chain below is Sample*/Scan.
             let (alias, table_name) = base_of(input)?;
             let table = catalog.get(table_name)?;
@@ -309,14 +237,10 @@ fn analyze(
                     &gus,
                 );
             }
-            let tree = GusTree::Leaf {
-                gus: gus.clone(),
-                rels: vec![alias.to_string()],
-            };
-            Ok((core, gus, tree))
+            Ok((core, gus))
         }
         LogicalPlan::Filter { predicate, input } => {
-            let (core, gus, tree) = analyze(input, catalog, global, trace)?;
+            let (core, gus) = analyze(input, catalog, global, trace)?;
             trace.push(
                 Rule::SelectionCommute,
                 format!("σ[{predicate}] commutes with GUS unchanged"),
@@ -328,7 +252,6 @@ fn analyze(
                     input: Box::new(core),
                 },
                 gus,
-                tree,
             ))
         }
         LogicalPlan::Join {
@@ -336,8 +259,8 @@ fn analyze(
             left,
             right,
         } => {
-            let (core_l, gus_l, tree_l) = analyze(left, catalog, global, trace)?;
-            let (core_r, gus_r, tree_r) = analyze(right, catalog, global, trace)?;
+            let (core_l, gus_l) = analyze(left, catalog, global, trace)?;
+            let (core_r, gus_r) = analyze(right, catalog, global, trace)?;
             if !gus_l.support().is_disjoint(gus_r.support()) {
                 // Unreachable after alias validation, but kept as defense.
                 return Err(PlanError::Core(sa_core::CoreError::LineageOverlap {
@@ -355,19 +278,6 @@ fn analyze(
                 ),
                 &gus,
             );
-            // Union-free operands collapse into one leaf (compaction is
-            // associative); a union on either side must stay structural so
-            // per-branch prefix factors can attach below the join.
-            let tree = match (tree_l, tree_r) {
-                (GusTree::Leaf { rels: rl, .. }, GusTree::Leaf { rels: rr, .. }) => GusTree::Leaf {
-                    gus: gus.clone(),
-                    rels: rl.into_iter().chain(rr).collect(),
-                },
-                (l, r) => GusTree::Join {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                },
-            };
             Ok((
                 LogicalPlan::Join {
                     condition: condition.clone(),
@@ -375,34 +285,31 @@ fn analyze(
                     right: Box::new(core_r),
                 },
                 gus,
-                tree,
             ))
         }
         LogicalPlan::Project { exprs, input } => {
-            let (core, gus, tree) = analyze(input, catalog, global, trace)?;
+            let (core, gus) = analyze(input, catalog, global, trace)?;
             Ok((
                 LogicalPlan::Project {
                     exprs: exprs.clone(),
                     input: Box::new(core),
                 },
                 gus,
-                tree,
             ))
         }
         LogicalPlan::Aggregate { aggs, input } => {
-            let (core, gus, tree) = analyze(input, catalog, global, trace)?;
+            let (core, gus) = analyze(input, catalog, global, trace)?;
             Ok((
                 LogicalPlan::Aggregate {
                     aggs: aggs.clone(),
                     input: Box::new(core),
                 },
                 gus,
-                tree,
             ))
         }
         LogicalPlan::UnionSamples { left, right } => {
-            let (core_l, gus_l, tree_l) = analyze(left, catalog, global, trace)?;
-            let (_core_r, gus_r, tree_r) = analyze(right, catalog, global, trace)?;
+            let (core_l, gus_l) = analyze(left, catalog, global, trace)?;
+            let (_core_r, gus_r) = analyze(right, catalog, global, trace)?;
             // validate() guarantees both branches strip to the same core.
             let gus = gus_l.union(&gus_r)?;
             trace.push(
@@ -415,11 +322,7 @@ fn analyze(
                 ),
                 &gus,
             );
-            let tree = GusTree::Union {
-                left: Box::new(tree_l),
-                right: Box::new(tree_r),
-            };
-            Ok((core_l, gus, tree))
+            Ok((core_l, gus))
         }
     }
 }

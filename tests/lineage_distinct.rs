@@ -81,14 +81,7 @@ proptest! {
 
         for jobs in [1usize, 4] {
             let exec = ExecOptions { seed, shuffle_scan, ..Default::default() };
-            let streams = match open_stream_partitioned(input, &catalog, &exec, jobs) {
-                Ok(streams) => streams,
-                // The one refusal: a union of samples cut into slices.
-                Err(e) => {
-                    prop_assert!(shape == 3 && jobs > 1, "{e}");
-                    continue;
-                }
-            };
+            let streams = open_stream_partitioned(input, &catalog, &exec, jobs).unwrap();
             let layout = layout_dims(aggs, streams[0].schema()).unwrap();
             let mut sbox = SBox::with_dims(analysis.gus.clone(), layout.dims());
             let mut lineage = Vec::new();

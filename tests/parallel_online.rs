@@ -279,25 +279,34 @@ fn parallel_ci_rule_stops_early() {
     assert!(r.snapshot.rows() < 20_000, "rows = {}", r.snapshot.rows());
 }
 
-/// UNION-of-samples plans cannot be partitioned (global dedup state): the
-/// driver must refuse `parallelism > 1` with a clear error, and still run
-/// them sequentially.
+/// UNION-of-samples plans stream at `parallelism > 1` like any other plan:
+/// the union is one pass whose keep predicate is a function of each row's
+/// id, so the workers realize the sequential sample and exhaust to its
+/// estimate and variance.
 #[test]
 fn union_plans_refuse_parallel_streaming() {
     let c = catalog(2000);
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Bernoulli { p: 0.4 })
-        .union_samples(LogicalPlan::scan("t").sample(SamplingMethod::Bernoulli { p: 0.4 }))
+        .union_samples(LogicalPlan::scan("t").sample(SamplingMethod::Bernoulli { p: 0.3 }))
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let parallel = opts(6, 128, 4);
-    let err = support::run(&plan, &c, &parallel, |_| {}).unwrap_err();
-    assert!(err.to_string().contains("UNION"), "{err}");
-    let sequential = QueryOptions {
-        parallelism: 1,
-        ..parallel
-    };
-    let r = support::run(&plan, &c, &sequential, |_| {}).unwrap();
-    assert_eq!(r.reason, StopReason::Exhausted);
+    let parallel = support::run(&plan, &c, &opts(6, 128, 4), |_| {}).unwrap();
+    let sequential = support::run(&plan, &c, &opts(6, 128, 1), |_| {}).unwrap();
+    assert_eq!(parallel.reason, StopReason::Exhausted);
+    assert_eq!(sequential.reason, StopReason::Exhausted);
+    assert_eq!(parallel.snapshot.rows(), sequential.snapshot.rows());
+    let (s, p) = (
+        &support::scalar(&sequential).aggs[0],
+        &support::scalar(&parallel).aggs[0],
+    );
+    assert!(
+        (s.estimate - p.estimate).abs() < 1e-9 * (1.0 + s.estimate.abs()),
+        "{} vs {}",
+        s.estimate,
+        p.estimate
+    );
+    let (vs, vp) = (s.variance.unwrap(), p.variance.unwrap());
+    assert!((vs - vp).abs() < 1e-9 * (1.0 + vs.abs()), "{vs} vs {vp}");
 }
 
 /// One replayed snapshot: `(chunk, rows, rendered estimate/variance,

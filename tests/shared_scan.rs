@@ -1,11 +1,9 @@
 //! Shared scan cursors through the engine, end to end: a session that
 //! attaches to the circular scan mid-stream (a scan-prefix origin shift)
-//! must read out *exactly* the batch estimator at exhaustion, keep
+//! must read out *exactly* a private batch run at exhaustion, keep
 //! Chebyshev coverage across trials, and N concurrent sessions over one
 //! table must cost ~1 table scan between them.
 
-use sampling_algebra::core::{estimate_from_sample_moments, GroupedMoments};
-use sampling_algebra::exec::{f_vector, layout_dims, open_shared_stream, ExecOptions};
 use sampling_algebra::prelude::*;
 use sampling_algebra::tpch::Zipf;
 
@@ -48,24 +46,28 @@ fn warm_hub(engine: &Engine, target: u64) -> u64 {
 }
 
 /// A session attaching at 30% / 60% scan progress must, at exhaustion,
-/// equal the batch estimator over the same realized sample to 1e-9 — the
-/// origin shift is invisible to the Proposition-8 scaling once the
-/// WOR(consumed, total) factor degenerates.
+/// equal a private `.batch()` of the same plan and seed to 1e-9: the
+/// attach origin changes neither the realized sample (samplers keep rows by
+/// their ids) nor the estimate, once the Prop-8 WOR(consumed, total)
+/// factor degenerates.
 #[test]
 fn mid_attach_exhaustion_equals_batch_estimator() {
     let rows = 3000u64;
+    let plan = sum_plan(0.3);
+    let private = Engine::new(catalog(rows as i64))
+        .session()
+        .query_plan(&plan)
+        .seed(9)
+        .batch()
+        .unwrap();
+    let batch = private.as_scalar().unwrap();
     for warm_frac in [0.3, 0.6] {
-        // A bus size that divides the table keeps produced chunks aligned,
-        // so the head lands exactly one revolution past the query's origin
-        // and the replay below attaches at the same physical row.
         let engine = Engine::builder(catalog(rows as i64))
             .shared_scans(true)
             .scan_window(250, 1 << 17)
             .build();
         let origin = warm_hub(&engine, (rows as f64 * warm_frac) as u64);
         assert!(origin >= (rows as f64 * warm_frac) as u64 && origin < rows);
-
-        let plan = sum_plan(0.3);
         let r = engine
             .session()
             .query_plan(&plan)
@@ -74,49 +76,20 @@ fn mid_attach_exhaustion_equals_batch_estimator() {
             .run()
             .unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);
+        assert_eq!(engine.shared_scan("t").unwrap().stats().head, origin + rows);
         let snap = r.snapshot.as_scalar().unwrap();
         assert_eq!(snap.progress[0], (rows, rows), "full revolution consumed");
-
-        // The query advanced the head exactly one revolution, so a replay
-        // stream with the same seed attaches at the same physical origin
-        // and realizes the identical Bernoulli sample. Feed it to the
-        // batch machinery (Theorem 1 moments) and compare.
-        let hub = engine.shared_scan("t").unwrap();
-        assert_eq!(hub.stats().head, origin + rows);
-        let LogicalPlan::Aggregate { aggs, input } = &plan else {
-            unreachable!()
-        };
-        let mut stream = open_shared_stream(
-            input,
-            engine.catalog(),
-            &ExecOptions {
-                seed: 9,
-                ..Default::default()
-            },
-            &hub,
-        )
-        .unwrap();
-        let layout = layout_dims(aggs, stream.schema()).unwrap();
-        let mut batch = GroupedMoments::new(r.analysis.schema.n(), layout.dims());
-        loop {
-            let chunk = stream.next_chunk(4096).unwrap();
-            if chunk.is_empty() {
-                break;
-            }
-            for row in &chunk {
-                batch
-                    .push(&row.lineage, &f_vector(&layout, row).unwrap())
-                    .unwrap();
-            }
-        }
-        let report = estimate_from_sample_moments(&r.analysis.gus, &batch.finish()).unwrap();
-        let (eo, eb) = (snap.aggs[0].estimate, report.estimate[0]);
+        assert_eq!(snap.rows, batch.result_rows, "warm {warm_frac}: one sample");
+        let (eo, eb) = (snap.aggs[0].estimate, batch.aggs[0].estimate);
         assert!(eo > 0.0);
         assert!(
             (eo - eb).abs() < 1e-9 * (1.0 + eo.abs()),
             "warm {warm_frac}: online {eo} vs batch {eb}"
         );
-        let (vo, vb) = (snap.aggs[0].variance.unwrap(), report.variance(0).unwrap());
+        let (vo, vb) = (
+            snap.aggs[0].variance.unwrap(),
+            batch.aggs[0].variance.unwrap(),
+        );
         assert!(
             (vo - vb).abs() < 1e-9 * (1.0 + vb.abs()),
             "warm {warm_frac}: online {vo} vs batch {vb}"
