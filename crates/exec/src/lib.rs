@@ -73,8 +73,7 @@ pub use layout::{
 };
 pub use shared::{SharedScanCursor, SharedScanStats, SharedTableScan};
 pub use stream::{
-    open_shared_stream, open_stream, open_stream_partitioned, shared_scan_ids, shared_scan_needs,
-    shared_scan_table, ChunkStream,
+    open_shared_stream, open_stream, open_stream_partitioned, shared_scan_needs, ChunkStream,
 };
 
 /// Crate-wide result alias.

@@ -1,10 +1,10 @@
-//! Shared circular scan cursors — N concurrent queries, ~1 table scan.
+//! Shared circular scan hubs — N concurrent queries, ~1 table scan.
 //!
 //! A [`SharedTableScan`] is a *scan hub* for one base table: it gathers the
 //! table's rows into columnar chunks **once**, in a circular order, and any
-//! number of [`SharedScanCursor`]s ride the same chunk bus. A cursor that
-//! attaches while the scan is at physical position `o` simply sees the rows
-//! in the rotated order `o, o+1, …, N−1, 0, …, o−1` and detaches after one
+//! number of [`SharedScanCursor`]s read the same chunk bus. A cursor that
+//! attaches while the scan is at physical position `o` reads the rows in
+//! the rotated order `o, o+1, …, N−1, 0, …, o−1` and detaches after one
 //! full revolution — so late-arriving queries never restart the scan, and
 //! `k` concurrent queries cost roughly one scan instead of `k`.
 //!
@@ -24,24 +24,26 @@
 //!
 //! ## Mechanics
 //!
-//! The hub keeps a monotone **virtual head** (total rows produced since the
-//! hub was created; `head mod N` is the physical scan position) and a small
-//! window of produced chunks. A cursor whose position is behind the head
-//! serves itself from the window; a cursor *at* the head produces the next
-//! chunk (bounded by `bus_rows`, never wrapping past the table end inside
-//! one chunk) and publishes it. Chunks wholly behind the slowest attached
-//! cursor are evicted; a producer pauses (condvar) when the window would
-//! exceed `max_lag_rows`, so one slow consumer bounds memory, not
-//! correctness. Cursors detach on exhaustion and on drop — a cancelled
-//! query can never wedge the hub.
+//! A cursor is a reader slot, not a scan: the stream's one scan leaf owns
+//! the visit order (`[o, N)` then `[0, o)`), the pruned columns and any
+//! pushed-down predicate, and asks its cursor for the rows of each pull
+//! ([`SharedScanCursor::range`]). The hub keeps a monotone **virtual head**
+//! (rows produced since the hub was created; `head mod N` is the physical
+//! scan position) and a window of produced bus chunks of whole table
+//! blocks, so every attach origin is a block boundary. A cursor behind the
+//! head serves up to the end of the window chunk holding its position; a
+//! cursor *at* the head first produces the next chunk. Chunks every
+//! attached cursor has passed are evicted; a producer pauses (condvar)
+//! while the window would exceed `max_lag_rows`, so one slow reader bounds
+//! memory, not correctness. Cursors detach on exhaustion and on drop — a
+//! cancelled query can never wedge the hub.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
 use sa_obs::{Counter, EventKind, Registry};
-use sa_storage::Table;
+use sa_storage::{ColumnarBatch, Table};
 
-use crate::columnar::ColumnarChunk;
 use crate::error::ExecError;
 use crate::Result;
 
@@ -57,7 +59,7 @@ pub const DEFAULT_MAX_LAG_ROWS: u64 = 1 << 17;
 pub struct SharedTableScan {
     table: Arc<Table>,
     /// Columns the hub gathers into its bus chunks, as ascending table-
-    /// schema indices; `None` gathers every column. A cursor can select any
+    /// schema indices; `None` gathers every column. A cursor can read any
     /// subset of the hub's set ([`SharedTableScan::attach_columns`]), so an
     /// engine keys hub reuse by column-set coverage.
     cols: Option<Vec<usize>>,
@@ -109,7 +111,7 @@ struct HubState {
 struct BusChunk {
     /// Virtual position of the chunk's first row.
     start: u64,
-    chunk: ColumnarChunk,
+    batch: ColumnarBatch,
 }
 
 /// A point-in-time snapshot of a hub's counters (for tests, benches and the
@@ -131,13 +133,14 @@ pub struct SharedScanStats {
 }
 
 impl SharedTableScan {
-    /// A hub over `table` producing chunks of `bus_rows` rows (clamped to at
-    /// least 1), with the default lag window.
+    /// A hub over `table` producing chunks of `bus_rows` rows, rounded up
+    /// to whole table blocks, with the default lag window.
     pub fn new(table: Arc<Table>, bus_rows: usize) -> SharedTableScan {
+        let block = table.block_rows().max(1);
         SharedTableScan {
+            bus_rows: bus_rows.max(1).div_ceil(block).saturating_mul(block),
             table,
             cols: None,
-            bus_rows: bus_rows.max(1),
             max_lag_rows: DEFAULT_MAX_LAG_ROWS,
             state: Mutex::new(HubState {
                 head: 0,
@@ -225,68 +228,13 @@ impl SharedTableScan {
         self.stats().rows_gathered
     }
 
-    /// Attach a cursor at the current head: it will see every table row
+    /// Attach a cursor at the current head: it will serve every table row
     /// exactly once, starting from the scan's current physical position.
-    /// The cursor carries the hub's full column set; use
-    /// [`SharedTableScan::attach_columns`] for a pruned view.
     ///
-    /// An attached cursor holds a window slot: pull it to exhaustion or drop
+    /// An attached cursor holds a window slot: read it to exhaustion or drop
     /// it, or it backpressures the other cursors once they run
     /// `max_lag_rows` ahead.
     pub fn attach(self: &Arc<Self>) -> SharedScanCursor {
-        self.attach_select(None, self.cols.clone())
-    }
-
-    /// Attach a cursor that sees only `needed` columns (ascending table-
-    /// schema indices; `None` = every table column). Fails when the hub
-    /// does not gather all of them — the hub's bus chunks are shared state
-    /// one query cannot widen.
-    pub fn attach_columns(self: &Arc<Self>, needed: Option<&[usize]>) -> Result<SharedScanCursor> {
-        if !self.covers(needed) {
-            return Err(ExecError::Unsupported(format!(
-                "shared scan hub over '{}' gathers columns {:?} but the query needs {:?} — \
-                 open a wider hub or a private stream",
-                self.table.name(),
-                self.cols,
-                needed
-            )));
-        }
-        let (sel, out_cols) = match (needed, &self.cols) {
-            // Everything the hub carries (which is everything, per covers).
-            (None, _) => (None, self.cols.clone()),
-            (Some(need), None) => {
-                // The hub gathers every column, so bus positions ARE table
-                // indices; a full `need` collapses to the identity view.
-                if need.len() == self.table.column_count() {
-                    (None, None)
-                } else {
-                    (Some(need.to_vec()), Some(need.to_vec()))
-                }
-            }
-            (Some(need), Some(have)) => {
-                let sel: Vec<usize> = need
-                    .iter()
-                    .map(|c| {
-                        have.iter()
-                            .position(|h| h == c)
-                            .expect("covers() admitted every needed column")
-                    })
-                    .collect();
-                if sel.len() == have.len() && sel.iter().enumerate().all(|(i, &p)| i == p) {
-                    (None, Some(need.to_vec()))
-                } else {
-                    (Some(sel), Some(need.to_vec()))
-                }
-            }
-        };
-        Ok(self.attach_select(sel, out_cols))
-    }
-
-    fn attach_select(
-        self: &Arc<Self>,
-        sel: Option<Vec<usize>>,
-        out_cols: Option<Vec<usize>>,
-    ) -> SharedScanCursor {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let slot = match st.readers.iter().position(Option::is_none) {
             Some(free) => free,
@@ -307,10 +255,25 @@ impl SharedTableScan {
             total: self.table.row_count(),
             slot,
             detached: false,
-            sel,
-            out_cols,
             hub: self.clone(),
         }
+    }
+
+    /// [`SharedTableScan::attach`] for a reader of the `needed` columns
+    /// (ascending table-schema indices; `None` = every column). Fails when
+    /// the hub does not gather all of them — the hub's bus chunks are shared
+    /// state one query cannot widen.
+    pub fn attach_columns(self: &Arc<Self>, needed: Option<&[usize]>) -> Result<SharedScanCursor> {
+        if !self.covers(needed) {
+            return Err(ExecError::Unsupported(format!(
+                "shared scan hub over '{}' gathers columns {:?} but the query needs {:?} — \
+                 open a wider hub or a private stream",
+                self.table.name(),
+                self.cols,
+                needed
+            )));
+        }
+        Ok(self.attach())
     }
 
     /// Drop window chunks every attached cursor has passed.
@@ -320,7 +283,7 @@ impl SharedTableScan {
             return;
         };
         while let Some(front) = st.window.front() {
-            if front.start + front.chunk.rows() as u64 <= min {
+            if front.start + front.batch.rows() as u64 <= min {
                 st.window.pop_front();
             } else {
                 break;
@@ -338,27 +301,23 @@ impl SharedTableScan {
     }
 }
 
-/// One query's view of a [`SharedTableScan`]: a stream of the table's rows
-/// in circular order from the cursor's attach origin, exhausted after one
-/// full revolution. Chunks carry **physical** row-id lineage, exactly like
-/// a private scan, so everything downstream (samplers, the SBox, Prop-8
+/// One reader of a [`SharedTableScan`]: a window slot that serves the
+/// table's rows in circular order from its attach origin, each once, and
+/// detaches after one full revolution. It serves only what it is asked
+/// for: the scan leaf it feeds owns the visit order, the columns, any
+/// pushed-down predicate and the physical row-id lineage, exactly as over a
+/// private table, so everything downstream (samplers, the SBox, Prop-8
 /// scaling) is origin-oblivious.
 #[derive(Debug)]
 pub struct SharedScanCursor {
     /// Virtual head position at attach; `origin % total` is the physical
-    /// first row this cursor sees.
+    /// first row this cursor serves.
     origin: u64,
-    /// Rows consumed so far (0..=total).
+    /// Rows served so far (0..=total).
     consumed: u64,
     total: u64,
     slot: usize,
     detached: bool,
-    /// Positions within the hub's bus-chunk columns this cursor emits
-    /// (`None` = every hub column, the common case).
-    sel: Option<Vec<usize>>,
-    /// The cursor's output columns as table-schema indices (`None` = all);
-    /// used to shape the zero-row exhaustion chunk.
-    out_cols: Option<Vec<usize>>,
     hub: Arc<SharedTableScan>,
 }
 
@@ -368,7 +327,7 @@ impl SharedScanCursor {
         (self.consumed, self.total)
     }
 
-    /// Physical row id of the first row this cursor sees.
+    /// Physical row id of the first row this cursor serves.
     pub fn physical_origin(&self) -> u64 {
         if self.total == 0 {
             0
@@ -377,40 +336,56 @@ impl SharedScanCursor {
         }
     }
 
-    /// The hub this cursor rides.
-    pub fn hub(&self) -> &Arc<SharedTableScan> {
-        &self.hub
-    }
-
-    /// Pull up to `hint` rows (never more than one bus chunk). An empty
-    /// chunk means the revolution is complete; the cursor has then released
-    /// its hub slot.
-    pub fn next_batch(&mut self, hint: usize) -> Result<ColumnarChunk> {
-        if self.consumed >= self.total {
-            self.release();
-            return self.empty_chunk();
-        }
+    /// Serve the table rows `[from, upto)` of `cols` (ascending table-schema
+    /// indices the hub gathers; `None` = all of the hub's) — or, when the
+    /// bus chunk holding `from` ends first, the rows up to its end: at least
+    /// one row of a non-empty range. `from` must be this cursor's next row
+    /// and the range must stay inside its revolution, `[o, N)` then
+    /// `[0, o)`. Serving the revolution's last row releases the hub slot;
+    /// an exhausted cursor serves zero rows.
+    pub fn range(&mut self, from: u64, upto: u64, cols: Option<&[usize]>) -> Result<ColumnarBatch> {
         let hub = self.hub.clone();
+        let cols = cols.or(hub.cols.as_deref());
+        if from >= upto || self.consumed >= self.total {
+            return match cols {
+                None => hub.table.batch_range(from, from),
+                Some(cols) => hub.table.batch_range_cols(from, from, cols),
+            }
+            .map_err(ExecError::Storage);
+        }
+        debug_assert_eq!(
+            from,
+            (self.origin + self.consumed) % self.total,
+            "a cursor serves its revolution in order"
+        );
         let mut st = hub.state.lock().unwrap_or_else(|e| e.into_inner());
         let mut stall_counted = false;
         loop {
             let pos = self.origin + self.consumed;
             if pos < st.head {
-                // Behind the head: serve a slice of the published window.
+                // Behind the head: serve from the published window.
                 let bus = st
                     .window
                     .iter()
-                    .find(|c| pos < c.start + c.chunk.rows() as u64)
+                    .find(|c| pos < c.start + c.batch.rows() as u64)
                     .expect("window covers every attached cursor's position");
                 debug_assert!(pos >= bus.start, "cursor fell out of the window");
                 let offset = (pos - bus.start) as usize;
-                let take = (bus.chunk.rows() - offset)
-                    .min(hint.max(1))
-                    .min((self.total - self.consumed) as usize);
-                let mut out = bus.chunk.slice(offset, take);
-                if let Some(sel) = &self.sel {
-                    out.batch = out.batch.select_columns(sel);
-                }
+                let take = (bus.batch.rows() - offset).min((upto - from) as usize);
+                let out = match cols {
+                    None => bus.batch.slice(offset, take),
+                    Some(cols) => ColumnarBatch::new(
+                        cols.iter()
+                            .map(|&c| {
+                                let at = hub.cols.as_ref().map_or(c, |have| {
+                                    have.binary_search(&c).expect("the hub gathers it")
+                                });
+                                bus.batch.column(at).slice(offset, take)
+                            })
+                            .collect(),
+                        take,
+                    ),
+                };
                 self.consumed += take as u64;
                 st.rows_served += take as u64;
                 hub.obs.rows_served.add(take as u64);
@@ -448,35 +423,14 @@ impl SharedScanCursor {
                 Some(cols) => hub.table.batch_range_cols(phys, upto, cols),
             }
             .map_err(ExecError::Storage)?;
-            let produced = upto - phys;
             let start = st.head;
-            st.window.push_back(BusChunk {
-                start,
-                chunk: ColumnarChunk {
-                    batch,
-                    lineage: vec![(phys..upto).collect()],
-                },
-            });
-            st.head += produced;
-            st.rows_gathered += produced;
-            hub.obs.rows_gathered.add(produced);
+            st.window.push_back(BusChunk { start, batch });
+            st.head += upto - phys;
+            st.rows_gathered += upto - phys;
+            hub.obs.rows_gathered.add(upto - phys);
             hub.turned.notify_all();
             // Loop: pos is now behind the head and gets served above.
         }
-    }
-
-    /// A zero-row chunk with this cursor's column layout (the exhaustion
-    /// signal expected by the streaming operators above).
-    fn empty_chunk(&self) -> Result<ColumnarChunk> {
-        let batch = match &self.out_cols {
-            None => self.hub.table.batch_range(0, 0),
-            Some(cols) => self.hub.table.batch_range_cols(0, 0, cols),
-        }
-        .map_err(ExecError::Storage)?;
-        Ok(ColumnarChunk {
-            batch,
-            lineage: vec![Vec::new()],
-        })
     }
 
     fn release(&mut self) {
@@ -498,13 +452,14 @@ mod tests {
     use super::*;
     use sa_storage::{DataType, Field, Schema, TableBuilder, Value};
 
-    fn table(rows: i64) -> Arc<Table> {
+    /// `t(k, v)` with `k = v = row id`, in `block_rows`-row blocks.
+    fn table_in_blocks(rows: i64, block_rows: usize) -> Arc<Table> {
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int),
             Field::new("v", DataType::Float),
         ])
         .unwrap();
-        let mut b = TableBuilder::new("t", schema).with_block_rows(64);
+        let mut b = TableBuilder::new("t", schema).with_block_rows(block_rows);
         for i in 0..rows {
             b.push_row(&[Value::Int(i), Value::Float(i as f64)])
                 .unwrap();
@@ -512,14 +467,42 @@ mod tests {
         Arc::new(b.finish().unwrap())
     }
 
-    fn drain_ids(cursor: &mut SharedScanCursor, hint: usize) -> Vec<u64> {
+    fn table(rows: i64) -> Arc<Table> {
+        table_in_blocks(rows, 64)
+    }
+
+    /// One read of at most `hint` rows, asked the way the scan leaf asks:
+    /// from the cursor's next row to the end of the range, `[o, N)` or
+    /// `[0, o)`, it lies in. Returns the ids of the rows served, read off
+    /// their `k` column (empty once the revolution is done).
+    fn pull(cursor: &mut SharedScanCursor, hint: u64) -> Vec<u64> {
+        let (consumed, n) = cursor.progress();
+        if consumed == n {
+            assert!(cursor.range(0, 0, None).unwrap().is_empty());
+            return Vec::new();
+        }
+        let o = cursor.physical_origin();
+        let from = (o + consumed) % n;
+        let end = if from >= o { n } else { o };
+        let batch = cursor.range(from, (from + hint).min(end), None).unwrap();
+        let ids: Vec<u64> = (0..batch.rows())
+            .map(|r| match batch.column(0).value(r) {
+                Value::Int(k) => k as u64,
+                other => panic!("k is an Int column, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(ids, (from..from + ids.len() as u64).collect::<Vec<_>>());
+        ids
+    }
+
+    fn drain_ids(cursor: &mut SharedScanCursor, hint: u64) -> Vec<u64> {
         let mut ids = Vec::new();
         loop {
-            let chunk = cursor.next_batch(hint).unwrap();
+            let chunk = pull(cursor, hint);
             if chunk.is_empty() {
                 return ids;
             }
-            ids.extend(chunk.lineage[0].iter().copied());
+            ids.extend(chunk);
         }
     }
 
@@ -540,8 +523,7 @@ mod tests {
         let mut warm = hub.attach();
         let mut seen = 0u64;
         while seen < 110 {
-            let chunk = warm.next_batch(40).unwrap();
-            seen += chunk.rows() as u64;
+            seen += pull(&mut warm, 40).len() as u64;
         }
         drop(warm);
         let mut late = hub.attach();
@@ -621,11 +603,11 @@ mod tests {
             // bound rather than outrun it.
             let mut ids = Vec::new();
             loop {
-                let chunk = slow.next_batch(16).unwrap();
+                let chunk = pull(&mut slow, 16);
                 if chunk.is_empty() {
                     break;
                 }
-                ids.extend(chunk.lineage[0].iter().copied());
+                ids.extend(chunk);
                 std::thread::yield_now();
             }
             (fast.join().unwrap(), ids)
@@ -644,7 +626,7 @@ mod tests {
         let mut got = 0u64;
         // The active cursor can advance up to the lag bound...
         for _ in 0..2 {
-            got += active.next_batch(32).unwrap().rows() as u64;
+            got += pull(&mut active, 32).len() as u64;
         }
         assert!(got > 0);
         drop(stalled); // ...and dropping the stalled cursor unblocks the rest.
@@ -658,13 +640,9 @@ mod tests {
         let hub = Arc::new(SharedTableScan::new(table(0), 16));
         let mut c = hub.attach();
         assert_eq!(c.progress(), (0, 0));
-        let chunk = c.next_batch(8).unwrap();
+        let chunk = c.range(0, 8, None).unwrap();
         assert!(chunk.is_empty());
-        assert_eq!(
-            chunk.batch.columns().len(),
-            2,
-            "empty chunk keeps the layout"
-        );
+        assert_eq!(chunk.columns().len(), 2, "empty chunk keeps the layout");
         assert_eq!(hub.rows_gathered(), 0);
     }
 
@@ -712,7 +690,7 @@ mod tests {
         let mut warm = hub.attach();
         let mut seen = 0;
         while seen < 37 {
-            seen += warm.next_batch(10).unwrap().rows();
+            seen += pull(&mut warm, 10).len();
         }
         drop(warm);
         let mut a = hub.attach();
@@ -721,5 +699,25 @@ mod tests {
         let ids_b = drain_ids(&mut b, 23);
         assert_eq!(a.physical_origin(), b.physical_origin());
         assert_eq!(ids_a, ids_b);
+    }
+
+    #[test]
+    fn bus_chunks_hold_whole_blocks() {
+        // 50 rows over 16-row blocks round up to 64: a read as wide as the
+        // table ends where its bus chunk ends, so the reads start where the
+        // chunks do — and so does a cursor attached after them.
+        let hub = Arc::new(SharedTableScan::new(table_in_blocks(200, 16), 50));
+        let mut c = hub.attach();
+        let mut starts = Vec::new();
+        loop {
+            let ids = pull(&mut c, 200);
+            let Some(&first) = ids.first() else { break };
+            starts.push(first);
+        }
+        assert_eq!(starts, [0, 64, 128, 192]);
+        let mut warm = hub.attach();
+        pull(&mut warm, 1);
+        drop(warm);
+        assert_eq!(hub.attach().physical_origin(), 64);
     }
 }

@@ -26,11 +26,15 @@
 //!
 //! ## One scan node, one coverage walk
 //!
-//! Every private scan is the same leaf: an ordered list of block-aligned
-//! row ranges and a cursor. The physical scan is the one range of its
-//! slice; [`crate::ExecOptions::shuffle_scan`] visits the slice's blocks in
-//! a seeded random order — the same node with a longer list, so pushdown,
-//! partitioning and coverage cannot differ between the two. Coverage — how
+//! Every scan is the same leaf: an ordered list of block-aligned row ranges
+//! and a cursor. The physical scan is the one range of its slice;
+//! [`crate::ExecOptions::shuffle_scan`] visits the slice's blocks in a
+//! seeded random order; a stream opened on a shared hub
+//! ([`open_shared_stream`]) visits the rotation `[o, N)`, `[0, o)` from the
+//! hub's head `o` and has its rows served off the hub's bus instead of
+//! gathered from the table. It is the same node each time, with another
+//! list or another row source, so pushdown, partitioning and coverage
+//! cannot differ between them. Coverage — how
 //! much of each relation has had its chance to reach the output, the
 //! WOR(k, N) prefix that Proposition 8 compacts onto the plan's GUS — is
 //! one recursion over the operators ([`ChunkStream::progress`]). `SYSTEM`
@@ -222,140 +226,54 @@ pub fn open_stream_partitioned(
             "open_stream_partitioned needs at least one partition".into(),
         ));
     }
-    let (roots, schema, relations) = open(plan, catalog, opts, parts, true)?;
-    Ok(roots
-        .into_iter()
-        .map(|root| ChunkStream {
-            schema: schema.clone(),
-            relations: relations.clone(),
-            root,
-            rows_out: 0,
-        })
-        .collect())
+    open(plan, catalog, opts, parts, None)
 }
 
-/// The catalog table name of a plan that can ride a shared scan cursor, or
-/// `None` when it cannot. Eligible shapes are a single-table streaming
-/// chain — `Scan`, optionally through tuple-level `Bernoulli` sampling,
-/// `Filter`s and `Project`s. Everything else (joins, unions, `SYSTEM` —
-/// whose block coverage is read off a private scan's ranges — and WOR)
-/// falls back to a private stream.
-pub fn shared_scan_table(plan: &LogicalPlan) -> Option<&str> {
-    shared_scan_ids(plan).map(|(table, _)| table)
-}
-
-/// Like [`shared_scan_table`] but also returns the scan's lineage alias
-/// (the key needed-column analysis is indexed by).
-pub fn shared_scan_ids(plan: &LogicalPlan) -> Option<(&str, &str)> {
+/// The `(table, alias)` of `plan`'s spine scan: the scan its stream reads
+/// outside every join's build side — the left input all the way down.
+fn spine_scan(plan: &LogicalPlan) -> (&str, &str) {
     match plan {
-        LogicalPlan::Scan { table, alias } => Some((table, alias)),
-        LogicalPlan::Sample {
-            method: SamplingMethod::Bernoulli { .. },
-            input,
-        } => shared_scan_ids(input),
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-            shared_scan_ids(input)
-        }
-        _ => None,
+        LogicalPlan::Scan { table, alias } => (table, alias),
+        LogicalPlan::Sample { input, .. }
+        | LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Join { left: input, .. }
+        | LogicalPlan::UnionSamples { left: input, .. } => spine_scan(input),
     }
 }
 
-/// The table-schema column indices the shared-eligible scan in `plan` must
-/// gather under `map`'s analysis (`None` = every column) — what a hub
-/// manager needs to pick or create a covering [`SharedTableScan`] before
-/// [`open_shared_stream`] attaches a cursor to it. Mirrors the pruning the
-/// stream build performs, so the attach can never be rejected for missing
-/// columns.
-pub fn shared_scan_needs(
-    plan: &LogicalPlan,
+/// The table of `plan`'s spine scan — the scan [`open_shared_stream`] has a
+/// hub serve — and the table-schema column indices it gathers under `map`'s
+/// analysis (`None` = every column): what a hub manager needs to pick or
+/// create a covering [`SharedTableScan`]. Mirrors the pruning the stream
+/// build performs, so the attach can never be rejected for missing columns.
+pub fn shared_scan_needs<'p>(
+    plan: &'p LogicalPlan,
     catalog: &Catalog,
     map: &ScanColumnMap,
-) -> Result<Option<Vec<usize>>> {
-    let Some((table, alias)) = shared_scan_ids(plan) else {
-        return Err(ExecError::Unsupported(
-            "plan is not shared-scan eligible".into(),
-        ));
-    };
+) -> Result<(&'p str, Option<Vec<usize>>)> {
+    let (table, alias) = spine_scan(plan);
     let (_, schema) = scan_schema(catalog, table, alias)?;
-    Ok(map.project_indices(alias, &schema))
+    Ok((table, map.project_indices(alias, &schema)))
 }
 
-/// Compile `plan` into a [`ChunkStream`] whose leaf is a cursor on `scan`
-/// instead of a private table scan: the stream attaches at the hub's
-/// current position and drains after one full revolution, sharing the
-/// gather work with every other cursor (see [`SharedTableScan`]).
-///
-/// The plan must be shared-scan eligible ([`shared_scan_table`]) over the
-/// hub's table. Everything else is identical to [`open_stream`] — the same
-/// samplers, so the same realized sample whatever the attach origin, the
-/// same compiled expressions, the same fused operators.
+/// [`open_stream`] with `scan` serving the rows of the plan's spine scan —
+/// one revolution from the hub's head, sharing the gather work with every
+/// other cursor on the hub (see [`SharedTableScan`]). Every other scan, a
+/// join's build side included, stays private. The realized sample, the
+/// compiled expressions and the fused operators are [`open_stream`]'s; only
+/// the order rows arrive in differs. The hub must be over the spine's table,
+/// and a shuffled scan cannot ride it (its gather order is shared state).
 pub fn open_shared_stream(
     plan: &LogicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
     scan: &Arc<SharedTableScan>,
 ) -> Result<ChunkStream> {
-    let Some(table) = shared_scan_table(plan) else {
-        return Err(ExecError::Unsupported(
-            "plan is not shared-scan eligible: only a single-table chain of \
-             Scan/Bernoulli/Filter/Project can ride a shared cursor"
-                .into(),
-        ));
-    };
-    if table != scan.table().name() {
-        return Err(ExecError::Unsupported(format!(
-            "shared scan hub is over table '{}' but the plan scans '{table}'",
-            scan.table().name()
-        )));
-    }
-    if opts.shuffle_scan {
-        // A hub's circular gather order is shared by every cursor; one
-        // query cannot permute it. Callers (sa-online) bypass the hub for
-        // shuffled queries instead of hitting this.
-        return Err(ExecError::Unsupported(
-            "shuffle_scan cannot ride a shared scan cursor: the hub's gather order is \
-             shared state — open a private stream for shuffled queries"
-                .into(),
-        ));
-    }
-    // Predicate fusion stays off on the shared path: the scan leaf is about
-    // to be swapped for a hub cursor, which serves pre-gathered bus chunks —
-    // a fused predicate would be lost in the swap. Projection pruning still
-    // applies (the cursor selects its columns from the hub's set).
-    let (mut roots, schema, relations) = open(plan, catalog, opts, 1, false)?;
-    let mut root = roots.pop().expect("one partition yields one stream");
-    let swapped = swap_in_shared_cursor(&mut root, scan)?;
-    debug_assert!(swapped, "eligible plan must bottom out in a scan");
-    Ok(ChunkStream {
-        schema,
-        relations,
-        root,
-        rows_out: 0,
-    })
-}
-
-/// Replace the scan leaf of an eligible operator tree with a cursor
-/// attached to `scan`; returns whether a leaf was swapped. The cursor
-/// selects the leaf's (possibly pruned) column set out of the hub's bus
-/// chunks, so the stream's schema is unchanged by the swap; a hub that
-/// does not gather every needed column is rejected.
-fn swap_in_shared_cursor(node: &mut Node, scan: &Arc<SharedTableScan>) -> Result<bool> {
-    match node {
-        Node::Scan { gather, .. } => {
-            debug_assert!(
-                gather.predicate.is_none(),
-                "shared builds never fuse predicates into the scan leaf"
-            );
-            let cursor = scan.attach_columns(gather.cols.as_ref().map(|c| c.as_slice()))?;
-            *node = Node::Shared { cursor };
-            Ok(true)
-        }
-        Node::Sample { input, .. }
-        | Node::Filter { input, .. }
-        | Node::Project { input, .. }
-        | Node::FilterProject { input, .. } => swap_in_shared_cursor(input, scan),
-        _ => Ok(false),
-    }
+    Ok(open(plan, catalog, opts, 1, Some(scan))?
+        .pop()
+        .expect("one partition yields one stream"))
 }
 
 /// One sampler's keep predicate on its relation's sampling unit — the row
@@ -525,36 +443,45 @@ fn design(plan: &LogicalPlan, catalog: &Catalog, master: &mut StdRng) -> Result<
     }
 }
 
-/// Validate `plan`, draw its samplers ([`design`]) and build one operator
-/// tree per worker — how every stream opens.
+/// Validate `plan`, draw its samplers ([`design`]) and build one stream per
+/// worker, the spine scan served by `hub` if one is given — how every
+/// stream opens.
 fn open(
     plan: &LogicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
     parts: usize,
-    fuse_predicates: bool,
-) -> Result<(Vec<Node>, SchemaRef, Vec<String>)> {
+    hub: Option<&Arc<SharedTableScan>>,
+) -> Result<Vec<ChunkStream>> {
     plan.validate(catalog)?;
     let design = design(plan, catalog, &mut StdRng::seed_from_u64(opts.seed))?;
-    let ctx = BuildCtx::new(plan, catalog, opts, parts, fuse_predicates, &design);
-    let (nodes, schema, relations) = build_partitioned(plan, &ctx)?;
-    if !design.spans {
-        return Ok((nodes, schema, relations));
+    let ctx = BuildCtx::new(plan, catalog, opts, parts, hub, &design);
+    let (mut nodes, schema, relations) = build_partitioned(plan, &ctx)?;
+    if design.spans {
+        // A tuple of a union spanning several relations is in it iff one
+        // branch keeps all its components, not each by some branch of its
+        // own.
+        let keeps = Arc::new(Keeps {
+            branches: design.branches,
+            blocks: None,
+        });
+        nodes = nodes
+            .into_iter()
+            .map(|input| Node::Sample {
+                keeps: keeps.clone(),
+                input: Box::new(input),
+            })
+            .collect();
     }
-    // A tuple of a union spanning several relations is in it iff one
-    // branch keeps all its components, not each by some branch of its own.
-    let keeps = Arc::new(Keeps {
-        branches: design.branches,
-        blocks: None,
-    });
-    let nodes = nodes
+    Ok(nodes
         .into_iter()
-        .map(|input| Node::Sample {
-            keeps: keeps.clone(),
-            input: Box::new(input),
+        .map(|root| ChunkStream {
+            schema: schema.clone(),
+            relations: relations.clone(),
+            root,
+            rows_out: 0,
         })
-        .collect();
-    Ok((nodes, schema, relations))
+        .collect())
 }
 
 /// Build-time context threaded through [`build_partitioned`]: the catalog,
@@ -570,10 +497,13 @@ struct BuildCtx<'a> {
     /// from.
     seed: u64,
     /// Fuse a `Filter`'s compiled predicate into a directly-underlying scan
-    /// node. Off under [`ExecOptions::disable_pushdown`] and on the shared
-    /// path (see [`open_shared_stream`]). A sampler node sits between a
-    /// sampled scan and any `Filter`, so only unsampled scans fuse.
-    fuse_predicates: bool,
+    /// node; off under [`ExecOptions::disable_pushdown`]. A sampler node
+    /// sits between a sampled scan and any `Filter`, so only unsampled
+    /// scans fuse.
+    fuse: bool,
+    /// The hub serving the spine scan's rows ([`open_shared_stream`]);
+    /// [`materialize`] clears it, so a join's build side stays private.
+    hub: Option<Arc<SharedTableScan>>,
     /// Per-alias needed-column sets (empty — prune nothing — when pushdown
     /// is disabled).
     cols: ScanColumnMap,
@@ -590,7 +520,7 @@ impl<'a> BuildCtx<'a> {
         catalog: &'a Catalog,
         opts: &ExecOptions,
         parts: usize,
-        fuse_predicates: bool,
+        hub: Option<&Arc<SharedTableScan>>,
         design: &Design,
     ) -> BuildCtx<'a> {
         let pushdown = !opts.disable_pushdown;
@@ -612,7 +542,8 @@ impl<'a> BuildCtx<'a> {
             parts,
             shuffle: opts.shuffle_scan,
             seed: opts.seed,
-            fuse_predicates: pushdown && fuse_predicates,
+            fuse: pushdown,
+            hub: hub.cloned(),
             cols: if pushdown {
                 match &opts.scan_cols {
                     Some(map) => map.clone(),
@@ -728,30 +659,44 @@ impl ScanGather {
         }
     }
 
-    /// Gather rows `[from, upto)` of `table` into a chunk with physical
-    /// row-id lineage. Without a predicate this is a straight (possibly
-    /// column-pruned) range gather. With one, the predicate's columns are
-    /// gathered alone, the mask is evaluated, and only surviving rows of
-    /// the remaining columns are materialized — a chunk may come back
-    /// empty without meaning exhaustion (callers loop).
-    fn gather(&self, table: &Table, from: u64, upto: u64) -> Result<ColumnarChunk> {
-        let n = upto.saturating_sub(from);
-        self.obs.rows_scanned.add(n);
-        let Some(pred) = &self.predicate else {
-            let batch = match &self.cols {
+    /// Gather rows `[from, upto)` of `table` — or the prefix of them `hub`
+    /// serves, when a hub cursor is the row source — into a chunk with
+    /// physical row-id lineage; also returns how many rows that consumed.
+    /// Without a predicate this is a straight (possibly column-pruned)
+    /// range gather. With one, the predicate's columns are gathered alone,
+    /// the mask is evaluated, and only surviving rows of the remaining
+    /// columns are taken from the table — a chunk may come back empty
+    /// without meaning exhaustion (callers loop).
+    fn gather(
+        &self,
+        table: &Table,
+        hub: &mut Option<SharedScanCursor>,
+        from: u64,
+        upto: u64,
+    ) -> Result<(ColumnarChunk, u64)> {
+        let mut range = |cols: Option<&[usize]>| match hub {
+            Some(cursor) => cursor.range(from, upto, cols),
+            None => match cols {
                 None => table.batch_range(from, upto),
                 Some(cols) => table.batch_range_cols(from, upto, cols),
             }
-            .map_err(ExecError::Storage)?;
-            self.obs.rows_gathered.add(n);
-            return Ok(ColumnarChunk {
-                batch,
-                lineage: vec![(from..upto).collect()],
-            });
+            .map_err(ExecError::Storage),
         };
-        let pred_batch = table
-            .batch_range_cols(from, upto, &pred.table_cols)
-            .map_err(ExecError::Storage)?;
+        let Some(pred) = &self.predicate else {
+            let batch = range(self.cols.as_deref().map(Vec::as_slice))?;
+            let n = batch.rows() as u64;
+            self.obs.rows_scanned.add(n);
+            self.obs.rows_gathered.add(n);
+            let chunk = ColumnarChunk {
+                batch,
+                lineage: vec![(from..from + n).collect()],
+            };
+            return Ok((chunk, n));
+        };
+        let pred_batch = range(Some(&pred.table_cols))?;
+        let n = pred_batch.rows() as u64;
+        let upto = from + n;
+        self.obs.rows_scanned.add(n);
         let selected = selection(&pred.expr.eval_mask(&pred_batch)?);
         let ids: Vec<u64> = selected.iter().map(|&i| from + i as u64).collect();
         // Page accounting: blocks of the range whose every row the mask
@@ -783,10 +728,11 @@ impl ScanGather {
                 OutCol::LateCol(j) => late_batch.column(j).clone(),
             })
             .collect();
-        Ok(ColumnarChunk {
+        let chunk = ColumnarChunk {
             batch: ColumnarBatch::new(columns, ids.len()),
             lineage: vec![ids],
-        })
+        };
+        Ok((chunk, n))
     }
 }
 
@@ -808,6 +754,10 @@ enum Node {
     /// predicate — lives in [`ScanGather`].
     Scan {
         table: Arc<Table>,
+        /// The row source when it is not `table`: a cursor on a shared hub
+        /// over it, serving the rotation `[o, N)`, `[0, o)` from its attach
+        /// origin `o` at most one bus chunk per gather.
+        hub: Option<SharedScanCursor>,
         /// Row ranges `[start, end)` in visit order. Every start is a block
         /// boundary and the ranges are disjoint, so only the range holding
         /// the table's last row can end in a ragged block.
@@ -822,11 +772,6 @@ enum Node {
         total: u64,
         gather: ScanGather,
     },
-    /// A cursor on a [`SharedTableScan`] hub in place of a private scan:
-    /// the same chunks-with-row-id-lineage contract, but the rows arrive in
-    /// circular order from the cursor's attach origin and the gathering
-    /// work is shared with every other cursor on the hub.
-    Shared { cursor: SharedScanCursor },
     /// Sampling: keeps the tuples [`Keeps`] keeps. Right above a scan it is
     /// that relation's samplers; at the root of a plan whose union spans
     /// several relations, the whole plan's over each tuple's full lineage.
@@ -902,6 +847,23 @@ fn build_partitioned(
             ctx.obs
                 .cols_gathered
                 .add(cols.as_ref().map_or(t.column_count(), |c| c.len()) as u64);
+            if let Some(hub) = &ctx.hub {
+                if hub.table().name() != table.as_str() {
+                    return Err(ExecError::Unsupported(format!(
+                        "shared scan hub is over table '{}' but the plan scans '{table}'",
+                        hub.table().name()
+                    )));
+                }
+                if ctx.shuffle {
+                    // Callers (sa-online) bypass the hub for shuffled
+                    // queries instead of hitting this.
+                    return Err(ExecError::Unsupported(
+                        "shuffle_scan cannot ride a shared scan cursor: the hub's gather order \
+                         is shared state — open a private stream for shuffled queries"
+                            .into(),
+                    ));
+                }
+            }
             let block_rows = t.block_rows() as u64;
             let rows = t.row_count();
             let blocks = t.block_count();
@@ -914,25 +876,35 @@ fn build_partitioned(
                     let lo = blocks * w / parts as u64;
                     let hi = blocks * (w + 1) / parts as u64;
                     let row = |block: u64| (block * block_rows).min(rows);
-                    // The visit order: the slice as one range, or — shuffled
-                    // — one range per block under a seeded Fisher–Yates over
-                    // the worker's own blocks: slices stay disjoint, progress
+                    // The visit order: the slice as one range; on a hub
+                    // (one worker) the table's rotation from the cursor's
+                    // origin, a block boundary; or — shuffled — one range
+                    // per block under a seeded Fisher–Yates over the
+                    // worker's own blocks: slices stay disjoint, progress
                     // still sums, and the permutation is fixed by
                     // (seed, parts, w).
-                    let order = if ctx.shuffle {
-                        let mut order: Vec<(u64, u64)> =
-                            (lo..hi).map(|b| (row(b), row(b + 1))).collect();
-                        let mut rng = StdRng::seed_from_u64(splitmix64(ctx.seed ^ splitmix64(w)));
-                        for i in (1..order.len()).rev() {
-                            let j = (rng.random::<u64>() % (i as u64 + 1)) as usize;
-                            order.swap(i, j);
+                    let (hub, order) = match &ctx.hub {
+                        Some(hub) => {
+                            let cursor = hub.attach_columns(cols.as_deref().map(Vec::as_slice))?;
+                            let o = cursor.physical_origin();
+                            (Some(cursor), vec![(o, rows), (0, o)])
                         }
-                        order
-                    } else {
-                        vec![(row(lo), row(hi))]
+                        None if ctx.shuffle => {
+                            let mut order: Vec<(u64, u64)> =
+                                (lo..hi).map(|b| (row(b), row(b + 1))).collect();
+                            let mut rng =
+                                StdRng::seed_from_u64(splitmix64(ctx.seed ^ splitmix64(w)));
+                            for i in (1..order.len()).rev() {
+                                let j = (rng.random::<u64>() % (i as u64 + 1)) as usize;
+                                order.swap(i, j);
+                            }
+                            (None, order)
+                        }
+                        None => (None, vec![(row(lo), row(hi))]),
                     };
                     let scan = Node::Scan {
                         table: t.clone(),
+                        hub,
                         order,
                         at: 0,
                         offset: 0,
@@ -944,15 +916,15 @@ fn build_partitioned(
                             obs: ctx.obs.clone(),
                         },
                     };
-                    match ctx.samplers.get(alias.as_str()) {
+                    Ok(match ctx.samplers.get(alias.as_str()) {
                         Some(keeps) => Node::Sample {
                             keeps: keeps.clone(),
                             input: Box::new(scan),
                         },
                         None => scan,
-                    }
+                    })
                 })
-                .collect();
+                .collect::<Result<_>>()?;
             Ok((nodes, schema, vec![alias.clone()]))
         }
         // The scan below carries the sampler; the right branch of a union
@@ -972,9 +944,7 @@ fn build_partitioned(
             let nodes = inputs
                 .into_iter()
                 .map(|mut node| match &mut node {
-                    Node::Scan { table, gather, .. }
-                        if ctx.fuse_predicates && gather.predicate.is_none() =>
-                    {
+                    Node::Scan { table, gather, .. } if ctx.fuse && gather.predicate.is_none() => {
                         *gather = gather.with_predicate(&compiled, table);
                         node
                     }
@@ -1073,9 +1043,9 @@ fn build_partitioned(
 const MATERIALIZE_CHUNK_ROWS: usize = 1 << 16;
 
 /// Drain `plan` — a join's build side — into one chunk through the same
-/// operator tree a stream would run: a single partition in physical scan
-/// order (the result is consumed whole, so neither slicing nor shuffling
-/// applies).
+/// operator tree a stream would run: a single private partition in physical
+/// scan order (the result is consumed whole, so neither slicing, shuffling
+/// nor a hub's rotation applies).
 fn materialize(
     plan: &LogicalPlan,
     ctx: &BuildCtx<'_>,
@@ -1083,6 +1053,7 @@ fn materialize(
     let whole = BuildCtx {
         parts: 1,
         shuffle: false,
+        hub: None,
         ..ctx.clone()
     };
     let (mut nodes, schema, relations) = build_partitioned(plan, &whole)?;
@@ -1111,6 +1082,7 @@ impl Node {
         match self {
             Node::Scan {
                 table,
+                hub,
                 order,
                 at,
                 offset,
@@ -1127,11 +1099,11 @@ impl Node {
                         continue;
                     }
                     let upto = from.saturating_add(hint as u64).min(end);
-                    let chunk = gather.gather(table, from, upto)?;
-                    // `offset` counts *consumed* rows — every row of the
-                    // visited range had its chance, whatever a pushed
-                    // predicate dropped — so Prop-8 coverage is unchanged.
-                    *offset += upto - from;
+                    let (chunk, served) = gather.gather(table, hub, from, upto)?;
+                    // `offset` counts *consumed* rows — every row served
+                    // had its chance, whatever a pushed predicate dropped —
+                    // so Prop-8 coverage is unchanged.
+                    *offset += served;
                     // A pushed-down predicate can empty a whole range; an
                     // empty chunk is the exhaustion signal upstream, so keep
                     // scanning until a row survives or the slice drains.
@@ -1140,9 +1112,8 @@ impl Node {
                     }
                 }
                 // Exhausted: an empty chunk with the scan's column shape.
-                gather.gather(table, 0, 0)
+                Ok(gather.gather(table, hub, 0, 0)?.0)
             }
-            Node::Shared { cursor } => cursor.next_batch(hint),
             Node::Sample { keeps, input } => loop {
                 let mut chunk = input.next_batch(hint)?;
                 if chunk.is_empty() {
@@ -1305,11 +1276,6 @@ impl Node {
                 total,
                 ..
             } => out.push((done + offset, *total)),
-            // A shared cursor's consumed prefix is a circularly-shifted row
-            // range — still WOR(consumed, N) coverage (the design is
-            // invariant under a fixed rotation of the relation), so it
-            // reports exactly like a private scan.
-            Node::Shared { cursor } => out.push(cursor.progress()),
             // A `SYSTEM`-sampled relation's unit is the block, so its
             // coverage is the blocks of the ranges its scan has visited:
             // fully visited ranges count their blocks, the current one up to
@@ -2143,15 +2109,31 @@ mod tests {
         assert_eq!(hub.rows_gathered(), 200);
     }
 
+    /// A hub over `table` whose head has passed `origin` rows, so the next
+    /// stream attaches mid-table, at the first bus chunk boundary from there.
+    fn warmed_hub(c: &Catalog, table: &str, bus_rows: usize, origin: u64) -> Arc<SharedTableScan> {
+        let hub = Arc::new(SharedTableScan::new(c.get(table).unwrap(), bus_rows));
+        let scan = LogicalPlan::scan(table);
+        let mut warm = open_shared_stream(&scan, c, &ExecOptions::default(), &hub).unwrap();
+        while warm.progress()[0].0 < origin {
+            warm.next_batch(bus_rows).unwrap();
+        }
+        hub
+    }
+
+    /// `rows` ordered by lineage: what a stream realizes, whatever the order
+    /// it arrived in.
+    fn by_lineage(mut rows: Vec<Row>) -> Vec<Row> {
+        rows.sort_by(|a, b| a.lineage.cmp(&b.lineage));
+        rows
+    }
+
     #[test]
     fn shared_stream_progress_covers_the_whole_relation() {
         let plan = LogicalPlan::scan("t").sample(SamplingMethod::Bernoulli { p: 0.5 });
         let c = catalog();
-        let hub = Arc::new(SharedTableScan::new(c.get("t").unwrap(), 64));
         // Advance the hub so the stream attaches mid-scan.
-        let mut warm = hub.attach();
-        warm.next_batch(64).unwrap();
-        drop(warm);
+        let hub = warmed_hub(&c, "t", 64, 1);
         let mut s = open_shared_stream(
             &plan,
             &c,
@@ -2173,21 +2155,99 @@ mod tests {
     }
 
     #[test]
-    fn ineligible_plans_are_rejected_for_shared_scans() {
+    fn join_system_and_wor_plans_ride_a_shared_scan() {
+        // Any plan rides a hub over its spine table — here from mid-table —
+        // and realizes the tuples of its private stream, in rotated order;
+        // the join's build side `d` stays private.
         let c = catalog();
-        let hub = Arc::new(SharedTableScan::new(c.get("t").unwrap(), 64));
-        let join = LogicalPlan::scan("t").join_on(LogicalPlan::scan("d"), col("k").eq(col("dk")));
+        let opts = ExecOptions {
+            seed: 7,
+            ..Default::default()
+        };
+        let join = LogicalPlan::scan("t")
+            .sample(SamplingMethod::Bernoulli { p: 0.5 })
+            .join_on(LogicalPlan::scan("d"), col("k").eq(col("dk")));
         let system = LogicalPlan::scan("t").sample(SamplingMethod::System { p: 0.5 });
-        let wor = LogicalPlan::scan("t").sample(SamplingMethod::Wor { size: 10 });
-        let other = LogicalPlan::scan("d");
+        let wor = LogicalPlan::scan("t").sample(SamplingMethod::Wor { size: 40 });
         for plan in [&join, &system, &wor] {
-            assert!(shared_scan_table(plan).is_none());
-            assert!(open_shared_stream(plan, &c, &ExecOptions::default(), &hub).is_err());
+            let private = open_stream(plan, &c, &opts)
+                .unwrap()
+                .collect_rows(64)
+                .unwrap();
+            let hub = warmed_hub(&c, "t", 64, 100);
+            let shared = open_shared_stream(plan, &c, &opts, &hub)
+                .unwrap()
+                .collect_rows(17)
+                .unwrap();
+            assert_ne!(shared, private, "{plan:?}: attached at row 128");
+            assert_eq!(by_lineage(shared), by_lineage(private), "{plan:?}");
+            assert_eq!(hub.stats().rows_served, 128 + 200, "{plan:?}");
         }
-        // Eligible shape, wrong table for this hub.
-        assert_eq!(shared_scan_table(&other), Some("d"));
+        // A hub over another table than the spine's is refused.
+        let other = LogicalPlan::scan("d");
+        let hub = Arc::new(SharedTableScan::new(c.get("t").unwrap(), 64));
         let err = open_shared_stream(&other, &c, &ExecOptions::default(), &hub).unwrap_err();
         assert!(err.to_string().contains("'t'"), "{err}");
+    }
+
+    #[test]
+    fn a_filter_fuses_into_a_scan_on_a_hub() {
+        // The predicate's columns come off the bus and the survivors' other
+        // columns off the table, as in a private fused scan, which emits the
+        // same tuples; every row counts as scanned, only survivors as
+        // gathered.
+        let c = catalog();
+        let plan = LogicalPlan::scan("t").filter(col("k").lt(lit(3i64)));
+        let private = open_stream(&plan, &c, &ExecOptions::default())
+            .unwrap()
+            .collect_rows(64)
+            .unwrap();
+        for origin in [0, 64, 150] {
+            let hub = warmed_hub(&c, "t", 64, origin);
+            let registry = sa_obs::Registry::new();
+            let opts = ExecOptions {
+                scan_obs: ScanObs::new(&registry),
+                ..Default::default()
+            };
+            let stream = open_shared_stream(&plan, &c, &opts, &hub).unwrap();
+            assert!(
+                matches!(&stream.root, Node::Scan { hub: Some(_), gather, .. } if gather.predicate.is_some()),
+                "origin {origin}: {:?}",
+                stream.root
+            );
+            let rows = stream.collect_rows(64).unwrap();
+            assert_eq!(by_lineage(rows), private, "origin {origin}");
+            let m = registry.snapshot();
+            assert_eq!(m.counter("sa_scan_rows_scanned_total"), Some(200));
+            assert_eq!(
+                m.counter("sa_scan_rows_gathered_total"),
+                Some(private.len() as u64)
+            );
+            assert!(private.len() < 200);
+        }
+    }
+
+    #[test]
+    fn system_on_a_hub_covers_each_block_once() {
+        // Bus chunks hold whole blocks, so the rotation starts on a block
+        // boundary: the blocks of [o, N) and of [0, o) sum to the table's
+        // 13 (16-row blocks, the last ragged).
+        let c = catalog();
+        let plan = LogicalPlan::scan("t").sample(SamplingMethod::System { p: 1.0 });
+        let hub = warmed_hub(&c, "t", 50, 100);
+        let mut s = open_shared_stream(&plan, &c, &ExecOptions::default(), &hub).unwrap();
+        assert_eq!(s.progress(), vec![(0, 13)]);
+        let (mut last, mut first) = (0, None);
+        loop {
+            let chunk = s.next_chunk(20).unwrap();
+            let (blocks, total) = s.progress()[0];
+            assert!(blocks >= last && total == 13, "{blocks} of {total}");
+            last = blocks;
+            let Some(row) = chunk.first() else { break };
+            first.get_or_insert(row.lineage[0]);
+        }
+        assert_eq!(first, Some(8), "attached at row 128, block 8");
+        assert_eq!(last, 13);
     }
 
     #[test]

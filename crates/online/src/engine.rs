@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use sa_core::hash::splitmix64;
 use sa_exec::shared::{DEFAULT_BUS_ROWS, DEFAULT_MAX_LAG_ROWS};
-use sa_exec::{shared_scan_needs, shared_scan_table, ScanObs, SharedScanStats, SharedTableScan};
+use sa_exec::{shared_scan_needs, ScanObs, SharedScanStats, SharedTableScan};
 use sa_expr::Expr;
 use sa_obs::{Counter, EventKind, Gauge, Histogram, MetricsSnapshot, Registry};
 use sa_plan::{LogicalPlan, StopReason};
@@ -263,9 +263,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Attach concurrent sequential queries over one table to a shared
-    /// circular scan (N queries ≈ 1 table scan). Default off: a private
-    /// scan per query keeps realizations independent of engine history.
+    /// Attach concurrent single-worker queries over one table to a shared
+    /// circular scan of their spine table (N queries ≈ 1 table scan).
+    /// Default off. The realized sample is the same either way; what a hub
+    /// changes is the arrival order — rows come from wherever its head is
+    /// — and so the mid-stream snapshots and where a CI rule stops, which
+    /// then depend on engine history. A private scan starts at row 0.
     pub fn shared_scans(mut self, on: bool) -> EngineBuilder {
         self.shared_scans = on;
         self
@@ -462,7 +465,10 @@ impl Engine {
     /// A hub over `table` whose column set covers `needed` (`None` = every
     /// column), reusing any existing covering hub — the full hub serves
     /// every pruned query that arrives after it — and creating a pruned
-    /// one keyed to exactly `needed` otherwise.
+    /// one keyed to exactly `needed` otherwise. Creating one first drops
+    /// the table's hubs no cursor reads, so a long-running engine keeps no
+    /// hub (and no gauge series) per column set it has ever seen; a query
+    /// already holding a dropped hub's `Arc` still attaches to it.
     fn covering_hub(
         &self,
         table: &str,
@@ -482,10 +488,9 @@ impl Engine {
             hub = hub.with_columns(cols);
         }
         let hub = Arc::new(hub);
-        scans
-            .entry(table.to_string())
-            .or_default()
-            .push(Arc::clone(&hub));
+        let hubs = scans.entry(table.to_string()).or_default();
+        hubs.retain(|h| h.stats().attached > 0);
+        hubs.push(Arc::clone(&hub));
         Ok(hub)
     }
 
@@ -529,9 +534,8 @@ impl Engine {
         }
     }
 
-    /// The shared hub the query should attach to, if shared scans are on
-    /// and the plan is shaped for it (a sequential Bernoulli/filter/project
-    /// pipeline over one base table).
+    /// The shared hub over the plan's spine table that the query should
+    /// attach to, if shared scans are on and the query runs on one worker.
     fn shared_hub(
         &self,
         plan: &LogicalPlan,
@@ -546,22 +550,16 @@ impl Engine {
         let LogicalPlan::Aggregate { input, .. } = plan else {
             return Ok(None);
         };
-        match shared_scan_table(input) {
-            Some(table) => {
-                let table = table.to_string();
-                // Mirror the driver's pruning (full plan + GROUP BY keys)
-                // so the hub's column set covers what the cursor will ask
-                // for — the swap-in attach can then never be rejected.
-                let map = sa_plan::ScanColumnMap::analyze_with(plan, group_by);
-                let needed = shared_scan_needs(input, &self.inner.catalog, &map)?;
-                Ok(Some(self.covering_hub(&table, needed)?))
-            }
-            None => Ok(None),
-        }
+        // Mirror the driver's pruning (full plan + GROUP BY keys) so the
+        // hub's column set covers what the spine scan will ask for — its
+        // attach can then never be rejected.
+        let map = sa_plan::ScanColumnMap::analyze_with(plan, group_by);
+        let (table, needed) = shared_scan_needs(input, &self.inner.catalog, &map)?;
+        Ok(Some(self.covering_hub(table, needed)?))
     }
 
     /// How a query is wired into this engine: its cancellation flag, the
-    /// shared hub it attaches to (if eligible), and the metric handles its
+    /// shared hub its spine scan reads (if any), and the metric handles its
     /// workers and scans record into.
     fn run_ctx(
         &self,
@@ -896,8 +894,8 @@ fn scan_permille(progress: &[(u64, u64)]) -> u64 {
 }
 
 /// The one dispatch point every progressive terminal funnels into:
-/// resolve the input, pick a shared scan hub if eligible, and run the
-/// progressive loop.
+/// resolve the input, pick the shared scan hub if shared scans apply, and
+/// run the progressive loop.
 ///
 /// All instrumentation lives here and in the components the run context
 /// carries — never inside the per-row paths — so an instrumented run
@@ -1257,6 +1255,40 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(engine.scan_stats("t").unwrap().rows_gathered, 6000);
+    }
+
+    #[test]
+    fn idle_hubs_are_dropped_before_a_new_column_set_gets_one() {
+        // Six queries, one after another, each reading one column of its
+        // own: each needs a new pruned hub, and the idle one before it goes.
+        let mut c = Catalog::new();
+        let names: Vec<String> = (0..6).map(|i| format!("c{i}")).collect();
+        let fields = names.iter().map(|n| Field::new(n, DataType::Float));
+        let mut b = TableBuilder::new("t", Schema::new(fields.collect()).unwrap());
+        for i in 0..500 {
+            b.push_row(&vec![Value::Float(i as f64); 6]).unwrap();
+        }
+        c.register(b.finish().unwrap()).unwrap();
+        let engine = Engine::builder(c).shared_scans(true).metrics(true).build();
+        for name in &names {
+            let plan = LogicalPlan::scan("t")
+                .sample(SamplingMethod::Bernoulli { p: 0.5 })
+                .aggregate(vec![AggSpec::sum(col(name), "s")]);
+            engine.session().query_plan(&plan).run().unwrap();
+        }
+        let dump = engine.render_prometheus();
+        let series: Vec<&str> = dump
+            .lines()
+            .filter(|l| l.starts_with("sa_shared_scan_attached{table=\"t\""))
+            .collect();
+        assert_eq!(
+            series,
+            ["sa_shared_scan_attached{table=\"t\",cols=\"5\"} 0"]
+        );
+        assert_eq!(
+            engine.metrics().counter("sa_shared_scan_attach_total"),
+            Some(6)
+        );
     }
 
     #[test]

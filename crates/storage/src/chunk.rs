@@ -547,16 +547,6 @@ impl ColumnarBatch {
         }
     }
 
-    /// The batch restricted to the columns at `positions`, in that order
-    /// (row count unchanged; a shared-scan cursor uses this to carve its
-    /// pruned column set out of a hub's wider bus chunks).
-    pub fn select_columns(&self, positions: &[usize]) -> ColumnarBatch {
-        ColumnarBatch {
-            columns: positions.iter().map(|&p| self.columns[p].clone()).collect(),
-            rows: self.rows,
-        }
-    }
-
     /// Vertical concatenation: the rows of `parts`, in order, as one batch
     /// (see [`ColumnVec::concat`]). `parts` must be non-empty and agree on
     /// their column count and types.

@@ -153,11 +153,7 @@ fn a_shared_cursor_started_mid_table_never_repeats_a_row() {
         .scan_window(64, 1 << 17)
         .build();
     let hub = engine.shared_scan("t").expect("table exists");
-    let mut warm = hub.attach();
-    while warm.progress().0 < 200 {
-        warm.next_batch(64).unwrap();
-    }
-    drop(warm);
+    support::warm_hub(&hub, engine.catalog(), 200);
     assert!(hub.stats().head >= 200 && hub.stats().head < 600);
 
     let (plan, _) = support::shaped_plan(1, SamplingMethod::Bernoulli { p: 0.7 });

@@ -2,10 +2,10 @@
 //! drawn once per `(plan, seed)`, so *which* tuples a plan realizes does
 //! not depend on how the rows are visited. For every sampler shape — a
 //! union of samples, over one table or over a join, included — the sorted
-//! lineage tuples are identical across worker counts, chunk sizes and scan
-//! orders, and a Bernoulli sample is also the same set on a shared-scan hub
-//! whatever its attach origin. A union therefore runs at `--jobs N` like
-//! any other plan, and its exhausted run equals its batch estimate.
+//! lineage tuples are identical across worker counts, chunk sizes, scan
+//! orders and shared-scan hubs at any attach origin. A union therefore runs
+//! at `--jobs N` like any other plan, every shape rides a hub, and each
+//! exhausted run equals its private batch estimate.
 
 mod support;
 
@@ -87,32 +87,28 @@ fn every_sampler_realizes_one_set_in_every_mode() {
 }
 
 #[test]
-fn a_bernoulli_sample_is_the_same_set_on_a_hub_at_any_origin() {
+fn every_sampler_shape_is_the_same_set_on_a_hub_at_any_origin() {
     let catalog = support::catalog();
-    let plan = shapes().swap_remove(0).1;
     let opts = ExecOptions {
         seed: 5,
         ..Default::default()
     };
-    let private = sorted(vec![open_stream(&plan, &catalog, &opts).unwrap()], 37);
-    for origin in [0, 200, 450] {
-        let hub = Arc::new(SharedTableScan::new(catalog.get("t").unwrap(), 50));
-        let mut warm = hub.attach();
-        while warm.progress().0 < origin {
-            warm.next_batch(50).unwrap();
+    for (name, plan) in shapes() {
+        let private = sorted(vec![open_stream(&plan, &catalog, &opts).unwrap()], 37);
+        for origin in [0, 200, 450] {
+            let hub = Arc::new(SharedTableScan::new(catalog.get("t").unwrap(), 50));
+            support::warm_hub(&hub, &catalog, origin);
+            let shared = open_shared_stream(&plan, &catalog, &opts, &hub).unwrap();
+            assert_eq!(sorted(vec![shared], 37), private, "{name}: origin {origin}");
         }
-        drop(warm);
-        let shared = open_shared_stream(&plan, &catalog, &opts, &hub).unwrap();
-        assert_eq!(sorted(vec![shared], 37), private, "origin {origin}");
     }
 }
 
 /// Every number of an exhausted answer: rows, and per group the estimate
 /// and variance of every aggregate.
-fn numbers(
-    rows: u64,
-    groups: Vec<(Vec<Value>, &[AggResult])>,
-) -> (u64, Vec<(Vec<Value>, f64, f64)>) {
+type Numbers = (u64, Vec<(Vec<Value>, f64, f64)>);
+
+fn numbers(rows: u64, groups: Vec<(Vec<Value>, &[AggResult])>) -> Numbers {
     let cells = groups
         .into_iter()
         .flat_map(|(key, aggs)| {
@@ -123,11 +119,55 @@ fn numbers(
     (rows, cells)
 }
 
+/// The numbers of a run that must have exhausted.
+fn exhausted(name: &str, run: QueryResult) -> Numbers {
+    assert_eq!(run.reason, StopReason::Exhausted, "{name}");
+    match &run.snapshot {
+        Snapshot::Scalar(s) => numbers(s.rows, vec![(vec![], &s.aggs[..])]),
+        Snapshot::Grouped(s) => numbers(
+            s.rows,
+            s.groups
+                .iter()
+                .map(|g| (g.key.clone(), &g.aggs[..]))
+                .collect(),
+        ),
+    }
+}
+
+fn batch(batch: BatchOutput) -> Numbers {
+    match &batch {
+        BatchOutput::Scalar(r) => numbers(r.result_rows, vec![(vec![], &r.aggs[..])]),
+        BatchOutput::Grouped(r) => numbers(
+            r.result_rows,
+            r.groups
+                .iter()
+                .map(|g| (g.key.clone(), &g.aggs[..]))
+                .collect(),
+        ),
+    }
+}
+
+/// One sample, and every estimate and variance to 1e-9.
+fn assert_agree(name: &str, run: &Numbers, batch: &Numbers) {
+    assert_eq!(run.0, batch.0, "{name}: one sample");
+    assert_eq!(run.1.len(), batch.1.len(), "{name}");
+    let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * (1.0 + y.abs());
+    for ((rk, re, rv), (bk, be, bv)) in run.1.iter().zip(&batch.1) {
+        assert_eq!(rk, bk, "{name}");
+        assert!(close(*re, *be), "{name} {rk:?}: {re} vs {be}");
+        assert!(close(*rv, *bv), "{name} {rk:?}: variance {rv} vs {bv}");
+    }
+}
+
+fn aggregate(input: LogicalPlan) -> LogicalPlan {
+    input.aggregate(vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")])
+}
+
 #[test]
 fn a_union_runs_at_jobs_n_and_exhausts_to_its_batch_estimate() {
     let engine = Engine::new(support::catalog());
     for (name, input) in shapes().into_iter().skip(4) {
-        let plan = input.aggregate(vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")]);
+        let plan = aggregate(input);
         for group_by in [vec![], vec![col("k")]] {
             let query = || {
                 engine
@@ -137,36 +177,48 @@ fn a_union_runs_at_jobs_n_and_exhausts_to_its_batch_estimate() {
                     .seed(11)
                     .chunk_rows(64)
             };
-            let run = query().jobs(4).run().unwrap();
-            assert_eq!(run.reason, StopReason::Exhausted, "{name}");
-            let run = match &run.snapshot {
-                Snapshot::Scalar(s) => numbers(s.rows, vec![(vec![], &s.aggs[..])]),
-                Snapshot::Grouped(s) => numbers(
-                    s.rows,
-                    s.groups
-                        .iter()
-                        .map(|g| (g.key.clone(), &g.aggs[..]))
-                        .collect(),
-                ),
-            };
-            let batch = query().batch().unwrap();
-            let batch = match &batch {
-                BatchOutput::Scalar(r) => numbers(r.result_rows, vec![(vec![], &r.aggs[..])]),
-                BatchOutput::Grouped(r) => numbers(
-                    r.result_rows,
-                    r.groups
-                        .iter()
-                        .map(|g| (g.key.clone(), &g.aggs[..]))
-                        .collect(),
-                ),
-            };
-            assert_eq!(run.0, batch.0, "{name}: one sample");
-            assert_eq!(run.1.len(), batch.1.len(), "{name}");
-            let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * (1.0 + y.abs());
-            for ((rk, re, rv), (bk, be, bv)) in run.1.iter().zip(&batch.1) {
-                assert_eq!(rk, bk, "{name}");
-                assert!(close(*re, *be), "{name} {rk:?}: {re} vs {be}");
-                assert!(close(*rv, *bv), "{name} {rk:?}: variance {rv} vs {bv}");
+            let run = exhausted(name, query().jobs(4).run().unwrap());
+            assert_agree(name, &run, &batch(query().batch().unwrap()));
+        }
+    }
+}
+
+#[test]
+fn every_sampler_shape_rides_a_hub_to_its_private_batch_estimate() {
+    let private = Engine::new(support::catalog());
+    for (name, input) in shapes() {
+        let plan = aggregate(input);
+        for group_by in [vec![], vec![col("k")]] {
+            let want = private
+                .session()
+                .query_plan(&plan)
+                .group_by(group_by.clone())
+                .seed(11)
+                .batch()
+                .unwrap();
+            let want = batch(want);
+            for origin in [0, 200, 450] {
+                let engine = Engine::builder(support::catalog())
+                    .shared_scans(true)
+                    .scan_window(64, 1 << 17)
+                    .build();
+                let hub = engine.shared_scan("t").unwrap();
+                support::warm_hub(&hub, engine.catalog(), origin);
+                let served = hub.stats().rows_served;
+                let run = engine
+                    .session()
+                    .query_plan(&plan)
+                    .group_by(group_by.clone())
+                    .seed(11)
+                    .chunk_rows(64)
+                    .run()
+                    .unwrap();
+                assert_eq!(
+                    hub.stats().rows_served,
+                    served + 600,
+                    "{name}: rode the hub"
+                );
+                assert_agree(name, &exhausted(name, run), &want);
             }
         }
     }

@@ -4,6 +4,8 @@
 //! Chebyshev coverage across trials, and N concurrent sessions over one
 //! table must cost ~1 table scan between them.
 
+mod support;
+
 use sampling_algebra::prelude::*;
 use sampling_algebra::tpch::Zipf;
 
@@ -33,15 +35,11 @@ fn sum_plan(p: f64) -> LogicalPlan {
         .aggregate(vec![AggSpec::sum(col("v"), "s")])
 }
 
-/// Advance the hub's head to at least `target` rows by pulling a throwaway
-/// cursor, so the next session attaches mid-scan at that origin.
+/// Advance the hub's head to at least `target` rows, so the next session
+/// attaches mid-scan at that origin.
 fn warm_hub(engine: &Engine, target: u64) -> u64 {
     let hub = engine.shared_scan("t").expect("table exists");
-    let mut warm = hub.attach();
-    while warm.progress().0 < target {
-        warm.next_batch(256).unwrap();
-    }
-    drop(warm);
+    support::warm_hub(&hub, engine.catalog(), target);
     hub.stats().head
 }
 
@@ -219,8 +217,10 @@ fn four_concurrent_sessions_cost_about_one_scan() {
     assert_eq!(engine.scan_stats("t").unwrap().attached, 0);
 }
 
-/// Engines without `shared_scans(true)` keep private scans: realizations
-/// are independent of engine history, and no hub is created by queries.
+/// Engines without `shared_scans(true)` keep private scans: no hub is
+/// created by queries, and every scan starts at row 0, so the arrival
+/// order — hence each mid-stream snapshot and where a CI rule stops — does
+/// not depend on the queries run before (the realized sample never does).
 #[test]
 fn private_scans_by_default() {
     let engine = Engine::new(catalog(2000));

@@ -7,7 +7,9 @@
 #![allow(dead_code)] // each suite uses its own subset
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use sampling_algebra::exec::{open_shared_stream, SharedTableScan};
 use sampling_algebra::prelude::*;
 
 fn query(plan: &LogicalPlan, catalog: &Catalog, seed: u64, confidence: f64) -> QueryBuilder {
@@ -116,6 +118,17 @@ pub fn scalar(r: &QueryResult) -> &ProgressSnapshot {
 /// The final snapshot of a [`run_groups`].
 pub fn grouped(r: &QueryResult) -> &GroupedProgressSnapshot {
     r.snapshot.as_grouped().expect("GROUP BY keys were given")
+}
+
+/// Advance `hub`'s head past `origin` rows by reading a scan of its table
+/// off it, so the next cursor attaches mid-table (at the first bus chunk
+/// boundary from there).
+pub fn warm_hub(hub: &Arc<SharedTableScan>, catalog: &Catalog, origin: u64) {
+    let scan = LogicalPlan::scan(hub.table().name());
+    let mut warm = open_shared_stream(&scan, catalog, &ExecOptions::default(), hub).unwrap();
+    while warm.progress()[0].0 < origin {
+        warm.next_batch(256).unwrap();
+    }
 }
 
 /// `t`: 600 rows of (k Int, v Float-with-NULLs, s Str-with-NULLs), block
