@@ -2,13 +2,20 @@
 //! is tested against, plus the vocabulary ([`ExecOptions`], [`Row`]) both
 //! share.
 //!
-//! [`execute`] runs a [`LogicalPlan`] as written (sampling included) while
-//! carrying **lineage** — one id per base relation — through every operator.
-//! Lineage is the paper's Section 6.2 requirement: "all there is needed is
-//! to carry IDs of tuples through the query plan and make them available,
-//! together with the aggregate, to the SBox". A scan emits its row id (or
-//! block id when the relation is `SYSTEM`-sampled), selection leaves lineage
-//! untouched, and a join concatenates the lineage of the matching tuples.
+//! [`execute`] runs a [`LogicalPlan`] while carrying **lineage** — one id
+//! per base relation — through every operator. Lineage is the paper's
+//! Section 6.2 requirement: "all there is needed is to carry IDs of tuples
+//! through the query plan and make them available, together with the
+//! aggregate, to the SBox". A scan emits its row id (or block id when the
+//! relation is `SYSTEM`-sampled), selection leaves lineage untouched, and a
+//! join concatenates the lineage of the matching tuples.
+//!
+//! It samples at the **root**: the plan runs unsampled, and the tuples kept
+//! are those whose whole lineage the plan's sampler design keeps — the same
+//! design, drawn from the same seed, that [`crate::open_stream`] applies at
+//! its scans. GUS samplers commute with selection and join (Propositions
+//! 6–8), so the two realize one sample, and their differential checks that
+//! commutation.
 //!
 //! It is deliberately the simplest thing that can be right — materialized
 //! row vectors between operators, the `sa_expr::eval` interpreter per row,
@@ -20,15 +27,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use sa_expr::{bind, eval, eval_predicate, BinOp, Expr};
 use sa_plan::LogicalPlan;
-use sa_sampling::SamplingMethod;
+use sa_sampling::LineageUnit;
 use sa_storage::{Catalog, Schema, SchemaRef, Table, Value};
 
 use crate::error::ExecError;
+use crate::stream::design;
 use crate::Result;
 
 /// One materialized result row: its column values and its lineage (one id
@@ -122,19 +127,35 @@ impl ScanObs {
 /// the tuples, in the estimator — pass the aggregate's *input*.
 pub fn execute(plan: &LogicalPlan, catalog: &Catalog, opts: &ExecOptions) -> Result<ResultSet> {
     plan.validate(catalog)?;
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    exec_node(plan, catalog, &mut rng)
+    let keeps = design(plan, catalog, opts.seed)?.whole();
+    let mut out = exec_node(plan, catalog)?;
+    let lineage: Vec<Vec<u64>> = (0..out.relations.len())
+        .map(|i| out.rows.iter().map(|r| r.lineage[i]).collect())
+        .collect();
+    let mut kept = keeps.mask(&lineage).into_iter();
+    out.rows
+        .retain(|_| kept.next().expect("one mask lane per row"));
+    Ok(out)
 }
 
-fn exec_node(plan: &LogicalPlan, catalog: &Catalog, rng: &mut StdRng) -> Result<ResultSet> {
+/// `plan` unsampled, except that a `SYSTEM` sampler still reports its
+/// relation's lineage as block ids.
+fn exec_node(plan: &LogicalPlan, catalog: &Catalog) -> Result<ResultSet> {
     match plan {
         LogicalPlan::Scan { table, alias } => scan(catalog, table, alias),
         LogicalPlan::Sample { method, input } => {
-            let inner = exec_node(input, catalog, rng)?;
-            apply_sample(method, inner, base_table(input, catalog)?, rng)
+            let mut inner = exec_node(input, catalog)?;
+            if method.lineage_unit() == LineageUnit::Block {
+                let base = base_table(input, catalog)?;
+                for row in &mut inner.rows {
+                    let id = row.lineage.last_mut().expect("scan lineage");
+                    *id = base.block_of(*id);
+                }
+            }
+            Ok(inner)
         }
         LogicalPlan::Filter { predicate, input } => {
-            let inner = exec_node(input, catalog, rng)?;
+            let inner = exec_node(input, catalog)?;
             let bound = bind(predicate, &inner.schema)?;
             let mut rows = Vec::with_capacity(inner.rows.len());
             for row in inner.rows {
@@ -153,12 +174,12 @@ fn exec_node(plan: &LogicalPlan, catalog: &Catalog, rng: &mut StdRng) -> Result<
             left,
             right,
         } => {
-            let l = exec_node(left, catalog, rng)?;
-            let r = exec_node(right, catalog, rng)?;
+            let l = exec_node(left, catalog)?;
+            let r = exec_node(right, catalog)?;
             join(l, r, condition.as_ref())
         }
         LogicalPlan::Project { exprs, input } => {
-            let inner = exec_node(input, catalog, rng)?;
+            let inner = exec_node(input, catalog)?;
             let mut bound = Vec::with_capacity(exprs.len());
             let mut fields = Vec::with_capacity(exprs.len());
             for (e, name) in exprs {
@@ -189,26 +210,9 @@ fn exec_node(plan: &LogicalPlan, catalog: &Catalog, rng: &mut StdRng) -> Result<
         LogicalPlan::Aggregate { .. } => Err(ExecError::Unsupported(
             "execute runs the aggregate's input; strip the Aggregate root".into(),
         )),
-        LogicalPlan::UnionSamples { left, right } => {
-            // Two independent samplings of the same expression (the RNG
-            // advances between the branches, so their coins are
-            // independent); duplicates removed by lineage — the GUS filter
-            // semantics Proposition 7 requires.
-            let l = exec_node(left, catalog, rng)?;
-            let r = exec_node(right, catalog, rng)?;
-            let mut seen: HashMap<Vec<u64>, ()> = HashMap::with_capacity(l.rows.len());
-            let mut rows = Vec::with_capacity(l.rows.len() + r.rows.len() / 2);
-            for row in l.rows.into_iter().chain(r.rows) {
-                if seen.insert(row.lineage.clone(), ()).is_none() {
-                    rows.push(row);
-                }
-            }
-            Ok(ResultSet {
-                schema: l.schema,
-                rows,
-                relations: l.relations,
-            })
-        }
+        // Both branches are one expression (validated): the root mask ORs
+        // their samplers over it.
+        LogicalPlan::UnionSamples { left, .. } => exec_node(left, catalog),
     }
 }
 
@@ -258,87 +262,6 @@ pub(crate) fn base_table(mut node: &LogicalPlan, catalog: &Catalog) -> Result<Ar
             }
         }
     }
-}
-
-fn apply_sample(
-    method: &SamplingMethod,
-    input: ResultSet,
-    base: Arc<Table>,
-    rng: &mut StdRng,
-) -> Result<ResultSet> {
-    use rand::RngExt;
-    method.validate()?;
-    let rows = match method {
-        SamplingMethod::Bernoulli { p } => input
-            .rows
-            .into_iter()
-            .filter(|_| rng.random::<f64>() < *p)
-            .collect(),
-        SamplingMethod::Wor { size } => {
-            let n = input.rows.len() as u64;
-            if *size > n {
-                return Err(ExecError::Sampling(
-                    sa_sampling::SamplingError::InvalidSpec(format!(
-                        "WOR size {size} exceeds input cardinality {n}"
-                    )),
-                ));
-            }
-            // Floyd over input positions.
-            let mut chosen = std::collections::HashSet::with_capacity(*size as usize);
-            for j in n - size..n {
-                let t = rng.random_range(0..=j);
-                if !chosen.insert(t) {
-                    chosen.insert(j);
-                }
-            }
-            input
-                .rows
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| chosen.contains(&(*i as u64)))
-                .map(|(_, r)| r)
-                .collect()
-        }
-        SamplingMethod::System { p } => {
-            // Keep whole blocks; replace this relation's lineage with the
-            // block id (the sampling — and hence lineage — unit).
-            let mut keep = vec![false; base.block_count() as usize];
-            for k in keep.iter_mut() {
-                *k = rng.random::<f64>() < *p;
-            }
-            input
-                .rows
-                .into_iter()
-                .filter_map(|mut row| {
-                    let rid = *row.lineage.last().expect("scan lineage");
-                    let block = base.block_of(rid);
-                    if keep[block as usize] {
-                        *row.lineage.last_mut().expect("scan lineage") = block;
-                        Some(row)
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        }
-        SamplingMethod::WithReplacement { size } => {
-            if input.rows.is_empty() {
-                return Err(ExecError::Sampling(
-                    sa_sampling::SamplingError::InvalidSpec(
-                        "cannot draw with replacement from an empty input".into(),
-                    ),
-                ));
-            }
-            (0..*size)
-                .map(|_| input.rows[rng.random_range(0..input.rows.len())].clone())
-                .collect()
-        }
-    };
-    Ok(ResultSet {
-        schema: input.schema,
-        rows,
-        relations: input.relations,
-    })
 }
 
 fn join(l: ResultSet, r: ResultSet, condition: Option<&Expr>) -> Result<ResultSet> {
@@ -463,6 +386,7 @@ pub(crate) fn split_join_condition(
 mod tests {
     use super::*;
     use sa_expr::{col, lit};
+    use sa_sampling::SamplingMethod;
     use sa_storage::{DataType, Field, TableBuilder};
 
     fn catalog() -> Catalog {
@@ -620,21 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn with_replacement_can_duplicate() {
-        let plan = LogicalPlan::scan("t").sample(SamplingMethod::WithReplacement { size: 50 });
-        let rs = execute(
-            &plan,
-            &catalog(),
-            &ExecOptions {
-                seed: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(rs.rows.len(), 50);
-    }
-
-    #[test]
     fn project_evaluates_expressions() {
         let plan = LogicalPlan::scan("t").project(vec![(col("v").mul(lit(2.0)), "vv".into())]);
         let rs = execute(&plan, &catalog(), &ExecOptions::default()).unwrap();
@@ -662,5 +571,46 @@ mod tests {
             })
             .collect();
         assert!(sizes.len() > 1, "sampling ignored the seed");
+    }
+
+    #[test]
+    fn system_union_keeps_whole_blocks() {
+        // Every row of a block either branch keeps is in the union: the
+        // rows share the block's lineage id, but they are distinct tuples,
+        // not duplicates of one. The oracle and the stream keep one set.
+        let mut c = Catalog::new();
+        let schema = Schema::new(vec![Field::new("x", DataType::Int)]).unwrap();
+        let mut b = TableBuilder::new("b", schema).with_block_rows(16);
+        for i in 0..600 {
+            b.push_row(&[Value::Int(i)]).unwrap();
+        }
+        c.register(b.finish().unwrap()).unwrap();
+        let plan = LogicalPlan::scan("b")
+            .sample(SamplingMethod::System { p: 0.5 })
+            .union_samples(LogicalPlan::scan("b").sample(SamplingMethod::System { p: 0.3 }));
+        for seed in 0..3 {
+            let opts = ExecOptions {
+                seed,
+                ..Default::default()
+            };
+            let rs = execute(&plan, &c, &opts).unwrap();
+            let mut per_block = std::collections::BTreeMap::<u64, u64>::new();
+            for row in &rs.rows {
+                *per_block.entry(row.lineage[0]).or_default() += 1;
+            }
+            assert!(!per_block.is_empty(), "seed {seed}");
+            for (&block, &rows) in &per_block {
+                assert_eq!(
+                    rows,
+                    (600 - block * 16).min(16),
+                    "seed {seed}, block {block}"
+                );
+            }
+            let streamed = crate::open_stream(&plan, &c, &opts)
+                .unwrap()
+                .collect_rows(64)
+                .unwrap();
+            assert_eq!(rs.rows, streamed, "seed {seed}");
+        }
     }
 }

@@ -43,14 +43,14 @@
 //!
 //! ## A sample is a set
 //!
-//! Every sampler is a keep predicate on its relation's sampling unit, drawn
-//! at open: Bernoulli keeps a row iff its [`coin`] under the operator's
-//! seed comes up, `SYSTEM` keeps the blocks whose coin came up at open, WOR
-//! keeps the row ids it drew at open. The sampler node right above a scan
-//! applies the relation's stacked samplers to the lineage column, so the
-//! realized sample is a pure function of `(plan, seed)`: not of the worker
-//! count or slice boundaries, the scan order, a hub's attach origin or the
-//! chunk size.
+//! Every sampler is its [`Keep`], a predicate on its relation's sampling
+//! unit drawn at open ([`sa_sampling::SamplingMethod::keep`]): Bernoulli
+//! keeps a row, and `SYSTEM` a block, iff its coin under the operator's
+//! seed comes up; WOR keeps the row ids it drew at open. The sampler node
+//! right above a scan applies the relation's stacked samplers to the
+//! lineage column, so the realized sample is a pure function of
+//! `(plan, seed)`: not of the worker count or slice boundaries, the scan
+//! order, a hub's attach origin or the chunk size.
 //!
 //! `UnionSamples` runs in one pass over the expression its branches share:
 //! each scan keeps the rows some branch keeps, which decides a union over
@@ -67,11 +67,7 @@
 //! Randomness: every sampler's seed is drawn at open from a master RNG
 //! seeded with [`crate::ExecOptions::seed`], one per operator in plan
 //! traversal order; the shuffle's permutations derive from the seed apart
-//! from it, so turning the shuffle on moves no sampler's seed. (The
-//! realization differs from [`crate::execute`]'s for the same seed: the
-//! reference executor draws its samples off one RNG stream in row order —
-//! the differential tests compare the two on deterministic plans and on
-//! `p = 1` samplers.)
+//! from it, so turning the shuffle on moves no sampler's seed.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -79,10 +75,10 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use sa_core::hash::{coin, splitmix64, FxHashMap, FxHasher};
+use sa_core::hash::{splitmix64, FxHashMap, FxHasher};
 use sa_expr::{bind, compile, CompiledExpr};
 use sa_plan::{LogicalPlan, ScanColumnMap};
-use sa_sampling::SamplingMethod;
+use sa_sampling::{Keep, LineageUnit};
 use sa_storage::{Catalog, ColumnVec, ColumnarBatch, Schema, SchemaRef, Table};
 
 use crate::columnar::ColumnarChunk;
@@ -276,32 +272,6 @@ pub fn open_shared_stream(
         .expect("one partition yields one stream"))
 }
 
-/// One sampler's keep predicate on its relation's sampling unit — the row
-/// id, or the block id under `SYSTEM` — drawn at open.
-#[derive(Debug, Clone)]
-enum Keep {
-    /// Bernoulli(`p`): the row's [`coin`] under the operator's seed.
-    Coin { seed: u64, p: f64 },
-    /// `SYSTEM`: each block's coin, tossed at open.
-    Blocks(Arc<[bool]>),
-    /// WOR: the row ids drawn at open, one bit per row of the table.
-    Rows(Arc<[u64]>),
-}
-
-impl Keep {
-    /// Clear `mask[i]` wherever this sampler drops unit `ids[i]`.
-    fn narrow(&self, ids: &[u64], mask: &mut [bool]) {
-        let lanes = mask.iter_mut().zip(ids);
-        match self {
-            Keep::Coin { seed, p } => lanes.for_each(|(m, &id)| *m &= coin(*seed, *p, id)),
-            Keep::Blocks(keep) => lanes.for_each(|(m, &id)| *m &= keep[id as usize]),
-            Keep::Rows(bits) => {
-                lanes.for_each(|(m, &id)| *m &= bits[(id / 64) as usize] >> (id % 64) & 1 == 1)
-            }
-        }
-    }
-}
-
 /// A relation's stacked samplers: a unit survives iff every one keeps it.
 type Stack = Vec<Keep>;
 
@@ -310,7 +280,7 @@ type Stack = Vec<Keep>;
 /// branches, a join (Proposition 6) and stacked samplers (Proposition 8)
 /// AND what they keep.
 #[derive(Debug)]
-struct Keeps {
+pub(crate) struct Keeps {
     /// Per branch, one stack per lineage column of the node's input.
     branches: Vec<Vec<Stack>>,
     /// `Some(rows)` right above the scan of a `SYSTEM`-sampled relation:
@@ -321,7 +291,7 @@ struct Keeps {
 
 impl Keeps {
     /// Which tuples of `lineage` (one id column per relation) are kept.
-    fn mask(&self, lineage: &[Vec<u64>]) -> Vec<bool> {
+    pub(crate) fn mask(&self, lineage: &[Vec<u64>]) -> Vec<bool> {
         let rows = lineage.first().map_or(0, Vec::len);
         let branch = |stacks: &Vec<Stack>| {
             let mut mask = vec![true; rows];
@@ -346,7 +316,7 @@ impl Keeps {
 /// A plan's samplers, drawn at open by [`design`]: what the plan keeps of
 /// its whole lineage, and what the build needs to hand each relation's
 /// scan its share of it.
-struct Design {
+pub(crate) struct Design {
     /// [`Keeps::branches`] over the plan's relations, in scan order.
     branches: Vec<Vec<Stack>>,
     /// Per relation, [`Keeps::blocks`] of its scan's sampler.
@@ -356,12 +326,26 @@ struct Design {
     spans: bool,
 }
 
-/// Draw `plan`'s samplers: one seed per operator off `master`, in plan
-/// traversal order (a join's build side off a seed of its own), so the
-/// `SYSTEM` keep vectors and WOR draws of a `(plan, seed)` are what they
-/// always were. With-replacement sampling keeps a row once per draw: it is
-/// no set, hence no GUS, and is refused.
-fn design(plan: &LogicalPlan, catalog: &Catalog, master: &mut StdRng) -> Result<Design> {
+impl Design {
+    /// What the plan keeps, judged on each tuple's whole lineage.
+    pub(crate) fn whole(self) -> Keeps {
+        Keeps {
+            branches: self.branches,
+            blocks: None,
+        }
+    }
+}
+
+/// Draw `plan`'s samplers from `seed` — what both executors keep: the
+/// stream at its scans, the row oracle ([`crate::execute`]) at its root.
+pub(crate) fn design(plan: &LogicalPlan, catalog: &Catalog, seed: u64) -> Result<Design> {
+    draw(plan, catalog, &mut StdRng::seed_from_u64(seed))
+}
+
+/// One seed per sampler off `master`, in plan traversal order (a join's
+/// build side off a seed of its own), each handed to
+/// [`sa_sampling::SamplingMethod::keep`].
+fn draw(plan: &LogicalPlan, catalog: &Catalog, master: &mut StdRng) -> Result<Design> {
     match plan {
         LogicalPlan::Scan { .. } => Ok(Design {
             branches: vec![vec![Vec::new()]],
@@ -369,42 +353,14 @@ fn design(plan: &LogicalPlan, catalog: &Catalog, master: &mut StdRng) -> Result<
             spans: false,
         }),
         LogicalPlan::Sample { method, input } => {
-            method.validate().map_err(ExecError::Sampling)?;
             let table = base_table(input, catalog)?;
-            let (keep, unit) = match method {
-                SamplingMethod::Bernoulli { p } => (
-                    Keep::Coin {
-                        seed: master.random(),
-                        p: *p,
-                    },
-                    None,
-                ),
-                SamplingMethod::System { p } => {
-                    let mut rng = StdRng::seed_from_u64(master.random::<u64>());
-                    let keep = (0..table.block_count())
-                        .map(|_| rng.random::<f64>() < *p)
-                        .collect();
-                    (Keep::Blocks(keep), Some(table.block_rows() as u64))
-                }
-                // Validation puts WOR straight on its scan, so the positions
-                // it draws out of the table's rows are row ids.
-                SamplingMethod::Wor { .. } => {
-                    let mut rng = StdRng::seed_from_u64(master.random::<u64>());
-                    let mut bits = vec![0u64; table.row_count().div_ceil(64) as usize];
-                    for id in method.draw_fixed_size(table.row_count(), &mut rng)? {
-                        bits[(id / 64) as usize] |= 1 << (id % 64);
-                    }
-                    (Keep::Rows(bits.into()), None)
-                }
-                SamplingMethod::WithReplacement { .. } => {
-                    return Err(ExecError::Unsupported(format!(
-                        "{method} keeps a row once per draw: it is not a GUS sampler, and \
-                         the stream samples by keeping sets of rows"
-                    )))
-                }
-            };
+            // Validation puts WOR straight on its scan, so the positions
+            // it draws out of the table's rows are row ids.
+            let keep = method.keep(master.random(), &table)?;
+            let unit =
+                (method.lineage_unit() == LineageUnit::Block).then(|| table.block_rows() as u64);
             // A sampler sits on a Sample*/Scan chain: one branch, one relation.
-            let mut d = design(input, catalog, master)?;
+            let mut d = draw(input, catalog, master)?;
             let stack = &mut d.branches[0][0];
             stack.push(keep);
             d.units[0] = d.units[0].or(unit);
@@ -419,10 +375,10 @@ fn design(plan: &LogicalPlan, catalog: &Catalog, master: &mut StdRng) -> Result<
         }
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. } => design(input, catalog, master),
+        | LogicalPlan::Aggregate { input, .. } => draw(input, catalog, master),
         LogicalPlan::Join { left, right, .. } => {
-            let l = design(left, catalog, master)?;
-            let r = design(right, catalog, &mut StdRng::seed_from_u64(master.random()))?;
+            let l = draw(left, catalog, master)?;
+            let r = draw(right, catalog, &mut StdRng::seed_from_u64(master.random()))?;
             Ok(Design {
                 branches: l
                     .branches
@@ -434,8 +390,8 @@ fn design(plan: &LogicalPlan, catalog: &Catalog, master: &mut StdRng) -> Result<
             })
         }
         LogicalPlan::UnionSamples { left, right } => {
-            let mut d = design(left, catalog, master)?;
-            let r = design(right, catalog, master)?;
+            let mut d = draw(left, catalog, master)?;
+            let r = draw(right, catalog, master)?;
             d.spans |= r.spans || d.units.len() > 1;
             d.branches.extend(r.branches);
             Ok(d)
@@ -454,17 +410,14 @@ fn open(
     hub: Option<&Arc<SharedTableScan>>,
 ) -> Result<Vec<ChunkStream>> {
     plan.validate(catalog)?;
-    let design = design(plan, catalog, &mut StdRng::seed_from_u64(opts.seed))?;
+    let design = design(plan, catalog, opts.seed)?;
     let ctx = BuildCtx::new(plan, catalog, opts, parts, hub, &design);
     let (mut nodes, schema, relations) = build_partitioned(plan, &ctx)?;
     if design.spans {
         // A tuple of a union spanning several relations is in it iff one
         // branch keeps all its components, not each by some branch of its
         // own.
-        let keeps = Arc::new(Keeps {
-            branches: design.branches,
-            blocks: None,
-        });
+        let keeps = Arc::new(design.whole());
         nodes = nodes
             .into_iter()
             .map(|input| Node::Sample {
@@ -1432,6 +1385,7 @@ mod tests {
     use super::*;
     use crate::exec::execute;
     use sa_expr::{col, lit};
+    use sa_sampling::SamplingMethod;
     use sa_storage::{DataType, Field, TableBuilder, Value};
     use std::collections::HashSet;
 
@@ -1462,17 +1416,45 @@ mod tests {
         c
     }
 
-    /// The streamed rows of a deterministic plan (no sampler, or samplers
-    /// that keep everything) must equal the reference row executor's, in
-    /// order, for any chunk hint.
+    /// The streamed rows of a plan must equal the reference row executor's,
+    /// in order, for any chunk hint and seed: the oracle samples at the
+    /// root and the stream at its scans, off one design.
     fn assert_stream_matches_batch(plan: &LogicalPlan, hint: usize) {
         let c = catalog();
-        let batch = execute(plan, &c, &ExecOptions::default()).unwrap();
-        let stream = open_stream(plan, &c, &ExecOptions::default()).unwrap();
-        assert_eq!(stream.schema().as_ref(), batch.schema.as_ref());
-        assert_eq!(stream.relations(), &batch.relations[..]);
-        let rows = stream.collect_rows(hint).unwrap();
-        assert_eq!(rows, batch.rows, "hint={hint}");
+        for seed in 0..3 {
+            let opts = ExecOptions {
+                seed,
+                ..Default::default()
+            };
+            let batch = execute(plan, &c, &opts).unwrap();
+            let stream = open_stream(plan, &c, &opts).unwrap();
+            assert_eq!(stream.schema().as_ref(), batch.schema.as_ref());
+            assert_eq!(stream.relations(), &batch.relations[..]);
+            let rows = stream.collect_rows(hint).unwrap();
+            assert_eq!(rows, batch.rows, "hint={hint}, seed={seed}");
+        }
+    }
+
+    #[test]
+    fn sampled_plans_match_batch() {
+        // One case per sampler, with a filter and a sampled build side
+        // between the scan samplers and the oracle's root.
+        for method in [
+            SamplingMethod::Bernoulli { p: 0.4 },
+            SamplingMethod::System { p: 0.5 },
+            SamplingMethod::Wor { size: 60 },
+        ] {
+            let plan = LogicalPlan::scan("t")
+                .sample(method)
+                .filter(col("v").lt(lit(150.0)))
+                .join_on(
+                    LogicalPlan::scan("d").sample(SamplingMethod::Bernoulli { p: 0.6 }),
+                    col("k").eq(col("dk")),
+                );
+            for hint in [1, 9, 512] {
+                assert_stream_matches_batch(&plan, hint);
+            }
+        }
     }
 
     #[test]
@@ -1753,13 +1735,6 @@ mod tests {
             let err = open_stream(&plan, &c, &ExecOptions::default()).unwrap_err();
             assert!(matches!(err, ExecError::Unsupported(_)), "{err}");
         }
-    }
-
-    #[test]
-    fn with_replacement_sampling_is_refused() {
-        let plan = LogicalPlan::scan("t").sample(SamplingMethod::WithReplacement { size: 10 });
-        let err = open_stream(&plan, &catalog(), &ExecOptions::default()).unwrap_err();
-        assert!(matches!(err, ExecError::Unsupported(_)), "{err}");
     }
 
     /// Drain a stream into rows with the given chunk hint.

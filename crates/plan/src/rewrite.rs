@@ -114,9 +114,8 @@ pub struct SoaAnalysis {
     pub lineage_units: Vec<LineageUnit>,
     /// True iff the plan cannot emit two tuples with the same full lineage
     /// — every relation's unit is [`LineageUnit::Row`]. A scan visits a row
-    /// once (a shared cursor goes round once), every GUS sampler keeps a
-    /// row at most once (with-replacement sampling is not a GUS and never
-    /// gets this far), a join pairs two rows once, and `UnionSamples`
+    /// once (a shared cursor goes round once), every sampler keeps a row
+    /// at most once, a join pairs two rows once, and `UnionSamples`
     /// keeps a tuple once when either branch keeps it; `SYSTEM`'s block
     /// lineage, shared by every row of
     /// a block, is the one exception. The moment accumulators then keep no
@@ -546,19 +545,6 @@ mod tests {
         assert!(matches!(
             rewrite(&plan, &paper_catalog()),
             Err(PlanError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn with_replacement_not_analyzable() {
-        let plan = LogicalPlan::scan("lineitem")
-            .sample(SamplingMethod::WithReplacement { size: 10 })
-            .aggregate(vec![AggSpec::count_star("c")]);
-        assert!(matches!(
-            rewrite(&plan, &paper_catalog()),
-            Err(PlanError::Sampling(
-                sa_sampling::SamplingError::NotGus { .. }
-            ))
         ));
     }
 

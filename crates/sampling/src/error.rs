@@ -8,13 +8,6 @@ pub enum SamplingError {
     /// A probability outside `[0, 1]` or a sample size larger than the
     /// population.
     InvalidSpec(String),
-    /// The method has no GUS representation (e.g. sampling with replacement,
-    /// which produces duplicates — see Section 9, "Extending randomized
-    /// filtering").
-    NotGus {
-        /// The offending method's rendering.
-        method: String,
-    },
     /// Propagated GUS parameter error.
     Core(sa_core::CoreError),
 }
@@ -23,10 +16,6 @@ impl fmt::Display for SamplingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SamplingError::InvalidSpec(msg) => write!(f, "invalid sampling spec: {msg}"),
-            SamplingError::NotGus { method } => write!(
-                f,
-                "{method} is not a GUS method (it can produce duplicates) and cannot be analyzed"
-            ),
             SamplingError::Core(e) => write!(f, "{e}"),
         }
     }
@@ -53,10 +42,8 @@ mod tests {
 
     #[test]
     fn messages() {
-        let e = SamplingError::NotGus {
-            method: "WR(5)".into(),
-        };
-        assert!(e.to_string().contains("WR(5)"));
-        assert!(e.to_string().contains("duplicates"));
+        let e = SamplingError::InvalidSpec("WOR size 11 exceeds population 10".into());
+        assert!(e.to_string().contains("invalid sampling spec"));
+        assert!(e.to_string().contains("WOR size 11"));
     }
 }

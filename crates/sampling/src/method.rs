@@ -1,29 +1,30 @@
 //! Sampling operators and their GUS translations.
 //!
-//! Each [`SamplingMethod`] can (a) draw a sample of row ids from a table and
-//! (b) describe itself as a single-relation [`GusParams`] (the Figure 1
-//! table of the paper), which is the entry point of the SOA rewriter.
+//! Each [`SamplingMethod`] is (a) a [`Keep`] predicate on lineage ids,
+//! drawn from one seed by [`SamplingMethod::keep`] — the one definition of
+//! what a realization keeps, which the stream, the row oracle and the
+//! Monte-Carlo check all read — and (b) a single-relation [`GusParams`]
+//! (the Figure 1 table of the paper), which is the entry point of the SOA
+//! rewriter.
 //!
 //! The `SYSTEM` method (block-level Bernoulli, mirroring the SQL standard's
 //! implementation-defined `TABLESAMPLE SYSTEM`) is the reason lineage
 //! granularity is configurable: tuples in one block live or die together, so
 //! pair-inclusion probabilities depend on block co-residency — not
 //! expressible over row lineage, but *exactly* Bernoulli over **block**
-//! lineage. [`SamplingMethod::lineage_unit`] tells the executor which id to
-//! report for tuples of that relation.
-//!
-//! `WITH REPLACEMENT` sampling is provided for baseline comparisons but is
-//! **not** a GUS method (it produces duplicates; the paper's Section 9
-//! discusses this limitation): asking for its GUS parameters is an error.
+//! lineage, and its keep is the Bernoulli coin over block ids.
+//! [`SamplingMethod::lineage_unit`] tells the executor which id to report
+//! for tuples of that relation.
 
-use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use sa_core::hash::coin;
 use sa_core::GusParams;
-use sa_storage::{RowId, Table};
+use sa_storage::Table;
 
 use crate::error::SamplingError;
 use crate::Result;
@@ -61,17 +62,45 @@ pub enum SamplingMethod {
         /// Block inclusion probability.
         p: f64,
     },
-    /// Fixed-size uniform sampling **with** replacement. Provided for the
-    /// ripple-join/online-aggregation baseline; *not* a GUS method.
-    WithReplacement {
-        /// Number of draws.
-        size: u64,
+}
+
+/// What one realization of a sampler keeps: a predicate on its relation's
+/// lineage unit — the row id, or the block id under `SYSTEM` — drawn from
+/// one seed by [`SamplingMethod::keep`]. A unit's fate is a function of its
+/// id alone, so whoever reads it, in whatever order or chunking, sees one
+/// sample.
+#[derive(Debug, Clone)]
+pub enum Keep {
+    /// Bernoulli(`p`), and `SYSTEM` over block ids: the unit's [`coin`]
+    /// under `seed`.
+    Coin {
+        /// The coin's seed.
+        seed: u64,
+        /// Inclusion probability.
+        p: f64,
     },
+    /// WOR: the row ids drawn from the seed, one bit per row of the table.
+    Rows(Arc<[u64]>),
+}
+
+impl Keep {
+    /// Clear `mask[i]` wherever this sampler drops unit `ids[i]`.
+    #[inline]
+    pub fn narrow(&self, ids: &[u64], mask: &mut [bool]) {
+        let lanes = mask.iter_mut().zip(ids);
+        match self {
+            Keep::Coin { seed, p } => lanes.for_each(|(m, &id)| *m &= coin(*seed, *p, id)),
+            Keep::Rows(bits) => {
+                lanes.for_each(|(m, &id)| *m &= bits[(id / 64) as usize] >> (id % 64) & 1 == 1)
+            }
+        }
+    }
 }
 
 impl SamplingMethod {
     /// Validate the specification (probability ranges; sizes are checked
-    /// against the table at sampling time).
+    /// against the table by [`SamplingMethod::keep`] and
+    /// [`SamplingMethod::gus`]).
     pub fn validate(&self) -> Result<()> {
         match self {
             SamplingMethod::Bernoulli { p } | SamplingMethod::System { p } => {
@@ -81,14 +110,9 @@ impl SamplingMethod {
                     )));
                 }
             }
-            SamplingMethod::Wor { .. } | SamplingMethod::WithReplacement { .. } => {}
+            SamplingMethod::Wor { .. } => {}
         }
         Ok(())
-    }
-
-    /// True if the method is analyzable as GUS.
-    pub fn is_gus(&self) -> bool {
-        !matches!(self, SamplingMethod::WithReplacement { .. })
     }
 
     /// The lineage granularity the executor must use for this relation.
@@ -117,74 +141,33 @@ impl SamplingMethod {
                 }
                 Ok(GusParams::wor(relation, *size, population)?)
             }
-            SamplingMethod::WithReplacement { .. } => Err(SamplingError::NotGus {
-                method: self.to_string(),
-            }),
         }
     }
 
-    /// Draw a sample of row ids from `table` with the supplied RNG. The
-    /// result may contain duplicates only for `WithReplacement`; it is in
-    /// ascending order for the other methods.
-    pub fn sample(&self, table: &Table, rng: &mut StdRng) -> Result<Vec<RowId>> {
+    /// The realization of this method over `table` that `seed` draws:
+    /// Bernoulli keeps a row, and `SYSTEM` a block, iff its [`coin`] under
+    /// `seed` comes up; WOR keeps `size` row ids drawn by Floyd's algorithm
+    /// off a generator seeded with `seed`.
+    pub fn keep(&self, seed: u64, table: &Table) -> Result<Keep> {
         self.validate()?;
-        let n = table.row_count();
-        Ok(match self {
-            SamplingMethod::Bernoulli { p } => {
-                (0..n).filter(|_| rng.random::<f64>() < *p).collect()
-            }
-            SamplingMethod::System { p } => {
-                let mut out = Vec::new();
-                for block in 0..table.block_count() {
-                    if rng.random::<f64>() < *p {
-                        let (start, end) = table.block_range(block);
-                        out.extend(start..end);
-                    }
-                }
-                out
-            }
-            SamplingMethod::Wor { .. } | SamplingMethod::WithReplacement { .. } => {
-                self.draw_fixed_size(n, rng)?
-            }
-        })
-    }
-
-    /// The positions a fixed-size method (`WOR`, with-replacement) keeps out
-    /// of `n` inputs — what [`SamplingMethod::sample`] draws over a table's
-    /// rows, for callers whose input is not a stored table (the executor
-    /// samples a drained subtree by position). `WOR` positions are
-    /// ascending, with-replacement ones in draw order. The per-unit methods
-    /// (Bernoulli, `SYSTEM`) are not fixed-size and are refused.
-    pub fn draw_fixed_size(&self, n: u64, rng: &mut StdRng) -> Result<Vec<u64>> {
         match self {
+            SamplingMethod::Bernoulli { p } | SamplingMethod::System { p } => {
+                Ok(Keep::Coin { seed, p: *p })
+            }
             SamplingMethod::Wor { size } => {
+                let n = table.row_count();
                 if *size > n {
                     return Err(SamplingError::InvalidSpec(format!(
                         "WOR size {size} exceeds population {n}"
                     )));
                 }
-                let mut ids = floyd_sample(n, *size, rng);
-                ids.sort_unstable();
-                Ok(ids)
+                Ok(Keep::Rows(floyd(
+                    n,
+                    *size,
+                    &mut StdRng::seed_from_u64(seed),
+                )))
             }
-            SamplingMethod::WithReplacement { size } => {
-                if n == 0 {
-                    return Err(SamplingError::InvalidSpec(
-                        "cannot draw with replacement from an empty input".into(),
-                    ));
-                }
-                Ok((0..*size).map(|_| rng.random_range(0..n)).collect())
-            }
-            SamplingMethod::Bernoulli { .. } | SamplingMethod::System { .. } => Err(
-                SamplingError::InvalidSpec(format!("{self} is not a fixed-size method")),
-            ),
         }
-    }
-
-    /// Deterministic variant: draw with a seed.
-    pub fn sample_seeded(&self, table: &Table, seed: u64) -> Result<Vec<RowId>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.sample(table, &mut rng)
     }
 }
 
@@ -194,22 +177,27 @@ impl fmt::Display for SamplingMethod {
             SamplingMethod::Bernoulli { p } => write!(f, "B{p}"),
             SamplingMethod::Wor { size } => write!(f, "WOR{size}"),
             SamplingMethod::System { p } => write!(f, "SYSTEM{p}"),
-            SamplingMethod::WithReplacement { size } => write!(f, "WR{size}"),
         }
     }
 }
 
 /// Robert Floyd's algorithm: `k` distinct uniform draws from `0..n` in
-/// `O(k)` expected time and `O(k)` space.
-fn floyd_sample(n: u64, k: u64, rng: &mut StdRng) -> Vec<RowId> {
-    let mut chosen: HashSet<u64> = HashSet::with_capacity(k as usize);
+/// `O(k)` expected draws, as a bitmap of `n` bits.
+fn floyd(n: u64, k: u64, rng: &mut StdRng) -> Arc<[u64]> {
+    let mut bits = vec![0u64; n.div_ceil(64) as usize];
+    // Set `id`'s bit; false if it was already set.
+    let mut insert = |id: u64| {
+        let (word, bit) = (&mut bits[(id / 64) as usize], 1u64 << (id % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    };
     for j in n - k..n {
-        let t = rng.random_range(0..=j);
-        if !chosen.insert(t) {
-            chosen.insert(j);
+        if !insert(rng.random_range(0..=j)) {
+            insert(j);
         }
     }
-    chosen.into_iter().collect()
+    bits.into()
 }
 
 #[cfg(test)]
@@ -226,12 +214,29 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// The row ids of `t` that `m`'s keep under `seed` keeps, ascending:
+    /// each row is judged by its lineage unit (its block under `SYSTEM`).
+    fn kept(m: &SamplingMethod, t: &Table, seed: u64) -> Result<Vec<u64>> {
+        let keep = m.keep(seed, t)?;
+        let rows: Vec<u64> = (0..t.row_count()).collect();
+        let units: Vec<u64> = match m.lineage_unit() {
+            LineageUnit::Row => rows.clone(),
+            LineageUnit::Block => rows.iter().map(|&r| t.block_of(r)).collect(),
+        };
+        let mut mask = vec![true; rows.len()];
+        keep.narrow(&units, &mut mask);
+        Ok(rows
+            .into_iter()
+            .zip(mask)
+            .filter(|&(_, m)| m)
+            .map(|(r, _)| r)
+            .collect())
+    }
+
     #[test]
     fn bernoulli_rate() {
         let t = table(20_000, 256);
-        let ids = SamplingMethod::Bernoulli { p: 0.25 }
-            .sample_seeded(&t, 1)
-            .unwrap();
+        let ids = kept(&SamplingMethod::Bernoulli { p: 0.25 }, &t, 1).unwrap();
         let rate = ids.len() as f64 / 20_000.0;
         assert!((rate - 0.25).abs() < 0.02, "rate = {rate}");
         // Distinct and in order.
@@ -241,9 +246,7 @@ mod tests {
     #[test]
     fn wor_exact_size_distinct() {
         let t = table(1000, 256);
-        let ids = SamplingMethod::Wor { size: 137 }
-            .sample_seeded(&t, 2)
-            .unwrap();
+        let ids = kept(&SamplingMethod::Wor { size: 137 }, &t, 2).unwrap();
         assert_eq!(ids.len(), 137);
         assert!(ids.windows(2).all(|w| w[0] < w[1])); // distinct + sorted
         assert!(ids.iter().all(|&i| i < 1000));
@@ -252,18 +255,14 @@ mod tests {
     #[test]
     fn wor_full_population() {
         let t = table(50, 256);
-        let ids = SamplingMethod::Wor { size: 50 }
-            .sample_seeded(&t, 3)
-            .unwrap();
+        let ids = kept(&SamplingMethod::Wor { size: 50 }, &t, 3).unwrap();
         assert_eq!(ids, (0..50).collect::<Vec<_>>());
     }
 
     #[test]
     fn wor_oversize_rejected() {
         let t = table(10, 256);
-        assert!(SamplingMethod::Wor { size: 11 }
-            .sample_seeded(&t, 0)
-            .is_err());
+        assert!(SamplingMethod::Wor { size: 11 }.keep(0, &t).is_err());
         assert!(SamplingMethod::Wor { size: 11 }.gus("t", &t).is_err());
     }
 
@@ -273,10 +272,7 @@ mod tests {
         let t = table(20, 256);
         let mut counts = [0u32; 20];
         for seed in 0..2000 {
-            for id in (SamplingMethod::Wor { size: 5 })
-                .sample_seeded(&t, seed)
-                .unwrap()
-            {
+            for id in kept(&SamplingMethod::Wor { size: 5 }, &t, seed).unwrap() {
                 counts[id as usize] += 1;
             }
         }
@@ -289,9 +285,7 @@ mod tests {
     #[test]
     fn system_keeps_whole_blocks() {
         let t = table(1000, 100); // 10 blocks
-        let ids = SamplingMethod::System { p: 0.5 }
-            .sample_seeded(&t, 4)
-            .unwrap();
+        let ids = kept(&SamplingMethod::System { p: 0.5 }, &t, 4).unwrap();
         // Every kept block must be complete.
         let mut blocks: Vec<u64> = ids.iter().map(|&i| i / 100).collect();
         blocks.dedup();
@@ -311,29 +305,6 @@ mod tests {
             SamplingMethod::Bernoulli { p: 0.1 }.lineage_unit(),
             LineageUnit::Row
         );
-    }
-
-    #[test]
-    fn with_replacement_draws_exactly_size_with_duplicates_possible() {
-        let t = table(10, 256);
-        let ids = SamplingMethod::WithReplacement { size: 100 }
-            .sample_seeded(&t, 5)
-            .unwrap();
-        assert_eq!(ids.len(), 100);
-        assert!(ids.iter().all(|&i| i < 10));
-        // With 100 draws from 10 rows duplicates are certain.
-        let distinct: HashSet<_> = ids.iter().collect();
-        assert!(distinct.len() < 100);
-    }
-
-    #[test]
-    fn with_replacement_is_not_gus() {
-        let t = table(10, 256);
-        assert!(!SamplingMethod::WithReplacement { size: 5 }.is_gus());
-        assert!(matches!(
-            SamplingMethod::WithReplacement { size: 5 }.gus("t", &t),
-            Err(SamplingError::NotGus { .. })
-        ));
     }
 
     #[test]
@@ -362,24 +333,19 @@ mod tests {
             SamplingMethod::System { p: f64::NAN },
         ] {
             assert!(m.validate().is_err());
-            assert!(m.sample_seeded(&t, 0).is_err());
+            assert!(m.keep(0, &t).is_err());
         }
     }
 
     #[test]
     fn empty_table_edge_cases() {
         let t = table(0, 256);
-        assert!(SamplingMethod::Bernoulli { p: 0.5 }
-            .sample_seeded(&t, 0)
+        assert!(kept(&SamplingMethod::Bernoulli { p: 0.5 }, &t, 0)
             .unwrap()
             .is_empty());
-        assert!(SamplingMethod::Wor { size: 0 }
-            .sample_seeded(&t, 0)
+        assert!(kept(&SamplingMethod::Wor { size: 0 }, &t, 0)
             .unwrap()
             .is_empty());
-        assert!(SamplingMethod::WithReplacement { size: 1 }
-            .sample_seeded(&t, 0)
-            .is_err());
     }
 
     #[test]
@@ -387,10 +353,6 @@ mod tests {
         assert_eq!(SamplingMethod::Bernoulli { p: 0.1 }.to_string(), "B0.1");
         assert_eq!(SamplingMethod::Wor { size: 1000 }.to_string(), "WOR1000");
         assert_eq!(SamplingMethod::System { p: 0.5 }.to_string(), "SYSTEM0.5");
-        assert_eq!(
-            SamplingMethod::WithReplacement { size: 7 }.to_string(),
-            "WR7"
-        );
     }
 
     #[test]
@@ -401,10 +363,7 @@ mod tests {
             SamplingMethod::Wor { size: 77 },
             SamplingMethod::System { p: 0.4 },
         ] {
-            assert_eq!(
-                m.sample_seeded(&t, 99).unwrap(),
-                m.sample_seeded(&t, 99).unwrap()
-            );
+            assert_eq!(kept(&m, &t, 99).unwrap(), kept(&m, &t, 99).unwrap());
         }
     }
 }

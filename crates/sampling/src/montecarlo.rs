@@ -1,15 +1,14 @@
 //! Monte-Carlo measurement of GUS parameters.
 //!
 //! The GUS translation table (Figure 1) is closed-form; this module measures
-//! the same quantities empirically by repeated sampling, so tests (and the
-//! Figure 1 experiment binary) can verify that every [`SamplingMethod`]'s
-//! claimed `(a, b̄)` matches the process it actually runs — a differential
-//! check between the sampler implementation and its analysis.
-
-use std::collections::HashSet;
+//! the same quantities empirically over repeated draws of a method's
+//! [`Keep`](crate::Keep) — the predicate every query's sampler applies — so
+//! tests (and the Figure 1 experiment binary) can verify that every
+//! [`SamplingMethod`]'s claimed `(a, b̄)` matches the sample queries realize:
+//! a differential check between the sampler and its analysis.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 use sa_storage::Table;
 
@@ -27,7 +26,8 @@ pub struct EmpiricalGus {
     pub trials: u32,
 }
 
-/// Measure `a` and `b_∅` of `method` over `table` by repeated sampling.
+/// Measure `a` and `b_∅` of `method` over `table` by drawing its keep from
+/// `trials` seeds (themselves drawn from `seed`).
 ///
 /// Measurements are taken at the method's lineage granularity (rows, or
 /// blocks for `SYSTEM`), on the first two units of the table; GUS uniformity
@@ -62,16 +62,12 @@ pub fn measure_single_relation(
     let mut hit0 = 0u32;
     let mut hit_both = 0u32;
     for _ in 0..trials {
-        let ids = method.sample(table, &mut rng)?;
-        let units: HashSet<u64> = ids.iter().map(|&r| unit_of(r)).collect();
-        let in0 = units.contains(&u0);
-        let in1 = units.contains(&u1);
-        if in0 {
-            hit0 += 1;
-        }
-        if in0 && in1 {
-            hit_both += 1;
-        }
+        let mut kept = [true; 2];
+        method
+            .keep(rng.random(), table)?
+            .narrow(&[u0, u1], &mut kept);
+        hit0 += kept[0] as u32;
+        hit_both += (kept[0] && kept[1]) as u32;
     }
     Ok(EmpiricalGus {
         a: hit0 as f64 / trials as f64,

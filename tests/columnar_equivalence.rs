@@ -1,6 +1,9 @@
 //! Row-vs-columnar equivalence: the columnar batch engine must be
 //! observationally identical to row-at-a-time execution.
 //!
+//! * the row oracle and the stream realize one set of tuples for every
+//!   `shaped_plan` shape × sampler × seed × chunk hint: one sampler design,
+//!   applied at the root by one and at the scans by the other;
 //! * a differential proptest draws a random plan (sampler × filter ×
 //!   projection × optional join), a random seed and two independent chunk
 //!   splits, and checks that the columnar stream
@@ -20,13 +23,13 @@
 
 mod support;
 
-use support::{catalog, shaped_plan};
+use support::{catalog, shaped_plan, stacked_plan};
 
 use proptest::prelude::*;
 
 use sa_core::MomentAccumulator;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder};
-use sampling_algebra::exec::{execute, f_vector, layout_dims, open_stream, ExecOptions};
+use sampling_algebra::exec::{execute, f_vector, layout_dims, open_stream, ExecOptions, Row};
 use sampling_algebra::expr::col;
 use sampling_algebra::online::QueryOptions;
 use sampling_algebra::prelude::*;
@@ -154,6 +157,41 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One design, applied in two places: the row oracle samples at the
+    /// root and the stream at its scans. Samplers commute with selection
+    /// and join (Propositions 6–8), so for every shape × sampler × seed ×
+    /// chunk hint the two realize one set of tuples.
+    #[test]
+    fn the_oracle_and_the_stream_realize_one_set(
+        shape in 0u8..5,
+        sampler in 0u8..4,
+        p in 0.1f64..1.0,
+        size in 1u64..600,
+        seed in 0u64..10_000,
+        hint in 1usize..400,
+    ) {
+        let c = catalog();
+        let plan = match sampler {
+            0 => shaped_plan(shape, SamplingMethod::Bernoulli { p }).0.strip_samples(),
+            1 => shaped_plan(shape, SamplingMethod::Bernoulli { p }).0,
+            2 => shaped_plan(shape, SamplingMethod::System { p }).0,
+            _ => shaped_plan(shape, SamplingMethod::Wor { size }).0,
+        };
+        let LogicalPlan::Aggregate { input, .. } = &plan else { unreachable!() };
+        let opts = ExecOptions { seed, ..Default::default() };
+        let by_lineage = |mut rows: Vec<Row>| {
+            rows.sort_by(|a, b| a.lineage.cmp(&b.lineage));
+            rows
+        };
+        let oracle = by_lineage(execute(input, &c, &opts).unwrap().rows);
+        let stream = by_lineage(open_stream(input, &c, &opts).unwrap().collect_rows(hint).unwrap());
+        prop_assert_eq!(oracle, stream);
+    }
+}
+
 /// Every (group key, sampled rows, aggregate) cell of an answer, flattened
 /// so a batch answer and a run's final snapshot compare cell by cell.
 type Cells = Vec<(Vec<Value>, u64, f64, Option<f64>)>;
@@ -208,26 +246,23 @@ proptest! {
     ) {
         let c = catalog();
         let engine = Engine::new(c.clone());
-        let method = match sampler % 4 {
-            0 => SamplingMethod::Bernoulli { p },
-            1 => SamplingMethod::System { p },
-            2 => SamplingMethod::Wor { size },
-            _ => SamplingMethod::WithReplacement { size },
+        let stack = match sampler % 4 {
+            0 => vec![SamplingMethod::Bernoulli { p }],
+            1 => vec![SamplingMethod::System { p }],
+            2 => vec![SamplingMethod::Wor { size }],
+            _ => vec![SamplingMethod::Wor { size }, SamplingMethod::Bernoulli { p }],
         };
-        let (plan, group_by) = shaped_plan(shape, method.clone());
+        let (plan, group_by) = stacked_plan(shape, &stack);
         // Pushdown is a property of the stream, not of the estimate: off,
         // the scans gather every column and keep filters apart, and the
         // realized tuples and lineage are the same.
         let LogicalPlan::Aggregate { input, .. } = &plan else { unreachable!() };
         let pushdown = ExecOptions { seed, shuffle_scan, ..Default::default() };
         let no_pushdown = ExecOptions { disable_pushdown: true, ..pushdown.clone() };
-        match (open_stream(input, &c, &pushdown), open_stream(input, &c, &no_pushdown)) {
-            (Ok(on), Ok(off)) => prop_assert_eq!(
-                on.collect_rows(chunk_rows).unwrap(),
-                off.collect_rows(chunk_rows).unwrap()
-            ),
-            (on, off) => prop_assert_eq!(on.is_ok(), off.is_ok()),
-        }
+        prop_assert_eq!(
+            open_stream(input, &c, &pushdown).unwrap().collect_rows(chunk_rows).unwrap(),
+            open_stream(input, &c, &no_pushdown).unwrap().collect_rows(chunk_rows).unwrap()
+        );
         for jobs in [1usize, 4] {
             let opts = QueryOptions {
                 seed,
@@ -243,21 +278,7 @@ proptest! {
                     .group_by(group_by.clone())
                     .options(opts.clone())
             };
-            let (batch, run) = match (query().batch(), query().run()) {
-                (Ok(batch), Ok(run)) => (batch, run),
-                // Whatever one refuses (a non-GUS sampler) the other
-                // refuses identically.
-                (Err(b), Err(r)) => {
-                    prop_assert!(!method.is_gus(), "{b}");
-                    prop_assert_eq!(b, r);
-                    continue;
-                }
-                (b, r) => panic!(
-                    "one terminal refused what the other ran: batch {:?}, run {:?}",
-                    b.map(|_| ()),
-                    r.map(|r| r.reason)
-                ),
-            };
+            let (batch, run) = (query().batch().unwrap(), query().run().unwrap());
             prop_assert_eq!(run.reason, StopReason::Exhausted);
             let ((batch_rows, batch), (run_rows, run)) =
                 (batch_cells(&batch), run_cells(&run.snapshot));

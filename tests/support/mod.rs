@@ -175,7 +175,17 @@ pub fn catalog() -> Catalog {
 /// One of the five plan shapes the batch-vs-run pin walks, with its GROUP BY
 /// keys (empty unless the shape is grouped).
 pub fn shaped_plan(shape: u8, method: SamplingMethod) -> (LogicalPlan, Vec<Expr>) {
-    let sampled = || LogicalPlan::scan("t").sample(method.clone());
+    stacked_plan(shape, &[method])
+}
+
+/// [`shaped_plan`] with `t` sampled by every method of `stack`, innermost
+/// first.
+pub fn stacked_plan(shape: u8, stack: &[SamplingMethod]) -> (LogicalPlan, Vec<Expr>) {
+    let sampled = || {
+        stack
+            .iter()
+            .fold(LogicalPlan::scan("t"), |plan, m| plan.sample(m.clone()))
+    };
     let aggs = |value: Expr| {
         vec![
             AggSpec::sum(value.clone(), "s"),
@@ -207,8 +217,8 @@ pub fn shaped_plan(shape: u8, method: SamplingMethod) -> (LogicalPlan, Vec<Expr>
         ),
         3 => {
             // Lineage granularity must match across the union.
-            let second = match method {
-                SamplingMethod::System { .. } => SamplingMethod::System { p: 0.3 },
+            let second = match stack.first() {
+                Some(SamplingMethod::System { .. }) => SamplingMethod::System { p: 0.3 },
                 _ => SamplingMethod::Bernoulli { p: 0.3 },
             };
             let union = sampled().union_samples(LogicalPlan::scan("t").sample(second));
