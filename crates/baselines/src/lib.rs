@@ -24,7 +24,7 @@ use rand::{RngExt, SeedableRng};
 
 use sa_core::{exact_variance, normal_ci, ConfidenceInterval, MomentAccumulator};
 use sa_exec::{DrainedSample, ExecOptions};
-use sa_online::Engine;
+use sa_online::{Engine, QueryResult};
 use sa_plan::{rewrite, AggFunc, AggSpec, LogicalPlan};
 use sa_storage::Catalog;
 
@@ -197,10 +197,12 @@ pub fn compare_estimators(
     let session = Engine::new(catalog.clone()).session();
     let query = || session.query_plan(plan).seed(seed).confidence(level);
     let approx = query().batch()?;
-    let approx = approx.as_scalar().expect("no GROUP BY keys were given");
-    let exact = query().exact()?;
-    let exact = exact.as_scalar().expect("no GROUP BY keys were given");
     let a = approx.analysis.gus.a();
+    let exact = query().exact()?;
+    let first = |r: &QueryResult| {
+        let s = r.snapshot.as_scalar().expect("no GROUP BY keys were given");
+        s.aggs[0].clone()
+    };
 
     // The stream is deterministic in the seed: draining it again yields the
     // very tuples the batch estimate saw, as raw f values for the baselines.
@@ -214,8 +216,8 @@ pub fn compare_estimators(
         seed ^ BOOTSTRAP_SEED_SALT,
     )?;
     Ok(ComparisonRun {
-        exact: exact.aggs[0].estimate,
-        gus: approx.aggs[0].clone(),
+        exact: first(&exact).estimate,
+        gus: first(&approx),
         naive,
         bootstrap: boot,
         oracle_variance: oracle_variance(plan, catalog)?,

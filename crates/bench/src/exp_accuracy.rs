@@ -35,7 +35,7 @@ fn coverage_cell(
     let mut width = 0.0;
     for seed in 0..trials {
         let r = workloads::batch_at(catalog, plan, seed);
-        let a = &r.aggs[0];
+        let a = &workloads::scalar(&r).aggs[0];
         rel_err += (a.estimate - exact).abs() / exact.abs();
         let ci_n = a.ci_normal.as_ref().unwrap();
         let ci_c = a.ci_chebyshev.as_ref().unwrap();

@@ -47,7 +47,9 @@ pub fn robustness() -> String {
 pub fn design_prediction() -> String {
     let catalog = workloads::tpch_small(43);
     let plan = workloads::single_table(&catalog, 30.0);
-    let pilot = workloads::batch_at(&catalog, &plan, 4);
+    let pilot = workloads::batch_at(&catalog, &plan, 4)
+        .report
+        .expect("a scalar query has a report");
     let mut out = String::from(
         "### E8(ii) — Choosing sampling parameters from one pilot run (B(0.3))\n\n\
          | candidate design | predicted variance | true (oracle) variance | ratio |\n\
@@ -55,7 +57,7 @@ pub fn design_prediction() -> String {
     );
     for p in [0.05, 0.1, 0.2, 0.5, 0.8] {
         let alt = GusParams::bernoulli("lineitem", p).unwrap();
-        let predicted = pilot.report.predict_variance(&alt, 0).unwrap();
+        let predicted = pilot.predict_variance(&alt, 0).unwrap();
         let alt_plan = workloads::single_table(&catalog, p * 100.0);
         let truth = sa_baselines::oracle_variance(&alt_plan, &catalog).unwrap();
         out.push_str(&format!(
@@ -85,6 +87,7 @@ pub fn size_estimation() -> String {
     );
     for seed in 0..8u64 {
         let r = workloads::batch_at(&catalog, &plan, seed);
+        let r = workloads::scalar(&r);
         let ci = r.aggs[0].ci_normal.unwrap();
         out.push_str(&format!(
             "| {seed} | {:.0} | [{:.0}, {:.0}] | {} |\n",

@@ -82,6 +82,7 @@ pub fn query1() -> String {
     // End-to-end estimate vs exact.
     let exact = workloads::exact(&catalog, &plan);
     let r = workloads::batch_at(&catalog, &plan, 3);
+    let r = workloads::scalar(&r);
     let a = &r.aggs[0];
     out.push_str(&format!(
         "\n| quantity | value |\n|---|---|\n| exact answer | {exact:.2} |\n\
@@ -90,7 +91,7 @@ pub fn query1() -> String {
         a.estimate,
         a.ci_normal.as_ref().unwrap(),
         a.ci_chebyshev.as_ref().unwrap(),
-        r.result_rows
+        r.rows
     ));
     out
 }

@@ -126,8 +126,8 @@ pub fn subsample() -> String {
     let t_full = t0.elapsed();
     out.push_str(&format!(
         "| full sample | {} | {:.1} | {:.1} |\n",
-        full.variance_rows,
-        full.aggs[0].variance.unwrap().sqrt(),
+        full.report.as_ref().expect("a scalar query has a report").m,
+        workloads::scalar(&full).aggs[0].variance.unwrap().sqrt(),
         t_full.as_secs_f64() * 1e3
     ));
     for target in [10_000u64, 2_000, 500] {
@@ -144,8 +144,8 @@ pub fn subsample() -> String {
         let t_sub = t0.elapsed();
         out.push_str(&format!(
             "| sub-sample ≈{target} | {} | {:.1} | {:.1} |\n",
-            sub.variance_rows,
-            sub.aggs[0].variance.unwrap().sqrt(),
+            sub.report.as_ref().expect("a scalar query has a report").m,
+            workloads::scalar(&sub).aggs[0].variance.unwrap().sqrt(),
             t_sub.as_secs_f64() * 1e3
         ));
     }

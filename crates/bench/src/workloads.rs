@@ -1,6 +1,6 @@
 //! Shared workload builders for the experiments.
 
-use sa_online::{ApproxResult, BatchOutput, Engine, QueryOptions};
+use sa_online::{Engine, ProgressSnapshot, QueryOptions, QueryResult};
 use sa_plan::LogicalPlan;
 use sa_sql::plan_sql;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder, Value};
@@ -113,18 +113,15 @@ pub fn synthetic_plan(n: usize, p: f64) -> LogicalPlan {
     plan.aggregate(vec![AggSpec::count_star("c")])
 }
 
-/// The scalar batch answer of `plan` over `catalog` under `opts`.
-pub fn batch(catalog: &Catalog, plan: &LogicalPlan, opts: QueryOptions) -> ApproxResult {
+/// The batch answer of `plan` over `catalog` under `opts`.
+pub fn batch(catalog: &Catalog, plan: &LogicalPlan, opts: QueryOptions) -> QueryResult {
     let session = Engine::new(catalog.clone()).session();
-    match session.query_plan(plan).options(opts).batch() {
-        Ok(BatchOutput::Scalar(r)) => r,
-        Ok(BatchOutput::Grouped(_)) => unreachable!("no GROUP BY keys were given"),
-        Err(e) => panic!("workload runs: {e}"),
-    }
+    let result = session.query_plan(plan).options(opts).batch();
+    result.unwrap_or_else(|e| panic!("workload runs: {e}"))
 }
 
 /// [`batch`] at `seed`, everything else default (95% intervals).
-pub fn batch_at(catalog: &Catalog, plan: &LogicalPlan, seed: u64) -> ApproxResult {
+pub fn batch_at(catalog: &Catalog, plan: &LogicalPlan, seed: u64) -> QueryResult {
     batch(
         catalog,
         plan,
@@ -135,12 +132,14 @@ pub fn batch_at(catalog: &Catalog, plan: &LogicalPlan, seed: u64) -> ApproxResul
     )
 }
 
+/// The final snapshot of a scalar answer.
+pub fn scalar(r: &QueryResult) -> &ProgressSnapshot {
+    r.snapshot.as_scalar().expect("no GROUP BY keys were given")
+}
+
 /// The exact value of `plan`'s first aggregate (sampling stripped).
 pub fn exact(catalog: &Catalog, plan: &LogicalPlan) -> f64 {
     let session = Engine::new(catalog.clone()).session();
-    match session.query_plan(plan).exact() {
-        Ok(BatchOutput::Scalar(r)) => r.aggs[0].estimate,
-        Ok(BatchOutput::Grouped(_)) => unreachable!("no GROUP BY keys were given"),
-        Err(e) => panic!("workload runs: {e}"),
-    }
+    let result = session.query_plan(plan).exact();
+    scalar(&result.unwrap_or_else(|e| panic!("workload runs: {e}"))).aggs[0].estimate
 }

@@ -2,15 +2,13 @@
 //!
 //! One flat [`QueryOptions`] configures every terminal — scalar vs. grouped
 //! is decided by the query (its `GROUP BY` list), online vs. batch by the
-//! terminal called — and [`Snapshot`] / [`QueryResult`] / [`BatchOutput`]
-//! make the result shape a variant rather than a separate entry point.
+//! terminal called — and [`Snapshot`] / [`QueryResult`] make the result
+//! shape a variant rather than a separate entry point.
 
 use std::time::Duration;
 
 use sa_core::{EstimateReport, GusParams};
-use sa_exec::AggResult;
 use sa_plan::{SoaAnalysis, StopReason, StoppingRule};
-use sa_storage::Value;
 
 use crate::driver::ProgressSnapshot;
 use crate::grouped::GroupedProgressSnapshot;
@@ -187,16 +185,16 @@ impl Snapshot {
     }
 }
 
-/// The outcome of a progressive run through the Engine/Session API:
-/// scalar vs. grouped is a variant of [`QueryResult::snapshot`], not a
-/// separate entry point.
+/// The outcome of every terminal — `.run()`, `.online()`, `.batch()` and
+/// `.exact()`: scalar vs. grouped is a variant of
+/// [`QueryResult::snapshot`], not a separate entry point.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     /// Why the loop stopped.
     pub reason: StopReason,
     /// The last emitted snapshot (the final estimates).
     pub snapshot: Snapshot,
-    /// Number of snapshots emitted.
+    /// Number of snapshots read out: one for `.batch()` and `.exact()`.
     pub chunks: u64,
     /// Lineage groups the moment accumulator held when the loop stopped
     /// (`sa_core::MomentAccumulator::lineage_entries`, summed over groups
@@ -205,76 +203,10 @@ pub struct QueryResult {
     pub lineage_entries: usize,
     /// The SOA analysis (top GUS, lineage schema, rewrite trace).
     pub analysis: SoaAnalysis,
-}
-
-/// A scalar batch answer: every aggregate of the `SELECT` list estimated
-/// from the whole drained sample.
-#[derive(Debug, Clone)]
-pub struct ApproxResult {
-    /// One entry per aggregate in the `SELECT` list, in order.
-    pub aggs: Vec<AggResult>,
-    /// Number of result tuples the sampled plan produced.
-    pub result_rows: u64,
-    /// Number of tuples used for variance estimation (differs from
-    /// `result_rows` under Section 7 sub-sampling).
-    pub variance_rows: u64,
-    /// The SOA analysis (top GUS, lineage schema, rewrite trace).
-    pub analysis: SoaAnalysis,
-    /// The underlying multi-dimensional estimate report (exposed for
-    /// variance prediction and delta-method post-processing).
-    pub report: EstimateReport,
-}
-
-/// Estimates for one observed group of a grouped batch answer.
-#[derive(Debug, Clone)]
-pub struct GroupEstimate {
-    /// The group key values, in `group_by` order.
-    pub key: Vec<Value>,
-    /// One result per aggregate in the `SELECT` list.
-    pub aggs: Vec<AggResult>,
-    /// Number of sampled result tuples in this group.
-    pub sample_rows: u64,
-}
-
-/// A grouped batch answer. Groups with **no sampled tuple are absent** —
-/// the classical caveat of sampling-based `GROUP BY` estimation.
-#[derive(Debug, Clone)]
-pub struct GroupedApproxResult {
-    /// Renderings of the group-by expressions.
-    pub group_exprs: Vec<String>,
-    /// One entry per group observed in the sample, ordered by key.
-    pub groups: Vec<GroupEstimate>,
-    /// The SOA analysis shared by every group.
-    pub analysis: SoaAnalysis,
-    /// Total sampled result tuples.
-    pub result_rows: u64,
-}
-
-/// The outcome of a one-shot batch run ([`crate::QueryBuilder::batch`] or
-/// [`crate::QueryBuilder::exact`]): the whole stream is drained and read
-/// out once, no snapshots are streamed.
-#[derive(Debug, Clone)]
-pub enum BatchOutput {
-    /// A scalar query's estimates.
-    Scalar(ApproxResult),
-    /// A grouped query's per-group estimates.
-    Grouped(GroupedApproxResult),
-}
-
-impl BatchOutput {
-    /// The scalar result, if this is one.
-    pub fn as_scalar(&self) -> Option<&ApproxResult> {
-        match self {
-            BatchOutput::Scalar(r) => Some(r),
-            BatchOutput::Grouped(_) => None,
-        }
-    }
-
-    /// The grouped result, if this is one.
-    pub fn as_grouped(&self) -> Option<&GroupedApproxResult> {
-        match self {
-            BatchOutput::Scalar(_) => None,
-            BatchOutput::Grouped(r) => Some(r),
-        }
-    }
+    /// A scalar query's multi-dimensional estimate report, read under the
+    /// last snapshot's GUS (for variance prediction and delta-method
+    /// post-processing); `report.m` is the number of tuples the variance
+    /// was estimated from, fewer than `snapshot.rows()` under Section 7
+    /// sub-sampling. `None` under GROUP BY.
+    pub report: Option<EstimateReport>,
 }

@@ -2,100 +2,88 @@
 //!
 //! The SBox needs only lineage ids and `f` values (Section 6.2), so a
 //! one-shot estimate is the progressive loop without its ticks — literally
-//! [`drive_shape`] with `every_chunk = false`: the same [`open_aggregate`]
+//! [`drive`] with `every_chunk = false`: the same [`open_aggregate`]
 //! preamble, the same per-chunk accumulation, and one tick, at exhaustion,
-//! read under the plan GUS. Same `(plan, QueryOptions)` therefore means
-//! the same realized sample as `.run()` to exhaustion, and on one worker
-//! the same bits in every estimate and variance — as long as the run pulls
-//! at the fixed `chunk_rows` the batch pulls at. With `adaptive_chunks` the
-//! run's pulls grow, the sums round at other boundaries, and the two agree
-//! to 1e-9.
+//! read under the plan GUS into the `QueryResult` `.run()` returns. Same
+//! `(plan, QueryOptions)` therefore means the same realized sample as
+//! `.run()` to exhaustion, and on one worker the same bits in every
+//! estimate and variance — as long as the run pulls at the fixed
+//! `chunk_rows` the batch pulls at. With `adaptive_chunks` the run's pulls
+//! grow, the sums round at other boundaries, and the two agree to 1e-9.
 //!
 //! With `parallelism = N` the batch drains the N disjoint slices `.run()`
 //! would hand its workers, one after the other on the calling thread: the
-//! realized sample is the parallel run's, and with no ticks to overlap
-//! there is nothing for a worker pool to hide.
+//! realized sample and its summed coverage are the parallel run's, and
+//! with no ticks to overlap there is nothing for a worker pool to hide.
+
+use std::time::Instant;
 
 use sa_core::{EstimateReport, GusParams, LineageBernoulli, MomentAccumulator};
 use sa_exec::{agg_results_from_report, DrainedSample};
 use sa_expr::Expr;
-use sa_plan::LogicalPlan;
+use sa_plan::{LogicalPlan, StopReason};
 use sa_storage::Catalog;
 
-use crate::api::{ApproxResult, BatchOutput, GroupEstimate, GroupedApproxResult};
-use crate::api::{QueryOptions, Snapshot};
+use crate::api::{QueryOptions, QueryResult, Snapshot};
 use crate::driver::{
-    drive_shape, open_aggregate, read_scalar_slot, OpenedAggregate, RunCtx, Scalar,
+    add_coverage, drive, open_aggregate, worst_rel_half_width, OpenedAggregate, ProgressSnapshot,
+    RunCtx,
 };
 use crate::error::Error;
-use crate::grouped::Grouped;
 use crate::Result;
 
 /// Estimate `plan`'s aggregates (per `group_by` key, if any) from its whole
-/// sample: the progressive loop with its mid-stream ticks suppressed, and
-/// its one exhaustion readout converted to the batch result types.
+/// sample: the progressive loop with its mid-stream ticks suppressed —
+/// or, under Section 7 sub-sampling, the same drain into a second sink —
+/// read out once into the result every terminal returns.
 pub(crate) fn drain_batch(
     plan: &LogicalPlan,
     group_by: &[Expr],
     catalog: &Catalog,
     opts: &QueryOptions,
     ctx: &RunCtx,
-) -> Result<BatchOutput> {
-    if !group_by.is_empty() {
-        let (r, _) = drive_shape::<Grouped>(plan, group_by, catalog, opts, ctx, false, |_| {})?;
-        let Snapshot::Grouped(s) = r.snapshot else {
-            unreachable!("keys read out grouped")
-        };
-        let groups = s.groups.into_iter().map(|g| GroupEstimate {
-            key: g.key,
-            aggs: g.aggs,
-            sample_rows: g.sample_rows,
-        });
-        return Ok(BatchOutput::Grouped(GroupedApproxResult {
-            group_exprs: s.group_exprs,
-            groups: groups.collect(),
-            analysis: r.analysis,
-            result_rows: s.rows,
-        }));
-    }
-    let (aggs, result_rows, report, analysis) = match opts.subsample_target {
-        None => {
-            let (r, acc) =
-                drive_shape::<Scalar>(plan, group_by, catalog, opts, ctx, false, |_| {})?;
-            let Snapshot::Scalar(s) = r.snapshot else {
-                unreachable!("zero keys read out scalar")
-            };
-            let report = read_scalar_slot(&acc, |slot| slot.report(&r.analysis.gus))?;
-            (s.aggs, s.rows, report, r.analysis)
-        }
-        // Section 7 needs the whole sample in hand before it can pick the
-        // sub-sample's keep probability, so it drains the same streams into
-        // a second sink instead of the moment accumulator.
-        Some(target) => {
-            let OpenedAggregate {
-                analysis,
-                streams,
-                scalar,
-            } = open_aggregate(plan, catalog, opts, ctx, group_by)?;
-            let mut sample = DrainedSample::new(scalar.n, scalar.layout.dims());
-            for mut stream in streams {
-                stream.drain(opts.chunk_rows, |chunk| {
-                    Ok::<_, Error>(sample.push(&scalar.dim_eval, chunk)?)
-                })?;
-            }
-            let report = subsampled_report(&sample, &analysis.gus, target, opts.seed)?;
-            let confidence = opts.rule.confidence_or(opts.confidence);
-            let aggs = agg_results_from_report(scalar.aggs, &scalar.layout, &report, confidence);
-            (aggs, sample.rows() as u64, report, analysis)
-        }
+) -> Result<QueryResult> {
+    let Some(target) = opts.subsample_target else {
+        return drive(plan, group_by, catalog, opts, ctx, false, |_| {});
     };
-    Ok(BatchOutput::Scalar(ApproxResult {
-        aggs,
-        result_rows,
-        variance_rows: report.m,
+    // Section 7 needs the whole sample in hand before it can pick the
+    // sub-sample's keep probability, so it drains the same streams into a
+    // second sink instead of the moment accumulator.
+    let OpenedAggregate {
         analysis,
-        report,
-    }))
+        streams,
+        scalar,
+    } = open_aggregate(plan, catalog, opts, ctx, group_by)?;
+    let start = Instant::now();
+    let mut sample = DrainedSample::new(scalar.n, scalar.layout.dims());
+    let mut progress = vec![(0, 0); scalar.n];
+    for mut stream in streams {
+        stream.drain(opts.chunk_rows, |chunk| {
+            Ok::<_, Error>(sample.push(&scalar.dim_eval, chunk)?)
+        })?;
+        add_coverage(&mut progress, &stream.progress());
+    }
+    let (report, lineage_entries) = subsampled_report(&sample, &analysis.gus, target, opts.seed)?;
+    let confidence = opts.rule.confidence_or(opts.confidence);
+    let aggs = agg_results_from_report(scalar.aggs, &scalar.layout, &report, confidence);
+    let snapshot = ProgressSnapshot {
+        chunk: 1,
+        rows: sample.rows() as u64,
+        rel_half_width: worst_rel_half_width(&aggs),
+        aggs,
+        confidence,
+        progress,
+        gus: analysis.gus.clone(),
+        elapsed: start.elapsed(),
+    };
+    Ok(QueryResult {
+        reason: StopReason::Exhausted,
+        snapshot: Snapshot::Scalar(snapshot),
+        chunks: 1,
+        lineage_entries,
+        analysis,
+        report: Some(report),
+    })
 }
 
 /// Section 7: the point estimate from every tuple under the plan GUS; the
@@ -104,18 +92,19 @@ pub(crate) fn drain_batch(
 /// drawn under the plan GUS compacted with the sub-sampler (Figure 5's
 /// pipeline). The per-relation keep probability is chosen so the expected
 /// surviving count is near the target; a result already that small is not
-/// sub-sampled.
+/// sub-sampled. Returns the report and the lineage entries of the
+/// accumulator it was read from.
 fn subsampled_report(
     sample: &DrainedSample,
     gus: &GusParams,
     target: u64,
     seed: u64,
-) -> Result<EstimateReport> {
+) -> Result<(EstimateReport, usize)> {
     let (n, dims, m) = (sample.lineage.len(), sample.f.len(), sample.rows() as u64);
     let mut acc = MomentAccumulator::new(n, dims);
     if m <= target || n == 0 {
         acc.push_batch(&as_slices(&sample.lineage), &as_slices(&sample.f))?;
-        return Ok(acc.report(gus)?);
+        return Ok((acc.report(gus)?, acc.lineage_entries()));
     }
     let keep = (target as f64 / m as f64).powf(1.0 / n as f64);
     let filter = LineageBernoulli::uniform(
@@ -143,12 +132,8 @@ fn subsampled_report(
         .map(|col| col.iter().fold(0.0, |t, v| t + v) / gus.a())
         .collect();
     let compacted = gus.compact(&filter.gus())?;
-    Ok(EstimateReport::between(
-        &compacted,
-        gus,
-        acc.snapshot(),
-        estimate,
-    )?)
+    let report = EstimateReport::between(&compacted, gus, acc.snapshot(), estimate)?;
+    Ok((report, acc.lineage_entries()))
 }
 
 /// The `rows` of every column, in order.
@@ -165,7 +150,8 @@ fn as_slices<T>(cols: &[Vec<T>]) -> Vec<&[T]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use crate::{Engine, GroupedProgressSnapshot};
+    use sa_exec::AggResult;
     use sa_expr::col;
     use sa_plan::AggSpec;
     use sa_sampling::SamplingMethod;
@@ -223,31 +209,41 @@ mod tests {
             .aggregate(vec![AggSpec::sum(col("v"), "s")])
     }
 
-    fn scalar(engine: &Engine, plan: &LogicalPlan, seed: u64) -> ApproxResult {
-        let out = engine
+    fn scalar(engine: &Engine, plan: &LogicalPlan, seed: u64) -> QueryResult {
+        engine
             .session()
             .query_plan(plan)
             .seed(seed)
             .batch()
-            .unwrap();
-        out.as_scalar().expect("scalar batch").clone()
+            .unwrap()
     }
 
-    fn grouped(engine: &Engine, plan: &LogicalPlan, seed: u64) -> GroupedApproxResult {
-        let out = engine
+    fn aggs(r: &QueryResult) -> &[AggResult] {
+        &r.snapshot
+            .as_scalar()
+            .expect("zero keys read out scalar")
+            .aggs
+    }
+
+    fn grouped(engine: &Engine, plan: &LogicalPlan, seed: u64) -> GroupedProgressSnapshot {
+        let r = engine
             .session()
             .query_plan(plan)
             .group_by(vec![col("g")])
             .seed(seed)
             .batch()
             .unwrap();
-        out.as_grouped().expect("grouped batch").clone()
+        assert!(r.report.is_none());
+        r.snapshot
+            .as_grouped()
+            .expect("keys read out grouped")
+            .clone()
     }
 
     #[test]
     fn single_table_estimate_near_truth() {
         let r = scalar(&engine(), &sum_plan(0.5), 0);
-        let a = &r.aggs[0];
+        let a = &aggs(&r)[0];
         // Truth is 2000; B(0.5) estimate has σ = √((1−p)/p·Σf²) = √2000 ≈ 45.
         assert!(
             (a.estimate - 2000.0).abs() < 250.0,
@@ -257,20 +253,19 @@ mod tests {
         let ci = a.ci_normal.unwrap();
         assert!(ci.width() > 0.0);
         assert!(a.ci_chebyshev.unwrap().width() > ci.width());
-        assert_eq!(r.variance_rows, r.result_rows);
+        assert_eq!(r.report.unwrap().m, r.snapshot.rows());
     }
 
     #[test]
     fn exact_strips_samples() {
-        let out = engine()
+        let r = engine()
             .session()
             .query_plan(&sum_plan(0.1))
             .exact()
             .unwrap();
-        let r = out.as_scalar().unwrap();
-        assert_eq!(r.aggs[0].estimate, 2000.0);
-        assert_eq!(r.result_rows, 2000);
-        assert!(r.aggs[0].variance.unwrap().abs() < 1e-6);
+        assert_eq!(aggs(&r)[0].estimate, 2000.0);
+        assert_eq!(r.snapshot.rows(), 2000);
+        assert!(aggs(&r)[0].variance.unwrap().abs() < 1e-6);
     }
 
     #[test]
@@ -279,10 +274,11 @@ mod tests {
             .sample(SamplingMethod::Bernoulli { p: 0.5 })
             .aggregate(vec![AggSpec::count_star("c"), AggSpec::avg(col("v"), "a")]);
         let r = scalar(&engine(), &plan, 7);
-        assert!((r.aggs[0].estimate - 2000.0).abs() < 250.0);
+        let r = aggs(&r);
+        assert!((r[0].estimate - 2000.0).abs() < 250.0);
         // AVG of a constant column is exactly 1 with ~zero variance.
-        assert!((r.aggs[1].estimate - 1.0).abs() < 1e-9);
-        assert!(r.aggs[1].variance.unwrap() < 1e-9);
+        assert!((r[1].estimate - 1.0).abs() < 1e-9);
+        assert!(r[1].variance.unwrap() < 1e-9);
     }
 
     /// SQL's AVG skips NULL arguments in numerator and denominator alike.
@@ -315,22 +311,17 @@ mod tests {
                 AggSpec::count_star("c"),
             ]);
         let out = engine.session().query_plan(&plan).exact().unwrap();
-        let exact: Vec<f64> = out
-            .as_scalar()
-            .unwrap()
-            .aggs
-            .iter()
-            .map(|a| a.estimate)
-            .collect();
+        let exact: Vec<f64> = aggs(&out).iter().map(|a| a.estimate).collect();
         assert_eq!(exact, vec![4.0, 20.0, 5.0, 10.0]);
         // Every non-NULL v is 4.0, so any sample holding one estimates the
         // AVG exactly; COUNT(*) as the denominator would pull it toward 2.
         let sampled = (0..20)
             .map(|seed| scalar(&engine, &plan, seed))
-            .filter(|r| r.aggs[2].estimate > 0.0);
+            .filter(|r| aggs(r)[2].estimate > 0.0);
         let mut seen = 0;
         for r in sampled {
-            assert!((r.aggs[0].estimate - 4.0).abs() < 1e-12, "{:?}", r.aggs[0]);
+            let avg = &aggs(&r)[0];
+            assert!((avg.estimate - 4.0).abs() < 1e-12, "{avg:?}");
             seen += 1;
         }
         assert!(seen > 10, "only {seen} samples held a non-NULL row");
@@ -345,9 +336,10 @@ mod tests {
                 AggSpec::sum(col("v"), "hi").with_quantile(0.95),
             ]);
         let r = scalar(&engine(), &plan, 0);
-        let lo = r.aggs[0].quantile_bound.unwrap();
-        let hi = r.aggs[1].quantile_bound.unwrap();
-        assert!(lo < r.aggs[0].estimate && r.aggs[1].estimate < hi);
+        let r = aggs(&r);
+        let lo = r[0].quantile_bound.unwrap();
+        let hi = r[1].quantile_bound.unwrap();
+        assert!(lo < r[0].estimate && r[1].estimate < hi);
     }
 
     #[test]
@@ -358,9 +350,9 @@ mod tests {
             .aggregate(vec![AggSpec::sum(col("w"), "s")]);
         let r = scalar(&engine(), &plan, 0);
         // Truth: every t row joins one d row, Σw = 2000·2 = 4000.
-        assert!((r.aggs[0].estimate - 4000.0).abs() < 600.0);
+        assert!((aggs(&r)[0].estimate - 4000.0).abs() < 600.0);
         assert_eq!(r.analysis.schema.n(), 2);
-        assert!(r.aggs[0].variance.unwrap() > 0.0);
+        assert!(aggs(&r)[0].variance.unwrap() > 0.0);
     }
 
     #[test]
@@ -368,50 +360,39 @@ mod tests {
         let engine = engine();
         let plan = sum_plan(0.8);
         let full = scalar(&engine, &plan, 0);
-        let out = engine
-            .session()
-            .query_plan(&plan)
-            .seed(0)
-            .subsample(300)
-            .batch()
-            .unwrap();
-        let sub = out.as_scalar().unwrap();
+        let sub = |target| {
+            engine
+                .session()
+                .query_plan(&plan)
+                .seed(0)
+                .subsample(target)
+                .batch()
+                .unwrap()
+        };
+        let variance_rows = |r: &QueryResult| r.report.as_ref().unwrap().m;
+        let part = sub(300);
         // Same point estimate (it uses the full result in both cases)…
         assert_eq!(
-            full.aggs[0].estimate.to_bits(),
-            sub.aggs[0].estimate.to_bits()
+            aggs(&full)[0].estimate.to_bits(),
+            aggs(&part)[0].estimate.to_bits()
         );
-        assert_eq!(sub.result_rows, full.result_rows);
+        assert_eq!(part.snapshot.rows(), full.snapshot.rows());
         // …and far fewer rows for variance estimation.
-        assert!(sub.variance_rows < full.variance_rows / 2);
+        assert!(variance_rows(&part) < variance_rows(&full) / 2);
         // Variance agrees within a factor of 3 (it is an estimate of the
         // same quantity from ~300 tuples).
-        let vf = full.aggs[0].variance.unwrap();
-        let vs = sub.aggs[0].variance.unwrap();
+        let vf = aggs(&full)[0].variance.unwrap();
+        let vs = aggs(&part)[0].variance.unwrap();
         assert!(vs > vf / 3.0 && vs < vf * 3.0, "vf={vf}, vs={vs}");
         // A target the result already meets leaves the variance alone.
-        let out = engine
-            .session()
-            .query_plan(&plan)
-            .seed(0)
-            .subsample(1_000_000)
-            .batch()
-            .unwrap();
-        assert_eq!(out.as_scalar().unwrap().variance_rows, full.result_rows);
+        assert_eq!(variance_rows(&sub(1_000_000)), full.snapshot.rows());
         // A sub-sample of no tuples keeps the estimate and has no variance.
-        let out = engine
-            .session()
-            .query_plan(&plan)
-            .seed(0)
-            .subsample(0)
-            .batch()
-            .unwrap();
-        let none = out.as_scalar().unwrap();
+        let none = sub(0);
         assert_eq!(
-            none.aggs[0].estimate.to_bits(),
-            full.aggs[0].estimate.to_bits()
+            aggs(&none)[0].estimate.to_bits(),
+            aggs(&full)[0].estimate.to_bits()
         );
-        assert_eq!((none.aggs[0].variance, none.variance_rows), (None, 0));
+        assert_eq!((aggs(&none)[0].variance, variance_rows(&none)), (None, 0));
     }
 
     #[test]
@@ -429,8 +410,8 @@ mod tests {
     fn unsampled_plan_yields_exact_with_zero_variance() {
         let plan = LogicalPlan::scan("t").aggregate(vec![AggSpec::sum(col("v"), "s")]);
         let r = scalar(&engine(), &plan, 0);
-        assert_eq!(r.aggs[0].estimate, 2000.0);
-        assert!(r.aggs[0].variance.unwrap().abs() < 1e-6);
+        assert_eq!(aggs(&r)[0].estimate, 2000.0);
+        assert!(aggs(&r)[0].variance.unwrap().abs() < 1e-6);
     }
 
     fn grouped_plan() -> LogicalPlan {
@@ -444,10 +425,7 @@ mod tests {
         let r = grouped(&grouped_engine(), &grouped_plan(), 3);
         assert_eq!(r.groups.len(), 3);
         assert_eq!(r.group_exprs, vec!["g".to_string()]);
-        assert_eq!(
-            r.result_rows,
-            r.groups.iter().map(|g| g.sample_rows).sum::<u64>()
-        );
+        assert_eq!(r.rows, r.groups.iter().map(|g| g.sample_rows).sum::<u64>());
         let truth = [
             ("A", 1000.0, 1000.0),
             ("B", 1000.0, 500.0),
@@ -490,6 +468,7 @@ mod tests {
             .exact()
             .unwrap();
         let got: Vec<(Vec<Value>, Vec<f64>)> = out
+            .snapshot
             .as_grouped()
             .unwrap()
             .groups
@@ -534,12 +513,9 @@ mod tests {
         let engine = grouped_engine();
         let plan = grouped_plan();
         let query = || engine.session().query_plan(&plan).seed(11).chunk_rows(97);
-        let run = query().run().unwrap();
-        let out = query().batch().unwrap();
-        let batch = out.as_scalar().unwrap();
-        let snap = run.snapshot.as_scalar().unwrap();
-        assert_eq!(batch.result_rows, snap.rows);
-        for (b, r) in batch.aggs.iter().zip(&snap.aggs) {
+        let (run, batch) = (query().run().unwrap(), query().batch().unwrap());
+        assert_eq!(batch.snapshot.rows(), run.snapshot.rows());
+        for (b, r) in aggs(&batch).iter().zip(aggs(&run)) {
             assert_eq!(b.estimate.to_bits(), r.estimate.to_bits());
             assert_eq!(
                 b.variance.map(f64::to_bits),

@@ -306,27 +306,28 @@ impl<'p> QueryShape<'p> for Scalar<'p> {
     }
 }
 
-/// Run `plan` progressively: zero keys is the scalar shape, anything else
-/// the grouped one. `on_snapshot` is called after every tick (including
-/// the final one).
+/// Run `plan`: zero keys is the scalar shape, anything else the grouped
+/// one. `on_snapshot` is called after every tick (including the final
+/// one); `every_chunk = false` is the batch terminal (see [`drive_shape`]).
 pub(crate) fn drive(
     plan: &LogicalPlan,
     group_by: &[Expr],
     catalog: &Catalog,
     opts: &QueryOptions,
     ctx: &RunCtx,
+    every_chunk: bool,
     on_snapshot: impl FnMut(&Snapshot),
 ) -> Result<QueryResult> {
     if group_by.is_empty() {
-        drive_shape::<Scalar>(plan, group_by, catalog, opts, ctx, true, on_snapshot).map(|r| r.0)
+        drive_shape::<Scalar>(plan, group_by, catalog, opts, ctx, every_chunk, on_snapshot)
     } else {
-        drive_shape::<Grouped>(plan, group_by, catalog, opts, ctx, true, on_snapshot).map(|r| r.0)
+        drive_shape::<Grouped>(plan, group_by, catalog, opts, ctx, every_chunk, on_snapshot)
     }
 }
 
 /// The one loop. Opens the aggregate, compiles the shape, and feeds chunks
-/// to the query's accumulator until a tick says stop; returns the result
-/// and the final accumulator.
+/// to the query's accumulator until a tick says stop; a scalar result also
+/// carries its one slot's report, read under the last tick's GUS.
 ///
 /// The only fork is where chunks come from. With one stream this thread
 /// pulls it and pushes every chunk straight into the one accumulator (no
@@ -335,10 +336,11 @@ pub(crate) fn drive(
 /// state to the same `tick`.
 ///
 /// `every_chunk = false` is the batch terminal: no mid-stream tick, the
-/// streams drained one after the other on this thread, and the one final
-/// readout taken under the plan GUS itself (every scan-progress factor is
-/// the identity at exhaustion).
-pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
+/// streams drained one after the other on this thread (their coverage
+/// summed, as the worker pool sums it), and the one final readout taken
+/// under the plan GUS itself (every scan-progress factor is the identity
+/// at exhaustion).
+fn drive_shape<'p, S: QueryShape<'p>>(
     plan: &'p LogicalPlan,
     group_by: &[Expr],
     catalog: &Catalog,
@@ -346,7 +348,7 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
     ctx: &RunCtx,
     every_chunk: bool,
     mut on_snapshot: impl FnMut(&Snapshot),
-) -> Result<(QueryResult, GroupedMomentAccumulator<Vec<Value>>)> {
+) -> Result<QueryResult> {
     let OpenedAggregate {
         analysis,
         streams,
@@ -411,6 +413,8 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
         )?
     } else {
         let mut acc = fresh();
+        // The coverage of the slices drained before the current one.
+        let mut drained = vec![(0, 0); n];
         let mut streams = streams.into_iter();
         let mut stream = streams.next().expect("open_aggregate yields >= 1 stream");
         let mut hint = opts.chunk_rows;
@@ -423,16 +427,17 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
             if exhausted {
                 // Only a batch holds more than one stream here: the slices
                 // `.run()` would hand its workers, drained in worker order.
-                // (Its one snapshot reports the last slice's `progress`;
-                // a batch result carries none.)
                 if let Some(next) = streams.next() {
+                    add_coverage(&mut drained, &stream.progress());
                     stream = next;
                     continue;
                 }
             } else if !every_chunk {
                 continue;
             }
-            if let Some(reason) = tick(&mut last, &acc, stream.progress(), exhausted, false)? {
+            let mut progress = stream.progress();
+            add_coverage(&mut progress, &drained);
+            if let Some(reason) = tick(&mut last, &acc, progress, exhausted, false)? {
                 break reason;
             }
             if opts.adaptive_chunks {
@@ -443,14 +448,28 @@ pub(crate) fn drive_shape<'p, S: QueryShape<'p>>(
         (acc, reason)
     };
     let snapshot = last.expect("a run ends on a tick");
-    let result = QueryResult {
+    let report = if group_by.is_empty() {
+        Some(read_scalar_slot(&acc, |slot| slot.report(snapshot.gus()))?)
+    } else {
+        None
+    };
+    Ok(QueryResult {
         reason,
         chunks: snapshot.chunk(),
         snapshot,
         lineage_entries: acc.lineage_entries(),
         analysis,
-    };
-    Ok((result, acc))
+        report,
+    })
+}
+
+/// Add one slice's per-relation `(consumed, available)` coverage into
+/// `total`: slices of one scan are disjoint, so their sum is the scan's.
+pub(crate) fn add_coverage(total: &mut [(u64, u64)], slice: &[(u64, u64)]) {
+    for (t, &(consumed, available)) in total.iter_mut().zip(slice) {
+        t.0 += consumed;
+        t.1 += available;
+    }
 }
 
 /// Why a tick stops the loop, if it does — one precedence ladder for
@@ -621,7 +640,7 @@ fn scan_scaled_gus(plan_gus: &GusParams, progress: &[(u64, u64)]) -> Result<GusP
 /// The largest relative CI half-width across the aggregates, `None` when
 /// any variance is not yet estimable (so a CI target cannot fire early on
 /// partial information).
-fn worst_rel_half_width(aggs: &[AggResult]) -> Option<f64> {
+pub(crate) fn worst_rel_half_width(aggs: &[AggResult]) -> Option<f64> {
     let mut worst = 0.0f64;
     for a in aggs {
         let ci = a.ci_normal.as_ref()?;
@@ -663,7 +682,7 @@ mod tests {
         opts: &QueryOptions,
         mut on_snapshot: impl FnMut(&ProgressSnapshot),
     ) -> Result<QueryResult> {
-        drive(plan, &[], catalog, opts, &RunCtx::default(), |s| {
+        drive(plan, &[], catalog, opts, &RunCtx::default(), true, |s| {
             on_snapshot(s.as_scalar().expect("zero keys read out scalar"))
         })
     }
@@ -757,9 +776,29 @@ mod tests {
             ..Default::default()
         };
         let plan = sum_plan(0.9);
-        let (scaled, acc) =
-            drive_shape::<Scalar>(&plan, &[], &c, &opts, &RunCtx::default(), true, |_| {}).unwrap();
-        let raw = read_scalar_slot(&acc, |slot| slot.report(&scaled.analysis.gus)).unwrap();
+        let scaled = run(&plan, &c, &opts, |_| {}).unwrap();
+        // The same prefix read under the plan GUS: the run's chunks, pulled
+        // again from the same stream.
+        let LogicalPlan::Aggregate { aggs, input } = &plan else {
+            unreachable!()
+        };
+        let exec = ExecOptions {
+            seed: 2,
+            ..Default::default()
+        };
+        let mut stream = open_stream(input, &c, &exec).unwrap();
+        let layout = layout_dims(aggs, stream.schema()).unwrap();
+        let mut prefix = sa_core::GroupedMoments::new(1, layout.dims());
+        for _ in 0..scaled.chunks {
+            for row in &stream.next_chunk(200).unwrap() {
+                prefix
+                    .push(&row.lineage, &f_vector(&layout, row).unwrap())
+                    .unwrap();
+            }
+        }
+        let raw =
+            sa_core::estimate_from_sample_moments(&scaled.analysis.gus, &prefix.finish()).unwrap();
+        assert_eq!(raw.m, scaled.snapshot.rows());
         let (es, er) = (scalar(&scaled).aggs[0].estimate, raw.estimate[0]);
         assert!(
             (es - truth).abs() < 0.1 * truth,

@@ -11,7 +11,7 @@
 //!             ├─ .run() / .run_with(cb) ─▶ QueryResult   (synchronous)
 //!             ├─ .online()              ─▶ QueryHandle   (spawned thread:
 //!             │                            snapshot iterator + cancel + wait)
-//!             └─ .batch() / .exact()    ─▶ BatchOutput   (the same stream,
+//!             └─ .batch() / .exact()    ─▶ QueryResult   (the same stream,
 //!                                          drained and read out once)
 //! ```
 //!
@@ -55,7 +55,7 @@ use sa_plan::{LogicalPlan, StopReason};
 use sa_sql::plan_online_grouped_sql;
 use sa_storage::Catalog;
 
-use crate::api::{BatchOutput, QueryOptions, QueryResult, Snapshot};
+use crate::api::{QueryOptions, QueryResult, Snapshot};
 use crate::batch::drain_batch;
 use crate::driver::{drive, RunCtx};
 use crate::error::Error;
@@ -751,16 +751,12 @@ impl QueryBuilder {
     /// Run synchronously to the stopping rule, discarding intermediate
     /// snapshots.
     pub fn run(self) -> Result<QueryResult> {
-        self.run_sync(|_| {})
+        self.run_with(|_| {})
     }
 
-    /// Run synchronously, invoking `on_snapshot` after every chunk
-    /// (including the final one).
-    pub fn run_with(self, mut on_snapshot: impl FnMut(Snapshot)) -> Result<QueryResult> {
-        self.run_sync(|s| on_snapshot(s.clone()))
-    }
-
-    fn run_sync(self, on_snapshot: impl FnMut(&Snapshot)) -> Result<QueryResult> {
+    /// Run synchronously, lending `on_snapshot` every snapshot after its
+    /// tick (including the final one); a caller that keeps one clones it.
+    pub fn run_with(self, on_snapshot: impl FnMut(&Snapshot)) -> Result<QueryResult> {
         let _guard = self.engine.admit(self.session)?;
         execute(
             &self.engine,
@@ -823,25 +819,26 @@ impl QueryBuilder {
 
     /// The paper's one-shot estimator: drain the whole sample — the very
     /// stream [`QueryBuilder::run`] opens for the same options — and read
-    /// the estimates and intervals out once. No snapshots, no stopping
+    /// the estimates and intervals out once, into the [`QueryResult`] that
+    /// run returns (one snapshot, [`StopReason::Exhausted`]). No stopping
     /// rule; at `jobs = 1` every number equals `.run()`'s exhaustion
     /// readout bit for bit, provided that run pulls fixed-size chunks
     /// (`adaptive_chunks = false`, the default). The batch ignores
     /// `adaptive_chunks`: a run that grows its pulls realizes the same
     /// sample but sums it across other chunk boundaries, so it agrees to
     /// float rounding (1e-9 relative), not to the bit.
-    pub fn batch(self) -> Result<BatchOutput> {
+    pub fn batch(self) -> Result<QueryResult> {
         self.drain(false)
     }
 
     /// Ground truth: [`QueryBuilder::batch`] over the plan with every
     /// sampling operator stripped (the SOA rewrite's sampling-free core),
     /// so each "estimate" is the exact aggregate with zero variance.
-    pub fn exact(self) -> Result<BatchOutput> {
+    pub fn exact(self) -> Result<QueryResult> {
         self.drain(true)
     }
 
-    fn drain(self, strip_sampling: bool) -> Result<BatchOutput> {
+    fn drain(self, strip_sampling: bool) -> Result<QueryResult> {
         let _guard = self.engine.admit(self.session)?;
         self.engine.inner.obs.batch_queries.inc();
         let (mut plan, group_by, opts) =
@@ -934,7 +931,7 @@ fn execute(
             .record(EventKind::SnapshotEmitted { query, rows });
         prev_rows = rows;
     };
-    let result = drive(&plan, &group_by, engine.catalog(), &opts, &ctx, |s| {
+    let result = drive(&plan, &group_by, engine.catalog(), &opts, &ctx, true, |s| {
         tick(s.rows());
         on_snapshot(s)
     });
@@ -1175,7 +1172,7 @@ mod tests {
             .seed(7)
             .batch()
             .unwrap();
-        let r = out.as_scalar().expect("scalar batch");
+        let r = out.snapshot.as_scalar().expect("scalar batch");
         assert!((r.aggs[0].estimate - 8000.0).abs() < 1600.0);
         let out = engine
             .session()
@@ -1183,7 +1180,8 @@ mod tests {
             .group_by(vec![col("k")])
             .batch()
             .unwrap();
-        assert_eq!(out.as_grouped().expect("grouped batch").groups.len(), 10);
+        let r = out.snapshot.as_grouped().expect("grouped batch");
+        assert_eq!(r.groups.len(), 10);
     }
 
     #[test]

@@ -512,9 +512,15 @@ mod tests {
         opts: &QueryOptions,
         mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
     ) -> Result<QueryResult> {
-        drive(plan, group_by, catalog, opts, &RunCtx::default(), |s| {
-            on_snapshot(s.as_grouped().expect("keys read out grouped"))
-        })
+        drive(
+            plan,
+            group_by,
+            catalog,
+            opts,
+            &RunCtx::default(),
+            true,
+            |s| on_snapshot(s.as_grouped().expect("keys read out grouped")),
+        )
     }
 
     fn grouped(r: &QueryResult) -> &GroupedProgressSnapshot {
@@ -972,6 +978,7 @@ mod tests {
             &c,
             &QueryOptions::default(),
             &ctx,
+            true,
             |s| {
                 assert!(s.as_scalar().is_some());
                 ticks += 1;

@@ -17,7 +17,8 @@
 //!   a [`QueryHandle`] with a snapshot iterator, cancellation
 //!   ([`StopReason::Cancelled`]) and a final [`QueryResult`]; `.batch()`
 //!   drains the same stream and reads the paper's one-shot estimate out
-//!   once ([`BatchOutput`]), `.exact()` does so over the sampling-free plan;
+//!   once, `.exact()` does so over the sampling-free plan — both into the
+//!   same [`QueryResult`];
 //! * **stopping rules** ([`sa_plan::StoppingRule`], re-exported): relative
 //!   CI half-width ≤ ε at confidence 1−δ (the SQL `WITHIN ε PERCENT
 //!   CONFIDENCE γ` clause), a row budget, a wall-clock budget, or
@@ -73,10 +74,7 @@ pub mod error;
 pub mod grouped;
 pub(crate) mod parallel;
 
-pub use api::{
-    ApproxResult, BatchOutput, GroupEstimate, GroupedApproxResult, QueryOptions, QueryResult,
-    Snapshot,
-};
+pub use api::{QueryOptions, QueryResult, Snapshot};
 pub use driver::ProgressSnapshot;
 pub use engine::{Engine, EngineBuilder, QueryBuilder, QueryHandle, Session};
 pub use error::Error;

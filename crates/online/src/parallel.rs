@@ -63,6 +63,7 @@ use sa_exec::{ChunkStream, ColumnarChunk};
 use sa_obs::{Counter, Histogram};
 use sa_storage::Value;
 
+use crate::driver::add_coverage;
 use crate::error::Error;
 use crate::Result;
 
@@ -225,10 +226,7 @@ where
                         if let Some(e) = &s.error {
                             return Err(e.clone());
                         }
-                        for (t, &(c, n)) in progress.iter_mut().zip(&s.progress) {
-                            t.0 += c;
-                            t.1 += n;
-                        }
+                        add_coverage(&mut progress, &s.progress);
                         exhausted &= s.exhausted;
                         degraded |= s.panicked;
                         s.pending_rows = 0;

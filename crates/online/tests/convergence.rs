@@ -85,7 +85,7 @@ fn online_loop_converges_and_matches_batch_on_the_consumed_prefix() {
 
     // Sanity: the converged estimate is close to the exact answer (the CI
     // was built to contain it with 95% probability; allow 3 half-widths).
-    let exact = query().exact().unwrap().as_scalar().unwrap().aggs[0].estimate;
+    let exact = query().exact().unwrap().snapshot.as_scalar().unwrap().aggs[0].estimate;
     let half = snapshot.aggs[0].ci_normal.unwrap().width() / 2.0;
     assert!(
         (snapshot.aggs[0].estimate - exact).abs() < 3.0 * half.max(1.0),

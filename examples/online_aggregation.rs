@@ -82,9 +82,9 @@ fn main() {
     // 4. Compare: online early stop vs batch over the full sample vs exact.
     let (plan, _) = plan_online_sql(sql, engine.catalog()).unwrap();
     let batch = engine.session().query_plan(&plan).seed(7).batch().unwrap();
-    let batch = batch.as_scalar().unwrap();
+    let batch = batch.snapshot.as_scalar().unwrap();
     let exact = engine.session().query_plan(&plan).exact().unwrap();
-    let exact = exact.as_scalar().unwrap().aggs[0].estimate;
+    let exact = exact.snapshot.as_scalar().unwrap().aggs[0].estimate;
     let online_est = result.snapshot.as_scalar().unwrap().aggs[0].estimate;
     println!("online estimate (early stop)  : {online_est:.2}");
     println!(
@@ -155,7 +155,7 @@ fn main() {
 
     // 6. Per-group comparison against the exact grouped answer.
     let exact_groups = engine.session().query(gsql).exact().unwrap();
-    let exact_groups = &exact_groups.as_grouped().unwrap().groups;
+    let exact_groups = &exact_groups.snapshot.as_grouped().unwrap().groups;
     println!(
         "{:<6} {:>16} {:>16} {:>9} {:>9}",
         "flag", "estimate", "exact", "error", "covered"

@@ -36,12 +36,9 @@ fn main() {
         .confidence(0.95)
         .batch()
         .expect("estimable plan");
-    let result = result.as_scalar().expect("scalar query");
-    let agg = &result.aggs[0];
-    println!(
-        "result tuples from the sampled plan : {}",
-        result.result_rows
-    );
+    let snapshot = result.snapshot.as_scalar().expect("scalar query");
+    let agg = &snapshot.aggs[0];
+    println!("result tuples from the sampled plan : {}", snapshot.rows);
     println!("estimate                             : {:.2}", agg.estimate);
     println!(
         "std error                            : {:.2}",
@@ -67,7 +64,7 @@ fn main() {
     )
     .unwrap();
     let v = engine.session().query_plan(&view).batch().unwrap();
-    let v = v.as_scalar().unwrap();
+    let v = v.snapshot.as_scalar().unwrap();
     println!(
         "APPROX view (lo, hi)                 : ({:.2}, {:.2})",
         v.aggs[0].quantile_bound.unwrap(),
@@ -76,7 +73,7 @@ fn main() {
 
     // 5. Ground truth (runs the sampling-free plan).
     let exact = engine.session().query_plan(&plan).exact().unwrap();
-    let exact = exact.as_scalar().unwrap().aggs[0].estimate;
+    let exact = exact.snapshot.as_scalar().unwrap().aggs[0].estimate;
     println!("exact answer                         : {exact:.2}");
     let err = (agg.estimate - exact).abs() / exact * 100.0;
     println!("relative error of the estimate       : {err:.2}%");

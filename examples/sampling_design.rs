@@ -25,17 +25,15 @@ fn main() {
     let plan = plan_sql(sql, &catalog).unwrap();
     let query = || engine.session().query_plan(&plan).seed(2);
     let pilot = query().batch().unwrap();
-    let pilot = pilot.as_scalar().unwrap();
+    let (lead, report) = (
+        &pilot.snapshot.as_scalar().unwrap().aggs[0],
+        pilot.report.expect("a scalar query has a report"),
+    );
     println!("pilot query:\n  {sql}");
     println!(
         "pilot estimate: {:.0} (rel err bound ±{:.2}% at 95%)\n",
-        pilot.aggs[0].estimate,
-        pilot.aggs[0]
-            .ci_normal
-            .as_ref()
-            .unwrap()
-            .relative_half_width()
-            * 100.0
+        lead.estimate,
+        lead.ci_normal.as_ref().unwrap().relative_half_width() * 100.0
     );
 
     // Predict the precision of alternative designs from the pilot's Ŷ_S.
@@ -51,8 +49,8 @@ fn main() {
                 .unwrap()
                 .join(&GusParams::bernoulli("orders", p_orders).unwrap())
                 .unwrap();
-            let var = pilot.report.predict_variance(&design, 0).unwrap();
-            let rel = 1.96 * var.sqrt() / pilot.aggs[0].estimate * 100.0;
+            let var = report.predict_variance(&design, 0).unwrap();
+            let rel = 1.96 * var.sqrt() / lead.estimate * 100.0;
             row.push_str(&format!(" {:>11.2}%", rel));
         }
         println!("{row}");
@@ -70,11 +68,17 @@ fn main() {
     let t0 = Instant::now();
     let sub = query().subsample(10_000).batch().unwrap();
     let t_sub = t0.elapsed();
-    let (full, sub) = (full.as_scalar().unwrap(), sub.as_scalar().unwrap());
+    let variance_rows = |r: &QueryResult| r.report.as_ref().expect("a scalar query has a report").m;
     println!("{:<26} {:>14} {:>14}", "", "full sample", "sub-sampled");
     println!(
         "{:<26} {:>14} {:>14}",
-        "tuples used for variance", full.variance_rows, sub.variance_rows
+        "tuples used for variance",
+        variance_rows(&full),
+        variance_rows(&sub)
+    );
+    let (full, sub) = (
+        full.snapshot.as_scalar().unwrap(),
+        sub.snapshot.as_scalar().unwrap(),
     );
     println!(
         "{:<26} {:>14.2} {:>14.2}",

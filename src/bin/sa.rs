@@ -483,13 +483,6 @@ fn query(shell: &Shell, sql: &str) -> QueryBuilder {
     builder
 }
 
-fn print_batch(out: &BatchOutput) {
-    match out {
-        BatchOutput::Scalar(r) => print_scalar(r),
-        BatchOutput::Grouped(r) => print_grouped(r),
-    }
-}
-
 fn run_estimate(shell: &mut Shell, sql: &str) {
     let mut out = match shell.subsample {
         Some(n) => query(shell, sql).subsample(n).batch(),
@@ -502,8 +495,8 @@ fn run_estimate(shell: &mut Shell, sql: &str) {
         out = query(shell, sql).batch();
     }
     match out {
-        Ok(out) => {
-            print_batch(&out);
+        Ok(r) => {
+            print_result(&r);
             if refused {
                 println!("(\\subsample applies to scalar queries; GROUP BY used every tuple)");
             }
@@ -513,64 +506,6 @@ fn run_estimate(shell: &mut Shell, sql: &str) {
     shell.seed = shell.seed.wrapping_add(1); // fresh sample next time
 }
 
-fn print_scalar(r: &ApproxResult) {
-    println!(
-        "{:<16} {:>16} {:>14} {:>34}",
-        "aggregate", "estimate", "std err", "95% normal CI"
-    );
-    for a in &r.aggs {
-        let (se, ci) = match (&a.variance, &a.ci_normal) {
-            (Some(v), Some(ci)) => (format!("{:.4}", v.sqrt()), format!("{ci}")),
-            _ => ("—".into(), "(not estimable)".into()),
-        };
-        let mut row = format!("{:<16} {:>16.4} {:>14} {:>34}", a.name, a.estimate, se, ci);
-        if let Some(q) = a.quantile_bound {
-            row.push_str(&format!("   quantile bound: {q:.4}"));
-        }
-        println!("{row}");
-    }
-    println!(
-        "({} result tuples; variance from {}; top GUS a = {:.4e})",
-        r.result_rows,
-        r.variance_rows,
-        r.analysis.gus.a()
-    );
-}
-
-fn print_grouped(r: &GroupedApproxResult) {
-    println!(
-        "{:<24} {:<12} {:>16} {:>34} {:>8}",
-        r.group_exprs.join(", "),
-        "aggregate",
-        "estimate",
-        "95% normal CI",
-        "tuples"
-    );
-    for g in &r.groups {
-        let key: Vec<String> = g.key.iter().map(|v| v.to_string()).collect();
-        for a in &g.aggs {
-            let ci = a
-                .ci_normal
-                .as_ref()
-                .map(|ci| format!("{ci}"))
-                .unwrap_or_else(|| "(not estimable)".into());
-            println!(
-                "{:<24} {:<12} {:>16.4} {:>34} {:>8}",
-                key.join(","),
-                a.name,
-                a.estimate,
-                ci,
-                g.sample_rows
-            );
-        }
-    }
-    println!(
-        "({} observed groups, {} result tuples)",
-        r.groups.len(),
-        r.result_rows
-    );
-}
-
 /// Progressive estimation through the engine: print one line (scalar) or one
 /// table (grouped) per snapshot, then the final estimates and why the query
 /// stopped. A `WITHIN … CONFIDENCE …` clause in the SQL sets the stopping
@@ -578,7 +513,7 @@ fn print_grouped(r: &GroupedApproxResult) {
 fn run_progressive(shell: &mut Shell, sql: &str) {
     let result = query(shell, sql).run_with({
         let mut header = false;
-        move |snap| match &snap {
+        move |snap| match snap {
             Snapshot::Scalar(s) => {
                 if !header {
                     header = true;
@@ -593,7 +528,7 @@ fn run_progressive(shell: &mut Shell, sql: &str) {
         }
     });
     match result {
-        Ok(r) => print_online_summary(&r),
+        Ok(r) => print_result(&r),
         Err(e) => println!("error: {e}"),
     }
     shell.seed = shell.seed.wrapping_add(1); // fresh sample next time
@@ -675,37 +610,44 @@ fn print_grouped_snapshot(s: &GroupedProgressSnapshot) {
     }
 }
 
-/// The final estimates, rendered per result shape.
-fn print_online_summary(r: &QueryResult) {
+/// A finished query — the batch answer, or an `\online` run's final
+/// snapshot — rendered per result shape.
+fn print_result(r: &QueryResult) {
+    println!(
+        "stopped: {} after {} rows in {} chunks ({} ms)",
+        r.reason,
+        r.snapshot.rows(),
+        r.chunks,
+        r.snapshot.elapsed().as_millis()
+    );
+    let se_ci = |a: &AggResult| match (&a.variance, &a.ci_normal) {
+        (Some(v), Some(ci)) => (format!("{:.4}", v.sqrt()), format!("{ci}")),
+        _ => ("—".into(), "(not estimable)".into()),
+    };
     match &r.snapshot {
         Snapshot::Scalar(s) => {
-            println!(
-                "stopped: {} after {} rows in {} chunks ({} ms)",
-                r.reason,
-                s.rows,
-                r.chunks,
-                s.elapsed.as_millis()
-            );
             println!(
                 "{:<16} {:>16} {:>14} {:>34}",
                 "aggregate", "estimate", "std err", "final normal CI"
             );
             for a in &s.aggs {
-                let (se, ci) = match (&a.variance, &a.ci_normal) {
-                    (Some(v), Some(ci)) => (format!("{:.4}", v.sqrt()), format!("{ci}")),
-                    _ => ("—".into(), "(not estimable)".into()),
-                };
-                println!("{:<16} {:>16.4} {:>14} {:>34}", a.name, a.estimate, se, ci);
+                let (se, ci) = se_ci(a);
+                let mut row = format!("{:<16} {:>16.4} {:>14} {:>34}", a.name, a.estimate, se, ci);
+                if let Some(q) = a.quantile_bound {
+                    row.push_str(&format!("   quantile bound: {q:.4}"));
+                }
+                println!("{row}");
+            }
+            if let Some(report) = &r.report {
+                println!(
+                    "({} result tuples; variance from {}; top GUS a = {:.4e})",
+                    s.rows,
+                    report.m,
+                    r.analysis.gus.a()
+                );
             }
         }
         Snapshot::Grouped(s) => {
-            println!(
-                "stopped: {} after {} rows in {} chunks ({} ms)",
-                r.reason,
-                s.rows,
-                r.chunks,
-                s.elapsed.as_millis()
-            );
             println!(
                 "{:<20} {:<12} {:>16} {:>14} {:>34} {:>8}",
                 s.group_exprs.join(", "),
@@ -718,10 +660,7 @@ fn print_online_summary(r: &QueryResult) {
             for g in &s.groups {
                 let key: Vec<String> = g.key.iter().map(|v| v.to_string()).collect();
                 for a in &g.aggs {
-                    let (se, ci) = match (&a.variance, &a.ci_normal) {
-                        (Some(v), Some(ci)) => (format!("{:.4}", v.sqrt()), format!("{ci}")),
-                        _ => ("—".into(), "(not estimable)".into()),
-                    };
+                    let (se, ci) = se_ci(a);
                     println!(
                         "{:<20} {:<12} {:>16.4} {:>14} {:>34} {:>8}",
                         key.join(","),
@@ -740,10 +679,10 @@ fn print_online_summary(r: &QueryResult) {
 
 fn run_exact(shell: &Shell, sql: &str) {
     let estimates = |aggs: &[AggResult]| aggs.iter().map(|a| a.estimate).collect::<Vec<f64>>();
-    match query(shell, sql).exact() {
-        Ok(BatchOutput::Scalar(r)) => println!("exact: {:?}", estimates(&r.aggs)),
-        Ok(BatchOutput::Grouped(r)) => {
-            for g in &r.groups {
+    match query(shell, sql).exact().map(|r| r.snapshot) {
+        Ok(Snapshot::Scalar(s)) => println!("exact: {:?}", estimates(&s.aggs)),
+        Ok(Snapshot::Grouped(s)) => {
+            for g in &s.groups {
                 let key: Vec<String> = g.key.iter().map(|v| v.to_string()).collect();
                 println!("{:<24} {:?}", key.join(","), estimates(&g.aggs));
             }

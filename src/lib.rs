@@ -47,12 +47,9 @@
 //!      FROM t TABLESAMPLE (20 PERCENT)",
 //!     engine.catalog(),
 //! ).unwrap();
-//! let out = engine.session().query_plan(&plan).batch().unwrap();
-//! let result = out.as_scalar().unwrap();
-//! let (lo, hi) = (
-//!     result.aggs[0].quantile_bound.unwrap(),
-//!     result.aggs[1].quantile_bound.unwrap(),
-//! );
+//! let result = engine.session().query_plan(&plan).batch().unwrap();
+//! let aggs = &result.snapshot.as_scalar().unwrap().aggs;
+//! let (lo, hi) = (aggs[0].quantile_bound.unwrap(), aggs[1].quantile_bound.unwrap());
 //! assert!(lo < hi);
 //! // The true answer is 1000; the 90% interval should usually contain it.
 //! assert!(lo < 1000.0 + 200.0 && hi > 1000.0 - 200.0);
@@ -84,9 +81,8 @@ pub mod prelude {
     pub use sa_exec::{open_stream, open_stream_partitioned, AggResult, ChunkStream, ExecOptions};
     pub use sa_expr::{col, lit, Expr};
     pub use sa_online::{
-        ApproxResult, BatchOutput, Engine, EngineBuilder, Error, GroupEstimate,
-        GroupedApproxResult, GroupedProgressSnapshot, ProgressSnapshot, QueryBuilder, QueryHandle,
-        QueryOptions, QueryResult, Session, Snapshot,
+        Engine, EngineBuilder, Error, GroupedProgressSnapshot, ProgressSnapshot, QueryBuilder,
+        QueryHandle, QueryOptions, QueryResult, Session, Snapshot,
     };
     pub use sa_plan::{
         render_gus_table, rewrite, AggFunc, AggSpec, LogicalPlan, SoaAnalysis, StopReason,

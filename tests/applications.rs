@@ -67,11 +67,12 @@ fn choosing_sampling_parameters_predicts_other_designs() {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Bernoulli { p: 0.3 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let run = support::batch(&plan, &cat, 4, 0.95).unwrap();
+    let run = support::query(&plan, &cat, 4, 0.95).batch().unwrap();
+    let report = run.report.unwrap();
 
     for p_alt in [0.05, 0.1, 0.5, 0.8] {
         let alt = GusParams::bernoulli("t", p_alt).unwrap();
-        let predicted = run.report.predict_variance(&alt, 0).unwrap();
+        let predicted = report.predict_variance(&alt, 0).unwrap();
         // True variance of the alternative design over the population.
         let alt_plan = LogicalPlan::scan("t")
             .sample(SamplingMethod::Bernoulli { p: p_alt })
@@ -94,9 +95,10 @@ fn predicted_variance_ranks_designs_correctly() {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Bernoulli { p: 0.4 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let run = support::batch(&plan, &cat, 9, 0.95).unwrap();
+    let run = support::query(&plan, &cat, 9, 0.95).batch().unwrap();
+    let report = run.report.unwrap();
     let predict = |p: f64| {
-        run.report
+        report
             .predict_variance(&GusParams::bernoulli("t", p).unwrap(), 0)
             .unwrap()
     };
@@ -123,9 +125,10 @@ fn intermediate_result_size_estimation() {
     let mut mean = 0.0;
     let mut covered = 0;
     for seed in 0..trials {
-        let r = support::batch(&plan, &cat, seed, 0.95).unwrap();
-        mean += r.aggs[0].estimate;
-        if r.aggs[0].ci_chebyshev.as_ref().unwrap().contains(exact) {
+        let r = support::query(&plan, &cat, seed, 0.95).batch().unwrap();
+        let a = &support::scalar(&r).aggs[0];
+        mean += a.estimate;
+        if a.ci_chebyshev.as_ref().unwrap().contains(exact) {
             covered += 1;
         }
     }
@@ -147,8 +150,9 @@ fn load_shedding_rate_analysis() {
         &cat,
     )
     .unwrap();
-    let run = support::batch(&plan, &cat, 1, 0.95).unwrap();
-    let estimate = run.aggs[0].estimate;
+    let run = support::query(&plan, &cat, 1, 0.95).batch().unwrap();
+    let estimate = support::scalar(&run).aggs[0].estimate;
+    let report = run.report.unwrap();
     // Predict the relative error at various joint shedding rates.
     let mut last_rel_err = f64::INFINITY;
     for keep in [0.05, 0.1, 0.2, 0.4] {
@@ -156,7 +160,7 @@ fn load_shedding_rate_analysis() {
             .unwrap()
             .join(&GusParams::bernoulli("orders", keep).unwrap())
             .unwrap();
-        let var = run.report.predict_variance(&design, 0).unwrap();
+        let var = report.predict_variance(&design, 0).unwrap();
         let rel_err = var.sqrt() / estimate;
         assert!(
             rel_err < last_rel_err,

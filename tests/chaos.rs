@@ -158,7 +158,7 @@ fn both_sources_share_one_tick() {
             .jobs(jobs)
             .chunk_rows(256)
             .rows(budget)
-            .run_with(|s| seen.push(s))
+            .run_with(|s| seen.push(s.clone()))
             .unwrap();
         let case = format!("{sql} at jobs = {jobs}");
         assert_eq!(seen.len() as u64, r.chunks, "{case}");

@@ -192,8 +192,9 @@ proptest! {
     }
 }
 
-/// Every (group key, sampled rows, aggregate) cell of an answer, flattened
-/// so a batch answer and a run's final snapshot compare cell by cell.
+/// Every (group key, sampled rows, aggregate) cell of a result, flattened
+/// so a batch answer and a run's final snapshot compare cell by cell — a
+/// scalar result's report included, as one more cell per dimension.
 type Cells = Vec<(Vec<Value>, u64, f64, Option<f64>)>;
 
 fn cells(key: &[Value], rows: u64, aggs: &[AggResult]) -> Cells {
@@ -202,38 +203,32 @@ fn cells(key: &[Value], rows: u64, aggs: &[AggResult]) -> Cells {
         .collect()
 }
 
-fn batch_cells(out: &BatchOutput) -> (u64, Cells) {
-    match out {
-        BatchOutput::Scalar(r) => (r.result_rows, cells(&[], r.result_rows, &r.aggs)),
-        BatchOutput::Grouped(r) => (
-            r.result_rows,
-            r.groups
-                .iter()
-                .flat_map(|g| cells(&g.key, g.sample_rows, &g.aggs))
-                .collect(),
-        ),
+fn run_cells(r: &QueryResult) -> (u64, Cells) {
+    let mut out = match &r.snapshot {
+        Snapshot::Scalar(s) => cells(&[], s.rows, &s.aggs),
+        Snapshot::Grouped(s) => s
+            .groups
+            .iter()
+            .flat_map(|g| cells(&g.key, g.sample_rows, &g.aggs))
+            .collect(),
+    };
+    if let Some(report) = &r.report {
+        out.extend((0..report.dims).map(|d| {
+            let variance = report.raw_variance(d).ok();
+            (vec![], report.m, report.estimate[d], variance)
+        }));
     }
-}
-
-fn run_cells(snapshot: &Snapshot) -> (u64, Cells) {
-    match snapshot {
-        Snapshot::Scalar(s) => (s.rows, cells(&[], s.rows, &s.aggs)),
-        Snapshot::Grouped(s) => (
-            s.rows,
-            s.groups
-                .iter()
-                .flat_map(|g| cells(&g.key, g.sample_rows, &g.aggs))
-                .collect(),
-        ),
-    }
+    (r.snapshot.rows(), out)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The tentpole pin: same `(plan, QueryOptions)` ⇒ `.batch()` and
-    /// `.run()` to exhaustion realize the same sample and report the same
-    /// numbers — `to_bits`-equal on one worker, 1e-9 on four.
+    /// `.run()` to exhaustion realize the same sample and return the same
+    /// `QueryResult` — coverage, lineage entries and GUS equal, every
+    /// estimate and variance (the report's included) `to_bits`-equal on
+    /// one worker, 1e-9 on four.
     #[test]
     fn batch_is_the_exhausted_run(
         shape in 0u8..5,
@@ -279,9 +274,14 @@ proptest! {
                     .options(opts.clone())
             };
             let (batch, run) = (query().batch().unwrap(), query().run().unwrap());
+            prop_assert_eq!(batch.reason, StopReason::Exhausted);
             prop_assert_eq!(run.reason, StopReason::Exhausted);
-            let ((batch_rows, batch), (run_rows, run)) =
-                (batch_cells(&batch), run_cells(&run.snapshot));
+            prop_assert_eq!(batch.snapshot.progress(), run.snapshot.progress());
+            prop_assert_eq!(batch.lineage_entries, run.lineage_entries);
+            prop_assert_eq!(format!("{:?}", batch.snapshot.gus()), format!("{:?}", run.snapshot.gus()));
+            prop_assert_eq!(batch.report.is_some(), group_by.is_empty());
+            prop_assert_eq!(run.report.is_some(), group_by.is_empty());
+            let ((batch_rows, batch), (run_rows, run)) = (run_cells(&batch), run_cells(&run));
             prop_assert_eq!(batch_rows, run_rows);
             prop_assert_eq!(batch.len(), run.len());
             for ((bk, bn, be, bv), (rk, rn, re, rv)) in batch.iter().zip(&run) {
@@ -364,7 +364,7 @@ proptest! {
                     ..Default::default()
                 })
                 .run_with(|s| {
-                    let aggs = match &s {
+                    let aggs = match s {
                         Snapshot::Scalar(s) => bits(&s.aggs),
                         // No sampled tuple yet, no group: only the
                         // exhaustion tick of an empty sample gets here.
@@ -430,14 +430,15 @@ proptest! {
         let engine = Engine::new(catalog());
         let (plan, _) = shaped_plan(shape, SamplingMethod::Bernoulli { p });
         let query = || engine.session().query_plan(&plan).seed(seed).chunk_rows(chunk_rows);
-        let full = query().batch().unwrap();
-        let sub = query().subsample(120).batch().unwrap();
-        let (full, sub) = (full.as_scalar().unwrap(), sub.as_scalar().unwrap());
-        prop_assert_eq!(sub.result_rows, full.result_rows);
-        prop_assert!(sub.variance_rows <= sub.result_rows);
-        if full.result_rows > 240 {
-            prop_assert!(sub.variance_rows < full.result_rows);
+        let (full, sub) = (query().batch().unwrap(), query().subsample(120).batch().unwrap());
+        let rows = full.snapshot.rows();
+        let variance_rows = sub.report.as_ref().unwrap().m;
+        prop_assert_eq!(sub.snapshot.rows(), rows);
+        prop_assert!(variance_rows <= rows);
+        if rows > 240 {
+            prop_assert!(variance_rows < rows);
         }
+        let (full, sub) = (support::scalar(&full), support::scalar(&sub));
         for (f, s) in full.aggs.iter().zip(&sub.aggs) {
             prop_assert_eq!(f.estimate.to_bits(), s.estimate.to_bits(), "{}", &f.name);
         }
@@ -448,13 +449,15 @@ proptest! {
     }
 }
 
-/// An `ApproxResult` is one readout: its `aggs` are what its `report` says,
-/// to the bit — whether the aggregates came off the drain's exhaustion
-/// tick (`.batch()`) or off the report itself (Section 7's
-/// `.subsample(n).batch()`), on a single-table Bernoulli scan and a
-/// Bernoulli ⋈ Bernoulli join.
+/// A `QueryResult` is one readout: its `aggs` are what its `report` says,
+/// to the bit, whichever terminal produced it — the drain's exhaustion
+/// tick (`.batch()`, `.exact()`), the report itself (Section 7's
+/// `.subsample(n).batch()`), or a `.run()` a row budget stopped mid-scan,
+/// whose report is read under the stop's scan-scaled GUS. On a
+/// single-table Bernoulli scan and a Bernoulli ⋈ Bernoulli join; under
+/// GROUP BY there is no report.
 #[test]
-fn an_approx_result_is_one_readout() {
+fn a_query_result_is_one_readout() {
     let c = catalog();
     let engine = Engine::new(c.clone());
     // `shaped_plan`'s SELECT list: SUM on dimension 0, COUNT(*) on 1, AVG
@@ -465,32 +468,41 @@ fn an_approx_result_is_one_readout() {
         let (plan, _) = shaped_plan(shape, SamplingMethod::Bernoulli { p: 0.4 });
         for seed in 0..20u64 {
             let query = || engine.session().query_plan(&plan).seed(seed);
-            for (what, out) in [
+            let stopped = query().chunk_rows(32).rows(100).run().unwrap();
+            assert_eq!(stopped.reason, StopReason::RowBudget);
+            assert_ne!(
+                format!("{:?}", stopped.snapshot.gus()),
+                format!("{:?}", stopped.analysis.gus),
+                "shape {shape}, seed {seed}: stopped mid-scan"
+            );
+            for (what, r) in [
                 ("batch", query().batch().unwrap()),
                 ("subsample", query().subsample(60).batch().unwrap()),
+                ("exact", query().exact().unwrap()),
+                ("row budget", stopped.clone()),
             ] {
-                let r = out.as_scalar().unwrap();
                 let at = format!("shape {shape}, seed {seed}, {what}");
+                let (aggs, report) = (&support::scalar(&r).aggs, r.report.as_ref().unwrap());
                 for (i, dim) in sum_and_count {
-                    let agg = &r.aggs[i];
+                    let agg = &aggs[i];
                     assert_eq!(
                         agg.estimate.to_bits(),
-                        r.report.estimate[dim].to_bits(),
+                        report.estimate[dim].to_bits(),
                         "{at}"
                     );
                     assert_eq!(
                         agg.variance.map(f64::to_bits),
-                        r.report.variance(dim).ok().map(f64::to_bits),
+                        report.variance(dim).ok().map(f64::to_bits),
                         "{at}: {} variance",
                         agg.name
                     );
                 }
-                let cov = r.report.covariance.as_ref().unwrap();
+                let cov = report.covariance.as_ref().unwrap();
                 let ratio = sa_core::ratio_of(
-                    (r.report.estimate[num], r.report.estimate[den]),
+                    (report.estimate[num], report.estimate[den]),
                     [cov.get(num, num), cov.get(num, den), cov.get(den, den)],
                 );
-                let agg = &r.aggs[avg];
+                let agg = &aggs[avg];
                 match ratio {
                     Ok(d) => {
                         assert_eq!(agg.estimate.to_bits(), d.value.to_bits(), "{at}: AVG");
@@ -504,6 +516,17 @@ fn an_approx_result_is_one_readout() {
                 }
             }
         }
+    }
+    let (plan, group_by) = shaped_plan(4, SamplingMethod::Bernoulli { p: 0.4 });
+    assert!(!group_by.is_empty());
+    let query = || {
+        engine
+            .session()
+            .query_plan(&plan)
+            .group_by(group_by.clone())
+    };
+    for r in [query().batch(), query().exact(), query().run()] {
+        assert!(r.unwrap().report.is_none());
     }
 }
 

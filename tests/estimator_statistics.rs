@@ -52,9 +52,9 @@ fn join_plan() -> LogicalPlan {
         .aggregate(vec![AggSpec::sum(col("v").mul(col("w")), "s")])
 }
 
-fn run_trials(plan: &LogicalPlan, cat: &Catalog, trials: u64) -> Vec<ApproxResult> {
+fn run_trials(plan: &LogicalPlan, cat: &Catalog, trials: u64) -> Vec<QueryResult> {
     (0..trials)
-        .map(|seed| support::batch(plan, cat, seed, 0.95).unwrap())
+        .map(|seed| support::query(plan, cat, seed, 0.95).batch().unwrap())
         .collect()
 }
 
@@ -66,7 +66,11 @@ fn point_estimate_is_unbiased_on_sampled_join() {
     let oracle = oracle_variance(&plan, &cat).unwrap();
     let trials = 300;
     let runs = run_trials(&plan, &cat, trials);
-    let mean: f64 = runs.iter().map(|r| r.aggs[0].estimate).sum::<f64>() / trials as f64;
+    let mean: f64 = runs
+        .iter()
+        .map(|r| support::scalar(r).aggs[0].estimate)
+        .sum::<f64>()
+        / trials as f64;
     // Monte-Carlo error of the mean: σ/√trials; allow 4 of them.
     let mc_sigma = (oracle / trials as f64).sqrt();
     assert!(
@@ -84,7 +88,7 @@ fn variance_estimate_is_unbiased() {
     let runs = run_trials(&plan, &cat, trials);
     let mean_var: f64 = runs
         .iter()
-        .map(|r| r.report.raw_variance(0).unwrap())
+        .map(|r| r.report.as_ref().unwrap().raw_variance(0).unwrap())
         .sum::<f64>()
         / trials as f64;
     // Unbiasedness within 20% (the variance of σ̂² involves 4th moments).
@@ -103,7 +107,13 @@ fn normal_interval_coverage_near_nominal() {
     let runs = run_trials(&plan, &cat, trials);
     let covered = runs
         .iter()
-        .filter(|r| r.aggs[0].ci_normal.as_ref().unwrap().contains(exact))
+        .filter(|r| {
+            support::scalar(r).aggs[0]
+                .ci_normal
+                .as_ref()
+                .unwrap()
+                .contains(exact)
+        })
         .count();
     let rate = covered as f64 / trials as f64;
     // 95% nominal; accept [0.88, 1.0] (binomial noise + mild non-normality).
@@ -119,7 +129,13 @@ fn chebyshev_interval_coverage_at_least_nominal() {
     let runs = run_trials(&plan, &cat, trials);
     let covered = runs
         .iter()
-        .filter(|r| r.aggs[0].ci_chebyshev.as_ref().unwrap().contains(exact))
+        .filter(|r| {
+            support::scalar(r).aggs[0]
+                .ci_chebyshev
+                .as_ref()
+                .unwrap()
+                .contains(exact)
+        })
         .count();
     let rate = covered as f64 / trials as f64;
     assert!(rate >= 0.97, "Chebyshev coverage {rate} (should be ≈ 1)");
@@ -136,7 +152,11 @@ fn count_estimate_unbiased() {
     assert_eq!(exact, 2000.0); // every t row matches exactly one d row
     let trials = 200;
     let runs = run_trials(&plan, &cat, trials);
-    let mean: f64 = runs.iter().map(|r| r.aggs[0].estimate).sum::<f64>() / trials as f64;
+    let mean: f64 = runs
+        .iter()
+        .map(|r| support::scalar(r).aggs[0].estimate)
+        .sum::<f64>()
+        / trials as f64;
     assert!((mean - exact).abs() < 0.05 * exact, "mean {mean}");
 }
 
@@ -152,7 +172,7 @@ fn avg_delta_method_concentrates_on_truth() {
     let runs = run_trials(&plan, &cat, trials);
     let mut covered = 0;
     for r in &runs {
-        let a = &r.aggs[0];
+        let a = &support::scalar(r).aggs[0];
         if a.ci_normal.as_ref().unwrap().contains(exact) {
             covered += 1;
         }
@@ -171,16 +191,13 @@ fn subsampled_variance_estimator_tracks_oracle() {
     let trials = 200;
     let mean_var: f64 = (0..trials)
         .map(|seed| {
-            let out = Engine::new(cat.clone())
-                .session()
-                .query_plan(&plan)
-                .seed(seed)
+            let r = support::query(&plan, &cat, seed, 0.95)
                 .subsample(150)
                 .batch()
                 .unwrap();
-            let r = out.as_scalar().unwrap();
-            assert!(r.variance_rows <= r.result_rows);
-            r.report.raw_variance(0).unwrap()
+            let report = r.report.unwrap();
+            assert!(report.m <= r.snapshot.rows());
+            report.raw_variance(0).unwrap()
         })
         .sum::<f64>()
         / trials as f64;
@@ -208,14 +225,24 @@ fn system_block_sampling_estimates_correctly() {
     let exact = support::exact(&plan, &c).unwrap()[0];
     let trials = 300;
     let runs = run_trials(&plan, &c, trials);
-    let mean: f64 = runs.iter().map(|r| r.aggs[0].estimate).sum::<f64>() / trials as f64;
+    let mean: f64 = runs
+        .iter()
+        .map(|r| support::scalar(r).aggs[0].estimate)
+        .sum::<f64>()
+        / trials as f64;
     assert!(
         (mean - exact).abs() < 0.03 * exact,
         "mean {mean} vs {exact}"
     );
     let covered = runs
         .iter()
-        .filter(|r| r.aggs[0].ci_normal.as_ref().unwrap().contains(exact))
+        .filter(|r| {
+            support::scalar(r).aggs[0]
+                .ci_normal
+                .as_ref()
+                .unwrap()
+                .contains(exact)
+        })
         .count();
     let rate = covered as f64 / trials as f64;
     assert!(rate >= 0.88, "SYSTEM coverage {rate}");

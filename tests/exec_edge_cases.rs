@@ -31,10 +31,11 @@ fn empty_table_through_whole_pipeline() {
     let plan = LogicalPlan::scan("empty")
         .sample(SamplingMethod::Bernoulli { p: 0.5 })
         .aggregate(vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")]);
-    let r = support::batch(&plan, &cat, 0, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 0, 0.95).batch().unwrap();
+    let r = support::scalar(&r);
     assert_eq!(r.aggs[0].estimate, 0.0);
     assert_eq!(r.aggs[1].estimate, 0.0);
-    assert_eq!(r.result_rows, 0);
+    assert_eq!(r.rows, 0);
     assert_eq!(support::exact(&plan, &cat).unwrap(), vec![0.0, 0.0]);
 }
 
@@ -48,7 +49,8 @@ fn join_with_empty_side_yields_zero() {
             col("t.k").eq(col("e.k")),
         )
         .aggregate(vec![AggSpec::count_star("n")]);
-    let r = support::batch(&plan, &cat, 0, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 0, 0.95).batch().unwrap();
+    let r = support::scalar(&r);
     assert_eq!(r.aggs[0].estimate, 0.0);
 }
 
@@ -64,7 +66,10 @@ fn projection_between_sample_and_aggregate() {
     assert_eq!(exact, 2.0 * (0..100).sum::<i64>() as f64);
     let trials = 120u64;
     let mean: f64 = (0..trials)
-        .map(|seed| support::batch(&plan, &cat, seed, 0.95).unwrap().aggs[0].estimate)
+        .map(|seed| {
+            support::scalar(&support::query(&plan, &cat, seed, 0.95).batch().unwrap()).aggs[0]
+                .estimate
+        })
         .sum::<f64>()
         / trials as f64;
     assert!(
@@ -121,7 +126,8 @@ fn negative_and_cancelling_values() {
     let plan = LogicalPlan::scan("pm")
         .sample(SamplingMethod::Bernoulli { p: 0.5 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let r = support::batch(&plan, &cat, 3, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 3, 0.95).batch().unwrap();
+    let r = support::scalar(&r);
     assert!(r.aggs[0].estimate.abs() < 60.0);
     assert!(r.aggs[0].variance.unwrap() > 0.0);
     // Exact answer 0 should be inside the Chebyshev interval.
@@ -145,7 +151,8 @@ fn aliased_same_table_join_is_analyzable() {
     assert_eq!(analysis.schema.n(), 2);
     assert!((analysis.gus.a() - 0.25).abs() < 1e-12);
     // Executes fine too.
-    let r = support::batch(&plan, &cat, 0, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 0, 0.95).batch().unwrap();
+    let r = support::scalar(&r);
     assert!(r.aggs[0].estimate >= 0.0);
 }
 
@@ -155,7 +162,8 @@ fn wor_of_entire_table_is_exact() {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Wor { size: 100 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
-    let r = support::batch(&plan, &cat, 0, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 0, 0.95).batch().unwrap();
+    let r = support::scalar(&r);
     let exact = support::exact(&plan, &cat).unwrap()[0];
     assert!((r.aggs[0].estimate - exact).abs() < 1e-9);
     assert!(r.aggs[0].variance.unwrap() < 1e-6);
@@ -170,7 +178,8 @@ fn quantile_on_count_and_avg() {
             AggSpec::count_star("n").with_quantile(0.9),
             AggSpec::avg(col("v"), "a").with_quantile(0.9),
         ]);
-    let r = support::batch(&plan, &cat, 0, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 0, 0.95).batch().unwrap();
+    let r = support::scalar(&r);
     for a in &r.aggs {
         let q = a.quantile_bound.unwrap();
         assert!(q >= a.estimate, "0.9-quantile below the point estimate");
@@ -184,5 +193,5 @@ fn zero_probability_sampler_estimate_degenerate() {
         .sample(SamplingMethod::Bernoulli { p: 0.0 })
         .aggregate(vec![AggSpec::sum(col("v"), "s")]);
     // a = 0: nothing can be estimated; surfaced as an error, not a panic.
-    assert!(support::batch(&plan, &cat, 0, 0.95).is_err());
+    assert!(support::query(&plan, &cat, 0, 0.95).batch().is_err());
 }

@@ -24,7 +24,11 @@ fn group_by_returnflag_coverage() {
     let exact = support::exact_groups(&plan, &group_by, &cat).unwrap();
     assert_eq!(exact.len(), 3); // A, N, R
 
-    let r = support::batch_groups(&plan, &group_by, &cat, 5, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 5, 0.95)
+        .group_by(group_by.clone())
+        .batch()
+        .unwrap();
+    let r = support::grouped(&r);
     assert_eq!(r.groups.len(), 3);
     for g in &r.groups {
         let truth = &exact[&g.key];
@@ -60,7 +64,11 @@ fn group_by_unbiased_per_group() {
     let trials = 150u64;
     let mut sums: std::collections::BTreeMap<Vec<Value>, f64> = Default::default();
     for seed in 0..trials {
-        let r = support::batch_groups(&plan, &group_by, &cat, seed, 0.95).unwrap();
+        let r = support::query(&plan, &cat, seed, 0.95)
+            .group_by(group_by.clone())
+            .batch()
+            .unwrap();
+        let r = support::grouped(&r);
         for g in &r.groups {
             *sums.entry(g.key.clone()).or_insert(0.0) += g.aggs[0].estimate;
         }
@@ -88,7 +96,11 @@ fn group_by_on_sampled_join() {
     .unwrap();
     let exact = support::exact_groups(&plan, &group_by, &cat).unwrap();
     assert_eq!(exact.len(), 5); // 5 priorities
-    let r = support::batch_groups(&plan, &group_by, &cat, 11, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 11, 0.95)
+        .group_by(group_by.clone())
+        .batch()
+        .unwrap();
+    let r = support::grouped(&r);
     let mut covered = 0;
     for g in &r.groups {
         if g.aggs[0]
@@ -137,7 +149,11 @@ fn group_by_expression_keys() {
         &cat,
     )
     .unwrap();
-    let r = support::batch_groups(&plan, &group_by, &cat, 2, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 2, 0.95)
+        .group_by(group_by.clone())
+        .batch()
+        .unwrap();
+    let r = support::grouped(&r);
     assert_eq!(r.groups.len(), 2); // true / false buckets
     let exact = support::exact_groups(&plan, &group_by, &cat).unwrap();
     for g in &r.groups {

@@ -373,7 +373,11 @@ proptest! {
             .aggregate(vec![AggSpec::sum(col("v"), "s"), AggSpec::count_star("n")]);
 
         // The batch grouped driver's answer…
-        let batch = support::batch_groups(&plan, &[col("g")], &catalog, seed, 0.95).unwrap();
+        let result = support::query(&plan, &catalog, seed, 0.95)
+            .group_by(vec![col("g")])
+            .batch()
+            .unwrap();
+        let batch = support::grouped(&result);
         // …and the SAME realized sample as raw rows (the batch drains the
         // aggregate input's stream with this very seed).
         let LogicalPlan::Aggregate { aggs, input } = &plan else { unreachable!() };
@@ -418,7 +422,7 @@ proptest! {
         }
         left.merge(&right).unwrap();
 
-        let gus = &batch.analysis.gus;
+        let gus = &result.analysis.gus;
         for acc in [&inc, &left] {
             prop_assert_eq!(acc.group_count(), batch.groups.len());
             for g in &batch.groups {

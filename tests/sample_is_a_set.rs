@@ -119,7 +119,8 @@ fn numbers(rows: u64, groups: Vec<(Vec<Value>, &[AggResult])>) -> Numbers {
     (rows, cells)
 }
 
-/// The numbers of a run that must have exhausted.
+/// The numbers of a result that must have exhausted its sample: a run to
+/// the end, or a batch.
 fn exhausted(name: &str, run: QueryResult) -> Numbers {
     assert_eq!(run.reason, StopReason::Exhausted, "{name}");
     match &run.snapshot {
@@ -127,19 +128,6 @@ fn exhausted(name: &str, run: QueryResult) -> Numbers {
         Snapshot::Grouped(s) => numbers(
             s.rows,
             s.groups
-                .iter()
-                .map(|g| (g.key.clone(), &g.aggs[..]))
-                .collect(),
-        ),
-    }
-}
-
-fn batch(batch: BatchOutput) -> Numbers {
-    match &batch {
-        BatchOutput::Scalar(r) => numbers(r.result_rows, vec![(vec![], &r.aggs[..])]),
-        BatchOutput::Grouped(r) => numbers(
-            r.result_rows,
-            r.groups
                 .iter()
                 .map(|g| (g.key.clone(), &g.aggs[..]))
                 .collect(),
@@ -178,7 +166,8 @@ fn a_union_runs_at_jobs_n_and_exhausts_to_its_batch_estimate() {
                     .chunk_rows(64)
             };
             let run = exhausted(name, query().jobs(4).run().unwrap());
-            assert_agree(name, &run, &batch(query().batch().unwrap()));
+            let batch = exhausted(name, query().batch().unwrap());
+            assert_agree(name, &run, &batch);
         }
     }
 }
@@ -196,7 +185,7 @@ fn every_sampler_shape_rides_a_hub_to_its_private_batch_estimate() {
                 .seed(11)
                 .batch()
                 .unwrap();
-            let want = batch(want);
+            let want = exhausted(name, want);
             for origin in [0, 200, 450] {
                 let engine = Engine::builder(support::catalog())
                     .shared_scans(true)

@@ -58,7 +58,7 @@ fn mid_attach_exhaustion_equals_batch_estimator() {
         .seed(9)
         .batch()
         .unwrap();
-    let batch = private.as_scalar().unwrap();
+    let batch = private.snapshot.as_scalar().unwrap();
     for warm_frac in [0.3, 0.6] {
         let engine = Engine::builder(catalog(rows as i64))
             .shared_scans(true)
@@ -77,7 +77,7 @@ fn mid_attach_exhaustion_equals_batch_estimator() {
         assert_eq!(engine.shared_scan("t").unwrap().stats().head, origin + rows);
         let snap = r.snapshot.as_scalar().unwrap();
         assert_eq!(snap.progress[0], (rows, rows), "full revolution consumed");
-        assert_eq!(snap.rows, batch.result_rows, "warm {warm_frac}: one sample");
+        assert_eq!(snap.rows, batch.rows, "warm {warm_frac}: one sample");
         let (eo, eb) = (snap.aggs[0].estimate, batch.aggs[0].estimate);
         assert!(eo > 0.0);
         assert!(

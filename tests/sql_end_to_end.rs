@@ -22,8 +22,8 @@ fn paper_query1_estimate_within_chebyshev() {
     .unwrap();
     let exact = support::exact(&plan, &cat).unwrap()[0];
     assert!(exact > 0.0);
-    let r = support::batch(&plan, &cat, 3, 0.95).unwrap();
-    let a = &r.aggs[0];
+    let r = support::query(&plan, &cat, 3, 0.95).batch().unwrap();
+    let a = &support::scalar(&r).aggs[0];
     assert!(
         a.ci_chebyshev.as_ref().unwrap().contains(exact),
         "estimate {} ± cheb {:?} missed exact {exact}",
@@ -53,7 +53,8 @@ fn approx_view_lo_hi_bracket_truth_usually() {
     let mut bracketed = 0;
     let trials = 40;
     for seed in 0..trials {
-        let r = support::batch(&plan, &cat, seed, 0.95).unwrap();
+        let r = support::query(&plan, &cat, seed, 0.95).batch().unwrap();
+        let r = support::scalar(&r);
         let lo = r.aggs[0].quantile_bound.unwrap();
         let hi = r.aggs[1].quantile_bound.unwrap();
         assert!(lo < hi);
@@ -94,7 +95,10 @@ fn aqua_correlated_fk_sampling_equivalence() {
     let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 60;
     let mean: f64 = (0..trials)
-        .map(|seed| support::batch(&plan, &cat, seed, 0.95).unwrap().aggs[0].estimate)
+        .map(|seed| {
+            support::scalar(&support::query(&plan, &cat, seed, 0.95).batch().unwrap()).aggs[0]
+                .estimate
+        })
         .sum::<f64>()
         / trials as f64;
     assert!(
@@ -116,7 +120,10 @@ fn system_sampling_via_sql() {
     let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 80;
     let mean: f64 = (0..trials)
-        .map(|seed| support::batch(&plan, &cat, seed, 0.95).unwrap().aggs[0].estimate)
+        .map(|seed| {
+            support::scalar(&support::query(&plan, &cat, seed, 0.95).batch().unwrap()).aggs[0]
+                .estimate
+        })
         .sum::<f64>()
         / trials as f64;
     assert!(
@@ -135,7 +142,8 @@ fn multi_aggregate_select_list() {
     )
     .unwrap();
     let exact = support::exact(&plan, &cat).unwrap();
-    let r = support::batch(&plan, &cat, 5, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 5, 0.95).batch().unwrap();
+    let r = support::scalar(&r);
     assert_eq!(r.aggs.len(), 3);
     for (agg, truth) in r.aggs.iter().zip(&exact) {
         let ci = agg.ci_chebyshev.as_ref().unwrap();
@@ -162,7 +170,8 @@ fn three_table_join_through_sql() {
     assert_eq!(analysis.schema.n(), 3);
     assert!((analysis.gus.a() - 0.1).abs() < 1e-12); // 0.2 · 1 · 0.5
     let exact = support::exact(&plan, &cat).unwrap()[0];
-    let r = support::batch(&plan, &cat, 7, 0.95).unwrap();
+    let r = support::query(&plan, &cat, 7, 0.95).batch().unwrap();
+    let r = support::scalar(&r);
     assert!(r.aggs[0].ci_chebyshev.as_ref().unwrap().contains(exact));
 }
 
@@ -194,7 +203,7 @@ fn skewed_data_still_covered_by_chebyshev() {
     let trials = 100;
     let covered = (0..trials)
         .filter(|seed| {
-            support::batch(&plan, &cat, *seed, 0.99).unwrap().aggs[0]
+            support::scalar(&support::query(&plan, &cat, *seed, 0.99).batch().unwrap()).aggs[0]
                 .ci_chebyshev
                 .as_ref()
                 .unwrap()

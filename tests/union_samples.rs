@@ -94,7 +94,8 @@ fn union_estimate_unbiased_and_covered() {
     let mut mean = 0.0;
     let mut covered = 0;
     for seed in 0..trials {
-        let r = support::batch(&plan, &cat, seed, 0.95).unwrap();
+        let r = support::query(&plan, &cat, seed, 0.95).batch().unwrap();
+        let r = support::scalar(&r);
         mean += r.aggs[0].estimate;
         if r.aggs[0].ci_normal.as_ref().unwrap().contains(exact) {
             covered += 1;
@@ -121,7 +122,10 @@ fn union_of_wor_samples() {
     let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 200u64;
     let mean: f64 = (0..trials)
-        .map(|seed| support::batch(&plan, &cat, seed, 0.95).unwrap().aggs[0].estimate)
+        .map(|seed| {
+            support::scalar(&support::query(&plan, &cat, seed, 0.95).batch().unwrap()).aggs[0]
+                .estimate
+        })
         .sum::<f64>()
         / trials as f64;
     assert!(
@@ -146,7 +150,10 @@ fn union_under_join_composes() {
     let exact = support::exact(&plan, &cat).unwrap()[0];
     let trials = 200u64;
     let mean: f64 = (0..trials)
-        .map(|seed| support::batch(&plan, &cat, seed, 0.95).unwrap().aggs[0].estimate)
+        .map(|seed| {
+            support::scalar(&support::query(&plan, &cat, seed, 0.95).batch().unwrap()).aggs[0]
+                .estimate
+        })
         .sum::<f64>()
         / trials as f64;
     assert!(
@@ -206,11 +213,8 @@ fn union_same_sampling_twice_matches_single_equivalent_bernoulli() {
     let avg_var = |plan: &LogicalPlan| -> f64 {
         (0..trials)
             .map(|seed| {
-                support::batch(plan, &cat, seed, 0.95)
-                    .unwrap()
-                    .report
-                    .raw_variance(0)
-                    .unwrap()
+                let r = support::query(plan, &cat, seed, 0.95).batch().unwrap();
+                r.report.unwrap().raw_variance(0).unwrap()
             })
             .sum::<f64>()
             / trials as f64
