@@ -516,26 +516,16 @@ pub(crate) struct OpenedAggregate<'p> {
     pub(crate) scalar: Scalar<'p>,
 }
 
-/// Reject option values no run can honour. Each would otherwise fail
-/// silently: a zero `chunk_rows` degenerates the pull loop into one-row
-/// chunks, zero workers make no progress, a confidence outside (0, 1)
-/// turns every interval into `None`, and a non-positive (or NaN) ε or a
-/// `ci_top_k` of 0 disarms the CI target so the run exhausts the sample,
-/// and §7 sub-sampling has no grouped form, so under `observed` GROUP BY
-/// keys a `subsample_target` would be dropped without a word.
-fn validate_options(opts: &QueryOptions, observed: &[Expr]) -> Result<()> {
+/// Reject option values no run can honour, each of which would otherwise
+/// fail silently: the option table's range rules (the ones
+/// [`QueryOptions::set`] checks), an ε that disarms the CI target, and a
+/// `subsample_target` under `observed` GROUP BY keys, which §7 has no
+/// grouped form for.
+pub(crate) fn validate_options(opts: &QueryOptions, observed: &[Expr]) -> Result<()> {
+    opts.check_ranges()?;
     let in_unit = |x: f64| x > 0.0 && x < 1.0;
     let target = opts.rule.ci_target;
-    let problem = if opts.chunk_rows == 0 {
-        "chunk_rows must be at least 1".into()
-    } else if opts.parallelism == 0 {
-        "parallelism must be at least 1".into()
-    } else if !in_unit(opts.confidence) {
-        format!(
-            "confidence must be strictly between 0 and 1, got {}",
-            opts.confidence
-        )
-    } else if let Some(t) = target.filter(|t| !in_unit(t.confidence)) {
+    let problem = if let Some(t) = target.filter(|t| !in_unit(t.confidence)) {
         format!(
             "rule.ci_target.confidence (`.within(ε, γ)`) must be strictly between 0 and 1, got {}",
             t.confidence
@@ -545,8 +535,6 @@ fn validate_options(opts: &QueryOptions, observed: &[Expr]) -> Result<()> {
             "rule.ci_target.epsilon (`.within(ε, γ)`) must be positive, got {}",
             t.epsilon
         )
-    } else if opts.ci_top_k == Some(0) {
-        "ci_top_k must be at least 1: with no group tracked the CI target can never fire".into()
     } else if opts.subsample_target.is_some() && !observed.is_empty() {
         "subsample_target (`.subsample(n)`) applies to scalar queries only: a GROUP BY \
          estimates every group's variance from every tuple"

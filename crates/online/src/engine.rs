@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! Engine (catalog, defaults, admission, shared scans)
-//!   └─ session() ─▶ Session (stable per-session seed)
+//!   └─ session() ─▶ Session (its queries' options, seeded per session)
 //!        └─ query(sql) / query_plan(&plan) ─▶ QueryBuilder
 //!             .within(0.05, 0.95).seed(7)...
 //!             ├─ .run() / .run_with(cb) ─▶ QueryResult   (synchronous)
@@ -17,12 +17,12 @@
 //!
 //! ## Seeds
 //!
-//! Each session gets a stable seed derived from the engine's default seed
-//! and the session's ordinal (`splitmix64(default_seed + ordinal)`), so the
-//! i-th session of an engine always sees the same sample realization —
-//! estimates stay *comparable across sessions and restarts* in the spirit
-//! of coordinated sampling (keep the randomness fixed, vary the query).
-//! `.seed(s)` on the builder overrides it per query.
+//! Each session starts from the engine's default options with a stable seed,
+//! `splitmix64(default_seed + ordinal)`, so the i-th session of an engine
+//! always sees the same sample realization — estimates stay *comparable
+//! across sessions and restarts* in the spirit of coordinated sampling
+//! (keep the randomness fixed, vary the query). A client sets its session's
+//! options by name ([`QueryOptions::set`]); `.seed(s)` overrides one query.
 //!
 //! ## Admission control
 //!
@@ -343,17 +343,19 @@ impl Engine {
         &self.inner.catalog
     }
 
-    /// Open a session: a stable identity whose seed is derived from the
-    /// engine's default seed and the session ordinal, so the i-th session
-    /// always samples the same realization (override per query with
-    /// [`QueryBuilder::seed`]).
+    /// Open a session: a stable identity whose options are the engine's
+    /// defaults with a seed derived from the default seed and the session
+    /// ordinal, so the i-th session always samples the same realization
+    /// (override per query with [`QueryBuilder::seed`]).
     pub fn session(&self) -> Session {
         let ordinal = self.inner.sessions.fetch_add(1, Ordering::Relaxed) + 1;
         self.inner.obs.sessions_opened.inc();
+        let mut opts = self.inner.defaults.clone();
+        opts.seed = splitmix64(opts.seed.wrapping_add(ordinal));
         Session {
             engine: self.clone(),
             id: ordinal,
-            seed: splitmix64(self.inner.defaults.seed.wrapping_add(ordinal)),
+            opts,
         }
     }
 
@@ -588,13 +590,13 @@ impl Drop for AdmitGuard {
     }
 }
 
-/// A client identity handed out by [`Engine::session`]: carries the
-/// engine handle and a stable per-session seed. Cheap to clone.
+/// A client identity handed out by [`Engine::session`]: the engine handle
+/// and the [`QueryOptions`] its queries start from (its option state).
 #[derive(Clone)]
 pub struct Session {
     engine: Engine,
     id: u64,
-    seed: u64,
+    opts: QueryOptions,
 }
 
 impl Session {
@@ -603,9 +605,15 @@ impl Session {
         self.id
     }
 
-    /// The session's derived seed (the default for its queries).
+    /// The session's seed (the default for its queries).
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.opts.seed
+    }
+
+    /// The options the session's next queries start from, to set by name
+    /// ([`QueryOptions::set`]) or by field.
+    pub fn options_mut(&mut self) -> &mut QueryOptions {
+        &mut self.opts
     }
 
     /// The engine this session belongs to.
@@ -627,14 +635,12 @@ impl Session {
     }
 
     fn builder(&self, input: QueryInput) -> QueryBuilder {
-        let mut opts = self.engine.inner.defaults.clone();
-        opts.seed = self.seed;
         QueryBuilder {
             engine: self.engine.clone(),
             session: self.id,
             input,
             group_by: Vec::new(),
-            opts,
+            opts: self.opts.clone(),
         }
     }
 }
@@ -650,7 +656,7 @@ pub struct QueryBuilder {
     session: u64,
     input: QueryInput,
     group_by: Vec<Expr>,
-    opts: QueryOptions,
+    pub(crate) opts: QueryOptions,
 }
 
 impl QueryBuilder {
@@ -663,7 +669,7 @@ impl QueryBuilder {
     }
 
     /// Seed for the plan's sampling operators, overriding the session's
-    /// derived seed.
+    /// seed for this query.
     pub fn seed(mut self, seed: u64) -> QueryBuilder {
         self.opts.seed = seed;
         self
@@ -681,13 +687,10 @@ impl QueryBuilder {
         self
     }
 
-    /// Hard wall-clock deadline: cancel the query once `deadline` has
-    /// elapsed and report the last valid snapshot with
-    /// [`sa_plan::StopReason::Deadline`]. Distinct from the soft
-    /// [`QueryBuilder::time`] budget (a stop *rule* the caller opted into):
-    /// the deadline is an imposed upper bound, checked on every tick even
-    /// when the rule never fires, and it wins over a simultaneous soft
-    /// time-budget stop.
+    /// Hard wall-clock deadline, checked on every tick (see
+    /// [`QueryOptions::deadline`]; distinct from the soft [`QueryBuilder::time`]
+    /// budget, and winning over it). A zero `deadline` stops the query at
+    /// its first tick; by name, `deadline 0` clears the deadline instead.
     pub fn deadline(mut self, deadline: Duration) -> QueryBuilder {
         self.opts.deadline = Some(deadline);
         self
@@ -742,7 +745,7 @@ impl QueryBuilder {
     }
 
     /// Replace the whole option set (the other setters tweak fields on top
-    /// of the session defaults; this swaps everything, seed included).
+    /// of the session's options; this swaps everything, seed included).
     pub fn options(mut self, opts: QueryOptions) -> QueryBuilder {
         self.opts = opts;
         self

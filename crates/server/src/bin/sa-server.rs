@@ -8,7 +8,9 @@
 //! Generates TPC-H-style data (or memory-maps a directory of `.sac` files
 //! written by `sa --persist`), builds an [`sa_server::Server`] with shared
 //! scans enabled, prints `READY <addr>` on stdout once listening, and
-//! serves until killed. Drive it with the `sa` client:
+//! serves until killed. `--seed` seeds the data and is the base of the
+//! sessions' seeds (the option table's `seed` row); a client sets the rest
+//! of its session by the protocol's verbs. Drive it with the `sa` client:
 //!
 //! ```sh
 //! sa --connect 127.0.0.1:5433 --query \
@@ -17,14 +19,24 @@
 //! ```
 
 use std::io::Write;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
+use sa_online::QueryOptions;
 use sa_server::{Server, ServerConfig};
 use sa_tpch::{generate, TpchConfig};
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+/// The value after `flag`, parsed, or exit 2 saying what `flag` needs.
+fn arg<T: std::str::FromStr>(it: &mut std::slice::Iter<String>, flag: &str, what: &str) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
 }
 
 /// Set by the SIGTERM/SIGINT handler; polled by the shutdown monitor. A
@@ -56,68 +68,30 @@ fn install_signal_handlers() {}
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 0.005f64;
-    let mut seed = 42u64;
     let mut data_dir: Option<String> = None;
     let mut fault_spec: Option<String> = None;
     let mut config = ServerConfig {
         addr: "127.0.0.1:5433".into(),
+        defaults: QueryOptions {
+            seed: 42,
+            ..QueryOptions::default()
+        },
         ..ServerConfig::default()
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--tpch" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--tpch needs a scale factor"));
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs a number"));
-            }
-            "--data" => {
-                data_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--data needs a directory of .sac files"))
-                        .clone(),
-                );
-            }
-            "--addr" => {
-                config.addr = it
-                    .next()
-                    .unwrap_or_else(|| die("--addr needs HOST:PORT"))
-                    .clone();
-            }
+            "--tpch" => scale = arg(&mut it, a, "a scale factor"),
+            "--data" => data_dir = Some(arg(&mut it, a, "a directory of .sac files")),
+            "--addr" => config.addr = arg(&mut it, a, "HOST:PORT"),
             "--workers" => {
-                config.workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| die("--workers needs a positive count"));
+                config.workers = arg::<NonZeroUsize>(&mut it, a, "a positive count").get()
             }
-            "--max-concurrent" => {
-                config.max_concurrent = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--max-concurrent needs a number"));
-            }
+            "--max-concurrent" => config.max_concurrent = arg(&mut it, a, "a number"),
             "--drain-ms" => {
-                config.drain_deadline = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .map(std::time::Duration::from_millis)
-                    .unwrap_or_else(|| die("--drain-ms needs milliseconds"));
+                config.drain_deadline = Duration::from_millis(arg(&mut it, a, "milliseconds"))
             }
-            "--fault" => {
-                fault_spec = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--fault needs `site=spec,…`"))
-                        .clone(),
-                );
-            }
+            "--fault" => fault_spec = Some(arg(&mut it, a, "`site=spec,…`")),
             "-h" | "--help" => {
                 eprintln!(
                     "usage: sa-server [--tpch SCALE | --data DIR] [--seed N] \
@@ -126,11 +100,20 @@ fn main() {
                 );
                 return;
             }
-            other => die(&format!("unknown flag `{other}`")),
+            // `seed` is the one option-table row a server flag sets.
+            flag => match flag.strip_prefix("--") {
+                Some(name @ "seed") => {
+                    let value = it.next().map_or("", String::as_str);
+                    if let Err(e) = config.defaults.set(name, value) {
+                        die(&format!("--{name}: {e}"));
+                    }
+                }
+                _ => die(&format!("unknown flag `{flag}`")),
+            },
         }
     }
 
-    config.defaults.seed = seed;
+    let seed = config.defaults.seed;
     if let Some(spec) = &fault_spec {
         sa_fault::install(spec, seed).unwrap_or_else(|e| die(&format!("bad --fault: {e}")));
         eprintln!("fault injection armed: {spec} (seed {seed})");
@@ -166,7 +149,7 @@ fn main() {
             let _ = writeln!(std::io::stderr(), "signal received: draining …");
             return;
         }
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        std::thread::sleep(Duration::from_millis(100));
     });
 
     // Blocks until a SIGTERM/SIGINT, a client SHUTDOWN, or a controller

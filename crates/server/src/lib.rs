@@ -2,7 +2,7 @@
 //!
 //! A std-only TCP front-end over [`sa_online::Engine`]: clients speak the
 //! one-line-per-message protocol in [`protocol`], each connection gets its
-//! own engine [`sa_online::Session`] (stable per-session seed), a fixed
+//! own engine [`sa_online::Session`] (its options, seeded per session), a fixed
 //! thread pool bounds the connections served at once, and the engine's
 //! admission control ([`sa_online::EngineBuilder::max_concurrent`]) sheds
 //! query load past the configured bound with `ERR engine busy …` instead
@@ -132,8 +132,8 @@ pub struct ServerConfig {
     /// Engine admission bound: queries past this many in flight are
     /// rejected with `ERR engine busy …`.
     pub max_concurrent: usize,
-    /// Default [`QueryOptions`] (seed, chunk size, …) each query starts
-    /// from; the per-connection `SEED` request overrides the seed.
+    /// Default [`QueryOptions`] (seed, chunk size, …) each connection's
+    /// session starts from; its `SEED`/`SHUFFLE`/`DEADLINE` requests set it.
     pub defaults: QueryOptions,
     /// Emit every k-th `SNAP` progress line (the `FINAL` line is always
     /// sent). 0 silences progress entirely.
@@ -320,15 +320,6 @@ impl Server {
 /// are noticed within a poll tick even by clients that send nothing.
 const IDLE_POLL: Duration = Duration::from_millis(250);
 
-/// Per-connection query settings the `SEED`/`SHUFFLE`/`DEADLINE` verbs
-/// accumulate between `QUERY` requests.
-#[derive(Default)]
-struct ConnState {
-    seed: Option<u64>,
-    shuffle: bool,
-    deadline: Option<Duration>,
-}
-
 /// Hand accepted connections to the worker pool until the drain starts
 /// (returning drops `tx`, so the workers finish their clients and exit).
 fn accept_loop(listener: TcpListener, ctl: &Ctl, tx: mpsc::SyncSender<TcpStream>) {
@@ -354,7 +345,7 @@ fn accept_loop(listener: TcpListener, ctl: &Ctl, tx: mpsc::SyncSender<TcpStream>
 /// server drain, or an I/O error.
 fn handle_connection(
     conn: TcpStream,
-    session: Session,
+    mut session: Session,
     snapshot_every: u64,
     read_timeout: Duration,
     obs: &ServerObs,
@@ -373,7 +364,6 @@ fn handle_connection(
     let probe = conn.try_clone()?;
     let mut reader = BufReader::new(conn.try_clone()?);
     let mut out = BufWriter::new(conn);
-    let mut st = ConnState::default();
     let mut line = String::new();
     let mut idle_since = Instant::now();
     loop {
@@ -403,18 +393,13 @@ fn handle_connection(
         idle_since = Instant::now();
         match parse(&line) {
             Ok(Request::Ping) => writeln!(out, "OK")?,
-            Ok(Request::Seed(s)) => {
-                st.seed = Some(s);
-                writeln!(out, "OK")?;
-            }
-            Ok(Request::Shuffle(on)) => {
-                st.shuffle = on;
-                writeln!(out, "OK")?;
-            }
-            Ok(Request::Deadline(ms)) => {
-                st.deadline = ms.map(Duration::from_millis);
-                writeln!(out, "OK")?;
-            }
+            Ok(Request::Set(name, value)) => match session.options_mut().set(&name, &value) {
+                Ok(()) => writeln!(out, "OK")?,
+                Err(e) => {
+                    obs.bad_requests.inc();
+                    writeln!(out, "{}", err_line(&e.to_string()))?;
+                }
+            },
             Ok(Request::Shutdown) => {
                 writeln!(out, "OK")?;
                 out.flush()?;
@@ -427,7 +412,7 @@ fn handle_connection(
                 writeln!(out, "DONE")?;
             }
             Ok(Request::Query(sql)) => {
-                run_query(&mut out, &probe, &session, &sql, &st, snapshot_every, ctl)?;
+                run_query(&mut out, &probe, &session, &sql, snapshot_every, ctl)?;
                 writeln!(out, "DONE")?;
             }
             Err(msg) => {
@@ -477,18 +462,10 @@ fn run_query(
     probe: &TcpStream,
     session: &Session,
     sql: &str,
-    st: &ConnState,
     snapshot_every: u64,
     ctl: &Ctl,
 ) -> std::io::Result<()> {
-    let mut builder = session.query(sql).shuffle_scan(st.shuffle);
-    if let Some(s) = st.seed {
-        builder = builder.seed(s);
-    }
-    if let Some(d) = st.deadline {
-        builder = builder.deadline(d);
-    }
-    let handle = match builder.online() {
+    let handle = match session.query(sql).online() {
         Ok(handle) => handle,
         Err(e) => {
             writeln!(out, "{}", err_line(&e.to_string()))?;
@@ -611,12 +588,38 @@ mod tests {
     #[test]
     fn ping_seed_and_bad_requests() {
         let server = start(100);
-        let lines = exchange(server.local_addr(), &["PING", "SEED 9", "EXPLAIN"]);
+        let lines = exchange(
+            server.local_addr(),
+            &[
+                "PING",
+                "SEED 9",
+                "EXPLAIN",
+                "SHUFFLE on",
+                "DEADLINE off",
+                "SEED x",
+                "JOBS 2",
+                "CHUNK 5",
+                "SHUFFLE maybe",
+                "DEADLINE soon",
+            ],
+        );
         assert_eq!(lines[0], "OK");
         assert_eq!(lines[1], "OK");
         assert!(lines[2].starts_with("ERR unknown request"), "{}", lines[2]);
+        assert_eq!(lines[3..5], ["OK", "OK"]);
+        assert!(
+            lines[5].starts_with("ERR ") && lines[5].contains("seed"),
+            "{}",
+            lines[5]
+        );
+        // The table's other rows are the server's to choose, not a client's.
+        for line in &lines[6..8] {
+            assert!(line.starts_with("ERR unknown request"), "{line}");
+        }
+        assert!(lines[8].starts_with("ERR ") && lines[8].contains("shuffle"));
+        assert!(lines[9].starts_with("ERR ") && lines[9].contains("deadline"));
         let metrics = server.engine().metrics();
-        assert_eq!(metrics.counter("sa_server_bad_requests_total"), Some(1));
+        assert_eq!(metrics.counter("sa_server_bad_requests_total"), Some(6));
         assert_eq!(metrics.counter("sa_server_connections_total"), Some(1));
         server.shutdown();
     }

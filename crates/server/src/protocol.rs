@@ -3,11 +3,9 @@
 //! One UTF-8 line per message, newline-terminated, both ways. Requests:
 //!
 //! ```text
-//! SEED <n>         use sampling seed n for subsequent queries   → OK
-//! SHUFFLE on|off   seeded random block order for subsequent
-//!                  queries (scan-order robustness)              → OK
-//! DEADLINE <ms>    hard wall-clock deadline for subsequent
-//!                  queries (0 or `off` clears)                  → OK
+//! SEED <n>         set that option of the connection's session  → OK
+//! SHUFFLE on|off   for subsequent queries (`QueryOptions::set`;
+//! DEADLINE <ms>    a `DEADLINE` of 0 or `off` clears)
 //! QUERY <sql>      run a TABLESAMPLE aggregate query            → see below
 //! STATS            dump engine metrics                          → see below
 //! PING             liveness probe                               → OK
@@ -49,20 +47,20 @@
 
 use sa_online::{GroupedProgressSnapshot, ProgressSnapshot, QueryResult, Snapshot};
 
+/// The option-table rows a client may set, each by the verb that is its
+/// name in capitals: `SEED`, `SHUFFLE` and `DEADLINE`. The worker count
+/// and chunk size are the server's to choose.
+pub const OPTION_VERBS: [&str; 3] = ["seed", "shuffle", "deadline"];
+
 /// A parsed client request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// `QUERY <sql>`: run an approximate aggregate query.
     Query(String),
-    /// `SEED <n>`: pin the sampling seed for subsequent queries.
-    Seed(u64),
-    /// `SHUFFLE on|off`: visit blocks in a seeded random order for
-    /// subsequent queries (restores the random-scan-order assumption on
-    /// physically sorted tables).
-    Shuffle(bool),
-    /// `DEADLINE <ms>`: hard wall-clock deadline (milliseconds) for
-    /// subsequent queries on this connection; `None` (0 or `off`) clears.
-    Deadline(Option<u64>),
+    /// `SEED`, `SHUFFLE` or `DEADLINE`: set that [`OPTION_VERBS`] row for
+    /// the connection's subsequent queries. The value is the session's to
+    /// check ([`sa_online::QueryOptions::set`]); one it refuses is an `ERR`.
+    Set(String, String),
     /// `SHUTDOWN`: begin a graceful server-wide drain.
     Shutdown,
     /// `STATS`: dump engine metrics in Prometheus text format.
@@ -81,23 +79,10 @@ pub fn parse(line: &str) -> Result<Request, String> {
     match verb.to_ascii_uppercase().as_str() {
         "QUERY" if !rest.trim().is_empty() => Ok(Request::Query(rest.trim().to_string())),
         "QUERY" => Err("QUERY needs SQL".into()),
-        "SEED" => rest
-            .trim()
-            .parse()
-            .map(Request::Seed)
-            .map_err(|_| "SEED needs a non-negative integer".into()),
-        "SHUFFLE" => match rest.trim().to_ascii_lowercase().as_str() {
-            "on" => Ok(Request::Shuffle(true)),
-            "off" => Ok(Request::Shuffle(false)),
-            _ => Err("SHUFFLE needs `on` or `off`".into()),
-        },
-        "DEADLINE" => match rest.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" => Ok(Request::Deadline(None)),
-            ms => ms
-                .parse()
-                .map(|n| Request::Deadline(Some(n)))
-                .map_err(|_| "DEADLINE needs milliseconds (0 or `off` clears)".into()),
-        },
+        option if OPTION_VERBS.iter().any(|v| v.eq_ignore_ascii_case(option)) => Ok(Request::Set(
+            option.to_ascii_lowercase(),
+            rest.trim().to_string(),
+        )),
         "STATS" => Ok(Request::Stats),
         "PING" => Ok(Request::Ping),
         "SHUTDOWN" => Ok(Request::Shutdown),
@@ -193,20 +178,22 @@ mod tests {
         assert_eq!(parse("query select sum(v) from t"), {
             Ok(Request::Query("select sum(v) from t".into()))
         });
-        assert_eq!(parse("SEED 42"), Ok(Request::Seed(42)));
-        assert_eq!(parse("SHUFFLE on"), Ok(Request::Shuffle(true)));
-        assert_eq!(parse("shuffle OFF"), Ok(Request::Shuffle(false)));
-        assert!(parse("SHUFFLE maybe").is_err());
-        assert_eq!(parse("DEADLINE 250"), Ok(Request::Deadline(Some(250))));
-        assert_eq!(parse("deadline off"), Ok(Request::Deadline(None)));
-        assert_eq!(parse("DEADLINE 0"), Ok(Request::Deadline(None)));
-        assert!(parse("DEADLINE soon").is_err());
+        let set = |name: &str, value: &str| Ok(Request::Set(name.into(), value.into()));
+        assert_eq!(parse("SEED 42"), set("seed", "42"));
+        assert_eq!(parse("SHUFFLE on"), set("shuffle", "on"));
+        assert_eq!(parse("shuffle OFF"), set("shuffle", "OFF"));
+        // A value is checked where it is set, by the session's option table.
+        assert_eq!(parse("SHUFFLE maybe"), set("shuffle", "maybe"));
+        assert_eq!(parse("DEADLINE 250"), set("deadline", "250"));
+        assert_eq!(parse("deadline off"), set("deadline", "off"));
+        assert_eq!(parse("DEADLINE 0"), set("deadline", "0"));
+        assert_eq!(parse("DEADLINE soon"), set("deadline", "soon"));
         assert_eq!(parse("SHUTDOWN"), Ok(Request::Shutdown));
         assert_eq!(parse("stats"), Ok(Request::Stats));
         assert_eq!(parse(" PING "), Ok(Request::Ping));
         assert_eq!(parse("quit"), Ok(Request::Quit));
         assert!(parse("QUERY").is_err());
-        assert!(parse("SEED x").is_err());
+        assert_eq!(parse("SEED x"), set("seed", "x"));
         assert!(parse("EXPLAIN SELECT 1").is_err());
     }
 

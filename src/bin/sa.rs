@@ -17,16 +17,17 @@
 //!                                       # write engine metrics as JSON on exit
 //! ```
 //!
-//! `--seed` seeds both the data generator and the sampling operators, so a
-//! given invocation is fully reproducible. `--chunk N` sets the online
-//! chunk size; `--jobs N` drives the online loop with N shard-parallel
-//! worker threads (merged per snapshot; `--jobs 1`, the default, is the
-//! classic deterministic single-threaded loop).
+//! `--NAME VALUE` sets a row of the query option table ([`QueryOptions::set`]:
+//! `seed`, `chunk`, `jobs`, `confidence`, `top-k`, `deadline`, `adaptive`,
+//! `shuffle`); `--adaptive-chunks` and `--shuffle-scan` are `--adaptive on`
+//! and `--shuffle on`. `--seed` (42 by default) also seeds the data
+//! generator, so a given invocation is fully reproducible.
 //!
 //! `--connect ADDR` turns the binary into a thin client for `sa-server`:
-//! the query is sent over the line protocol, progress (`SNAP`/`GROUP`) and
-//! final (`FINAL`) lines are relayed to stdout, and the process exits 0 on
-//! `DONE` and 1 on `ERR`.
+//! the seed and any `--shuffle`/`--deadline` are sent as the server's
+//! option verbs (any other option flag is refused, exit 2), the query over
+//! the line protocol, progress (`SNAP`/`GROUP`) and final (`FINAL`) lines
+//! are relayed to stdout, and the process exits 0 on `DONE` and 1 on `ERR`.
 //!
 //! Inside the shell:
 //!
@@ -37,13 +38,9 @@
 //! \exact SELECT …       run without sampling (ground truth)
 //! \trace SELECT …       show the SOA rewrite trace and top GUS table
 //! \tables               list tables
-//! \seed N               set the sampling seed
-//! \chunk N              set the online chunk size (rows)
-//! \jobs N               set the online worker count (1 = sequential)
-//! \adaptive on|off      grow online chunks as the estimate stabilizes
-//!                       (\jobs 1 only: pool workers pull fixed chunks)
-//! \shuffle on|off       visit blocks in a seeded random order (restores
-//!                       the random-scan-order assumption on sorted data)
+//! \NAME VALUE           set a query option for the next queries, as the
+//!                       `--NAME VALUE` flag does (`\seed 9`, `\chunk 500`,
+//!                       `\jobs 2`, `\shuffle on`, `\deadline off`, …)
 //! \subsample N          estimate variance from ~N tuples (§7); 0 = off
 //! \stats                dump engine metrics (Prometheus text format)
 //! \quit
@@ -53,19 +50,14 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use sampling_algebra::prelude::*;
+use sampling_algebra::server::protocol::OPTION_VERBS;
 use sampling_algebra::sql::plan_grouped_sql;
 
-/// Shell state: the engine plus the knobs the `\…` commands adjust.
+/// Shell state: the session whose options every query starts from, plus
+/// the batch estimate's §7 knob.
 struct Shell {
-    engine: Engine,
-    seed: u64,
+    session: Session,
     subsample: Option<u64>,
-    confidence: f64,
-    chunk_rows: usize,
-    jobs: usize,
-    adaptive_chunks: bool,
-    shuffle_scan: bool,
-    deadline: Option<std::time::Duration>,
 }
 
 /// Let a closed stdout (`sa --online … | head -3`) end the process the way
@@ -93,11 +85,13 @@ fn main() {
     die_quietly_on_closed_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 0.005f64;
-    let mut seed = 42u64;
-    let mut chunk_rows = 1024usize;
-    let mut jobs = 1usize;
-    let mut adaptive_chunks = false;
-    let mut shuffle_scan = false;
+    let mut opts = QueryOptions {
+        seed: 42,
+        ..QueryOptions::default()
+    };
+    // The option flags given, as (flag, option, value): what connect mode
+    // forwards or refuses.
+    let mut given: Vec<(String, &str, String)> = Vec::new();
     let mut online = false;
     let mut one_shot: Option<String> = None;
     let mut connect: Option<String> = None;
@@ -105,103 +99,47 @@ fn main() {
     let mut data_dir: Option<String> = None;
     let mut stats = false;
     let mut stats_json: Option<String> = None;
-    let mut deadline: Option<std::time::Duration> = None;
     let mut fault_spec: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--tpch" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--tpch needs a scale factor"));
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs a number"));
-            }
-            "--chunk" => {
-                chunk_rows = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| die("--chunk needs a positive row count"));
-            }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| die("--jobs needs a positive worker count"));
-            }
-            "--adaptive-chunks" => adaptive_chunks = true,
-            "--shuffle-scan" => shuffle_scan = true,
+            "--tpch" => scale = arg(&mut it, a, "a scale factor"),
+            "--adaptive-chunks" => given.push((a.clone(), "adaptive", "on".into())),
+            "--shuffle-scan" => given.push((a.clone(), "shuffle", "on".into())),
             "--online" => online = true,
-            "--query" => {
-                one_shot = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--query needs SQL"))
-                        .clone(),
-                );
-            }
-            "--connect" => {
-                connect = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--connect needs HOST:PORT"))
-                        .clone(),
-                );
-            }
-            "--persist" => {
-                persist_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--persist needs a directory"))
-                        .clone(),
-                );
-            }
-            "--data" => {
-                data_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--data needs a directory"))
-                        .clone(),
-                );
-            }
-            "--deadline" => {
-                deadline = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .map(std::time::Duration::from_millis)
-                        .unwrap_or_else(|| die("--deadline needs milliseconds")),
-                );
-            }
-            "--fault" => {
-                fault_spec = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--fault needs `site=spec,…`"))
-                        .clone(),
-                );
-            }
+            "--query" => one_shot = Some(arg(&mut it, a, "SQL")),
+            "--connect" => connect = Some(arg(&mut it, a, "HOST:PORT")),
+            "--persist" => persist_dir = Some(arg(&mut it, a, "a directory")),
+            "--data" => data_dir = Some(arg(&mut it, a, "a directory")),
+            "--fault" => fault_spec = Some(arg(&mut it, a, "`site=spec,…`")),
             "--stats" => stats = true,
-            "--stats-json" => {
-                stats_json = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--stats-json needs a file path"))
-                        .clone(),
-                );
-            }
+            "--stats-json" => stats_json = Some(arg(&mut it, a, "a file path")),
             "-h" | "--help" => {
+                let options: Vec<String> = QueryOptions::names()
+                    .map(|(name, syntax)| format!("[--{name} {syntax}]"))
+                    .collect();
                 eprintln!(
-                    "usage: sa [--tpch SCALE | --data DIR] [--persist DIR] [--seed N] \
-                     [--chunk N] [--jobs N] [--adaptive-chunks] [--shuffle-scan] [--online] \
-                     [--deadline MS] [--fault SPEC] [--connect HOST:PORT] [--query SQL] \
-                     [--stats] [--stats-json PATH]"
+                    "usage: sa [--tpch SCALE | --data DIR] [--persist DIR] [--online] \
+                     [--fault SPEC] [--connect HOST:PORT] [--query SQL] [--stats] \
+                     [--stats-json PATH] [--adaptive-chunks] [--shuffle-scan] {}",
+                    options.join(" ")
                 );
                 return;
             }
-            other => die(&format!("unknown flag `{other}`")),
+            flag => match flag.strip_prefix("--").and_then(option_name) {
+                Some(name) => {
+                    given.push((flag.into(), name, it.next().cloned().unwrap_or_default()))
+                }
+                None => die(&format!("unknown flag `{flag}`")),
+            },
         }
     }
+    for (_, name, value) in &given {
+        if let Err(e) = opts.set(name, value) {
+            die(&format!("--{}", problem(e)));
+        }
+    }
+    let seed = opts.seed;
 
     if let Some(spec) = &fault_spec {
         sampling_algebra::fault::install(spec, seed)
@@ -214,7 +152,22 @@ fn main() {
             run_stats_client(&addr);
         }
         let sql = one_shot.unwrap_or_else(|| die("--connect needs --query SQL"));
-        run_client(&addr, seed, shuffle_scan, deadline, &sql);
+        // The seed always goes; the other options only by the server's
+        // option verbs, and one it has no verb for is refused, not dropped.
+        let mut requests = vec![format!("SEED {seed}")];
+        for (flag, name, value) in &given {
+            if !OPTION_VERBS.contains(name) {
+                die(&format!(
+                    "{flag} cannot be sent to sa-server; it accepts {}",
+                    OPTION_VERBS.join(", ")
+                ));
+            }
+            if *name != "seed" {
+                requests.push(format!("{} {value}", name.to_ascii_uppercase()));
+            }
+        }
+        requests.push(format!("QUERY {}", sql.replace('\n', " ")));
+        run_client(&addr, &requests);
     }
 
     let catalog = match &data_dir {
@@ -243,16 +196,11 @@ fn main() {
     // The same seed drives the sampling operators: one `--seed` makes the
     // whole run — data, samples, online loop — reproducible. Metrics are
     // always on in the shell so `\stats` / `--stats-json` have data.
+    let mut session = Engine::builder(catalog).metrics(true).build().session();
+    *session.options_mut() = opts;
     let mut shell = Shell {
-        engine: Engine::builder(catalog).metrics(true).build(),
-        seed,
+        session,
         subsample: None,
-        confidence: 0.95,
-        chunk_rows,
-        jobs,
-        adaptive_chunks,
-        shuffle_scan,
-        deadline,
     };
 
     if let Some(sql) = one_shot {
@@ -297,7 +245,7 @@ fn main() {
 /// Dump the engine's metrics snapshot as JSON to `path` (no-op without one).
 fn write_stats_json(shell: &Shell, path: Option<&str>) {
     let Some(path) = path else { return };
-    match std::fs::write(path, shell.engine.metrics().to_json()) {
+    match std::fs::write(path, shell.session.engine().metrics().to_json()) {
         Ok(()) => eprintln!("wrote engine metrics to {path}"),
         Err(e) => eprintln!("cannot write {path}: {e}"),
     }
@@ -308,44 +256,74 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Thin client for `sa-server`: send `SEED` (plus `SHUFFLE on` /
-/// `DEADLINE` when asked) then `QUERY`, relay response lines to stdout
-/// until the terminator, exit 0 on `DONE` / 1 on `ERR`.
-fn run_client(
-    addr: &str,
-    seed: u64,
-    shuffle: bool,
-    deadline: Option<std::time::Duration>,
-    sql: &str,
-) -> ! {
+/// The value after `flag`, parsed, or exit 2 saying what `flag` needs.
+fn arg<T: std::str::FromStr>(it: &mut std::slice::Iter<String>, flag: &str, what: &str) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
+}
+
+/// `name` as a row of the query option table.
+fn option_name(name: &str) -> Option<&'static str> {
+    QueryOptions::names().map(|(n, _)| n).find(|n| *n == name)
+}
+
+/// The shell's answer to a `\NAME VALUE` the option table took.
+fn ack(o: &QueryOptions, name: &str) -> String {
+    match name {
+        "seed" => format!("seed = {}", o.seed),
+        "chunk" => format!("chunk = {} rows", o.chunk_rows),
+        "jobs" => {
+            let n = o.parallelism;
+            format!("jobs = {n} worker{}", if n == 1 { "" } else { "s" })
+        }
+        "confidence" => format!("confidence = {}", o.confidence),
+        "top-k" => o
+            .ci_top_k
+            .map_or("top-k off".into(), |k| format!("top-k = {k} groups")),
+        "deadline" => o.deadline.map_or("deadline off".into(), |d| {
+            format!("deadline = {} ms", d.as_millis())
+        }),
+        "adaptive" if o.adaptive_chunks => "adaptive chunks on (grow up to 64× once the CI \
+            stalls; jobs = 1 only — pool workers pull fixed chunks)"
+            .into(),
+        "adaptive" => "adaptive chunks off".into(),
+        "shuffle" if o.shuffle_scan => "shuffled scan on (seeded random block order)".into(),
+        "shuffle" => "shuffled scan off (physical block order)".into(),
+        other => format!("{other} set"),
+    }
+}
+
+/// What the option table says a rejected value needs (`chunk needs …`).
+fn problem(e: Error) -> String {
+    match e {
+        Error::InvalidOptions(msg) => msg,
+        other => other.to_string(),
+    }
+}
+
+/// Connect to `sa-server` and send `requests`, one line each; the replies
+/// are the caller's to read.
+fn send(addr: &str, requests: &[String]) -> TcpStream {
     let stream =
         TcpStream::connect(addr).unwrap_or_else(|e| die(&format!("cannot connect {addr}: {e}")));
-    let mut tx = stream
-        .try_clone()
-        .unwrap_or_else(|e| die(&format!("cannot clone socket: {e}")));
-    let sql = sql.replace('\n', " ");
-    writeln!(tx, "SEED {seed}")
-        .and_then(|_| {
-            if shuffle {
-                writeln!(tx, "SHUFFLE on")
-            } else {
-                Ok(())
-            }
-        })
-        .and_then(|_| match deadline {
-            Some(d) => writeln!(tx, "DEADLINE {}", d.as_millis()),
-            None => Ok(()),
-        })
-        .and_then(|_| writeln!(tx, "QUERY {sql}"))
-        .unwrap_or_else(|e| {
-            die(&format!("cannot send query: {e}"));
-        });
-    let _ = tx.flush();
+    for request in requests {
+        writeln!(&stream, "{request}")
+            .unwrap_or_else(|e| die(&format!("cannot send request: {e}")));
+    }
+    stream
+}
+
+/// Thin client for `sa-server`: send the option requests and the `QUERY`,
+/// relay response lines to stdout until the terminator, exit 0 on `DONE` /
+/// 1 on `ERR`.
+fn run_client(addr: &str, requests: &[String]) -> ! {
+    let stream = send(addr, requests);
     let mut failed = false;
     for line in BufReader::new(stream).lines() {
         let line = line.unwrap_or_else(|e| die(&format!("connection lost: {e}")));
         match line.as_str() {
-            "OK" => continue, // SEED acknowledgement
+            "OK" => continue, // option acknowledgement
             "DONE" => std::process::exit(if failed { 1 } else { 0 }),
             other => {
                 println!("{other}");
@@ -360,13 +338,7 @@ fn run_client(
 
 /// Thin client for the `STATS` request: relay the Prometheus dump to stdout.
 fn run_stats_client(addr: &str) -> ! {
-    let stream =
-        TcpStream::connect(addr).unwrap_or_else(|e| die(&format!("cannot connect {addr}: {e}")));
-    let mut tx = stream
-        .try_clone()
-        .unwrap_or_else(|e| die(&format!("cannot clone socket: {e}")));
-    writeln!(tx, "STATS").unwrap_or_else(|e| die(&format!("cannot send request: {e}")));
-    let _ = tx.flush();
+    let stream = send(addr, &["STATS".into()]);
     for line in BufReader::new(stream).lines() {
         let line = line.unwrap_or_else(|e| die(&format!("connection lost: {e}")));
         if line == "DONE" {
@@ -386,7 +358,7 @@ fn run_line(shell: &mut Shell, line: &str) {
         let (cmd, arg) = rest.split_once(' ').unwrap_or((rest, ""));
         match cmd {
             "tables" => {
-                for (name, table) in shell.engine.catalog().iter() {
+                for (name, table) in shell.session.engine().catalog().iter() {
                     println!(
                         "{name:<12} {:>10} rows   {}",
                         table.row_count(),
@@ -394,13 +366,6 @@ fn run_line(shell: &mut Shell, line: &str) {
                     );
                 }
             }
-            "seed" => match arg.trim().parse() {
-                Ok(s) => {
-                    shell.seed = s;
-                    println!("seed = {s}");
-                }
-                Err(_) => println!("\\seed needs a number"),
-            },
             "subsample" => match arg.trim().parse::<u64>() {
                 Ok(0) => {
                     shell.subsample = None;
@@ -412,87 +377,36 @@ fn run_line(shell: &mut Shell, line: &str) {
                 }
                 Err(_) => println!("\\subsample needs a number (0 = off)"),
             },
-            "chunk" => match arg.trim().parse::<usize>() {
-                Ok(n) if n > 0 => {
-                    shell.chunk_rows = n;
-                    println!("chunk = {n} rows");
-                }
-                _ => println!("\\chunk needs a positive row count"),
-            },
-            "jobs" => match arg.trim().parse::<usize>() {
-                Ok(n) if n > 0 => {
-                    shell.jobs = n;
-                    println!("jobs = {n} worker{}", if n == 1 { "" } else { "s" });
-                }
-                _ => println!("\\jobs needs a positive worker count"),
-            },
-            "adaptive" => match arg.trim() {
-                "on" => {
-                    shell.adaptive_chunks = true;
-                    println!(
-                        "adaptive chunks on (grow up to 64× once the CI stalls; \
-                         jobs = 1 only — pool workers pull fixed chunks)"
-                    );
-                }
-                "off" => {
-                    shell.adaptive_chunks = false;
-                    println!("adaptive chunks off");
-                }
-                _ => println!("\\adaptive needs `on` or `off`"),
-            },
-            "shuffle" => match arg.trim() {
-                "on" => {
-                    shell.shuffle_scan = true;
-                    println!("shuffled scan on (seeded random block order)");
-                }
-                "off" => {
-                    shell.shuffle_scan = false;
-                    println!("shuffled scan off (physical block order)");
-                }
-                _ => println!("\\shuffle needs `on` or `off`"),
-            },
             "online" => run_progressive(shell, arg),
             "exact" => run_exact(shell, arg),
             "trace" => run_trace(shell, arg),
-            "stats" => print!("{}", shell.engine.render_prometheus()),
-            _ => println!("unknown command \\{cmd}"),
+            "stats" => print!("{}", shell.session.engine().render_prometheus()),
+            name => match option_name(name) {
+                Some(name) => {
+                    let opts = shell.session.options_mut();
+                    match opts.set(name, arg) {
+                        Ok(()) => println!("{}", ack(opts, name)),
+                        Err(e) => println!("\\{}", problem(e)),
+                    }
+                }
+                None => println!("unknown command \\{cmd}"),
+            },
         }
         return;
     }
     run_estimate(shell, line);
 }
 
-/// The query `sql` under the shell's current knobs — one builder behind
-/// batch, `\online` and `\exact`, so the same `\seed` realizes the same
-/// sample whichever way the query is run. (`\subsample` is the batch
-/// estimate's knob alone; [`run_estimate`] applies it.)
-fn query(shell: &Shell, sql: &str) -> QueryBuilder {
-    let mut builder = shell
-        .engine
-        .session()
-        .query(sql)
-        .seed(shell.seed)
-        .chunk_rows(shell.chunk_rows)
-        .confidence(shell.confidence)
-        .jobs(shell.jobs)
-        .adaptive_chunks(shell.adaptive_chunks)
-        .shuffle_scan(shell.shuffle_scan);
-    if let Some(d) = shell.deadline {
-        builder = builder.deadline(d);
-    }
-    builder
-}
-
 fn run_estimate(shell: &mut Shell, sql: &str) {
     let mut out = match shell.subsample {
-        Some(n) => query(shell, sql).subsample(n).batch(),
-        None => query(shell, sql).batch(),
+        Some(n) => shell.session.query(sql).subsample(n).batch(),
+        None => shell.session.query(sql).batch(),
     };
     // §7 sub-sampling is scalar-only and the engine refuses it on a GROUP
     // BY by type, before it scans anything: run that one on every tuple.
     let refused = shell.subsample.is_some() && matches!(out, Err(Error::InvalidOptions(_)));
     if refused {
-        out = query(shell, sql).batch();
+        out = shell.session.query(sql).batch();
     }
     match out {
         Ok(r) => {
@@ -503,7 +417,13 @@ fn run_estimate(shell: &mut Shell, sql: &str) {
         }
         Err(e) => println!("error: {e}"),
     }
-    shell.seed = shell.seed.wrapping_add(1); // fresh sample next time
+    next_seed(shell);
+}
+
+/// Advance the session's seed: a fresh sample for the next query.
+fn next_seed(shell: &mut Shell) {
+    let seed = &mut shell.session.options_mut().seed;
+    *seed = seed.wrapping_add(1);
 }
 
 /// Progressive estimation through the engine: print one line (scalar) or one
@@ -511,7 +431,7 @@ fn run_estimate(shell: &mut Shell, sql: &str) {
 /// stopped. A `WITHIN … CONFIDENCE …` clause in the SQL sets the stopping
 /// rule; scalar vs. grouped is decided by `GROUP BY`.
 fn run_progressive(shell: &mut Shell, sql: &str) {
-    let result = query(shell, sql).run_with({
+    let result = shell.session.query(sql).run_with({
         let mut header = false;
         move |snap| match snap {
             Snapshot::Scalar(s) => {
@@ -531,7 +451,7 @@ fn run_progressive(shell: &mut Shell, sql: &str) {
         Ok(r) => print_result(&r),
         Err(e) => println!("error: {e}"),
     }
-    shell.seed = shell.seed.wrapping_add(1); // fresh sample next time
+    next_seed(shell);
 }
 
 /// Smallest per-relation scan fraction — the pessimistic "scanned" column.
@@ -679,7 +599,7 @@ fn print_result(r: &QueryResult) {
 
 fn run_exact(shell: &Shell, sql: &str) {
     let estimates = |aggs: &[AggResult]| aggs.iter().map(|a| a.estimate).collect::<Vec<f64>>();
-    match query(shell, sql).exact().map(|r| r.snapshot) {
+    match shell.session.query(sql).exact().map(|r| r.snapshot) {
         Ok(Snapshot::Scalar(s)) => println!("exact: {:?}", estimates(&s.aggs)),
         Ok(Snapshot::Grouped(s)) => {
             for g in &s.groups {
@@ -692,7 +612,7 @@ fn run_exact(shell: &Shell, sql: &str) {
 }
 
 fn run_trace(shell: &Shell, sql: &str) {
-    let (plan, _) = match plan_grouped_sql(sql, shell.engine.catalog()) {
+    let (plan, _) = match plan_grouped_sql(sql, shell.session.engine().catalog()) {
         Ok(p) => p,
         Err(e) => {
             println!("error: {e}");
@@ -700,7 +620,7 @@ fn run_trace(shell: &Shell, sql: &str) {
         }
     };
     println!("plan:\n{}", plan.display_tree());
-    match rewrite(&plan, shell.engine.catalog()) {
+    match rewrite(&plan, shell.session.engine().catalog()) {
         Ok(analysis) => {
             println!("rewrite steps:\n{}", analysis.trace.render());
             println!("top GUS:\n{}", analysis.gus_table());

@@ -408,6 +408,83 @@ fn interactive_chunk_zero_rejected_and_session_survives() {
 }
 
 #[test]
+fn deadline_zero_flag_means_no_deadline() {
+    // `--deadline 0` clears the deadline, as the server's `DEADLINE 0`
+    // does; it used to stop the query at its first tick.
+    let out = Command::new(env!("CARGO_BIN_EXE_sa"))
+        .args(["--tpch", "0.002", "--seed", "7", "--chunk", "600"])
+        .args(["--deadline", "0", "--online"])
+        .arg("--query")
+        .arg("SELECT SUM(l_quantity) AS q FROM lineitem TABLESAMPLE (40 PERCENT)")
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("stopped: exhausted"), "{stdout}");
+}
+
+#[test]
+fn connect_refuses_options_the_server_cannot_take() {
+    // The protocol carries seed, shuffle and deadline only: any other
+    // option flag exits 2 before connecting, naming the flag, instead of
+    // running the query without it.
+    let refused: [&[&str]; 5] = [
+        &["--jobs", "3"],
+        &["--chunk", "50"],
+        &["--adaptive-chunks"],
+        &["--confidence", "0.9"],
+        &["--top-k", "2"],
+    ];
+    for flags in refused {
+        let out = Command::new(env!("CARGO_BIN_EXE_sa"))
+            .args(["--connect", "127.0.0.1:9", "--seed", "7", "--shuffle-scan"])
+            .args(flags)
+            .args(["--query", "SELECT SUM(l_quantity) FROM lineitem"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!(
+            "{} cannot be sent to sa-server; it accepts seed, shuffle, deadline",
+            flags[0]
+        );
+        assert!(stderr.contains(&want), "{stderr}");
+    }
+}
+
+#[test]
+fn interactive_option_table_commands() {
+    // The rows only the typed API reached before: `\confidence`,
+    // `\top-k` and `\deadline`, acknowledged or refused like the rest.
+    let mut child = sa()
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary spawns");
+    let stdin = child.stdin.as_mut().expect("piped stdin");
+    for line in [
+        "\\confidence 0.9",
+        "\\confidence 1.5",
+        "\\top-k 2",
+        "\\deadline 0",
+        "\\online SELECT COUNT(*) AS n FROM orders TABLESAMPLE (80 PERCENT)",
+        "\\quit",
+    ] {
+        writeln!(stdin, "{line}").unwrap();
+    }
+    let out = child.wait_with_output().expect("binary exits");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("confidence = 0.9"), "{stdout}");
+    assert!(stdout.contains("\\confidence needs a level"), "{stdout}");
+    assert!(stdout.contains("top-k = 2 groups"), "{stdout}");
+    assert!(stdout.contains("deadline off"), "{stdout}");
+    assert!(stdout.contains("stopped: exhausted"), "{stdout}");
+    assert!(stdout.contains("(90% normal)"), "{stdout}");
+}
+
+#[test]
 fn interactive_online_command() {
     let mut child = sa()
         .stdin(Stdio::piped())
