@@ -33,22 +33,26 @@
 //! each run of consecutive equal keys (a join's probe rows sharing one build
 //! row) into **one** retract/add/re-add; a single row is a batch of one.
 //!
-//! # Two modes
+//! # Distinct subsets
 //!
-//! The **general** accumulator ([`MomentAccumulator::new`]) keeps a lineage
-//! table for every non-empty `S`. The **lineage-distinct** one
-//! ([`MomentAccumulator::with_lineage`]) is promised that no two tuples it
-//! will see — across every shard merged in — share their full lineage, so
-//! every group of `S` = *all relations* is one tuple and `y_full = Σ f·fᵀ`
-//! is a running sum: no key, no probe, no entry, and `merge` is a matrix
-//! add (the accumulator form of Szegedy–Thorup's observation that under
-//! per-item sampling a subset sum's variance is a sum of per-item terms). A
-//! single-table query then owns no lineage table in any slot; a 2-way join
-//! keeps the two single-relation tables and drops the pair table. The
-//! promise is the plan's (`sa-plan`'s `SoaAnalysis::lineage_distinct`),
-//! unchecked here; `SYSTEM`'s block lineage breaks it and runs general.
-//! Every slot shares the mode, and merging one mode into the other is
-//! [`CoreError::LineageModeMismatch`].
+//! An accumulator is built with the **family** of relation subsets on which
+//! the tuples it will see — across every shard merged in — are distinct: no
+//! two share their `S`-projected lineage
+//! ([`MomentAccumulator::with_lineage`]). Distinctness is an up-set (tuples
+//! distinct on `S` are distinct on every `S′ ⊇ S`), so a list of sets names
+//! the up-set above it. Every `S` in the up-set has only single-tuple
+//! groups, so `y_S = Σ f·fᵀ` is a running sum: no key, no probe, no entry,
+//! and `merge` is a matrix add (the accumulator form of Szegedy–Thorup's
+//! observation that under per-item sampling a subset sum's variance is a
+//! sum of per-item terms). Every other non-empty `S` keeps its table; the
+//! empty family ([`MomentAccumulator::new`]) is the general accumulator.
+//!
+//! The family is the stream's (`sa-exec`'s `ChunkStream::distinct`),
+//! unchecked here: a single-table query owns no lineage table in any slot,
+//! `lineitem ⋈ orders` on the unique `o_orderkey` keeps only the `{orders}`
+//! table, and `SYSTEM`'s block lineage gives the empty family. Every slot
+//! shares the family, and merging two accumulators whose families differ
+//! is [`CoreError::LineageModeMismatch`].
 //!
 //! Accumulators over one lineage schema **merge** associatively
 //! ([`MomentAccumulator::merge`]): the absorbed side's slots map onto ours
@@ -56,9 +60,10 @@
 //! same rank-two delta, at `O(lineage groups absorbed)`, never `O(rows)`.
 //! The types are plain data (`Send + Sync + Clone`, pinned in this module's
 //! tests) that `sa-online`'s worker pool moves across threads. Fed any
-//! chunk split and merged in any shape, either mode agrees with
-//! `GroupedMoments` fed the same rows, slot by slot, up to float
-//! associativity (`tests/accumulator_modes.rs`, `tests/proptests.rs`).
+//! chunk split and merged in any shape, an accumulator over any family its
+//! rows honour agrees with `GroupedMoments` fed the same rows, slot by slot,
+//! up to float associativity (`tests/accumulator_modes.rs`,
+//! `tests/proptests.rs`).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash};
@@ -155,8 +160,8 @@ fn add_to(sum: &mut [f64], add: &[f64]) {
 #[derive(Debug, Clone)]
 enum Groups {
     /// No table: `S = ∅` is one global group per slot whose `ΣF` is the
-    /// slot's running total, and the full set of a lineage-distinct
-    /// accumulator has only single-tuple groups (`y_S = Σ f·fᵀ`).
+    /// slot's running total, and a distinct `S` has only single-tuple
+    /// groups (`y_S = Σ f·fᵀ`).
     Implicit,
     /// `S = {rel}`, keyed exactly by the raw lineage id.
     ById { rel: usize, slab: Slab<u64> },
@@ -171,7 +176,6 @@ enum Groups {
 pub(crate) struct Slots {
     n: usize,
     dims: usize,
-    lineage_distinct: bool,
     /// How each `S` (indexed by `S.index()`) tracks its lineage groups.
     groups: Vec<Groups>,
     /// Rows consumed, per slot.
@@ -183,17 +187,23 @@ pub(crate) struct Slots {
 }
 
 impl Slots {
-    /// No slot yet, over `n` base relations and `dims` aggregate dimensions.
-    pub(crate) fn new(n: usize, dims: usize, lineage_distinct: bool) -> Slots {
+    /// No slot yet, over `n` base relations and `dims` aggregate dimensions,
+    /// for tuples distinct on every superset of a set in `distinct`.
+    pub(crate) fn new(n: usize, dims: usize, distinct: &[RelSet]) -> Slots {
         assert!(dims >= 1, "at least one aggregate dimension required");
         assert!(
             n <= MAX_RELS,
             "a lineage schema has at most {MAX_RELS} base relations, got {n}"
         );
-        let full = (1usize << n) - 1;
-        let groups = (0..=full)
+        let full = RelSet::full(n);
+        assert!(
+            distinct.iter().all(|d| d.is_subset_of(full)),
+            "a distinct set names a relation outside the {n}-relation schema"
+        );
+        let groups = (0..=full.index())
             .map(|s_idx| {
-                if s_idx == 0 || (lineage_distinct && s_idx == full) {
+                let s = RelSet::from_bits(s_idx as u32);
+                if s.is_empty() || distinct.iter().any(|d| d.is_subset_of(s)) {
                     Groups::Implicit
                 } else if s_idx.is_power_of_two() {
                     Groups::ById {
@@ -208,7 +218,6 @@ impl Slots {
         Slots {
             n,
             dims,
-            lineage_distinct,
             groups,
             counts: Vec::new(),
             values: Vec::new(),
@@ -306,8 +315,8 @@ impl Slots {
 
     /// Consume a chunk [`Slots::check_batch`] accepted into slot `at`: the
     /// `S = ∅` rank-two delta collapses to **one** retract/add pair, every
-    /// kept `S` pays one per run of consecutive equal keys, and an implicit
-    /// full set pays none.
+    /// kept `S` pays one per run of consecutive equal keys, and a distinct
+    /// `S` pays none.
     pub(crate) fn push_batch(&mut self, at: usize, lineage: &[&[u64]], f: &[&[f64]]) {
         let (n, dims, stride) = (self.n, self.dims, self.stride());
         let rows = f[0].len();
@@ -354,15 +363,21 @@ impl Slots {
     /// existing slot, or the next one, appended. Groups present in both
     /// combine through the same rank-two delta the push path uses, so the
     /// result is what one accumulator fed both row streams would hold (up
-    /// to float associativity). Shape and mode are checked before `onto`
-    /// is consumed or anything is touched.
+    /// to float associativity). Shape and distinct family are checked
+    /// before `onto` is consumed or anything is touched.
     pub(crate) fn merge(
         &mut self,
         other: &Slots,
         onto: impl IntoIterator<Item = usize>,
     ) -> Result<()> {
         self.check_shape(other.n, other.dims)?;
-        if other.lineage_distinct != self.lineage_distinct {
+        let implicit = |g: &Groups| matches!(g, Groups::Implicit);
+        if !self
+            .groups
+            .iter()
+            .map(implicit)
+            .eq(other.groups.iter().map(implicit))
+        {
             return Err(CoreError::LineageModeMismatch);
         }
         let onto: Vec<usize> = onto.into_iter().map(|at| self.ensure(at)).collect();
@@ -393,7 +408,7 @@ impl Slots {
                 (Groups::ByFingerprint(slab), Groups::ByFingerprint(theirs)) => {
                     slab.merge(theirs, dims, &onto, &mut self.values, y_at)
                 }
-                _ => unreachable!("same n and mode lay the subsets out identically"),
+                _ => unreachable!("same n and family lay the subsets out identically"),
             }
         }
         Ok(())
@@ -467,21 +482,22 @@ pub struct MomentAccumulator {
 impl MomentAccumulator {
     /// A general accumulator over `n` base relations and `dims` aggregate
     /// dimensions: any tuple stream, a lineage table for every non-empty
-    /// relation subset.
+    /// relation subset — the empty distinct family.
     pub fn new(n: usize, dims: usize) -> MomentAccumulator {
-        MomentAccumulator::with_lineage(n, dims, false)
+        MomentAccumulator::with_lineage(n, dims, &[])
     }
 
-    /// An accumulator for a tuple stream that is `lineage_distinct` — no
-    /// two tuples, across every shard ever merged in, share their full
-    /// lineage — or not (`false` is [`MomentAccumulator::new`]). See the
-    /// module docs for what the promise buys.
+    /// An accumulator for a tuple stream that is distinct on every superset
+    /// of a set in `distinct`: no two tuples, across every shard ever merged
+    /// in, share their projection on such a set. See the module docs for
+    /// what the promise buys.
     ///
     /// # Panics
     ///
-    /// When `dims` is 0 or `n` exceeds [`MAX_RELS`].
-    pub fn with_lineage(n: usize, dims: usize, lineage_distinct: bool) -> MomentAccumulator {
-        let mut slots = Slots::new(n, dims, lineage_distinct);
+    /// When `dims` is 0, `n` exceeds [`MAX_RELS`] or a set of `distinct`
+    /// names a relation past `n`.
+    pub fn with_lineage(n: usize, dims: usize, distinct: &[RelSet]) -> MomentAccumulator {
+        let mut slots = Slots::new(n, dims, distinct);
         slots.ensure(0);
         MomentAccumulator { slots }
     }
@@ -507,8 +523,8 @@ impl MomentAccumulator {
     }
 
     /// Lineage groups held in memory, summed over every relation subset —
-    /// what the accumulator's size grows with. A lineage-distinct
-    /// accumulator over one relation holds none.
+    /// what the accumulator's size grows with. One over a single relation
+    /// whose tuples are distinct on it holds none.
     pub fn lineage_entries(&self) -> usize {
         self.slots.lineage_entries()
     }
@@ -532,7 +548,7 @@ impl MomentAccumulator {
     /// to float associativity — the same 1e-9 class as shard merging), but
     /// amortized: the `S = ∅` rank-two delta collapses to **one**
     /// retract/add pair per batch, every kept `S` pays one per run of
-    /// consecutive equal keys, and an implicit full set pays none.
+    /// consecutive equal keys, and a distinct `S` pays none.
     pub fn push_batch(&mut self, lineage: &[&[u64]], f: &[&[f64]]) -> Result<()> {
         if self.slots.check_batch(lineage, f)? > 0 {
             self.slots.push_batch(0, lineage, f);
@@ -544,8 +560,8 @@ impl MomentAccumulator {
     /// merge. Groups present in both shards are combined through the same
     /// rank-two delta the push path uses, so the result is exactly what a
     /// single accumulator fed both row streams would hold (up to float
-    /// associativity). Cost: `O(lineage groups in other)`; an implicit full
-    /// set is a matrix add. Both must be of one mode.
+    /// associativity). Cost: `O(lineage groups in other)`; a distinct `S`
+    /// is a matrix add. Both must share one distinct family.
     pub fn merge(&mut self, other: &MomentAccumulator) -> Result<()> {
         self.slots.merge(&other.slots, [0])
     }
@@ -737,7 +753,7 @@ mod tests {
     fn arity_beyond_max_rels_panics_at_construction() {
         // Past the cap the accumulator would lay out 2¹⁷ subsets; refuse at
         // construction, not at the first push.
-        MomentAccumulator::with_lineage(MAX_RELS + 1, 1, false);
+        MomentAccumulator::with_lineage(MAX_RELS + 1, 1, &[]);
     }
 
     #[test]

@@ -50,9 +50,10 @@ pub enum CoreError {
     /// An estimate was requested from a configuration that cannot produce one
     /// (e.g. `a = 0`).
     Degenerate(String),
-    /// A lineage-distinct moment accumulator merged with a general one: the
-    /// first keeps no lineage table for the full relation set, so the
-    /// second's full-set groups have nothing to link to.
+    /// Two moment accumulators with different distinct families merged: a
+    /// relation subset one of them keeps no lineage table for (its tuples
+    /// are distinct there) leaves the other's groups of that subset nothing
+    /// to link to.
     LineageModeMismatch,
 }
 
@@ -82,7 +83,7 @@ impl fmt::Display for CoreError {
             CoreError::Degenerate(msg) => write!(f, "degenerate estimation problem: {msg}"),
             CoreError::LineageModeMismatch => write!(
                 f,
-                "cannot merge a lineage-distinct moment accumulator with a general one"
+                "cannot merge moment accumulators whose distinct relation-subset families differ"
             ),
         }
     }

@@ -21,6 +21,7 @@ use std::hash::Hash;
 
 use crate::accumulator::{MomentSlot, Slots};
 use crate::hash::FpMap;
+use crate::relset::RelSet;
 use crate::Result;
 
 /// A key → slot index over one accumulator's slots, with push, shard merge,
@@ -37,19 +38,15 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
     /// A general accumulator over `n` base relations and `dims` aggregate
     /// dimensions per group.
     pub fn new(n: usize, dims: usize) -> GroupedMomentAccumulator<K> {
-        GroupedMomentAccumulator::with_lineage(n, dims, false)
+        GroupedMomentAccumulator::with_lineage(n, dims, &[])
     }
 
-    /// An accumulator whose every slot is in the mode of
+    /// An accumulator whose every slot is promised the `distinct` family of
     /// [`crate::MomentAccumulator::with_lineage`].
-    pub fn with_lineage(
-        n: usize,
-        dims: usize,
-        lineage_distinct: bool,
-    ) -> GroupedMomentAccumulator<K> {
+    pub fn with_lineage(n: usize, dims: usize, distinct: &[RelSet]) -> GroupedMomentAccumulator<K> {
         GroupedMomentAccumulator {
             index: FpMap::new(),
-            slots: Slots::new(n, dims, lineage_distinct),
+            slots: Slots::new(n, dims, distinct),
         }
     }
 
@@ -385,8 +382,9 @@ mod tests {
 
     #[test]
     fn every_slot_inherits_the_mode_and_modes_do_not_merge() {
+        let row = [RelSet::singleton(0)];
         let mut distinct: GroupedMomentAccumulator<u32> =
-            GroupedMomentAccumulator::with_lineage(1, 1, true);
+            GroupedMomentAccumulator::with_lineage(1, 1, &row);
         let mut general: GroupedMomentAccumulator<u32> = GroupedMomentAccumulator::new(1, 1);
         for (key, lin, f) in sample_rows().iter().take(5) {
             distinct.push_scalar(*key, lin, *f).unwrap();
@@ -404,7 +402,7 @@ mod tests {
         }
         // Typed, even when the absorbed side is empty.
         assert_eq!(
-            general.merge(&GroupedMomentAccumulator::with_lineage(1, 1, true)),
+            general.merge(&GroupedMomentAccumulator::with_lineage(1, 1, &row)),
             Err(CoreError::LineageModeMismatch)
         );
         assert_eq!(

@@ -1,25 +1,32 @@
-//! Generated differential of the two accumulator modes against the
-//! definition of `y_S`.
+//! Generated differential of the accumulator over a distinct family against
+//! the definition of `y_S`.
 //!
-//! On duplicate-free lineage — arity 1–3 × dims 1–5 × arbitrary chunk
-//! splits × arbitrary merge trees — the lineage-distinct
-//! [`MomentAccumulator`], the general one and the one-pass
-//! [`GroupedMoments`] reference agree on every `y_S` to 1e-9. With
-//! deliberate duplicates the general accumulator still matches the
-//! reference, so the slab tables and the run collapse are pinned on both
-//! paths.
+//! A family is drawn (up to three relation subsets, the empty family
+//! included) and the generated rows are thinned until they honour it: no
+//! two rows share their projection on any set of it. On those rows — arity
+//! 1–3 × dims 1–5 × arbitrary chunk splits × arbitrary merge trees — the
+//! [`MomentAccumulator`] promised the family, the general one and the
+//! one-pass [`GroupedMoments`] reference agree on every `y_S` to 1e-9, and
+//! the promised one holds exactly the general one's entries less one per
+//! row for every `S` of the family's up-set. With deliberate duplicates the
+//! general accumulator still matches the reference, so the slab tables and
+//! the run collapse are pinned on both paths; the empty family is the
+//! general accumulator, bit for bit.
 //!
 //! The same generator with a group axis — rows keyed from a pool of five,
 //! a key only one shard sees, a lineage id under two keys — pins that a
 //! [`GroupedMomentAccumulator`] is slots of that arithmetic over shared
 //! lineage tables: every group's moments are the reference fed that
 //! group's rows, lineage entries add up over groups, and one key reads, to
-//! the bit, what the one-slot accumulator reads.
+//! the bit, what the one-slot accumulator reads. Accumulators over
+//! different families refuse to merge.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use sa_core::{CoreError, GroupedMomentAccumulator, GroupedMoments, MomentAccumulator, Moments};
+use sa_core::{
+    CoreError, GroupedMomentAccumulator, GroupedMoments, MomentAccumulator, Moments, RelSet,
+};
 
 const TOL: f64 = 1e-9;
 
@@ -44,6 +51,43 @@ fn rows_of(raw: &[Row], n: usize, dims: usize, clustered: bool) -> Vec<Row> {
         rows.sort_by_key(|(ids, _)| ids[0]);
     }
     rows
+}
+
+/// A family over `n` relations: each raw draw names a non-empty subset.
+fn family_of(raw: &[u32], n: usize) -> Vec<RelSet> {
+    let subsets = (1u32 << n) - 1;
+    raw.iter()
+        .map(|bits| RelSet::from_bits(bits % subsets + 1))
+        .collect()
+}
+
+/// The non-empty subsets of `n` relations that contain a set of `family`:
+/// the ones the promised accumulator keeps no table for.
+fn up_set(family: &[RelSet], n: usize) -> Vec<RelSet> {
+    (1u32..1 << n)
+        .map(RelSet::from_bits)
+        .filter(|s| family.iter().any(|d| d.is_subset_of(*s)))
+        .collect()
+}
+
+/// The rows of `rows`, in order, whose projection on every set of
+/// `family` no earlier kept row shares.
+fn honouring<T: Clone>(rows: &[T], family: &[RelSet], ids: impl Fn(&T) -> &[u64]) -> Vec<T> {
+    let mut seen = HashSet::new();
+    rows.iter()
+        .filter(|row| {
+            let keys: Vec<(RelSet, Vec<u64>)> = family
+                .iter()
+                .map(|d| (*d, d.iter().map(|i| ids(row)[i]).collect()))
+                .collect();
+            let fresh = keys.iter().all(|key| !seen.contains(key));
+            if fresh {
+                seen.extend(keys);
+            }
+            fresh
+        })
+        .cloned()
+        .collect()
 }
 
 /// A row of a `GROUP BY`: its key and the row.
@@ -140,7 +184,7 @@ impl Deal<'_> {
 
 fn accumulate(
     rows: &[Row],
-    (n, dims, distinct): (usize, usize, bool),
+    (n, dims, distinct): (usize, usize, &[RelSet]),
     cuts: &[usize],
     shards: usize,
     picks: &[usize],
@@ -162,7 +206,7 @@ fn accumulate(
 fn accumulate_grouped(
     rows: &[KeyedRow],
     lonely: &[KeyedRow],
-    (n, dims, distinct): (usize, usize, bool),
+    (n, dims, distinct): (usize, usize, &[RelSet]),
     deal: &Deal,
 ) -> GroupedMomentAccumulator<u8> {
     deal.run(
@@ -214,37 +258,43 @@ proptest! {
             (prop::collection::vec(0u64..64, 3usize), prop::collection::vec(-50.0f64..50.0, 5usize)),
             0..70,
         ),
+        family in prop::collection::vec(0u32..1000, 0..4),
         clustered in any::<bool>(),
         cuts in prop::collection::vec(1usize..12, 1..6),
         shards in 1usize..5,
         picks in prop::collection::vec(0usize..1000, 1..12),
     ) {
+        let family = family_of(&family, n);
         let with_duplicates = rows_of(&raw, n, dims, clustered);
-        let mut seen = HashSet::new();
-        let duplicate_free: Vec<Row> = with_duplicates
-            .iter()
-            .filter(|(ids, _)| seen.insert(ids.clone()))
-            .cloned()
-            .collect();
+        let rows = honouring(&with_duplicates, &family, |(ids, _)| ids);
 
-        let want = reference(&duplicate_free, n, dims);
-        let general = accumulate(&duplicate_free, (n, dims, false), &cuts, shards, &picks);
-        let distinct = accumulate(&duplicate_free, (n, dims, true), &cuts, shards, &picks);
-        assert_moments_close(&general.snapshot(), &want, "general, duplicate-free");
-        assert_moments_close(&distinct.snapshot(), &want, "distinct");
-        // The distinct mode holds every table but the full set's, whose
-        // groups are the tuples themselves.
+        let want = reference(&rows, n, dims);
+        let general = accumulate(&rows, (n, dims, &[]), &cuts, shards, &picks);
+        let distinct = accumulate(&rows, (n, dims, &family), &cuts, shards, &picks);
+        assert_moments_close(&general.snapshot(), &want, "general, honouring");
+        assert_moments_close(&distinct.snapshot(), &want, &format!("family {family:?}"));
+        // The promised accumulator holds every table but the up-set's,
+        // whose groups are the rows themselves.
         prop_assert_eq!(
-            distinct.lineage_entries() + duplicate_free.len(),
+            distinct.lineage_entries() + up_set(&family, n).len() * rows.len(),
             general.lineage_entries()
         );
-        if n == 1 {
-            prop_assert_eq!(distinct.lineage_entries(), 0);
-        }
 
         let want = reference(&with_duplicates, n, dims);
-        let general = accumulate(&with_duplicates, (n, dims, false), &cuts, shards, &picks);
+        let general = accumulate(&with_duplicates, (n, dims, &[]), &cuts, shards, &picks);
         assert_moments_close(&general.snapshot(), &want, "general, with duplicates");
+        // The empty family is the general accumulator, bit for bit.
+        let empty = Deal { cuts: &cuts, shards, picks: &picks }.run(
+            &with_duplicates,
+            &[],
+            || MomentAccumulator::new(n, dims),
+            |acc, chunk| push_chunk(acc, chunk, n, dims),
+            |into, from| into.merge(from).unwrap(),
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(empty.total()), bits(general.total()));
+        prop_assert_eq!(bits(empty.y()), bits(general.y()));
+        prop_assert_eq!(empty.lineage_entries(), general.lineage_entries());
     }
 
     #[test]
@@ -256,32 +306,28 @@ proptest! {
             0..70,
         ),
         keys in prop::collection::vec(0u8..4, 70usize),
+        family in prop::collection::vec(0u32..1000, 0..4),
         clustered in any::<bool>(),
         cuts in prop::collection::vec(1usize..12, 1..6),
         shards in 1usize..5,
         picks in prop::collection::vec(0usize..1000, 1..12),
     ) {
+        let family = family_of(&family, n);
         let deal = Deal { cuts: &cuts, shards, picks: &picks };
         let mut with_duplicates: Vec<KeyedRow> =
             keys.iter().copied().zip(rows_of(&raw, n, dims, clustered)).collect();
         // Relation 0's id 100 — outside every generated range — under keys
-        // 0 and 1. At arity 1 that repeats the whole lineage, so the
-        // duplicate-free rows keep only the first.
+        // 0 and 1. A family with a set inside `{0}` keeps only the first.
         with_duplicates.push((0, ([100, 1, 1][..n].to_vec(), vec![1.5; dims])));
         with_duplicates.push((1, ([100, 2, 2][..n].to_vec(), vec![-2.5; dims])));
         // Key 4 reaches one shard only, as a chunk of its own.
         let lonely: Vec<KeyedRow> = vec![(4, (vec![1000; n], vec![4.0; dims]))];
-        let mut seen = HashSet::new();
-        let duplicate_free: Vec<KeyedRow> = with_duplicates
-            .iter()
-            .filter(|(_, (ids, _))| seen.insert(ids.clone()))
-            .cloned()
-            .collect();
+        let honoured = honouring(&with_duplicates, &family, |(_, (ids, _))| ids);
 
         for (rows, distinct) in [
-            (&duplicate_free, false),
-            (&duplicate_free, true),
-            (&with_duplicates, false),
+            (&honoured, &[][..]),
+            (&honoured, &family[..]),
+            (&with_duplicates, &[][..]),
         ] {
             let acc = accumulate_grouped(rows, &lonely, (n, dims, distinct), &deal);
             let all: Vec<&KeyedRow> = rows.iter().chain(&lonely).collect();
@@ -298,7 +344,7 @@ proptest! {
                     .map(|(_, row)| row.clone())
                     .collect();
                 let slot = acc.group(&key).unwrap();
-                let what = format!("group {key}, distinct {distinct}");
+                let what = format!("group {key}, family {distinct:?}");
                 assert_moments_close(&slot.snapshot(), &reference(&own, n, dims), &what);
                 let mut alone = MomentAccumulator::with_lineage(n, dims, distinct);
                 push_chunk(&mut alone, &own, n, dims);
@@ -310,8 +356,8 @@ proptest! {
         }
 
         // One key: the same pushes read the same bits as the one-slot
-        // accumulator, in both modes.
-        for (rows, distinct) in [(&with_duplicates, false), (&duplicate_free, true)] {
+        // accumulator, over either family.
+        for (rows, distinct) in [(&with_duplicates, &[][..]), (&honoured, &family[..])] {
             let mut grouped = GroupedMomentAccumulator::with_lineage(n, dims, distinct);
             let mut scalar = MomentAccumulator::with_lineage(n, dims, distinct);
             let plain: Vec<Row> = rows.iter().map(|(_, row)| row.clone()).collect();
@@ -334,23 +380,44 @@ proptest! {
 
 #[test]
 fn modes_do_not_merge() {
-    let mut general = MomentAccumulator::new(2, 1);
-    let mut distinct = MomentAccumulator::with_lineage(2, 1, true);
-    for acc in [&mut general, &mut distinct] {
-        acc.push_scalar(&[1, 2], 3.0).unwrap();
+    let (r0, r1) = (RelSet::singleton(0), RelSet::singleton(1));
+    let families: [&[RelSet]; 4] = [&[], &[r0.union(r1)], &[r0], &[r1]];
+    for (i, ours) in families.iter().enumerate() {
+        for (j, theirs) in families.iter().enumerate() {
+            let mut acc = MomentAccumulator::with_lineage(2, 1, ours);
+            let mut other = MomentAccumulator::with_lineage(2, 1, theirs);
+            for a in [&mut acc, &mut other] {
+                a.push_scalar(&[1, 2], 3.0).unwrap();
+            }
+            let merged = acc.merge(&other);
+            if i == j {
+                assert_eq!(merged, Ok(()));
+                assert_eq!(acc.count(), 2);
+            } else {
+                assert_eq!(
+                    merged,
+                    Err(CoreError::LineageModeMismatch),
+                    "{ours:?} ← {theirs:?}"
+                );
+                // A refused merge leaves the target as it was.
+                assert_eq!(acc.count(), 1);
+            }
+        }
     }
+    // Entries: a table per subset outside the up-set, one group each.
+    let entries = |family: &[RelSet]| {
+        let mut acc = MomentAccumulator::with_lineage(2, 1, family);
+        acc.push_scalar(&[1, 2], 3.0).unwrap();
+        acc.lineage_entries()
+    };
+    assert_eq!(families.map(entries), [3, 2, 1, 1]);
+    // One up-set named two ways is one family.
+    let mut minimal = MomentAccumulator::with_lineage(2, 1, &[r0]);
+    let redundant = MomentAccumulator::with_lineage(2, 1, &[r0.union(r1), r0]);
+    assert_eq!(minimal.merge(&redundant), Ok(()));
+    let mut grouped = GroupedMomentAccumulator::<u8>::with_lineage(2, 1, &[r0]);
     assert_eq!(
-        general.merge(&distinct),
+        grouped.merge(&GroupedMomentAccumulator::with_lineage(2, 1, &[r1])),
         Err(CoreError::LineageModeMismatch)
-    );
-    assert_eq!(
-        distinct.merge(&general),
-        Err(CoreError::LineageModeMismatch)
-    );
-    // A refused merge leaves the target as it was.
-    assert_eq!((general.count(), distinct.count()), (1, 1));
-    assert_eq!(
-        (general.lineage_entries(), distinct.lineage_entries()),
-        (3, 2)
     );
 }

@@ -76,6 +76,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use sa_core::hash::{splitmix64, FxHashMap, FxHasher};
+use sa_core::RelSet;
 use sa_expr::{bind, compile, CompiledExpr};
 use sa_plan::{LogicalPlan, ScanColumnMap};
 use sa_sampling::{Keep, LineageUnit};
@@ -151,6 +152,22 @@ impl ChunkStream {
         self.root.progress(&mut out);
         debug_assert_eq!(out.len(), self.relations.len());
         out
+    }
+
+    /// The minimal sets of the family of relation subsets on which the
+    /// stream's tuples are **distinct** — no two tuples, across every
+    /// worker stream of one open, share their projected lineage — as bit
+    /// sets over [`ChunkStream::relations`]. A stream distinct on `S` is
+    /// distinct on every superset of it. A scan with row lineage is
+    /// distinct on its relation, `SYSTEM`'s block lineage on nothing; a
+    /// filter, projection, sampler or union of samples keeps its input's
+    /// family; a join is distinct on `A ∪ B` for a set `A` of its probe
+    /// side's family and `B` of its build side's, and a hash join whose
+    /// build keys are unique also on the probe side's own sets. Workers
+    /// share each build, so every stream of one open reports one family:
+    /// what `sa_core::MomentAccumulator::with_lineage` is promised.
+    pub fn distinct(&self) -> Vec<RelSet> {
+        self.root.distinct()
     }
 
     /// Pull the stream dry, `hint` rows at a time, handing every non-empty
@@ -968,14 +985,20 @@ fn build_partitioned(
             let (probes, l_schema, l_rels) = build_partitioned(left, ctx)?;
             // Build side: materialized ONCE and shared behind Arc by every
             // worker, which probe it with their own slices.
-            let (build_chunk, r_schema, r_rels) = materialize(right, ctx)?;
+            let (build_chunk, r_schema, r_rels, r_distinct) = materialize(right, ctx)?;
             let schema = Arc::new(l_schema.join(&r_schema)?);
             let (keys, residual) = match condition {
                 None => (vec![], None),
                 Some(c) => split_join_condition(c, &l_schema, &r_schema)?,
             };
             let residual = residual.map(|e| compile(&e, &schema)).transpose()?;
-            let build = Arc::new(JoinBuild::new(build_chunk, r_rels.len(), keys));
+            // The build's relations follow the probe's in the lineage.
+            let shift = l_rels.len();
+            let distinct = r_distinct
+                .iter()
+                .map(|s| RelSet::from_bits(s.bits() << shift))
+                .collect();
+            let build = Arc::new(JoinBuild::new(build_chunk, r_rels.len(), keys, distinct));
             let mut relations = l_rels;
             relations.extend(r_rels);
             let nodes = probes
@@ -998,11 +1021,12 @@ const MATERIALIZE_CHUNK_ROWS: usize = 1 << 16;
 /// Drain `plan` — a join's build side — into one chunk through the same
 /// operator tree a stream would run: a single private partition in physical
 /// scan order (the result is consumed whole, so neither slicing, shuffling
-/// nor a hub's rotation applies).
+/// nor a hub's rotation applies). Also returns the tree's
+/// [`ChunkStream::distinct`] family.
 fn materialize(
     plan: &LogicalPlan,
     ctx: &BuildCtx<'_>,
-) -> Result<(ColumnarChunk, SchemaRef, Vec<String>)> {
+) -> Result<(ColumnarChunk, SchemaRef, Vec<String>, Vec<RelSet>)> {
     let whole = BuildCtx {
         parts: 1,
         shuffle: false,
@@ -1011,6 +1035,7 @@ fn materialize(
     };
     let (mut nodes, schema, relations) = build_partitioned(plan, &whole)?;
     let mut node = nodes.pop().expect("one partition yields one node");
+    let distinct = node.distinct();
     // The exhausted pull's empty chunk still has the subtree's column
     // shape: it stands in for the result when nothing else came out.
     let mut parts = Vec::new();
@@ -1024,7 +1049,7 @@ fn materialize(
             break;
         }
     }
-    Ok((ColumnarChunk::concat(parts), schema, relations))
+    Ok((ColumnarChunk::concat(parts), schema, relations, distinct))
 }
 
 impl Node {
@@ -1168,10 +1193,7 @@ impl Node {
                     let Some(fp) = key_fingerprint(&probe_cols, i) else {
                         continue; // NULL keys never match
                     };
-                    let Some(candidates) = build.table.get(&fp) else {
-                        continue;
-                    };
-                    for &j in candidates {
+                    for j in build.chain(fp) {
                         // Stored-key equality check: a fingerprint
                         // collision (or cross-type coercion subtlety) can
                         // never fabricate a match.
@@ -1269,6 +1291,31 @@ impl Node {
             }
         }
     }
+
+    /// The minimal sets of this subtree's [`ChunkStream::distinct`] family,
+    /// over its relations in scan order — the one recursion that computes
+    /// it.
+    fn distinct(&self) -> Vec<RelSet> {
+        match self {
+            // A worker's slice visits each of its rows once, slices are
+            // disjoint, and a hub cursor goes round once.
+            Node::Scan { .. } => vec![RelSet::singleton(0)],
+            // Every row of a `SYSTEM` block carries the block's id.
+            Node::Sample { keeps, .. } if keeps.blocks.is_some() => Vec::new(),
+            Node::Sample { input, .. }
+            | Node::Filter { input, .. }
+            | Node::Project { input, .. }
+            | Node::FilterProject { input, .. } => input.distinct(),
+            Node::HashJoin {
+                probe: input,
+                build,
+                ..
+            }
+            | Node::NestedLoop {
+                left: input, build, ..
+            } => build.distinct_with(input.distinct()),
+        }
+    }
 }
 
 /// The 64-bit fingerprint of a row's equi-key cells, or `None` when any
@@ -1318,29 +1365,62 @@ fn join_output(
     }
 }
 
+/// The end of a [`JoinBuild`] chain.
+const CHAIN_END: u32 = u32::MAX;
+
 /// A join's materialized build side: the columnar build rows, shared (via
-/// `Arc`) by every worker stream that probes them, plus the
-/// fingerprint-keyed hash table. The table maps the 64-bit key fingerprint
-/// to the build row indices carrying it (in build order); probes verify
-/// actual key equality against the stored rows, so fingerprint collisions
-/// cost a comparison, never correctness.
+/// `Arc`) by every worker stream that probes them, plus a flat
+/// fingerprint-keyed hash table: the 64-bit key fingerprint maps to the
+/// first build row carrying it, and `next` chains each row to the next one
+/// in its bucket, in build order. Probes verify actual key equality against
+/// the stored rows, so fingerprint collisions cost a comparison, never
+/// correctness.
 #[derive(Debug)]
 struct JoinBuild {
     chunk: ColumnarChunk,
     n_rels: usize,
     keys: crate::exec::EquiKeys,
-    table: FxHashMap<u64, Vec<u32>>,
+    /// Key fingerprint → the bucket's first build row.
+    heads: FxHashMap<u64, u32>,
+    /// Per build row, the next row of its bucket, or [`CHAIN_END`].
+    next: Vec<u32>,
+    /// The build has equi-keys and no bucket holds two rows — not even two
+    /// of different keys — so a probe row, which looks in its own bucket
+    /// only, matches at most one build row. A nested loop's build is never
+    /// unique.
+    unique: bool,
+    /// The build side's [`ChunkStream::distinct`] family, its relations
+    /// placed after the probe side's.
+    distinct: Vec<RelSet>,
 }
 
 impl JoinBuild {
-    fn new(chunk: ColumnarChunk, n_rels: usize, keys: crate::exec::EquiKeys) -> Self {
-        let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        if !keys.is_empty() {
+    fn new(
+        chunk: ColumnarChunk,
+        n_rels: usize,
+        keys: crate::exec::EquiKeys,
+        distinct: Vec<RelSet>,
+    ) -> Self {
+        assert!(
+            chunk.rows() < CHAIN_END as usize,
+            "a join build side holds fewer than {CHAIN_END} rows"
+        );
+        let mut heads = FxHashMap::default();
+        let mut next = Vec::new();
+        let mut unique = !keys.is_empty();
+        if unique {
             let key_cols: Vec<&ColumnVec> =
                 keys.iter().map(|(_, ri)| chunk.batch.column(*ri)).collect();
-            for i in 0..chunk.rows() {
+            heads.reserve(chunk.rows());
+            next.resize(chunk.rows(), CHAIN_END);
+            // Last row first: each insert puts its row in front of the rows
+            // after it, so a chain lists its bucket in build order.
+            for i in (0..chunk.rows()).rev() {
                 if let Some(fp) = key_fingerprint(&key_cols, i) {
-                    table.entry(fp).or_default().push(i as u32);
+                    if let Some(after) = heads.insert(fp, i as u32) {
+                        next[i] = after;
+                        unique = false;
+                    }
                 }
             }
         }
@@ -1348,8 +1428,41 @@ impl JoinBuild {
             chunk,
             n_rels,
             keys,
-            table,
+            heads,
+            next,
+            unique,
+            distinct,
         }
+    }
+
+    /// The build rows in fingerprint `fp`'s bucket, in build order.
+    fn chain(&self, fp: u64) -> impl Iterator<Item = u32> + '_ {
+        let head = self.heads.get(&fp).copied();
+        std::iter::successors(head, |&j| {
+            Some(self.next[j as usize]).filter(|&n| n != CHAIN_END)
+        })
+    }
+
+    /// The join's distinct family over a probe side distinct on `probe`:
+    /// `A ∪ B` for each set `A` of the probe side and `B` of the build side
+    /// (a pair is emitted once), and, when the build is unique, the probe
+    /// side's own sets — keeping the minimal ones.
+    fn distinct_with(&self, probe: Vec<RelSet>) -> Vec<RelSet> {
+        let mut sets: Vec<RelSet> = probe
+            .iter()
+            .flat_map(|a| self.distinct.iter().map(|b| a.union(*b)))
+            .collect();
+        if self.unique {
+            sets.extend(probe);
+        }
+        sets.sort_by_key(|s| (s.len(), s.bits()));
+        let mut minimal: Vec<RelSet> = Vec::with_capacity(sets.len());
+        for s in sets {
+            if !minimal.iter().any(|m| m.is_subset_of(s)) {
+                minimal.push(s);
+            }
+        }
+        minimal
     }
 
     /// Does build row `j`'s key equal probe row `i`'s (cell-by-cell, with
@@ -2534,6 +2647,93 @@ mod tests {
                 .collect();
             assert_eq!(sliced, rows, "seed {seed}");
         }
+    }
+
+    /// The family every stream of `plan`'s 1- and 3-way opens reports (they
+    /// must agree).
+    fn family(c: &Catalog, plan: &LogicalPlan) -> Vec<RelSet> {
+        let opts = ExecOptions {
+            seed: 3,
+            ..Default::default()
+        };
+        let one = open_stream(plan, c, &opts).unwrap().distinct();
+        for s in open_stream_partitioned(plan, c, &opts, 3).unwrap() {
+            assert_eq!(s.distinct(), one, "workers share the one build");
+        }
+        one
+    }
+
+    #[test]
+    fn lineage_is_distinct_unless_some_relation_has_block_lineage() {
+        let c = catalog();
+        let (t, d) = (RelSet::singleton(0), RelSet::singleton(1));
+        let bernoulli = SamplingMethod::Bernoulli { p: 0.5 };
+        let system = SamplingMethod::System { p: 0.5 };
+        let on = || col("k").eq(col("dk"));
+        let sampled = |m: &SamplingMethod| LogicalPlan::scan("t").sample(m.clone());
+        assert_eq!(family(&c, &LogicalPlan::scan("t")), vec![t]);
+        assert_eq!(
+            family(&c, &sampled(&bernoulli).filter(col("v").lt(lit(9.0)))),
+            vec![t]
+        );
+        // Every row of a sampled block carries the block's id.
+        assert_eq!(family(&c, &sampled(&system)), vec![]);
+        let union = sampled(&bernoulli).union_samples(sampled(&SamplingMethod::Wor { size: 9 }));
+        assert_eq!(family(&c, &union), vec![t]);
+        // `d`'s keys are unique: a `t` row matches one `d` row at most, so
+        // the join is distinct on `{t}` — unless `t`'s ids are blocks.
+        let d_side = LogicalPlan::scan("d").sample(bernoulli.clone());
+        assert_eq!(
+            family(&c, &sampled(&bernoulli).join_on(d_side.clone(), on())),
+            vec![t]
+        );
+        assert_eq!(
+            family(&c, &sampled(&system).join_on(d_side.clone(), on())),
+            vec![]
+        );
+        let d_blocks = LogicalPlan::scan("d").sample(system.clone());
+        assert_eq!(
+            family(&c, &sampled(&bernoulli).join_on(d_blocks, on())),
+            vec![t]
+        );
+        // Built on `t`, whose keys repeat: only the pair is distinct.
+        let t_build = d_side.clone().join_on(sampled(&bernoulli), on());
+        assert_eq!(family(&c, &t_build), vec![t.union(d)]);
+        // A nested loop pairs each probe row with every build row.
+        assert_eq!(
+            family(&c, &sampled(&bernoulli).cross(d_side)),
+            vec![t.union(d)]
+        );
+    }
+
+    #[test]
+    fn a_two_row_bucket_keeps_the_probe_side_out_of_the_family() {
+        // `e`'s ten rows carry five keys, two rows each: every `t` row
+        // with a key below 5 meets two of them, in build order.
+        let mut c = catalog();
+        let schema = Schema::new(vec![
+            Field::new("ek", DataType::Int),
+            Field::new("x", DataType::Float),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new("e", schema);
+        for i in 0..10 {
+            b.push_row(&[Value::Int(i % 5), Value::Float(i as f64)])
+                .unwrap();
+        }
+        c.register(b.finish().unwrap()).unwrap();
+        let plan = LogicalPlan::scan("t").join_on(LogicalPlan::scan("e"), col("k").eq(col("ek")));
+        assert_eq!(family(&c, &plan), vec![RelSet::full(2)]);
+        let rows = open_stream(&plan, &c, &ExecOptions::default())
+            .unwrap()
+            .collect_rows(64)
+            .unwrap();
+        assert_eq!(
+            rows,
+            execute(&plan, &c, &ExecOptions::default()).unwrap().rows
+        );
+        let t_ids: HashSet<u64> = rows.iter().map(|r| r.lineage[0]).collect();
+        assert_eq!((rows.len(), t_ids.len()), (200, 100));
     }
 
     #[test]

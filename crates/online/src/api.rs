@@ -336,8 +336,12 @@ pub struct QueryResult {
     pub chunks: u64,
     /// Lineage groups the moment accumulator held when the loop stopped
     /// (`sa_core::MomentAccumulator::lineage_entries`, summed over groups
-    /// for a grouped query) — what its memory grew with. Zero for a
-    /// single-table query whose plan is lineage-distinct.
+    /// for a grouped query) — what its memory grew with. None is held for
+    /// a relation subset the stream's tuples are distinct on
+    /// (`sa_exec::ChunkStream::distinct`): zero for a single-table query
+    /// with row lineage, and a join on a unique build key holds no
+    /// probe-side table either (`lineitem ⋈ orders` on `o_orderkey` keeps
+    /// only the `{orders}` one).
     pub lineage_entries: usize,
     /// The SOA analysis (top GUS, lineage schema, rewrite trace).
     pub analysis: SoaAnalysis,

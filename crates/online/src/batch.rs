@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use sa_core::{EstimateReport, GusParams, LineageBernoulli, MomentAccumulator};
+use sa_core::{EstimateReport, GusParams, LineageBernoulli, MomentAccumulator, RelSet};
 use sa_exec::{agg_results_from_report, DrainedSample};
 use sa_expr::Expr;
 use sa_plan::{LogicalPlan, StopReason};
@@ -55,6 +55,8 @@ pub(crate) fn drain_batch(
         scalar,
     } = open_aggregate(plan, catalog, opts, ctx, group_by)?;
     let start = Instant::now();
+    // A sub-sample of a stream distinct on a set is distinct on it too.
+    let distinct = streams[0].distinct();
     let mut sample = DrainedSample::new(scalar.n, scalar.layout.dims());
     let mut progress = vec![(0, 0); scalar.n];
     for mut stream in streams {
@@ -63,7 +65,8 @@ pub(crate) fn drain_batch(
         })?;
         add_coverage(&mut progress, &stream.progress());
     }
-    let (report, lineage_entries) = subsampled_report(&sample, &analysis.gus, target, opts.seed)?;
+    let (report, lineage_entries) =
+        subsampled_report(&sample, &distinct, &analysis.gus, target, opts.seed)?;
     let confidence = opts.rule.confidence_or(opts.confidence);
     let aggs = agg_results_from_report(scalar.aggs, &scalar.layout, &report, confidence);
     let snapshot = ProgressSnapshot {
@@ -92,16 +95,17 @@ pub(crate) fn drain_batch(
 /// drawn under the plan GUS compacted with the sub-sampler (Figure 5's
 /// pipeline). The per-relation keep probability is chosen so the expected
 /// surviving count is near the target; a result already that small is not
-/// sub-sampled. Returns the report and the lineage entries of the
-/// accumulator it was read from.
+/// sub-sampled. The accumulator it is read from is promised the stream's
+/// `distinct` family; the report comes back with its lineage entries.
 fn subsampled_report(
     sample: &DrainedSample,
+    distinct: &[RelSet],
     gus: &GusParams,
     target: u64,
     seed: u64,
 ) -> Result<(EstimateReport, usize)> {
     let (n, dims, m) = (sample.lineage.len(), sample.f.len(), sample.rows() as u64);
-    let mut acc = MomentAccumulator::new(n, dims);
+    let mut acc = MomentAccumulator::with_lineage(n, dims, distinct);
     if m <= target || n == 0 {
         acc.push_batch(&as_slices(&sample.lineage), &as_slices(&sample.f))?;
         return Ok((acc.report(gus)?, acc.lineage_entries()));

@@ -222,9 +222,6 @@ pub(crate) struct Scalar<'p> {
     pub(crate) dim_eval: BatchDimEval,
     /// Base relations in the lineage schema.
     pub(crate) n: usize,
-    /// The plan's `SoaAnalysis::lineage_distinct`: the query's accumulator
-    /// is built in that mode.
-    pub(crate) lineage_distinct: bool,
 }
 
 impl Scalar<'_> {
@@ -354,8 +351,10 @@ fn drive_shape<'p, S: QueryShape<'p>>(
         streams,
         scalar,
     } = open_aggregate(plan, catalog, opts, ctx, group_by)?;
-    let (n, dims, distinct) = (scalar.n, scalar.layout.dims(), scalar.lineage_distinct);
-    let fresh = || GroupedMomentAccumulator::with_lineage(n, dims, distinct);
+    // Every stream of one open reports one family (they share each join's
+    // build), so every worker's accumulator merges into the global one.
+    let (n, dims, distinct) = (scalar.n, scalar.layout.dims(), streams[0].distinct());
+    let fresh = || GroupedMomentAccumulator::with_lineage(n, dims, &distinct);
     let shape = S::compile(scalar, group_by, streams[0].schema())?;
     let level = CiLevel::new(opts.rule.confidence_or(opts.confidence)).map_err(Error::Core)?;
     let start = Instant::now();
@@ -593,7 +592,6 @@ pub(crate) fn open_aggregate<'p>(
         dim_eval: layout.compile_batch(streams[0].schema())?,
         layout,
         n: analysis.schema.n(),
-        lineage_distinct: analysis.lineage_distinct,
     };
     Ok(OpenedAggregate {
         analysis,
@@ -939,7 +937,7 @@ mod tests {
         let mut acc = GroupedMomentAccumulator::with_lineage(
             scalar.n,
             scalar.layout.dims(),
-            scalar.lineage_distinct,
+            &stream.distinct(),
         );
         let check = |slot: MomentSlot<'_>, gus: &GusParams, confidence: f64, what: &str| {
             let head = TickHead {

@@ -112,15 +112,6 @@ pub struct SoaAnalysis {
     pub schema: Arc<LineageSchema>,
     /// Per-relation lineage granularity (row, or block for `SYSTEM`).
     pub lineage_units: Vec<LineageUnit>,
-    /// True iff the plan cannot emit two tuples with the same full lineage
-    /// — every relation's unit is [`LineageUnit::Row`]. A scan visits a row
-    /// once (a shared cursor goes round once), every sampler keeps a row
-    /// at most once, a join pairs two rows once, and `UnionSamples`
-    /// keeps a tuple once when either branch keeps it; `SYSTEM`'s block
-    /// lineage, shared by every row of
-    /// a block, is the one exception. The moment accumulators then keep no
-    /// lineage table for the full relation set.
-    pub lineage_distinct: bool,
     /// The applied rewrite steps.
     pub trace: RewriteTrace,
 }
@@ -154,7 +145,6 @@ pub fn rewrite(plan: &LogicalPlan, catalog: &Catalog) -> Result<SoaAnalysis> {
     let rels = plan.base_relations();
     let schema = LineageSchema::new(&rels)?;
     let lineage_units = lineage_units(plan)?;
-    let lineage_distinct = lineage_units.iter().all(|u| *u == LineageUnit::Row);
     let mut trace = RewriteTrace::default();
     let (core, gus) = analyze(plan, catalog, &schema, &mut trace)?;
     Ok(SoaAnalysis {
@@ -162,7 +152,6 @@ pub fn rewrite(plan: &LogicalPlan, catalog: &Catalog) -> Result<SoaAnalysis> {
         gus,
         schema,
         lineage_units,
-        lineage_distinct,
         trace,
     })
 }
@@ -511,29 +500,6 @@ mod tests {
         let analysis = rewrite(&plan, &paper_catalog()).unwrap();
         assert_eq!(analysis.lineage_units, vec![LineageUnit::Block]);
         assert!((analysis.gus.a() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lineage_is_distinct_unless_some_relation_has_block_lineage() {
-        let joined = |l: SamplingMethod| {
-            let plan = LogicalPlan::scan("lineitem")
-                .sample(l)
-                .join_on(
-                    LogicalPlan::scan("orders").sample(SamplingMethod::Wor { size: 2 }),
-                    col("l_orderkey").eq(col("o_orderkey")),
-                )
-                .aggregate(vec![AggSpec::count_star("c")]);
-            rewrite(&plan, &paper_catalog()).unwrap().lineage_distinct
-        };
-        assert!(joined(SamplingMethod::Bernoulli { p: 0.5 }));
-        // Every row of a sampled block carries the block's id.
-        assert!(!joined(SamplingMethod::System { p: 0.5 }));
-        let unsampled = LogicalPlan::scan("orders").aggregate(vec![AggSpec::count_star("c")]);
-        assert!(
-            rewrite(&unsampled, &paper_catalog())
-                .unwrap()
-                .lineage_distinct
-        );
     }
 
     #[test]
