@@ -26,8 +26,8 @@ use sa_storage::Catalog;
 
 use crate::api::{QueryOptions, QueryResult, Snapshot};
 use crate::driver::{
-    add_coverage, drive, open_aggregate, worst_rel_half_width, OpenedAggregate, ProgressSnapshot,
-    RunCtx,
+    add_coverage, drive, open_aggregate, worst_rel_half_width, Listeners, OpenedAggregate,
+    ProgressSnapshot, RunCtx,
 };
 use crate::error::Error;
 use crate::Result;
@@ -44,7 +44,15 @@ pub(crate) fn drain_batch(
     ctx: &RunCtx,
 ) -> Result<QueryResult> {
     let Some(target) = opts.subsample_target else {
-        return drive(plan, group_by, catalog, opts, ctx, false, |_| {});
+        return drive(
+            plan,
+            group_by,
+            catalog,
+            opts,
+            ctx,
+            false,
+            Listeners::default(),
+        );
     };
     // Section 7 needs the whole sample in hand before it can pick the
     // sub-sample's keep probability, so it drains the same streams into a

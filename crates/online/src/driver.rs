@@ -10,12 +10,24 @@
 //! 2. push it into the query's incremental accumulator, one slot per
 //!    `GROUP BY` key (so estimate/variance are O(1) to read out — nothing
 //!    is ever recomputed from scratch),
-//! 3. **tick**: scale the GUS to the scan progress, derive that GUS's
-//!    readout plan (`a` and the variance functional's weights — once, however
-//!    many slots are read), read the accumulator out into a
-//!    [`crate::Snapshot`] — updating the previous tick's snapshot in place —
-//!    judge the stop ladder (`judge_stop`), hand the snapshot to the
-//!    caller's callback,
+//! 3. **tick**, in two parts:
+//!    * the **judge** runs on every tick: the stop ladder (`judge_stop`)
+//!      from the tick count, the accumulator's row count, the clock and the
+//!      exhausted, degraded, cancelled and deadline flags;
+//!    * the **readout** runs only when something reads the snapshot — a
+//!      caller's callback, a CI target or `adaptive_chunks` (both read its
+//!      relative half-width), or the tick whose judge stops the run. It
+//!      scales the GUS to the scan progress, derives that GUS's readout plan
+//!      (`a` and the variance functional's weights — once, however many
+//!      slots are read) and reads the accumulator out into a
+//!      [`crate::Snapshot`], updating the previous readout in place. A CI
+//!      target is judged on the snapshot, so there the readout comes first.
+//!
+//!    An unobserved `.run()` with no CI target is thus the judge alone on
+//!    every tick but its last, and reads the accumulator out once, at the
+//!    stop — into the snapshot an observed run ends on, field for field
+//!    (bar `elapsed`): the tick count and the previous tick's group count
+//!    are kept by the loop, not read off the last snapshot,
 //! 4. stop when the tick says so.
 //!
 //! There is one loop and one tick. What varies is factored out on two
@@ -201,7 +213,12 @@ pub(crate) trait QueryShape<'p>: Sized + Sync {
 /// What a tick has settled before the shape reads the accumulator out —
 /// the snapshot fields that do not depend on the query's shape.
 pub(crate) struct TickHead {
+    /// 1-based tick count: the loop keeps it, so a tick that was not read
+    /// out still counts.
     pub(crate) chunk: u64,
+    /// Groups the accumulator held at the previous tick, read out or not:
+    /// the ones after them in discovery order are this tick's `new_groups`.
+    pub(crate) known_groups: usize,
     /// The interval multipliers of the run's confidence level.
     pub(crate) level: CiLevel,
     /// `gus`'s readout plan: every slot of this tick is read through it.
@@ -303,9 +320,21 @@ impl<'p> QueryShape<'p> for Scalar<'p> {
     }
 }
 
+/// Who hears of a run's ticks. The default is nobody: the batch terminal,
+/// and the crate's own tests of the loop.
+#[derive(Default)]
+pub(crate) struct Listeners<'l> {
+    /// Called on every tick, read out or not, with the sampled rows consumed
+    /// so far (the engine's per-tick metrics).
+    pub(crate) on_tick: Option<&'l mut dyn FnMut(u64)>,
+    /// Lent every tick's snapshot, the final one included. `None` means no
+    /// caller reads a snapshot mid-run, so a tick is read out only when the
+    /// stop rule needs its interval or when it stops the run.
+    pub(crate) on_snapshot: Option<&'l mut dyn FnMut(&Snapshot)>,
+}
+
 /// Run `plan`: zero keys is the scalar shape, anything else the grouped
-/// one. `on_snapshot` is called after every tick (including the final
-/// one); `every_chunk = false` is the batch terminal (see [`drive_shape`]).
+/// one. `every_chunk = false` is the batch terminal (see [`drive_shape`]).
 pub(crate) fn drive(
     plan: &LogicalPlan,
     group_by: &[Expr],
@@ -313,13 +342,20 @@ pub(crate) fn drive(
     opts: &QueryOptions,
     ctx: &RunCtx,
     every_chunk: bool,
-    on_snapshot: impl FnMut(&Snapshot),
+    listeners: Listeners<'_>,
 ) -> Result<QueryResult> {
     if group_by.is_empty() {
-        drive_shape::<Scalar>(plan, group_by, catalog, opts, ctx, every_chunk, on_snapshot)
+        drive_shape::<Scalar>(plan, group_by, catalog, opts, ctx, every_chunk, listeners)
     } else {
-        drive_shape::<Grouped>(plan, group_by, catalog, opts, ctx, every_chunk, on_snapshot)
+        drive_shape::<Grouped>(plan, group_by, catalog, opts, ctx, every_chunk, listeners)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Readouts (`QueryShape::read` calls) the loop has made on this thread:
+    /// what the pins of the unobserved tick count.
+    pub(crate) static READOUTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The one loop. Opens the aggregate, compiles the shape, and feeds chunks
@@ -344,8 +380,12 @@ fn drive_shape<'p, S: QueryShape<'p>>(
     opts: &QueryOptions,
     ctx: &RunCtx,
     every_chunk: bool,
-    mut on_snapshot: impl FnMut(&Snapshot),
+    listeners: Listeners<'_>,
 ) -> Result<QueryResult> {
+    let Listeners {
+        mut on_tick,
+        mut on_snapshot,
+    } = listeners;
     let OpenedAggregate {
         analysis,
         streams,
@@ -359,45 +399,83 @@ fn drive_shape<'p, S: QueryShape<'p>>(
     let level = CiLevel::new(opts.rule.confidence_or(opts.confidence)).map_err(Error::Core)?;
     let start = Instant::now();
     let mut kept = S::Tick::default();
-    // One tick: scale the GUS to the scan progress, plan its readout, read
-    // the accumulator out, judge the stop ladder, emit. `last` is the
-    // previous snapshot going in — handed to the readout to update in
-    // place — and this one coming out.
+    let pool = every_chunk && streams.len() > 1;
+    // Who reads a mid-run snapshot: a caller, a CI target (judged on the
+    // snapshot's interval) or the in-thread pull's adaptive chunk hint.
+    let read_every_tick =
+        on_snapshot.is_some() || opts.rule.ci_target.is_some() || (opts.adaptive_chunks && !pool);
+    let (mut ticks, mut known_groups) = (0u64, 0usize);
+    // One tick: judge the stop ladder, and read the accumulator out — scale
+    // the GUS to the scan progress, plan its readout, read — when something
+    // reads the snapshot. `last` is the previous readout going in — handed
+    // to the readout to update in place — and this one coming out.
     let mut tick = |last: &mut Option<Snapshot>,
                     acc: &GroupedMomentAccumulator<Vec<Value>>,
                     progress: Vec<(u64, u64)>,
                     exhausted: bool,
                     degraded: bool|
      -> Result<Option<StopReason>> {
-        let gus = if every_chunk {
-            scan_scaled_gus(&analysis.gus, &progress)?
+        ticks += 1;
+        let judge = |rel_half_width, rows, elapsed| {
+            judge_stop(
+                opts,
+                degraded,
+                exhausted,
+                ctx.cancelled(),
+                rel_half_width,
+                rows,
+                elapsed,
+            )
+        };
+        // Without a reader the judge goes first, on what needs no readout;
+        // it can only miss a CI target, and then every tick is read.
+        let mut reason = None;
+        if !read_every_tick {
+            reason = judge(None, acc.count(), start.elapsed());
+        }
+        let read = if read_every_tick || reason.is_some() {
+            let gus = if every_chunk {
+                scan_scaled_gus(&analysis.gus, &progress)?
+            } else {
+                analysis.gus.clone()
+            };
+            let head = TickHead {
+                chunk: ticks,
+                known_groups,
+                level,
+                plan: ReadoutPlan::new(&gus),
+                progress,
+                gus,
+                start,
+            };
+            #[cfg(test)]
+            READOUTS.with(|n| n.set(n.get() + 1));
+            let snapshot = shape.read(acc, head, last.take(), &mut kept, opts)?;
+            if read_every_tick {
+                reason = judge(
+                    snapshot.rel_half_width(),
+                    snapshot.rows(),
+                    snapshot.elapsed(),
+                );
+            }
+            Some(snapshot)
         } else {
-            analysis.gus.clone()
+            None
         };
-        let head = TickHead {
-            chunk: last.as_ref().map_or(0, Snapshot::chunk) + 1,
-            level,
-            plan: ReadoutPlan::new(&gus),
-            progress,
-            gus,
-            start,
-        };
-        let snapshot = shape.read(acc, head, last.take(), &mut kept, opts)?;
-        let reason = judge_stop(
-            opts,
-            degraded,
-            exhausted,
-            ctx.cancelled(),
-            snapshot.rel_half_width(),
-            snapshot.rows(),
-            snapshot.elapsed(),
-        );
-        on_snapshot(&snapshot);
-        *last = Some(snapshot);
+        if let Some(on_tick) = on_tick.as_mut() {
+            on_tick(acc.count());
+        }
+        if let Some(snapshot) = read {
+            if let Some(on_snapshot) = on_snapshot.as_mut() {
+                on_snapshot(&snapshot);
+            }
+            *last = Some(snapshot);
+        }
+        known_groups = acc.group_count();
         Ok(reason)
     };
     let mut last = None;
-    let (acc, reason) = if every_chunk && streams.len() > 1 {
+    let (acc, reason) = if pool {
         run_worker_pool(
             streams,
             opts.chunk_rows,
@@ -668,9 +746,21 @@ mod tests {
         opts: &QueryOptions,
         mut on_snapshot: impl FnMut(&ProgressSnapshot),
     ) -> Result<QueryResult> {
-        drive(plan, &[], catalog, opts, &RunCtx::default(), true, |s| {
-            on_snapshot(s.as_scalar().expect("zero keys read out scalar"))
-        })
+        let mut on_snapshot =
+            |s: &Snapshot| on_snapshot(s.as_scalar().expect("zero keys read out scalar"));
+        let listeners = Listeners {
+            on_snapshot: Some(&mut on_snapshot),
+            ..Default::default()
+        };
+        drive(
+            plan,
+            &[],
+            catalog,
+            opts,
+            &RunCtx::default(),
+            true,
+            listeners,
+        )
     }
 
     fn scalar(r: &QueryResult) -> &ProgressSnapshot {
@@ -942,6 +1032,7 @@ mod tests {
         let check = |slot: MomentSlot<'_>, gus: &GusParams, confidence: f64, what: &str| {
             let head = TickHead {
                 chunk: 1,
+                known_groups: 0,
                 level: CiLevel::new(confidence).unwrap(),
                 plan: ReadoutPlan::new(gus),
                 progress: Vec::new(),
@@ -1001,6 +1092,7 @@ mod tests {
         let blocked = GusParams::bernoulli("t", 0.0).unwrap();
         let head = TickHead {
             chunk: 1,
+            known_groups: 0,
             level: CiLevel::new(0.95).unwrap(),
             plan: ReadoutPlan::new(&blocked),
             progress: Vec::new(),

@@ -57,7 +57,7 @@ use sa_storage::Catalog;
 
 use crate::api::{QueryOptions, QueryResult, Snapshot};
 use crate::batch::drain_batch;
-use crate::driver::{drive, RunCtx};
+use crate::driver::{drive, Listeners, RunCtx};
 use crate::error::Error;
 use crate::parallel::PoolObs;
 use crate::Result;
@@ -751,15 +751,24 @@ impl QueryBuilder {
         self
     }
 
-    /// Run synchronously to the stopping rule, discarding intermediate
-    /// snapshots.
+    /// Run synchronously to the stopping rule. Nobody sees a mid-run
+    /// snapshot, so the ticks only judge the stop — from the row count and
+    /// the clock — and the accumulator is read out once, at the stop, into
+    /// the result [`QueryBuilder::run_with`] returns for the same options
+    /// (bar `elapsed`). A CI target is judged on every tick's interval, so
+    /// under one (or `adaptive_chunks`) every tick is still read out.
     pub fn run(self) -> Result<QueryResult> {
-        self.run_with(|_| {})
+        self.run_here(None)
     }
 
     /// Run synchronously, lending `on_snapshot` every snapshot after its
     /// tick (including the final one); a caller that keeps one clones it.
-    pub fn run_with(self, on_snapshot: impl FnMut(&Snapshot)) -> Result<QueryResult> {
+    pub fn run_with(self, mut on_snapshot: impl FnMut(&Snapshot)) -> Result<QueryResult> {
+        self.run_here(Some(&mut on_snapshot))
+    }
+
+    /// Admit the query and run it on this thread.
+    fn run_here(self, on_snapshot: Option<&mut dyn FnMut(&Snapshot)>) -> Result<QueryResult> {
         let _guard = self.engine.admit(self.session)?;
         execute(
             &self.engine,
@@ -796,11 +805,11 @@ impl QueryBuilder {
                     group_by,
                     opts,
                     Some(cancel_in),
-                    |snap| {
+                    Some(&mut |snap: &Snapshot| {
                         // A receiver that went away is cancellation by
                         // disinterest, not an error.
                         let _ = tx.send(snap.clone());
-                    },
+                    }),
                 )
             })
             .map_err(|e| Error::Unsupported(format!("cannot spawn query worker: {e}")))?;
@@ -895,7 +904,8 @@ fn scan_permille(progress: &[(u64, u64)]) -> u64 {
 
 /// The one dispatch point every progressive terminal funnels into:
 /// resolve the input, pick the shared scan hub if shared scans apply, and
-/// run the progressive loop.
+/// run the progressive loop. `on_snapshot` is the caller's, if it reads
+/// snapshots; the metrics hear of every tick either way.
 ///
 /// All instrumentation lives here and in the components the run context
 /// carries — never inside the per-row paths — so an instrumented run
@@ -908,7 +918,7 @@ fn execute(
     group_by: Vec<Expr>,
     opts: QueryOptions,
     cancel: Option<Arc<AtomicBool>>,
-    mut on_snapshot: impl FnMut(&Snapshot),
+    on_snapshot: Option<&mut dyn FnMut(&Snapshot)>,
 ) -> Result<QueryResult> {
     let obs = &engine.inner.obs;
     let query = engine.inner.queries.fetch_add(1, Ordering::Relaxed) + 1;
@@ -934,10 +944,20 @@ fn execute(
             .record(EventKind::SnapshotEmitted { query, rows });
         prev_rows = rows;
     };
-    let result = drive(&plan, &group_by, engine.catalog(), &opts, &ctx, true, |s| {
-        tick(s.rows());
-        on_snapshot(s)
-    });
+    let listeners = Listeners {
+        on_tick: Some(&mut tick),
+        // Shorten the callback's lifetime to the metrics hook's.
+        on_snapshot: on_snapshot.map(|f| f as &mut dyn FnMut(&Snapshot)),
+    };
+    let result = drive(
+        &plan,
+        &group_by,
+        engine.catalog(),
+        &opts,
+        &ctx,
+        true,
+        listeners,
+    );
     match &result {
         Ok(r) => {
             if obs.query_duration_us.enabled() {

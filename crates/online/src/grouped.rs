@@ -86,7 +86,12 @@ pub struct GroupedProgressSnapshot {
     pub group_exprs: Vec<String>,
     /// Every group observed so far, ordered by key (deterministic).
     pub groups: Vec<GroupProgress>,
-    /// Groups first discovered by the chunk this snapshot follows.
+    /// Groups first discovered since the previous tick: by the chunk this
+    /// snapshot follows at `jobs = 1`, by the worker chunks the tick
+    /// absorbed at `jobs = N`. Counted against the loop's own record of the
+    /// previous tick, so a final snapshot that was the run's only readout
+    /// (an unobserved `.run()`) still counts the last tick's discoveries
+    /// only.
     pub new_groups: u64,
     /// Worst relative CI half-width across the **tracked** groups — the
     /// quantity the CI stopping target is judged on. `None` while no group
@@ -299,7 +304,7 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
                 }
             }
         }
-        let new_groups = fresh.len() as u64;
+        let new_groups = (acc.group_count() - head.known_groups) as u64;
         if !fresh.is_empty() {
             merge_by_key(&mut groups, &mut tick.place, fresh);
         }
@@ -343,6 +348,7 @@ impl<'p> Grouped<'p> {
     ) {
         let head = TickHead {
             chunk: updated.chunk,
+            known_groups: 0,
             level,
             plan: sa_core::ReadoutPlan::new(&updated.gus),
             progress: updated.progress.clone(),
@@ -456,7 +462,7 @@ fn tracked_rel_half_width(groups: &[GroupProgress]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{drive, RunCtx};
+    use crate::driver::{drive, Listeners, RunCtx};
     use crate::QueryResult;
     use sa_exec::{f_vector, layout_dims, open_stream, ExecOptions};
     use sa_expr::col;
@@ -512,6 +518,12 @@ mod tests {
         opts: &QueryOptions,
         mut on_snapshot: impl FnMut(&GroupedProgressSnapshot),
     ) -> Result<QueryResult> {
+        let mut on_snapshot =
+            |s: &Snapshot| on_snapshot(s.as_grouped().expect("keys read out grouped"));
+        let listeners = Listeners {
+            on_snapshot: Some(&mut on_snapshot),
+            ..Default::default()
+        };
         drive(
             plan,
             group_by,
@@ -519,7 +531,7 @@ mod tests {
             opts,
             &RunCtx::default(),
             true,
-            |s| on_snapshot(s.as_grouped().expect("keys read out grouped")),
+            listeners,
         )
     }
 
@@ -922,6 +934,54 @@ mod tests {
     }
 
     #[test]
+    fn an_unobserved_run_reads_the_accumulator_out_once_at_the_stop() {
+        // Readouts per run, against its tick count: without a caller, a CI
+        // target or an adaptive chunk hint, only the stopping tick is read
+        // out; each of the three brings back one readout per tick.
+        let engine = crate::Engine::new(late_group_catalog(6000));
+        let query = || {
+            engine
+                .session()
+                .query("SELECT g, SUM(v) AS s FROM t TABLESAMPLE (80 PERCENT) GROUP BY g")
+                .seed(3)
+                .chunk_rows(256)
+        };
+        let counted = |run: &dyn Fn() -> QueryResult| {
+            let before = crate::driver::READOUTS.with(|n| n.get());
+            let r = run();
+            (crate::driver::READOUTS.with(|n| n.get()) - before, r)
+        };
+        for (what, run) in [
+            (
+                "exhaustion",
+                &(|| query().run().unwrap()) as &dyn Fn() -> QueryResult,
+            ),
+            ("row budget", &|| query().rows(2000).run().unwrap()),
+        ] {
+            let (readouts, r) = counted(run);
+            assert!(r.chunks > 5, "{what}: {} ticks", r.chunks);
+            assert_eq!(readouts, 1, "{what}: {} ticks", r.chunks);
+        }
+        // An ε no interval reaches: every tick is judged on its interval,
+        // and the run still exhausts.
+        for (what, run) in [
+            (
+                "callback",
+                &(|| query().run_with(|_| {}).unwrap()) as &dyn Fn() -> QueryResult,
+            ),
+            ("CI target", &|| query().within(1e-12, 0.95).run().unwrap()),
+            ("adaptive chunks", &|| {
+                query().adaptive_chunks(true).run().unwrap()
+            }),
+        ] {
+            let (readouts, r) = counted(run);
+            assert_eq!(r.reason, StopReason::Exhausted, "{what}");
+            assert!(r.chunks > 1, "{what}: {} ticks", r.chunks);
+            assert_eq!(readouts, r.chunks, "{what}");
+        }
+    }
+
+    #[test]
     fn global_budgets_still_fire() {
         let c = catalog();
         let r = run(
@@ -972,6 +1032,14 @@ mod tests {
         let c = catalog();
         let ctx = RunCtx::default();
         let mut ticks = 0u64;
+        let mut on_snapshot = |s: &Snapshot| {
+            assert!(s.as_scalar().is_some());
+            ticks += 1;
+        };
+        let listeners = Listeners {
+            on_snapshot: Some(&mut on_snapshot),
+            ..Default::default()
+        };
         let r = drive(
             &sum_plan(0.5),
             &[],
@@ -979,10 +1047,7 @@ mod tests {
             &QueryOptions::default(),
             &ctx,
             true,
-            |s| {
-                assert!(s.as_scalar().is_some());
-                ticks += 1;
-            },
+            listeners,
         )
         .unwrap();
         assert_eq!(r.reason, StopReason::Exhausted);

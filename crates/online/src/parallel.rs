@@ -135,7 +135,8 @@ fn lock_shard(m: &Mutex<ShardState>) -> MutexGuard<'_, ShardState> {
 /// time). `judge` is called on the coordinator thread with the merged
 /// accumulator, the summed per-relation progress, whether *every* shard
 /// has drained, and whether any shard's worker panicked and was contained;
-/// it emits the snapshot and returns `Some(reason)` to stop (it must
+/// it judges the stop — reading the snapshot out only when something reads
+/// it — and returns `Some(reason)` to stop (it must
 /// return `Some` when `exhausted` or `degraded` is true — there will be no
 /// further tick). The final merged accumulator and the stop reason are
 /// returned; workers are joined before this function returns.

@@ -13,7 +13,7 @@
 //! and its share of storage that grows by doubling, not an accumulator
 //! object of its own.
 //!
-//! The counter is per thread and `.run()` at `jobs = 1` never leaves the
+//! The counter is per thread and a run at `jobs = 1` never leaves the
 //! calling thread, so each test counts only its own queries.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -80,7 +80,9 @@ fn plateau_catalog(groups: i64, rows: i64) -> Catalog {
 
 /// Run the grouped query until `row_budget` sampled rows are in; returns
 /// the allocations the whole run made, its tick count and its group count.
-/// `.run()` hands no snapshot out, so nothing here is a caller's copy.
+/// An observed run: `.run()` reads the accumulator out only at the stop,
+/// and what is counted here is every tick's readout. The callback only
+/// borrows each snapshot, so nothing here is a caller's copy.
 fn run_to(catalog: &Catalog, row_budget: u64) -> (u64, u64, usize) {
     let engine = Engine::new(catalog.clone());
     let query = engine
@@ -91,7 +93,7 @@ fn run_to(catalog: &Catalog, row_budget: u64) -> (u64, u64, usize) {
         .ci_top_k(50)
         .rows(row_budget);
     let before = ALLOCATIONS.with(Cell::get);
-    let r = query.run().unwrap();
+    let r = query.run_with(|_| {}).unwrap();
     let made = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(r.reason, StopReason::RowBudget);
     let groups = r.snapshot.as_grouped().expect("GROUP BY").groups.len();
