@@ -314,10 +314,10 @@ mod tests {
         let v = oracle_variance(&plan, &cat).unwrap();
         // ((1−p)/p)·Σf² over the population.
         let t = cat.get("t").unwrap();
-        let col_v = t.column_by_name("t.v").unwrap();
-        let sum_sq: f64 = (0..t.row_count() as usize)
+        let col_v = t.schema().index_of("t.v").unwrap();
+        let sum_sq: f64 = (0..t.row_count())
             .map(|r| {
-                let f = col_v.f64_at(r).unwrap();
+                let f = t.value(r, col_v).unwrap().as_f64().unwrap();
                 f * f
             })
             .sum();

@@ -10,12 +10,8 @@
 //! ```text
 //! Var(N/D) ≈ (Var_N − 2R·Cov(N,D) + R²·Var_D) / μ_D²   with R = μ_N/μ_D.
 //! ```
-//!
-//! A general smooth function `g` of the estimate vector is supported through
-//! a caller-supplied gradient.
 
 use crate::error::CoreError;
-use crate::estimator::EstimateReport;
 use crate::Result;
 
 /// A delta-method estimate: point value and approximate variance.
@@ -23,7 +19,8 @@ use crate::Result;
 pub struct DeltaEstimate {
     /// The plug-in point estimate `g(X̂)`.
     pub value: f64,
-    /// First-order variance approximation `∇gᵀ Σ ∇g` (clamped at 0).
+    /// First-order variance approximation `∇gᵀ Σ ∇g`, unclamped: like the
+    /// `σ̂²` it is formed from, it can be negative by chance.
     pub variance: f64,
 }
 
@@ -53,41 +50,16 @@ pub fn ratio_of(
         ));
     }
     let r = mu_n / mu_d;
-    let var = (var_n - 2.0 * r * cov_nd + r * r * var_d) / (mu_d * mu_d);
     Ok(DeltaEstimate {
         value: r,
-        variance: var.max(0.0),
-    })
-}
-
-/// General delta method: `g(X̂)` with variance `∇gᵀ Σ ∇g`, where `grad` is
-/// the gradient of `g` evaluated at the estimate vector.
-pub fn smooth_function(report: &EstimateReport, value: f64, grad: &[f64]) -> Result<DeltaEstimate> {
-    let cov = report.covariance.as_ref().ok_or_else(|| {
-        CoreError::Degenerate("covariance unavailable: delta variance cannot be formed".into())
-    })?;
-    if grad.len() != report.dims {
-        return Err(CoreError::DimensionMismatch {
-            expected: report.dims,
-            got: grad.len(),
-        });
-    }
-    let mut var = 0.0;
-    for (p, gp) in grad.iter().enumerate() {
-        for (q, gq) in grad.iter().enumerate() {
-            var += gp * gq * cov.get(p, q);
-        }
-    }
-    Ok(DeltaEstimate {
-        value,
-        variance: var.max(0.0),
+        variance: (var_n - 2.0 * r * cov_nd + r * r * var_d) / (mu_d * mu_d),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::SBox;
+    use crate::estimator::{EstimateReport, SBox};
     use crate::params::GusParams;
 
     /// Build a 2-dim report: dim 0 accumulates f, dim 1 accumulates 1
@@ -145,25 +117,18 @@ mod tests {
     }
 
     #[test]
+    fn ratio_variance_is_not_clamped() {
+        // A covariance estimate need not be positive semidefinite: the
+        // delta variance it gives can be negative, and is reported as is.
+        let est = ratio_of((1.0, 1.0), [1.0, 5.0, 1.0]).unwrap();
+        assert_eq!(est.variance, -8.0);
+    }
+
+    #[test]
     fn zero_denominator_rejected() {
         let gus = GusParams::bernoulli("r", 0.5).unwrap();
         let rep = SBox::with_dims(gus, 2).finish().unwrap();
         assert!(ratio(&rep).is_err());
-    }
-
-    #[test]
-    fn smooth_function_linear_matches_direct_variance() {
-        // g(x) = x₀ with gradient (1, 0) must reproduce Var(X₀).
-        let rep = avg_report(0.5, &[1.0, 5.0, 7.0]);
-        let est = smooth_function(&rep, rep.estimate[0], &[1.0, 0.0]).unwrap();
-        assert!((est.variance - rep.variance(0).unwrap()).abs() < 1e-9);
-        assert!((est.value - rep.estimate[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn smooth_function_gradient_arity_checked() {
-        let rep = avg_report(0.5, &[1.0]);
-        assert!(smooth_function(&rep, 0.0, &[1.0]).is_err());
     }
 
     #[test]
@@ -172,10 +137,15 @@ mod tests {
         let r = ratio(&rep).unwrap();
         let mu_n = rep.estimate[0];
         let mu_d = rep.estimate[1];
-        // ∇(n/d) = (1/d, −n/d²)
+        // The delta method for g(n, d) = n/d: ∇g = (1/d, −n/d²) and
+        // Var ≈ ∇gᵀ Σ ∇g.
         let grad = [1.0 / mu_d, -mu_n / (mu_d * mu_d)];
-        let s = smooth_function(&rep, mu_n / mu_d, &grad).unwrap();
-        assert!((r.value - s.value).abs() < 1e-12);
-        assert!((r.variance - s.variance).abs() < 1e-9 * (1.0 + r.variance));
+        let cov = rep.covariance.as_ref().unwrap();
+        let var: f64 = (0..2)
+            .flat_map(|p| (0..2).map(move |q| (p, q)))
+            .map(|(p, q)| grad[p] * grad[q] * cov.get(p, q))
+            .sum();
+        assert!((r.value - mu_n / mu_d).abs() < 1e-12);
+        assert!((r.variance - var).abs() < 1e-9 * (1.0 + r.variance));
     }
 }

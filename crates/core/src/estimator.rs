@@ -23,7 +23,7 @@ use crate::ci::{chebyshev_ci, normal_ci, quantile_bound, ConfidenceInterval};
 use crate::error::CoreError;
 use crate::moments::{MomentMatrix, Moments};
 use crate::params::GusParams;
-use crate::readout::ReadoutPlan;
+use crate::readout::{variance_reading, ReadoutPlan};
 use crate::relset::LineageSchema;
 use crate::Result;
 
@@ -123,6 +123,9 @@ pub struct EstimateReport {
     pub estimate: Vec<f64>,
     /// Estimated covariance matrix of the estimators, when estimable.
     pub covariance: Option<MomentMatrix>,
+    /// Per covariance entry, the sum of its terms' magnitudes: the scale
+    /// its rounding is judged against ([`variance_reading`]).
+    scale: Option<MomentMatrix>,
     /// Aggregate dimension.
     pub dims: usize,
     /// Number of result tuples consumed.
@@ -166,21 +169,24 @@ impl EstimateReport {
         let plan = ReadoutPlan::between(sampled, target)?;
         // Weights exist only where the sampled design has a > 0, so the
         // read cannot refuse.
-        let covariance = match plan.weights() {
+        let (covariance, scale) = match plan.weights() {
             Some(_) => {
                 let y = sample.y_flat();
                 let slot = plan.read(&sample.total, &y)?;
-                Some(MomentMatrix::from_fn(dims, |p, q| {
-                    slot.covariance(p, q).expect("the plan has weights")
-                }))
+                let entry = |p, q| slot.entry(p, q).expect("the plan has weights");
+                (
+                    Some(MomentMatrix::from_fn(dims, |p, q| entry(p, q).0)),
+                    Some(MomentMatrix::from_fn(dims, |p, q| entry(p, q).1)),
+                )
             }
-            None => None,
+            None => (None, None),
         };
         Ok(EstimateReport {
             gus: target.clone(),
             sampled: sampled.clone(),
             estimate,
             covariance,
+            scale,
             dims,
             m: sample.count,
             sample: Box::new(sample),
@@ -197,16 +203,31 @@ impl EstimateReport {
         &self.gus
     }
 
-    /// Estimated variance of dimension `dim`.
+    /// Covariance entry `(p, q)` with its scale, as [`SlotReadout::entry`]
+    /// reads it; `None` when variance is not estimable.
     ///
-    /// Negative values (possible in small samples, since `σ̂²` is unbiased
-    /// but not nonnegative) are clamped to 0 for interval construction; the
-    /// raw value is available via [`EstimateReport::raw_variance`].
-    pub fn variance(&self, dim: usize) -> Result<f64> {
-        Ok(self.raw_variance(dim)?.max(0.0))
+    /// [`SlotReadout::entry`]: crate::SlotReadout::entry
+    pub fn entry(&self, p: usize, q: usize) -> Option<(f64, f64)> {
+        let (cov, scale) = self.covariance.as_ref().zip(self.scale.as_ref())?;
+        Some((cov.get(p, q), scale.get(p, q)))
     }
 
-    /// Unclamped variance estimate (can be slightly negative by chance).
+    /// Estimated variance of dimension `dim`, as intervals read it
+    /// ([`variance_reading`] of [`EstimateReport::raw_variance`]): an error
+    /// when it is not estimable or negative beyond rounding.
+    pub fn variance(&self, dim: usize) -> Result<f64> {
+        let (raw, scale) = self.entry(dim, dim).ok_or_else(|| {
+            CoreError::Degenerate("variance is not estimable for this GUS/sample".into())
+        })?;
+        variance_reading(raw, scale).ok_or_else(|| {
+            CoreError::Degenerate(format!(
+                "variance estimate {raw} is negative beyond rounding: no interval yet"
+            ))
+        })
+    }
+
+    /// The variance estimate as computed, unclamped (can be negative by
+    /// chance).
     pub fn raw_variance(&self, dim: usize) -> Result<f64> {
         let cov = self.covariance.as_ref().ok_or_else(|| {
             CoreError::Degenerate("variance is not estimable for this GUS/sample".into())

@@ -67,13 +67,13 @@ pub mod subsample;
 
 pub use accumulator::{MomentAccumulator, MomentSlot};
 pub use ci::{chebyshev_ci, normal_ci, quantile_bound, CiLevel, CiMethod, ConfidenceInterval};
-pub use delta::{ratio_of, smooth_function, DeltaEstimate};
+pub use delta::{ratio_of, DeltaEstimate};
 pub use error::CoreError;
 pub use estimator::{estimate_from_sample_moments, exact_variance, EstimateReport, SBox};
 pub use grouped_accumulator::GroupedMomentAccumulator;
 pub use moments::{GroupedMoments, MomentMatrix, Moments};
 pub use params::GusParams;
-pub use readout::{ReadoutPlan, SlotReadout};
+pub use readout::{variance_reading, ReadoutPlan, SlotReadout};
 pub use relset::{LineageSchema, RelSet, MAX_RELS};
 pub use subsample::LineageBernoulli;
 

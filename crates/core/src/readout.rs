@@ -156,14 +156,37 @@ impl SlotReadout<'_> {
     }
 
     /// Estimated covariance of dimensions `p` and `q` — unclamped, so a
-    /// diagonal entry can be slightly negative by chance — or `None` when
-    /// the GUS admits no variance estimate.
+    /// diagonal entry can be negative by chance — or `None` when the GUS
+    /// admits no variance estimate.
     pub fn covariance(&self, p: usize, q: usize) -> Option<f64> {
+        self.entry(p, q).map(|(cov, _)| cov)
+    }
+
+    /// [`SlotReadout::covariance`] with the sum of its terms' magnitudes,
+    /// `Σ_S |w_S·Y_S[p,q]|`: the scale its rounding is judged against
+    /// ([`variance_reading`]).
+    pub fn entry(&self, p: usize, q: usize) -> Option<(f64, f64)> {
         let w = self.plan.weights.as_deref()?;
         let k = self.total.len();
-        let blocks = self.y.chunks_exact(k * k);
-        Some(w.iter().zip(blocks).map(|(w, y)| w * y[p * k + q]).sum())
+        let terms = (w.iter().zip(self.y.chunks_exact(k * k))).map(|(w, y)| w * y[p * k + q]);
+        Some((terms.clone().sum(), terms.map(f64::abs).sum()))
     }
+}
+
+/// The relative rounding a variance entry may carry: its terms cancel, so
+/// it is judged against the sum of their magnitudes.
+const ROUNDING: f64 = 1e-9;
+
+/// A raw `σ̂²` as intervals read it, given `scale`, the sum of the
+/// magnitudes of the terms that cancel in it (`y_full`'s diagonal among
+/// them; see [`SlotReadout::entry`]): `σ̂²` itself when nonnegative, 0 when
+/// it is negative by rounding only — a design that fixes the estimate, as
+/// WOR at exhaustion, reads 0 up to rounding — and `None` when it is
+/// negative beyond rounding. `σ̂²` is unbiased but not nonnegative: a
+/// negative reading says the sample cannot yet tell the spread, not that
+/// there is none, so it gets no interval and no CI target fires on it.
+pub fn variance_reading(raw: f64, scale: f64) -> Option<f64> {
+    (raw >= -ROUNDING * scale).then_some(raw.max(0.0))
 }
 
 #[cfg(test)]

@@ -10,7 +10,9 @@
 //! [`DimLayout::read_slot`] does the same for a slot seen through a tick's
 //! [`sa_core::ReadoutPlan`], in place and without building a report.
 
-use sa_core::{ratio_of, CiLevel, ConfidenceInterval, EstimateReport, SlotReadout};
+use sa_core::{
+    ratio_of, variance_reading, CiLevel, ConfidenceInterval, EstimateReport, SlotReadout,
+};
 use sa_expr::{bind, eval_f64, Expr};
 use sa_plan::{AggFunc, AggSpec};
 
@@ -266,7 +268,6 @@ pub fn agg_results_from_report(
     confidence: f64,
 ) -> Vec<AggResult> {
     let level = CiLevel::new(confidence).ok();
-    let cov = report.covariance.as_ref();
     let mut out = Vec::new();
     read_aggs(
         &mut out,
@@ -274,7 +275,7 @@ pub fn agg_results_from_report(
         layout,
         level.as_ref(),
         |d| report.estimate[d],
-        |p, q| cov.map(|c| c.get(p, q)),
+        |p, q| report.entry(p, q),
     );
     out
 }
@@ -299,25 +300,27 @@ impl DimLayout {
             self,
             Some(level),
             |d| slot.estimate(d),
-            |p, q| slot.covariance(p, q),
+            |p, q| slot.entry(p, q),
         );
     }
 }
 
 /// The per-aggregate arithmetic of a readout, whichever route feeds it:
-/// `estimate_of(d)` is dimension `d`'s point estimate, `cov_of(p, q)` the
-/// (unclamped) covariance entry or `None` when variance is not estimable.
-/// A plain aggregate clamps its variance at 0; `AVG` is the delta-method
-/// ratio of its two dimensions (NaN with no variance when the ratio cannot
-/// be formed); intervals come from `level` (`None`: an invalid confidence,
-/// no intervals), the `QUANTILE` bound from its own `Φ⁻¹(q)`.
+/// `estimate_of(d)` is dimension `d`'s point estimate, `entry(p, q)` the
+/// (unclamped) covariance entry with its scale, or `None` when variance is
+/// not estimable. A variance is read through [`variance_reading`]: an
+/// aggregate any of whose dimensions reads negative beyond rounding keeps
+/// its point estimate with no variance and no interval. `AVG` is the
+/// delta-method ratio of its two dimensions (NaN with no variance when the
+/// ratio cannot be formed); intervals come from `level` (`None`: an invalid
+/// confidence, no intervals), the `QUANTILE` bound from its own `Φ⁻¹(q)`.
 fn read_aggs(
     out: &mut Vec<AggResult>,
     aggs: &[AggSpec],
     layout: &DimLayout,
     level: Option<&CiLevel>,
     estimate_of: impl Fn(usize) -> f64,
-    cov_of: impl Fn(usize, usize) -> Option<f64>,
+    entry: impl Fn(usize, usize) -> Option<(f64, f64)>,
 ) {
     if out.len() != aggs.len() {
         out.clear();
@@ -333,19 +336,20 @@ fn read_aggs(
     }
     for ((res, spec), &(num, den)) in out.iter_mut().zip(aggs).zip(&layout.per_agg) {
         let (estimate, variance) = match den {
-            None => (estimate_of(num), cov_of(num, num).map(|v| v.max(0.0))),
-            Some(den) => {
-                let ratio = cov_of(num, num)
-                    .zip(cov_of(num, den))
-                    .zip(cov_of(den, den))
-                    .and_then(|((vn, cnd), vd)| {
-                        ratio_of((estimate_of(num), estimate_of(den)), [vn, cnd, vd]).ok()
-                    });
-                match ratio {
-                    Some(d) => (d.value, Some(d.variance)),
-                    None => (f64::NAN, None),
-                }
-            }
+            None => (
+                estimate_of(num),
+                entry(num, num).and_then(|(v, scale)| variance_reading(v, scale)),
+            ),
+            Some(den) => (entry(num, num).zip(entry(num, den)).zip(entry(den, den)))
+                .and_then(|(((vn, sn), (cnd, snd)), (vd, sd))| {
+                    let mu_d = estimate_of(den);
+                    let d = ratio_of((estimate_of(num), mu_d), [vn, cnd, vd]).ok()?;
+                    let r = d.value;
+                    let scale = (sn + 2.0 * r.abs() * snd + r * r * sd) / (mu_d * mu_d);
+                    let readable = variance_reading(vn, sn).and(variance_reading(vd, sd));
+                    Some((r, readable.and(variance_reading(d.variance, scale))))
+                })
+                .unwrap_or((f64::NAN, None)),
         };
         let at_level = level.zip(variance);
         res.estimate = estimate;

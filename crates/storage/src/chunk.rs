@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::column::Column;
 use crate::schema::DataType;
 use crate::value::Value;
 
@@ -103,42 +102,6 @@ impl ColumnVec {
             data,
             validity: None,
         }
-    }
-
-    /// Gather the half-open row range `[start, end)` of a storage column.
-    /// Strings share the source dictionary; only codes are copied.
-    pub fn from_column_range(col: &Column, start: usize, end: usize) -> ColumnVec {
-        let validity = col.validity_range(start, end);
-        let data = match col {
-            Column::Bool { data, .. } => ColumnData::Bool(data[start..end].to_vec()),
-            Column::Int { data, .. } => ColumnData::Int(data[start..end].to_vec()),
-            Column::Float { data, .. } => ColumnData::Float(data[start..end].to_vec()),
-            Column::Str { dict, codes, .. } => ColumnData::Str {
-                dict: dict.clone(),
-                codes: codes[start..end].to_vec(),
-            },
-        };
-        ColumnVec { data, validity }
-    }
-
-    /// Gather selected `rows` (ascending, in bounds) of a storage column.
-    /// Validity is `None` when every selected row is valid, matching
-    /// [`ColumnVec::from_column_range`]'s all-valid normalization — the
-    /// mapped backend's row gather mirrors this exactly.
-    pub fn from_column_rows(col: &Column, rows: &[usize]) -> ColumnVec {
-        let validity = col.validity_rows(rows);
-        let data = match col {
-            Column::Bool { data, .. } => ColumnData::Bool(rows.iter().map(|&i| data[i]).collect()),
-            Column::Int { data, .. } => ColumnData::Int(rows.iter().map(|&i| data[i]).collect()),
-            Column::Float { data, .. } => {
-                ColumnData::Float(rows.iter().map(|&i| data[i]).collect())
-            }
-            Column::Str { dict, codes, .. } => ColumnData::Str {
-                dict: dict.clone(),
-                codes: rows.iter().map(|&i| codes[i]).collect(),
-            },
-        };
-        ColumnVec { data, validity }
     }
 
     /// Build a column of `data_type` from row-major values (the bridge for
@@ -576,17 +539,20 @@ impl ColumnarBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ColumnBuilder;
+    use crate::schema::{Field, Schema};
+    use crate::table::{Table, TableBuilder};
 
-    fn str_column(vals: &[Option<&str>]) -> Column {
-        let mut b = ColumnBuilder::new("s", DataType::Str);
+    fn str_table(vals: &[Option<&str>]) -> Table {
+        let schema = Schema::new(vec![Field::new("s", DataType::Str)]).unwrap();
+        let mut b = TableBuilder::new("t", schema);
         for v in vals {
-            match v {
-                Some(s) => b.push_str(s).unwrap(),
-                None => b.push(Value::Null).unwrap(),
-            }
+            b.push_row(&[v.map_or(Value::Null, Value::str)]).unwrap();
         }
-        b.finish()
+        b.finish().unwrap()
+    }
+
+    fn gather(t: &Table, start: u64, end: u64) -> ColumnVec {
+        t.batch_range(start, end).unwrap().column(0).clone()
     }
 
     #[test]
@@ -594,16 +560,16 @@ mod tests {
         // Storage dict-codes repeated strings; a gathered batch shares the
         // dictionary and every transformation (filter, take, slice)
         // round-trips back to the original values.
-        let col = str_column(&[Some("ny"), Some("sf"), None, Some("ny"), Some("ny")]);
-        let Column::Str { dict, codes, .. } = &col else {
+        let t = str_table(&[Some("ny"), Some("sf"), None, Some("ny"), Some("ny")]);
+        let cv = gather(&t, 0, 5);
+        let ColumnData::Str { dict, codes } = &cv.data else {
             panic!("expected dict-coded str column");
         };
         assert!(dict.len() <= 3, "repeats must share codes: {dict:?}");
         assert_eq!(codes.len(), 5);
         assert_eq!(codes[0], codes[3]);
-        let cv = ColumnVec::from_column_range(&col, 0, 5);
-        if let ColumnData::Str { dict: d2, .. } = &cv.data {
-            assert!(Arc::ptr_eq(dict, d2), "batch must share the dictionary");
+        if let ColumnData::Str { dict: d2, .. } = &gather(&t, 1, 3).data {
+            assert!(Arc::ptr_eq(dict, d2), "batches must share the dictionary");
         }
         let expect = [
             Value::str("ny"),
@@ -724,11 +690,8 @@ mod tests {
             vec![Value::Int(1), Value::Int(2), Value::Null, Value::Int(4)]
         );
         // Same storage dictionary: shared, codes copied verbatim.
-        let col = str_column(&[Some("ny"), Some("sf"), None, Some("ny")]);
-        let (a, b) = (
-            ColumnVec::from_column_range(&col, 0, 2),
-            ColumnVec::from_column_range(&col, 2, 4),
-        );
+        let t = str_table(&[Some("ny"), Some("sf"), None, Some("ny")]);
+        let (a, b) = (gather(&t, 0, 2), gather(&t, 2, 4));
         let same = ColumnVec::concat(&[&a, &b]);
         let (ColumnData::Str { dict: d, .. }, ColumnData::Str { dict: da, .. }) =
             (&same.data, &a.data)

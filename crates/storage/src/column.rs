@@ -1,407 +1,200 @@
-//! Typed columnar storage.
+//! The builder's column buffers.
 //!
-//! A [`Column`] stores one attribute of a table in a dense, typed vector with
-//! a separate null bitmap. Access is by row index; the executor materializes
-//! [`crate::Value`]s on demand.
+//! [`crate::TableBuilder`] encodes each pushed value straight into the bytes
+//! its column's `.sac` segments will hold (see [`crate::format`]):
+//! little-endian words or packed bits, a validity bit per row, and for
+//! strings a code into a dictionary that interns each distinct string
+//! once. Every segment grows page by page inside one arena, the buffer
+//! that becomes the table's image: [`crate::format::lay_out`] moves the
+//! pages into segment order in place, so a build touches each byte of its
+//! table's memory once and holds one table, not two.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::StorageError;
+use crate::format::PAGE_SIZE;
 use crate::schema::DataType;
 use crate::value::Value;
 use crate::Result;
 
-/// A typed column with optional nulls.
-///
-/// Nulls are represented by a validity vector (`true` = present). For columns
-/// with no nulls the validity vector is empty, which keeps scans cheap.
-#[derive(Debug, Clone)]
-pub enum Column {
-    /// Boolean column.
-    Bool {
-        /// Values (arbitrary where invalid).
-        data: Vec<bool>,
-        /// Validity; empty means all-valid.
-        validity: Vec<bool>,
-    },
-    /// Integer column.
-    Int {
-        /// Values (arbitrary where invalid).
-        data: Vec<i64>,
-        /// Validity; empty means all-valid.
-        validity: Vec<bool>,
-    },
-    /// Float column.
-    Float {
-        /// Values (arbitrary where invalid).
-        data: Vec<f64>,
-        /// Validity; empty means all-valid.
-        validity: Vec<bool>,
-    },
-    /// String column, dictionary-coded: the value at `row` is
-    /// `dict[codes[row]]`. Repeated strings share one interned entry, and
-    /// columnar batches gathered from this column share the dictionary
-    /// behind the `Arc` (see [`crate::chunk`]).
-    Str {
-        /// The dictionary: code → interned string (never empty).
-        dict: crate::chunk::StrDict,
-        /// Per-row dictionary codes (point at `""` where invalid).
-        codes: Vec<u32>,
-        /// Validity; empty means all-valid.
-        validity: Vec<bool>,
-    },
-}
+/// A segment under construction: the arena pages it owns, in order.
+#[derive(Debug, Default)]
+pub(crate) struct Pages(pub(crate) Vec<usize>);
 
-impl Column {
-    /// The column's [`DataType`].
-    pub fn data_type(&self) -> DataType {
-        match self {
-            Column::Bool { .. } => DataType::Bool,
-            Column::Int { .. } => DataType::Int,
-            Column::Float { .. } => DataType::Float,
-            Column::Str { .. } => DataType::Str,
+impl Pages {
+    /// The page holding byte `at`, appended (zeroed) to the arena on first
+    /// touch.
+    fn page<'a>(&mut self, arena: &'a mut Vec<u8>, at: usize) -> &'a mut [u8] {
+        if at / PAGE_SIZE == self.0.len() {
+            self.0.push(arena.len() / PAGE_SIZE);
+            arena.resize(arena.len() + PAGE_SIZE, 0);
         }
+        let start = self.0[at / PAGE_SIZE] * PAGE_SIZE;
+        &mut arena[start..start + PAGE_SIZE]
     }
 
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            Column::Bool { data, .. } => data.len(),
-            Column::Int { data, .. } => data.len(),
-            Column::Float { data, .. } => data.len(),
-            Column::Str { codes, .. } => codes.len(),
-        }
+    /// Write `bytes` at byte `at`; a word never straddles two pages, since
+    /// every width divides the page size.
+    fn put(&mut self, arena: &mut Vec<u8>, at: usize, bytes: &[u8]) {
+        self.page(arena, at)[at % PAGE_SIZE..][..bytes.len()].copy_from_slice(bytes);
     }
 
-    /// True if the column has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn valid(validity: &[bool], row: usize) -> bool {
-        validity.is_empty() || validity[row]
-    }
-
-    /// The value at `row` (panics if out of bounds; the table layer checks).
-    pub fn value(&self, row: usize) -> Value {
-        match self {
-            Column::Bool { data, validity } => {
-                if Self::valid(validity, row) {
-                    Value::Bool(data[row])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Int { data, validity } => {
-                if Self::valid(validity, row) {
-                    Value::Int(data[row])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Float { data, validity } => {
-                if Self::valid(validity, row) {
-                    Value::Float(data[row])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Str {
-                dict,
-                codes,
-                validity,
-            } => {
-                if Self::valid(validity, row) {
-                    Value::Str(dict[codes[row] as usize].clone())
-                } else {
-                    Value::Null
-                }
-            }
-        }
-    }
-
-    /// The validity of rows `[start, end)` in the batch representation:
-    /// `None` when every row in the range is valid.
-    pub(crate) fn validity_range(&self, start: usize, end: usize) -> Option<Vec<bool>> {
-        let validity = match self {
-            Column::Bool { validity, .. }
-            | Column::Int { validity, .. }
-            | Column::Float { validity, .. }
-            | Column::Str { validity, .. } => validity,
-        };
-        if validity.is_empty() {
-            return None;
-        }
-        let slice = &validity[start..end];
-        if slice.iter().all(|&v| v) {
-            None
-        } else {
-            Some(slice.to_vec())
-        }
-    }
-
-    /// The validity at selected rows in batch form: `None` when every
-    /// selected row is valid.
-    pub(crate) fn validity_rows(&self, rows: &[usize]) -> Option<Vec<bool>> {
-        let validity = match self {
-            Column::Bool { validity, .. }
-            | Column::Int { validity, .. }
-            | Column::Float { validity, .. }
-            | Column::Str { validity, .. } => validity,
-        };
-        if validity.is_empty() {
-            return None;
-        }
-        let v: Vec<bool> = rows.iter().map(|&i| validity[i]).collect();
-        if v.iter().all(|&b| b) {
-            None
-        } else {
-            Some(v)
-        }
-    }
-
-    /// Fast typed access for numeric columns: the value at `row` as `f64`
-    /// (ints widen), or `None` for nulls and non-numeric columns.
-    pub fn f64_at(&self, row: usize) -> Option<f64> {
-        match self {
-            Column::Int { data, validity } if Self::valid(validity, row) => Some(data[row] as f64),
-            Column::Float { data, validity } if Self::valid(validity, row) => Some(data[row]),
-            _ => None,
-        }
+    /// Set bit `i` (bit `i % 8` of byte `i / 8`) to `bit`.
+    fn set_bit(&mut self, arena: &mut Vec<u8>, i: usize, bit: bool) {
+        self.page(arena, i / 8)[i / 8 % PAGE_SIZE] |= u8::from(bit) << (i % 8);
     }
 }
 
-/// Incremental builder for a [`Column`] of a fixed [`DataType`]. String
-/// columns are dictionary-encoded as they are built: each distinct string
-/// is interned once and rows store `u32` codes.
+/// One column's rows as [`crate::TableBuilder`] receives them, until
+/// [`crate::format::lay_out`] writes them into the table's image.
 #[derive(Debug)]
-pub struct ColumnBuilder {
+pub(crate) struct ColumnBuffer {
+    /// The qualified column name, for error messages.
     name: String,
-    data_type: DataType,
-    bools: Vec<bool>,
-    ints: Vec<i64>,
-    floats: Vec<f64>,
-    dict: Vec<Arc<str>>,
-    dict_index: std::collections::HashMap<Arc<str>, u32>,
-    codes: Vec<u32>,
-    validity: Vec<bool>,
-    has_null: bool,
-    len: usize,
+    pub(crate) data_type: DataType,
+    pub(crate) rows: usize,
+    /// The data segment.
+    pub(crate) data: Pages,
+    /// One bit per row, set when the row is present; written from the
+    /// first null on, since a column without nulls has no validity segment.
+    pub(crate) validity: Pages,
+    pub(crate) has_null: bool,
+    /// Str columns: the dictionary, code → string, and its inverse.
+    pub(crate) dict: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
 }
 
-impl ColumnBuilder {
-    /// A builder for a column named `name` of type `data_type`. The name is
-    /// only used for error messages.
-    pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
-        ColumnBuilder {
-            name: name.into(),
+impl ColumnBuffer {
+    pub(crate) fn new(name: String, data_type: DataType) -> ColumnBuffer {
+        ColumnBuffer {
+            name,
             data_type,
-            bools: vec![],
-            ints: vec![],
-            floats: vec![],
-            dict: vec![],
-            dict_index: Default::default(),
-            codes: vec![],
-            validity: vec![],
+            rows: 0,
+            data: Pages::default(),
+            validity: Pages::default(),
             has_null: false,
-            len: 0,
+            dict: vec![],
+            index: HashMap::new(),
         }
     }
 
-    /// Intern `s` into the dictionary, returning its code.
-    fn intern(&mut self, s: Arc<str>) -> u32 {
-        if let Some(&code) = self.dict_index.get(&s) {
+    /// The dictionary code of `s`, interning it on first sight.
+    fn intern(&mut self, s: &Arc<str>) -> u32 {
+        if let Some(&code) = self.index.get(s) {
             return code;
         }
         let code = u32::try_from(self.dict.len()).expect("dictionary exceeds u32 codes");
         self.dict.push(s.clone());
-        self.dict_index.insert(s, code);
+        self.index.insert(s.clone(), code);
         code
     }
 
-    /// Reserve capacity for `n` more rows.
-    pub fn reserve(&mut self, n: usize) {
-        match self.data_type {
-            DataType::Bool => self.bools.reserve(n),
-            DataType::Int => self.ints.reserve(n),
-            DataType::Float => self.floats.reserve(n),
-            DataType::Str => self.codes.reserve(n),
-        }
-        self.validity.reserve(n);
-    }
-
-    /// Number of rows appended so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Append one value. `Null` is accepted for any type; `Int` widens into a
-    /// `Float` column. Anything else must match the declared type.
-    pub fn push(&mut self, v: Value) -> Result<()> {
-        let mismatch = |got: &Value| StorageError::TypeMismatch {
-            column: self.name.clone(),
-            expected: self.data_type,
-            got: format!("{got:?}"),
-        };
-        match (&v, self.data_type) {
-            (Value::Null, _) => {
-                self.has_null = true;
-                self.validity.push(false);
-                match self.data_type {
-                    DataType::Bool => self.bools.push(false),
-                    DataType::Int => self.ints.push(0),
-                    DataType::Float => self.floats.push(0.0),
-                    DataType::Str => {
-                        let code = self.intern(Arc::from(""));
-                        self.codes.push(code);
-                    }
-                }
+    /// Append one value. `Null` is accepted for any type; `Int` widens into
+    /// a `Float` column. Anything else must match the declared type.
+    pub(crate) fn push(&mut self, arena: &mut Vec<u8>, v: &Value) -> Result<()> {
+        let i = self.rows;
+        let data = &mut self.data;
+        match (v, self.data_type) {
+            (Value::Null, DataType::Bool) => data.set_bit(arena, i, false),
+            (Value::Null, DataType::Int | DataType::Float) => data.put(arena, 8 * i, &[0; 8]),
+            (Value::Null, DataType::Str) => {
+                let code = self.intern(&Arc::from(""));
+                self.data.put(arena, 4 * i, &code.to_le_bytes());
             }
-            (Value::Bool(b), DataType::Bool) => {
-                self.validity.push(true);
-                self.bools.push(*b);
-            }
-            (Value::Int(i), DataType::Int) => {
-                self.validity.push(true);
-                self.ints.push(*i);
-            }
-            (Value::Int(i), DataType::Float) => {
-                self.validity.push(true);
-                self.floats.push(*i as f64);
-            }
-            (Value::Float(f), DataType::Float) => {
-                self.validity.push(true);
-                self.floats.push(*f);
-            }
+            (Value::Bool(b), DataType::Bool) => data.set_bit(arena, i, *b),
+            (Value::Int(x), DataType::Int) => data.put(arena, 8 * i, &x.to_le_bytes()),
+            (Value::Int(x), DataType::Float) => data.put(arena, 8 * i, &(*x as f64).to_le_bytes()),
+            (Value::Float(x), DataType::Float) => data.put(arena, 8 * i, &x.to_le_bytes()),
             (Value::Str(s), DataType::Str) => {
-                self.validity.push(true);
-                let code = self.intern(s.clone());
-                self.codes.push(code);
+                let code = self.intern(s);
+                self.data.put(arena, 4 * i, &code.to_le_bytes());
             }
-            _ => return Err(mismatch(&v)),
+            _ => {
+                return Err(StorageError::TypeMismatch {
+                    column: self.name.clone(),
+                    expected: self.data_type,
+                    got: format!("{v:?}"),
+                })
+            }
         }
-        self.len += 1;
+        if v.is_null() && !self.has_null {
+            // The first null: the rows before it were all present.
+            self.has_null = true;
+            (0..i).for_each(|r| self.validity.set_bit(arena, r, true));
+        }
+        if self.has_null {
+            self.validity.set_bit(arena, i, !v.is_null());
+        }
+        self.rows += 1;
         Ok(())
-    }
-
-    /// Convenience: append an `i64` (must be an Int or Float column).
-    pub fn push_i64(&mut self, i: i64) -> Result<()> {
-        self.push(Value::Int(i))
-    }
-
-    /// Convenience: append an `f64` (must be a Float column).
-    pub fn push_f64(&mut self, f: f64) -> Result<()> {
-        self.push(Value::Float(f))
-    }
-
-    /// Convenience: append a string (must be a Str column).
-    pub fn push_str(&mut self, s: impl AsRef<str>) -> Result<()> {
-        self.push(Value::str(s))
-    }
-
-    /// Finish the column. Drops the validity vector when no nulls were seen.
-    pub fn finish(self) -> Column {
-        let validity = if self.has_null { self.validity } else { vec![] };
-        match self.data_type {
-            DataType::Bool => Column::Bool {
-                data: self.bools,
-                validity,
-            },
-            DataType::Int => Column::Int {
-                data: self.ints,
-                validity,
-            },
-            DataType::Float => Column::Float {
-                data: self.floats,
-                validity,
-            },
-            DataType::Str => Column::Str {
-                dict: Arc::new(if self.dict.is_empty() {
-                    vec![Arc::from("")]
-                } else {
-                    self.dict
-                }),
-                codes: self.codes,
-                validity,
-            },
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{Field, Schema};
+    use crate::table::{Table, TableBuilder};
+
+    fn one_column(dt: DataType, vals: &[Value]) -> Result<Table> {
+        let schema = Schema::new(vec![Field::new("x", dt)]).unwrap();
+        let mut b = TableBuilder::new("t", schema);
+        for v in vals {
+            b.push_row(std::slice::from_ref(v))?;
+        }
+        b.finish()
+    }
+
+    fn values(t: &Table) -> Vec<Value> {
+        (0..t.row_count()).map(|r| t.value(r, 0).unwrap()).collect()
+    }
 
     #[test]
     fn build_int_column() {
-        let mut b = ColumnBuilder::new("k", DataType::Int);
-        b.push_i64(1).unwrap();
-        b.push(Value::Null).unwrap();
-        b.push_i64(3).unwrap();
-        let c = b.finish();
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.value(0), Value::Int(1));
-        assert_eq!(c.value(1), Value::Null);
-        assert_eq!(c.value(2), Value::Int(3));
-        assert_eq!(c.f64_at(2), Some(3.0));
-        assert_eq!(c.f64_at(1), None);
+        let t = one_column(DataType::Int, &[Value::Int(1), Value::Null, Value::Int(3)]).unwrap();
+        assert_eq!(t.row_count(), 3);
+        assert_eq!(values(&t), vec![Value::Int(1), Value::Null, Value::Int(3)]);
     }
 
     #[test]
     fn all_valid_drops_validity() {
-        let mut b = ColumnBuilder::new("k", DataType::Float);
-        b.push_f64(1.5).unwrap();
-        b.push_f64(2.5).unwrap();
-        match b.finish() {
-            Column::Float { validity, .. } => assert!(validity.is_empty()),
-            _ => panic!("wrong column type"),
-        }
+        // A column without nulls has no validity segment: one page less.
+        let valid = one_column(DataType::Float, &[Value::Float(1.5), Value::Float(2.5)]).unwrap();
+        let null = one_column(DataType::Float, &[Value::Float(1.5), Value::Null]).unwrap();
+        let len = |t: &Table| t.image().bytes().len();
+        assert_eq!(len(&null) - len(&valid), crate::format::PAGE_SIZE);
+        assert_eq!(valid.batch_range(0, 2).unwrap().column(0).validity, None);
     }
 
     #[test]
     fn int_widens_to_float_column() {
-        let mut b = ColumnBuilder::new("x", DataType::Float);
-        b.push(Value::Int(4)).unwrap();
-        let c = b.finish();
-        assert_eq!(c.value(0), Value::Float(4.0));
+        let t = one_column(DataType::Float, &[Value::Int(4)]).unwrap();
+        assert_eq!(t.value(0, 0).unwrap(), Value::Float(4.0));
     }
 
     #[test]
     fn type_mismatch_rejected() {
-        let mut b = ColumnBuilder::new("x", DataType::Int);
-        let err = b.push(Value::str("oops")).unwrap_err();
+        let err = one_column(DataType::Int, &[Value::str("oops")]).unwrap_err();
         assert!(matches!(err, StorageError::TypeMismatch { .. }));
-        assert!(err.to_string().contains('x'));
+        assert!(err.to_string().contains("t.x"));
     }
 
     #[test]
     fn float_into_int_column_rejected() {
-        let mut b = ColumnBuilder::new("x", DataType::Int);
-        assert!(b.push(Value::Float(1.5)).is_err());
+        assert!(one_column(DataType::Int, &[Value::Float(1.5)]).is_err());
     }
 
     #[test]
     fn string_column() {
-        let mut b = ColumnBuilder::new("s", DataType::Str);
-        b.push_str("a").unwrap();
-        b.push(Value::Null).unwrap();
-        let c = b.finish();
-        assert_eq!(c.value(0), Value::str("a"));
-        assert!(c.value(1).is_null());
-        assert_eq!(c.data_type(), DataType::Str);
+        let t = one_column(DataType::Str, &[Value::str("a"), Value::Null]).unwrap();
+        assert_eq!(values(&t), vec![Value::str("a"), Value::Null]);
+        assert_eq!(t.schema().fields()[0].data_type, DataType::Str);
     }
 
     #[test]
     fn bool_column() {
-        let mut b = ColumnBuilder::new("b", DataType::Bool);
-        b.push(Value::Bool(true)).unwrap();
-        let c = b.finish();
-        assert_eq!(c.value(0), Value::Bool(true));
-        assert!(!c.is_empty());
+        let t = one_column(DataType::Bool, &[Value::Bool(true)]).unwrap();
+        assert_eq!(values(&t), vec![Value::Bool(true)]);
     }
 }

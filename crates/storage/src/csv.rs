@@ -103,15 +103,14 @@ pub fn write_csv<W: Write>(table: &Table, writer: &mut W) -> std::io::Result<()>
         write_field(writer, &f.name)?;
     }
     writer.write_all(b"\n")?;
-    let columns = table
-        .columns()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     for rid in 0..table.row_count() {
-        for (i, col) in columns.iter().enumerate() {
+        let row = (table.row(rid))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        for (i, v) in row.into_iter().enumerate() {
             if i > 0 {
                 writer.write_all(b",")?;
             }
-            match col.value(rid as usize) {
+            match v {
                 Value::Null => {}
                 Value::Str(s) => write_field(writer, &s)?,
                 other => write!(writer, "{other}")?,

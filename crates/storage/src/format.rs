@@ -1,6 +1,9 @@
-//! The `.sac` on-disk columnar table format and its memory-mapped reader.
+//! The `.sac` columnar table image: its layout, its builder and its one
+//! reader.
 //!
-//! One page-aligned file per table:
+//! Every table is one page-aligned image. A table built in memory holds it
+//! in a heap buffer; a persisted table is the same bytes in a `.sac` file,
+//! mapped:
 //!
 //! ```text
 //! page 0        header: magic, page size, row/block counts, directory and
@@ -18,25 +21,28 @@
 //!               field name, data type and segment (offset, len) triples
 //! ```
 //!
-//! The reader ([`MappedTable`]) keeps the file mapped and gathers row ranges
-//! straight out of the map into [`ColumnVec`]s — the same representation the
-//! in-RAM backend produces — so the two backends are interchangeable above
-//! [`crate::Table::batch_range`]. String dictionaries are decoded once at
-//! open (they are small) and shared by every gathered batch.
+//! [`crate::TableBuilder`] writes each column's bytes page by page into one
+//! arena, and `finish` lays the image out there: it moves the pages into
+//! segment order in place and writes the dictionaries, checksums,
+//! directory and header around them. Persisting a table writes the image's
+//! bytes. The reader (`TableImage`) sees one `&[u8]`, from a file map or a
+//! heap buffer (see [`crate::mmap`]), and decodes row ranges out of it into
+//! [`ColumnVec`]s. String dictionaries are decoded once at open (they are
+//! small) and shared by every gathered batch.
 //!
 //! ## Corruption detection
 //!
 //! Structural damage (bad magic, truncated segments, dangling offsets, a
 //! flipped header or directory byte) fails at **open** with
 //! [`StorageError::BadFormat`] — the header and directory carry their own
-//! checksums, so a file either opens with a trustworthy layout or not at
+//! checksums, so an image either opens with a trustworthy layout or not at
 //! all. Damage to *data* pages is detected lazily at **gather**: the first
 //! time a gather touches a page its stored checksum is verified (and the
 //! verdict cached in a per-open atomic bitmap, so steady-state scans pay
 //! one extra pass per page, not per chunk). A mismatch surfaces as the
 //! typed [`StorageError::CorruptPage`] — a gather never returns wrong
 //! bytes. Dictionary pages are verified eagerly at open, since dictionaries
-//! are decoded there.
+//! are decoded there. Heap and file images are opened and verified alike.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -45,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::chunk::{ColumnData, ColumnVec, StrDict};
-use crate::column::Column;
+use crate::column::ColumnBuffer;
 use crate::error::StorageError;
 use crate::mmap::Mmap;
 use crate::schema::{DataType, Field, Schema};
@@ -79,22 +85,48 @@ pub const TABLE_EXT: &str = "sac";
 /// with a length-tweaked tail). Not cryptographic — it exists to catch
 /// torn writes and bit rot, and any single flipped bit changes the sum.
 pub(crate) fn checksum(bytes: &[u8]) -> u64 {
-    const MULT: u64 = 0x2545_f491_4f6c_dd1d;
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = CHECKSUM_SEED;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        h = (h ^ u64::from_le_bytes(c.try_into().unwrap())).wrapping_mul(MULT);
-        h ^= h >> 32;
+        h = mix(h, c);
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut w = [0u8; 8];
         w[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(w)).wrapping_mul(MULT);
-        h ^= h >> 32;
+        h = mix(h, &w);
         h ^= rem.len() as u64;
     }
     h
+}
+
+const CHECKSUM_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One step of [`checksum`]: fold in the 8-byte word `w`.
+#[inline]
+fn mix(h: u64, w: &[u8]) -> u64 {
+    let w = u64::from_le_bytes(w[..8].try_into().expect("an 8-byte word"));
+    let h = (h ^ w).wrapping_mul(0x2545_f491_4f6c_dd1d);
+    h ^ (h >> 32)
+}
+
+/// The [`checksum`] of every page of `pages` (whole pages only). A page's
+/// sum is one serial chain, so four pages are summed side by side to keep
+/// the multiplier busy.
+fn page_sums(pages: &[u8]) -> Vec<u64> {
+    let mut sums = Vec::with_capacity(pages.len() / PAGE_SIZE);
+    let mut quads = pages.chunks_exact(4 * PAGE_SIZE);
+    for quad in &mut quads {
+        let mut h = [CHECKSUM_SEED; 4];
+        for w in (0..PAGE_SIZE).step_by(8) {
+            for (lane, h) in h.iter_mut().enumerate() {
+                *h = mix(*h, &quad[lane * PAGE_SIZE + w..]);
+            }
+        }
+        sums.extend(h);
+    }
+    sums.extend(quads.remainder().chunks_exact(PAGE_SIZE).map(checksum));
+    sums
 }
 
 /// Process-wide count of transient page-read faults that were retried
@@ -159,177 +191,253 @@ fn dtype_from_code(code: u8, path: &Path) -> Result<DataType> {
     })
 }
 
-fn pack_bits(bits: &[bool]) -> Vec<u8> {
-    let mut out = vec![0u8; bits.len().div_ceil(8)];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            out[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out
-}
-
 #[inline]
 fn bit_at(bytes: &[u8], i: usize) -> bool {
     bytes[i / 8] & (1 << (i % 8)) != 0
 }
 
+/// A value the image stores as `N` little-endian bytes.
+///
+/// # Safety
+///
+/// The type is `N` bytes wide and every pattern of `N` bytes is a value of
+/// it: [`words`] copies image bytes into it unchecked.
+unsafe trait Word<const N: usize>: Copy {
+    fn from_le(bytes: [u8; N]) -> Self;
+}
+
+// SAFETY (all three): 8, 8 and 4 bytes wide; no invalid bit patterns.
+unsafe impl Word<8> for i64 {
+    fn from_le(bytes: [u8; 8]) -> i64 {
+        i64::from_le_bytes(bytes)
+    }
+}
+
+unsafe impl Word<8> for f64 {
+    fn from_le(bytes: [u8; 8]) -> f64 {
+        f64::from_le_bytes(bytes)
+    }
+}
+
+unsafe impl Word<4> for u32 {
+    fn from_le(bytes: [u8; 4]) -> u32 {
+        u32::from_le_bytes(bytes)
+    }
+}
+
+/// Decode consecutive `N`-byte little-endian words. On a little-endian
+/// target the bytes already are the values, so the decode is one copy:
+/// a word-by-word loop ran range gathers up to twice as slow in some
+/// processes, where `memcpy` held steady.
+#[inline]
+fn words<T: Word<N>, const N: usize>(bytes: &[u8]) -> Vec<T> {
+    let words = bytes.as_chunks::<N>().0;
+    if cfg!(target_endian = "big") {
+        return words.iter().map(|&w| T::from_le(w)).collect();
+    }
+    assert_eq!(std::mem::size_of::<T>(), N);
+    let mut out = Vec::<T>::with_capacity(words.len());
+    // SAFETY: `out` has room for `words.len()` values of `N` bytes each,
+    // and the copy writes all of them before `set_len`. A `Word` accepts
+    // every bit pattern (its trait's contract), and on a little-endian
+    // target its in-memory bytes are its little-endian encoding.
+    unsafe {
+        std::ptr::copy_nonoverlapping(
+            words.as_ptr().cast::<u8>(),
+            out.as_mut_ptr().cast::<u8>(),
+            words.len() * N,
+        );
+        out.set_len(words.len());
+    }
+    out
+}
+
+/// The `i`th `N`-byte word of `bytes`.
+#[inline]
+fn word_at<const N: usize>(bytes: &[u8], i: usize) -> [u8; N] {
+    bytes[N * i..N * i + N]
+        .try_into()
+        .expect("a slice of N bytes")
+}
+
 // ---------------------------------------------------------------------------
-// Writer
+// Layout
 // ---------------------------------------------------------------------------
 
-/// Zero-pad `buf` to the next page boundary and return the aligned length.
-fn align(buf: &mut Vec<u8>) -> u64 {
-    let rem = buf.len() % PAGE_SIZE;
-    if rem != 0 {
-        buf.resize(buf.len() + PAGE_SIZE - rem, 0);
-    }
-    buf.len() as u64
-}
-
-struct ColumnDirEntry {
-    name: String,
-    dtype: DataType,
-    data: (u64, u64),
-    validity: (u64, u64),
-    dict: (u64, u64),
-    dict_entries: u64,
-}
-
-fn column_validity(col: &Column) -> &[bool] {
-    match col {
-        Column::Bool { validity, .. }
-        | Column::Int { validity, .. }
-        | Column::Float { validity, .. }
-        | Column::Str { validity, .. } => validity,
+/// Byte length of a column's data segment.
+pub(crate) fn data_len_for(dtype: DataType, rows: usize) -> usize {
+    match dtype {
+        DataType::Bool => rows.div_ceil(8),
+        DataType::Int | DataType::Float => rows * 8,
+        DataType::Str => rows * 4,
     }
 }
 
-/// Write `table` to `path` in the `.sac` format. Returns the file length in
-/// bytes. Works from either backend (a mapped table is decoded as it is
-/// re-encoded). The file is assembled in memory so every data page's
-/// checksum, the directory checksum and the header self-checksum can be
-/// computed before a byte reaches disk — a torn or partial write therefore
-/// cannot produce a file that both opens and gathers clean.
-pub fn write_table_file(table: &Table, path: &Path) -> Result<u64> {
-    let columns = table.columns()?;
-    let mut entries: Vec<ColumnDirEntry> = Vec::with_capacity(columns.len());
+/// One column's directory entry: segment `(offset, len)` triples.
+struct DirEntry {
+    data: (usize, usize),
+    validity: (usize, usize),
+    dict: (usize, usize),
+    dict_entries: usize,
+}
 
-    // Reserve page 0 for the header.
-    let mut buf = vec![0u8; PAGE_SIZE];
-
-    for (field, col) in table.schema().fields().iter().zip(columns.iter()) {
-        let data_off = align(&mut buf);
-        let data_bytes: Vec<u8> = match col {
-            Column::Bool { data, .. } => pack_bits(data),
-            Column::Int { data, .. } => data.iter().flat_map(|v| v.to_le_bytes()).collect(),
-            Column::Float { data, .. } => data
-                .iter()
-                .flat_map(|v| v.to_bits().to_le_bytes())
-                .collect(),
-            Column::Str { codes, .. } => codes.iter().flat_map(|v| v.to_le_bytes()).collect(),
-        };
-        buf.extend_from_slice(&data_bytes);
-        let data = (data_off, data_bytes.len() as u64);
-
-        let validity_bits = column_validity(col);
-        let validity = if validity_bits.is_empty() {
-            (0, 0)
-        } else {
-            let off = align(&mut buf);
-            let bytes = pack_bits(validity_bits);
-            buf.extend_from_slice(&bytes);
-            (off, bytes.len() as u64)
-        };
-
-        let (dict, dict_entries) = if let Column::Str { dict, .. } = col {
-            let off = align(&mut buf);
-            let mut bytes = Vec::new();
-            for entry in dict.iter() {
-                let s = entry.as_bytes();
-                bytes.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                bytes.extend_from_slice(s);
-            }
-            buf.extend_from_slice(&bytes);
-            ((off, bytes.len() as u64), dict.len() as u64)
-        } else {
-            ((0, 0), 0)
-        };
-
-        entries.push(ColumnDirEntry {
-            name: field.name.to_string(),
-            dtype: col.data_type(),
-            data,
-            validity,
-            dict,
-            dict_entries,
-        });
-    }
-
-    // Checksum segment: one u64 per data page (file pages 1..sums).
-    let sum_off = align(&mut buf);
-    let sum_count = (sum_off as usize / PAGE_SIZE - 1) as u64;
-    for page in 1..=sum_count as usize {
-        let sum = checksum(&buf[page * PAGE_SIZE..(page + 1) * PAGE_SIZE]);
-        buf.extend_from_slice(&sum.to_le_bytes());
-    }
-
-    // Directory.
-    let dir_off = align(&mut buf);
-    let mut dir = Vec::new();
-    let name = table.name().as_bytes();
-    dir.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    dir.extend_from_slice(name);
-    for e in &entries {
-        let n = e.name.as_bytes();
-        dir.extend_from_slice(&(n.len() as u16).to_le_bytes());
-        dir.extend_from_slice(n);
-        dir.push(dtype_code(e.dtype));
-        for (off, len) in [e.data, e.validity, e.dict] {
-            dir.extend_from_slice(&off.to_le_bytes());
-            dir.extend_from_slice(&len.to_le_bytes());
+/// Lay out the page image of a table of `rows` rows whose `columns` hold
+/// `fields`' values, in the `arena` their pages were written to (page 0
+/// kept for the header). Every segment's length follows from the row
+/// count, the type and the dictionary; each column page is then moved to
+/// its segment's place in the arena itself, and the dictionaries, the
+/// per-page checksums, the directory and the header are written around
+/// them — so an image is whole before anything reads or persists it.
+pub(crate) fn lay_out(
+    name: &str,
+    fields: &[Field],
+    block_rows: usize,
+    rows: usize,
+    mut columns: Vec<ColumnBuffer>,
+    mut arena: Vec<u8>,
+) -> Vec<u8> {
+    for c in &mut columns {
+        if c.data_type == DataType::Str && c.dict.is_empty() {
+            c.dict.push(Arc::from(""));
         }
-        dir.extend_from_slice(&e.dict_entries.to_le_bytes());
     }
-    let dir_len = dir.len() as u64;
-    let dir_sum = checksum(&dir);
-    buf.extend_from_slice(&dir);
+    // Size: segments in column order, each at the next page boundary.
+    let mut end = PAGE_SIZE;
+    let mut at = |len: usize| {
+        let off = end.next_multiple_of(PAGE_SIZE);
+        end = off + len;
+        (off, len)
+    };
+    let entries: Vec<DirEntry> = columns
+        .iter()
+        .map(|c| {
+            let data = at(data_len_for(c.data_type, rows));
+            let validity = if c.has_null {
+                at(rows.div_ceil(8))
+            } else {
+                (0, 0)
+            };
+            let (dict, dict_entries) = if c.data_type == DataType::Str {
+                (at(c.dict.iter().map(|s| 4 + s.len()).sum()), c.dict.len())
+            } else {
+                ((0, 0), 0)
+            };
+            DirEntry {
+                data,
+                validity,
+                dict,
+                dict_entries,
+            }
+        })
+        .collect();
+    let sum_off = end.next_multiple_of(PAGE_SIZE);
+    let sum_count = sum_off / PAGE_SIZE - 1;
+    let dir_off = (sum_off + 8 * sum_count).next_multiple_of(PAGE_SIZE);
+    let mut dir = Vec::new();
+    dir.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    dir.extend_from_slice(name.as_bytes());
+    for (f, e) in fields.iter().zip(&entries) {
+        dir.extend_from_slice(&(f.name.len() as u16).to_le_bytes());
+        dir.extend_from_slice(f.name.as_bytes());
+        dir.push(dtype_code(f.data_type));
+        for (off, len) in [e.data, e.validity, e.dict] {
+            dir.extend_from_slice(&(off as u64).to_le_bytes());
+            dir.extend_from_slice(&(len as u64).to_le_bytes());
+        }
+        dir.extend_from_slice(&(e.dict_entries as u64).to_le_bytes());
+    }
+
+    // Where each arena page goes: a column page to its segment's place,
+    // the zero pages added for the dictionaries and checksums to the slots
+    // left over. `dest` is then a permutation of the pages.
+    const FREE: usize = usize::MAX;
+    let pages = arena.len().div_ceil(PAGE_SIZE).max(dir_off / PAGE_SIZE);
+    arena.resize(pages * PAGE_SIZE, 0);
+    let mut dest = vec![FREE; pages];
+    dest[0] = 0;
+    for (c, e) in columns.iter().zip(&entries) {
+        for (segment, (off, _)) in [(&c.data, e.data), (&c.validity, e.validity)] {
+            for (k, &p) in segment.0.iter().enumerate() {
+                dest[p] = off / PAGE_SIZE + k;
+            }
+        }
+    }
+    let mut taken = vec![false; pages];
+    dest.iter()
+        .filter(|&&d| d != FREE)
+        .for_each(|&d| taken[d] = true);
+    let mut free_slots = (0..pages).filter(|&s| !taken[s]);
+    for d in dest.iter_mut().filter(|d| **d == FREE) {
+        *d = free_slots.next().expect("as many free slots as free pages");
+    }
+    // Apply it cycle by cycle through a one-page buffer: each page is
+    // read and written once.
+    let mut carried = vec![0u8; PAGE_SIZE];
+    for start in 0..pages {
+        if dest[start] == start {
+            continue;
+        }
+        carried.copy_from_slice(&arena[start * PAGE_SIZE..][..PAGE_SIZE]);
+        let mut i = start;
+        loop {
+            let j = std::mem::replace(&mut dest[i], i);
+            carried.swap_with_slice(&mut arena[j * PAGE_SIZE..][..PAGE_SIZE]);
+            if j == start {
+                break;
+            }
+            i = j;
+        }
+    }
+
+    // The dictionaries land on left-over slots, which hold added (zero)
+    // pages, as does everything from the checksums on.
+    for (c, e) in columns.iter().zip(&entries) {
+        let mut pos = e.dict.0;
+        for s in &c.dict {
+            arena[pos..pos + 4].copy_from_slice(&(s.len() as u32).to_le_bytes());
+            arena[pos + 4..pos + 4 + s.len()].copy_from_slice(s.as_bytes());
+            pos += 4 + s.len();
+        }
+    }
+    drop(columns);
+    let sums = page_sums(&arena[PAGE_SIZE..sum_off]);
+    for (page, sum) in sums.iter().enumerate() {
+        arena[sum_off + 8 * page..][..8].copy_from_slice(&sum.to_le_bytes());
+    }
+    arena.truncate(dir_off);
+    arena.extend_from_slice(&dir);
+    arena.shrink_to_fit();
 
     // Header, self-checksummed over everything before the final word.
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(MAGIC);
     for v in [
-        PAGE_SIZE as u64,
-        table.row_count(),
-        table.block_rows() as u64,
-        entries.len() as u64,
+        PAGE_SIZE,
+        rows,
+        block_rows,
+        fields.len(),
         dir_off,
-        dir_len,
+        dir.len(),
         sum_off,
         sum_count,
-        dir_sum,
     ] {
-        header.extend_from_slice(&v.to_le_bytes());
+        header.extend_from_slice(&(v as u64).to_le_bytes());
     }
-    let head_sum = checksum(&header);
-    header.extend_from_slice(&head_sum.to_le_bytes());
+    header.extend_from_slice(&checksum(&dir).to_le_bytes());
+    header.extend_from_slice(&checksum(&header).to_le_bytes());
     debug_assert_eq!(header.len(), HEADER_LEN);
-    buf[..HEADER_LEN].copy_from_slice(&header);
-
-    let file = File::create(path).map_err(|e| io_err(path, "create", e))?;
-    let mut out = BufWriter::new(file);
-    out.write_all(&buf).map_err(|e| io_err(path, "write", e))?;
-    out.flush().map_err(|e| io_err(path, "flush", e))?;
-    Ok(buf.len() as u64)
+    arena[..HEADER_LEN].copy_from_slice(&header);
+    arena
 }
 
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
 
-/// One column's segment pointers inside the map, plus its decoded dictionary.
+/// One column's segment pointers inside the image, plus its decoded
+/// dictionary.
 #[derive(Debug, Clone)]
-struct MappedCol {
+struct ImageCol {
     dtype: DataType,
     /// (offset, len) of the data segment.
     data: (usize, usize),
@@ -339,31 +447,35 @@ struct MappedCol {
     dict: Option<StrDict>,
 }
 
-/// A table whose column data lives in a memory-mapped `.sac` file.
+/// The reader of one table image, from a mapped file or a heap buffer.
 ///
-/// Gathers decode straight from the map into the same [`ColumnVec`] shapes
-/// the in-RAM backend produces: values, validity (`None` when the gathered
-/// range has no nulls) and dictionary codes are bit-identical across
-/// backends — `tests/storage_equivalence.rs` holds both backends to that.
+/// Gathers decode straight from the image into [`ColumnVec`]s: validity is
+/// `None` when the gathered rows have no nulls, and string columns carry
+/// their codes and share the decoded dictionary.
 #[derive(Debug, Clone)]
-pub struct MappedTable {
-    map: Arc<Mmap>,
-    /// The backing file, kept for error reporting.
+pub(crate) struct TableImage {
+    bytes: Arc<Mmap>,
+    /// The backing file, or the table's name for a heap image; kept for
+    /// error reporting.
     path: Arc<str>,
-    row_count: usize,
-    cols: Vec<MappedCol>,
+    cols: Vec<ImageCol>,
     /// Offset of the per-page checksum segment and the number of
-    /// checksummed data pages (file pages `1..=sum_count`).
+    /// checksummed data pages (image pages `1..=sum_count`).
     sums: (usize, usize),
     /// One bit per data page, set once its checksum has verified against
-    /// this map. Verification is per-open and lock-free: a page is
+    /// this image. Verification is per-open and lock-free: a page is
     /// re-summed at most a handful of times under racing gathers, then
     /// every later gather sees the cached bit.
     verified: Arc<Vec<AtomicU64>>,
-    /// Lazily decoded full columns backing the `&Column` accessors
-    /// ([`Table::columns`] and friends) for API parity with `InRam`; the
-    /// streaming scan path never touches this.
-    decoded: Arc<std::sync::OnceLock<Vec<Column>>>,
+}
+
+/// What opening an image recovers besides the reader: the table's name,
+/// its unqualified fields, rows per block and row count.
+pub(crate) struct ImageMeta {
+    pub name: String,
+    pub fields: Vec<Field>,
+    pub block_rows: usize,
+    pub row_count: u64,
 }
 
 struct DirCursor<'a> {
@@ -400,18 +512,17 @@ impl<'a> DirCursor<'a> {
     }
 }
 
-fn segment<'m>(map: &'m Mmap, off: usize, len: usize, path: &Path) -> Result<&'m [u8]> {
+fn segment<'m>(map: &'m [u8], off: usize, len: usize, path: &Path) -> Result<&'m [u8]> {
     off.checked_add(len)
         .and_then(|end| map.get(off..end))
         .ok_or_else(|| bad(path, format!("segment [{off}, +{len}) out of file")))
 }
 
-/// Check one data page (1-based file page index) against its stored
-/// checksum at `sum_off + 8 * (page - 1)`.
-fn verify_page_against(map: &Mmap, sum_off: usize, page: usize, path: &Path) -> Result<()> {
+/// Check data page `page` (1-based image page index), whose checksum is
+/// `got`, against the sum stored at `sum_off + 8 * (page - 1)`.
+fn check_page(map: &[u8], sum_off: usize, page: usize, got: u64, path: &Path) -> Result<()> {
     let at = sum_off + 8 * (page - 1);
     let stored = u64::from_le_bytes(map[at..at + 8].try_into().unwrap());
-    let got = checksum(&map[page * PAGE_SIZE..(page + 1) * PAGE_SIZE]);
     if got != stored {
         note_corrupt_page();
         return Err(StorageError::CorruptPage {
@@ -423,21 +534,10 @@ fn verify_page_against(map: &Mmap, sum_off: usize, page: usize, path: &Path) -> 
     Ok(())
 }
 
-/// Expected byte length of a column's data segment.
-fn data_len_for(dtype: DataType, rows: usize) -> usize {
-    match dtype {
-        DataType::Bool => rows.div_ceil(8),
-        DataType::Int | DataType::Float => rows * 8,
-        DataType::Str => rows * 4,
-    }
-}
-
-impl MappedTable {
-    /// Open the `.sac` file at `path`, returning the rebuilt [`Table`]
-    /// metadata alongside the mapped store: `(name, schema fields, block
-    /// rows, row count, store)`.
-    fn open(path: &Path) -> Result<(String, Vec<Field>, usize, u64, MappedTable)> {
-        let map = Mmap::open(path)?;
+impl TableImage {
+    /// Validate the image in `map` and open its reader. `path` names the
+    /// image in errors: the file, or the table for a heap image.
+    pub(crate) fn open(map: Mmap, path: &Path) -> Result<(ImageMeta, TableImage)> {
         if map.len() >= 8 && &map[0..8] == MAGIC_V1 {
             return Err(bad(
                 path,
@@ -450,7 +550,7 @@ impl MappedTable {
         let word = |i: usize| -> u64 {
             u64::from_le_bytes(map[8 + 8 * i..16 + 8 * i].try_into().unwrap())
         };
-        // The header carries its own checksum in the final word; a file
+        // The header carries its own checksum in the final word; an image
         // whose header does not self-verify is rejected before any of its
         // offsets are trusted.
         if checksum(&map[0..HEADER_LEN - 8]) != word(HEADER_WORDS - 1) {
@@ -541,8 +641,9 @@ impl MappedTable {
                 if dict_span.1 > 0 {
                     let first = dict_span.0 / PAGE_SIZE;
                     let last = (dict_span.0 + dict_span.1 - 1) / PAGE_SIZE;
-                    for page in first..=last {
-                        verify_page_against(&map, sum_off, page, path)?;
+                    let sums = page_sums(&map[first * PAGE_SIZE..(last + 1) * PAGE_SIZE]);
+                    for (page, got) in (first..=last).zip(sums) {
+                        check_page(&map, sum_off, page, got, path)?;
                     }
                 }
                 let bytes = segment(&map, dict_span.0, dict_span.1, path)?;
@@ -567,7 +668,7 @@ impl MappedTable {
                 None
             };
             fields.push(Field::new(col_name, dtype));
-            cols.push(MappedCol {
+            cols.push(ImageCol {
                 dtype,
                 data,
                 validity,
@@ -575,46 +676,50 @@ impl MappedTable {
             });
         }
         let words = sum_count.div_ceil(64);
-        Ok((
+        let meta = ImageMeta {
             name,
             fields,
             block_rows,
             row_count,
-            MappedTable {
-                map: Arc::new(map),
-                path: Arc::from(path.display().to_string().as_str()),
-                row_count: rows,
-                cols,
-                sums: (sum_off, sum_count),
-                verified: Arc::new((0..words).map(|_| AtomicU64::new(0)).collect()),
-                decoded: Arc::new(std::sync::OnceLock::new()),
-            },
-        ))
+        };
+        let image = TableImage {
+            bytes: Arc::new(map),
+            path: Arc::from(path.display().to_string().as_str()),
+            cols,
+            sums: (sum_off, sum_count),
+            verified: Arc::new((0..words).map(|_| AtomicU64::new(0)).collect()),
+        };
+        Ok((meta, image))
     }
 
-    /// Verify the checksum of one data page (1-based file page index),
-    /// consulting and updating the per-open verified bitmap.
-    fn verify_page(&self, page: usize) -> Result<()> {
-        let idx = page - 1;
-        let word = &self.verified[idx / 64];
-        let bit = 1u64 << (idx % 64);
-        if word.load(Ordering::Acquire) & bit != 0 {
-            return Ok(());
-        }
-        verify_page_against(&self.map, self.sums.0, page, Path::new(&*self.path))?;
-        word.fetch_or(bit, Ordering::AcqRel);
-        Ok(())
+    /// The verified bitmap's word and bit for data page `page` (1-based
+    /// image page index).
+    fn verified_bit(&self, page: usize) -> (&AtomicU64, u64) {
+        (&self.verified[(page - 1) / 64], 1 << ((page - 1) % 64))
     }
 
-    /// Verify every data page overlapping the byte span `[off, off+len)`.
-    /// Open-time validation pinned all column segments inside the
-    /// checksummed region, so the page indices are always in range.
+    /// Verify every data page overlapping the byte span `[off, off+len)`
+    /// against its stored checksum, consulting and updating the per-open
+    /// verified bitmap. Open-time validation pinned all column segments
+    /// inside the checksummed region, so the page indices are always in
+    /// range.
     fn verify_span(&self, off: usize, len: usize) -> Result<()> {
         if len == 0 {
             return Ok(());
         }
-        for page in off / PAGE_SIZE..=(off + len - 1) / PAGE_SIZE {
-            self.verify_page(page)?;
+        let (first, last) = (off / PAGE_SIZE, (off + len - 1) / PAGE_SIZE);
+        let unverified = |page: usize| {
+            let (word, bit) = self.verified_bit(page);
+            word.load(Ordering::Acquire) & bit == 0
+        };
+        if !(first..=last).any(unverified) {
+            return Ok(());
+        }
+        let sums = page_sums(&self.bytes[first * PAGE_SIZE..(last + 1) * PAGE_SIZE]);
+        for (page, got) in (first..=last).zip(sums) {
+            check_page(&self.bytes, self.sums.0, page, got, Path::new(&*self.path))?;
+            let (word, bit) = self.verified_bit(page);
+            word.fetch_or(bit, Ordering::AcqRel);
         }
         Ok(())
     }
@@ -638,77 +743,55 @@ impl MappedTable {
         Ok(())
     }
 
+    /// Verify every data page of the image.
+    pub(crate) fn verify_all(&self) -> Result<()> {
+        self.verify_span(PAGE_SIZE, self.sums.1 * PAGE_SIZE)
+    }
+
+    /// The whole image, as persisted.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
     fn dict(&self, col: usize) -> &StrDict {
         self.cols[col].dict.as_ref().expect("str column has a dict")
     }
 
-    /// Validity of `[start, end)` in batch form: `None` when all valid.
-    fn validity_range(&self, col: usize, start: usize, end: usize) -> Option<Vec<bool>> {
+    /// Validity at `rows` in batch form: `None` when all of them are valid.
+    fn validity(&self, col: usize, rows: impl Iterator<Item = usize>) -> Option<Vec<bool>> {
         let (off, len) = self.cols[col].validity?;
-        let bytes = &self.map[off..off + len];
-        let v: Vec<bool> = (start..end).map(|i| bit_at(bytes, i)).collect();
+        let bytes = &self.bytes[off..off + len];
+        let v: Vec<bool> = rows.map(|i| bit_at(bytes, i)).collect();
         if v.iter().all(|&b| b) {
             None
         } else {
             Some(v)
         }
-    }
-
-    /// Validity at selected `rows`: `None` when all selected rows are valid.
-    fn validity_rows(&self, col: usize, rows: &[usize]) -> Option<Vec<bool>> {
-        let (off, len) = self.cols[col].validity?;
-        let bytes = &self.map[off..off + len];
-        let v: Vec<bool> = rows.iter().map(|&i| bit_at(bytes, i)).collect();
-        if v.iter().all(|&b| b) {
-            None
-        } else {
-            Some(v)
-        }
-    }
-
-    #[inline]
-    fn i64_at(bytes: &[u8], i: usize) -> i64 {
-        i64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap())
-    }
-
-    #[inline]
-    fn f64_at(bytes: &[u8], i: usize) -> f64 {
-        f64::from_bits(u64::from_le_bytes(
-            bytes[8 * i..8 * i + 8].try_into().unwrap(),
-        ))
-    }
-
-    #[inline]
-    fn u32_at(bytes: &[u8], i: usize) -> u32 {
-        u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap())
     }
 
     fn data_bytes(&self, col: usize) -> &[u8] {
         let (off, len) = self.cols[col].data;
-        &self.map[off..off + len]
+        &self.bytes[off..off + len]
     }
 
-    /// Gather `[start, end)` of one column out of the map. Pages touched
+    /// Gather `[start, end)` of one column out of the image, decoding the
+    /// range's bytes (one copy on a little-endian target). Pages touched
     /// for the first time are verified against their stored checksums.
     pub(crate) fn gather_range(&self, col: usize, start: usize, end: usize) -> Result<ColumnVec> {
         self.verify_cell_range(col, start, end)?;
         let bytes = self.data_bytes(col);
         let data = match self.cols[col].dtype {
             DataType::Bool => ColumnData::Bool((start..end).map(|i| bit_at(bytes, i)).collect()),
-            DataType::Int => {
-                ColumnData::Int((start..end).map(|i| Self::i64_at(bytes, i)).collect())
-            }
-            DataType::Float => {
-                ColumnData::Float((start..end).map(|i| Self::f64_at(bytes, i)).collect())
-            }
+            DataType::Int => ColumnData::Int(words(&bytes[8 * start..8 * end])),
+            DataType::Float => ColumnData::Float(words(&bytes[8 * start..8 * end])),
             DataType::Str => ColumnData::Str {
                 dict: self.dict(col).clone(),
-                codes: (start..end).map(|i| Self::u32_at(bytes, i)).collect(),
+                codes: words(&bytes[4 * start..4 * end]),
             },
         };
         Ok(ColumnVec {
             data,
-            validity: self.validity_range(col, start, end),
+            validity: self.validity(col, start..end),
         })
     }
 
@@ -723,83 +806,47 @@ impl MappedTable {
         let bytes = self.data_bytes(col);
         let data = match self.cols[col].dtype {
             DataType::Bool => ColumnData::Bool(rows.iter().map(|&i| bit_at(bytes, i)).collect()),
-            DataType::Int => {
-                ColumnData::Int(rows.iter().map(|&i| Self::i64_at(bytes, i)).collect())
-            }
-            DataType::Float => {
-                ColumnData::Float(rows.iter().map(|&i| Self::f64_at(bytes, i)).collect())
-            }
+            DataType::Int => ColumnData::Int(
+                rows.iter()
+                    .map(|&i| i64::from_le_bytes(word_at(bytes, i)))
+                    .collect(),
+            ),
+            DataType::Float => ColumnData::Float(
+                rows.iter()
+                    .map(|&i| f64::from_le_bytes(word_at(bytes, i)))
+                    .collect(),
+            ),
             DataType::Str => ColumnData::Str {
                 dict: self.dict(col).clone(),
-                codes: rows.iter().map(|&i| Self::u32_at(bytes, i)).collect(),
+                codes: rows
+                    .iter()
+                    .map(|&i| u32::from_le_bytes(word_at(bytes, i)))
+                    .collect(),
             },
         };
         Ok(ColumnVec {
             data,
-            validity: self.validity_rows(col, rows),
+            validity: self.validity(col, rows.iter().copied()),
         })
     }
 
-    /// The value at (`row`, `col`), decoded directly from the map (its page
-    /// checksum verified first).
+    /// The value at (`row`, `col`), decoded directly from the image (its
+    /// page checksum verified first).
     pub(crate) fn value(&self, row: usize, col: usize) -> Result<Value> {
         self.verify_cell_range(col, row, row + 1)?;
         if let Some((off, len)) = self.cols[col].validity {
-            if !bit_at(&self.map[off..off + len], row) {
+            if !bit_at(&self.bytes[off..off + len], row) {
                 return Ok(Value::Null);
             }
         }
         let bytes = self.data_bytes(col);
         Ok(match self.cols[col].dtype {
             DataType::Bool => Value::Bool(bit_at(bytes, row)),
-            DataType::Int => Value::Int(Self::i64_at(bytes, row)),
-            DataType::Float => Value::Float(Self::f64_at(bytes, row)),
-            DataType::Str => Value::Str(self.dict(col)[Self::u32_at(bytes, row) as usize].clone()),
-        })
-    }
-
-    /// Full columns decoded out of the map, for the `&Column` accessor
-    /// surface. Decoded once per table (all columns) and cached; every
-    /// column's pages are verified before the cache is populated.
-    pub(crate) fn decoded_columns(&self) -> Result<&[Column]> {
-        if let Some(cols) = self.decoded.get() {
-            return Ok(cols);
-        }
-        let cols: Vec<Column> = (0..self.cols.len())
-            .map(|c| self.decode_column(c))
-            .collect::<Result<_>>()?;
-        Ok(self.decoded.get_or_init(|| cols))
-    }
-
-    fn decode_column(&self, col: usize) -> Result<Column> {
-        let n = self.row_count;
-        self.verify_cell_range(col, 0, n)?;
-        let bytes = self.data_bytes(col);
-        let validity = match self.cols[col].validity {
-            None => vec![],
-            Some((off, len)) => {
-                let v = &self.map[off..off + len];
-                (0..n).map(|i| bit_at(v, i)).collect()
+            DataType::Int => Value::Int(i64::from_le_bytes(word_at(bytes, row))),
+            DataType::Float => Value::Float(f64::from_le_bytes(word_at(bytes, row))),
+            DataType::Str => {
+                Value::Str(self.dict(col)[u32::from_le_bytes(word_at(bytes, row)) as usize].clone())
             }
-        };
-        Ok(match self.cols[col].dtype {
-            DataType::Bool => Column::Bool {
-                data: (0..n).map(|i| bit_at(bytes, i)).collect(),
-                validity,
-            },
-            DataType::Int => Column::Int {
-                data: (0..n).map(|i| Self::i64_at(bytes, i)).collect(),
-                validity,
-            },
-            DataType::Float => Column::Float {
-                data: (0..n).map(|i| Self::f64_at(bytes, i)).collect(),
-                validity,
-            },
-            DataType::Str => Column::Str {
-                dict: self.dict(col).clone(),
-                codes: (0..n).map(|i| Self::u32_at(bytes, i)).collect(),
-                validity,
-            },
         })
     }
 
@@ -809,12 +856,48 @@ impl MappedTable {
     }
 }
 
+/// Write `table`'s image to `path` (the `.sac` format). Returns the file
+/// length in bytes. Every data page is verified first, so a damaged image
+/// fails with [`StorageError::CorruptPage`] rather than being copied.
+///
+/// The bytes go to a sibling temporary file that is then renamed over
+/// `path`. The image may be a map of `path` itself, which truncating in
+/// place would empty under the reader; a rename leaves the mapped file
+/// alive until it is unmapped, and a failed write never leaves a torn
+/// `.sac` behind.
+pub fn write_table_file(table: &Table, path: &Path) -> Result<u64> {
+    let image = table.image();
+    image.verify_all()?;
+    let mut tmp_name = path
+        .file_name()
+        .ok_or_else(|| io_err(path, "create", "not a file path"))?
+        .to_os_string();
+    tmp_name.push(format!(".{}.tmp", std::process::id()));
+    let tmp = path.with_file_name(tmp_name);
+    let write = || -> Result<()> {
+        let file = File::create(&tmp).map_err(|e| io_err(&tmp, "create", e))?;
+        let mut out = BufWriter::new(file);
+        out.write_all(image.bytes())
+            .map_err(|e| io_err(&tmp, "write", e))?;
+        out.flush().map_err(|e| io_err(&tmp, "flush", e))?;
+        std::fs::rename(&tmp, path).map_err(|e| io_err(path, "rename", e))
+    };
+    write().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })?;
+    Ok(image.bytes().len() as u64)
+}
+
 /// Open the `.sac` file at `path` as a memory-mapped [`Table`].
 pub fn open_table_file(path: &Path) -> Result<Table> {
-    let (name, fields, block_rows, row_count, mapped) = MappedTable::open(path)?;
-    let schema = Schema::new(fields)?.qualify_all(&name);
-    Ok(Table::from_mapped(
-        name, schema, block_rows, row_count, mapped,
+    let (meta, image) = TableImage::open(Mmap::open(path)?, path)?;
+    let schema = Schema::new(meta.fields)?.qualify_all(&meta.name);
+    Ok(Table::from_image(
+        meta.name,
+        schema,
+        meta.block_rows,
+        meta.row_count,
+        image,
     ))
 }
 
@@ -845,4 +928,50 @@ pub fn open_catalog_dir(dir: &Path) -> Result<Catalog> {
         catalog.register(open_table_file(p)?)?;
     }
     Ok(catalog)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fixed table spanning several pages of every column type, with
+    /// NULLs in each (`k`'s first one past a validity page's worth of
+    /// rows) and a non-default block size.
+    fn pinned_table() -> Table {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Float),
+            Field::new("s", DataType::Str),
+            Field::new("b", DataType::Bool),
+        ])
+        .unwrap();
+        let mut b = crate::TableBuilder::new("pinned", schema).with_block_rows(100);
+        for i in 0..40_000i64 {
+            let null_if = |null: bool, v: Value| if null { Value::Null } else { v };
+            b.push_row(&[
+                null_if(i > 35_000 && i % 17 == 0, Value::Int(i * 31 - 5000)),
+                null_if(i % 13 == 12, Value::Float(i as f64 / 7.0 - 100.0)),
+                null_if(i % 7 == 3, Value::str(format!("w{}", i % 53))),
+                null_if(i % 5 == 4, Value::Bool(i % 3 == 0)),
+            ])
+            .unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    fn pinned_file_checksum() -> (u64, usize) {
+        let path = std::env::temp_dir().join(format!("sa-format-pin-{}.sac", std::process::id()));
+        pinned_table().persist(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        (checksum(&bytes), bytes.len())
+    }
+
+    /// The persisted bytes of a fixed table, pinned by checksum and length:
+    /// any change to the `.sac` layout or encoding fails here by name (and
+    /// must then bump [`MAGIC`]'s format version).
+    #[test]
+    fn sac_bytes_are_pinned() {
+        assert_eq!(pinned_file_checksum(), (0xf8a7_8ace_19df_b7c2, 864_504));
+    }
 }

@@ -1,6 +1,6 @@
 //! # sa-storage — relational storage substrate
 //!
-//! A small, dependency-free, in-memory columnar storage layer used by the
+//! A small, dependency-free columnar storage layer used by the
 //! sampling-algebra engine. It provides exactly what the paper's estimation
 //! pipeline needs from a host database:
 //!
@@ -12,20 +12,19 @@
 //!   expressed (block id = lineage unit at block granularity),
 //! * a [`Catalog`] mapping table names to shared table handles.
 //!
-//! Everything is deliberately simple: tables are immutable once built (via
-//! [`TableBuilder`]) or persisted (one page-aligned `.sac` file per table,
-//! see [`mod@format`]), reads are by column, and there is no buffer manager —
-//! the mapped backend leans on the OS page cache instead. Both backends sit
-//! behind [`TableStore`] and gather bit-identical batches, so which one a
-//! table uses never changes the realized sample upstream. The estimation
-//! theory only requires that result tuples carry base-relation lineage and
-//! an aggregate value; this layer supplies the former.
+//! Everything is deliberately simple: a table is immutable, and it is one
+//! page-aligned `.sac` image (see [`mod@format`]) — held in a heap buffer
+//! when built by [`TableBuilder`], mapped from its file when persisted.
+//! One reader gathers from either, reads are by column, and there is no
+//! buffer manager — a mapped image leans on the OS page cache instead. The
+//! estimation theory only requires that result tuples carry base-relation
+//! lineage and an aggregate value; this layer supplies the former.
 
 #![warn(missing_docs)]
 
 pub mod catalog;
 pub mod chunk;
-pub mod column;
+mod column;
 pub mod csv;
 pub mod error;
 pub mod format;
@@ -36,7 +35,6 @@ pub mod value;
 
 pub use catalog::Catalog;
 pub use chunk::{ColumnData, ColumnVec, ColumnarBatch, StrDict};
-pub use column::{Column, ColumnBuilder};
 pub use csv::{read_csv, write_csv, CsvOptions};
 pub use error::StorageError;
 pub use format::{
@@ -44,7 +42,7 @@ pub use format::{
     write_table_file, TABLE_EXT,
 };
 pub use schema::{DataType, Field, Schema, SchemaRef};
-pub use table::{BlockId, RowId, Table, TableBuilder, TableStore, DEFAULT_BLOCK_ROWS};
+pub use table::{BlockId, RowId, Table, TableBuilder, DEFAULT_BLOCK_ROWS};
 pub use value::Value;
 
 /// Crate-wide result alias.

@@ -1,10 +1,11 @@
-//! Read-only memory mapping of table files.
+//! The bytes of a table image: a read-only file mapping or a heap buffer.
 //!
-//! The mapped read path must not drag in a platform crate, so on unix the
-//! mapping goes through a two-symbol `libc` FFI surface (`mmap`/`munmap` —
-//! std already links libc). Elsewhere the "mapping" is a plain in-memory
-//! copy of the file, which keeps the [`crate::table::TableStore::Mapped`]
-//! backend portable at the cost of residency.
+//! A persisted table is a mapped `.sac` file; a table built in memory is the
+//! same page image in a heap buffer (see [`crate::format`]). The reader
+//! sees one `&[u8]` either way. The file mapping goes through a two-symbol
+//! `libc` FFI surface (`mmap`/`munmap` — std already links libc), so the
+//! read path drags in no platform crate; where that surface does not exist
+//! the file is read into a heap buffer instead, at the cost of residency.
 
 use std::fs::File;
 use std::ops::Deref;
@@ -20,15 +21,21 @@ fn io_err(path: &Path, op: &str, message: impl std::fmt::Display) -> StorageErro
     }
 }
 
-/// An immutable byte view of a whole file.
+/// An immutable byte view of a whole table image.
 ///
-/// On unix this is a `PROT_READ`/`MAP_SHARED` mapping: pages are faulted in
-/// on access and the kernel may evict them again, so a mapped table larger
-/// than RAM (or than an rlimit on the heap) still scans. Dropping the value
-/// unmaps the region; every reader copies the bytes it needs out of the map
-/// before returning, so no gathered batch borrows from it.
+/// A file image is a `PROT_READ`/`MAP_SHARED` mapping: pages are faulted
+/// in on access and the kernel may evict them again, so a mapped table
+/// larger than RAM (or than an rlimit on the heap) still scans. Dropping
+/// the value unmaps the region; every reader copies the bytes it needs out
+/// of the image before returning, so no gathered batch borrows from it.
 pub struct Mmap {
-    inner: MapInner,
+    inner: Inner,
+}
+
+enum Inner {
+    Heap(Vec<u8>),
+    #[cfg(unix)]
+    File(sys::Map),
 }
 
 impl Mmap {
@@ -46,17 +53,33 @@ impl Mmap {
             });
         }
         let len = usize::try_from(len).map_err(|_| io_err(path, "map", "file exceeds usize"))?;
-        Ok(Mmap {
-            inner: MapInner::map(file, len, path)?,
-        })
+        #[cfg(unix)]
+        let inner = Inner::File(sys::Map::new(&file, len, path)?);
+        #[cfg(not(unix))]
+        let inner = {
+            use std::io::Read;
+            let mut buf = Vec::with_capacity(len);
+            (&file)
+                .read_to_end(&mut buf)
+                .map_err(|e| io_err(path, "read", e))?;
+            Inner::Heap(buf)
+        };
+        Ok(Mmap { inner })
     }
 
-    /// The mapped length in bytes.
+    /// An image held in a heap buffer.
+    pub fn heap(bytes: Vec<u8>) -> Mmap {
+        Mmap {
+            inner: Inner::Heap(bytes),
+        }
+    }
+
+    /// The image's length in bytes.
     pub fn len(&self) -> usize {
         self.deref().len()
     }
 
-    /// True when the mapping is empty (never the case for a table file).
+    /// True when the image is empty (never the case for a table image).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -65,7 +88,11 @@ impl Mmap {
 impl Deref for Mmap {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.inner.bytes()
+        match &self.inner {
+            Inner::Heap(buf) => buf,
+            #[cfg(unix)]
+            Inner::File(map) => map.bytes(),
+        }
     }
 }
 
@@ -97,18 +124,19 @@ mod sys {
         fn munmap(addr: *mut c_void, len: usize) -> i32;
     }
 
-    pub struct MapInner {
+    pub struct Map {
         ptr: *mut c_void,
         len: usize,
     }
 
-    // The mapping is PROT_READ and owned for its whole lifetime; shared
-    // immutable access from any thread is sound.
-    unsafe impl Send for MapInner {}
-    unsafe impl Sync for MapInner {}
+    // SAFETY: `ptr`/`len` describe a PROT_READ mapping this value owns for
+    // its whole lifetime and never mutates; unmapping happens only in `Drop`,
+    // so moving it to or reading it from any thread is sound.
+    unsafe impl Send for Map {}
+    unsafe impl Sync for Map {}
 
-    impl MapInner {
-        pub fn map(file: File, len: usize, path: &Path) -> Result<MapInner> {
+    impl Map {
+        pub fn new(file: &File, len: usize, path: &Path) -> Result<Map> {
             // SAFETY: fd is valid for the duration of the call; the kernel
             // keeps the mapping alive after the fd is closed.
             let ptr = unsafe {
@@ -124,7 +152,7 @@ mod sys {
             if ptr as usize == usize::MAX {
                 return Err(super::io_err(path, "mmap", "mapping failed"));
             }
-            Ok(MapInner { ptr, len })
+            Ok(Map { ptr, len })
         }
 
         pub fn bytes(&self) -> &[u8] {
@@ -133,40 +161,15 @@ mod sys {
         }
     }
 
-    impl Drop for MapInner {
+    impl Drop for Map {
         fn drop(&mut self) {
-            // SAFETY: exactly the region returned by mmap in `map`.
+            // SAFETY: exactly the region returned by mmap in `new`.
             unsafe {
                 munmap(self.ptr, self.len);
             }
         }
     }
 }
-
-#[cfg(not(unix))]
-mod sys {
-    use super::*;
-    use std::io::Read;
-
-    pub struct MapInner {
-        buf: Vec<u8>,
-    }
-
-    impl MapInner {
-        pub fn map(mut file: File, len: usize, path: &Path) -> Result<MapInner> {
-            let mut buf = Vec::with_capacity(len);
-            file.read_to_end(&mut buf)
-                .map_err(|e| super::io_err(path, "read", e))?;
-            Ok(MapInner { buf })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            &self.buf
-        }
-    }
-}
-
-use sys::MapInner;
 
 #[cfg(test)]
 mod tests {

@@ -4,12 +4,20 @@
 //! performs all second-moment accounting on *lineage*, and the lineage of a
 //! base-table tuple is its [`RowId`]. Block structure exists so block-level
 //! (`SYSTEM`) sampling can use the block id as the lineage unit instead.
+//!
+//! Every table is one `.sac` page image (see [`crate::format`]): built in a
+//! heap buffer by [`TableBuilder`], or mapped from a persisted file. One
+//! reader serves both, so where a table's bytes live never changes what a
+//! gather returns.
 
+use std::path::Path;
 use std::sync::Arc;
 
-use crate::column::{Column, ColumnBuilder};
+use crate::chunk::ColumnarBatch;
+use crate::column::ColumnBuffer;
 use crate::error::StorageError;
-use crate::format::MappedTable;
+use crate::format::TableImage;
+use crate::mmap::Mmap;
 use crate::schema::{Schema, SchemaRef};
 use crate::value::Value;
 use crate::Result;
@@ -23,26 +31,12 @@ pub type BlockId = u64;
 /// Default number of rows per block, mirroring a small disk page.
 pub const DEFAULT_BLOCK_ROWS: usize = 256;
 
-/// Where a table's column data lives.
-///
-/// Both backends expose the same gather surface through [`Table`] and emit
-/// bit-identical [`crate::chunk::ColumnVec`]s, so everything above
-/// `batch_range` — samplers, estimators, lineage — is backend-agnostic
-/// (enforced by `tests/storage_equivalence.rs`).
-#[derive(Debug, Clone)]
-pub enum TableStore {
-    /// Columns resident in RAM (built via [`TableBuilder`]).
-    InRam(Vec<Column>),
-    /// Columns in a memory-mapped `.sac` file (see [`crate::format`]).
-    Mapped(MappedTable),
-}
-
 /// An immutable, named, columnar table.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: Arc<str>,
     schema: SchemaRef,
-    store: TableStore,
+    image: TableImage,
     row_count: u64,
     block_rows: usize,
 }
@@ -63,57 +57,31 @@ impl Table {
         self.row_count
     }
 
-    /// True when the table is backed by a memory-mapped file.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.store, TableStore::Mapped(_))
-    }
-
-    pub(crate) fn from_mapped(
+    pub(crate) fn from_image(
         name: String,
         schema: Schema,
         block_rows: usize,
         row_count: u64,
-        mapped: MappedTable,
+        image: TableImage,
     ) -> Table {
         Table {
             name: Arc::from(name.as_str()),
             schema: Arc::new(schema),
-            store: TableStore::Mapped(mapped),
+            image,
             row_count,
             block_rows,
         }
     }
 
-    /// The columns, in schema order. For a mapped table this decodes every
-    /// column into RAM once (verifying page checksums, and caching the
-    /// result) — it exists for API parity and row-at-a-time callers; the
-    /// scan path never uses it. Errs with
-    /// [`StorageError::CorruptPage`] when a mapped page fails its checksum.
-    pub fn columns(&self) -> Result<&[Column]> {
-        match &self.store {
-            TableStore::InRam(cols) => Ok(cols),
-            TableStore::Mapped(m) => m.decoded_columns(),
-        }
-    }
-
-    /// Column by index (see [`Table::columns`] for the mapped-table cost).
-    pub fn column(&self, idx: usize) -> Result<&Column> {
-        Ok(&self.columns()?[idx])
-    }
-
-    /// Column by (possibly qualified) name.
-    pub fn column_by_name(&self, name: &str) -> Result<&Column> {
-        let idx = self.schema.index_of(name)?;
-        Ok(&self.columns()?[idx])
+    pub(crate) fn image(&self) -> &TableImage {
+        &self.image
     }
 
     /// Evaluate the storage fault-injection sites for one gather, with
     /// bounded retry + backoff for transient (injected) I/O faults. Real
-    /// mapped reads cannot fail transiently — the OS either delivers the
+    /// image reads cannot fail transiently — the OS either delivers the
     /// page or kills the process — so this is one untaken branch unless a
-    /// `--fault` spec armed the registry. Backend-blind on purpose: both
-    /// stores surface the same typed errors through the same gather
-    /// surface.
+    /// `--fault` spec armed the registry.
     fn fault_guard(&self) -> Result<()> {
         if !sa_fault::armed() {
             return Ok(());
@@ -145,41 +113,32 @@ impl Table {
         Ok(())
     }
 
-    /// Number of columns (no decode on either backend).
+    /// Number of columns.
     pub fn column_count(&self) -> usize {
-        match &self.store {
-            TableStore::InRam(cols) => cols.len(),
-            TableStore::Mapped(m) => m.column_count(),
+        self.image.column_count()
+    }
+
+    fn check_row(&self, row: RowId) -> Result<()> {
+        if row >= self.row_count {
+            return Err(StorageError::RowOutOfBounds {
+                row,
+                len: self.row_count,
+            });
         }
+        Ok(())
     }
 
     /// The value at (`row`, `col`).
     pub fn value(&self, row: RowId, col: usize) -> Result<Value> {
-        if row >= self.row_count {
-            return Err(StorageError::RowOutOfBounds {
-                row,
-                len: self.row_count,
-            });
-        }
-        match &self.store {
-            TableStore::InRam(cols) => Ok(cols[col].value(row as usize)),
-            TableStore::Mapped(m) => m.value(row as usize, col),
-        }
+        self.check_row(row)?;
+        self.image.value(row as usize, col)
     }
 
     /// Materialize an entire row.
     pub fn row(&self, row: RowId) -> Result<Vec<Value>> {
-        if row >= self.row_count {
-            return Err(StorageError::RowOutOfBounds {
-                row,
-                len: self.row_count,
-            });
-        }
+        self.check_row(row)?;
         (0..self.column_count())
-            .map(|c| match &self.store {
-                TableStore::InRam(cols) => Ok(cols[c].value(row as usize)),
-                TableStore::Mapped(m) => m.value(row as usize, c),
-            })
+            .map(|c| self.image.value(row as usize, c))
             .collect()
     }
 
@@ -203,14 +162,14 @@ impl Table {
     }
 
     /// Gather the half-open row range `[start, end)` as a columnar batch —
-    /// a typed memcpy per column (in-RAM) or a decode out of the map, no
-    /// per-row [`Value`] materialization (string columns share their
-    /// dictionary with the batch).
+    /// a decode out of the image per column, no per-row [`Value`]
+    /// materialization (string columns share their dictionary with the
+    /// batch).
     ///
     /// Empty and reversed ranges (`start >= end`) are a defined no-op: the
     /// result is an empty batch with the full column shapes, never an error.
     /// Only `start < end` ranges are bounds-checked against the row count.
-    pub fn batch_range(&self, start: RowId, end: RowId) -> Result<crate::chunk::ColumnarBatch> {
+    pub fn batch_range(&self, start: RowId, end: RowId) -> Result<ColumnarBatch> {
         let all: Vec<usize> = (0..self.column_count()).collect();
         self.batch_range_cols(start, end, &all)
     }
@@ -218,22 +177,22 @@ impl Table {
     /// [`Table::batch_range`] restricted to the columns in `cols` (indices
     /// into the table schema; the batch holds them in `cols` order). This is
     /// the projection-pushdown entry point: unlisted columns are never
-    /// touched, which on the mapped backend means their pages are never
+    /// touched, which on a mapped image means their pages are never
     /// faulted in.
     pub fn batch_range_cols(
         &self,
         start: RowId,
         end: RowId,
         cols: &[usize],
-    ) -> Result<crate::chunk::ColumnarBatch> {
+    ) -> Result<ColumnarBatch> {
         if start >= end {
             // Defined empty/reversed-range contract: an empty batch with the
             // requested column shapes (no pages touched, no faults).
             let columns = cols
                 .iter()
-                .map(|&c| self.gather_cell_range(c, 0, 0))
+                .map(|&c| self.image.gather_range(c, 0, 0))
                 .collect::<Result<_>>()?;
-            return Ok(crate::chunk::ColumnarBatch::new(columns, 0));
+            return Ok(ColumnarBatch::new(columns, 0));
         }
         if end > self.row_count {
             return Err(StorageError::RowOutOfBounds {
@@ -245,68 +204,36 @@ impl Table {
         let (s, e) = (start as usize, end as usize);
         let columns = cols
             .iter()
-            .map(|&c| self.gather_cell_range(c, s, e))
+            .map(|&c| self.image.gather_range(c, s, e))
             .collect::<Result<_>>()?;
-        Ok(crate::chunk::ColumnarBatch::new(columns, e - s))
-    }
-
-    fn gather_cell_range(
-        &self,
-        col: usize,
-        start: usize,
-        end: usize,
-    ) -> Result<crate::chunk::ColumnVec> {
-        match &self.store {
-            TableStore::InRam(columns) => Ok(crate::chunk::ColumnVec::from_column_range(
-                &columns[col],
-                start,
-                end,
-            )),
-            TableStore::Mapped(m) => m.gather_range(col, start, end),
-        }
+        Ok(ColumnarBatch::new(columns, e - s))
     }
 
     /// Gather selected `rows` (ascending, in bounds) of the columns in
     /// `cols`. This is the predicate-pushdown gather: rows dropped by a
     /// scan-level predicate are simply absent from `rows`, so they are never
     /// materialized into a batch.
-    pub fn gather_rows_cols(
-        &self,
-        rows: &[RowId],
-        cols: &[usize],
-    ) -> Result<crate::chunk::ColumnarBatch> {
+    pub fn gather_rows_cols(&self, rows: &[RowId], cols: &[usize]) -> Result<ColumnarBatch> {
         if let Some(&last) = rows.last() {
-            if last >= self.row_count {
-                return Err(StorageError::RowOutOfBounds {
-                    row: last,
-                    len: self.row_count,
-                });
-            }
-        }
-        if !rows.is_empty() {
+            self.check_row(last)?;
             self.fault_guard()?;
         }
         let idx: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
         let columns = cols
             .iter()
-            .map(|&c| match &self.store {
-                TableStore::InRam(columns) => {
-                    Ok(crate::chunk::ColumnVec::from_column_rows(&columns[c], &idx))
-                }
-                TableStore::Mapped(m) => m.gather_rows(c, &idx),
-            })
+            .map(|&c| self.image.gather_rows(c, &idx))
             .collect::<Result<_>>()?;
-        Ok(crate::chunk::ColumnarBatch::new(columns, idx.len()))
+        Ok(ColumnarBatch::new(columns, idx.len()))
     }
 
     /// Persist this table to `path` in the `.sac` format (see
     /// [`crate::format`]). Returns the file length in bytes.
-    pub fn persist(&self, path: &std::path::Path) -> Result<u64> {
+    pub fn persist(&self, path: &Path) -> Result<u64> {
         crate::format::write_table_file(self, path)
     }
 
     /// Open a `.sac` file as a memory-mapped table.
-    pub fn open_mapped(path: &std::path::Path) -> Result<Table> {
+    pub fn open_mapped(path: &Path) -> Result<Table> {
         crate::format::open_table_file(path)
     }
 
@@ -322,7 +249,10 @@ impl Table {
 #[derive(Debug)]
 pub struct TableBuilder {
     name: String,
-    builders: Vec<ColumnBuilder>,
+    columns: Vec<ColumnBuffer>,
+    /// The pages the columns write into: the image under construction,
+    /// its header page first.
+    arena: Vec<u8>,
     schema: Schema,
     block_rows: usize,
 }
@@ -333,14 +263,15 @@ impl TableBuilder {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         let name = name.into();
         let schema = schema.qualify_all(&name);
-        let builders = schema
+        let columns = schema
             .fields()
             .iter()
-            .map(|f| ColumnBuilder::new(f.qualified_name(), f.data_type))
+            .map(|f| ColumnBuffer::new(f.qualified_name(), f.data_type))
             .collect();
         TableBuilder {
             name,
-            builders,
+            columns,
+            arena: vec![0; crate::format::PAGE_SIZE],
             schema,
             block_rows: DEFAULT_BLOCK_ROWS,
         }
@@ -355,43 +286,57 @@ impl TableBuilder {
 
     /// Reserve capacity for `n` more rows in every column.
     pub fn reserve(&mut self, n: usize) {
-        for b in &mut self.builders {
-            b.reserve(n);
-        }
+        let bytes = (self.columns.iter())
+            .map(|c| crate::format::data_len_for(c.data_type, n))
+            .sum();
+        self.arena.reserve(bytes);
     }
 
     /// Append one row; the slice length must equal the schema arity.
+    /// `Null` is accepted for any type and `Int` widens into a `Float`
+    /// column; any other mismatch is [`StorageError::TypeMismatch`].
     pub fn push_row(&mut self, row: &[Value]) -> Result<()> {
         assert_eq!(
             row.len(),
-            self.builders.len(),
+            self.columns.len(),
             "row arity {} != schema arity {}",
             row.len(),
-            self.builders.len()
+            self.columns.len()
         );
-        for (b, v) in self.builders.iter_mut().zip(row.iter()) {
-            b.push(v.clone())?;
+        for (c, v) in self.columns.iter_mut().zip(row.iter()) {
+            c.push(&mut self.arena, v)?;
         }
         Ok(())
     }
 
-    /// Finish building. Verifies all columns have equal length.
+    /// Finish building: lay the rows out as one `.sac` page image in a heap
+    /// buffer and open it with the one reader. Verifies all columns have
+    /// equal length.
     pub fn finish(self) -> Result<Table> {
-        let lengths: Vec<usize> = self.builders.iter().map(|b| b.len()).collect();
+        let lengths: Vec<usize> = self.columns.iter().map(|c| c.rows).collect();
         if lengths.windows(2).any(|w| w[0] != w[1]) {
             return Err(StorageError::RaggedColumns {
                 table: self.name,
                 lengths,
             });
         }
-        let row_count = lengths.first().copied().unwrap_or(0) as u64;
-        Ok(Table {
-            name: Arc::from(self.name.as_str()),
-            schema: Arc::new(self.schema),
-            store: TableStore::InRam(self.builders.into_iter().map(|b| b.finish()).collect()),
-            row_count,
-            block_rows: self.block_rows,
-        })
+        let rows = lengths.first().copied().unwrap_or(0);
+        let bytes = crate::format::lay_out(
+            &self.name,
+            self.schema.fields(),
+            self.block_rows,
+            rows,
+            self.columns,
+            self.arena,
+        );
+        let (_, image) = TableImage::open(Mmap::heap(bytes), Path::new(&self.name))?;
+        Ok(Table::from_image(
+            self.name,
+            self.schema,
+            self.block_rows,
+            rows as u64,
+            image,
+        ))
     }
 }
 
@@ -427,7 +372,7 @@ mod tests {
     fn schema_is_qualified_by_table_name() {
         let t = small_table();
         assert_eq!(t.schema().index_of("t.k").unwrap(), 0);
-        assert_eq!(t.column_by_name("t.v").unwrap().len(), 5);
+        assert_eq!(t.schema().index_of("t.v").unwrap(), 1);
     }
 
     #[test]
@@ -508,7 +453,7 @@ mod tests {
     fn mapped_round_trip_is_bit_identical() {
         let t = nullable_table();
         let m = mapped_copy(&t, "rt");
-        assert!(m.is_mapped() && !t.is_mapped());
+        assert_eq!(m.image().bytes(), t.image().bytes());
         assert_eq!(m.name(), t.name());
         assert_eq!(m.schema(), t.schema());
         assert_eq!(m.row_count(), t.row_count());
@@ -528,12 +473,6 @@ mod tests {
         // Row-level access agrees (including nulls).
         for r in 0..10 {
             assert_eq!(m.row(r).unwrap(), t.row(r).unwrap());
-        }
-        // The &Column accessor surface decodes to the same values.
-        for c in 0..t.column_count() {
-            for r in 0..10usize {
-                assert_eq!(m.column(c).unwrap().value(r), t.column(c).unwrap().value(r));
-            }
         }
     }
 
@@ -558,6 +497,31 @@ mod tests {
                 Err(StorageError::RowOutOfBounds { .. })
             ));
         }
+    }
+
+    /// Persisting a mapped table onto the file it maps replaces the file
+    /// rather than truncating it under the map: the old map still reads,
+    /// and the file reopens to the same image with no temporary left.
+    #[test]
+    fn persisting_a_mapped_table_onto_its_own_file_keeps_it() {
+        let t = nullable_table();
+        let dir = std::env::temp_dir().join(format!("sa-table-self-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.sac");
+        let len = t.persist(&path).unwrap();
+        let m = Table::open_mapped(&path).unwrap();
+        assert_eq!(m.persist(&path).unwrap(), len);
+        for r in 0..10 {
+            assert_eq!(m.row(r).unwrap(), t.row(r).unwrap());
+        }
+        let again = Table::open_mapped(&path).unwrap();
+        assert_eq!(again.image().bytes(), t.image().bytes());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["t.sac"]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -410,17 +410,24 @@ mod tests {
         assert_ne!(ra, rb);
     }
 
+    /// Every value of column `name` of `table`, in row order.
+    fn column(table: &Table, name: &str) -> Vec<Value> {
+        let c = table.schema().index_of(name).unwrap();
+        let batch = table.batch_range_cols(0, table.row_count(), &[c]).unwrap();
+        (0..batch.rows())
+            .map(|r| batch.column(0).value(r))
+            .collect()
+    }
+
     #[test]
     fn lineitem_fk_range_valid() {
         let c = tiny();
         let li = c.get("lineitem").unwrap();
         let orders = c.get("orders").unwrap().row_count() as i64;
         let parts = c.get("part").unwrap().row_count() as i64;
-        let ok_col = li.column_by_name("l_orderkey").unwrap();
-        let pk_col = li.column_by_name("l_partkey").unwrap();
-        for r in 0..li.row_count() as usize {
-            let ok = ok_col.value(r).as_i64().unwrap();
-            let pk = pk_col.value(r).as_i64().unwrap();
+        let pks = column(&li, "l_partkey");
+        for (ok, pk) in column(&li, "l_orderkey").iter().zip(&pks) {
+            let (ok, pk) = (ok.as_i64().unwrap(), pk.as_i64().unwrap());
             assert!(ok >= 1 && ok <= orders);
             assert!(pk >= 1 && pk <= parts);
         }
@@ -432,9 +439,8 @@ mod tests {
         let li = c.get("lineitem").unwrap();
         let n_orders = c.get("orders").unwrap().row_count();
         let mut seen = vec![false; n_orders as usize + 1];
-        let ok_col = li.column_by_name("l_orderkey").unwrap();
-        for r in 0..li.row_count() as usize {
-            seen[ok_col.value(r).as_i64().unwrap() as usize] = true;
+        for ok in column(&li, "l_orderkey") {
+            seen[ok.as_i64().unwrap() as usize] = true;
         }
         assert!(seen[1..].iter().all(|&s| s), "order without lineitems");
         // Average lines per order ≈ 4.
@@ -446,11 +452,9 @@ mod tests {
     fn discount_and_tax_ranges() {
         let c = tiny();
         let li = c.get("lineitem").unwrap();
-        let d = li.column_by_name("l_discount").unwrap();
-        let t = li.column_by_name("l_tax").unwrap();
-        for r in 0..li.row_count() as usize {
-            let dv = d.f64_at(r).unwrap();
-            let tv = t.f64_at(r).unwrap();
+        let taxes = column(&li, "l_tax");
+        for (d, t) in column(&li, "l_discount").iter().zip(&taxes) {
+            let (dv, tv) = (d.as_f64().unwrap(), t.as_f64().unwrap());
             assert!((0.0..=0.10).contains(&dv));
             assert!((0.0..=0.08).contains(&tv));
         }
@@ -463,9 +467,8 @@ mod tests {
         let li = c.get("lineitem").unwrap();
         let parts = c.get("part").unwrap().row_count() as usize;
         let mut counts = vec![0u32; parts + 1];
-        let pk = li.column_by_name("l_partkey").unwrap();
-        for r in 0..li.row_count() as usize {
-            counts[pk.value(r).as_i64().unwrap() as usize] += 1;
+        for pk in column(&li, "l_partkey") {
+            counts[pk.as_i64().unwrap() as usize] += 1;
         }
         let max = *counts.iter().max().unwrap() as f64;
         let mean = li.row_count() as f64 / parts as f64;
@@ -476,9 +479,7 @@ mod tests {
     fn customer_segments_valid() {
         let c = tiny();
         let cust = c.get("customer").unwrap();
-        let seg = cust.column_by_name("c_mktsegment").unwrap();
-        for r in 0..cust.row_count() as usize {
-            let v = seg.value(r);
+        for v in column(&cust, "c_mktsegment") {
             let s = v.as_str().unwrap();
             assert!(SEGMENTS.contains(&s));
         }

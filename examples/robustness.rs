@@ -30,9 +30,10 @@ fn main() {
 
     // Aggregate 1 (robust): SUM(l_quantity) — uniform small contributions.
     let qty: Vec<f64> = {
-        let c = li.column_by_name("l_quantity").unwrap();
-        (0..li.row_count() as usize)
-            .map(|r| c.f64_at(r).unwrap())
+        let c = li.schema().index_of("l_quantity").unwrap();
+        let batch = li.batch_range_cols(0, li.row_count(), &[c]).unwrap();
+        (0..batch.rows())
+            .map(|r| batch.column(0).value(r).as_f64().unwrap())
             .collect()
     };
 

@@ -264,6 +264,7 @@ fn union_of_two_samples_analyzed_correctly() {
     let mut estimates = Vec::new();
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     let t = cat.get("t").unwrap();
+    let v_col = t.schema().index_of("t.v").unwrap();
     for seed in 0..trials {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sbox = SBox::new(g_union.clone());
@@ -271,11 +272,7 @@ fn union_of_two_samples_analyzed_correctly() {
             let in1 = rng.random::<f64>() < p;
             let in2 = rng.random::<f64>() < q;
             if in1 || in2 {
-                let v = t
-                    .column_by_name("t.v")
-                    .unwrap()
-                    .f64_at(rid as usize)
-                    .unwrap();
+                let v = t.value(rid, v_col).unwrap().as_f64().unwrap();
                 sbox.push_scalar(&[rid], v).unwrap();
             }
         }

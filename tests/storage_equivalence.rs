@@ -1,11 +1,11 @@
-//! InRam vs memory-mapped backend equivalence — the differential layer the
-//! out-of-core storage hangs on.
+//! Built vs persisted-and-mapped table images — the round trip the
+//! storage layer hangs on.
 //!
 //! A proptest draws a random plan (sampler × filter × projection × optional
 //! join), a random seed, independent chunk splits and a worker count, then
-//! runs it against the same data twice: once over the in-RAM catalog the
-//! rows were built in, once over `.sac` files persisted to disk and
-//! reopened memory-mapped. The realized tuples (values AND lineage ids)
+//! runs it against the same data twice: once over the catalog the rows
+//! were built in (heap images), once over `.sac` files persisted to disk
+//! and reopened memory-mapped. The realized tuples (values AND lineage ids)
 //! must be byte-identical, and the online estimates must agree to 1e-12
 //! relative — with projection/predicate pushdown on or off, sequentially
 //! and at `parallelism = 4`. A separate test pins that two independent
