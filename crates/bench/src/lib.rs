@@ -1,6 +1,6 @@
 //! # sa-bench — the experiment suite
 //!
-//! One module per experiment family (see DESIGN.md §3 for the index):
+//! One module per experiment family:
 //!
 //! * [`exp_figures`] — E1–E4: the paper's printed artifacts (Figures 1–5,
 //!   Examples 1–6).

@@ -69,8 +69,7 @@ pub fn moebius_transform_naive(f: &[f64]) -> Vec<f64> {
 /// `d_{S,V} = Σ_{W⊆V} (−1)^{|V\W|} b_{S∪W}` for `V ⊆ S^c`.
 ///
 /// Returns, for the given `S`, a dense table indexed by `V.index()` (entries
-/// with `V ⊄ S^c` are zero). `E[Y_S] = Σ_{V⊆S^c} d_{S,V} · y_{S∪V}` — the
-/// derivation is in DESIGN.md §1.
+/// with `V ⊄ S^c` are zero). `E[Y_S] = Σ_{V⊆S^c} d_{S,V} · y_{S∪V}`.
 pub fn d_coeffs_for(b: &[f64], s: RelSet, n: usize) -> Vec<f64> {
     let size = 1usize << n;
     debug_assert_eq!(b.len(), size);

@@ -258,21 +258,29 @@ impl EstimateReport {
     /// Predict the variance this query would have under a **different** GUS
     /// method (same lineage schema) — Section 8's "choosing sampling
     /// parameters": the sample moments read through `w(sampled, other)`
-    /// estimate `other`'s Theorem 1 variance, unbiasedly.
+    /// estimate `other`'s Theorem 1 variance, unbiasedly. The prediction is
+    /// read as a variance is ([`variance_reading`], against its own terms'
+    /// magnitudes): one negative beyond rounding is an error, not 0 — this
+    /// sample cannot predict `other`'s spread yet.
     pub fn predict_variance(&self, other: &GusParams, dim: usize) -> Result<f64> {
         let plan = ReadoutPlan::between(&self.sampled, other)?;
         if other.a() <= 0.0 {
             return Err(CoreError::Degenerate("target GUS has a = 0".into()));
         }
-        let variance = plan
+        let (raw, scale) = plan
             .read(&self.sample.total, &self.sample.y_flat())?
-            .covariance(dim, dim)
+            .entry(dim, dim)
             .ok_or_else(|| {
                 CoreError::Degenerate(
                     "some b_S = 0 under the sampled design; variance prediction impossible".into(),
                 )
             })?;
-        Ok(variance.max(0.0))
+        variance_reading(raw, scale).ok_or_else(|| {
+            CoreError::Degenerate(format!(
+                "predicted variance {raw} is negative beyond rounding: not predictable from this \
+                 sample"
+            ))
+        })
     }
 }
 

@@ -532,7 +532,7 @@ mod tests {
         assert!(s.contains("b{l}"), "{s}");
     }
 
-    /// The semiring caveat documented in DESIGN.md §1: compaction does NOT
+    /// The semiring caveat: compaction does NOT
     /// distribute over union at the parameter level, because the union
     /// formula assumes its two arms are *independent* samples while the
     /// distributed form shares one compaction process across both arms.

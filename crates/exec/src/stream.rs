@@ -46,11 +46,13 @@
 //! Every sampler is its [`Keep`], a predicate on its relation's sampling
 //! unit drawn at open ([`sa_sampling::SamplingMethod::keep`]): Bernoulli
 //! keeps a row, and `SYSTEM` a block, iff its coin under the operator's
-//! seed comes up; WOR keeps the row ids it drew at open. The sampler node
-//! right above a scan applies the relation's stacked samplers to the
-//! lineage column, so the realized sample is a pure function of
-//! `(plan, seed)`: not of the worker count or slice boundaries, the scan
-//! order, a hub's attach origin or the chunk size.
+//! seed comes up; WOR keeps the row ids it drew at open. Each scan runs its
+//! relation's stacked samplers on the row ids of the range it is about to
+//! read, before it gathers a column, so the realized sample is a pure
+//! function of `(plan, seed)`: not of the worker count or slice boundaries,
+//! the scan order, a hub's attach origin or the chunk size. A pushed-down
+//! predicate then sees only the rows the samplers kept (Proposition 5: a
+//! GUS commutes with selection).
 //!
 //! `UnionSamples` runs in one pass over the expression its branches share:
 //! each scan keeps the rows some branch keeps, which decides a union over
@@ -292,18 +294,14 @@ pub fn open_shared_stream(
 /// A relation's stacked samplers: a unit survives iff every one keeps it.
 type Stack = Vec<Keep>;
 
-/// What a [`Node::Sample`] keeps: the tuples for which, in some branch,
-/// every lineage column's stack keeps its id — Proposition 7's union ORs
-/// branches, a join (Proposition 6) and stacked samplers (Proposition 8)
-/// AND what they keep.
+/// What a plan keeps of its whole lineage: the tuples for which, in some
+/// branch, every lineage column's stack keeps its id — Proposition 7's
+/// union ORs branches, a join (Proposition 6) and stacked samplers
+/// (Proposition 8) AND what they keep.
 #[derive(Debug)]
 pub(crate) struct Keeps {
-    /// Per branch, one stack per lineage column of the node's input.
+    /// Per branch, one stack per lineage column.
     branches: Vec<Vec<Stack>>,
-    /// `Some(rows)` right above the scan of a `SYSTEM`-sampled relation:
-    /// its row ids become the ids of its `rows`-row blocks, the relation's
-    /// sampling and lineage unit, before the stacks read them.
-    blocks: Option<u64>,
 }
 
 impl Keeps {
@@ -336,7 +334,7 @@ impl Keeps {
 pub(crate) struct Design {
     /// [`Keeps::branches`] over the plan's relations, in scan order.
     branches: Vec<Vec<Stack>>,
-    /// Per relation, [`Keeps::blocks`] of its scan's sampler.
+    /// Per relation, [`ScanSampler::block_rows`] of its scan's sampler.
     units: Vec<Option<u64>>,
     /// Some union spans several relations, so the per-relation ORs its
     /// scans apply admit tuples no one branch keeps whole.
@@ -348,7 +346,6 @@ impl Design {
     pub(crate) fn whole(self) -> Keeps {
         Keeps {
             branches: self.branches,
-            blocks: None,
         }
     }
 }
@@ -467,9 +464,7 @@ struct BuildCtx<'a> {
     /// from.
     seed: u64,
     /// Fuse a `Filter`'s compiled predicate into a directly-underlying scan
-    /// node; off under [`ExecOptions::disable_pushdown`]. A sampler node
-    /// sits between a sampled scan and any `Filter`, so only unsampled
-    /// scans fuse.
+    /// node, sampled or not; off under [`ExecOptions::disable_pushdown`].
     fuse: bool,
     /// The hub serving the spine scan's rows ([`open_shared_stream`]);
     /// [`materialize`] clears it, so a join's build side stays private.
@@ -478,10 +473,9 @@ struct BuildCtx<'a> {
     /// is disabled).
     cols: ScanColumnMap,
     obs: ScanObs,
-    /// What each sampled relation's scan keeps: the OR over the plan's
-    /// branches of the relation's stack. A branch that leaves the relation
-    /// unsampled keeps all of it, and its scan gets no sampler.
-    samplers: FxHashMap<String, Arc<Keeps>>,
+    /// What each sampled relation's scan keeps. A branch that leaves the
+    /// relation unsampled keeps all of it, and its scan gets no sampler.
+    samplers: FxHashMap<String, Arc<ScanSampler>>,
 }
 
 impl<'a> BuildCtx<'a> {
@@ -500,11 +494,11 @@ impl<'a> BuildCtx<'a> {
             .enumerate()
             .filter(|&(i, _)| design.branches.iter().all(|b| !b[i].is_empty()))
             .map(|(i, alias)| {
-                let keeps = Keeps {
-                    branches: design.branches.iter().map(|b| vec![b[i].clone()]).collect(),
-                    blocks: design.units[i],
+                let sampler = ScanSampler {
+                    branches: design.branches.iter().map(|b| b[i].clone()).collect(),
+                    block_rows: design.units[i],
                 };
-                (alias.to_string(), Arc::new(keeps))
+                (alias.to_string(), Arc::new(sampler))
             })
             .collect();
         BuildCtx {
@@ -529,19 +523,77 @@ impl<'a> BuildCtx<'a> {
 }
 
 /// What a streaming scan node gathers per chunk: the (possibly pruned)
-/// output column set, an optional scan-level predicate, and the scan
-/// observability handles. Built in [`build_partitioned`]'s scan arm and
-/// extended with a predicate by its `Filter` arm.
+/// output column set, its relation's samplers, an optional scan-level
+/// predicate, and the scan observability handles. Built in
+/// [`build_partitioned`]'s scan arm and extended with a predicate by its
+/// `Filter` arm. Per range the order is: the samplers' keep mask over the
+/// range's ids, the predicate's columns of the rows it keeps, the
+/// predicate over those rows only, the remaining columns of the rows both
+/// keep.
 #[derive(Debug)]
 struct ScanGather {
     /// Output columns as ascending indices into the table schema; `None`
     /// gathers every column (the scan's output schema is pruned to match,
     /// so downstream compiled expressions see consistent positions).
     cols: Option<Arc<Vec<usize>>>,
+    /// The relation's samplers; `None` when no branch samples it.
+    sampler: Option<Arc<ScanSampler>>,
     /// A predicate pushed into the scan (a `Filter` that sat directly on
     /// it): rows it drops never materialize into a batch.
     predicate: Option<ScanPredicate>,
     obs: ScanObs,
+}
+
+/// What one relation's scan keeps, decided on ids alone: a unit survives
+/// iff, in some branch, every sampler of the relation's stack keeps it.
+#[derive(Debug)]
+struct ScanSampler {
+    /// The relation's stack in each of the plan's branches.
+    branches: Vec<Stack>,
+    /// `Some(rows)` for a `SYSTEM`-sampled relation: its sampling and
+    /// lineage unit is the `rows`-row block, so the stacks judge block ids
+    /// and its tuples carry them.
+    block_rows: Option<u64>,
+}
+
+impl ScanSampler {
+    /// The row ids of `[from, upto)` kept, ascending. One sampler on one
+    /// branch, the common case, is asked directly: walking the branches
+    /// and stacks per row costs several times the coin.
+    fn kept(&self, from: u64, upto: u64) -> Vec<u64> {
+        match &self.branches[..] {
+            [stack] if stack.len() == 1 => self.select(from, upto, |unit| stack[0].keeps(unit)),
+            branches => self.select(from, upto, |unit| {
+                branches
+                    .iter()
+                    .any(|stack| stack.iter().all(|keep| keep.keeps(unit)))
+            }),
+        }
+    }
+
+    /// The row ids of `[from, upto)` whose unit `keeps` keeps, ascending.
+    /// `SYSTEM` tosses one coin per block and keeps or drops the block's
+    /// rows whole.
+    fn select(&self, from: u64, upto: u64, keeps: impl Fn(u64) -> bool) -> Vec<u64> {
+        match self.block_rows {
+            None => {
+                // Branch-free: write every id, step past the kept ones.
+                let mut out = vec![0; (upto - from) as usize];
+                let mut kept = 0;
+                for id in from..upto {
+                    out[kept] = id;
+                    kept += usize::from(keeps(id));
+                }
+                out.truncate(kept);
+                out
+            }
+            Some(_) if from >= upto => Vec::new(),
+            Some(br) => (from / br..=(upto - 1) / br)
+                .filter(|&b| keeps(b))
+                .flat_map(|b| (b * br).max(from)..((b + 1) * br).min(upto))
+                .collect(),
+        }
+    }
 }
 
 /// A scan-level predicate: the compiled mask expression remapped onto the
@@ -619,6 +671,7 @@ impl ScanGather {
             .collect();
         ScanGather {
             cols: self.cols.clone(),
+            sampler: self.sampler.clone(),
             predicate: Some(ScanPredicate {
                 expr,
                 table_cols,
@@ -636,7 +689,8 @@ impl ScanGather {
     /// range gather. With one, the predicate's columns are gathered alone,
     /// the mask is evaluated, and only surviving rows of the remaining
     /// columns are taken from the table — a chunk may come back empty
-    /// without meaning exhaustion (callers loop).
+    /// without meaning exhaustion (callers loop). A sampled scan takes
+    /// [`ScanGather::gather_sampled`].
     fn gather(
         &self,
         table: &Table,
@@ -644,6 +698,9 @@ impl ScanGather {
         from: u64,
         upto: u64,
     ) -> Result<(ColumnarChunk, u64)> {
+        if let Some(sampler) = &self.sampler {
+            return self.gather_sampled(sampler, table, hub, from, upto);
+        }
         let mut range = |cols: Option<&[usize]>| match hub {
             Some(cursor) => cursor.range(from, upto, cols),
             None => match cols {
@@ -704,6 +761,90 @@ impl ScanGather {
         };
         Ok((chunk, n))
     }
+
+    /// [`ScanGather::gather`] under `sampler`. Its keep mask comes from the
+    /// range's ids alone, so a private scan gathers only the rows it keeps
+    /// and never touches a block `SYSTEM` drops. A hub serves the range
+    /// whole, and the mask then picks from it. The predicate sees the
+    /// kept rows only: a row the sampler drops cannot raise in it.
+    fn gather_sampled(
+        &self,
+        sampler: &ScanSampler,
+        table: &Table,
+        hub: &mut Option<SharedScanCursor>,
+        from: u64,
+        upto: u64,
+    ) -> Result<(ColumnarChunk, u64)> {
+        let first = match &self.predicate {
+            Some(pred) => Some(pred.table_cols.as_slice()),
+            None => self.cols.as_deref().map(Vec::as_slice),
+        };
+        let (batch, ids, n) = match hub {
+            Some(cursor) => {
+                let served = cursor.range(from, upto, first)?;
+                let n = served.rows() as u64;
+                let ids = sampler.kept(from, from + n);
+                let at: Vec<u32> = ids.iter().map(|&id| (id - from) as u32).collect();
+                (served.take(&at), ids, n)
+            }
+            None => {
+                let ids = sampler.kept(from, upto);
+                let batch = match first {
+                    Some(cols) => table.gather_rows_cols(&ids, cols),
+                    None => table.gather_rows_cols(&ids, &self.out_cols(table)),
+                }
+                .map_err(ExecError::Storage)?;
+                (batch, ids, upto - from)
+            }
+        };
+        self.obs.rows_scanned.add(n);
+        let (batch, ids) = match &self.predicate {
+            None => (batch, ids),
+            Some(pred) => {
+                let selected = selection(&pred.expr.eval_mask(&batch)?);
+                let ids: Vec<u64> = selected.iter().map(|&i| ids[i as usize]).collect();
+                let mut late: Vec<Option<ColumnVec>> = table
+                    .gather_rows_cols(&ids, &pred.late_cols)
+                    .map_err(ExecError::Storage)?
+                    .into_columns()
+                    .into_iter()
+                    .map(Some)
+                    .collect();
+                let columns = pred
+                    .out_map
+                    .iter()
+                    .map(|&m| match m {
+                        OutCol::PredCol(i) => batch.column(i).take(&selected),
+                        OutCol::LateCol(j) => late[j].take().expect("one output per late column"),
+                    })
+                    .collect();
+                (ColumnarBatch::new(columns, ids.len()), ids)
+            }
+        };
+        // Page accounting: blocks none of whose rows reached the output
+        // were never gathered past the predicate's columns — under `SYSTEM`
+        // without a predicate, exactly the dropped blocks. A block is
+        // counted by the range it starts in, so one that straddles two
+        // ranges counts once.
+        if n > 0 {
+            let br = table.block_rows() as u64;
+            let first = from.div_ceil(br);
+            let blocks = ((from + n - 1) / br + 1).saturating_sub(first);
+            let lead = ids.partition_point(|&id| id < first * br);
+            let touched = ids[lead..].chunk_by(|a, b| a / br == b / br).count() as u64;
+            self.obs.pages_skipped.add(blocks - touched);
+        }
+        self.obs.rows_gathered.add(ids.len() as u64);
+        let lineage = match sampler.block_rows {
+            Some(br) => ids.iter().map(|id| id / br).collect(),
+            None => ids,
+        };
+        let chunk = ColumnarChunk {
+            batch,
+            lineage: vec![lineage],
+        };
+        Ok((chunk, n))
+    }
 }
 
 /// One operator of the streaming pipeline. Every operator transforms whole
@@ -720,8 +861,10 @@ enum Node {
     /// while the consumed prefix becomes a uniform random set of blocks,
     /// making the online driver's random-scan-order assumption true by
     /// construction. A chunk never crosses a range boundary. What gets
-    /// gathered — the pruned column set and an optional pushed-down
-    /// predicate — lives in [`ScanGather`].
+    /// gathered — the pruned column set, the relation's samplers and an
+    /// optional pushed-down predicate — lives in [`ScanGather`]. Under
+    /// `SYSTEM` the lineage, the coverage and the distinct family are the
+    /// block's.
     Scan {
         table: Arc<Table>,
         /// The row source when it is not `table`: a cursor on a shared hub
@@ -742,9 +885,9 @@ enum Node {
         total: u64,
         gather: ScanGather,
     },
-    /// Sampling: keeps the tuples [`Keeps`] keeps. Right above a scan it is
-    /// that relation's samplers; at the root of a plan whose union spans
-    /// several relations, the whole plan's over each tuple's full lineage.
+    /// The root of a plan whose union spans several relations: keeps the
+    /// tuples the whole plan's [`Keeps`] keeps, judged on each tuple's full
+    /// lineage. Every other sampler runs inside its relation's scan.
     Sample { keeps: Arc<Keeps>, input: Box<Node> },
     /// Relational selection (compiled predicate → mask → compact).
     Filter {
@@ -791,8 +934,8 @@ enum Node {
 /// slice), so the traversal and the compiled expressions cannot drift
 /// between the sequential and partitioned paths. Sampling operators build
 /// nothing of their own: the scan under them carries the relation's
-/// samplers ([`BuildCtx::samplers`]), and a union builds the expression its
-/// branches share once.
+/// samplers ([`BuildCtx::samplers`]) in its gather, and a union builds the
+/// expression its branches share once.
 fn build_partitioned(
     plan: &LogicalPlan,
     ctx: &BuildCtx<'_>,
@@ -872,7 +1015,7 @@ fn build_partitioned(
                         }
                         None => (None, vec![(row(lo), row(hi))]),
                     };
-                    let scan = Node::Scan {
+                    Ok(Node::Scan {
                         table: t.clone(),
                         hub,
                         order,
@@ -882,16 +1025,10 @@ fn build_partitioned(
                         total: row(hi) - row(lo),
                         gather: ScanGather {
                             cols: cols.clone(),
+                            sampler: ctx.samplers.get(alias.as_str()).cloned(),
                             predicate: None,
                             obs: ctx.obs.clone(),
                         },
-                    };
-                    Ok(match ctx.samplers.get(alias.as_str()) {
-                        Some(keeps) => Node::Sample {
-                            keeps: keeps.clone(),
-                            input: Box::new(scan),
-                        },
-                        None => scan,
                     })
                 })
                 .collect::<Result<_>>()?;
@@ -907,10 +1044,10 @@ fn build_partitioned(
             let compiled = compile(predicate, &schema)?;
             // Predicate pushdown: a Filter sitting directly on a scan node
             // fuses into the scan's gather — its dropped rows never
-            // materialize. A sampled scan has its sampler node between the
-            // two, so no sampler ever sees fewer rows than it would
-            // unfused. A scan already carrying a predicate keeps the
-            // second Filter as an operator (compiled masks don't compose).
+            // materialize. A sampled scan's coin runs first, so the
+            // predicate sees exactly the rows it would unfused. A scan
+            // already carrying a predicate keeps the second Filter as an
+            // operator (compiled masks don't compose).
             let nodes = inputs
                 .into_iter()
                 .map(|mut node| match &mut node {
@@ -1093,14 +1230,9 @@ impl Node {
                 Ok(gather.gather(table, hub, 0, 0)?.0)
             }
             Node::Sample { keeps, input } => loop {
-                let mut chunk = input.next_batch(hint)?;
+                let chunk = input.next_batch(hint)?;
                 if chunk.is_empty() {
                     return Ok(chunk);
-                }
-                if let Some(rows) = keeps.blocks {
-                    for id in &mut chunk.lineage[0] {
-                        *id /= rows;
-                    }
                 }
                 let mask = keeps.mask(&chunk.lineage);
                 if mask.iter().any(|&m| m) {
@@ -1245,36 +1377,31 @@ impl Node {
             // the slice in physical order, a seeded-random set of blocks —
             // a WOR(consumed, available) draw of the slice by construction —
             // when shuffled.
+            //
+            // A `SYSTEM`-sampled relation's unit is the block, so its
+            // coverage is the blocks of the ranges its scan has visited —
+            // dropped blocks included: fully visited ranges count their
+            // blocks, the current one up to its cursor — a partially
+            // scanned block counts as covered (its tuples had their chance
+            // as a group; the boundary error is at most one block). Range
+            // starts are block-aligned and at most one range is ragged, so
+            // rows round up to blocks per term, and per-worker slices sum to
+            // the full block count.
             Node::Scan {
                 offset,
                 done,
                 total,
+                gather,
                 ..
-            } => out.push((done + offset, *total)),
-            // A `SYSTEM`-sampled relation's unit is the block, so its
-            // coverage is the blocks of the ranges its scan has visited:
-            // fully visited ranges count their blocks, the current one up to
-            // its cursor — a partially scanned block counts as covered (its
-            // tuples had their chance as a group; the boundary error is at
-            // most one block). Range starts are block-aligned and at most
-            // one range is ragged, so rows round up to blocks per term, and
-            // per-worker slices sum to the full block count.
-            Node::Sample { keeps, input } => match (keeps.blocks, &**input) {
-                (
-                    Some(unit),
-                    Node::Scan {
-                        offset,
-                        done,
-                        total,
-                        ..
-                    },
-                ) => out.push((
+            } => out.push(match gather.sampler.as_ref().and_then(|s| s.block_rows) {
+                None => (done + offset, *total),
+                Some(unit) => (
                     done.div_ceil(unit) + offset.div_ceil(unit),
                     total.div_ceil(unit),
-                )),
-                _ => input.progress(out),
-            },
-            Node::Filter { input, .. }
+                ),
+            }),
+            Node::Sample { input, .. }
+            | Node::Filter { input, .. }
             | Node::Project { input, .. }
             | Node::FilterProject { input, .. } => input.progress(out),
             // Build sides are fully materialized: complete coverage.
@@ -1298,10 +1425,12 @@ impl Node {
     fn distinct(&self) -> Vec<RelSet> {
         match self {
             // A worker's slice visits each of its rows once, slices are
-            // disjoint, and a hub cursor goes round once.
-            Node::Scan { .. } => vec![RelSet::singleton(0)],
-            // Every row of a `SYSTEM` block carries the block's id.
-            Node::Sample { keeps, .. } if keeps.blocks.is_some() => Vec::new(),
+            // disjoint, and a hub cursor goes round once; but every row of a
+            // `SYSTEM` block carries the block's id.
+            Node::Scan { gather, .. } => match gather.sampler.as_ref().and_then(|s| s.block_rows) {
+                None => vec![RelSet::singleton(0)],
+                Some(_) => Vec::new(),
+            },
             Node::Sample { input, .. }
             | Node::Filter { input, .. }
             | Node::Project { input, .. }
@@ -2090,6 +2219,61 @@ mod tests {
     }
 
     #[test]
+    fn a_sampled_scan_under_a_filter_is_one_scan_node() {
+        // The samplers and the predicate ride one gather: no sampler node
+        // above the scan, on a private scan, a worker's slice or a hub
+        // cursor alike, for a union over one relation too. Only a union
+        // spanning relations keeps a sampler node, at its root.
+        let c = catalog();
+        let pred = col("v").gt_eq(lit(25.0));
+        let sampled = |m: SamplingMethod| LogicalPlan::scan("t").sample(m);
+        let plans = [
+            sampled(SamplingMethod::Bernoulli { p: 0.5 }),
+            sampled(SamplingMethod::Wor { size: 60 }),
+            sampled(SamplingMethod::System { p: 0.5 }),
+            sampled(SamplingMethod::Bernoulli { p: 0.5 })
+                .union_samples(sampled(SamplingMethod::Bernoulli { p: 0.3 })),
+        ];
+        let one_scan = |node: &Node, branches: usize| {
+            matches!(node, Node::Scan { gather, .. }
+                if gather.predicate.is_some()
+                    && gather.sampler.as_ref().is_some_and(|s| s.branches.len() == branches))
+        };
+        for plan in &plans {
+            let branches = if matches!(plan, LogicalPlan::UnionSamples { .. }) {
+                2
+            } else {
+                1
+            };
+            let plan = plan.clone().filter(pred.clone());
+            for parts in [1, 3] {
+                for s in open_stream_partitioned(&plan, &c, &ExecOptions::default(), parts).unwrap()
+                {
+                    assert!(one_scan(&s.root, branches), "{plan:?}: {:?}", s.root);
+                }
+            }
+            let hub = warmed_hub(&c, "t", 32, 64);
+            let s = open_shared_stream(&plan, &c, &ExecOptions::default(), &hub).unwrap();
+            assert!(
+                one_scan(&s.root, branches),
+                "{plan:?} on a hub: {:?}",
+                s.root
+            );
+            for hint in [1, 9, 100] {
+                assert_stream_matches_batch(&plan, hint);
+            }
+        }
+        let spans = sampled(SamplingMethod::Bernoulli { p: 0.5 })
+            .join_on(LogicalPlan::scan("d"), col("k").eq(col("dk")))
+            .union_samples(LogicalPlan::scan("t").join_on(
+                LogicalPlan::scan("d").sample(SamplingMethod::Bernoulli { p: 0.5 }),
+                col("k").eq(col("dk")),
+            ));
+        let s = open_stream(&spans, &c, &ExecOptions::default()).unwrap();
+        assert!(matches!(s.root, Node::Sample { .. }), "{:?}", s.root);
+    }
+
+    #[test]
     fn fused_filter_project_drains_cleanly_under_another_project() {
         // Regression: the fused operator's exhaustion chunk must carry the
         // PROJECTED column layout (kernels are remapped onto `used`), or an
@@ -2496,7 +2680,7 @@ mod tests {
         // hand, and the plain scan matches plain arithmetic.
         fn scan_leaf(node: &mut Node) -> &mut Node {
             match node {
-                Node::Sample { input, .. } | Node::Filter { input, .. } => scan_leaf(input),
+                Node::Filter { input, .. } => scan_leaf(input),
                 leaf => leaf,
             }
         }

@@ -84,15 +84,20 @@ pub enum Keep {
 }
 
 impl Keep {
+    /// Does this sampler keep unit `id`?
+    #[inline]
+    pub fn keeps(&self, id: u64) -> bool {
+        match self {
+            Keep::Coin { seed, p } => coin(*seed, *p, id),
+            Keep::Rows(bits) => bits[(id / 64) as usize] >> (id % 64) & 1 == 1,
+        }
+    }
+
     /// Clear `mask[i]` wherever this sampler drops unit `ids[i]`.
     #[inline]
     pub fn narrow(&self, ids: &[u64], mask: &mut [bool]) {
-        let lanes = mask.iter_mut().zip(ids);
-        match self {
-            Keep::Coin { seed, p } => lanes.for_each(|(m, &id)| *m &= coin(*seed, *p, id)),
-            Keep::Rows(bits) => {
-                lanes.for_each(|(m, &id)| *m &= bits[(id / 64) as usize] >> (id % 64) & 1 == 1)
-            }
+        for (m, &id) in mask.iter_mut().zip(ids) {
+            *m &= self.keeps(id);
         }
     }
 }

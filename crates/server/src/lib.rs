@@ -552,6 +552,10 @@ mod tests {
         .expect("bind loopback")
     }
 
+    /// Send `requests` and `QUIT`, and read every line until the server
+    /// closes. A server that closes with requests still unread (`SHUTDOWN`
+    /// drains it) may reset the connection: the lines before the reset are
+    /// the reply.
     fn exchange(addr: SocketAddr, requests: &[&str]) -> Vec<String> {
         let conn = TcpStream::connect(addr).unwrap();
         let mut tx = conn.try_clone().unwrap();
@@ -560,7 +564,7 @@ mod tests {
         }
         writeln!(tx, "QUIT").unwrap();
         tx.flush().unwrap();
-        BufReader::new(conn).lines().map(|l| l.unwrap()).collect()
+        BufReader::new(conn).lines().map_while(Result::ok).collect()
     }
 
     #[test]
@@ -764,9 +768,18 @@ mod tests {
 
         // snapshot_every = 0 never writes SNAP lines, so only the socket
         // probe can notice the client is gone: this is the regression
-        // test for the throttled-tick slot leak.
+        // test for the throttled-tick slot leak. The query crosses `t` with
+        // a 2 000-row `u`: ≈ 8·10⁸ joined rows, minutes of work in any
+        // build, so it cannot run out before the client vanishes.
+        let mut c = catalog(800_000);
+        let schema = Schema::new(vec![Field::new("w", DataType::Float)]).unwrap();
+        let mut b = TableBuilder::new("u", schema);
+        for i in 0..2_000 {
+            b.push_row(&[Value::Float(i as f64)]).unwrap();
+        }
+        c.register(b.finish().unwrap()).unwrap();
         let server = Server::bind(
-            catalog(800_000),
+            c,
             &ServerConfig {
                 snapshot_every: 0,
                 ..ServerConfig::default()
@@ -778,7 +791,7 @@ mod tests {
             let mut tx = conn.try_clone().unwrap();
             writeln!(
                 tx,
-                "QUERY SELECT SUM(v) AS s FROM t TABLESAMPLE (50 PERCENT)"
+                "QUERY SELECT SUM(v) AS s FROM t TABLESAMPLE (50 PERCENT), u"
             )
             .unwrap();
             tx.flush().unwrap();

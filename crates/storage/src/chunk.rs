@@ -480,6 +480,11 @@ impl ColumnarBatch {
         &self.columns[idx]
     }
 
+    /// The columns, by value.
+    pub fn into_columns(self) -> Vec<ColumnVec> {
+        self.columns
+    }
+
     /// Materialize one row as values (the row-level API bridge).
     pub fn row_values(&self, row: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.value(row)).collect()

@@ -7,9 +7,9 @@
 //! `custkey`, `lineitem ⋈ part` on `partkey`, prices/discounts/taxes in
 //! TPC-H's ranges.
 //!
-//! This replaces the official `dbgen` tool (see DESIGN.md "Substitutions"):
-//! the experiments depend on cardinalities, fan-out and aggregate moments,
-//! all of which are controlled here, not on TPC-H's text columns.
+//! This replaces the official `dbgen` tool: the experiments depend on
+//! cardinalities, fan-out and aggregate moments, all of which are
+//! controlled here, not on TPC-H's text columns.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -2,10 +2,9 @@
 //!
 //! The evaluation substrate: a seeded generator for the eight TPC-H tables at
 //! an arbitrary scale factor, with optional Zipf skew on part popularity.
-//! Replaces the official `dbgen` tool for the paper's experiments (see
-//! DESIGN.md, "Substitutions"): what matters to the estimator is
-//! cardinalities, foreign-key fan-out and the aggregate's moments, all of
-//! which are faithfully controlled here.
+//! Replaces the official `dbgen` tool for the paper's experiments: what
+//! matters to the estimator is cardinalities, foreign-key fan-out and the
+//! aggregate's moments, all of which are faithfully controlled here.
 
 #![warn(missing_docs)]
 

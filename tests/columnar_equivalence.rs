@@ -29,9 +29,14 @@ use proptest::prelude::*;
 
 use sa_core::MomentAccumulator;
 use sa_storage::{Catalog, DataType, Field, Schema, TableBuilder};
-use sampling_algebra::exec::{execute, f_vector, layout_dims, open_stream, ExecOptions, Row};
+use std::sync::Arc;
+
+use sampling_algebra::exec::{
+    execute, f_vector, layout_dims, open_shared_stream, open_stream, ExecOptions, Row, ScanObs,
+    SharedTableScan,
+};
 use sampling_algebra::expr::col;
-use sampling_algebra::online::QueryOptions;
+use sampling_algebra::online::{QueryOptions, Registry};
 use sampling_algebra::prelude::*;
 
 /// A random (non-aggregate) plan over `t` (possibly ⋈ `d`) plus the column
@@ -661,4 +666,191 @@ fn adaptive_chunks_respect_the_cap_and_ci_rule() {
         "stopped early: {}",
         r.snapshot.rows()
     );
+}
+
+/// `z`: 640 rows in 80 blocks of 8 — `id`, the row id; `d = (id − 37)·(id −
+/// 301)`, zero on rows 37 and 301 only (blocks 4 and 37); `x = id` as a
+/// float, a column no predicate reads.
+fn zero_divisor_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::Int),
+        Field::new("d", DataType::Int),
+        Field::new("x", DataType::Float),
+    ])
+    .unwrap();
+    let mut b = TableBuilder::new("z", schema).with_block_rows(8);
+    for i in 0..640i64 {
+        b.push_row(&[
+            Value::Int(i),
+            Value::Int((i - 37) * (i - 301)),
+            Value::Float(i as f64),
+        ])
+        .unwrap();
+    }
+    c.register(b.finish().unwrap()).unwrap();
+    c
+}
+
+/// Drain every stream, returning the lineage ids of the rows or the first
+/// error.
+fn drain_lineage(streams: Vec<ChunkStream>, hint: usize) -> Result<Vec<u64>, String> {
+    let mut ids = Vec::new();
+    for s in streams {
+        let rows = s.collect_rows(hint).map_err(|e| e.to_string())?;
+        ids.extend(rows.iter().map(|r| r.lineage[0]));
+    }
+    ids.sort_unstable();
+    Ok(ids)
+}
+
+/// The sampler decides before the predicate runs: a predicate that raises
+/// integer division by zero on rows 37 and 301 raises iff the sample keeps
+/// one of them — fused into the scan or not, on a private scan, a worker's
+/// slice or a hub cursor — and every sampler has seeds whose coin drops
+/// both, where nothing may raise.
+#[test]
+fn the_coin_runs_before_the_predicate() {
+    let c = zero_divisor_catalog();
+    let raises = lit(1_000_000i64).div(col("d")).gt(lit(0i64));
+    for (method, offending) in [
+        (SamplingMethod::Bernoulli { p: 0.5 }, [37, 301]),
+        (SamplingMethod::Wor { size: 320 }, [37, 301]),
+        (SamplingMethod::System { p: 0.5 }, [4, 37]),
+    ] {
+        let sampled = LogicalPlan::scan("z").sample(method.clone());
+        let plan = sampled
+            .clone()
+            .filter(raises.clone())
+            .project(vec![(col("x"), "x".into())]);
+        let mut seen = [false; 2];
+        for seed in 0..24 {
+            let opts = ExecOptions {
+                seed,
+                ..Default::default()
+            };
+            let kept = drain_lineage(vec![open_stream(&sampled, &c, &opts).unwrap()], 64).unwrap();
+            let hit = offending.iter().any(|u| kept.binary_search(u).is_ok());
+            seen[usize::from(hit)] = true;
+            let hub = Arc::new(SharedTableScan::new(c.get("z").unwrap(), 32));
+            support::warm_hub(&hub, &c, 64);
+            let shared = open_shared_stream(&plan, &c, &opts, &hub).unwrap();
+            let mut runs = vec![("hub", drain_lineage(vec![shared], 64))];
+            for disable_pushdown in [false, true] {
+                for parts in [1, 3] {
+                    for hint in [5, 64] {
+                        let opts = ExecOptions {
+                            seed,
+                            disable_pushdown,
+                            ..Default::default()
+                        };
+                        let streams = open_stream_partitioned(&plan, &c, &opts, parts).unwrap();
+                        runs.push(("private", drain_lineage(streams, hint)));
+                    }
+                }
+            }
+            for (source, run) in runs {
+                match run {
+                    Err(e) => assert!(
+                        hit && e.contains("division by zero"),
+                        "{method} seed {seed} ({source}): raised `{e}` with no offending row kept"
+                    ),
+                    Ok(_) => assert!(
+                        !hit,
+                        "{method} seed {seed} ({source}): an offending row was kept and \
+                         the predicate did not raise"
+                    ),
+                }
+            }
+        }
+        assert_eq!(
+            seen,
+            [true, true],
+            "{method}: both outcomes occur over the seeds"
+        );
+    }
+}
+
+/// `SYSTEM` touches only the blocks it keeps: on a private scan, with any
+/// worker count, chunk hint or visit order, `pages_skipped` is exactly the
+/// number of dropped blocks, while the realized set (block lineage, the
+/// row oracle's), the block coverage and the empty distinct family are what
+/// they were with the sampler above the scan. A dropped block counts as
+/// covered as soon as the scan passes it.
+#[test]
+fn system_skips_exactly_the_pages_it_drops() {
+    let c = zero_divisor_catalog();
+    let plan = LogicalPlan::scan("z").sample(SamplingMethod::System { p: 0.5 });
+    for seed in 0..12 {
+        let oracle: Vec<u64> = {
+            let opts = ExecOptions {
+                seed,
+                ..Default::default()
+            };
+            let mut ids: Vec<u64> = execute(&plan, &c, &opts)
+                .unwrap()
+                .rows
+                .iter()
+                .map(|r| r.lineage[0])
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let mut blocks = oracle.clone();
+        blocks.dedup();
+        for shuffle_scan in [false, true] {
+            for parts in [1, 3] {
+                for hint in [8, 24, 100] {
+                    let registry = Registry::new();
+                    let opts = ExecOptions {
+                        seed,
+                        shuffle_scan,
+                        scan_obs: ScanObs::new(&registry),
+                        ..Default::default()
+                    };
+                    let mut streams = open_stream_partitioned(&plan, &c, &opts, parts).unwrap();
+                    let mut ids = Vec::new();
+                    for s in &mut streams {
+                        assert!(
+                            s.distinct().is_empty(),
+                            "block lineage is distinct on nothing"
+                        );
+                        loop {
+                            let chunk = s.next_batch(hint).unwrap();
+                            if chunk.is_empty() {
+                                break;
+                            }
+                            let last = *chunk.lineage[0].last().unwrap();
+                            ids.extend_from_slice(&chunk.lineage[0]);
+                            if parts == 1 && !shuffle_scan && hint % 8 == 0 {
+                                // The pull consumed hint-row ranges up to the
+                                // one holding its last kept block, dropped
+                                // blocks and all.
+                                let upto = ((last * 8 / hint as u64 + 1) * hint as u64).min(640);
+                                assert_eq!(s.progress(), vec![(upto.div_ceil(8), 80)]);
+                            }
+                        }
+                    }
+                    ids.sort_unstable();
+                    let cell =
+                        format!("seed {seed} shuffle {shuffle_scan} parts {parts} hint {hint}");
+                    assert_eq!(ids, oracle, "{cell}");
+                    let progress: u64 = streams.iter().map(|s| s.progress()[0].0).sum();
+                    assert_eq!(progress, 80, "{cell}");
+                    let m = registry.snapshot();
+                    assert_eq!(
+                        m.counter("sa_scan_pages_skipped_total"),
+                        Some(80 - blocks.len() as u64),
+                        "{cell}"
+                    );
+                    assert_eq!(m.counter("sa_scan_rows_scanned_total"), Some(640), "{cell}");
+                    assert_eq!(
+                        m.counter("sa_scan_rows_gathered_total"),
+                        Some(oracle.len() as u64),
+                        "{cell}"
+                    );
+                }
+            }
+        }
+    }
 }

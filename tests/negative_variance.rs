@@ -59,21 +59,25 @@ fn a_ci_stop_never_rests_on_a_zero_width_interval_that_misses() {
     }
 }
 
-#[test]
-fn a_negative_variance_reads_as_no_interval() {
-    // Seed 6's first tick under WOR(400): 8 rows, COUNT estimated at 900
-    // against a truth of 600, with a raw σ̂² far below zero.
+/// Seed 6's first tick under WOR(400): 8 rows, COUNT estimated at 900
+/// against a truth of 600, with a raw σ̂² far below zero.
+fn seed_6_first_tick() -> QueryResult {
     let plan = LogicalPlan::scan("t")
         .sample(SamplingMethod::Wor { size: 400 })
         .aggregate(vec![AggSpec::count_star("n")]);
-    let r = Engine::new(catalog())
+    Engine::new(catalog())
         .session()
         .query_plan(&plan)
         .seed(6)
         .chunk_rows(8)
         .rows(8)
         .run()
-        .unwrap();
+        .unwrap()
+}
+
+#[test]
+fn a_negative_variance_reads_as_no_interval() {
+    let r = seed_6_first_tick();
     let report = r.report.as_ref().unwrap();
     let raw = report.raw_variance(0).unwrap();
     assert!(raw < -1.0, "raw σ̂² {raw}");
@@ -83,4 +87,18 @@ fn a_negative_variance_reads_as_no_interval() {
     assert_eq!(agg.variance, None);
     assert!(agg.ci_normal.is_none() && agg.ci_chebyshev.is_none());
     assert_eq!(support::scalar(&r).rel_half_width, None);
+}
+
+#[test]
+fn a_negative_prediction_is_an_error_not_a_certain_answer() {
+    // §8's prediction for the pilot's own design reads its moments through
+    // the same weights as its variance, so it is the same raw σ̂², far below
+    // zero: no design can be judged from it, and 0 would claim certainty.
+    let r = seed_6_first_tick();
+    let report = r.report.as_ref().unwrap();
+    let err = report.predict_variance(report.gus(), 0).unwrap_err();
+    assert!(
+        err.to_string().contains("negative beyond rounding"),
+        "{err}"
+    );
 }

@@ -1,5 +1,5 @@
-//! Property-based tests (proptest) on the invariants DESIGN.md §5 lists:
-//! algebra laws of GUS parameters, Möbius transform identities, estimator
+//! Property-based tests (proptest) of the workspace's invariants: algebra
+//! laws of GUS parameters, Möbius transform identities, estimator
 //! invariances, and a differential test of the rewriter against direct
 //! algebra evaluation.
 
