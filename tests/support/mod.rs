@@ -104,6 +104,11 @@ pub fn warm_hub(hub: &Arc<SharedTableScan>, catalog: &Catalog, origin: u64) {
 /// size 16 (so SYSTEM sampling has 38 blocks); `d`: a 12-row dimension
 /// table for the join case.
 pub fn catalog() -> Catalog {
+    catalog_of(|i| (i % 97) as f64 + 0.25)
+}
+
+/// [`catalog`] with `v`'s non-NULL cell of row `i` set to `v(i)`.
+pub fn catalog_of(v: impl Fn(i64) -> f64) -> Catalog {
     let mut c = Catalog::new();
     let schema = Schema::new(vec![
         Field::new("k", DataType::Int),
@@ -116,7 +121,7 @@ pub fn catalog() -> Catalog {
         let v = if i % 13 == 0 {
             Value::Null
         } else {
-            Value::Float((i % 97) as f64 + 0.25)
+            Value::Float(v(i))
         };
         let s = match i % 7 {
             0 => Value::Null,
