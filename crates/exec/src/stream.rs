@@ -16,11 +16,10 @@
 //! expressions ([`sa_expr::compile()`]): type dispatch happens once at open,
 //! per-chunk work is tight loops over `i64`/`f64`/`bool`/dictionary-code
 //! slices, and no per-row `Vec<Value>` is allocated on the hot path. A
-//! `Filter` directly under a `Project` fuses into one operator that gathers
-//! only the columns the projection reads. Joins key their hash tables by a
-//! 64-bit fingerprint of the equi-key cells (with a stored-key equality
-//! check on probe, so a fingerprint collision can never produce a wrong
-//! join). [`ChunkStream::next_batch`] exposes the columnar chunks;
+//! `Filter` directly on a scan fuses into its gather. Joins key their hash
+//! tables by a 64-bit fingerprint of the equi-key cells (with a stored-key
+//! equality check on probe, so a fingerprint collision can never produce a
+//! wrong join). [`ChunkStream::next_batch`] exposes the columnar chunks;
 //! [`ChunkStream::next_chunk`] is a thin adapter that materializes
 //! [`Row`]s for row-at-a-time consumers.
 //!
@@ -526,21 +525,20 @@ impl<'a> BuildCtx<'a> {
 /// output column set, its relation's samplers, an optional scan-level
 /// predicate, and the scan observability handles. Built in
 /// [`build_partitioned`]'s scan arm and extended with a predicate by its
-/// `Filter` arm. Per range the order is: the samplers' keep mask over the
-/// range's ids, the predicate's columns of the rows it keeps, the
-/// predicate over those rows only, the remaining columns of the rows both
-/// keep.
+/// `Filter` arm. Its one [`ScanGather::gather`] serves every scan: an
+/// unsampled one is the case where the identity sampler keeps every id.
 #[derive(Debug)]
 struct ScanGather {
     /// Output columns as ascending indices into the table schema; `None`
     /// gathers every column (the scan's output schema is pruned to match,
     /// so downstream compiled expressions see consistent positions).
     cols: Option<Arc<Vec<usize>>>,
-    /// The relation's samplers; `None` when no branch samples it.
+    /// The relation's samplers; `None` (the identity) when no branch
+    /// samples it.
     sampler: Option<Arc<ScanSampler>>,
     /// A predicate pushed into the scan (a `Filter` that sat directly on
     /// it): rows it drops never materialize into a batch.
-    predicate: Option<ScanPredicate>,
+    predicate: Option<Box<ScanPredicate>>,
     obs: ScanObs,
 }
 
@@ -672,137 +670,81 @@ impl ScanGather {
         ScanGather {
             cols: self.cols.clone(),
             sampler: self.sampler.clone(),
-            predicate: Some(ScanPredicate {
+            predicate: Some(Box::new(ScanPredicate {
                 expr,
                 table_cols,
                 out_map,
                 late_cols,
-            }),
+            })),
             obs: self.obs.clone(),
         }
     }
 
     /// Gather rows `[from, upto)` of `table` — or the prefix of them `hub`
     /// serves, when a hub cursor is the row source — into a chunk with
-    /// physical row-id lineage; also returns how many rows that consumed.
-    /// Without a predicate this is a straight (possibly column-pruned)
-    /// range gather. With one, the predicate's columns are gathered alone,
-    /// the mask is evaluated, and only surviving rows of the remaining
-    /// columns are taken from the table — a chunk may come back empty
-    /// without meaning exhaustion (callers loop). A sampled scan takes
-    /// [`ScanGather::gather_sampled`].
+    /// physical row-id lineage (block ids under `SYSTEM`); also returns
+    /// how many rows that consumed. In order: the ids the samplers keep,
+    /// decided on ids alone; the first columns (the predicate's, or every
+    /// output column) of the kept rows, by the dense range gather when the
+    /// range keeps every row; the predicate over those rows only, so a row
+    /// the samplers drop cannot raise in it; the late columns of the rows
+    /// both keep. A private scan never touches a row the samplers drop; a
+    /// hub serves its range whole and the kept rows are picked from it. A
+    /// chunk may come back empty without meaning exhaustion (callers
+    /// loop). `touched` is the scan's page-count state
+    /// ([`ScanGather::count_skipped`]).
     fn gather(
         &self,
         table: &Table,
         hub: &mut Option<SharedScanCursor>,
         from: u64,
         upto: u64,
-    ) -> Result<(ColumnarChunk, u64)> {
-        if let Some(sampler) = &self.sampler {
-            return self.gather_sampled(sampler, table, hub, from, upto);
-        }
-        let mut range = |cols: Option<&[usize]>| match hub {
-            Some(cursor) => cursor.range(from, upto, cols),
-            None => match cols {
-                None => table.batch_range(from, upto),
-                Some(cols) => table.batch_range_cols(from, upto, cols),
-            }
-            .map_err(ExecError::Storage),
-        };
-        let Some(pred) = &self.predicate else {
-            let batch = range(self.cols.as_deref().map(Vec::as_slice))?;
-            let n = batch.rows() as u64;
-            self.obs.rows_scanned.add(n);
-            self.obs.rows_gathered.add(n);
-            let chunk = ColumnarChunk {
-                batch,
-                lineage: vec![(from..from + n).collect()],
-            };
-            return Ok((chunk, n));
-        };
-        let pred_batch = range(Some(&pred.table_cols))?;
-        let n = pred_batch.rows() as u64;
-        let upto = from + n;
-        self.obs.rows_scanned.add(n);
-        let selected = selection(&pred.expr.eval_mask(&pred_batch)?);
-        let ids: Vec<u64> = selected.iter().map(|&i| from + i as u64).collect();
-        // Page accounting: blocks of the range whose every row the mask
-        // dropped never have their non-predicate columns touched.
-        if n > 0 {
-            let br = table.block_rows() as u64;
-            let blocks_total = (upto - 1) / br - from / br + 1;
-            let mut covered = 0u64;
-            let mut prev = u64::MAX;
-            for &id in &ids {
-                let b = id / br;
-                if b != prev {
-                    covered += 1;
-                    prev = b;
-                }
-            }
-            self.obs.pages_skipped.add(blocks_total - covered);
-        }
-        self.obs.rows_gathered.add(ids.len() as u64);
-        let pred_taken = pred_batch.take(&selected);
-        let late_batch = table
-            .gather_rows_cols(&ids, &pred.late_cols)
-            .map_err(ExecError::Storage)?;
-        let columns = pred
-            .out_map
-            .iter()
-            .map(|&m| match m {
-                OutCol::PredCol(i) => pred_taken.column(i).clone(),
-                OutCol::LateCol(j) => late_batch.column(j).clone(),
-            })
-            .collect();
-        let chunk = ColumnarChunk {
-            batch: ColumnarBatch::new(columns, ids.len()),
-            lineage: vec![ids],
-        };
-        Ok((chunk, n))
-    }
-
-    /// [`ScanGather::gather`] under `sampler`. Its keep mask comes from the
-    /// range's ids alone, so a private scan gathers only the rows it keeps
-    /// and never touches a block `SYSTEM` drops. A hub serves the range
-    /// whole, and the mask then picks from it. The predicate sees the
-    /// kept rows only: a row the sampler drops cannot raise in it.
-    fn gather_sampled(
-        &self,
-        sampler: &ScanSampler,
-        table: &Table,
-        hub: &mut Option<SharedScanCursor>,
-        from: u64,
-        upto: u64,
+        touched: &mut Option<u64>,
     ) -> Result<(ColumnarChunk, u64)> {
         let first = match &self.predicate {
             Some(pred) => Some(pred.table_cols.as_slice()),
             None => self.cols.as_deref().map(Vec::as_slice),
         };
-        let (batch, ids, n) = match hub {
+        // The ids the samplers keep, `None` for the identity sampler of an
+        // unsampled scan (Proposition 4).
+        let kept = |upto: u64| self.sampler.as_ref().map(|s| s.kept(from, upto));
+        let (batch, kept, n) = match hub {
             Some(cursor) => {
                 let served = cursor.range(from, upto, first)?;
                 let n = served.rows() as u64;
-                let ids = sampler.kept(from, from + n);
-                let at: Vec<u32> = ids.iter().map(|&id| (id - from) as u32).collect();
-                (served.take(&at), ids, n)
+                let kept = kept(from + n);
+                let batch = match &kept {
+                    Some(ids) if ids.len() as u64 != n => {
+                        let at: Vec<u32> = ids.iter().map(|&id| (id - from) as u32).collect();
+                        served.take(&at)
+                    }
+                    _ => served,
+                };
+                (batch, kept, n)
             }
             None => {
-                let ids = sampler.kept(from, upto);
-                let batch = match first {
-                    Some(cols) => table.gather_rows_cols(&ids, cols),
-                    None => table.gather_rows_cols(&ids, &self.out_cols(table)),
+                let kept = kept(upto);
+                let batch = match (&kept, first) {
+                    (Some(ids), cols) if ids.len() as u64 != upto - from => match cols {
+                        Some(cols) => table.gather_rows_cols(ids, cols),
+                        None => table.gather_rows_cols(ids, &self.out_cols(table)),
+                    },
+                    (_, None) => table.batch_range(from, upto),
+                    (_, Some(cols)) => table.batch_range_cols(from, upto, cols),
                 }
                 .map_err(ExecError::Storage)?;
-                (batch, ids, upto - from)
+                (batch, kept, upto - from)
             }
         };
         self.obs.rows_scanned.add(n);
         let (batch, ids) = match &self.predicate {
-            None => (batch, ids),
+            None => (batch, kept.unwrap_or_else(|| (from..from + n).collect())),
             Some(pred) => {
                 let selected = selection(&pred.expr.eval_mask(&batch)?);
-                let ids: Vec<u64> = selected.iter().map(|&i| ids[i as usize]).collect();
+                let ids: Vec<u64> = match &kept {
+                    None => selected.iter().map(|&i| from + i as u64).collect(),
+                    Some(kept) => selected.iter().map(|&i| kept[i as usize]).collect(),
+                };
                 let mut late: Vec<Option<ColumnVec>> = table
                     .gather_rows_cols(&ids, &pred.late_cols)
                     .map_err(ExecError::Storage)?
@@ -821,21 +763,9 @@ impl ScanGather {
                 (ColumnarBatch::new(columns, ids.len()), ids)
             }
         };
-        // Page accounting: blocks none of whose rows reached the output
-        // were never gathered past the predicate's columns — under `SYSTEM`
-        // without a predicate, exactly the dropped blocks. A block is
-        // counted by the range it starts in, so one that straddles two
-        // ranges counts once.
-        if n > 0 {
-            let br = table.block_rows() as u64;
-            let first = from.div_ceil(br);
-            let blocks = ((from + n - 1) / br + 1).saturating_sub(first);
-            let lead = ids.partition_point(|&id| id < first * br);
-            let touched = ids[lead..].chunk_by(|a, b| a / br == b / br).count() as u64;
-            self.obs.pages_skipped.add(blocks - touched);
-        }
+        self.count_skipped(table, from, from + n, &ids, touched);
         self.obs.rows_gathered.add(ids.len() as u64);
-        let lineage = match sampler.block_rows {
+        let lineage = match self.sampler.as_ref().and_then(|s| s.block_rows) {
             Some(br) => ids.iter().map(|id| id / br).collect(),
             None => ids,
         };
@@ -844,6 +774,52 @@ impl ScanGather {
             lineage: vec![lineage],
         };
         Ok((chunk, n))
+    }
+
+    /// Page accounting: count, once each, the blocks whose last row the
+    /// gather of `[from, end)` passed and none of whose rows reached the
+    /// output (`ids`, ascending). Such a block was never gathered past the
+    /// predicate's columns; under `SYSTEM` without a predicate it is a
+    /// dropped block. `touched` carries the block of the scan's last
+    /// surviving row across gathers, so a block that straddles two gathers
+    /// is judged on all its rows. A range ends on a block boundary or at
+    /// the table's last row, so no block is left half judged.
+    fn count_skipped(
+        &self,
+        table: &Table,
+        from: u64,
+        end: u64,
+        ids: &[u64],
+        touched: &mut Option<u64>,
+    ) {
+        if from >= end {
+            return;
+        }
+        let br = table.block_rows() as u64;
+        if ids.len() as u64 == end - from {
+            // Every row survived, so every block passed was touched.
+            *touched = Some((end - 1) / br);
+            return;
+        }
+        let first = from / br;
+        // The blocks `[first, done)` end inside this gather.
+        let done = if end.is_multiple_of(br) || end == table.row_count() {
+            end.div_ceil(br)
+        } else {
+            end / br
+        };
+        let judged = &ids[..ids.partition_point(|&id| id < done * br)];
+        let mut hit = judged.chunk_by(|a, b| a / br == b / br).count() as u64;
+        if first < done
+            && *touched == Some(first)
+            && judged.first().is_none_or(|&id| id / br != first)
+        {
+            hit += 1;
+        }
+        self.obs.pages_skipped.add(done - first - hit);
+        if let Some(&last) = ids.last() {
+            *touched = Some(last / br);
+        }
     }
 }
 
@@ -883,6 +859,9 @@ enum Node {
         done: u64,
         /// Rows of the whole slice.
         total: u64,
+        /// The block of the last row that reached the output, so each
+        /// skipped page is counted once ([`ScanGather::count_skipped`]).
+        touched: Option<u64>,
         gather: ScanGather,
     },
     /// The root of a plan whose union spans several relations: keeps the
@@ -897,18 +876,6 @@ enum Node {
     /// Projection (compiled kernels evaluated per chunk).
     Project {
         exprs: Vec<CompiledExpr>,
-        input: Box<Node>,
-    },
-    /// Fused selection + projection: one pass computes the selection mask,
-    /// gathers only the columns the projection reads, and evaluates the
-    /// projection kernels over the compacted batch — no intermediate
-    /// filtered chunk of untouched columns.
-    FilterProject {
-        predicate: CompiledExpr,
-        /// Projection kernels, column-remapped onto `used`.
-        exprs: Vec<CompiledExpr>,
-        /// Input column indices the projection reads, ascending.
-        used: Vec<usize>,
         input: Box<Node>,
     },
     /// Streaming hash join: build side materialized and fingerprint-keyed,
@@ -1023,6 +990,7 @@ fn build_partitioned(
                         offset: 0,
                         done: 0,
                         total: row(hi) - row(lo),
+                        touched: None,
                         gather: ScanGather {
                             cols: cols.clone(),
                             sampler: ctx.samplers.get(alias.as_str()).cloned(),
@@ -1075,41 +1043,11 @@ fn build_partitioned(
                 compiled.push(compile(&be, &in_schema)?);
             }
             let schema = Arc::new(Schema::new(fields).map_err(ExecError::Storage)?);
-            // Fuse a directly-underlying Filter: gather only the columns the
-            // projection reads, once, after masking.
-            let mut used: Vec<usize> = Vec::new();
-            for c in &compiled {
-                for i in c.columns_used() {
-                    if !used.contains(&i) {
-                        used.push(i);
-                    }
-                }
-            }
-            used.sort_unstable();
-            let remapped: Vec<CompiledExpr> = compiled
-                .iter()
-                .map(|c| {
-                    let mut c = c.clone();
-                    let used = &used;
-                    c.remap_columns(&|old| {
-                        used.binary_search(&old).expect("used covers every column")
-                    });
-                    c
-                })
-                .collect();
             let nodes = inputs
                 .into_iter()
-                .map(|node| match node {
-                    Node::Filter { predicate, input } => Node::FilterProject {
-                        predicate,
-                        exprs: remapped.clone(),
-                        used: used.clone(),
-                        input,
-                    },
-                    node => Node::Project {
-                        exprs: compiled.clone(),
-                        input: Box::new(node),
-                    },
+                .map(|node| Node::Project {
+                    exprs: compiled.clone(),
+                    input: Box::new(node),
                 })
                 .collect();
             Ok((nodes, schema, relations))
@@ -1202,6 +1140,7 @@ impl Node {
                 at,
                 offset,
                 done,
+                touched,
                 gather,
                 ..
             } => {
@@ -1214,7 +1153,7 @@ impl Node {
                         continue;
                     }
                     let upto = from.saturating_add(hint as u64).min(end);
-                    let (chunk, served) = gather.gather(table, hub, from, upto)?;
+                    let (chunk, served) = gather.gather(table, hub, from, upto, touched)?;
                     // `offset` counts *consumed* rows — every row served
                     // had its chance, whatever a pushed predicate dropped —
                     // so Prop-8 coverage is unchanged.
@@ -1227,7 +1166,7 @@ impl Node {
                     }
                 }
                 // Exhausted: an empty chunk with the scan's column shape.
-                Ok(gather.gather(table, hub, 0, 0)?.0)
+                Ok(gather.gather(table, hub, 0, 0, touched)?.0)
             }
             Node::Sample { keeps, input } => loop {
                 let chunk = input.next_batch(hint)?;
@@ -1261,50 +1200,6 @@ impl Node {
                     lineage: chunk.lineage,
                 })
             }
-            Node::FilterProject {
-                predicate,
-                exprs,
-                used,
-                input,
-            } => loop {
-                let chunk = input.next_batch(hint)?;
-                let indices: Vec<u32> = if chunk.is_empty() {
-                    // An exhausted input still flows through the gather +
-                    // eval below (with no rows), so the chunk keeps the
-                    // projected column count — consumers above may evaluate
-                    // expressions against it.
-                    Vec::new()
-                } else {
-                    let selected = selection(&predicate.eval_mask(&chunk.batch)?);
-                    if selected.is_empty() {
-                        continue;
-                    }
-                    selected
-                };
-                // Gather only the columns the projection reads, compacted
-                // to the selected rows, then evaluate densely. (The
-                // projection kernels are remapped onto `used`, so they must
-                // never see the full-width input batch — not even empty.)
-                let gathered = ColumnarBatch::new(
-                    used.iter()
-                        .map(|&c| chunk.batch.column(c).take(&indices))
-                        .collect(),
-                    indices.len(),
-                );
-                let columns = exprs
-                    .iter()
-                    .map(|e| e.eval_column(&gathered))
-                    .collect::<sa_expr::Result<Vec<_>>>()?;
-                let lineage = chunk
-                    .lineage
-                    .iter()
-                    .map(|l| indices.iter().map(|&i| l[i as usize]).collect())
-                    .collect();
-                return Ok(ColumnarChunk {
-                    batch: ColumnarBatch::new(columns, indices.len()),
-                    lineage,
-                });
-            },
             Node::HashJoin {
                 probe,
                 build,
@@ -1402,8 +1297,7 @@ impl Node {
             }),
             Node::Sample { input, .. }
             | Node::Filter { input, .. }
-            | Node::Project { input, .. }
-            | Node::FilterProject { input, .. } => input.progress(out),
+            | Node::Project { input, .. } => input.progress(out),
             // Build sides are fully materialized: complete coverage.
             Node::HashJoin {
                 probe: input,
@@ -1433,8 +1327,7 @@ impl Node {
             },
             Node::Sample { input, .. }
             | Node::Filter { input, .. }
-            | Node::Project { input, .. }
-            | Node::FilterProject { input, .. } => input.distinct(),
+            | Node::Project { input, .. } => input.distinct(),
             Node::HashJoin {
                 probe: input,
                 build,
@@ -2187,8 +2080,8 @@ mod tests {
     fn filter_under_project_fuses_and_matches_unfused() {
         // With pushdown on, a Filter directly on a Scan is eaten by the
         // scan itself (masked before materialization); with pushdown off,
-        // Project(Filter(x)) falls back to the fused FilterProject
-        // operator. Both shapes must produce identical rows.
+        // Project(Filter(x)) stays a plain Project over a plain Filter.
+        // Both shapes must produce identical rows.
         let fused = LogicalPlan::scan("t")
             .filter(col("v").gt_eq(lit(25.0)).and(col("k").lt(lit(8i64))))
             .project(vec![
@@ -2209,10 +2102,14 @@ mod tests {
             ..Default::default()
         };
         let streams = open_stream_partitioned(&fused, &c, &off, 1).unwrap();
-        assert!(
-            matches!(streams[0].root, Node::FilterProject { .. }),
-            "with pushdown off, filter under project must fuse into FilterProject"
-        );
+        match &streams[0].root {
+            Node::Project { input, .. } => assert!(
+                matches!(&**input, Node::Filter { input, .. }
+                    if matches!(&**input, Node::Scan { gather, .. } if gather.predicate.is_none())),
+                "with pushdown off, a filter under a project stays its own operator: {input:?}"
+            ),
+            other => panic!("expected Project over Filter over Scan, got {other:?}"),
+        }
         for hint in [1, 9, 100] {
             assert_stream_matches_batch(&fused, hint);
         }

@@ -64,10 +64,6 @@ fn samplers() -> [(&'static str, Option<SamplingMethod>); 4] {
     ]
 }
 
-fn plan(shape: u8, sampler: &Option<SamplingMethod>) -> (LogicalPlan, Vec<Expr>) {
-    stacked_plan(shape, sampler.as_slice())
-}
-
 /// A running digest: each word goes in through one `splitmix64`.
 struct Fold(u64);
 
@@ -233,13 +229,16 @@ impl Fold {
     }
 }
 
+/// A terminal past `run_with`, by its cell-name tag.
+type Terminal = fn(QueryBuilder) -> Result<QueryResult, Error>;
+
 /// Every engine cell's digest, by cell name.
 fn engine_cells() -> BTreeMap<String, u64> {
     let c = catalog();
     let mut cells = BTreeMap::new();
     for shape in 0..5u8 {
         for (tag, sampler) in samplers() {
-            let (plan, group_by) = plan(shape, &sampler);
+            let (plan, group_by) = stacked_plan(shape, sampler.as_slice());
             for seed in SEEDS {
                 for chunk in [64usize, 37] {
                     for within in [false, true] {
@@ -261,7 +260,7 @@ fn engine_cells() -> BTreeMap<String, u64> {
                         let r = q().run_with(|s| f.snapshot(s));
                         f.outcome(r);
                         cells.insert(name("run_with"), f.0);
-                        let terminals: [(&str, fn(QueryBuilder) -> Result<QueryResult, Error>); 3] = [
+                        let terminals: [(&str, Terminal); 3] = [
                             ("run", |q| q.run()),
                             ("batch", |q| q.batch()),
                             ("subsample80", |q| q.subsample(80).batch()),
@@ -285,7 +284,7 @@ fn stream_cells() -> BTreeMap<String, u64> {
     let mut cells = BTreeMap::new();
     for shape in 0..5u8 {
         for (tag, sampler) in samplers() {
-            let input = match plan(shape, &sampler).0 {
+            let input = match stacked_plan(shape, sampler.as_slice()).0 {
                 LogicalPlan::Aggregate { input, .. } => input,
                 other => panic!("shape {shape} is not an aggregate: {other:?}"),
             };

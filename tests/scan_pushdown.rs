@@ -6,7 +6,8 @@
 //! logical scan, so the pin is `--jobs`-independent); a selective
 //! predicate fused into the scan must drop its rows *before* batch
 //! materialization (`rows_gathered < rows_scanned`) and skip whole pages
-//! whose rows all fail (`pages_skipped > 0`). All of it holds on both
+//! whose rows all fail, each counted once (`pages_skipped` = 31 of 32,
+//! whatever the pull size splits). All of it holds on both
 //! backends — in-RAM and memory-mapped — sequentially and at 4 workers,
 //! and the engine surfaces the same counters end to end.
 
@@ -64,56 +65,92 @@ fn two_col_plan() -> LogicalPlan {
         .project(vec![(col("c11"), "x".into())])
 }
 
-/// Drain `plan` over `catalog` with `jobs` workers and a live scan-obs
-/// registry; returns (rows yielded, metrics snapshot).
+/// Drain `plan` over `catalog` with `jobs` workers at `seed`, `hint` rows
+/// per pull, and a live scan-obs registry; returns (rows yielded, metrics
+/// snapshot).
 fn drain(
     catalog: &Catalog,
     plan: &LogicalPlan,
     jobs: usize,
+    seed: u64,
+    hint: usize,
 ) -> (usize, sampling_algebra::online::MetricsSnapshot) {
     let registry = Registry::new();
     let opts = ExecOptions {
-        seed: 7,
+        seed,
         scan_obs: ScanObs::new(&registry),
         ..Default::default()
     };
     let streams = open_stream_partitioned(plan, catalog, &opts, jobs).unwrap();
     let mut rows = 0;
     for s in streams {
-        rows += s.collect_rows(100).unwrap().len();
+        rows += s.collect_rows(hint).unwrap().len();
     }
     (rows, registry.snapshot())
+}
+
+/// [`two_col_plan`] over `w TABLESAMPLE BERNOULLI(5%)`: the coin keeps a
+/// few rows of block 5, or none.
+fn sampled_two_col_plan() -> LogicalPlan {
+    LogicalPlan::scan("w")
+        .sample(SamplingMethod::Bernoulli { p: 0.05 })
+        .filter(col("c3").eq(lit(5i64)))
+        .project(vec![(col("c11"), "x".into())])
 }
 
 #[test]
 fn two_column_query_gathers_two_segments_and_skips_failed_pages() {
     for catalog in [build_catalog(), mapped_catalog()] {
         for jobs in [1usize, 4] {
-            let (rows, m) = drain(&catalog, &two_col_plan(), jobs);
-            // The predicate keeps exactly block 5: 64 of 2048 rows.
-            assert_eq!(rows, BLOCK, "jobs={jobs}");
-            // 2 of 16 column segments, counted once per logical scan —
-            // identical at any worker count.
-            assert_eq!(
-                m.counter("sa_scan_cols_gathered_total"),
-                Some(2),
-                "jobs={jobs}"
-            );
-            // Every row had its chance; only the survivors were ever
-            // materialized into a batch.
-            assert_eq!(
-                m.counter("sa_scan_rows_scanned_total"),
-                Some(ROWS as u64),
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                m.counter("sa_scan_rows_gathered_total"),
-                Some(BLOCK as u64),
-                "jobs={jobs}"
-            );
-            // 31 of 32 blocks hold no survivor: whole pages are skipped.
-            let skipped = m.counter("sa_scan_pages_skipped_total").unwrap();
-            assert!(skipped > 0, "jobs={jobs}: expected page skips, got 0");
+            // 64 pulls whole blocks; 100 and 37 split blocks across pulls,
+            // and each split block is still one page.
+            for hint in [64, 100, 37] {
+                let cell = format!("jobs={jobs} hint={hint}");
+                let (rows, m) = drain(&catalog, &two_col_plan(), jobs, 7, hint);
+                // The predicate keeps exactly block 5: 64 of 2048 rows.
+                assert_eq!(rows, BLOCK, "{cell}");
+                // 2 of 16 column segments, counted once per logical scan —
+                // identical at any worker count.
+                assert_eq!(m.counter("sa_scan_cols_gathered_total"), Some(2), "{cell}");
+                // Every row had its chance; only the survivors were ever
+                // materialized into a batch.
+                assert_eq!(
+                    m.counter("sa_scan_rows_scanned_total"),
+                    Some(ROWS as u64),
+                    "{cell}"
+                );
+                assert_eq!(
+                    m.counter("sa_scan_rows_gathered_total"),
+                    Some(BLOCK as u64),
+                    "{cell}"
+                );
+                // 31 of 32 blocks hold no survivor: each is one skipped
+                // page, counted once.
+                assert_eq!(m.counter("sa_scan_pages_skipped_total"), Some(31), "{cell}");
+                // Sampled, the coin runs first: block 5 is a touched page
+                // iff it keeps one of its rows.
+                for seed in 0..6 {
+                    let cell = format!("{cell} seed={seed} Bernoulli(5%)");
+                    let (rows, m) = drain(&catalog, &sampled_two_col_plan(), jobs, seed, hint);
+                    assert_eq!(m.counter("sa_scan_cols_gathered_total"), Some(2), "{cell}");
+                    assert_eq!(
+                        m.counter("sa_scan_rows_scanned_total"),
+                        Some(ROWS as u64),
+                        "{cell}"
+                    );
+                    assert_eq!(
+                        m.counter("sa_scan_rows_gathered_total"),
+                        Some(rows as u64),
+                        "{cell}"
+                    );
+                    let skipped = if rows > 0 { 31 } else { 32 };
+                    assert_eq!(
+                        m.counter("sa_scan_pages_skipped_total"),
+                        Some(skipped),
+                        "{cell}: {rows} rows survive"
+                    );
+                }
+            }
         }
     }
 }
@@ -125,7 +162,7 @@ fn two_column_query_gathers_two_segments_and_skips_failed_pages() {
 fn projection_only_prunes_columns_not_rows() {
     let plan = LogicalPlan::scan("w").project(vec![(col("c11"), "x".into())]);
     for catalog in [build_catalog(), mapped_catalog()] {
-        let (rows, m) = drain(&catalog, &plan, 1);
+        let (rows, m) = drain(&catalog, &plan, 1, 7, 100);
         assert_eq!(rows, ROWS as usize);
         assert_eq!(m.counter("sa_scan_cols_gathered_total"), Some(1));
         assert_eq!(m.counter("sa_scan_rows_scanned_total"), Some(ROWS as u64));
