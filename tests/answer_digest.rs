@@ -14,14 +14,17 @@
 //!   snapshot it sees (estimates, variances, both ends of both intervals or
 //!   their absence, rows, coverage, the GUS, each group's key and rows) and
 //!   the result around it; a cell the engine refuses folds its error text.
+//! - **Key shapes.** The same grid over the keys the five shapes miss:
+//!   `GROUP BY s` (a dictionary string, NULL keys included),
+//!   `GROUP BY (k, s)`, and the θ-join `v > w`, which has no equi-key.
 //! - **Stream half.** Each shape's aggregate input, opened with
 //!   `open_stream` with pushdown on and off under the same samplers, seeds
 //!   and two pull hints, folds every pull's cells, lineage and coverage.
 //!   The engine cannot turn pushdown off, so this is what pins the plans
 //!   whose filter stays an operator of its own.
 //!
-//! The plans run over `support::catalog` with `v`'s cells scaled by an
-//! inexact factor, so sums round and their order shows in the last bit.
+//! The plans run over `support::inexact_catalog`, whose sums round, so
+//! their order shows in the last bit.
 //!
 //! Only what is deterministic is pinned: one worker, no wall-clock rule.
 //! The interval ends go through the normal quantile's `ln` and `exp`,
@@ -39,18 +42,45 @@ use std::collections::BTreeMap;
 
 use sampling_algebra::core::hash::splitmix64;
 use sampling_algebra::prelude::*;
-use support::{catalog_of, stacked_plan};
+use support::{inexact_catalog, stacked_plan};
 
 /// The committed digests: `cell digest` per line.
 const DIGESTS: &str = include_str!("answer_digest.txt");
 
 const SEEDS: std::ops::Range<u64> = 0..6;
 
-/// `support::catalog` with `v`'s cells scaled by 1.1: its own are sums of
-/// quarters, which add exactly in any order, so a reassociated sum would
-/// leave every digest as it was.
-fn catalog() -> Catalog {
-    catalog_of(|i| (i % 97) as f64 * 1.1 + 0.25)
+/// Every plan of the grid over `t` sampled by `stack`, by its cell-name
+/// tag, with its GROUP BY keys: the five `stacked_plan` shapes, then the
+/// key shapes. A GROUP BY key does not reach the stream, so the stream
+/// half takes the five shapes and the θ-join only (`streamed`).
+fn plans(stack: &[SamplingMethod], streamed: bool) -> Vec<(String, LogicalPlan, Vec<Expr>)> {
+    let mut plans: Vec<_> = (0..5u8)
+        .map(|shape| {
+            let (plan, group_by) = stacked_plan(shape, stack);
+            (format!("shape{shape}"), plan, group_by)
+        })
+        .collect();
+    let (grouped, _) = stacked_plan(4, stack);
+    if !streamed {
+        plans.push(("group_s".into(), grouped.clone(), vec![col("s")]));
+        plans.push(("group_ks".into(), grouped, vec![col("k"), col("s")]));
+    }
+    let sampled = stack
+        .iter()
+        .fold(LogicalPlan::scan("t"), |plan, m| plan.sample(m.clone()));
+    let sum = col("v").add(col("w"));
+    let theta = sampled
+        .join_on(
+            LogicalPlan::scan("d").sample(SamplingMethod::Bernoulli { p: 0.75 }),
+            col("v").gt(col("w")),
+        )
+        .aggregate(vec![
+            AggSpec::sum(sum.clone(), "s"),
+            AggSpec::count_star("n"),
+            AggSpec::avg(sum, "a"),
+        ]);
+    plans.push(("theta".into(), theta, vec![]));
+    plans
 }
 
 /// Each sampler of the grid with its cell-name tag; `None` leaves `t`
@@ -234,11 +264,10 @@ type Terminal = fn(QueryBuilder) -> Result<QueryResult, Error>;
 
 /// Every engine cell's digest, by cell name.
 fn engine_cells() -> BTreeMap<String, u64> {
-    let c = catalog();
+    let c = inexact_catalog();
     let mut cells = BTreeMap::new();
-    for shape in 0..5u8 {
-        for (tag, sampler) in samplers() {
-            let (plan, group_by) = stacked_plan(shape, sampler.as_slice());
+    for (tag, sampler) in samplers() {
+        for (shape, plan, group_by) in plans(sampler.as_slice(), false) {
             for seed in SEEDS {
                 for chunk in [64usize, 37] {
                     for within in [false, true] {
@@ -254,7 +283,9 @@ fn engine_cells() -> BTreeMap<String, u64> {
                         };
                         let rule = if within { "within" } else { "norule" };
                         let name = |terminal: &str| {
-                            format!("engine/shape{shape}/{tag}/seed{seed}/chunk{chunk}/{rule}/{terminal}")
+                            format!(
+                                "engine/{shape}/{tag}/seed{seed}/chunk{chunk}/{rule}/{terminal}"
+                            )
                         };
                         let mut f = Fold(0);
                         let r = q().run_with(|s| f.snapshot(s));
@@ -280,11 +311,11 @@ fn engine_cells() -> BTreeMap<String, u64> {
 
 /// Every stream cell's digest, by cell name.
 fn stream_cells() -> BTreeMap<String, u64> {
-    let c = catalog();
+    let c = inexact_catalog();
     let mut cells = BTreeMap::new();
-    for shape in 0..5u8 {
-        for (tag, sampler) in samplers() {
-            let input = match stacked_plan(shape, sampler.as_slice()).0 {
+    for (tag, sampler) in samplers() {
+        for (shape, plan, _) in plans(sampler.as_slice(), true) {
+            let input = match plan {
                 LogicalPlan::Aggregate { input, .. } => input,
                 other => panic!("shape {shape} is not an aggregate: {other:?}"),
             };
@@ -305,8 +336,7 @@ fn stream_cells() -> BTreeMap<String, u64> {
                             }
                         }
                         let mode = if pushdown { "pushdown" } else { "nopushdown" };
-                        let name =
-                            format!("stream/shape{shape}/{tag}/seed{seed}/hint{hint}/{mode}");
+                        let name = format!("stream/{shape}/{tag}/seed{seed}/hint{hint}/{mode}");
                         cells.insert(name, f.0);
                     }
                 }
@@ -378,13 +408,13 @@ fn check(prefix: &str, cells: BTreeMap<String, u64>) {
 #[test]
 fn engine_answers_match_their_pinned_digests() {
     let cells = engine_cells();
-    assert_eq!(cells.len(), 5 * 4 * SEEDS.count() * 2 * 2 * 4);
+    assert_eq!(cells.len(), 8 * 4 * SEEDS.count() * 2 * 2 * 4);
     check("engine/", cells);
 }
 
 #[test]
 fn stream_pulls_match_their_pinned_digests() {
     let cells = stream_cells();
-    assert_eq!(cells.len(), 5 * 4 * SEEDS.count() * 2 * 2);
+    assert_eq!(cells.len(), 6 * 4 * SEEDS.count() * 2 * 2);
     check("stream/", cells);
 }

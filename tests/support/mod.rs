@@ -107,6 +107,14 @@ pub fn catalog() -> Catalog {
     catalog_of(|i| (i % 97) as f64 + 0.25)
 }
 
+/// [`catalog`] with `v`'s cells scaled by 1.1. `catalog`'s are sums of
+/// quarters, which add exactly in any order, so a pin that compares two
+/// paths bit for bit over it cannot see them add in different orders; over
+/// this one it can.
+pub fn inexact_catalog() -> Catalog {
+    catalog_of(|i| (i % 97) as f64 * 1.1 + 0.25)
+}
+
 /// [`catalog`] with `v`'s non-NULL cell of row `i` set to `v(i)`.
 pub fn catalog_of(v: impl Fn(i64) -> f64) -> Catalog {
     let mut c = Catalog::new();
