@@ -8,7 +8,7 @@
 //!
 //! At `jobs = 1` a run is a function of its options, so the two results
 //! must agree as `Debug` strings with `elapsed` zeroed, over the
-//! `shaped_plan` shapes × three samplers × seeds 0–5 × five rules (none, a
+//! `shaped_plan` shapes on `support::inexact_catalog` × three samplers × seeds 0–5 × five rules (none, a
 //! row budget, `deadline 0`, a CI target, and no rule under
 //! `adaptive_chunks`; the last two read every tick's interval). At `jobs = 4` the coordinator
 //! ticks whenever a worker pings, so the tick count and where a budget
@@ -20,7 +20,7 @@ mod support;
 use std::time::Duration;
 
 use sampling_algebra::prelude::*;
-use support::{catalog, grouped, shaped_plan};
+use support::{catalog, grouped, inexact_catalog, shaped_plan};
 
 #[derive(Clone, Copy, Debug)]
 enum Rule {
@@ -81,7 +81,9 @@ fn rendered(mut r: QueryResult) -> String {
 
 #[test]
 fn at_one_worker_run_ends_on_run_withs_result_bit_for_bit() {
-    let c = catalog();
+    // Sums over this catalog round, so the two terminals must add in one
+    // order to render alike.
+    let c = inexact_catalog();
     let (mut cells, mut multi_tick, mut adapted, mut converged) = (0, 0, 0, 0);
     for shape in 0..5u8 {
         for method in methods() {
