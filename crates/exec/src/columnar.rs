@@ -6,10 +6,43 @@
 //! producing subtree. Operators filter/gather whole chunks; per-row
 //! [`Row`]s are materialized only at the row-level API boundary
 //! ([`ColumnarChunk::to_rows`], which backs [`crate::ChunkStream::next_chunk`]).
+//!
+//! Beside it sits the one key kernel: [`key_fingerprint`] and [`keys_eq`]
+//! hash and compare a row's key cells for join build, join probe and
+//! `GROUP BY` alike.
 
-use sa_storage::ColumnarBatch;
+use std::hash::Hasher;
+
+use sa_core::hash::{splitmix64, FxHasher};
+use sa_storage::{ColumnVec, ColumnarBatch};
 
 use crate::exec::Row;
+
+/// The 64-bit fingerprint of row `row`'s key cells, one cell of each of
+/// `cols`. Each cell goes through [`ColumnVec::hash_cell`], which writes
+/// what `Value::hash` would, so rows that [`keys_eq`] calls equal share a
+/// fingerprint; rows of different keys may share one too, which is why
+/// every user checks [`keys_eq`] before it trusts a match. The Fx state is
+/// finalized with splitmix64: numeric cells hash by their f64 bit pattern,
+/// whose entropy sits in the high bits, and Fx's multiply-only mixing never
+/// carries high bits down into a hash table's bucket bits. No key cells
+/// (a keyless join) give every row one fingerprint.
+#[inline]
+pub fn key_fingerprint(cols: &[&ColumnVec], row: usize) -> u64 {
+    let mut h = FxHasher::default();
+    for c in cols {
+        c.hash_cell(row, &mut h);
+    }
+    splitmix64(h.finish())
+}
+
+/// Do row `i` of `a` and row `j` of `b` carry equal keys? Cell by cell
+/// through [`ColumnVec::cell_eq`], so `NULL` equals `NULL`, as a `GROUP BY`
+/// key wants; a join drops NULL-keyed rows before it fingerprints them.
+#[inline]
+pub fn keys_eq(a: &[&ColumnVec], i: usize, b: &[&ColumnVec], j: usize) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.cell_eq(i, y, j))
+}
 
 /// A chunk of streamed result tuples in columnar form: the value batch and
 /// one lineage id column per base relation (in scan order).

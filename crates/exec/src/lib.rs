@@ -64,7 +64,7 @@ pub mod layout;
 pub mod shared;
 pub mod stream;
 
-pub use columnar::ColumnarChunk;
+pub use columnar::{key_fingerprint, keys_eq, ColumnarChunk};
 pub use error::ExecError;
 pub use exec::{execute, ExecOptions, ResultSet, Row, ScanObs};
 pub use layout::{

@@ -16,10 +16,12 @@
 //! expressions ([`sa_expr::compile()`]): type dispatch happens once at open,
 //! per-chunk work is tight loops over `i64`/`f64`/`bool`/dictionary-code
 //! slices, and no per-row `Vec<Value>` is allocated on the hot path. A
-//! `Filter` directly on a scan fuses into its gather. Joins key their hash
-//! tables by a 64-bit fingerprint of the equi-key cells (with a stored-key
-//! equality check on probe, so a fingerprint collision can never produce a
-//! wrong join). [`ChunkStream::next_batch`] exposes the columnar chunks;
+//! `Filter` directly on a scan fuses into its gather. A join keys its hash
+//! table by the one key kernel's fingerprint of the equi-key cells
+//! ([`crate::key_fingerprint`]) and checks each candidate's stored key
+//! ([`crate::keys_eq`]), so a fingerprint collision can never produce a
+//! wrong join; a join without equi-keys is the one-bucket case of the same
+//! operator. [`ChunkStream::next_batch`] exposes the columnar chunks;
 //! [`ChunkStream::next_chunk`] is a thin adapter that materializes
 //! [`Row`]s for row-at-a-time consumers.
 //!
@@ -70,20 +72,19 @@
 //! traversal order; the shuffle's permutations derive from the seed apart
 //! from it, so turning the shuffle on moves no sampler's seed.
 
-use std::hash::Hasher;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use sa_core::hash::{splitmix64, FxHashMap, FxHasher};
+use sa_core::hash::{splitmix64, FxHashMap};
 use sa_core::RelSet;
 use sa_expr::{bind, compile, CompiledExpr};
 use sa_plan::{LogicalPlan, ScanColumnMap};
 use sa_sampling::{Keep, LineageUnit};
 use sa_storage::{Catalog, ColumnVec, ColumnarBatch, Schema, SchemaRef, Table};
 
-use crate::columnar::ColumnarChunk;
+use crate::columnar::{key_fingerprint, keys_eq, ColumnarChunk};
 use crate::error::ExecError;
 use crate::exec::{base_table, scan_schema, split_join_condition, ExecOptions, Row, ScanObs};
 use crate::shared::{SharedScanCursor, SharedTableScan};
@@ -878,18 +879,14 @@ enum Node {
         exprs: Vec<CompiledExpr>,
         input: Box<Node>,
     },
-    /// Streaming hash join: build side materialized and fingerprint-keyed,
-    /// probe side streamed. The build sits behind `Arc` so partitioned
+    /// Streaming hash join, the one join operator: build side materialized
+    /// and fingerprint-keyed, probe side streamed, the residual applied to
+    /// each matched pair. A join without equi-keys (a cross product or a
+    /// θ-join) is its one-bucket case: every probe row meets every build
+    /// row, in build order. The build sits behind `Arc` so partitioned
     /// worker streams share one materialization.
     HashJoin {
         probe: Box<Node>,
-        build: Arc<JoinBuild>,
-        residual: Option<CompiledExpr>,
-    },
-    /// Nested-loop join (cross product / arbitrary θ): right side
-    /// materialized (shared across partitioned workers), left side streamed.
-    NestedLoop {
-        left: Box<Node>,
         build: Arc<JoinBuild>,
         residual: Option<CompiledExpr>,
     },
@@ -1078,7 +1075,11 @@ fn build_partitioned(
             relations.extend(r_rels);
             let nodes = probes
                 .into_iter()
-                .map(|probe| build.clone().node(probe, residual.clone()))
+                .map(|probe| Node::HashJoin {
+                    probe: Box::new(probe),
+                    build: build.clone(),
+                    residual: residual.clone(),
+                })
                 .collect();
             Ok((nodes, schema, relations))
         }
@@ -1214,43 +1215,23 @@ impl Node {
                     .iter()
                     .map(|(li, _)| chunk.batch.column(*li))
                     .collect();
+                let build_cols: Vec<&ColumnVec> = build
+                    .keys
+                    .iter()
+                    .map(|(_, ri)| build.chunk.batch.column(*ri))
+                    .collect();
                 let mut probe_idx: Vec<u32> = Vec::new();
                 let mut build_idx: Vec<u32> = Vec::new();
                 for i in 0..chunk.rows() {
-                    let Some(fp) = key_fingerprint(&probe_cols, i) else {
-                        continue; // NULL keys never match
-                    };
-                    for j in build.chain(fp) {
+                    for j in build.chain(key_fingerprint(&probe_cols, i)) {
                         // Stored-key equality check: a fingerprint
-                        // collision (or cross-type coercion subtlety) can
-                        // never fabricate a match.
-                        if build.key_matches(&probe_cols, i, j) {
+                        // collision can never fabricate a match, and a
+                        // NULL-keyed probe row finds no NULL-keyed build
+                        // row to equal.
+                        if keys_eq(&probe_cols, i, &build_cols, j as usize) {
                             probe_idx.push(i as u32);
                             build_idx.push(j);
                         }
-                    }
-                }
-                let out = join_output(&chunk, &probe_idx, build, &build_idx, residual.as_ref())?;
-                if !out.is_empty() {
-                    return Ok(out);
-                }
-            },
-            Node::NestedLoop {
-                left,
-                build,
-                residual,
-            } => loop {
-                let chunk = left.next_batch(hint)?;
-                if chunk.is_empty() {
-                    return join_output(&chunk, &[], build, &[], residual.as_ref());
-                }
-                let n = build.chunk.rows() as u32;
-                let mut probe_idx = Vec::with_capacity(chunk.rows() * n as usize);
-                let mut build_idx = Vec::with_capacity(chunk.rows() * n as usize);
-                for i in 0..chunk.rows() as u32 {
-                    for j in 0..n {
-                        probe_idx.push(i);
-                        build_idx.push(j);
                     }
                 }
                 let out = join_output(&chunk, &probe_idx, build, &build_idx, residual.as_ref())?;
@@ -1299,15 +1280,8 @@ impl Node {
             | Node::Filter { input, .. }
             | Node::Project { input, .. } => input.progress(out),
             // Build sides are fully materialized: complete coverage.
-            Node::HashJoin {
-                probe: input,
-                build,
-                ..
-            }
-            | Node::NestedLoop {
-                left: input, build, ..
-            } => {
-                input.progress(out);
+            Node::HashJoin { probe, build, .. } => {
+                probe.progress(out);
                 out.extend(std::iter::repeat_n((1, 1), build.n_rels));
             }
         }
@@ -1328,37 +1302,9 @@ impl Node {
             Node::Sample { input, .. }
             | Node::Filter { input, .. }
             | Node::Project { input, .. } => input.distinct(),
-            Node::HashJoin {
-                probe: input,
-                build,
-                ..
-            }
-            | Node::NestedLoop {
-                left: input, build, ..
-            } => build.distinct_with(input.distinct()),
+            Node::HashJoin { probe, build, .. } => build.distinct_with(probe.distinct()),
         }
     }
-}
-
-/// The 64-bit fingerprint of a row's equi-key cells, or `None` when any
-/// cell is NULL (NULL join keys never match). Hashing goes through
-/// [`ColumnVec::hash_cell`], which writes exactly what `Value::hash` would —
-/// so numerically equal `Int`/`Float` keys collide on purpose and the
-/// stored-key check resolves them. The Fx state is finalized with
-/// splitmix64: numeric cells hash by their f64 bit pattern, whose entropy
-/// sits in the HIGH bits, and Fx's multiply-only mixing never propagates
-/// high bits downward — without full avalanche, every small-integer key
-/// would share its low bits and the hash table would degenerate into one
-/// giant probe chain.
-fn key_fingerprint(cols: &[&ColumnVec], row: usize) -> Option<u64> {
-    let mut h = FxHasher::default();
-    for c in cols {
-        if !c.is_valid(row) {
-            return None;
-        }
-        c.hash_cell(row, &mut h);
-    }
-    Some(sa_core::hash::splitmix64(h.finish()))
 }
 
 /// Assemble a join's output chunk from matched (probe, build) index pairs:
@@ -1392,11 +1338,13 @@ const CHAIN_END: u32 = u32::MAX;
 
 /// A join's materialized build side: the columnar build rows, shared (via
 /// `Arc`) by every worker stream that probes them, plus a flat
-/// fingerprint-keyed hash table: the 64-bit key fingerprint maps to the
-/// first build row carrying it, and `next` chains each row to the next one
-/// in its bucket, in build order. Probes verify actual key equality against
-/// the stored rows, so fingerprint collisions cost a comparison, never
-/// correctness.
+/// fingerprint-keyed hash table: the 64-bit [`key_fingerprint`] maps to
+/// the first build row carrying it, and `next` chains each row to the next
+/// one in its bucket, in build order. A row with a NULL key cell is in no
+/// bucket. Probes verify actual key equality ([`keys_eq`]) against the
+/// stored rows, so fingerprint collisions cost a comparison, never
+/// correctness. Without equi-keys every row shares the one fingerprint of
+/// no cells, so the one bucket holds the whole build in build order.
 #[derive(Debug)]
 struct JoinBuild {
     chunk: ColumnarChunk,
@@ -1408,8 +1356,8 @@ struct JoinBuild {
     next: Vec<u32>,
     /// The build has equi-keys and no bucket holds two rows — not even two
     /// of different keys — so a probe row, which looks in its own bucket
-    /// only, matches at most one build row. A nested loop's build is never
-    /// unique.
+    /// only, matches at most one build row. A keyless build is never
+    /// unique, even with one row: its probe rows meet every build row.
     unique: bool,
     /// The build side's [`ChunkStream::distinct`] family, its relations
     /// placed after the probe side's.
@@ -1428,22 +1376,20 @@ impl JoinBuild {
             "a join build side holds fewer than {CHAIN_END} rows"
         );
         let mut heads = FxHashMap::default();
-        let mut next = Vec::new();
+        heads.reserve(chunk.rows());
+        let mut next = vec![CHAIN_END; chunk.rows()];
         let mut unique = !keys.is_empty();
-        if unique {
-            let key_cols: Vec<&ColumnVec> =
-                keys.iter().map(|(_, ri)| chunk.batch.column(*ri)).collect();
-            heads.reserve(chunk.rows());
-            next.resize(chunk.rows(), CHAIN_END);
-            // Last row first: each insert puts its row in front of the rows
-            // after it, so a chain lists its bucket in build order.
-            for i in (0..chunk.rows()).rev() {
-                if let Some(fp) = key_fingerprint(&key_cols, i) {
-                    if let Some(after) = heads.insert(fp, i as u32) {
-                        next[i] = after;
-                        unique = false;
-                    }
-                }
+        let key_cols: Vec<&ColumnVec> =
+            keys.iter().map(|(_, ri)| chunk.batch.column(*ri)).collect();
+        // Last row first: each insert puts its row in front of the rows
+        // after it, so a chain lists its bucket in build order.
+        for i in (0..chunk.rows()).rev() {
+            if key_cols.iter().any(|c| !c.is_valid(i)) {
+                continue; // NULL keys never match: such a row is in no bucket
+            }
+            if let Some(after) = heads.insert(key_fingerprint(&key_cols, i), i as u32) {
+                next[i] = after;
+                unique = false;
             }
         }
         JoinBuild {
@@ -1485,33 +1431,6 @@ impl JoinBuild {
             }
         }
         minimal
-    }
-
-    /// Does build row `j`'s key equal probe row `i`'s (cell-by-cell, with
-    /// the engine's cross-type numeric equality)?
-    fn key_matches(&self, probe_cols: &[&ColumnVec], i: usize, j: u32) -> bool {
-        self.keys
-            .iter()
-            .zip(probe_cols)
-            .all(|((_, ri), pc)| pc.cell_eq(i, self.chunk.batch.column(*ri), j as usize))
-    }
-
-    /// The join operator over one probe node (hash join when equi-keys
-    /// exist, nested loop otherwise).
-    fn node(self: Arc<Self>, probe: Node, residual: Option<CompiledExpr>) -> Node {
-        if self.keys.is_empty() {
-            Node::NestedLoop {
-                left: Box::new(probe),
-                build: self,
-                residual,
-            }
-        } else {
-            Node::HashJoin {
-                probe: Box::new(probe),
-                build: self,
-                residual,
-            }
-        }
     }
 }
 
@@ -1636,7 +1555,8 @@ mod tests {
 
     #[test]
     fn theta_and_cross_joins_match_batch() {
-        // v > w is not an equi-condition → nested loop with residual.
+        // v > w is not an equi-condition → the keyless join's one bucket,
+        // with the residual on every pair.
         let theta = LogicalPlan::scan("t").join_on(LogicalPlan::scan("d"), col("v").gt(col("w")));
         let cross = LogicalPlan::scan("t").cross(LogicalPlan::scan("d"));
         for hint in [1, 4, 300] {
@@ -2780,7 +2700,7 @@ mod tests {
         // Built on `t`, whose keys repeat: only the pair is distinct.
         let t_build = d_side.clone().join_on(sampled(&bernoulli), on());
         assert_eq!(family(&c, &t_build), vec![t.union(d)]);
-        // A nested loop pairs each probe row with every build row.
+        // A keyless join pairs each probe row with every build row.
         assert_eq!(
             family(&c, &sampled(&bernoulli).cross(d_side)),
             vec![t.union(d)]

@@ -37,11 +37,9 @@
 //! one worker, since both are the same loop over the same stream (pinned by
 //! `tests/columnar_equivalence.rs`).
 
-use std::hash::Hasher;
-
-use sa_core::hash::{FxHashMap, FxHasher};
+use sa_core::hash::FxHashMap;
 use sa_core::{GroupedMomentAccumulator, MomentSlot};
-use sa_exec::{AggResult, ColumnarChunk, ExecError};
+use sa_exec::{key_fingerprint, keys_eq, AggResult, ColumnarChunk, ExecError};
 use sa_expr::{compile, CompiledExpr, Expr};
 use sa_storage::{ColumnVec, SchemaRef, Value};
 
@@ -110,16 +108,6 @@ pub struct GroupedProgressSnapshot {
     pub elapsed: std::time::Duration,
 }
 
-/// Group-identity equality of two cells of one evaluated key column: like
-/// SQL `GROUP BY` (and unlike join keys), `NULL` groups with `NULL`.
-fn group_cell_eq(col: &ColumnVec, i: usize, j: usize) -> bool {
-    match (col.is_valid(i), col.is_valid(j)) {
-        (false, false) => true,
-        (true, true) => col.cell_eq(i, col, j),
-        _ => false,
-    }
-}
-
 /// The `GROUP BY` shape: the scalar shape plus compiled key expressions.
 pub(crate) struct Grouped<'p> {
     scalar: Scalar<'p>,
@@ -145,16 +133,17 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
 
     /// Route one columnar chunk into the grouped accumulator: evaluate the
     /// key kernels and the aggregate dimensions once per chunk, partition
-    /// the rows by a 64-bit key fingerprint (partitions in first-seen
-    /// order, rows in chunk order within each — so the accumulation order
-    /// is deterministic for a fixed seed and chunking), gather every column
-    /// once into partition order, and feed each partition's slice of it
-    /// through the amortized [`GroupedMomentAccumulator::push_batch`] path —
-    /// the group key tuple is materialized once per (chunk × group), not
-    /// once per row, and nothing else is allocated per group. Rows whose
-    /// key collides with a different key's fingerprint (astronomically
-    /// rare; detected by comparing against the partition's first row) are
-    /// pushed one by one with their own key after the partitions.
+    /// the rows by key (partitions in first-seen order, rows in chunk order
+    /// within each — so the accumulation order is deterministic for a fixed
+    /// seed and chunking), gather every column once into partition order,
+    /// and feed each partition's slice of it through the amortized
+    /// [`GroupedMomentAccumulator::push_batch`] path — the group key tuple
+    /// is materialized once per (chunk × group), not once per row, and
+    /// nothing else is allocated per group. Keys go through the one key
+    /// kernel: a row joins the partition whose first row carries its
+    /// [`key_fingerprint`] and an equal key ([`keys_eq`], `NULL` equal to
+    /// `NULL`); partitions of different keys that share a fingerprint are
+    /// chained, so a collision costs a comparison, never a wrong group.
     fn push(
         &self,
         acc: &mut GroupedMomentAccumulator<Vec<Value>>,
@@ -169,37 +158,30 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
             .map(|k| k.eval_column(&chunk.batch))
             .collect::<std::result::Result<_, _>>()
             .map_err(|e| Error::Exec(ExecError::Expr(e)))?;
+        let keys: Vec<&ColumnVec> = key_cols.iter().collect();
         let f_cols = self.scalar.dim_eval.eval(&chunk.batch)?;
         let rows = chunk.rows();
-        // Row → partition, partitions numbered as their fingerprints first
-        // appear; `firsts[p]` is partition p's first row, `sizes[p]` its
-        // row count.
-        const STRAGGLER: usize = usize::MAX;
+        // Row → partition, partitions numbered as their keys first appear;
+        // `firsts[p]` is partition p's first row, `sizes[p]` its row count
+        // and `chained[p]` the next partition whose key shares p's
+        // fingerprint.
         let mut part_of_fp: FxHashMap<u64, usize> = FxHashMap::default();
         let mut firsts: Vec<usize> = Vec::new();
         let mut sizes: Vec<usize> = Vec::new();
+        let mut chained: Vec<Option<usize>> = Vec::new();
         let mut part_of_row: Vec<usize> = Vec::with_capacity(rows);
-        let mut stragglers: Vec<usize> = Vec::new();
         for i in 0..rows {
-            let mut h = FxHasher::default();
-            for c in &key_cols {
-                c.hash_cell(i, &mut h);
+            // A key not seen yet in this chunk opens partition `fresh`,
+            // chained behind the last partition of its fingerprint.
+            let fresh = firsts.len();
+            let mut part = *part_of_fp.entry(key_fingerprint(&keys, i)).or_insert(fresh);
+            while part != fresh && !keys_eq(&keys, i, &keys, firsts[part]) {
+                part = *chained[part].get_or_insert(fresh);
             }
-            // splitmix64 finalization: cell hashes carry their entropy in the
-            // high bits (f64 bit patterns), which Fx's multiply-only mixing
-            // never propagates down into the map's bucket-index bits.
-            let fp = sa_core::hash::splitmix64(h.finish());
-            let part = *part_of_fp.entry(fp).or_insert_with(|| {
+            if part == fresh {
                 firsts.push(i);
                 sizes.push(0);
-                firsts.len() - 1
-            });
-            // Stored-key collision check against the partition's first row.
-            let first = firsts[part];
-            if i != first && !key_cols.iter().all(|c| group_cell_eq(c, i, first)) {
-                stragglers.push(i);
-                part_of_row.push(STRAGGLER);
-                continue;
+                chained.push(None);
             }
             sizes[part] += 1;
             part_of_row.push(part);
@@ -215,10 +197,8 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
         }
         let mut by_part = vec![0usize; placed];
         for (i, &part) in part_of_row.iter().enumerate() {
-            if part != STRAGGLER {
-                by_part[cursors[part]] = i;
-                cursors[part] += 1;
-            }
+            by_part[cursors[part]] = i;
+            cursors[part] += 1;
         }
         let lineage_cols = gather(&chunk.lineage, &by_part);
         let f_cols_by_part = gather(&f_cols, &by_part);
@@ -235,11 +215,6 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
             f.clear();
             f.extend(f_cols_by_part.iter().map(|c| &c[range.clone()]));
             acc.push_batch(materialize_key(first), &lineage, &f)?;
-        }
-        for i in stragglers {
-            let lin: Vec<u64> = chunk.lineage.iter().map(|l| l[i]).collect();
-            let fv: Vec<f64> = f_cols.iter().map(|f| f[i]).collect();
-            acc.push(materialize_key(i), &lin, &fv)?;
         }
         Ok(())
     }

@@ -345,10 +345,11 @@ impl ColumnVec {
     }
 
     /// Value equality between a cell of this column and a cell of `other`,
-    /// under the engine's [`Value::total_cmp`] semantics (numeric values
-    /// compare across `Int`/`Float`; `NaN` equals itself, as in `Value`'s
-    /// total order; `NULL` equals nothing, not even itself, matching SQL
-    /// join-key behaviour).
+    /// exactly as [`Value`]'s `Eq` would judge the two cells, without
+    /// materializing them: numeric values compare across `Int`/`Float`,
+    /// `NaN` equals itself and `NULL` equals `NULL`, as in `Value`'s total
+    /// order. A join, whose NULL keys match nothing, drops NULL-keyed rows
+    /// before it compares keys.
     pub fn cell_eq(&self, row: usize, other: &ColumnVec, other_row: usize) -> bool {
         // Total-order float equality: NaN == NaN (IEEE `==` would break
         // agreement with Value::eq and with hash_cell, which hashes every
@@ -356,8 +357,9 @@ impl ColumnVec {
         fn f64_eq(a: f64, b: f64) -> bool {
             a == b || (a.is_nan() && b.is_nan())
         }
-        if !self.is_valid(row) || !other.is_valid(other_row) {
-            return false;
+        let (valid, other_valid) = (self.is_valid(row), other.is_valid(other_row));
+        if !valid || !other_valid {
+            return valid == other_valid;
         }
         match (&self.data, &other.data) {
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[row] == b[other_row],
@@ -388,9 +390,10 @@ impl ColumnVec {
     }
 
     /// Feed the cell at `row` into `hasher` exactly as [`Value`]'s `Hash`
-    /// implementation would, without materializing the `Value` — numeric
-    /// values that compare equal across `Int`/`Float` hash identically, so
-    /// these hashes are safe as join/group fingerprints.
+    /// implementation would, without materializing the `Value`: cells that
+    /// [`ColumnVec::cell_eq`] calls equal hash identically (every number by
+    /// its normalized f64 bits, so `Int`/`Float` pairs that compare equal
+    /// collide on purpose), so these hashes are safe as key fingerprints.
     pub fn hash_cell<H: std::hash::Hasher>(&self, row: usize, state: &mut H) {
         use std::hash::Hash;
         if !self.is_valid(row) {
@@ -403,15 +406,8 @@ impl ColumnVec {
                 v[row].hash(state);
             }
             ColumnData::Int(v) => {
-                let i = v[row];
-                let f = i as f64;
-                if f as i64 == i {
-                    state.write_u8(2);
-                    state.write_u64(crate::value::norm_f64_bits(f));
-                } else {
-                    state.write_u8(3);
-                    state.write_i64(i);
-                }
+                state.write_u8(2);
+                state.write_u64(crate::value::norm_f64_bits(v[row] as f64));
             }
             ColumnData::Float(v) => {
                 let f = v[row];
@@ -672,12 +668,53 @@ mod tests {
     }
 
     #[test]
-    fn null_cells_never_equal() {
+    fn null_cells_equal_like_value_does() {
+        // Value::eq says NULL == NULL, and so does cell_eq: a GROUP BY key
+        // groups NULL with NULL. A join drops NULL-keyed rows before it
+        // compares keys.
         let a = ColumnVec {
-            data: ColumnData::Int(vec![0]),
-            validity: Some(vec![false]),
+            data: ColumnData::Int(vec![0, 0]),
+            validity: Some(vec![false, true]),
         };
-        assert!(!a.cell_eq(0, &a, 0), "NULL join keys must not match");
+        assert_eq!(Value::Null, Value::Null);
+        assert!(a.cell_eq(0, &a, 0));
+        assert!(!a.cell_eq(0, &a, 1));
+        assert!(!a.cell_eq(1, &a, 0));
+    }
+
+    #[test]
+    fn equal_cells_hash_equally_past_f64_precision() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let big = 1i64 << 53;
+        let ints = ColumnVec::new(ColumnData::Int(vec![big + 1, big]));
+        let floats = ColumnVec::new(ColumnData::Float(vec![big as f64]));
+        let cell_hash = |c: &ColumnVec, row: usize| {
+            let mut h = DefaultHasher::new();
+            c.hash_cell(row, &mut h);
+            h.finish()
+        };
+        let value_hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        // Int(2^53 + 1) == Float(2^53): they compare as f64, so they must
+        // hash alike, as cells and as values.
+        assert_eq!(Value::Int(big + 1), Value::Float(big as f64));
+        assert!(ints.cell_eq(0, &floats, 0));
+        assert_eq!(cell_hash(&ints, 0), cell_hash(&floats, 0));
+        assert_eq!(
+            value_hash(&Value::Int(big + 1)),
+            value_hash(&Value::Float(big as f64))
+        );
+        for row in 0..2 {
+            assert_eq!(cell_hash(&ints, row), value_hash(&ints.value(row)));
+        }
+        // Int(2^53) and Int(2^53 + 1) share that hash but are two keys.
+        assert_ne!(Value::Int(big), Value::Int(big + 1));
+        assert!(!ints.cell_eq(0, &ints, 1));
+        assert_eq!(cell_hash(&ints, 0), cell_hash(&ints, 1));
     }
 
     #[test]

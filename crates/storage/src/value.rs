@@ -155,19 +155,13 @@ impl Hash for Value {
                 b.hash(state);
             }
             // Ints and floats that are numerically equal must hash equally
-            // because they compare equal in `total_cmp`. Hash every numeric as
-            // the bit pattern of its f64 value (with -0.0 normalized), except
-            // integers too large for exact f64 representation, which can only
-            // equal themselves.
+            // because they compare equal in `total_cmp`, which compares an
+            // `Int` with a `Float` as f64. Hash every numeric as the bit
+            // pattern of its f64 value (with -0.0 normalized), so `Int`s
+            // that f64 rounds together share a hash.
             Value::Int(i) => {
-                let f = *i as f64;
-                if f as i64 == *i {
-                    state.write_u8(2);
-                    state.write_u64(norm_f64_bits(f));
-                } else {
-                    state.write_u8(3);
-                    state.write_i64(*i);
-                }
+                state.write_u8(2);
+                state.write_u64(norm_f64_bits(*i as f64));
             }
             Value::Float(f) => {
                 if f.is_nan() {
