@@ -13,8 +13,10 @@
 //! append to — so a progressive readout updates the groups it knows in
 //! place and finds new ones in the tail. A scalar query is the one-key
 //! case. Keys are generic (`K: Eq + Hash`): the online driver's are the
-//! evaluated `GROUP BY` tuples (empty for a scalar query); fingerprint
-//! salts are deterministic ([`crate::hash::rel_salts`]), so independently
+//! evaluated `GROUP BY` tuples (empty for a scalar query), a chunk's rows
+//! looked up here once each ([`GroupedMomentAccumulator::push_rows`]): the
+//! index is the only key → group map. Fingerprints are deterministic
+//! ([`FpMap::fingerprint`], [`crate::hash::rel_salts`]), so independently
 //! built shards merge exactly.
 
 use std::hash::Hash;
@@ -48,11 +50,6 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
             index: FpMap::new(),
             slots: Slots::new(n, dims, distinct),
         }
-    }
-
-    /// The slot of `key`, created on first touch.
-    fn slot(&mut self, key: K) -> usize {
-        self.slots.ensure(self.index.insert(key))
     }
 
     /// Number of base relations.
@@ -94,17 +91,79 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
         self.push(key, lineage, &[f])
     }
 
-    /// Consume a whole chunk partition of one group: `lineage` holds one id
-    /// column per base relation, `f` one value column per dimension (see
-    /// [`crate::MomentAccumulator::push_batch`]). The grouped online driver
-    /// partitions each chunk by key once and lands every partition here —
-    /// the key is hashed (and, for a new group, stored) once per partition
-    /// instead of once per row. The chunk is validated before the key is
-    /// looked at, so a bad push — or an empty one — leaves no phantom group.
+    /// Consume a whole chunk of one group: `lineage` holds one id column
+    /// per base relation, `f` one value column per dimension (see
+    /// [`crate::MomentAccumulator::push_batch`]). The key is hashed (and,
+    /// for a new group, stored) once per chunk instead of once per row. The
+    /// chunk is validated before the key is looked at, so a bad push — or
+    /// an empty one — leaves no phantom group.
     pub fn push_batch(&mut self, key: K, lineage: &[&[u64]], f: &[&[f64]]) -> Result<()> {
         if self.slots.check_batch(lineage, f)? > 0 {
-            let at = self.slot(key);
+            let at = self.slots.ensure(self.index.insert(key));
             self.slots.push_batch(at, lineage, f);
+        }
+        Ok(())
+    }
+
+    /// Consume a chunk of many groups, each row finding its group once:
+    /// row `i`'s key has fingerprint `fps[i]` (what [`FpMap::fingerprint`]
+    /// gives for it), `is(i, key)` says whether it equals a stored `key`,
+    /// and `key(i)` builds it — called only for a group the chunk
+    /// discovers. Each slot the chunk touches then takes its rows, in chunk
+    /// order, as one [`GroupedMomentAccumulator::push_batch`] would, slots
+    /// in the order the chunk first touches them. The chunk is validated
+    /// before any row is looked up, so a refused chunk interns no group.
+    pub fn push_rows(
+        &mut self,
+        fps: &[u64],
+        is: impl Fn(usize, &K) -> bool,
+        mut key: impl FnMut(usize) -> K,
+        lineage: &[&[u64]],
+        f: &[&[f64]],
+    ) -> Result<()> {
+        let rows = self.slots.check_batch(lineage, f)?;
+        assert_eq!(fps.len(), rows, "one fingerprint per row");
+        // Row → part: the slots the chunk touches, numbered as it first
+        // touches them (`part_of_slot`, `u32::MAX` for the rest), each part
+        // a (slot, row count) pair.
+        let mut part_of_slot = vec![u32::MAX; self.index.len()];
+        let mut parts: Vec<(usize, usize)> = Vec::new();
+        let mut part_of_row = Vec::with_capacity(rows);
+        for (i, &fp) in fps.iter().enumerate() {
+            let at = self.index.find(fp, |k| is(i, k)).unwrap_or_else(|| {
+                part_of_slot.push(u32::MAX);
+                self.slots.ensure(self.index.append(fp, key(i)))
+            });
+            let part = &mut part_of_slot[at];
+            if *part == u32::MAX {
+                *part = parts.len() as u32;
+                parts.push((at, 0));
+            }
+            parts[*part as usize].1 += 1;
+            part_of_row.push(*part as usize);
+        }
+        // Counting sort of the rows by part: each part's cursor starts where
+        // the one before it ends and, once every row is placed, stands at
+        // its own end.
+        let mut placed = 0;
+        for (_, n) in &mut parts {
+            (*n, placed) = (placed, placed + *n);
+        }
+        let mut by_part = vec![0; rows];
+        for (i, &part) in part_of_row.iter().enumerate() {
+            by_part[parts[part].1] = i;
+            parts[part].1 += 1;
+        }
+        let (lineage, f) = (gather(lineage, &by_part), gather(f, &by_part));
+        let (mut part_lineage, mut part_f) = (Vec::new(), Vec::new());
+        let mut start = 0;
+        for (at, end) in parts {
+            part_lineage.clear();
+            part_lineage.extend(lineage.iter().map(|c| &c[start..end]));
+            part_f.clear();
+            part_f.extend(f.iter().map(|c| &c[start..end]));
+            self.slots.push_batch(at, &part_lineage, &part_f);
+            start = end;
         }
         Ok(())
     }
@@ -142,6 +201,13 @@ impl<K: Eq + Hash> GroupedMomentAccumulator<K> {
             .map(|key| index.get(key).unwrap_or_else(|| index.insert(key.clone())));
         self.slots.merge(&other.slots, onto)
     }
+}
+
+/// The `rows` of every column, in order.
+fn gather<T: Copy>(cols: &[&[T]], rows: &[usize]) -> Vec<Vec<T>> {
+    cols.iter()
+        .map(|col| rows.iter().map(|&r| col[r]).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -303,6 +369,116 @@ mod tests {
         acc.push_batch(9, &[&[], &[]], &[&[]]).unwrap();
         assert_eq!(acc.group_count(), 0);
         assert_eq!(acc.count(), 0);
+    }
+
+    /// `acc`'s slots, key by key in discovery order, as exact bits.
+    fn slot_bits(acc: &GroupedMomentAccumulator<u32>) -> Vec<(u32, u64, Vec<u64>)> {
+        acc.iter()
+            .map(|(key, slot)| {
+                let bits = slot.total().iter().chain(slot.y()).map(|v| v.to_bits());
+                (*key, slot.count(), bits.collect())
+            })
+            .collect()
+    }
+
+    /// `push_rows` with `keys[i]` as row `i`'s key, fingerprinted as the
+    /// index fingerprints it (or all under `forced`, when given).
+    fn push_keyed(
+        acc: &mut GroupedMomentAccumulator<u32>,
+        keys: &[u32],
+        forced: Option<u64>,
+        lineage: &[&[u64]],
+        f: &[&[f64]],
+    ) -> Result<()> {
+        let fps: Vec<u64> = keys
+            .iter()
+            .map(|k| forced.unwrap_or_else(|| FpMap::fingerprint(k)))
+            .collect();
+        acc.push_rows(&fps, |i, k| keys[i] == *k, |i| keys[i], lineage, f)
+    }
+
+    #[test]
+    fn push_rows_is_one_push_batch_per_group_in_chunk_order() {
+        // Two relations, so every kept `S` keeps a lineage table; lineage
+        // ids come in runs (one push pays per run of equal ids) and keys
+        // are dealt in a shuffled order; values that do not add exactly, so
+        // any other summation order moves a bit.
+        let rows = 97;
+        let mut draw = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = || {
+            draw = crate::hash::splitmix64(draw);
+            draw
+        };
+        let keys: Vec<u32> = (0..rows).map(|_| (next() % 7) as u32 * 3).collect();
+        let a: Vec<u64> = (0..rows as u64).map(|r| r / 4).collect();
+        let b: Vec<u64> = (0..rows).map(|_| next() % 5).collect();
+        let v: Vec<f64> = (0..rows).map(|r| 0.1 * r as f64 + 1.0 / 3.0).collect();
+        let w: Vec<f64> = (0..rows).map(|_| (next() % 1000) as f64 * 1.1).collect();
+        let (lineage, f): ([&[u64]; 2], [&[f64]; 2]) = ([&a, &b], [&v, &w]);
+        // Each chunk once through `push_rows`, and once as one `push_batch`
+        // per key, keys in first-seen order, rows in chunk order.
+        let (mut by_rows, mut by_batch) = (
+            GroupedMomentAccumulator::new(2, 2),
+            GroupedMomentAccumulator::new(2, 2),
+        );
+        for chunk in [0..40, 40..41, 41..rows] {
+            let cut = |c: &[u64]| c[chunk.clone()].to_vec();
+            let (lin, val) = (lineage.map(cut), f.map(|c| c[chunk.clone()].to_vec()));
+            let keys = &keys[chunk.clone()];
+            let lin_refs: Vec<&[u64]> = lin.iter().map(Vec::as_slice).collect();
+            let val_refs: Vec<&[f64]> = val.iter().map(Vec::as_slice).collect();
+            push_keyed(&mut by_rows, keys, None, &lin_refs, &val_refs).unwrap();
+            let mut seen = Vec::new();
+            for &k in keys {
+                if seen.contains(&k) {
+                    continue;
+                }
+                seen.push(k);
+                let mine: Vec<usize> = (0..keys.len()).filter(|&i| keys[i] == k).collect();
+                let pick = |c: &Vec<u64>| mine.iter().map(|&i| c[i]).collect::<Vec<_>>();
+                let lin: Vec<Vec<u64>> = lin.iter().map(pick).collect();
+                let val: Vec<Vec<f64>> = val
+                    .iter()
+                    .map(|c| mine.iter().map(|&i| c[i]).collect())
+                    .collect();
+                let lin: Vec<&[u64]> = lin.iter().map(Vec::as_slice).collect();
+                let val: Vec<&[f64]> = val.iter().map(Vec::as_slice).collect();
+                by_batch.push_batch(k, &lin, &val).unwrap();
+            }
+        }
+        assert!(by_rows.group_count() >= 5);
+        assert!(by_rows.lineage_entries() > 0);
+        assert_eq!(by_rows.lineage_entries(), by_batch.lineage_entries());
+        assert_eq!(slot_bits(&by_rows), slot_bits(&by_batch));
+    }
+
+    #[test]
+    fn refused_push_rows_intern_no_group() {
+        let mut acc: GroupedMomentAccumulator<u32> = GroupedMomentAccumulator::new(2, 1);
+        let keys = [4, 5];
+        // One lineage column for two relations; three value rows for two
+        // ids.
+        assert!(push_keyed(&mut acc, &keys, None, &[&[1, 2]], &[&[1.0, 2.0]]).is_err());
+        assert!(push_keyed(&mut acc, &keys, None, &[&[1, 2], &[3, 4]], &[&[1.0; 3]]).is_err());
+        assert_eq!(acc.group_count(), 0);
+        assert_eq!(acc.count(), 0);
+        push_keyed(&mut acc, &[], None, &[&[], &[]], &[&[]]).unwrap();
+        assert_eq!(acc.group_count(), 0);
+    }
+
+    #[test]
+    fn keys_under_one_forced_fingerprint_stay_two_slots() {
+        let mut acc: GroupedMomentAccumulator<u32> = GroupedMomentAccumulator::new(1, 1);
+        let keys = [8, 3, 8, 8, 3];
+        let ids: [u64; 5] = [1, 2, 3, 4, 5];
+        let f = [1.0, 10.0, 2.0, 4.0, 20.0];
+        push_keyed(&mut acc, &keys, Some(42), &[&ids], &[&f]).unwrap();
+        push_keyed(&mut acc, &[3], Some(42), &[&[6]], &[&[40.0]]).unwrap();
+        let got: Vec<(u32, u64, f64)> = acc
+            .iter()
+            .map(|(k, slot)| (*k, slot.count(), slot.total()[0]))
+            .collect();
+        assert_eq!(got, vec![(8, 3, 7.0), (3, 3, 70.0)]);
     }
 
     #[test]

@@ -175,7 +175,10 @@ pub fn subset_key(fp: &[u128], s: crate::relset::RelSet) -> u128 {
 /// the deterministic splitmix64-finalized Fx hash of a key finds the newest
 /// entry bearing that fingerprint, entries sharing one chain through each
 /// other, and real key equality decides along the chain — so a fingerprint
-/// collision costs one extra comparison, never correctness. The splitmix64
+/// collision costs one extra comparison, never correctness. A caller that
+/// holds a key in another form (a row's key cells) walks the chain with a
+/// fingerprint and a predicate of its own (`find`) and appends the key only
+/// when it is new (`append`). The splitmix64
 /// finalization matters: keys often hash f64 bit patterns whose entropy
 /// sits in the high bits, which Fx's multiply-only mixing would leave out of
 /// the index's bucket (low) bits.
@@ -231,12 +234,13 @@ impl<K: Eq + std::hash::Hash> FpMap<K> {
         self.entries.is_empty()
     }
 
-    /// Walk the chain starting at `head` to the entry storing `key` — the
-    /// collision check: match on the stored key, not the hash.
-    fn find_from(&self, head: usize, key: &K) -> Option<usize> {
-        let mut at = Some(head);
+    /// The position of the key stored under fingerprint `fp` that `is`
+    /// accepts — the one chain walk: the stored key decides, not the hash.
+    #[inline]
+    pub(crate) fn find(&self, fp: u64, mut is: impl FnMut(&K) -> bool) -> Option<usize> {
+        let mut at = self.heads.get(&fp).copied();
         while let Some(i) = at {
-            if self.entries[i].key == *key {
+            if is(&self.entries[i].key) {
                 return Some(i);
             }
             at = self.entries[i].next;
@@ -244,24 +248,29 @@ impl<K: Eq + std::hash::Hash> FpMap<K> {
         None
     }
 
+    /// Append `key` under fingerprint `fp`, at position [`FpMap::len`]. The
+    /// caller has just seen [`FpMap::find`] miss it under that `fp`, which
+    /// must be what [`FpMap::fingerprint`] gives for `key`.
+    pub(crate) fn append(&mut self, fp: u64, key: K) -> usize {
+        let at = self.entries.len();
+        let next = self.heads.insert(fp, at);
+        self.entries.push(FpEntry { key, next });
+        at
+    }
+
     /// The position of `key`, if present.
     pub fn get(&self, key: &K) -> Option<usize> {
-        let head = *self.heads.get(&Self::fingerprint(key))?;
-        self.find_from(head, key)
+        self.find(Self::fingerprint(key), |k| k == key)
     }
 
     /// The position of `key`, appended at [`FpMap::len`] when new (the key
     /// is moved in only then — no clone on the hit path).
     pub fn insert(&mut self, key: K) -> usize {
         let fp = Self::fingerprint(&key);
-        let head = self.heads.get(&fp).copied();
-        if let Some(at) = head.and_then(|h| self.find_from(h, &key)) {
-            return at;
+        match self.find(fp, |k| *k == key) {
+            Some(at) => at,
+            None => self.append(fp, key),
         }
-        let at = self.entries.len();
-        self.heads.insert(fp, at);
-        self.entries.push(FpEntry { key, next: head });
-        at
     }
 
     /// Iterate over the keys in insertion order: the `i`-th is at

@@ -7,9 +7,11 @@
 //! [`Row`]s are materialized only at the row-level API boundary
 //! ([`ColumnarChunk::to_rows`], which backs [`crate::ChunkStream::next_chunk`]).
 //!
-//! Beside it sits the one key kernel: [`key_fingerprint`] and [`keys_eq`]
-//! hash and compare a row's key cells for join build, join probe and
-//! `GROUP BY` alike.
+//! Beside it sits the one key kernel: [`key_fingerprint`] hashes a row's
+//! key cells for join build, join probe and `GROUP BY` alike; [`keys_eq`]
+//! compares two rows' keys for the join, and a `GROUP BY` row compares its
+//! cells with its group's stored key in place
+//! ([`ColumnVec::cell_eq_value`]).
 
 use std::hash::Hasher;
 
@@ -19,17 +21,21 @@ use sa_storage::{ColumnVec, ColumnarBatch};
 use crate::exec::Row;
 
 /// The 64-bit fingerprint of row `row`'s key cells, one cell of each of
-/// `cols`. Each cell goes through [`ColumnVec::hash_cell`], which writes
-/// what `Value::hash` would, so rows that [`keys_eq`] calls equal share a
-/// fingerprint; rows of different keys may share one too, which is why
-/// every user checks [`keys_eq`] before it trusts a match. The Fx state is
-/// finalized with splitmix64: numeric cells hash by their f64 bit pattern,
-/// whose entropy sits in the high bits, and Fx's multiply-only mixing never
-/// carries high bits down into a hash table's bucket bits. No key cells
-/// (a keyless join) give every row one fingerprint.
+/// `cols`: the column count, then each cell through
+/// [`ColumnVec::hash_cell`], which writes what `Value::hash` would — so a
+/// row's fingerprint is `sa_core::hash::FpMap::fingerprint` of its key as
+/// a `Vec<Value>`, whose `Hash` writes its length first, and a `GROUP BY`
+/// row finds its stored key by it. Rows that [`keys_eq`] calls equal share
+/// a fingerprint; rows of different keys may share one too, which is why
+/// every user checks the stored key before it trusts a match. The Fx state
+/// is finalized with splitmix64: numeric cells hash by their f64 bit
+/// pattern, whose entropy sits in the high bits, and Fx's multiply-only
+/// mixing never carries high bits down into a hash table's bucket bits. No
+/// key cells (a keyless join) give every row one fingerprint.
 #[inline]
 pub fn key_fingerprint(cols: &[&ColumnVec], row: usize) -> u64 {
     let mut h = FxHasher::default();
+    h.write_usize(cols.len());
     for c in cols {
         c.hash_cell(row, &mut h);
     }

@@ -149,7 +149,7 @@ fn subsampled_report(
 }
 
 /// The `rows` of every column, in order.
-pub(crate) fn gather<T: Copy>(cols: &[Vec<T>], rows: &[usize]) -> Vec<Vec<T>> {
+fn gather<T: Copy>(cols: &[Vec<T>], rows: &[usize]) -> Vec<Vec<T>> {
     cols.iter()
         .map(|col| rows.iter().map(|&r| col[r]).collect())
         .collect()

@@ -6,14 +6,13 @@
 //! `f_g(t) = f(t)·1{key(t) = g}` — the group indicator is just another
 //! selection (Proposition 5) — so the *same* top GUS from the one-time SOA
 //! rewrite analyzes every group, and each group gets its own unbiased
-//! estimate and variance. A chunk is partitioned by key and each partition
-//! lands in its group's slot of the query's
-//! [`sa_core::GroupedMomentAccumulator`] — the one the scalar shape fills
-//! under the empty key; a tick scales the GUS to the scan progress
-//! (Proposition 8) and plans its readout once, then reads every discovered
-//! group's slot out exactly as the scalar shape reads its one slot — into
-//! the snapshot it built last time, so a tick's cost follows what changed
-//! (new groups, new numbers), not what it holds.
+//! estimate and variance. Each row finds its group's slot once, in the key
+//! index of the query's [`sa_core::GroupedMomentAccumulator`] — the one the
+//! scalar shape fills under the empty key; a tick scales the GUS to the
+//! scan progress (Proposition 8) and plans its readout once, then reads
+//! every discovered group's slot out exactly as the scalar shape reads its
+//! one slot — into the snapshot it built last time, so a tick's cost
+//! follows what changed (new groups, new numbers), not what it holds.
 //!
 //! ## Per-group stopping
 //!
@@ -37,14 +36,12 @@
 //! one worker, since both are the same loop over the same stream (pinned by
 //! `tests/columnar_equivalence.rs`).
 
-use sa_core::hash::FxHashMap;
 use sa_core::{GroupedMomentAccumulator, MomentSlot};
-use sa_exec::{key_fingerprint, keys_eq, AggResult, ColumnarChunk, ExecError};
+use sa_exec::{key_fingerprint, AggResult, ColumnarChunk, ExecError};
 use sa_expr::{compile, CompiledExpr, Expr};
 use sa_storage::{ColumnVec, SchemaRef, Value};
 
 use crate::api::{QueryOptions, Snapshot};
-use crate::batch::gather;
 use crate::driver::{QueryShape, Scalar, TickHead};
 use crate::error::Error;
 use crate::Result;
@@ -132,18 +129,16 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
     }
 
     /// Route one columnar chunk into the grouped accumulator: evaluate the
-    /// key kernels and the aggregate dimensions once per chunk, partition
-    /// the rows by key (partitions in first-seen order, rows in chunk order
-    /// within each — so the accumulation order is deterministic for a fixed
-    /// seed and chunking), gather every column once into partition order,
-    /// and feed each partition's slice of it through the amortized
-    /// [`GroupedMomentAccumulator::push_batch`] path — the group key tuple
-    /// is materialized once per (chunk × group), not once per row, and
-    /// nothing else is allocated per group. Keys go through the one key
-    /// kernel: a row joins the partition whose first row carries its
-    /// [`key_fingerprint`] and an equal key ([`keys_eq`], `NULL` equal to
-    /// `NULL`); partitions of different keys that share a fingerprint are
-    /// chained, so a collision costs a comparison, never a wrong group.
+    /// key kernels and the aggregate dimensions once per chunk, fingerprint
+    /// each row's key once ([`key_fingerprint`]) and hand the chunk to
+    /// [`GroupedMomentAccumulator::push_rows`], whose key index is the only
+    /// one: a row finds its group there by fingerprint, its key cells
+    /// compared with the stored key in place
+    /// ([`sa_storage::ColumnVec::cell_eq_value`], `NULL` equal to `NULL`),
+    /// and a key tuple is built only when its group is discovered. Each
+    /// group's rows go in as one batch, in chunk order, groups in the order
+    /// the chunk first shows them — so the accumulation order is
+    /// deterministic for a fixed seed and chunking.
     fn push(
         &self,
         acc: &mut GroupedMomentAccumulator<Vec<Value>>,
@@ -159,64 +154,20 @@ impl<'p> QueryShape<'p> for Grouped<'p> {
             .collect::<std::result::Result<_, _>>()
             .map_err(|e| Error::Exec(ExecError::Expr(e)))?;
         let keys: Vec<&ColumnVec> = key_cols.iter().collect();
-        let f_cols = self.scalar.dim_eval.eval(&chunk.batch)?;
-        let rows = chunk.rows();
-        // Row → partition, partitions numbered as their keys first appear;
-        // `firsts[p]` is partition p's first row, `sizes[p]` its row count
-        // and `chained[p]` the next partition whose key shares p's
-        // fingerprint.
-        let mut part_of_fp: FxHashMap<u64, usize> = FxHashMap::default();
-        let mut firsts: Vec<usize> = Vec::new();
-        let mut sizes: Vec<usize> = Vec::new();
-        let mut chained: Vec<Option<usize>> = Vec::new();
-        let mut part_of_row: Vec<usize> = Vec::with_capacity(rows);
-        for i in 0..rows {
-            // A key not seen yet in this chunk opens partition `fresh`,
-            // chained behind the last partition of its fingerprint.
-            let fresh = firsts.len();
-            let mut part = *part_of_fp.entry(key_fingerprint(&keys, i)).or_insert(fresh);
-            while part != fresh && !keys_eq(&keys, i, &keys, firsts[part]) {
-                part = *chained[part].get_or_insert(fresh);
-            }
-            if part == fresh {
-                firsts.push(i);
-                sizes.push(0);
-                chained.push(None);
-            }
-            sizes[part] += 1;
-            part_of_row.push(part);
-        }
-        // Counting sort of the rows by partition: each partition's cursor
-        // starts where the one before it ends and, once every row is
-        // placed, stands at its own end.
-        let mut cursors = Vec::with_capacity(sizes.len());
-        let mut placed = 0;
-        for n in &sizes {
-            cursors.push(placed);
-            placed += n;
-        }
-        let mut by_part = vec![0usize; placed];
-        for (i, &part) in part_of_row.iter().enumerate() {
-            by_part[cursors[part]] = i;
-            cursors[part] += 1;
-        }
-        let lineage_cols = gather(&chunk.lineage, &by_part);
-        let f_cols_by_part = gather(&f_cols, &by_part);
-        let materialize_key =
-            |row: usize| -> Vec<Value> { key_cols.iter().map(|c| c.value(row)).collect() };
-        let mut lineage: Vec<&[u64]> = Vec::with_capacity(lineage_cols.len());
-        let mut f: Vec<&[f64]> = Vec::with_capacity(f_cols_by_part.len());
-        let mut start = 0;
-        for (&first, &end) in firsts.iter().zip(&cursors) {
-            let range = start..end;
-            start = end;
-            lineage.clear();
-            lineage.extend(lineage_cols.iter().map(|c| &c[range.clone()]));
-            f.clear();
-            f.extend(f_cols_by_part.iter().map(|c| &c[range.clone()]));
-            acc.push_batch(materialize_key(first), &lineage, &f)?;
-        }
-        Ok(())
+        let fps: Vec<u64> = (0..chunk.rows())
+            .map(|i| key_fingerprint(&keys, i))
+            .collect();
+        let f = self.scalar.dim_eval.eval(&chunk.batch)?;
+        let lineage: Vec<&[u64]> = chunk.lineage.iter().map(Vec::as_slice).collect();
+        let f: Vec<&[f64]> = f.iter().map(Vec::as_slice).collect();
+        acc.push_rows(
+            &fps,
+            |i, key| keys.iter().zip(key).all(|(c, v)| c.cell_eq_value(i, v)),
+            |i| keys.iter().map(|c| c.value(i)).collect(),
+            &lineage,
+            &f,
+        )
+        .map_err(Error::Core)
     }
 
     /// Read every discovered group out through `head`'s plan, in

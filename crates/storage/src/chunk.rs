@@ -351,12 +351,6 @@ impl ColumnVec {
     /// order. A join, whose NULL keys match nothing, drops NULL-keyed rows
     /// before it compares keys.
     pub fn cell_eq(&self, row: usize, other: &ColumnVec, other_row: usize) -> bool {
-        // Total-order float equality: NaN == NaN (IEEE `==` would break
-        // agreement with Value::eq and with hash_cell, which hashes every
-        // NaN identically).
-        fn f64_eq(a: f64, b: f64) -> bool {
-            a == b || (a.is_nan() && b.is_nan())
-        }
         let (valid, other_valid) = (self.is_valid(row), other.is_valid(other_row));
         if !valid || !other_valid {
             return valid == other_valid;
@@ -384,6 +378,30 @@ impl ColumnVec {
                 } else {
                     da[ca[row] as usize] == db[cb[other_row] as usize]
                 }
+            }
+            _ => false,
+        }
+    }
+
+    /// Value equality between the cell at `row` and a stored `value`,
+    /// exactly as `self.value(row) == *value` would judge them — the rules
+    /// of [`ColumnVec::cell_eq`] — without materializing the cell, which
+    /// for a string would clone its `Arc`. A string cell matches the `Arc`
+    /// it was interned as by pointer, before any bytes are compared.
+    #[inline]
+    pub fn cell_eq_value(&self, row: usize, value: &Value) -> bool {
+        if !self.is_valid(row) {
+            return value.is_null();
+        }
+        match (&self.data, value) {
+            (ColumnData::Bool(a), Value::Bool(b)) => a[row] == *b,
+            (ColumnData::Int(a), Value::Int(b)) => a[row] == *b,
+            (ColumnData::Float(a), Value::Float(b)) => f64_eq(a[row], *b),
+            (ColumnData::Int(a), Value::Float(b)) => a[row] as f64 == *b,
+            (ColumnData::Float(a), Value::Int(b)) => a[row] == *b as f64,
+            (ColumnData::Str { dict, codes }, Value::Str(b)) => {
+                let a = &dict[codes[row] as usize];
+                Arc::ptr_eq(a, b) || a == b
             }
             _ => false,
         }
@@ -424,6 +442,13 @@ impl ColumnVec {
             }
         }
     }
+}
+
+/// Total-order float equality: NaN == NaN (IEEE `==` would break agreement
+/// with `Value::eq` and with `hash_cell`, which hashes every NaN
+/// identically).
+fn f64_eq(a: f64, b: f64) -> bool {
+    a == b || (a.is_nan() && b.is_nan())
 }
 
 fn filter_vec<T: Copy>(v: &[T], mask: &[bool], keep: usize) -> Vec<T> {
@@ -715,6 +740,82 @@ mod tests {
         assert_ne!(Value::Int(big), Value::Int(big + 1));
         assert!(!ints.cell_eq(0, &ints, 1));
         assert_eq!(cell_hash(&ints, 0), cell_hash(&ints, 1));
+    }
+
+    #[test]
+    fn a_cell_equals_a_stored_value_as_its_value_would() {
+        let big = 1i64 << 53;
+        let nulls = |data: ColumnData, valid: &[bool]| ColumnVec {
+            data,
+            validity: Some(valid.to_vec()),
+        };
+        let dict =
+            |words: &[&str]| -> StrDict { Arc::new(words.iter().map(|&w| w.into()).collect()) };
+        // Two dictionaries holding the same strings as different `Arc`s.
+        let (d1, d2) = (dict(&["ny", "sf", ""]), dict(&["sf", "ny", "la"]));
+        let columns = [
+            nulls(
+                ColumnData::Bool(vec![true, false, true]),
+                &[true, true, false],
+            ),
+            nulls(
+                ColumnData::Int(vec![0, 3, big, big + 1, -7, 0]),
+                &[true, true, true, true, true, false],
+            ),
+            nulls(
+                ColumnData::Float(vec![f64::NAN, -0.0, 3.0, big as f64, 2.5, 1.0]),
+                &[true, true, true, true, true, false],
+            ),
+            nulls(
+                ColumnData::Str {
+                    dict: d1.clone(),
+                    codes: vec![0, 1, 2, 0],
+                },
+                &[true, true, true, false],
+            ),
+            ColumnVec::new(ColumnData::Str {
+                dict: d2,
+                codes: vec![0, 1, 2],
+            }),
+        ];
+        // Every cell's own value — the stored key a group would hold, a
+        // string sharing its dictionary's `Arc` — and values built apart.
+        let mut stored: Vec<Value> = columns
+            .iter()
+            .flat_map(|c| (0..c.len()).map(move |row| c.value(row)))
+            .collect();
+        stored.extend([
+            Value::Null,
+            Value::Bool(false),
+            Value::Int(0),
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Int(3),
+            Value::Float(f64::NAN),
+            Value::Float(0.0),
+            Value::Float(big as f64),
+            Value::Float(2.5),
+            Value::str("ny"),
+            Value::str("sf"),
+            Value::str("la"),
+            Value::str(""),
+        ]);
+        let mut matches = 0;
+        for c in &columns {
+            for row in 0..c.len() {
+                for v in &stored {
+                    let want = c.value(row) == *v;
+                    assert_eq!(c.cell_eq_value(row, v), want, "{:?} vs {v:?}", c.value(row));
+                    matches += usize::from(want);
+                }
+            }
+        }
+        // NULL, NaN, 0 = -0, Int against Float past 2^53 and strings across
+        // dictionaries all found matches, not only a cell its own value.
+        assert!(matches > 60, "{matches}");
+        assert!(!columns[1].cell_eq_value(2, &Value::Int(big + 1)));
+        assert!(columns[1].cell_eq_value(3, &Value::Float(big as f64)));
+        assert!(columns[4].cell_eq_value(1, &Value::Str(d1[0].clone())));
     }
 
     #[test]

@@ -8,7 +8,14 @@
 //!   fingerprint but are two keys: a `GROUP BY` keeps them apart at any
 //!   worker count, and a join matches each probe row to its own build row.
 //! - NULL keys group with each other but never join, on either side.
+//! - A row's fingerprint is its key tuple's: `key_fingerprint` agrees with
+//!   the accumulator's key index (`FpMap::fingerprint` of the row's
+//!   `Vec<Value>`), which a `GROUP BY` row looks itself up in and which
+//!   shard merges and `group(&key)` hash stored keys with.
 
+use std::sync::Arc;
+
+use sampling_algebra::core::hash::FpMap;
 use sampling_algebra::exec::{execute, key_fingerprint, keys_eq, Row};
 use sampling_algebra::prelude::*;
 use sampling_algebra::storage::{ColumnData, ColumnVec};
@@ -63,6 +70,42 @@ fn colliding_keys_share_a_fingerprint_through_the_kernel() {
     assert_eq!(Value::Int(BIG + 1), Value::Float(BIG as f64));
     assert!(keys_eq(ints, 1, floats, 0));
     assert_eq!(key_fingerprint(ints, 1), key_fingerprint(floats, 0));
+}
+
+#[test]
+fn a_row_fingerprints_as_its_key_tuple_does() {
+    let valid = |data: ColumnData, nulls: &[usize]| ColumnVec {
+        validity: Some((0..5).map(|row| !nulls.contains(&row)).collect()),
+        data,
+    };
+    let ints = valid(ColumnData::Int(vec![7, -3, 0, 12, 0]), &[4]);
+    let floats = valid(ColumnData::Float(vec![1.5, f64::NAN, -0.0, 0.1, 0.0]), &[4]);
+    let strs = valid(
+        ColumnData::Str {
+            dict: Arc::new(vec!["a".into(), "bc".into(), "".into()]),
+            codes: vec![0, 1, 2, 0, 1],
+        },
+        &[3],
+    );
+    let pair = ColumnVec::new(ColumnData::Int(vec![BIG, BIG + 1, BIG, BIG + 1, BIG]));
+    let shapes: [&[&ColumnVec]; 6] = [
+        &[&ints],
+        &[&floats],
+        &[&strs],
+        &[&ints, &strs],
+        &[&pair],
+        &[],
+    ];
+    for cols in shapes {
+        for row in 0..5 {
+            let key: Vec<Value> = cols.iter().map(|c| c.value(row)).collect();
+            assert_eq!(
+                key_fingerprint(cols, row),
+                FpMap::fingerprint(&key),
+                "{key:?}"
+            );
+        }
+    }
 }
 
 #[test]

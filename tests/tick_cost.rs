@@ -9,7 +9,11 @@
 //! per group, and ran the §6.3 recursion over cloned matrices for each —
 //! upwards of fifteen allocations per group and tick.
 //!
-//! Discovery is the other half: a group's first appearance costs its key
+//! The push is the other per-tick cost: a row finds its group once, in the
+//! accumulator's key index, so a chunk that deals every known group builds
+//! no key and allocates nothing per group either.
+//!
+//! Discovery is the last part: a group's first appearance costs its key
 //! and its share of storage that grows by doubling, not an accumulator
 //! object of its own.
 //!
@@ -59,9 +63,9 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// `t(g, v)`: `4·groups` rows dealing the keys `0..groups` round-robin — so
-/// the first chunks discover every group — then a long tail over 16 hot
-/// keys, so later chunks push little and discover nothing.
-fn plateau_catalog(groups: i64, rows: i64) -> Catalog {
+/// the first chunks discover every group — then a long tail dealing the
+/// first `hot` keys round-robin, so later chunks discover nothing.
+fn plateau_catalog(groups: i64, hot: i64, rows: i64) -> Catalog {
     let mut c = Catalog::new();
     let schema = Schema::new(vec![
         Field::new("g", DataType::Int),
@@ -70,7 +74,7 @@ fn plateau_catalog(groups: i64, rows: i64) -> Catalog {
     .unwrap();
     let mut b = TableBuilder::new("t", schema);
     for i in 0..rows {
-        let g = if i < 4 * groups { i % groups } else { i % 16 };
+        let g = if i < 4 * groups { i % groups } else { i % hot };
         b.push_row(&[Value::Int(g), Value::Float(1.0 + (i % 7) as f64)])
             .unwrap();
     }
@@ -101,11 +105,12 @@ fn run_to(catalog: &Catalog, row_budget: u64) -> (u64, u64, usize) {
 }
 
 /// Allocations per tick (pull, push and readout of one chunk) once
-/// discovery has plateaued, and the group count they were measured at: two
-/// runs of one seed that differ only in how many plateau ticks they take,
-/// so the difference of their totals is those ticks' allocations exactly.
-fn steady_tick_allocations(groups: i64) -> (f64, usize) {
-    let catalog = plateau_catalog(groups, 4 * groups + 14 * 4096);
+/// discovery has plateaued on a tail over `hot` keys, and the group count
+/// they were measured at: two runs of one seed that differ only in how
+/// many plateau ticks they take, so the difference of their totals is those
+/// ticks' allocations exactly.
+fn steady_tick_allocations(groups: i64, hot: i64) -> (f64, usize) {
+    let catalog = plateau_catalog(groups, hot, 4 * groups + 14 * 4096);
     let discovered = (4 * groups + 2 * 4096) as u64;
     let (short, short_ticks, short_groups) = run_to(&catalog, discovered);
     let (long, long_ticks, long_groups) = run_to(&catalog, discovered + 8 * 3600);
@@ -118,27 +123,43 @@ fn steady_tick_allocations(groups: i64) -> (f64, usize) {
     (per_tick, long_groups)
 }
 
-#[test]
-fn a_tick_that_discovers_nothing_allocates_nothing_per_group() {
-    let (small, small_groups) = steady_tick_allocations(1000);
-    let (large, large_groups) = steady_tick_allocations(2000);
+/// Steady-state ticks over 1000 and 2000 groups, the plateau's tail over
+/// `hot(groups)` keys: a thousand more groups add nothing a tick allocates
+/// for. The counts differ by what a chunk's per-part vectors happen to
+/// grow to, not by anything proportional to the groups read or pushed.
+/// Returns the larger run's allocations per tick and its group count.
+fn assert_ticks_flat_in_groups(hot: impl Fn(i64) -> i64) -> (f64, usize) {
+    let (small, small_groups) = steady_tick_allocations(1000, hot(1000));
+    let (large, large_groups) = steady_tick_allocations(2000, hot(2000));
     assert!(small_groups >= 990 && large_groups >= 1980);
-    // At most one allocation per group and tick on average (it is far
-    // fewer; the parent made at least fifteen).
-    let per_group = large / large_groups as f64;
-    assert!(
-        per_group <= 1.0,
-        "{per_group:.2} allocations per group and tick ({large:.0} a tick)"
-    );
-    // And a thousand more groups add nothing a tick allocates for: the
-    // counts differ by what a chunk's hash partitioning happens to need,
-    // not by anything proportional to the groups read.
     let extra = large - small;
     assert!(
         extra.abs() <= 0.02 * (large_groups - small_groups) as f64,
         "{} more groups cost {extra:.1} more allocations a tick ({small:.0} vs {large:.0})",
         large_groups - small_groups
     );
+    (large, large_groups)
+}
+
+#[test]
+fn a_tick_that_discovers_nothing_allocates_nothing_per_group() {
+    // Later chunks push 16 hot keys: only the readout visits every group.
+    let (large, large_groups) = assert_ticks_flat_in_groups(|_| 16);
+    // At most one allocation per group and tick on average (it is far
+    // fewer).
+    let per_group = large / large_groups as f64;
+    assert!(
+        per_group <= 1.0,
+        "{per_group:.2} allocations per group and tick ({large:.0} a tick)"
+    );
+}
+
+#[test]
+fn a_tick_over_known_groups_allocates_nothing_per_group() {
+    // Every later chunk deals every known key: a push that built a key per
+    // chunk and group (a chunk-local key index in front of the
+    // accumulator's) would allocate about one more per group and tick.
+    assert_ticks_flat_in_groups(|groups| groups);
 }
 
 /// Allocations per group that discovering it costs: two runs of one seed to
@@ -150,7 +171,7 @@ fn a_tick_that_discovers_nothing_allocates_nothing_per_group() {
 /// above), so what is left is what a group's first appearance costs.
 fn discovery_allocations_per_group() -> f64 {
     let budget = (4 * 2000 + 2 * 4096) as u64;
-    let run = |groups: i64| run_to(&plateau_catalog(groups, 4 * groups + 14 * 4096), budget);
+    let run = |groups: i64| run_to(&plateau_catalog(groups, 16, 4 * groups + 14 * 4096), budget);
     let (small, small_ticks, small_groups) = run(1000);
     let (large, large_ticks, large_groups) = run(2000);
     assert_eq!(small_ticks, large_ticks, "one budget, one tick count");
@@ -160,15 +181,14 @@ fn discovery_allocations_per_group() -> f64 {
 
 #[test]
 fn discovering_a_group_costs_its_key_not_a_slot_object() {
-    // About seven: the key tuple the chunk partition builds (kept as the
-    // group's index entry), one more per later discovery chunk holding the
-    // group's rows, and the snapshot entry a tick builds for a group it
-    // shows first (key, aggregate list, two names). A group's slot is a
-    // stride of shared vectors, not an accumulator owning heap blocks of
-    // its own.
+    // About five: the key tuple built when the group is discovered (kept
+    // as its index entry; a later chunk holding the group's rows builds
+    // none), and the snapshot entry a tick builds for a group it shows
+    // first (key, aggregate list, two names). A group's slot is a stride of
+    // shared vectors, not an accumulator owning heap blocks of its own.
     let per_group = discovery_allocations_per_group();
     assert!(
-        per_group <= 8.0,
+        per_group <= 5.5,
         "{per_group:.2} allocations per discovered group"
     );
 }
